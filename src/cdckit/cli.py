@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -170,7 +169,6 @@ def _cmd_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         code = cdc_from_text(fh.read())
     mode = args.mode
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if mode.startswith("sample:"):
         parts = mode.split(":")
         count = int(parts[1])
@@ -180,7 +178,7 @@ def _cmd_verify(args) -> int:
             return USAGE_EXIT
         report = verify_min_distance(code, mode="sample", sample_count=count, seed=seed)
     elif mode == "exhaustive":
-        report = verify_min_distance(code, jobs=jobs)
+        report = verify_min_distance(code)
     else:
         print(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED", file=sys.stderr)
         return USAGE_EXIT
@@ -201,7 +199,9 @@ def _cmd_verify(args) -> int:
         }
     _emit(payload)
     if not report.ok(code.d):
-        print(f"# FAIL min_found {report.min_found} < claimed {code.d}; "
+        print(f"# FAIL no pair to check: the file has {len(code)} codewords"
+              if report.pairs_checked == 0 else
+              f"# FAIL min_found {report.min_found} < claimed {code.d}; "
               f"witness pair {report.witness}", file=sys.stderr)
         return VERIFY_EXIT
     return 0
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exhaustive", help="exhaustive | sample:N:SEED")
     p.add_argument("--seed", type=int, help="sampling seed (alternative to sample:N:SEED)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="verification workers; 0 means available parallelism")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("registry", help="inspect base code sizes")

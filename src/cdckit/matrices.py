@@ -235,7 +235,6 @@ def invert(m: Matrix) -> Matrix:
 def pack_rows_gf2(m: Matrix) -> List[int]:
     """Rows as ints; column 0 is the highest bit, so the leading set bit
     of a packed row is its leftmost nonzero column."""
-    n = m.ncols
     out = []
     for i in range(m.nrows):
         v = 0
@@ -245,8 +244,8 @@ def pack_rows_gf2(m: Matrix) -> List[int]:
     return out
 
 
-def rank_gf2(packed_rows: Sequence[int], ncols: int, stop_at: int = -1) -> int:
-    """Rank of packed GF(2) rows, optionally stopping once `stop_at` reached."""
+def rank_gf2(packed_rows: Sequence[int], ncols: int) -> int:
+    """Rank of packed GF(2) rows."""
     basis = [0] * (ncols + 1)
     r = 0
     for v in packed_rows:
@@ -258,7 +257,5 @@ def rank_gf2(packed_rows: Sequence[int], ncols: int, stop_at: int = -1) -> int:
             else:
                 basis[b] = v
                 r += 1
-                if r == stop_at:
-                    return r
                 break
     return r

@@ -1,20 +1,23 @@
 """Canonical subspaces, subspace distance, lifting, and distance verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equality
-is byte equality.  Distances are computed as 2*rank(stack) - dim U - dim V,
-one elimination per pair; for GF(2) the verifier packs rows into integers
-and aborts a pair as soon as its rank shows the pair cannot improve on the
-current minimum, which keeps exhaustive checks exact but fast.
+is byte equality.  A pair's distance 2*rank(stack) - dim U - dim V takes one
+elimination (packed integer rows on GF(2)); sample mode uses it.  Exhaustive
+verification instead finds the highest t at which two codewords share a
+t-subspace, keying each codeword's [k t]_q t-subspaces, and compares pairs
+only when they are fewer than the keys.
 """
-
 from __future__ import annotations
 
 import math
 import os
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, combinations, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .counting import gauss_binomial
 from .errors import (
     AmbientMismatch,
     HypothesisViolated,
@@ -23,7 +26,7 @@ from .errors import (
     RankCapViolated,
 )
 from .gf import GF, gf, same_field
-from .matrices import Matrix, mat_rank, mat_rref, pack_rows_gf2, rank_gf2
+from .matrices import Matrix, mat_rank, mat_rref, pack_rows_gf2
 from .rankcodes import FerrersShape
 
 
@@ -312,71 +315,28 @@ class VerifyReport:
     seed: Optional[int] = None
 
     def ok(self, claimed_d: int) -> bool:
-        return self.min_found >= claimed_d
+        """A verification that checked no pair proves nothing, so it fails."""
+        return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-def _pair_scan_gf2(packs: List[Tuple[int, ...]], k: int, n: int, lo: int, hi: int):
-    """Exact minimum over codeword pairs with index in [lo, hi).
-
-    Pairs are linearized i-major; early exit per pair once the running rank
-    shows it cannot beat the current local minimum.
-    """
-    n_words = len(packs)
-    best = 2 * k + 2  # above any real distance, so the first pair resolves fully
-    witness = None
-    idx = 0
-    for i in range(n_words - 1):
-        row_count = n_words - 1 - i
-        if idx + row_count <= lo:
-            idx += row_count
-            continue
-        basis0 = [0] * (n + 1)
-        for v in packs[i]:
-            basis0[v.bit_length()] = v
-        j0 = i + 1 + max(0, lo - idx)
-        j1 = i + 1 + min(row_count, hi - idx)
-        stop = k + best // 2
-        for j in range(j0, j1):
-            basis = basis0.copy()
-            r = k
-            for v in packs[j]:
-                while v:
-                    b = v.bit_length()
-                    w = basis[b]
-                    if w:
-                        v ^= w
-                    else:
-                        basis[b] = v
-                        r += 1
-                        break
-                if r == stop:
-                    break
-            if r < stop:
-                dist = 2 * (r - k)
-                if dist < best:
-                    best = dist
-                    witness = (i, j)
-                    stop = k + best // 2
-                    if best == 0:
-                        return best, witness, hi - lo
-        idx += row_count
-        if idx >= hi:
-            break
-    return best, witness, hi - lo
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
+    """Least distance over `pairs` and the first pair that reaches it."""
+    best, witness = math.inf, None
+    for i, j in pairs:
+        dist = subspace_distance(code.codewords[i], code.codewords[j])
+        if dist < best:
+            best, witness = dist, (i, j)
+            if dist == 0:
+                break
+    return best, witness
 
 
-def _pair_distance(code: CDC, i: int, j: int) -> int:
-    return subspace_distance(code.codewords[i], code.codewords[j])
-
-
-_FORK_STATE: dict = {}
-
-
-def _fork_worker(span):
-    lo, hi = span
-    return _pair_scan_gf2(
-        _FORK_STATE["packs"], _FORK_STATE["k"], _FORK_STATE["n"], lo, hi
-    )
+def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
+    rng = random.Random(seed)
+    for _ in range(count):
+        i, j = rng.randrange(n_words), rng.randrange(n_words - 1)
+        j += j >= i  # j is drawn from the other n_words - 1 indices
+        yield min(i, j), max(i, j)
 
 
 def verify_min_distance(
@@ -388,76 +348,119 @@ def verify_min_distance(
 ) -> VerifyReport:
     """Exhaustive or seeded-sample minimum-distance check.
 
-    Exhaustive mode returns the true minimum and a witness pair (indices
-    into the sorted codeword list); sample mode returns the minimum over
-    `sample_count` seeded pairs.
+    Exhaustive mode returns the true minimum and the lexicographically
+    first witness pair (indices into the sorted codeword list), and counts
+    all N(N-1)/2 pairs as checked; sample mode returns the minimum over
+    `sample_count` seeded pairs.  `jobs` is accepted and has no effect.
     """
+    if mode == "sample":
+        if sample_count < 1:
+            raise InvalidParameters(f"sample count {sample_count} is below 1")
+    elif mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
     n_words = len(code)
     total_pairs = n_words * (n_words - 1) // 2
     if n_words < 2:
         return VerifyReport(math.inf, None, 0, mode, seed)
-
     if mode == "sample":
-        rng = random.Random(seed)
-        best: float = math.inf
-        witness = None
-        for _ in range(sample_count):
-            i = rng.randrange(n_words)
-            j = rng.randrange(n_words - 1)
-            if j >= i:
-                j += 1
-            if i > j:
-                i, j = j, i
-            dist = _pair_distance(code, i, j)
-            if dist < best:
-                best, witness = dist, (i, j)
+        best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed))
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     if total_pairs > pair_limit():
         raise PairLimitExceeded(f"{total_pairs} pairs exceed the limit {pair_limit()}")
-
-    if code.codewords[0].field.p == 2 and code.codewords[0].field.degree == 1:
-        packs = [w.packed() for w in code.codewords]
-        if jobs > 1 and total_pairs < 200_000:
-            jobs = 1  # fork overhead dominates below this size; result identical
-        if jobs <= 1:
-            best, witness, _ = _pair_scan_gf2(packs, code.k, code.n, 0, total_pairs)
-        else:
-            import multiprocessing as mp
-
-            _FORK_STATE.update(packs=packs, k=code.k, n=code.n)
-            bounds = [total_pairs * w // jobs for w in range(jobs + 1)]
-            spans = [(bounds[w], bounds[w + 1]) for w in range(jobs) if bounds[w] < bounds[w + 1]]
-            with mp.get_context("fork").Pool(jobs) as pool:
-                parts = pool.map(_fork_worker, spans)
-            _FORK_STATE.clear()
-            best, witness = min(
-                ((b, wtn) for b, wtn, _ in parts if wtn is not None),
-                key=lambda t: (t[0], t[1]),
-            )
-        return VerifyReport(best, witness, total_pairs, "exhaustive")
-
-    best, witness, _ = _scan_generic(code, 0, total_pairs)
+    best, witness = _collision_scan(code)
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
 
-def _scan_generic(code: CDC, lo: int, hi: int):
-    best: float = math.inf
-    witness = None
-    idx = 0
-    n_words = len(code)
-    checked = 0
-    for i in range(n_words - 1):
-        for j in range(i + 1, n_words):
-            if lo <= idx < hi:
-                dist = _pair_distance(code, i, j)
-                checked += 1
-                if dist < best:
-                    best, witness = dist, (i, j)
-            idx += 1
-    return best, witness, checked
+def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
+    """Minimum distance of a code with two or more words, and the
+    lexicographically first pair at that distance.
+
+    Words U, V share a t-subspace iff d(U, V) <= 2(k - t), so the first
+    level t = k, k-1, ..., 1 at which two words share one gives the minimum.
+    For a word's RREF G and a t x k RREF matrix C, C*G is the RREF of a
+    t-subspace whose pivots are G's at C's pivot columns c; keys are grouped
+    by that pivot set, one group held at a time.  The levels hold up to
+    N * sum_t [k t]_q keys; when the N(N-1)/2 pairs are fewer, they are
+    compared instead.
+    """
+    k, q, words = code.k, code.q, code.codewords
+    if 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) >= len(words):
+        return _min_pair(code, combinations(range(len(words)), 2))
+    span = _span_gf2 if q == 2 else _span_field(words[0].field)
+    by_pivots: dict = {}
+    for i, w in enumerate(words):
+        by_pivots.setdefault(w.pivots, []).append(i)
+    shift = q**code.n
+
+    def level(t: int) -> Optional[Tuple[int, int]]:
+        """The lexicographically first pair sharing a t-subspace, if any."""
+        # for C's pivot columns c, the rows of G each row of C*G may add
+        free = {c: [[j for j in range(r + 1, k) if j not in c] for r in c]
+                for c in combinations(range(k), t)}
+        groups: dict = {}
+        for piv in by_pivots:
+            for c in free:
+                groups.setdefault(tuple(piv[r] for r in c), {})[piv] = c
+
+        def keys_of(i: int, c: Tuple[int, ...]) -> List[int]:
+            g = words[i].packed() if q == 2 else words[i].mat.rows()
+            keys = [0]
+            for r, cols in zip(c, free[c]):
+                vals = span(g, r, cols)
+                keys = [key * shift + v for key in keys for v in vals]
+            return keys
+
+        found = []
+        while groups:
+            cs = groups.popitem()[1]
+            order = sorted(chain.from_iterable(by_pivots[piv] for piv in cs))
+            # a key is stored as one bit of a 64-bit mask under key >> 6;
+            # words arrive in index order, so a key's first repeat is its
+            # second-lowest holder
+            seen, second = {}, {}
+            for i in order:
+                for key in keys_of(i, cs[words[i].pivots]):
+                    high, bit = key >> 6, 1 << (key & 63)
+                    old = seen.get(high, 0)
+                    if old & bit:
+                        second.setdefault(key, i)
+                    else:
+                        seen[high] = old | bit
+            for i in order if second else ():
+                partners = [second[key] for key in keys_of(i, cs[words[i].pivots])
+                            if key in second]
+                if partners:  # i is the lowest holder of any repeated key
+                    found.append((i, min(partners)))
+                    break
+        return min(found, default=None)
+
+    for t in range(k, 0, -1):
+        found = level(t)
+        if found is not None:
+            return 2 * (k - t), found
+    return 2 * k, (0, 1)
+
+
+def _span_gf2(g: List[int], r: int, cols: List[int]) -> List[int]:
+    """Packed rows g[r] + any sum of the rows g[j], j in cols, over GF(2)."""
+    vals = [g[r]]
+    for j in cols:
+        vals += [v ^ g[j] for v in vals]
+    return vals
+
+
+def _span_field(f: GF):
+    """Rows g[r] + any combination of the rows g[j], j in cols, as base-q ints,
+    by the field's own operations (q^2-entry tables would not fit for q = 2^16)."""
+    def span(g, r, cols):
+        vals = [g[r]]
+        for j in cols:
+            scaled = [tuple(map(f.mul, repeat(a), g[j])) for a in range(1, f.q)]
+            vals += [tuple(map(f.add, v, s)) for s in scaled for v in vals]
+        return [reduce(lambda acc, x: acc * f.q + x, v, 0) for v in vals]
+
+    return span
 
 
 # -- CDC file format ---------------------------------------------------------
@@ -474,8 +477,8 @@ def cdc_to_text(code: CDC) -> str:
 
 def cdc_from_text(text: str, provenance: str = "file") -> CDC:
     lines = text.splitlines()
-    head = lines[0].split()
-    if head[0] != "CDC":
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")
     q, n, k, d, count = (int(x) for x in head[1:6])
     field = gf(q)

@@ -173,8 +173,8 @@ def test_registry_subcommand(capsys):
 
 
 def test_verify_jobs_flag(tmp_path, capsys):
-    # enough pairs (523776) to engage the worker pool; output is identical
-    # for every worker count
+    # --jobs is accepted and has no effect: output is identical for every
+    # value
     plan = tmp_path / "blocks.plan"
     plan.write_text(BLOCKS_PLAN)
     out = tmp_path / "blocks.cdc"
@@ -186,3 +186,30 @@ def test_verify_jobs_flag(tmp_path, capsys):
         payloads.append(capsys.readouterr().out)
     assert payloads[0] == payloads[1] == payloads[2]
     assert _json_lines(payloads[0])[0]["min_found"] == 4
+
+
+def test_verify_vacuous_file_fails(tmp_path, capsys):
+    for count, body in ((0, ""), (1, "\n1 0 0 0\n0 1 0 0\n")):
+        path = tmp_path / f"{count}.cdc"
+        path.write_text(f"CDC 2 4 2 4 {count}\n{body}")
+        assert main(["verify", "--in", str(path)]) == 4
+        out, err = capsys.readouterr()
+        payload = _json_lines(out)[0]
+        assert payload["ok"] is False and payload["pairs_checked"] == 0
+        assert "no pair to check" in err
+
+
+def test_verify_empty_or_headerless_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cdc"
+    for text in ("", "\n", "1 0 0 0\n0 1 0 0\n"):
+        path.write_text(text)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "not a CDC file" in capsys.readouterr().err
+
+
+def test_verify_sample_count_below_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "two.cdc"
+    path.write_text("CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n")
+    for mode in ("sample:0:1", "sample:-3:1"):
+        assert main(["verify", "--in", str(path), "--mode", mode]) == 2
+        assert capsys.readouterr().out == ""

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cdckit.counting import gauss_binomial
 from cdckit.errors import AmbientMismatch, InvalidParameters, PairLimitExceeded, \
     RankCapViolated
 from cdckit.gf import gf
@@ -249,7 +250,7 @@ def test_cdc_file_round_trip():
 
 
 def test_verifier_matches_bruteforce_oracle():
-    # the early-exit elimination kernel against a plain per-pair recompute
+    # the t-subspace collision scan against a plain per-pair recompute
     rng = random.Random(1234)
     words = []
     seen = set()
@@ -268,3 +269,56 @@ def test_verifier_matches_bruteforce_oracle():
     assert report.min_found == naive
     i, j = report.witness
     assert subspace_distance(cdc.codewords[i], cdc.codewords[j]) == naive
+
+
+def _pairwise_oracle(cdc):
+    """Minimum distance and its lexicographically first pair, pair by pair."""
+    w = cdc.codewords
+    return min((subspace_distance(w[i], w[j]), (i, j))
+               for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_verifier_matches_pairwise_oracle_over_fields(q):
+    rng = random.Random(2020 + q)
+    f = gf(q)
+    codes = []
+    # a general code, k = 1, n < 2k, and one mostly at 2k; each once with so
+    # few words that its levels hold more keys than it has pairs, so pairs
+    # are compared, and once with enough words to key every level
+    for n, k in ((6, 3), (4, 1), (5, 3), (8, 2)):
+        for size in (4, 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) + 1):
+            words = [_random_subspace(rng, q, n, k) for _ in range(size)]
+            codes.append(CDC(q, n, k, 2, words, strict=False))
+    words = [_random_subspace(rng, q, 6, 2) for _ in range(9)]
+    # three copies: the witness pairs the lowest copy with the second-lowest
+    duplicated = CDC(q, 6, 2, 4, words + [words[4]] * 2, strict=False)
+    # a line spread of GF(q)^4: every pair is at the largest distance 2k = 4
+    spread = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(q, 2, 2, 2))]
+    spread.append(subspace_from_rows(hstack(Matrix.zero(f, 2, 2), Matrix.identity(f, 2))))
+    spread = CDC(q, 4, 2, 4, spread)
+    for cdc in codes + [duplicated, spread]:
+        report = verify_min_distance(cdc)
+        assert (report.min_found, report.witness) == _pairwise_oracle(cdc)
+    assert verify_min_distance(duplicated).min_found == 0
+    assert verify_min_distance(spread).min_found == 4
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_verifier_small_code_over_large_field(size):
+    # over GF(256) a 3-dimensional word has q^2 + q + 1 = 65,793
+    # 2-subspaces, far more keys than the code has pairs
+    rng = random.Random(256 + size)
+    words = [_random_subspace(rng, 256, 6, 3) for _ in range(size)]
+    for cdc in (CDC(256, 6, 3, 2, words),
+                CDC(256, 6, 3, 2, words + words[:1], strict=False)):
+        report = verify_min_distance(cdc)
+        assert (report.min_found, report.witness) == _pairwise_oracle(cdc)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_verify_sample_count_below_one_rejected(count):
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
+    cdc = CDC(2, 4, 2, 2, words)
+    with pytest.raises(InvalidParameters):
+        verify_min_distance(cdc, mode="sample", sample_count=count, seed=1)
