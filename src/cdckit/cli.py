@@ -16,6 +16,7 @@ from . import bounds
 from .constructions import ConstructionPlan, parse_plan, run_plan
 from .counting import bounded_rank_size, delsarte_rank_count, gauss_binomial, mrd_size
 from .errors import CdckitError, Mismatch, RegistryMiss
+from .gf import factor_prime_power
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import cdc_from_text, cdc_to_text, verify_min_distance
 
@@ -44,6 +45,7 @@ def _cmd_count(args) -> int:
     if len(vals) != arity[expr]:
         print(f"{expr} takes {arity[expr]} integers, got {len(vals)}", file=sys.stderr)
         return USAGE_EXIT
+    factor_prime_power(vals[2] if expr == "gauss" else vals[0])  # q must be a prime power
     if expr == "gauss":
         n, k, q = vals
         print(gauss_binomial(n, k, q))
@@ -73,7 +75,7 @@ def _bound_params_from_plan(plan: ConstructionPlan) -> tuple:
         )
     family = _PLAN_TO_BOUND[plan.family]
     p = dict(plan.params)
-    p.setdefault("n2", plan.n - p["n1"])
+    p.setdefault("n2", plan.n - plan.p("n1"))
     if "a1" in p:
         p.setdefault("a2", plan.k - p["a1"])
     if "u1" in p:
@@ -92,9 +94,10 @@ def _cmd_bound(args) -> int:
     else:
         family = args.family
         q, n, d, k = args.q, args.n, args.d, args.k
-        if None in (q, n, d, k):
-            print("--q --n --d --k are required without --plan", file=sys.stderr)
+        if family is None or None in (q, n, d, k):
+            print("--family --q --n --d --k are required without --plan", file=sys.stderr)
             return USAGE_EXIT
+        factor_prime_power(q)
         if family == "cor45":
             total = bounds.bound_cor45_poly(n, d, k, q, registry)
             _emit({"family": "cor45", "q": q, "n": n, "d": d, "k": k, "total": total})

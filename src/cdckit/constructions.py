@@ -20,8 +20,8 @@ from .errors import (
     HypothesisViolated,
     MissingSubcode,
 )
-from .gf import gf
-from .matrices import Matrix, hstack
+from .gf import factor_prime_power, gf
+from .matrices import Matrix, hstack, vstack
 from .rankcodes import FerrersShape, enumerate_code, fdrm_subcode_union, fdrm_union, \
     gabidulin_mrd, subcode_cosets
 from .registry import BaseBoundRegistry, shipped_registry
@@ -63,12 +63,16 @@ def parse_plan(text: str) -> ConstructionPlan:
             continue
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
+    missing = [name for name in ("family", "q", "n", "d", "k") if name not in kv]
+    if missing:
+        raise HypothesisViolated(f"plan is missing {', '.join(missing)}")
     family = kv.pop("family")
     if family not in FAMILIES:
         raise HypothesisViolated(f"unknown family {family!r}")
     files = {k[: -len("_file")]: v for k, v in kv.items() if k.endswith("_file")}
     params = {k: int(v) for k, v in kv.items() if not k.endswith("_file")}
     core = {name: params.pop(name) for name in ("q", "n", "d", "k")}
+    factor_prime_power(core["q"])  # a q that is not a prime power is refused here
     return ConstructionPlan(family=family, params=params, files=files, **core)
 
 
@@ -138,7 +142,7 @@ def _need(cond: bool, msg: str) -> None:
 def _coset_lists(q: int, a: int, b: int, b_dist: int, h: int, s: int) -> List[List[Matrix]]:
     """First s coset member-lists at ambient distance b_dist, subcode h."""
     if b_dist == h:
-        members = sorted(enumerate_code(gabidulin_mrd(q, a, b, h)), key=lambda m: m.entries)
+        members = sorted(enumerate_code(gabidulin_mrd(q, a, b, h)), key=Matrix.key)
         return [members]
     fam = subcode_cosets(q, a, b, b_dist, h)
     return [members for _, members in fam.materialize()[:s]]
@@ -220,8 +224,7 @@ def build_blocks(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] =
                     for m21 in m21s:
                         top = hstack(i1, m11, o_top, m12)
                         bot = hstack(o_bot, m21, i2, m22)
-                        words.append(subspace_from_rows(
-                            Matrix(f, k, n, top.entries + bot.entries)))
+                        words.append(subspace_from_rows(vstack(top, bot)))
     cdc = CDC(q, n, k, d, words, provenance="blocks")
     return BuildOutput(cdc, counts, total).check()
 
@@ -281,8 +284,7 @@ def build_multiblocks(plan: ConstructionPlan, base: Optional[BuildOutput] = None
                             for m21 in m21s:
                                 top = hstack(u1.mat, m11, o_top, m12)
                                 bot = hstack(o_bot, m21, u2.mat, m22)
-                                words.append(subspace_from_rows(
-                                    Matrix(f, k, n, top.entries + bot.entries)))
+                                words.append(subspace_from_rows(vstack(top, bot)))
     if base is not None and base.cdc is not None:
         words.extend(base.cdc)
         provenance = "multiblocks+linkage"
@@ -334,9 +336,9 @@ def build_parallel_blocks(plan: ConstructionPlan, prior: Optional[BuildOutput] =
         raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
     f = gf(q)
     m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=c1),
-                 key=lambda m: m.entries)
+                 key=Matrix.key)
     m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=c2),
-                 key=lambda m: m.entries)
+                 key=Matrix.key)
     if b1 == h and b2 == h:
         pairs = [(x, y) for x in m1s for y in m2s]
     else:
@@ -351,7 +353,7 @@ def build_parallel_blocks(plan: ConstructionPlan, prior: Optional[BuildOutput] =
             for u2 in d2:
                 top = hstack(m1, u1.mat, o1, o2)
                 bot = hstack(o3, o4, m2, u2.mat)
-                words.append(subspace_from_rows(Matrix(f, k, n, top.entries + bot.entries)))
+                words.append(subspace_from_rows(vstack(top, bot)))
     if prior is not None and prior.cdc is not None:
         words.extend(prior.cdc)
         provenance = "parallel-blocks+prior"

@@ -12,6 +12,7 @@ runs; anything not in the table is found by the same deterministic search.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 from .errors import InversionOfZero, MixedFields
@@ -186,7 +187,7 @@ def field_arith(field: GF, op: str, *operands: int) -> int:
 
 
 def same_field(a: GF, b: GF) -> GF:
-    if a != b:
+    if a is not b and a != b:
         raise MixedFields(f"operands from {a} and {b}")
     return a
 
@@ -198,26 +199,27 @@ def gf(q: int) -> GF:
     """Canonical GF(q) for a prime power q, with the fixed modulus table."""
     if q in _CACHE:
         return _CACHE[q]
-    p, degree = _factor_prime_power(q)
+    if q > 1 << 16:  # before factoring, which takes sqrt(q) steps for a prime q
+        raise ValueError(f"field order {q} exceeds the 2^16 support limit")
+    p, degree = factor_prime_power(q)
     fld = GF(p, degree)
     _CACHE[q] = fld
     return fld
 
 
-def _factor_prime_power(q: int) -> Tuple[int, int]:
+def factor_prime_power(q: int) -> Tuple[int, int]:
+    """(p, degree) with p prime and p**degree == q, by trial division up to
+    sqrt(q); ValueError when q is not a prime power."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if _small_prime(p) and q % p == 0:
-            degree = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                degree += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, degree
-    raise ValueError(f"{q} is not a prime power")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    degree, m = 0, q
+    while m % p == 0:
+        m //= p
+        degree += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, degree
 
 
 # -- polynomial helpers over an arbitrary coefficient field -----------------

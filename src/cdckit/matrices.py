@@ -1,19 +1,28 @@
 """Dense matrices over GF(q): RREF, rank, kernels, block assembly.
 
-Matrices are immutable, row-major, and small; everything here favours
-exactness and canonical output over speed.  The hot pairwise-distance path
-lives in `subspaces` and packs GF(2) rows into integers instead.
+Matrices are immutable and row-major.  Over GF(2) a matrix keeps its rows
+packed, one int per row with column 0 as the highest bit, and the build path
+works on those ints: XOR adds matrices, shift-or joins blocks side by side
+and `bit_length` finds pivots.  The entry tuple is built from the packed
+rows only when a caller reads `entries`.  Over other fields the entry tuple
+is the only representation and the field's own operations do the
+arithmetic.  The public constructor checks every entry; `from_packed` trusts
+rows derived from checked matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from itertools import chain
+from operator import xor
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .gf import GF, gf, same_field
 
+_GF2 = gf(2)
+
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_packed")
 
     def __init__(self, field: GF, nrows: int, ncols: int, entries: Sequence[int]):
         entries = tuple(int(e) for e in entries)
@@ -26,6 +35,26 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = entries
+        self._packed = None
+        if field.q == 2:
+            packed = []
+            for i in range(nrows):
+                v = 0
+                for x in entries[i * ncols : (i + 1) * ncols]:
+                    v = (v << 1) | x
+                packed.append(v)
+            self._packed = tuple(packed)
+
+    @classmethod
+    def from_packed(cls, ncols: int, rows: Sequence[int]) -> "Matrix":
+        """GF(2) matrix with the given packed rows (see `pack_rows_gf2`),
+        each trusted to lie in [0, 2**ncols)."""
+        m = cls.__new__(cls)
+        m.field = _GF2
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._packed = tuple(rows)
+        return m
 
     @classmethod
     def zero(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
@@ -49,6 +78,21 @@ class Matrix:
             flat.extend(r)
         return cls(field, len(rows), ncols, flat)
 
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the entries of a matrix built by
+        # `from_packed`, read for the first time
+        if name != "entries":
+            raise AttributeError(name)
+        width = self.ncols
+        bits = "".join(format(v, "b").zfill(width) for v in self._packed) if width else ""
+        self.entries = tuple(map(int, bits))
+        return self.entries
+
+    def key(self) -> tuple:
+        """A tuple that orders matrices of one shape as their entries do:
+        the packed rows over GF(2), the entries otherwise."""
+        return self.entries if self._packed is None else self._packed
+
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
 
@@ -65,11 +109,11 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.key() == other.key()
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.nrows, self.ncols, self.entries))
+        return hash((self.field.q, self.nrows, self.ncols, self.key()))
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.nrows}x{self.ncols})"
@@ -106,6 +150,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     f = same_field(a.field, b.field)
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise ValueError("shape mismatch")
+    if a._packed is not None:
+        return Matrix.from_packed(a.ncols, tuple(map(xor, a._packed, b._packed)))
     return Matrix(f, a.nrows, a.ncols, tuple(f.add(x, y) for x, y in zip(a.entries, b.entries)))
 
 
@@ -113,6 +159,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     f = same_field(a.field, b.field)
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise ValueError("shape mismatch")
+    if a._packed is not None:
+        return mat_add(a, b)
     return Matrix(f, a.nrows, a.ncols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
 
 
@@ -139,6 +187,12 @@ def hstack(*mats: Matrix) -> Matrix:
         same_field(f, m.field)
         if m.nrows != nrows:
             raise ValueError("row-count mismatch in hstack")
+    if f.q == 2:
+        rows = mats[0]._packed
+        for m in mats[1:]:
+            width = m.ncols
+            rows = [(r << width) | x for r, x in zip(rows, m._packed)]
+        return Matrix.from_packed(sum(m.ncols for m in mats), rows)
     rows = []
     for i in range(nrows):
         row: List[int] = []
@@ -151,12 +205,13 @@ def hstack(*mats: Matrix) -> Matrix:
 def vstack(*mats: Matrix) -> Matrix:
     f = mats[0].field
     ncols = mats[0].ncols
-    entries: List[int] = []
     for m in mats:
         same_field(f, m.field)
         if m.ncols != ncols:
             raise ValueError("column-count mismatch in vstack")
-        entries.extend(m.entries)
+    if f.q == 2:
+        return Matrix.from_packed(ncols, sum([m._packed for m in mats], ()))
+    entries = chain.from_iterable(m.entries for m in mats)
     return Matrix(f, sum(m.nrows for m in mats), ncols, entries)
 
 
@@ -187,16 +242,57 @@ def _rref_rows(field: GF, rows: List[List[int]], ncols: int):
     return pivots
 
 
+def _rref_gf2(rows: Sequence[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Nonzero rows of the RREF of packed GF(2) rows, and their pivots."""
+    basis = {}  # bit length of a row's leading bit -> row
+    for v in rows:
+        while v:
+            b = v.bit_length()
+            w = basis.get(b)
+            if w is None:
+                basis[b] = v
+                break
+            v ^= w
+    reduced = {}
+    for b in sorted(basis):  # rightmost pivot first; clear the lower pivots
+        v = basis[b]
+        for c, w in reduced.items():
+            if v >> (c - 1) & 1:
+                v ^= w
+        reduced[b] = v
+    leads = sorted(reduced, reverse=True)
+    return tuple(reduced[b] for b in leads), tuple(ncols - b for b in leads)
+
+
 def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
+    if m._packed is not None:
+        rows, pivots = _rref_gf2(m._packed, m.ncols)
+        return Matrix.from_packed(m.ncols, rows + (0,) * (m.nrows - len(rows))), pivots
     rows = [list(m.row(i)) for i in range(m.nrows)]
     pivots = _rref_rows(m.field, rows, m.ncols)
     return Matrix.from_rows(m.field, rows) if rows else m, tuple(pivots)
 
 
+def rref_pivots_gf2(rows: Sequence[int], ncols: int) -> Optional[Tuple[int, ...]]:
+    """The pivot columns of the packed GF(2) rows if they are in RREF with no
+    zero row, else None."""
+    # leading bits strictly move right, and each row meets the set of
+    # leading bits in its own one only
+    prev, pivot_bits = ncols + 1, 0
+    for v in rows:
+        b = v.bit_length()
+        if not 0 < b < prev:
+            return None
+        prev, pivot_bits = b, pivot_bits | 1 << (b - 1)
+    if sum((v & pivot_bits).bit_count() for v in rows) != len(rows):
+        return None
+    return tuple(ncols - v.bit_length() for v in rows)
+
+
 def mat_rank(m: Matrix) -> int:
-    if m.field.p == 2 and m.field.degree == 1:
-        return rank_gf2(pack_rows_gf2(m), m.ncols)
+    if m._packed is not None:
+        return rank_gf2(m._packed, m.ncols)
     rows = [list(m.row(i)) for i in range(m.nrows)]
     return len(_rref_rows(m.field, rows, m.ncols))
 
@@ -229,19 +325,15 @@ def invert(m: Matrix) -> Matrix:
     return red.submatrix(range(m.nrows), range(m.nrows, 2 * m.nrows))
 
 
-# -- packed GF(2) helpers (hot path for rank computations) ------------------
+# -- packed GF(2) rows ----------------------------------------------------------
 
 
-def pack_rows_gf2(m: Matrix) -> List[int]:
-    """Rows as ints; column 0 is the highest bit, so the leading set bit
-    of a packed row is its leftmost nonzero column."""
-    out = []
-    for i in range(m.nrows):
-        v = 0
-        for x in m.row(i):
-            v = (v << 1) | x
-        out.append(v)
-    return out
+def pack_rows_gf2(m: Matrix) -> Tuple[int, ...]:
+    """Rows of a GF(2) matrix as ints; column 0 is the highest bit, so the
+    leading set bit of a packed row is its leftmost nonzero column."""
+    if m._packed is None:
+        raise ValueError(f"{m!r} is not over GF(2)")
+    return m._packed
 
 
 def rank_gf2(packed_rows: Sequence[int], ncols: int) -> int:

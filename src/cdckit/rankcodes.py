@@ -9,6 +9,7 @@ staircase shape used by the multilevel inserts.
 from __future__ import annotations
 
 import os
+from operator import xor
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .counting import bounded_rank_size, mrd_size
@@ -20,7 +21,7 @@ from .errors import (
     InvalidParameters,
 )
 from .gf import ExtField, GF, gf
-from .matrices import Matrix, mat_add, mat_rank
+from .matrices import Matrix, hstack, mat_add, mat_rank, pack_rows_gf2, vstack
 
 
 def enumeration_limit() -> int:
@@ -71,8 +72,12 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
 
 
 def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) -> Iterator[Matrix]:
-    """All GF(q)-combinations in coefficient-counter order (deterministic)."""
+    """All GF(q)-combinations in coefficient-counter order (deterministic):
+    the first generator's coefficient changes slowest."""
     a, b = shape
+    if field.q == 2:
+        yield from _span_gf2([pack_rows_gf2(g) for g in generators], a, b)
+        return
     zero = Matrix.zero(field, a, b)
     if not generators:
         yield zero
@@ -90,6 +95,32 @@ def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) 
             yield from rec(i + 1, acc if c == 0 else mat_add(acc, scaled[i][c]))
 
     yield from rec(0, zero)
+
+
+_LOW_GENERATORS = 10  # the last generators, whose span _span_gf2 tabulates
+
+
+def _span_gf2(gens: List[Tuple[int, ...]], a: int, b: int) -> Iterator[Matrix]:
+    """`_span_iter` over GF(2): each word XORs packed generator rows.
+
+    The span of the last generators is tabulated in counter order.  For the
+    others, counting up flips the coefficients of the trailing run of
+    generators that carries, so `flips[t]` XORs the last t + 1 of them.
+    """
+    split = max(0, len(gens) - _LOW_GENERATORS)
+    low = [(0,) * a]
+    for g in reversed(gens[split:]):
+        low += [tuple(map(xor, g, v)) for v in low]
+    flips, acc = [], (0,) * a
+    for g in reversed(gens[:split]):
+        acc = tuple(map(xor, acc, g))
+        flips.append(acc)
+    base = (0,) * a
+    for high in range(1 << split):
+        if high:
+            base = tuple(map(xor, base, flips[(high & -high).bit_length() - 1]))
+        for v in low:
+            yield Matrix.from_packed(b, tuple(map(xor, base, v)))
 
 
 def enumerate_code(
@@ -134,9 +165,9 @@ class CosetFamily:
         shape = (self.ambient.a, self.ambient.b)
         for rep in _span_iter(self.ambient.field, self.extra_generators, shape):
             members = [mat_add(rep, m) for m in sub]
-            members.sort(key=lambda m: m.entries)
+            members.sort(key=Matrix.key)
             cosets.append((members[0], members))
-        cosets.sort(key=lambda lm: lm[0].entries)
+        cosets.sort(key=lambda lm: lm[0].key())
         self._materialized = cosets
         return cosets
 
@@ -209,23 +240,26 @@ class FdrmCode:
         return self._factory()
 
 
-def _assemble(shape: FerrersShape, field: GF, m1: Optional[Matrix], m2: Matrix,
-              m3: Matrix) -> Matrix:
-    """k x (w1 + w2) matrix [[M1, M3], [0, M2]] on the Ferrers support."""
-    u1, u2, w1, w2 = shape.u1, shape.u2, shape.w1, shape.w2
-    entries: List[int] = []
-    for r in range(u1):
-        entries.extend(m1.row(r) if m1 is not None else (0,) * w1)
-        entries.extend(m3.row(r))
-    for r in range(u2):
-        entries.extend((0,) * w1)
-        entries.extend(m2.row(r))
-    return Matrix(field, u1 + u2, w1 + w2, entries)
+def _uppers(shape: FerrersShape, field: GF, m1: Optional[Matrix],
+            m3s: List[Matrix]) -> List[Matrix]:
+    """The upper rows [M1, M3] of the block matrices, one per M3; no M1
+    leaves its columns zero."""
+    left = m1 if m1 is not None else Matrix.zero(field, shape.u1, shape.w1)
+    return [hstack(left, m3) for m3 in m3s]
+
+
+def _assemble(shape: FerrersShape, field: GF, uppers: List[Matrix],
+              m2: Matrix) -> Iterator[Matrix]:
+    """k x (w1 + w2) matrices [[M1, M3], [0, M2]] on the Ferrers support,
+    one per upper block [M1, M3]."""
+    lower = hstack(Matrix.zero(field, shape.u2, shape.w1), m2)
+    for upper in uppers:
+        yield vstack(upper, lower)
 
 
 def _sorted_members(code: LinearRankCode) -> List[Matrix]:
     members = list(enumerate_code(code))
-    members.sort(key=lambda m: m.entries)
+    members.sort(key=Matrix.key)
     return members
 
 
@@ -264,9 +298,9 @@ def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
         def factory() -> Iterator[Matrix]:
             m3s = _m3_list(q, shape, rank3_cap)
             m2code = gabidulin_mrd(q, shape.u2, shape.w2, d_f)
+            uppers = _uppers(shape, field, None, m3s)
             for m2 in enumerate_code(m2code):
-                for m3 in m3s:
-                    yield _assemble(shape, field, None, m2, m3)
+                yield from _assemble(shape, field, uppers, m2)
 
         return FdrmCode(shape, 1, count, factory)
 
@@ -280,8 +314,7 @@ def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
             h2 = _sorted_members(gabidulin_mrd(q, shape.u2, shape.w2, b2))
             m3s = _m3_list(q, shape, rank3_cap)
             for m1, m2 in zip(h1, h2):
-                for m3 in m3s:
-                    yield _assemble(shape, field, m1, m2, m3)
+                yield from _assemble(shape, field, _uppers(shape, field, m1, m3s), m2)
 
         return FdrmCode(shape, 2, count, factory)
 
@@ -296,9 +329,9 @@ def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
         m2s = list(enumerate_code(gabidulin_mrd(q, shape.u2, shape.w2, d_f)))
         m3s = _m3_list(q, shape, rank3_cap)
         for m1 in enumerate_code(m1code):
+            uppers = _uppers(shape, field, m1, m3s)
             for m2 in m2s:
-                for m3 in m3s:
-                    yield _assemble(shape, field, m1, m2, m3)
+                yield from _assemble(shape, field, uppers, m2)
 
     return FdrmCode(shape, 3, count, factory)
 
@@ -335,9 +368,9 @@ def fdrm_subcode_union(q: int, shape: FerrersShape, c1: int, c2: int,
         m3s = _m3_list(q, shape, rank3_cap)
         for j in range(s):
             for m1 in fam1[j]:
+                uppers = _uppers(shape, field, m1, m3s)
                 for m2 in fam2[j]:
-                    for m3 in m3s:
-                        yield _assemble(shape, field, m1, m2, m3)
+                    yield from _assemble(shape, field, uppers, m2)
 
     return FdrmCode(shape, 3, count, factory)
 

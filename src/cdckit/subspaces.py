@@ -1,11 +1,14 @@
 """Canonical subspaces, subspace distance, lifting, and distance verification.
 
-A subspace is stored by the unique RREF of any generator matrix, so equality
-is byte equality.  A pair's distance 2*rank(stack) - dim U - dim V takes one
-elimination (packed integer rows on GF(2)); sample mode uses it.  Exhaustive
-verification instead finds the highest t at which two codewords share a
-t-subspace, keying each codeword's [k t]_q t-subspaces, and compares pairs
-only when they are fewer than the keys.
+A subspace is stored by the unique RREF of any generator matrix, so equal
+subspaces have equal matrices; over GF(2) the RREF rows are packed ints (see
+`matrices`).  A pair's distance 2*rank(stack) - dim U - dim V takes one
+elimination, on the packed rows over GF(2); a run of pair comparisons picks
+that path once per code, not once per pair.  Exhaustive verification
+instead finds the highest t at which two codewords share a t-subspace,
+keying each codeword's [k t]_q t-subspaces, and compares pairs only when
+they are fewer than the keys.  The CDC file format renders and checks each
+distinct row once, and keeps a GF(2) record that is already in RREF as it is.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .counting import gauss_binomial
 from .errors import (
@@ -26,7 +29,8 @@ from .errors import (
     RankCapViolated,
 )
 from .gf import GF, gf, same_field
-from .matrices import Matrix, mat_rank, mat_rref, pack_rows_gf2
+from .matrices import Matrix, hstack, mat_rank, mat_rref, pack_rows_gf2, \
+    rref_pivots_gf2
 from .rankcodes import FerrersShape
 
 
@@ -37,26 +41,24 @@ def pair_limit() -> int:
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF form."""
 
-    __slots__ = ("n", "k", "mat", "pivots", "_packed")
+    __slots__ = ("n", "k", "mat", "pivots")
 
     def __init__(self, mat: Matrix, pivots: Tuple[int, ...]):
         self.n = mat.ncols
         self.k = mat.nrows
         self.mat = mat
         self.pivots = pivots
-        self._packed: Optional[Tuple[int, ...]] = None
 
     @property
     def field(self) -> GF:
         return self.mat.field
 
-    def key(self) -> Tuple[int, ...]:
-        return self.mat.entries
+    def key(self) -> tuple:
+        """Orders subspaces of one (n, k) as their RREF entry tuples do."""
+        return self.mat.key()
 
     def packed(self) -> Tuple[int, ...]:
-        if self._packed is None:
-            self._packed = tuple(pack_rows_gf2(self.mat))
-        return self._packed
+        return pack_rows_gf2(self.mat)
 
     def __eq__(self, other):
         return (
@@ -67,7 +69,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, self.mat.entries))
+        return hash((self.n, self.k, self.mat.key()))
 
     def __repr__(self):
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
@@ -110,19 +112,19 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
         raise AmbientMismatch(f"ambient dimensions {u.n} and {v.n}")
     same_field(u.field, v.field)
     if u.field.p == 2 and u.field.degree == 1:
-        rk = _union_rank_gf2(u.packed(), v.packed(), u.n)
+        basis = [0] * (u.n + 1)
+        rk = _rank_added_gf2(basis, u.packed()) + _rank_added_gf2(basis, v.packed())
     else:
         rk = _union_rank_generic(u.mat.rows(), v.mat.rows(), u.field)
     return 2 * rk - u.k - v.k
 
 
-def _union_rank_gf2(rows_a: Sequence[int], rows_b: Sequence[int], n: int) -> int:
-    basis = [0] * (n + 1)
+def _rank_added_gf2(basis: List[int], rows: Iterable[int]) -> int:
+    """How many of the packed `rows` lie outside the span of `basis`, where
+    `basis[b]` is the basis row of bit length b, or 0; the rows that do are
+    added to `basis`."""
     r = 0
-    for v in rows_a:
-        basis[v.bit_length()] = v
-        r += 1
-    for v in rows_b:
+    for v in rows:
         while v:
             b = v.bit_length()
             w = basis[b]
@@ -195,13 +197,7 @@ def ferrers_of(u: Subspace) -> FerrersData:
 def lift_matrix(a: Matrix) -> Subspace:
     """Row space of (I_k | A); already in RREF with pivots 0..k-1."""
     k = a.nrows
-    entries: List[int] = []
-    for i in range(k):
-        row = [0] * k
-        row[i] = 1
-        entries.extend(row)
-        entries.extend(a.row(i))
-    return Subspace(Matrix(a.field, k, k + a.ncols, entries), tuple(range(k)))
+    return Subspace(hstack(Matrix.identity(a.field, k), a), tuple(range(k)))
 
 
 def special_form_bits(delta1: int, delta2: int, u1: int, u2: int, Delta: int) -> Tuple[int, ...]:
@@ -321,9 +317,15 @@ class VerifyReport:
 
 def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
     """Least distance over `pairs` and the first pair that reaches it."""
+    words = code.codewords
+    if code.q == 2:  # d(U, V) = 2 dim(U + V) - 2k
+        rows, n, k = [w.packed() for w in words], code.n, code.k
+        dists = ((2 * (_rank_added_gf2([0] * (n + 1), rows[i] + rows[j]) - k), i, j)
+                 for i, j in pairs)
+    else:
+        dists = ((subspace_distance(words[i], words[j]), i, j) for i, j in pairs)
     best, witness = math.inf, None
-    for i, j in pairs:
-        dist = subspace_distance(code.codewords[i], code.codewords[j])
+    for dist, i, j in dists:
         if dist < best:
             best, witness = dist, (i, j)
             if dist == 0:
@@ -366,8 +368,10 @@ def verify_min_distance(
         best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed))
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
-    if total_pairs > pair_limit():
-        raise PairLimitExceeded(f"{total_pairs} pairs exceed the limit {pair_limit()}")
+    keys = n_words * sum(gauss_binomial(code.k, t, code.q) for t in range(1, code.k + 1))
+    if min(total_pairs, keys) > pair_limit():
+        raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
+                                f"the limit {pair_limit()}")
     best, witness = _collision_scan(code)
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
@@ -467,31 +471,80 @@ def _span_field(f: GF):
 
 
 def cdc_to_text(code: CDC) -> str:
+    """The file text; each distinct row is rendered once."""
+    n = code.n
+    if code.q == 2:
+        def render(row: int) -> str:
+            return " ".join(format(row, "b").zfill(n))
+    else:
+        def render(row: Tuple[int, ...]) -> str:
+            return " ".join(map(str, row))
+    rendered: dict = {}
     lines = [f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}"]
     for w in code.codewords:
         lines.append("")
-        for i in range(code.k):
-            lines.append(" ".join(str(x) for x in w.mat.row(i)))
+        for row in (w.packed() if code.q == 2 else w.mat.rows()):
+            text = rendered.get(row)
+            if text is None:
+                text = rendered[row] = render(row)
+            lines.append(text)
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, split about 64 KiB at a time: a list of every
+    line of a large file would take several times the memory of its text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16))
+        if end < 0:
+            end = len(text)
+        yield from text[start:end].split("\n")
+        start = end + 1
+
+
 def cdc_from_text(text: str, provenance: str = "file") -> CDC:
-    lines = text.splitlines()
-    head = lines[0].split() if lines else []
+    """Parse a CDC file.  Each distinct row text is checked once (n entries,
+    each in [0, q)).  A GF(2) record already in RREF is checked as such and
+    kept; any other record is reduced, and a rank-deficient one is refused."""
+    lines = _lines(text)
+    head = next(lines, "").split()
     if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")
     q, n, k, d, count = (int(x) for x in head[1:6])
     field = gf(q)
+    parsed: dict = {}  # line -> packed row (GF(2)) or entry tuple
+    shared: dict = {}  # one tuple per distinct pivot set
+
+    def parse_row(ln: str):
+        entries = ln.split()
+        if len(entries) != n:
+            raise ValueError(f"a row has {len(entries)} entries, need {n}")
+        row = Matrix(field, 1, n, entries)
+        return pack_rows_gf2(row)[0] if q == 2 else row.entries
+
     words = []
-    rows: List[List[int]] = []
-    for ln in lines[1:] + [""]:
-        if ln.strip():
-            rows.append([int(t) for t in ln.split()])
-            if len(rows) == k:
-                words.append(subspace_from_rows(Matrix.from_rows(field, rows)))
-                rows = []
-        elif rows:
-            raise ValueError("truncated codeword record")
+    rows: list = []
+    for ln in lines:
+        row = parsed.get(ln)
+        if row is None:
+            if not ln.strip():
+                if rows:
+                    raise ValueError("truncated codeword record")
+                continue
+            row = parsed[ln] = parse_row(ln)
+        rows.append(row)
+        if len(rows) == k:
+            mat = Matrix.from_packed(n, rows) if q == 2 else \
+                Matrix(field, k, n, chain.from_iterable(rows))
+            pivots = rref_pivots_gf2(rows, n) if q == 2 else None
+            if pivots is None:
+                words.append(subspace_from_rows(mat))
+            else:
+                words.append(Subspace(mat, shared.setdefault(pivots, pivots)))
+            rows = []
+    if rows:
+        raise ValueError("truncated codeword record")
     if len(words) != count:
         raise ValueError(f"header says {count} codewords, file has {len(words)}")
     return CDC(q, n, k, d, words, provenance=provenance, strict=False)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from cdckit.cli import main
+from cdckit.counting import gauss_binomial
 
 BLOCKS_PLAN = """\
 family = blocks
@@ -213,3 +216,64 @@ def test_verify_sample_count_below_one_exits_2(tmp_path, capsys):
     for mode in ("sample:0:1", "sample:-3:1"):
         assert main(["verify", "--in", str(path), "--mode", mode]) == 2
         assert capsys.readouterr().out == ""
+
+
+LINKAGE_PLAN = "family = linkage\nq = 2\nn = 8\nd = 4\nk = 4\nn1 = 4\n"
+
+
+_NO_FAMILY = LINKAGE_PLAN.replace("family = linkage\n", "")
+_NO_Q = LINKAGE_PLAN.replace("q = 2\n", "")
+_Q6 = LINKAGE_PLAN.replace("q = 2", "q = 6")
+
+
+@pytest.mark.parametrize("argv, plan", [
+    pytest.param(["count", "gauss", "4", "2", "1"], None, id="count-q1"),
+    pytest.param(["count", "mrd", "6", "2", "2", "1"], None, id="count-q6"),
+    pytest.param(["bound", "--family", "linkage", "--q", "6", "--n", "8", "--d", "4",
+                  "--k", "4", "--n1", "4"], None, id="bound-q6"),
+    pytest.param(["bound", "--q", "2", "--n", "8", "--d", "4", "--k", "4"], None,
+                 id="bound-no-family"),
+    pytest.param(["bound", "--plan"], _NO_FAMILY, id="bound-plan-no-family"),
+    pytest.param(["build", "--count-only", "--plan"], _NO_FAMILY, id="build-plan-no-family"),
+    pytest.param(["bound", "--plan"], _NO_Q, id="bound-plan-no-q"),
+    pytest.param(["build", "--count-only", "--plan"], _NO_Q, id="build-plan-no-q"),
+    pytest.param(["bound", "--plan"], LINKAGE_PLAN.replace("n1 = 4\n", ""),
+                 id="bound-plan-no-n1"),
+    pytest.param(["bound", "--plan"], _Q6, id="bound-plan-q6"),
+    pytest.param(["build", "--count-only", "--plan"], _Q6, id="build-plan-q6"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
+    if plan is not None:
+        path = tmp_path / "bad.plan"
+        path.write_text(plan)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param("1 0 0 0\n1 0 0 0\n", id="rank-deficient"),
+    pytest.param("1 0 0 2\n0 1 0 0\n", id="entry-outside-field"),
+    pytest.param("1 0 0\n0 1 0 0\n", id="short-row"),
+])
+def test_verify_bad_record_exits_2(tmp_path, capsys, record):
+    path = tmp_path / "bad.cdc"
+    path.write_text(f"CDC 2 4 2 2 2\n\n0 0 1 0\n0 0 0 1\n\n{record}")
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_count_and_bound_take_a_prime_power_above_the_field_limit(tmp_path, capsys):
+    # the formula commands build no field, so q past 2^16 is fine there
+    for q in (65537, 2**20):
+        assert main(["count", "gauss", "4", "2", str(q)]) == 0
+        assert int(capsys.readouterr().out) == gauss_binomial(4, 2, q)
+    assert main(["bound", "--family", "linkage", "--q", "65537", "--n", "8", "--d", "4",
+                 "--k", "4", "--n1", "4"]) == 0
+    assert _json_lines(capsys.readouterr().out)[0]["total"] > 65537**8
+    path = tmp_path / "big.plan"
+    path.write_text(LINKAGE_PLAN.replace("q = 2", "q = 131072"))
+    assert main(["build", "--count-only", "--plan", str(path)]) == 0
+    capsys.readouterr()

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, hstack, invert, mat_add, mat_kernel, mat_rank, \
-    mat_rref, mat_sub, matmul, pack_rows_gf2, rank_gf2, vstack
+from cdckit.matrices import Matrix, _rref_rows, hstack, invert, mat_add, mat_kernel, \
+    mat_rank, mat_rref, mat_sub, matmul, pack_rows_gf2, rank_gf2, rref_pivots_gf2, vstack
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -154,3 +156,44 @@ def test_packed_rank_matches_generic():
     for _ in range(200):
         m = _random_matrix(rng, 2, rng.randrange(1, 7), rng.randrange(1, 9))
         assert rank_gf2(pack_rows_gf2(m), m.ncols) == len(mat_rref(m)[1])
+
+
+def test_packed_rref_matches_generic_elimination():
+    # GF(2) matrices reduce on packed rows; the generic elimination is the oracle
+    rng = random.Random(80)
+    for _ in range(300):
+        m = _random_matrix(rng, 2, rng.randrange(1, 7), rng.randrange(1, 80))
+        rows = [list(r) for r in m.rows()]
+        pivots = _rref_rows(gf(2), rows, m.ncols)
+        red, packed_pivots = mat_rref(m)
+        assert packed_pivots == tuple(pivots)
+        assert red.entries == tuple(x for r in rows for x in r)
+
+
+def test_packed_rows_round_trip_to_entries():
+    # entries rebuilt from packed rows keep leading zeros, past 64 columns too
+    rng = random.Random(81)
+    for ncols in (1, 5, 64, 65, 130):
+        m = _random_matrix(rng, 2, 3, ncols)
+        back = Matrix.from_packed(ncols, pack_rows_gf2(m))
+        assert back.entries == m.entries and back == m and hash(back) == hash(m)
+        assert mat_add(m, Matrix.zero(gf(2), 3, ncols)).entries == m.entries
+        assert hstack(m, back).entries == tuple(
+            x for i in range(3) for x in m.row(i) + m.row(i))
+
+
+def test_rref_pivots_recognizes_exactly_the_full_rank_rref():
+    rng = random.Random(82)
+    for _ in range(300):
+        m = _random_matrix(rng, 2, rng.randrange(1, 5), rng.randrange(1, 7))
+        red, pivots = mat_rref(m)
+        full = len(pivots) == m.nrows
+        assert rref_pivots_gf2(pack_rows_gf2(red), m.ncols) == (pivots if full else None)
+        assert rref_pivots_gf2(pack_rows_gf2(m), m.ncols) == \
+            (pivots if full and red == m else None)
+
+
+def test_constructor_still_checks_entries():
+    for q, bad in ((2, 2), (2, -1), (3, 3)):
+        with pytest.raises(ValueError):
+            Matrix(gf(q), 1, 2, [0, bad])

@@ -11,7 +11,7 @@ from cdckit.counting import delsarte_rank_count, mrd_size
 from cdckit.errors import CaseMismatch, EnumerationLimitExceeded, InvalidDistance, \
     InvalidDistances, InvalidParameters
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_sub
+from cdckit.matrices import Matrix, _rref_rows, mat_rank, mat_sub
 from cdckit.rankcodes import FerrersShape, LinearRankCode, enumerate_code, \
     fdrm_subcode_union, fdrm_union, gabidulin_mrd, rmc_from_text, rmc_to_text, \
     subcode_cosets
@@ -55,6 +55,29 @@ def test_gabidulin_min_distance_exact():
         assert code.cardinality <= 10**5
         nz = [mat_rank(m) for m in enumerate_code(code) if any(m.entries)]
         assert min(nz) == d
+
+
+def _reference_words(code, rank_cap=None):
+    """Every GF(2) combination of the generators, the first generator's
+    coefficient changing slowest, added entry by entry."""
+    f = code.field
+    for coeffs in itertools.product((0, 1), repeat=len(code.generators)):
+        acc = (0,) * (code.a * code.b)
+        for c, g in zip(coeffs, code.generators):
+            if c:
+                acc = tuple(f.add(x, y) for x, y in zip(acc, g.entries))
+        rows = [list(acc[i * code.b:(i + 1) * code.b]) for i in range(code.a)]
+        if rank_cap is None or len(_rref_rows(f, rows, code.b)) <= rank_cap:
+            yield acc
+
+
+@pytest.mark.parametrize("a, b, d", [(2, 3, 1), (3, 6, 2)])
+@pytest.mark.parametrize("rank_cap", [None, 1, 2])
+def test_gf2_enumeration_matches_reference_order(a, b, d, rank_cap):
+    # (3, 6, 2) has 12 generators, more than the enumerator tabulates at once
+    code = gabidulin_mrd(2, a, b, d)
+    words = [m.entries for m in enumerate_code(code, rank_cap=rank_cap)]
+    assert words == list(_reference_words(code, rank_cap))
 
 
 def test_gabidulin_rejects_bad_distance():

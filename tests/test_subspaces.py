@@ -7,11 +7,13 @@ import random
 
 import pytest
 
+from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import AmbientMismatch, InvalidParameters, PairLimitExceeded, \
     RankCapViolated
 from cdckit.gf import gf
 from cdckit.matrices import Matrix, hstack, mat_rank, mat_sub, matmul
+from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_subcode_union, \
     gabidulin_mrd
 from cdckit.subspaces import CDC, IdentifyingVector, cdc_from_text, cdc_to_text, \
@@ -206,6 +208,28 @@ def test_verify_pair_limit(monkeypatch):
         verify_min_distance(cdc)
 
 
+def test_verify_pair_limit_counts_keys(monkeypatch):
+    # k = 1: ten points of GF(2)^4 have 45 pairs but only 10 keys, so the
+    # collision scan stays within a limit of 10
+    monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
+    words = [subspace_from_rows(Matrix.from_rows(gf(2), [[v >> s & 1 for s in (3, 2, 1, 0)]]))
+             for v in range(1, 11)]
+    report = verify_min_distance(CDC(2, 4, 1, 2, words))
+    assert (report.min_found, report.witness, report.pairs_checked) == (2, (0, 1), 45)
+
+
+def test_verify_sample_pinned_on_built_code():
+    # the seeded draws and the packed pair distances give the same first
+    # minimum pair as before rows were packed
+    plan = ConstructionPlan("multilevel_II", 2, 8, 4, 4,
+                            {"n1": 4, "u1": 2, "u2": 2, "b1": 1, "b2": 1})
+    code = run_plan(plan, BaseBoundRegistry()).cdc
+    assert len(code) == 4690
+    for seed, witness in ((3, (519, 3949)), (11, (3701, 3814))):
+        report = verify_min_distance(code, mode="sample", sample_count=5000, seed=seed)
+        assert (report.min_found, report.witness) == (4, witness)
+
+
 def test_verify_sample_reproducible():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
     cdc = CDC(2, 6, 3, 4, words)
@@ -247,6 +271,50 @@ def test_cdc_file_round_trip():
     assert cdc_to_text(back) == text
     keys = [w.key() for w in back]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [5, 64, 70, 100])
+def test_packed_order_is_entry_order(n):
+    # a code sorts its words by packed rows; that must be the order of their
+    # entry tuples, also when a row is wider than 64 bits
+    rng = random.Random(n)
+    words = [_random_subspace(rng, 2, n, 3) for _ in range(50)]
+    words += [_random_subspace(rng, 2, n, 3) for _ in range(10)]
+    words += [subspace_from_rows(Matrix.from_rows(gf(2), rows)) for rows in (
+        [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 1) + [1]],
+        [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 2) + [1, 0]],
+    )]
+    cdc = CDC(2, n, 3, 2, words, strict=False)
+    entries = [w.mat.entries for w in cdc]
+    assert entries == sorted(entries)
+    assert cdc_from_text(cdc_to_text(cdc)).codewords == cdc.codewords
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cdc_from_text_reduces_a_non_rref_record(q):
+    # rows (1 1 0 0), (0 1 0 0) span the same plane as (1 0 0 0), (0 1 0 0);
+    # over GF(3) a leading 2 is scaled as well
+    lead = 2 if q == 3 else 1
+    text = f"CDC {q} 4 2 2 2\n\n{lead} 1 0 0\n0 1 0 0\n\n0 0 1 0\n0 0 0 1\n"
+    code = cdc_from_text(text)
+    assert [w.mat.rows() for w in code] == [[(0, 0, 1, 0), (0, 0, 0, 1)],
+                                            [(1, 0, 0, 0), (0, 1, 0, 0)]]
+    assert [w.pivots for w in code] == [(2, 3), (0, 1)]
+
+
+@pytest.mark.parametrize("record", [
+    "1 0 0 0\n1 0 0 0\n",  # rank-deficient
+    "1 0 0 0\n0 0 0 0\n",  # a zero row
+    "1 0 0 2\n0 1 0 0\n",  # an entry outside [0, q)
+    "1 0 0 -1\n0 1 0 0\n",
+    "1 0 0\n0 1 0 0\n",    # a short row
+    "1 0 0 0 0\n0 1 0 0 0\n",
+    "1 0 x 0\n0 1 0 0\n",
+    "1 0 0 0\n\n0 1 0 0\n",  # a record cut by a blank line
+])
+def test_cdc_from_text_refuses_bad_records(record):
+    with pytest.raises(ValueError):
+        cdc_from_text(f"CDC 2 4 2 2 2\n\n0 0 1 0\n0 0 0 1\n\n{record}")
 
 
 def test_verifier_matches_bruteforce_oracle():
