@@ -1,14 +1,28 @@
 """Closed-form lower bounds, table reproduction, and parameter search.
 
 Every bound is an exact integer assembled from MRD cardinalities m(...),
-rank-distribution sums r(...), and registry base values A_q(n,d,k).  The
-four parameterized families are:
+rank-distribution sums r(...), and registry base values A_q(n,d,k).
 
-  linkage       two-block concatenation of smaller codes
-  cor41         linkage plus one coset-paired block insert
-  cor42         cor41 plus a second, parallel block insert
-  cor43         linkage plus two special-form multilevel inserts
-  cor44         linkage plus a ladder of shifted multilevel inserts
+Each construction family is written once, as a `Family`: its parameters
+in order, each with its admissible range given the ones before it (the
+hypotheses) or its derivation (n2 = n - n1, a2 = k - a1, u2 = k - u1, and
+lam = floor(n1/u1) unless given), and its count parts, whose sizes add up
+to the bound.  Four consumers evaluate that one spec: the `bound_*`
+functions and `evaluate_row`; the count half of every `build_*` in
+`constructions`, so `build --count-only` equals `bound --plan` by
+construction (given the same sub-code sizes); the CLI's `bound` flags and
+plan mapping; and `optimize_parameters`, whose grid is the nest of the
+same ranges.
+
+  family   plan family       construction
+  linkage  linkage           two-block concatenation of smaller codes
+  cor41    multiblocks       linkage plus one coset-paired block insert
+  cor42    parallel_blocks   cor41 plus a second, parallel block insert
+  cor43    multilevel_I      linkage plus two special-form multilevel inserts
+  cor44    multilevel_II     linkage plus a ladder of shifted multilevel inserts
+  blocks   blocks            the standalone blocks code (a build, no bound)
+
+cor45 is separate: seven closed-form polynomials in q.
 
 Coset counts must divide exactly; a remainder is a hard error, never a
 floor.
@@ -18,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .counting import bounded_rank_size, mrd_size
 from .errors import EmptyGrid, HypothesisViolated, ManifestMiss, Mismatch, RegistryMiss
@@ -58,189 +72,282 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
     return bounded_rank_size(q, a, b, d, min(cap, a, b))
 
 
-class _Reg:
-    """Tracks registry lookups so results can list their dependencies."""
+# -- count parts ----------------------------------------------------------------
+#
+# A part maps the resolved parameters p (q, n, d, k, h = d/2 and the family's
+# own) and a sub-code size lookup a(slot, n', k') -> |A_q(n', d, k')| to its
+# size and its named terms.  Bounds look sizes up in the registry; builds
+# take them from the plan's sub-code files first.
 
-    def __init__(self, registry: BaseBoundRegistry):
-        self.registry = registry
-        self.deps: List[Tuple[int, int, int, int]] = []
 
-    def a(self, q: int, n: int, d: int, k: int) -> int:
-        value = self.registry.get(q, n, d, k)
-        self.deps.append((q, n, d, k))
-        return value
+def linkage_part(p, a):
+    """|C1| m(q,k,n2,d/2) + theta |C2|, theta the rank-capped MRD size."""
+    q, k, h, n1, n2 = p["q"], p["k"], p["h"], p["n1"], p["n2"]
+    m = mrd_size(q, k, n2, h)
+    theta = bounded_rank_size(q, k, n1, h, k - h)
+    c1 = a("C1", n1, k) * m
+    c2 = theta * a("C2", n2, k)
+    return c1 + c2, {"term:C1": c1, "term:C2": c2, "theta": theta, "m(q,k,n2,d/2)": m}
+
+
+def blocks_insert_part(p, a):
+    """Insert B: s coset-paired block codes over the sub-codes Q1, Q2."""
+    q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
+    w1, w2 = p["n1"] - t1, p["n2"] - t2
+    m1, m2 = mrd_size(q, a1, w1, h), mrd_size(q, a2, w2, h)
+    s = min(_exact_div(mrd_size(q, a1, w1, p["b1"]), m1),
+            _exact_div(mrd_size(q, a2, w2, p["b2"]), m2))
+    d1 = _bounded(q, a1, w2, h, a1 - h)
+    d2 = _bounded(q, a2, w1, h, a2 - h)
+    size = s * a("Q1", t1, a1) * m1 * d1 * a("Q2", t2, a2) * m2 * d2
+    return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
+
+
+def parallel_insert_part(p, a):
+    """Insert E over the sub-codes D1, D2: every pair (M1, M2) of rank-capped
+    words when b1 = b2 = d/2 (the product form), else min(Delta_3, Delta_4)
+    pairs."""
+    q, h, a1, a2, b1, b2 = p["q"], p["h"], p["a1"], p["a2"], p["b1"], p["b2"]
+    t1, t2 = p["t1"], p["t2"]
+    d3 = _bounded(q, a1, t1, b1, p["c1"])
+    d4 = _bounded(q, a2, t2, b2, p["c2"])
+    pairs = d3 * d4 if b1 == b2 == h else min(d3, d4)
+    size = pairs * a("D1", p["n1"] - t1, a1) * a("D2", p["n2"] - t2, a2)
+    return size, {"term:E": size, "Delta_3": d3, "Delta_4": d4}
+
+
+def insert_vectors(p) -> List[Tuple[int, int, int, int, int]]:
+    """The special-form vectors of a multilevel insert as (v1, v2, shift,
+    c1, c2): cor43 lifts (u1, u2) and (u1 - d/2, u2 + d/2); cor44, the
+    family with lam, lifts (u1, u2) shifted by (i - 1) u1 for i = 1..lam."""
+    u1, u2 = p["u1"], p["u2"]
+    if "lam" in p:
+        return [(u1, u2, i * u1, p["b1"], p["b2"]) for i in range(p["lam"])]
+    h = p["h"]
+    return [(u1, u2, 0, p["c1"], p["c2"]), (u1 - h, u2 + h, 0, p["c1"], p["c2"])]
+
+
+def _lifted(p, v1: int, v2: int, shift: int, c1: int, c2: int) -> Tuple[Optional[int], int]:
+    """(s, size) of the FDRM code lifted on one vector; the case follows
+    from the width w1 = n1 - shift - v1 that the vector leaves free after
+    its ones in the first block, and s is the coset count where cosets
+    pair up (else None)."""
+    q, h = p["q"], p["h"]
+    w1, w2 = p["n1"] - shift - v1, p["n2"] - v2
+    lam1 = mrd_size(q, v2, w2, h)
+    lam2 = _bounded(q, v1, w2, h, v1 - h)
+    if w1 < c1:
+        return None, lam1 * lam2
+    if w1 < h:
+        return None, min(mrd_size(q, v1, w1, c1), mrd_size(q, v2, w2, c2)) * lam2
+    lam5 = mrd_size(q, v1, w1, h)
+    s = min(_exact_div(mrd_size(q, v1, w1, c1), lam5),
+            _exact_div(mrd_size(q, v2, w2, c2), lam1))
+    return s, s * lam5 * lam1 * lam2
+
+
+def lifted_inserts_part(p, a):
+    """Inserts L_1, L_2, ..., one per special-form vector; cor43 also
+    reports the coset count s_j of each."""
+    found = [_lifted(p, *v) for v in insert_vectors(p)]
+    terms = {f"term:L{j}": size for j, (_, size) in enumerate(found, start=1)}
+    if "lam" not in p:
+        terms.update((f"s{j}", s) for j, (s, _) in enumerate(found, start=1))
+    return sum(size for _, size in found), terms
+
+
+def blocks_part(p, a):
+    """The standalone blocks code: s coset pairs of diagonal MRD blocks
+    times every pair of off-diagonal MRD blocks."""
+    q, h, a1, a2 = p["q"], p["h"], p["a1"], p["a2"]
+    w1, w2 = p["n1"] - a1, p["n2"] - a2
+    m1, m2 = mrd_size(q, a1, w1, h), mrd_size(q, a2, w2, h)
+    s = min(_exact_div(mrd_size(q, a1, w1, p["b1"]), m1),
+            _exact_div(mrd_size(q, a2, w2, p["b2"]), m2))
+    per_r = m1 * m2 * mrd_size(q, a1, w2, h) * mrd_size(q, a2, w1, h)
+    return s * per_r, {"term:N": s * per_r, "s": s, "per_r": per_r}
+
+
+# -- family specs -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """A family parameter, admissible in [lo(p), hi(p)] given the parameters
+    before it; `why` states that hypothesis.  A `fill` parameter may be left
+    out and then takes hi(p); a derived one is a fill parameter with lo = hi."""
+
+    name: str
+    lo: Callable[[Dict[str, int]], int]
+    hi: Callable[[Dict[str, int]], int]
+    why: str
+    fill: bool = False
+
+
+def _derived(name: str, value: Callable[[Dict[str, int]], int], why: str) -> Param:
+    return Param(name, value, value, why, fill=True)
+
+
+def _coset_pair(x: str) -> Tuple[Param, Param]:
+    """x1, x2 in [1, d/2] with x1 + x2 >= d/2."""
+    first = x + "1"
+    return (Param(first, lambda p: 1, lambda p: p["h"], f"need 1 <= {x}1 <= d/2"),
+            Param(x + "2", lambda p: max(1, p["h"] - p[first]), lambda p: p["h"],
+                  f"need 1 <= {x}2 <= d/2 and {x}1 + {x}2 >= d/2"))
+
+
+def _t_range(i: str, hi: Callable[[Dict[str, int]], int], why: str) -> Param:
+    a = "a" + i
+    return Param("t" + i, lambda p: p[a], hi, f"need a{i} <= t{i} <= {why}")
+
+
+_SPLIT = (
+    Param("n1", lambda p: p["k"], lambda p: p["n"] - p["k"], "need n1 >= k and n2 >= k"),
+    _derived("n2", lambda p: p["n"] - p["n1"], "need n2 = n - n1"),
+)
+_BLOCKS = _SPLIT + (
+    Param("a1", lambda p: p["h"], lambda p: p["k"] - p["h"], "need a1 >= d/2 and a2 >= d/2"),
+    _derived("a2", lambda p: p["k"] - p["a1"], "need a2 = k - a1"),
+) + _coset_pair("b")
+_U2 = _derived("u2", lambda p: p["k"] - p["u1"], "need u2 = k - u1")
+
+
+@dataclass(frozen=True)
+class Family:
+    name: str
+    plan: str  # the construction plan family built by `constructions`
+    params: Tuple[Param, ...]
+    parts: Tuple[Callable, ...]
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(par.name for par in self.params)
+
+    def resolve(self, q: int, n: int, d: int, k: int,
+                given: Dict[str, Optional[int]]) -> Dict[str, int]:
+        """The parameter dict p: each given value checked against its range,
+        each derived or default one filled in.  None counts as not given."""
+        given = {name: v for name, v in given.items() if v is not None}
+        unknown = sorted(set(given) - set(self.names))
+        _need(not unknown, f"{self.name} takes no parameter {', '.join(unknown)}")
+        missing = [par.name for par in self.params if not par.fill and par.name not in given]
+        _need(not missing, f"{self.name} needs {', '.join(missing)}")
+        _need(d % 2 == 0 and d >= 2, "d must be even and positive")
+        p = {"q": q, "n": n, "d": d, "k": k, "h": d // 2}
+        for par in self.params:
+            lo, hi = par.lo(p), par.hi(p)
+            p[par.name] = value = given.get(par.name, hi)
+            _need(lo <= value <= hi, par.why)
+        return p
+
+    def grid(self, q: int, n: int, d: int, k: int) -> Iterator[Dict[str, int]]:
+        """Every admissible p in lexicographic order of `names`, a fill
+        parameter at its default only.  The one dict is updated in place."""
+        if d % 2 == 0 and d >= 2:
+            yield from self._walk(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2})
+
+    def _walk(self, i: int, p: Dict[str, int]) -> Iterator[Dict[str, int]]:
+        if i == len(self.params):
+            yield p
+            return
+        par = self.params[i]
+        lo, hi = par.lo(p), par.hi(p)
+        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
+            yield from self._walk(i + 1, p)
+
+    def count(self, p, a) -> Tuple[int, Dict[str, int]]:
+        """The total and the terms of all parts."""
+        total, terms = 0, {}
+        for part in self.parts:
+            size, part_terms = part(p, a)
+            total += size
+            terms.update(part_terms)
+        return total, terms
+
+    def bound(self, p: Dict[str, int], registry: BaseBoundRegistry) -> BoundResult:
+        q, d, deps = p["q"], p["d"], []
+
+        def a(_slot: str, n: int, k: int) -> int:
+            value = registry.get(q, n, d, k)
+            deps.append((q, n, d, k))
+            return value
+
+        total, terms = self.count(p, a)
+        return BoundResult(self.name, q, p["n"], d, p["k"],
+                           {name: p[name] for name in self.names}, total, terms, deps)
+
+
+FAMILIES = {
+    "linkage": Family("linkage", "linkage", _SPLIT, (linkage_part,)),
+    "cor41": Family("cor41", "multiblocks", _BLOCKS + (
+        _t_range("1", lambda p: p["n1"] - p["h"], "n1 - d/2"),
+        _t_range("2", lambda p: p["n2"] - p["h"], "n2 - d/2"),
+    ), (linkage_part, blocks_insert_part)),
+    "cor42": Family("cor42", "parallel_blocks", _BLOCKS + (
+        _t_range("1", lambda p: p["n1"] - p["a1"], "n1 - a1"),
+        _t_range("2", lambda p: p["n2"] - p["a2"], "n2 - a2"),
+        Param("c1", lambda p: p["b1"], lambda p: p["a1"], "need b1 <= c1 <= a1"),
+        Param("c2", lambda p: p["b2"], lambda p: min(p["a2"], p["k"] - p["h"] - p["c1"]),
+              "need b2 <= c2 <= a2 and c1 + c2 <= k - d/2"),
+    ), (linkage_part, blocks_insert_part, parallel_insert_part)),
+    "cor43": Family("cor43", "multilevel_I", _SPLIT + (
+        Param("u1", lambda p: max(p["d"], p["k"] - p["n2"] + p["d"]),
+              lambda p: min(p["k"] - p["h"], p["n1"] - p["h"]),
+              "need u1 >= d, u2 >= d/2, n1 - u1 >= d/2 and n2 - u2 >= d"),
+        _U2,
+    ) + _coset_pair("c"), (linkage_part, lifted_inserts_part)),
+    "cor44": Family("cor44", "multilevel_II", _SPLIT + (
+        Param("u1", lambda p: max(p["h"], p["k"] - p["n2"] + p["h"]),
+              lambda p: p["k"] - p["h"], "need u1 >= d/2, u2 >= d/2 and n2 - u2 >= d/2"),
+        _U2,
+    ) + _coset_pair("b") + (
+        Param("lam", lambda p: 1, lambda p: p["n1"] // p["u1"],
+              "need 1 <= lam <= floor(n1/u1)", fill=True),
+    ), (linkage_part, lifted_inserts_part)),
+}
+
+PLAN_FAMILIES = {fam.plan: fam for fam in FAMILIES.values()}
+PLAN_FAMILIES["blocks"] = Family("blocks", "blocks", _BLOCKS, (blocks_part,))
+
+
+def evaluate(family: str, q: int, n: int, d: int, k: int, params: Dict[str, Optional[int]],
+             registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
+    """One family's bound at one parameter tuple, hypotheses checked."""
+    spec = FAMILIES[family]
+    return spec.bound(spec.resolve(q, n, d, k, params), registry or shipped_registry())
 
 
 def bound_linkage(q: int, n: int, d: int, k: int, n1: int,
                   registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    registry = registry or shipped_registry()
-    n2 = n - n1
-    _need(d % 2 == 0 and d >= 2, "d must be even and positive")
-    _need(n1 >= k and n2 >= k, "need n1 >= k and n2 >= k")
-    reg = _Reg(registry)
-    a1 = reg.a(q, n1, d, k)
-    a2 = reg.a(q, n2, d, k)
-    theta = bounded_rank_size(q, k, n1, d // 2, k - d // 2)
-    left = a1 * mrd_size(q, k, n2, d // 2)
-    right = theta * a2
-    terms = {
-        "term:C1": left,
-        "term:C2": right,
-        "theta": theta,
-        "m(q,k,n2,d/2)": mrd_size(q, k, n2, d // 2),
-    }
-    return BoundResult("linkage", q, n, d, k, {"n1": n1, "n2": n2},
-                       left + right, terms, reg.deps)
-
-
-def _insert_blocks_term(q: int, d: int, reg: _Reg, n1: int, n2: int,
-                        a1: int, a2: int, b1: int, b2: int, t1: int, t2: int):
-    h = d // 2
-    s = min(
-        _exact_div(mrd_size(q, a1, n1 - t1, b1), mrd_size(q, a1, n1 - t1, h)),
-        _exact_div(mrd_size(q, a2, n2 - t2, b2), mrd_size(q, a2, n2 - t2, h)),
-    )
-    d1 = _bounded(q, a1, n2 - t2, h, a1 - h)
-    d2 = _bounded(q, a2, n1 - t1, h, a2 - h)
-    part = (
-        reg.a(q, t1, d, a1) * mrd_size(q, a1, n1 - t1, h) * d1
-        * reg.a(q, t2, d, a2) * mrd_size(q, a2, n2 - t2, h) * d2
-    )
-    return s, d1, d2, s * part
-
-
-def _check_blocks_hyp(n: int, d: int, k: int, n1: int, n2: int, a1: int, a2: int,
-                      b1: int, b2: int, t1: int, t2: int, t_upper_1: int, t_upper_2: int):
-    _need(d % 2 == 0 and d >= 2, "d must be even and positive")
-    _need(n1 + n2 == n and a1 + a2 == k, "block sizes must partition n and k")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(a1 >= d // 2 and a2 >= d // 2, "need a_i >= d/2")
-    _need(1 <= b1 <= d // 2 and 1 <= b2 <= d // 2, "need 1 <= b_i <= d/2")
-    _need(b1 + b2 >= d // 2, "need b1 + b2 >= d/2")
-    _need(a1 <= t1 <= t_upper_1, f"need a1 <= t1 <= {t_upper_1}")
-    _need(a2 <= t2 <= t_upper_2, f"need a2 <= t2 <= {t_upper_2}")
+    return evaluate("linkage", q, n, d, k, {"n1": n1}, registry)
 
 
 def bound_cor41(q: int, n: int, d: int, k: int, n1: int, n2: int, a1: int, a2: int,
                 b1: int, b2: int, t1: int, t2: int,
                 registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    registry = registry or shipped_registry()
-    h = d // 2
-    _check_blocks_hyp(n, d, k, n1, n2, a1, a2, b1, b2, t1, t2, n1 - h, n2 - h)
-    base = bound_linkage(q, n, d, k, n1, registry)
-    reg = _Reg(registry)
-    reg.deps.extend(base.registry_deps)
-    s, d1, d2, insert = _insert_blocks_term(q, d, reg, n1, n2, a1, a2, b1, b2, t1, t2)
-    terms = dict(base.terms)
-    terms.update({"term:B": insert, "s": s, "Delta_1": d1, "Delta_2": d2})
-    params = {"n1": n1, "n2": n2, "a1": a1, "a2": a2, "b1": b1, "b2": b2,
-              "t1": t1, "t2": t2}
-    return BoundResult("cor41", q, n, d, k, params, base.total + insert, terms, reg.deps)
+    return evaluate("cor41", q, n, d, k, dict(n1=n1, n2=n2, a1=a1, a2=a2, b1=b1, b2=b2,
+                                              t1=t1, t2=t2), registry)
 
 
 def bound_cor42(q: int, n: int, d: int, k: int, n1: int, n2: int, a1: int, a2: int,
                 b1: int, b2: int, t1: int, t2: int, c1: int, c2: int,
                 registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    registry = registry or shipped_registry()
-    h = d // 2
-    _check_blocks_hyp(n, d, k, n1, n2, a1, a2, b1, b2, t1, t2, n1 - a1, n2 - a2)
-    _need(b1 <= c1 <= a1 and b2 <= c2 <= a2, "need b_i <= c_i <= a_i")
-    _need(c1 + c2 <= k - h, "need c1 + c2 <= k - d/2")
-    base = bound_linkage(q, n, d, k, n1, registry)
-    reg = _Reg(registry)
-    reg.deps.extend(base.registry_deps)
-    s, dd1, dd2, insert = _insert_blocks_term(q, d, reg, n1, n2, a1, a2, b1, b2, t1, t2)
-    d3 = _bounded(q, a1, t1, b1, c1)
-    d4 = _bounded(q, a2, t2, b2, c2)
-    e_term = min(d3, d4) * reg.a(q, n1 - t1, d, a1) * reg.a(q, n2 - t2, d, a2)
-    terms = dict(base.terms)
-    terms.update({"term:B": insert, "term:E": e_term, "s": s,
-                  "Delta_1": dd1, "Delta_2": dd2, "Delta_3": d3, "Delta_4": d4})
-    params = {"n1": n1, "n2": n2, "a1": a1, "a2": a2, "b1": b1, "b2": b2,
-              "t1": t1, "t2": t2, "c1": c1, "c2": c2}
-    return BoundResult("cor42", q, n, d, k, params, base.total + insert + e_term,
-                       terms, reg.deps)
+    return evaluate("cor42", q, n, d, k, dict(n1=n1, n2=n2, a1=a1, a2=a2, b1=b1, b2=b2,
+                                              t1=t1, t2=t2, c1=c1, c2=c2), registry)
 
 
 def bound_cor43(q: int, n: int, d: int, k: int, n1: int, n2: int, u1: int, u2: int,
                 c1: int, c2: int,
                 registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    registry = registry or shipped_registry()
-    h = d // 2
-    _need(d % 2 == 0 and d >= 2, "d must be even and positive")
-    _need(n1 + n2 == n and u1 + u2 == k, "blocks must partition n and k")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(u1 >= d and u2 >= h, "need u1 >= d and u2 >= d/2")
-    _need(1 <= c1 <= h and 1 <= c2 <= h and c1 + c2 >= h, "need 1 <= c_i <= d/2, sum >= d/2")
-    _need(n1 - u1 >= h and n2 - u2 >= h, "need n_i - u_i >= d/2")
-    _need(n2 - u2 - h >= h, "second vector needs n2 >= u2 + d")
-    base = bound_linkage(q, n, d, k, n1, registry)
-
-    def insert(v1: int, v2: int) -> Tuple[int, int]:
-        s = min(
-            _exact_div(mrd_size(q, v1, n1 - v1, c1), mrd_size(q, v1, n1 - v1, h)),
-            _exact_div(mrd_size(q, v2, n2 - v2, c2), mrd_size(q, v2, n2 - v2, h)),
-        )
-        delta = _bounded(q, v1, n2 - v2, h, v1 - h)
-        return s, s * mrd_size(q, v1, n1 - v1, h) * delta * mrd_size(q, v2, n2 - v2, h)
-
-    s1, l1 = insert(u1, u2)
-    s2, l2 = insert(u1 - h, u2 + h)
-    terms = dict(base.terms)
-    terms.update({"term:L1": l1, "term:L2": l2, "s1": s1, "s2": s2})
-    params = {"n1": n1, "n2": n2, "u1": u1, "u2": u2, "c1": c1, "c2": c2}
-    return BoundResult("cor43", q, n, d, k, params, base.total + l1 + l2,
-                       terms, base.registry_deps)
-
-
-def cor44_insert_terms(q: int, d: int, n1: int, n2: int, u1: int, u2: int,
-                       b1: int, b2: int, lam: int) -> List[int]:
-    """The per-vector insert sizes L_1..L_lam of the shifted-vector ladder."""
-    h = d // 2
-    lam1 = mrd_size(q, u2, n2 - u2, h)
-    lam2 = _bounded(q, u1, n2 - u2, h, u1 - h)
-    out = []
-    for i in range(1, lam + 1):
-        w = n1 - i * u1
-        if w < b1:
-            out.append(lam1 * lam2)
-        elif w < h:
-            lam3 = mrd_size(q, u1, w, b1)
-            lam4 = mrd_size(q, u2, n2 - u2, b2)
-            out.append(min(lam3, lam4) * lam2)
-        else:
-            lam5 = mrd_size(q, u1, w, h)
-            s = min(
-                _exact_div(mrd_size(q, u1, w, b1), lam5),
-                _exact_div(mrd_size(q, u2, n2 - u2, b2), lam1),
-            )
-            out.append(s * lam5 * lam1 * lam2)
-    return out
+    return evaluate("cor43", q, n, d, k, dict(n1=n1, n2=n2, u1=u1, u2=u2, c1=c1, c2=c2),
+                    registry)
 
 
 def bound_cor44(q: int, n: int, d: int, k: int, n1: int, n2: int, u1: int, u2: int,
                 b1: int, b2: int, lam: Optional[int] = None,
                 registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    registry = registry or shipped_registry()
-    h = d // 2
-    _need(d % 2 == 0 and d >= 2, "d must be even and positive")
-    _need(n1 + n2 == n and u1 + u2 == k, "blocks must partition n and k")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(u1 >= h and u2 >= h, "need u_i >= d/2")
-    _need(1 <= b1 <= h and 1 <= b2 <= h and b1 + b2 >= h, "need 1 <= b_i <= d/2, sum >= d/2")
-    _need(n2 - u2 >= h, "need n2 - u2 >= d/2")
-    max_lam = n1 // u1
-    if lam is None:
-        lam = max_lam
-    _need(1 <= lam <= max_lam, "need 1 <= lambda <= floor(n1/u1)")
-    base = bound_linkage(q, n, d, k, n1, registry)
-    inserts = cor44_insert_terms(q, d, n1, n2, u1, u2, b1, b2, lam)
-    terms = dict(base.terms)
-    for i, li in enumerate(inserts, start=1):
-        terms[f"term:L{i}"] = li
-    params = {"n1": n1, "n2": n2, "u1": u1, "u2": u2, "b1": b1, "b2": b2, "lam": lam}
-    return BoundResult("cor44", q, n, d, k, params, base.total + sum(inserts),
-                       terms, base.registry_deps)
+    return evaluate("cor44", q, n, d, k, dict(n1=n1, n2=n2, u1=u1, u2=u2, b1=b1, b2=b2,
+                                              lam=lam), registry)
 
 
 # -- closed-form polynomial bounds -------------------------------------------
@@ -323,13 +430,7 @@ FAMILY_EVALUATORS = {
     "cor44": bound_cor44,
 }
 
-FAMILY_PARAM_NAMES = {
-    "linkage": ("n1",),
-    "cor41": ("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2"),
-    "cor42": ("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2"),
-    "cor43": ("n1", "n2", "u1", "u2", "c1", "c2"),
-    "cor44": ("n1", "n2", "u1", "u2", "b1", "b2", "lam"),
-}
+FAMILY_PARAM_NAMES = {name: fam.names for name, fam in FAMILIES.items()}
 
 
 @dataclass
@@ -380,8 +481,7 @@ def load_table_manifest(table_id: int) -> List[TableRow]:
 
 
 def evaluate_row(row: TableRow, registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    fn = FAMILY_EVALUATORS[row.family]
-    return fn(row.q, row.n, row.d, row.k, registry=registry, **row.params)
+    return evaluate(row.family, row.q, row.n, row.d, row.k, row.params, registry)
 
 
 def reproduce_table(table_id: int, q_filter: Optional[int] = None,
@@ -421,59 +521,6 @@ ALL_TABLE_IDS = tuple(range(1, 10))
 # -- parameter search ---------------------------------------------------------
 
 
-def _family_grid(q: int, n: int, d: int, k: int, family: str) -> Iterator[Dict[str, int]]:
-    h = d // 2
-    if family == "linkage":
-        for n1 in range(k, n - k + 1):
-            yield {"n1": n1}
-        return
-    if family in ("cor41", "cor42"):
-        for n1 in range(k, n - k + 1):
-            n2 = n - n1
-            for a1 in range(h, k - h + 1):
-                a2 = k - a1
-                t1_hi = n1 - h if family == "cor41" else n1 - a1
-                t2_hi = n2 - h if family == "cor41" else n2 - a2
-                for b1 in range(1, h + 1):
-                    for b2 in range(max(1, h - b1), h + 1):
-                        for t1 in range(a1, t1_hi + 1):
-                            for t2 in range(a2, t2_hi + 1):
-                                base = {"n1": n1, "n2": n2, "a1": a1, "a2": a2,
-                                        "b1": b1, "b2": b2, "t1": t1, "t2": t2}
-                                if family == "cor41":
-                                    yield base
-                                    continue
-                                for c1 in range(b1, a1 + 1):
-                                    for c2 in range(b2, min(a2, k - h - c1) + 1):
-                                        yield dict(base, c1=c1, c2=c2)
-        return
-    if family == "cor43":
-        for n1 in range(k, n - k + 1):
-            n2 = n - n1
-            for u1 in range(d, k - h + 1):
-                u2 = k - u1
-                if n1 - u1 < h or n2 - u2 < h or n2 - u2 - h < h:
-                    continue
-                for c1 in range(1, h + 1):
-                    for c2 in range(max(1, h - c1), h + 1):
-                        yield {"n1": n1, "n2": n2, "u1": u1, "u2": u2,
-                               "c1": c1, "c2": c2}
-        return
-    if family == "cor44":
-        for n1 in range(k, n - k + 1):
-            n2 = n - n1
-            for u1 in range(h, k - h + 1):
-                u2 = k - u1
-                if n2 - u2 < h:
-                    continue
-                for b1 in range(1, h + 1):
-                    for b2 in range(max(1, h - b1), h + 1):
-                        yield {"n1": n1, "n2": n2, "u1": u1, "u2": u2,
-                               "b1": b1, "b2": b2}
-        return
-    raise ValueError(f"unknown family {family!r}")
-
-
 def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
                         registry: Optional[BaseBoundRegistry] = None,
                         target: Optional[int] = None) -> BoundResult:
@@ -482,30 +529,31 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     Returns the maximizing tuple (lexicographically smallest on ties).  With
     `target` set, returns instead the lexicographically smallest tuple whose
     value equals the target exactly, which recovers publishable parameters.
+    The grid runs in lexicographic order, so the first hit is the smallest.
     """
     registry = registry or shipped_registry()
-    fn = FAMILY_EVALUATORS[family]
-    names = FAMILY_PARAM_NAMES[family]
-    best: Optional[BoundResult] = None
-    best_key: Optional[Tuple] = None
+    spec = FAMILIES[family]
+    get = registry.get
+
+    def a(_slot: str, nn: int, kk: int) -> int:
+        return get(q, nn, d, kk)
+
+    best: Optional[Dict[str, int]] = None
+    best_total = -1
     evaluated = 0
-    for params in _family_grid(q, n, d, k, family):
+    for p in spec.grid(q, n, d, k):
         try:
-            result = fn(q, n, d, k, registry=registry, **params)
-        except (HypothesisViolated, RegistryMiss):
+            total = spec.count(p, a)[0]
+        except RegistryMiss:
             continue
         evaluated += 1
-        key = tuple(params.get(nm, 0) for nm in names)
         if target is not None:
-            if result.total == target and (best_key is None or key < best_key):
-                best, best_key = result, key
-            continue
-        if best is None or result.total > best.total or (
-            result.total == best.total and key < best_key
-        ):
-            best, best_key = result, key
+            if total == target:
+                return spec.bound(p, registry)
+        elif total > best_total:
+            best, best_total = dict(p), total
     if best is None:
         if evaluated == 0:
             raise EmptyGrid(f"no admissible tuple for ({q},{n},{d},{k}) {family}")
         raise EmptyGrid(f"no tuple reaches the target for ({q},{n},{d},{k}) {family}")
-    return best
+    return spec.bound(best, registry)

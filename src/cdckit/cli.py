@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import bounds
-from .constructions import ConstructionPlan, parse_plan, run_plan
+from .constructions import parse_plan, run_plan
 from .counting import bounded_rank_size, delsarte_rank_count, gauss_binomial, mrd_size
 from .errors import CdckitError, Mismatch, RegistryMiss
 from .gf import factor_prime_power
@@ -58,30 +58,9 @@ def _cmd_count(args) -> int:
     return 0
 
 
-_PLAN_TO_BOUND = {
-    "linkage": "linkage",
-    "multiblocks": "cor41",
-    "parallel_blocks": "cor42",
-    "multilevel_I": "cor43",
-    "multilevel_II": "cor44",
-}
-
-
-def _bound_params_from_plan(plan: ConstructionPlan) -> tuple:
-    if plan.family not in _PLAN_TO_BOUND:
-        raise ValueError(
-            f"family {plan.family!r} has no closed-form bound; evaluate it "
-            f"with `build --count-only`"
-        )
-    family = _PLAN_TO_BOUND[plan.family]
-    p = dict(plan.params)
-    p.setdefault("n2", plan.n - plan.p("n1"))
-    if "a1" in p:
-        p.setdefault("a2", plan.k - p["a1"])
-    if "u1" in p:
-        p.setdefault("u2", plan.k - p["u1"])
-    names = bounds.FAMILY_PARAM_NAMES[family]
-    return family, {nm: p[nm] for nm in names if nm in p}
+# the `bound` flags: every family parameter, in the order the families list them
+_BOUND_FLAGS = tuple(dict.fromkeys(
+    name for names in bounds.FAMILY_PARAM_NAMES.values() for name in names))
 
 
 def _cmd_bound(args) -> int:
@@ -89,8 +68,13 @@ def _cmd_bound(args) -> int:
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = parse_plan(fh.read())
-        family, params = _bound_params_from_plan(plan)
-        q, n, d, k = plan.q, plan.n, plan.d, plan.k
+        family = bounds.PLAN_FAMILIES[plan.family].name
+        if family not in bounds.FAMILY_EVALUATORS:
+            raise ValueError(
+                f"family {plan.family!r} has no closed-form bound; evaluate it "
+                f"with `build --count-only`"
+            )
+        q, n, d, k, given = plan.q, plan.n, plan.d, plan.k, plan.params
     else:
         family = args.family
         q, n, d, k = args.q, args.n, args.d, args.k
@@ -98,29 +82,16 @@ def _cmd_bound(args) -> int:
             print("--family --q --n --d --k are required without --plan", file=sys.stderr)
             return USAGE_EXIT
         factor_prime_power(q)
+        given = {name: getattr(args, name) for name in _BOUND_FLAGS}
         if family == "cor45":
+            stray = [name for name, value in given.items() if value is not None]
+            if stray:
+                raise ValueError(f"cor45 takes no parameter {', '.join(stray)}")
             total = bounds.bound_cor45_poly(n, d, k, q, registry)
             _emit({"family": "cor45", "q": q, "n": n, "d": d, "k": k, "total": total})
             print(f"# A_{q}({n},{d},{k}) >= {total}", file=sys.stderr)
             return 0
-        names = bounds.FAMILY_PARAM_NAMES[family]
-        given = {nm: getattr(args, nm) for nm in
-                 ("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2",
-                  "u1", "u2", "lam") if getattr(args, nm, None) is not None}
-        if "n1" in given:
-            given.setdefault("n2", n - given["n1"])
-        if "a1" in given:
-            given.setdefault("a2", k - given["a1"])
-        if "u1" in given:
-            given.setdefault("u2", k - given["u1"])
-        params = {nm: given[nm] for nm in names if nm in given}
-        missing = [nm for nm in names if nm not in params and nm != "lam"]
-        if missing:
-            print(f"{family} needs flags: {' '.join('--'+m for m in missing)}",
-                  file=sys.stderr)
-            return USAGE_EXIT
-    fn = bounds.FAMILY_EVALUATORS[family]
-    result = fn(q, n, d, k, registry=registry, **params)
+    result = bounds.evaluate(family, q, n, d, k, given, registry)
     _emit({
         "family": result.family, "q": q, "n": n, "d": d, "k": k,
         "params": result.params, "total": result.total, "terms": result.terms,
@@ -235,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(bounds.FAMILY_EVALUATORS) + ["cor45"])
     p.add_argument("--plan")
     p.add_argument("--registry")
-    for nm in ("q", "n", "d", "k", "n1", "n2", "a1", "a2", "b1", "b2",
-               "t1", "t2", "c1", "c2", "u1", "u2", "lam"):
-        p.add_argument(f"--{nm}", type=int)
+    for name in ("q", "n", "d", "k") + _BOUND_FLAGS:
+        p.add_argument(f"--{name}", type=int)
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("table", help="reproduce published table rows")

@@ -1,10 +1,15 @@
 """End-to-end construction pipelines: explicit codes plus exact counts.
 
-Each family builds the insert sets of its defining layout and, when the
-predicted size stays under the explicit-build cutoff, materializes every
-codeword so the verifier can check distances exhaustively.  Counts are
-always computed (exactly) whether or not codewords are materialized, and
-they must agree with the closed-form bound evaluations in `bounds`.
+A plan's family, parameters, hypotheses and count formulas are the family
+spec in `bounds` (`PLAN_FAMILIES`): the count half of every `build_*` is
+the bound's own count part, with sub-code sizes taken from the plan's
+files where given and from the registry otherwise.  For a plan without
+files, `build --count-only` therefore equals `bound --plan` by
+construction.  What this module adds
+are the materializers: when the predicted size stays under the
+explicit-build cutoff, each family assembles every codeword so the
+verifier can check distances exhaustively, and `BuildOutput.check` holds
+the materialized size to the count.
 """
 
 from __future__ import annotations
@@ -13,13 +18,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .counting import bounded_rank_size, mrd_size
-from .errors import (
-    EnumerationLimitExceeded,
-    HammingDistanceViolated,
-    HypothesisViolated,
-    MissingSubcode,
-)
+from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
+    lifted_inserts_part, linkage_part, parallel_insert_part
+from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf
 from .matrices import Matrix, hstack, vstack
 from .rankcodes import FerrersShape, enumerate_code, fdrm_subcode_union, fdrm_union, \
@@ -27,10 +28,6 @@ from .rankcodes import FerrersShape, enumerate_code, fdrm_subcode_union, fdrm_un
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import CDC, IdentifyingVector, Subspace, cdc_from_text, \
     lift_special_form, special_form_bits, subspace_from_rows
-
-FAMILIES = ("linkage", "blocks", "multiblocks", "parallel_blocks",
-            "multilevel_I", "multilevel_II")
-
 
 def explicit_cutoff() -> int:
     return int(os.environ.get("CDCKIT_EXPLICIT_CUTOFF", 10**6))
@@ -46,13 +43,6 @@ class ConstructionPlan:
     params: Dict[str, int] = field(default_factory=dict)
     files: Dict[str, str] = field(default_factory=dict)
 
-    def p(self, name: str, default: Optional[int] = None) -> int:
-        if name in self.params:
-            return self.params[name]
-        if default is None:
-            raise HypothesisViolated(f"plan is missing parameter {name!r}")
-        return default
-
 
 def parse_plan(text: str) -> ConstructionPlan:
     """Plans are `key = value` lines; *_file keys reference CDC files."""
@@ -67,7 +57,7 @@ def parse_plan(text: str) -> ConstructionPlan:
     if missing:
         raise HypothesisViolated(f"plan is missing {', '.join(missing)}")
     family = kv.pop("family")
-    if family not in FAMILIES:
+    if family not in PLAN_FAMILIES:
         raise HypothesisViolated(f"unknown family {family!r}")
     files = {k[: -len("_file")]: v for k, v in kv.items() if k.endswith("_file")}
     params = {k: int(v) for k, v in kv.items() if not k.endswith("_file")}
@@ -134,9 +124,50 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
     return None, count
 
 
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HypothesisViolated(msg)
+def _count(plan: ConstructionPlan, part, registry: BaseBoundRegistry, explicit: bool):
+    """Check the plan against its family spec and evaluate one count part.
+
+    Returns the resolved parameters, the part's size and terms, and the
+    sub-codes it consumed by slot (None where only the size is known).
+    """
+    if plan.family not in PLAN_FAMILIES:
+        raise HypothesisViolated(f"unknown family {plan.family!r}")
+    p = PLAN_FAMILIES[plan.family].resolve(plan.q, plan.n, plan.d, plan.k, plan.params)
+    subs: Dict[str, Optional[CDC]] = {}
+
+    def a(slot: str, n: int, k: int) -> int:
+        subs[slot], count = resolve_subcdc(plan.q, n, plan.d, k, plan.files.get(slot),
+                                           registry, explicit)
+        return count
+
+    size, terms = part(p, a)
+    return p, size, terms, subs
+
+
+def _check_cutoff(total: int) -> None:
+    if total > explicit_cutoff():
+        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+
+
+def _with_base(counts: Dict[str, int], size: int, base: Optional[BuildOutput],
+               name: str) -> int:
+    """The insert's total, plus the base's when there is one."""
+    if base is None:
+        return size
+    counts[name] = base.total
+    return size + base.total
+
+
+def _insert_output(plan: ConstructionPlan, words: List[Subspace], base: Optional[BuildOutput],
+                   name: str, base_name: str, counts: Dict[str, int], total: int) -> BuildOutput:
+    """The materialized insert, united with the base's words when given."""
+    if base is not None and base.cdc is not None:
+        words.extend(base.cdc)
+        provenance = f"{name}+{base_name}"
+    else:
+        provenance = f"{name}-insert"
+    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words, provenance=provenance)
+    return BuildOutput(cdc, counts, total).check()
 
 
 def _coset_lists(q: int, a: int, b: int, b_dist: int, h: int, s: int) -> List[List[Matrix]]:
@@ -154,30 +185,20 @@ def _coset_lists(q: int, a: int, b: int, b_dist: int, h: int, s: int) -> List[Li
 def build_linkage(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = None,
                   explicit: bool = False) -> BuildOutput:
     registry = registry or shipped_registry()
-    q, n, d, k = plan.q, plan.n, plan.d, plan.k
-    h = d // 2
-    n1 = plan.p("n1")
-    n2 = n - n1
-    _need(d % 2 == 0, "d must be even")
-    _need(n1 >= k and n2 >= k, "need n1 >= k and n2 >= k")
-    c1, count1 = resolve_subcdc(q, n1, d, k, plan.files.get("C1"), registry, explicit)
-    c2, count2 = resolve_subcdc(q, n2, d, k, plan.files.get("C2"), registry, explicit)
-    part1 = count1 * mrd_size(q, k, n2, h)
-    part2 = bounded_rank_size(q, k, n1, h, k - h) * count2
-    counts = {"C1_part": part1, "C2_part": part2}
-    total = part1 + part2
+    p, total, terms, subs = _count(plan, linkage_part, registry, explicit)
+    counts = {"C1_part": terms["term:C1"], "C2_part": terms["term:C2"]}
     if not explicit:
         return BuildOutput(None, counts, total)
-    if total > explicit_cutoff():
-        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+    _check_cutoff(total)
+    q, k, h, n1, n2 = p["q"], p["k"], p["h"], p["n1"], p["n2"]
     words: List[Subspace] = []
-    for u1 in c1:
+    for u1 in subs["C1"]:
         for m2 in enumerate_code(gabidulin_mrd(q, k, n2, h)):
             words.append(Subspace(hstack(u1.mat, m2), u1.pivots))
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
-        for u2 in c2:
+        for u2 in subs["C2"]:
             words.append(subspace_from_rows(hstack(m1, u2.mat)))
-    cdc = CDC(q, n, k, d, words, provenance="linkage")
+    cdc = CDC(q, plan.n, k, plan.d, words, provenance="linkage")
     return BuildOutput(cdc, counts, total).check()
 
 
@@ -186,32 +207,16 @@ def build_linkage(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] 
 
 def build_blocks(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = None,
                  explicit: bool = True) -> BuildOutput:
-    q, n, d, k = plan.q, plan.n, plan.d, plan.k
-    h = d // 2
-    n1 = plan.p("n1")
-    n2 = n - n1
-    a1 = plan.p("a1")
-    a2 = k - a1
-    b1, b2 = plan.p("b1"), plan.p("b2")
-    _need(d % 2 == 0, "d must be even")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(a1 >= h and a2 >= h, "need a_i >= d/2")
-    _need(1 <= b1 <= h and 1 <= b2 <= h and b1 + b2 >= h, "need 1 <= b_i <= d/2, sum >= d/2")
-    s = min(
-        mrd_size(q, a1, n1 - a1, b1) // mrd_size(q, a1, n1 - a1, h),
-        mrd_size(q, a2, n2 - a2, b2) // mrd_size(q, a2, n2 - a2, h),
-    )
-    per_coset = mrd_size(q, a1, n1 - a1, h) * mrd_size(q, a2, n2 - a2, h)
-    off_diag = mrd_size(q, a1, n2 - a2, h) * mrd_size(q, a2, n1 - a1, h)
-    total = s * per_coset * off_diag
-    counts = {"s": s, "per_r": per_coset * off_diag, "N": total}
+    p, total, terms, _ = _count(plan, blocks_part, registry, explicit)
+    s = terms["s"]
+    counts = {"s": s, "per_r": terms["per_r"], "N": total}
     if not explicit:
         return BuildOutput(None, counts, total)
-    if total > explicit_cutoff():
-        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+    _check_cutoff(total)
+    q, h, a1, a2, n1, n2 = p["q"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
     f = gf(q)
-    fam1 = _coset_lists(q, a1, n1 - a1, b1, h, s)
-    fam2 = _coset_lists(q, a2, n2 - a2, b2, h, s)
+    fam1 = _coset_lists(q, a1, n1 - a1, p["b1"], h, s)
+    fam2 = _coset_lists(q, a2, n2 - a2, p["b2"], h, s)
     m12s = list(enumerate_code(gabidulin_mrd(q, a1, n2 - a2, h)))
     m21s = list(enumerate_code(gabidulin_mrd(q, a2, n1 - a1, h)))
     i1, i2 = Matrix.identity(f, a1), Matrix.identity(f, a2)
@@ -225,7 +230,7 @@ def build_blocks(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] =
                         top = hstack(i1, m11, o_top, m12)
                         bot = hstack(o_bot, m21, i2, m22)
                         words.append(subspace_from_rows(vstack(top, bot)))
-    cdc = CDC(q, n, k, d, words, provenance="blocks")
+    cdc = CDC(q, plan.n, plan.k, plan.d, words, provenance="blocks")
     return BuildOutput(cdc, counts, total).check()
 
 
@@ -237,47 +242,25 @@ def build_multiblocks(plan: ConstructionPlan, base: Optional[BuildOutput] = None
                       explicit: bool = False) -> BuildOutput:
     """Insert set B; returns B alone, or B united with `base` when given."""
     registry = registry or shipped_registry()
-    q, n, d, k = plan.q, plan.n, plan.d, plan.k
-    h = d // 2
-    n1 = plan.p("n1")
-    n2 = n - n1
-    a1 = plan.p("a1")
-    a2 = k - a1
-    b1, b2 = plan.p("b1"), plan.p("b2")
-    t1, t2 = plan.p("t1"), plan.p("t2")
-    _need(d % 2 == 0, "d must be even")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(a1 >= h and a2 >= h, "need a_i >= d/2")
-    _need(1 <= b1 <= h and 1 <= b2 <= h and b1 + b2 >= h, "need 1 <= b_i <= d/2, sum >= d/2")
-    _need(a1 <= t1 <= n1 - h and a2 <= t2 <= n2 - h, "need a_i <= t_i <= n_i - d/2")
-    q1, nq1 = resolve_subcdc(q, t1, d, a1, plan.files.get("Q1"), registry, explicit)
-    q2, nq2 = resolve_subcdc(q, t2, d, a2, plan.files.get("Q2"), registry, explicit)
-    s = min(
-        mrd_size(q, a1, n1 - t1, b1) // mrd_size(q, a1, n1 - t1, h),
-        mrd_size(q, a2, n2 - t2, b2) // mrd_size(q, a2, n2 - t2, h),
-    )
-    delta1 = bounded_rank_size(q, a1, n2 - t2, h, min(a1 - h, a1, n2 - t2))
-    delta2 = bounded_rank_size(q, a2, n1 - t1, h, min(a2 - h, a2, n1 - t1))
-    b_count = (nq1 * nq2 * s * mrd_size(q, a1, n1 - t1, h)
-               * mrd_size(q, a2, n2 - t2, h) * delta1 * delta2)
-    counts = {"B": b_count, "s": s, "Delta_1": delta1, "Delta_2": delta2}
-    if base is not None:
-        counts["C"] = base.total
-    total = b_count + (base.total if base is not None else 0)
+    p, size, terms, subs = _count(plan, blocks_insert_part, registry, explicit)
+    s = terms["s"]
+    counts = {"B": size, "s": s, "Delta_1": terms["Delta_1"], "Delta_2": terms["Delta_2"]}
+    total = _with_base(counts, size, base, "C")
     if not explicit:
         return BuildOutput(None, counts, total)
-    if total > explicit_cutoff():
-        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+    _check_cutoff(total)
+    q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
+    n1, n2 = p["n1"], p["n2"]
     f = gf(q)
-    fam1 = _coset_lists(q, a1, n1 - t1, b1, h, s)
-    fam2 = _coset_lists(q, a2, n2 - t2, b2, h, s)
+    fam1 = _coset_lists(q, a1, n1 - t1, p["b1"], h, s)
+    fam2 = _coset_lists(q, a2, n2 - t2, p["b2"], h, s)
     m12s = list(enumerate_code(gabidulin_mrd(q, a1, n2 - t2, h), rank_cap=a1 - h))
     m21s = list(enumerate_code(gabidulin_mrd(q, a2, n1 - t1, h), rank_cap=a2 - h))
     o_top, o_bot = Matrix.zero(f, a1, t2), Matrix.zero(f, a2, t1)
     words = []
     for r in range(s):
-        for u1 in q1:
-            for u2 in q2:
+        for u1 in subs["Q1"]:
+            for u2 in subs["Q2"]:
                 for m11 in fam1[r]:
                     for m22 in fam2[r]:
                         for m12 in m12s:
@@ -285,13 +268,7 @@ def build_multiblocks(plan: ConstructionPlan, base: Optional[BuildOutput] = None
                                 top = hstack(u1.mat, m11, o_top, m12)
                                 bot = hstack(o_bot, m21, u2.mat, m22)
                                 words.append(subspace_from_rows(vstack(top, bot)))
-    if base is not None and base.cdc is not None:
-        words.extend(base.cdc)
-        provenance = "multiblocks+linkage"
-    else:
-        provenance = "multiblocks-insert"
-    cdc = CDC(q, n, k, d, words, provenance=provenance)
-    return BuildOutput(cdc, counts, total).check()
+    return _insert_output(plan, words, base, "multiblocks", "linkage", counts, total)
 
 
 # -- parallel blocks insert -------------------------------------------------------
@@ -302,44 +279,20 @@ def build_parallel_blocks(plan: ConstructionPlan, prior: Optional[BuildOutput] =
                           explicit: bool = False) -> BuildOutput:
     """Insert set E; returns E alone, or E united with `prior` (B u C)."""
     registry = registry or shipped_registry()
-    q, n, d, k = plan.q, plan.n, plan.d, plan.k
-    h = d // 2
-    n1 = plan.p("n1")
-    n2 = n - n1
-    a1 = plan.p("a1")
-    a2 = k - a1
-    b1, b2 = plan.p("b1"), plan.p("b2")
-    t1, t2 = plan.p("t1"), plan.p("t2")
-    c1, c2 = plan.p("c1"), plan.p("c2")
-    _need(d % 2 == 0, "d must be even")
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    _need(a1 >= h and a2 >= h, "need a_i >= d/2")
-    _need(1 <= b1 <= h and 1 <= b2 <= h and b1 + b2 >= h, "need 1 <= b_i <= d/2, sum >= d/2")
-    _need(a1 <= t1 <= n1 - a1 and a2 <= t2 <= n2 - a2, "need a_i <= t_i <= n_i - a_i")
-    _need(b1 <= c1 <= a1 and b2 <= c2 <= a2, "need b_i <= c_i <= a_i")
-    _need(c1 + c2 <= k - h, "need c1 + c2 <= k - d/2")
-    d1, nd1 = resolve_subcdc(q, n1 - t1, d, a1, plan.files.get("D1"), registry, explicit)
-    d2, nd2 = resolve_subcdc(q, n2 - t2, d, a2, plan.files.get("D2"), registry, explicit)
-    m1_count = bounded_rank_size(q, a1, t1, b1, c1)
-    m2_count = bounded_rank_size(q, a2, t2, b2, c2)
-    if b1 == h and b2 == h:
-        e_count = m1_count * m2_count * nd1 * nd2
-    else:
-        e_count = min(m1_count, m2_count) * nd1 * nd2
-    counts = {"E": e_count, "M1": m1_count, "M2": m2_count}
-    if prior is not None:
-        counts["prior"] = prior.total
-    total = e_count + (prior.total if prior is not None else 0)
+    p, size, terms, subs = _count(plan, parallel_insert_part, registry, explicit)
+    counts = {"E": size, "M1": terms["Delta_3"], "M2": terms["Delta_4"]}
+    total = _with_base(counts, size, prior, "prior")
     if not explicit:
         return BuildOutput(None, counts, total)
-    if total > explicit_cutoff():
-        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+    _check_cutoff(total)
+    q, a1, a2, t1, t2 = p["q"], p["a1"], p["a2"], p["t1"], p["t2"]
+    n1, n2, b1, b2 = p["n1"], p["n2"], p["b1"], p["b2"]
     f = gf(q)
-    m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=c1),
+    m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]),
                  key=Matrix.key)
-    m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=c2),
+    m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]),
                  key=Matrix.key)
-    if b1 == h and b2 == h:
+    if b1 == b2 == p["h"]:
         pairs = [(x, y) for x in m1s for y in m2s]
     else:
         pairs = list(zip(m1s, m2s))
@@ -349,18 +302,12 @@ def build_parallel_blocks(plan: ConstructionPlan, prior: Optional[BuildOutput] =
     o4 = Matrix.zero(f, a2, n1 - t1)
     words = []
     for m1, m2 in pairs:
-        for u1 in d1:
-            for u2 in d2:
+        for u1 in subs["D1"]:
+            for u2 in subs["D2"]:
                 top = hstack(m1, u1.mat, o1, o2)
                 bot = hstack(o3, o4, m2, u2.mat)
                 words.append(subspace_from_rows(vstack(top, bot)))
-    if prior is not None and prior.cdc is not None:
-        words.extend(prior.cdc)
-        provenance = "parallel-blocks+prior"
-    else:
-        provenance = "parallel-blocks-insert"
-    cdc = CDC(q, n, k, d, words, provenance=provenance)
-    return BuildOutput(cdc, counts, total).check()
+    return _insert_output(plan, words, prior, "parallel-blocks", "prior", counts, total)
 
 
 # -- multilevel inserts ---------------------------------------------------------
@@ -373,85 +320,31 @@ def special_form_vector(delta1: int, delta2: int, u1: int, u2: int, Delta: int,
     return IdentifyingVector(special_form_bits(delta1, delta2, u1, u2, Delta))
 
 
-def _multilevel_vectors(plan: ConstructionPlan) -> List[Tuple[IdentifyingVector, FerrersShape, Dict[str, int]]]:
-    """The vector set H with its shapes and per-vector subcode parameters."""
-    q, n, d, k = plan.q, plan.n, plan.d, plan.k
-    h = d // 2
-    n1 = plan.p("n1")
-    n2 = n - n1
-    _need(n1 >= k and n2 >= k, "need n_i >= k")
-    out = []
-    if plan.family == "multilevel_I":
-        u1, u2 = plan.p("u1"), plan.p("u2")
-        c1, c2 = plan.p("c1"), plan.p("c2")
-        _need(u1 + u2 == k, "need u1 + u2 = k")
-        _need(u1 >= d and u2 >= h, "need u1 >= d and u2 >= d/2")
-        _need(1 <= c1 <= h and 1 <= c2 <= h and c1 + c2 >= h, "need 1 <= c_i <= d/2, sum >= d/2")
-        _need(n1 - u1 >= h and n2 - u2 >= h and n2 - u2 - h >= h,
-              "need n_i - u_i >= d/2 on both vectors")
-        for v1, v2 in ((u1, u2), (u1 - h, u2 + h)):
-            shape = FerrersShape(n1, n2, v1, v2, 0, h)
-            vec = IdentifyingVector(special_form_bits(n1, n2, v1, v2, 0))
-            out.append((vec, shape, {"c1": c1, "c2": c2}))
-    else:
-        u1, u2 = plan.p("u1"), plan.p("u2")
-        b1, b2 = plan.p("b1"), plan.p("b2")
-        _need(u1 + u2 == k, "need u1 + u2 = k")
-        _need(u1 >= h and u2 >= h, "need u_i >= d/2")
-        _need(1 <= b1 <= h and 1 <= b2 <= h and b1 + b2 >= h, "need 1 <= b_i <= d/2, sum >= d/2")
-        _need(n2 - u2 >= h, "need n2 - u2 >= d/2")
-        lam = plan.p("lam", n1 // u1)
-        _need(1 <= lam <= n1 // u1, "need 1 <= lambda <= floor(n1/u1)")
-        for i in range(1, lam + 1):
-            shape = FerrersShape(n1, n2, u1, u2, (i - 1) * u1, h)
-            vec = IdentifyingVector(special_form_bits(n1, n2, u1, u2, (i - 1) * u1))
-            out.append((vec, shape, {"c1": b1, "c2": b2}))
-    for i, (va, _, _) in enumerate(out):
-        for vb, _, _ in out[i + 1:]:
-            dist = sum(x != y for x, y in zip(va.bits, vb.bits))
-            if dist < d:
-                raise HammingDistanceViolated(
-                    f"vectors {va.bits} and {vb.bits} are at Hamming distance {dist} < {d}"
-                )
-    return out
-
-
 def build_multilevel_insert(plan: ConstructionPlan, base: Optional[BuildOutput] = None,
                             registry: Optional[BaseBoundRegistry] = None,
                             explicit: bool = False) -> BuildOutput:
-    """Union of lifted Ferrers-supported codes, one per special-form vector."""
+    """Union of lifted Ferrers-supported codes, one per special-form vector.
+
+    The vectors lie at Hamming distance d or more from each other by the
+    family's hypotheses, so the lifted codes combine.
+    """
     registry = registry or shipped_registry()
-    q, d, h = plan.q, plan.d, plan.d // 2
-    vectors = _multilevel_vectors(plan)
-    counts: Dict[str, int] = {}
-    fdrms = []
-    for j, (vec, shape, cc) in enumerate(vectors, start=1):
-        cap = shape.u1 - h
-        if shape.w1 >= h:
-            code = fdrm_subcode_union(q, shape, cc["c1"], cc["c2"], rank3_cap=cap)
-        else:
-            code = fdrm_union(q, shape, cc["c1"], cc["c2"], rank3_cap=cap)
-        fdrms.append((vec, shape, code))
-        counts[f"L_{j}"] = code.count
-    insert_total = sum(code.count for _, _, code in fdrms)
-    if base is not None:
-        counts["C"] = base.total
-    total = insert_total + (base.total if base is not None else 0)
+    p, size, terms, _ = _count(plan, lifted_inserts_part, registry, explicit)
+    vectors = insert_vectors(p)
+    counts = {f"L_{j}": terms[f"term:L{j}"] for j in range(1, len(vectors) + 1)}
+    total = _with_base(counts, size, base, "C")
     if not explicit:
         return BuildOutput(None, counts, total)
-    if total > explicit_cutoff():
-        raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
+    _check_cutoff(total)
+    q, h, n1, n2 = p["q"], p["h"], p["n1"], p["n2"]
     words: List[Subspace] = []
-    for vec, shape, code in fdrms:
-        for m in code:
+    for v1, v2, shift, c1, c2 in vectors:
+        shape = FerrersShape(n1, n2, v1, v2, shift, h)
+        vec = IdentifyingVector(special_form_bits(n1, n2, v1, v2, shift))
+        fdrm = fdrm_subcode_union if shape.w1 >= h else fdrm_union
+        for m in fdrm(q, shape, c1, c2, rank3_cap=v1 - h):
             words.append(lift_special_form(vec, m, shape))
-    if base is not None and base.cdc is not None:
-        words.extend(base.cdc)
-        provenance = f"{plan.family}+linkage"
-    else:
-        provenance = f"{plan.family}-insert"
-    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words, provenance=provenance)
-    return BuildOutput(cdc, counts, total).check()
+    return _insert_output(plan, words, base, plan.family, "linkage", counts, total)
 
 
 # -- one-call driver ------------------------------------------------------------

@@ -34,6 +34,8 @@ def mrd_size(q: int, a: int, b: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def delsarte_rank_count(q: int, a: int, b: int, d: int, u: int) -> int:
     """Number of rank-u codewords in an MRD code of minimum distance d."""
+    if d < 1:
+        raise InvalidDistance(f"need d >= 1, got d={d}")
     lo, hi = d, min(a, b)
     if not lo <= u <= hi:
         raise OutOfRange(f"need d <= u <= min(a,b), got u={u}, d={d}, a={a}, b={b}")
@@ -51,6 +53,8 @@ def bounded_rank_size(q: int, a: int, b: int, d: int, u: int) -> int:
     u < d leaves only the zero matrix; u = min(a,b) recovers the full MRD
     cardinality.
     """
+    if d < 1:
+        raise InvalidDistance(f"need d >= 1, got d={d}")
     if u > min(a, b):
         raise OutOfRange(f"rank cap u={u} exceeds min(a,b)={min(a, b)}")
     total = 1

@@ -29,10 +29,6 @@ class EnumerationLimitExceeded(CdckitError):
     pass
 
 
-class CaseMismatch(CdckitError):
-    pass
-
-
 class InvalidParameters(CdckitError):
     pass
 
@@ -54,10 +50,6 @@ class MissingSubcode(CdckitError):
 
 
 class HypothesisViolated(CdckitError):
-    pass
-
-
-class HammingDistanceViolated(CdckitError):
     pass
 
 

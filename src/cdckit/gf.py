@@ -104,11 +104,6 @@ class GF:
     def __hash__(self):
         return hash((self.p, self.degree, self.modulus))
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element code {a} outside [0, {self.q})")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (a + b) % self.p
@@ -167,23 +162,6 @@ class GF:
         """Base-p digit vector of an element code, length `degree`."""
         p = self.p
         return tuple((a // p**i) % p for i in range(self.degree))
-
-
-def field_arith(field: GF, op: str, *operands: int) -> int:
-    """Dispatch one field operation; all operands must share `field`."""
-    for x in operands[: 2 if op != "pow" else 1]:
-        field.check(x)
-    if op == "add":
-        return field.add(*operands)
-    if op == "mul":
-        return field.mul(*operands)
-    if op == "neg":
-        return field.neg(operands[0])
-    if op == "inv":
-        return field.inv(operands[0])
-    if op == "pow":
-        return field.pow(*operands)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def same_field(a: GF, b: GF) -> GF:
@@ -359,13 +337,11 @@ def _build_log_tables(q: int, mul):
 class ExtField:
     """GF(q^m) built over a base GF(q), with q-Frobenius and expansion.
 
-    Elements are coded in [0, q^m) as base-q digit vectors over the default
-    polynomial basis (1, x, ..., x^{m-1}); a custom basis (m element codes,
-    linearly independent over GF(q)) changes only `expand`.
+    Elements are coded in [0, q^m) as base-q digit vectors over the
+    polynomial basis (1, x, ..., x^{m-1}).
     """
 
-    def __init__(self, base: GF, m: int, modulus: Optional[Sequence[int]] = None,
-                 basis: Optional[Sequence[int]] = None):
+    def __init__(self, base: GF, m: int, modulus: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError("extension degree must be positive")
         self.base = base
@@ -387,19 +363,6 @@ class ExtField:
             self._exp, self._log = _build_log_tables(
                 self.order, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
             )
-        if basis is None:
-            self.basis = tuple(base.q**i for i in range(m))
-            self._expand_inv = None
-        else:
-            self.basis = tuple(basis)
-            self._expand_inv = self._basis_inverse()
-
-    def _basis_inverse(self):
-        from .matrices import Matrix, invert
-
-        cols = [self.expand_poly(b) for b in self.basis]
-        entries = tuple(cols[j][i] for i in range(self.m) for j in range(self.m))
-        return invert(Matrix(self.base, self.m, self.m, entries))
 
     def __repr__(self):
         return f"ExtField(GF({self.base.q}), m={self.m})"
@@ -456,19 +419,10 @@ class ExtField:
         """x -> x^q, the GF(q)-linear field automorphism."""
         return self.pow(a, self.base.q)
 
-    def expand_poly(self, a: int) -> Tuple[int, ...]:
+    def expand(self, a: int) -> Tuple[int, ...]:
+        """Coordinates of `a` over the polynomial basis, as GF(q) element codes."""
         q = self.base.q
         return tuple((a // q**i) % q for i in range(self.m))
-
-    def expand(self, a: int) -> Tuple[int, ...]:
-        """Coordinates of `a` over `basis`, as GF(q) element codes."""
-        digits = self.expand_poly(a)
-        if self._expand_inv is None:
-            return digits
-        from .matrices import Matrix, matmul
-
-        col = Matrix(self.base, self.m, 1, digits)
-        return tuple(matmul(self._expand_inv, col).entries)
 
     def elements(self):
         return range(self.order)

@@ -14,7 +14,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .counting import bounded_rank_size, mrd_size
 from .errors import (
-    CaseMismatch,
     EnumerationLimitExceeded,
     InvalidDistance,
     InvalidDistances,
@@ -171,10 +170,6 @@ class CosetFamily:
         self._materialized = cosets
         return cosets
 
-    @property
-    def representatives(self) -> List[Matrix]:
-        return [leader for leader, _ in self.materialize()]
-
 
 def subcode_cosets(q: int, a: int, b: int, d_m: int, d_s: int) -> CosetFamily:
     """Split the (q,a,b,d_m) Gabidulin code into cosets of its (q,a,b,d_s)
@@ -275,7 +270,7 @@ def _m3_list(q: int, shape: FerrersShape, rank3_cap: Optional[int]) -> List[Matr
 
 
 def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
-               rank3_cap: Optional[int] = None, case: Optional[int] = None) -> FdrmCode:
+               rank3_cap: Optional[int] = None) -> FdrmCode:
     """FDRM code on `shape` with minimum rank distance d_f.
 
     The case follows from where w1 = delta1 - Delta - u1 falls against b1
@@ -286,13 +281,11 @@ def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
     if not (1 <= b1 <= d_f and 1 <= b2 <= d_f and b1 + b2 >= d_f):
         raise InvalidParameters("need 1 <= b_i <= d_f and b1 + b2 >= d_f")
     w1 = shape.w1
-    derived = 1 if w1 < b1 else (2 if w1 < d_f else 3)
-    if case is not None and case != derived:
-        raise CaseMismatch(f"shape selects case {derived}, caller insisted on {case}")
+    case = 1 if w1 < b1 else (2 if w1 < d_f else 3)
     field = gf(q)
     lam3 = _lam3(q, shape, rank3_cap)
 
-    if derived == 1:
+    if case == 1:
         count = mrd_size(q, shape.u2, shape.w2, d_f) * lam3
 
         def factory() -> Iterator[Matrix]:
@@ -304,7 +297,7 @@ def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
 
         return FdrmCode(shape, 1, count, factory)
 
-    if derived == 2:
+    if case == 2:
         n1 = mrd_size(q, shape.u1, w1, b1)
         n2 = mrd_size(q, shape.u2, shape.w2, b2)
         count = min(n1, n2) * lam3

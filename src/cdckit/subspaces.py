@@ -79,16 +79,6 @@ class Subspace:
 class IdentifyingVector:
     bits: Tuple[int, ...]
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    def as_int(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
 
 @dataclass(frozen=True)
 class FerrersData:

@@ -212,3 +212,56 @@ def test_poly_identity_for_registry_dependent_families():
         lhs = bound_cor45_poly(15, 4, 5, 3, reg)
         rhs = bound_cor41(3, 15, 4, 5, 5, 10, 2, 3, 1, 1, 2, 7, reg).total
         assert lhs == rhs
+
+
+def test_bound_equals_count_only_build_on_the_admissible_grid():
+    # bound and build --count-only evaluate one family spec, so they agree on
+    # every admissible tuple: the same total, or the same error
+    from cdckit.bounds import FAMILIES, evaluate
+    from cdckit.constructions import ConstructionPlan, run_plan
+
+    walked = 0
+    for q in (2, 3):
+        for n in range(4, 17):
+            for k in range(1, n // 2 + 1):
+                for d in range(4, 2 * k + 1, 2):
+                    for family, spec in FAMILIES.items():
+                        for p in spec.grid(q, n, d, k):
+                            params = {name: p[name] for name in spec.names}
+                            plan = ConstructionPlan(spec.plan, q, n, d, k, params)
+                            try:
+                                bound = evaluate(family, q, n, d, k, params, REG)
+                            except RegistryMiss as exc:
+                                with pytest.raises(RegistryMiss) as miss:
+                                    run_plan(plan, REG, explicit=False)
+                                assert miss.value.key == exc.key, (family, params)
+                            else:
+                                assert bound.recombined() == bound.total, (family, params)
+                                built = run_plan(plan, REG, explicit=False)
+                                assert built.total == bound.total, (family, q, n, d, k, params)
+                            walked += 1
+    assert walked == 29032
+
+
+def test_grid_is_the_admissible_set():
+    # the grid walks exactly the tuples the hypotheses admit (lam at its
+    # default only), checked against every tuple in a box for the families
+    # with few free parameters; the grid test above pins the others' count
+    import itertools
+
+    from cdckit.bounds import FAMILIES
+
+    cases = [("linkage", (2, 12, 4, 4)), ("cor41", (2, 8, 4, 4)), ("cor43", (2, 12, 4, 6)),
+             ("cor43", (3, 14, 4, 6)), ("cor44", (2, 14, 6, 7)), ("cor44", (3, 9, 2, 3))]
+    for family, (q, n, d, k) in cases:
+        spec = FAMILIES[family]
+        free = [par.name for par in spec.params if not par.fill]
+        admitted = []
+        for values in itertools.product(range(n - k + 2), repeat=len(free)):
+            try:
+                admitted.append(spec.resolve(q, n, d, k, dict(zip(free, values))))
+            except HypothesisViolated:
+                pass
+        assert admitted and [dict(p) for p in spec.grid(q, n, d, k)] == admitted, family
+    for d in (3, 0):
+        assert list(FAMILIES["cor41"].grid(2, 12, d, 6)) == []

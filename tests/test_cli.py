@@ -224,6 +224,9 @@ LINKAGE_PLAN = "family = linkage\nq = 2\nn = 8\nd = 4\nk = 4\nn1 = 4\n"
 _NO_FAMILY = LINKAGE_PLAN.replace("family = linkage\n", "")
 _NO_Q = LINKAGE_PLAN.replace("q = 2\n", "")
 _Q6 = LINKAGE_PLAN.replace("q = 2", "q = 6")
+_BOUND_LINKAGE = ["bound", "--family", "linkage", "--q", "2", "--n", "8", "--d", "4", "--k", "4",
+                  "--n1", "4"]
+_BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--family"]
 
 
 @pytest.mark.parametrize("argv, plan", [
@@ -241,6 +244,24 @@ _Q6 = LINKAGE_PLAN.replace("q = 2", "q = 6")
                  id="bound-plan-no-n1"),
     pytest.param(["bound", "--plan"], _Q6, id="bound-plan-q6"),
     pytest.param(["build", "--count-only", "--plan"], _Q6, id="build-plan-q6"),
+    pytest.param(["count", "delsarte", "2", "3", "3", "0", "1"], None, id="delsarte-d0"),
+    pytest.param(["count", "bounded", "2", "3", "3", "0", "2"], None, id="bounded-d0"),
+    pytest.param(_BOUND_LINKAGE + ["--n2", "9"], None, id="linkage-n2"),
+    pytest.param(_BOUND_LINKAGE + ["--a1", "2"], None, id="linkage-foreign-flag"),
+    pytest.param(_BOUND_12_4_6 + ["cor41", "--n1", "6", "--n2", "5", "--a1", "4", "--b1", "1",
+                                  "--b2", "1", "--t1", "4", "--t2", "2"], None, id="cor41-n2"),
+    pytest.param(_BOUND_12_4_6 + ["cor42", "--n1", "6", "--a1", "3", "--a2", "2", "--b1", "1",
+                                  "--b2", "1", "--t1", "3", "--t2", "3", "--c1", "1",
+                                  "--c2", "1"], None, id="cor42-a2"),
+    pytest.param(_BOUND_12_4_6 + ["cor43", "--n1", "6", "--u1", "4", "--u2", "3", "--c1", "1",
+                                  "--c2", "1"], None, id="cor43-u2"),
+    pytest.param(_BOUND_12_4_6 + ["cor44", "--n1", "6", "--u1", "2", "--u2", "3", "--b1", "1",
+                                  "--b2", "1"], None, id="cor44-u2"),
+    pytest.param(["bound", "--family", "cor45", "--q", "2", "--n", "14", "--d", "6", "--k", "7",
+                  "--n1", "7"], None, id="cor45-foreign-flag"),
+    pytest.param(["bound", "--plan"], LINKAGE_PLAN + "n2 = 5\n", id="bound-plan-n2"),
+    pytest.param(["build", "--count-only", "--plan"], LINKAGE_PLAN + "n2 = 5\n",
+                 id="build-plan-n2"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
     if plan is not None:
@@ -277,3 +298,29 @@ def test_count_and_bound_take_a_prime_power_above_the_field_limit(tmp_path, caps
     path.write_text(LINKAGE_PLAN.replace("q = 2", "q = 131072"))
     assert main(["build", "--count-only", "--plan", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_bound_plan_equals_count_only_in_the_product_form(tmp_path, capsys):
+    # parallel_blocks with b1 = b2 = d/2 counts every pair (M1, M2):
+    # E = Delta_3 * Delta_4 * |D1| * |D2| = 50 * 50 * 1 * 1
+    path = tmp_path / "pb.plan"
+    path.write_text("family = parallel_blocks\nq = 2\nn = 12\nd = 4\nk = 6\nn1 = 6\n"
+                    "a1 = 3\nb1 = 2\nb2 = 2\nt1 = 3\nt2 = 3\nc1 = 2\nc2 = 2\n")
+    assert main(["bound", "--plan", str(path)]) == 0
+    payload = _json_lines(capsys.readouterr().out)[0]
+    assert payload["terms"]["term:E"] == 2500
+    assert payload["total"] == 1212425092
+    assert main(["build", "--count-only", "--plan", str(path)]) == 0
+    lines = _json_lines(capsys.readouterr().out)
+    assert {"total": 1212425092, "explicit": False} in lines
+    assert {"component": "E", "count": 2500} in lines
+
+
+def test_plan_derives_u2_for_build(tmp_path, capsys):
+    # u2 = k - u1 is derived for builds as for bounds
+    path = tmp_path / "ml.plan"
+    path.write_text("family = multilevel_I\nq = 2\nn = 12\nd = 4\nk = 6\n"
+                    "n1 = 6\nu1 = 4\nc1 = 1\nc2 = 1\n")
+    assert main(["build", "--plan", str(path), "--count-only"]) == 0
+    lines = _json_lines(capsys.readouterr().out)
+    assert {"total": 1214577088, "explicit": False} in lines

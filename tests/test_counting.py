@@ -119,6 +119,16 @@ def test_bounded_rank_size_edges():
         bounded_rank_size(2, 3, 3, 2, 4)
 
 
+def test_rank_counts_refuse_distance_below_one():
+    # like mrd_size: no rank-metric code has distance 0, even with a cap
+    # below d that leaves no rank count to add
+    for d in (0, -1):
+        with pytest.raises(InvalidDistance):
+            delsarte_rank_count(2, 3, 3, d, 1)
+        with pytest.raises(InvalidDistance):
+            bounded_rank_size(2, 3, 3, d, d - 1)
+
+
 def test_completeness_identity():
     # summing the whole rank distribution recovers the MRD cardinality
     for q in (2, 3, 4, 5, 7, 8, 9):

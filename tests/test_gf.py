@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cdckit.errors import InversionOfZero, MixedFields
-from cdckit.gf import ExtField, GF, _MODULUS_TABLE, _search_modulus, field_arith, gf, \
+from cdckit.gf import ExtField, GF, _MODULUS_TABLE, _search_modulus, gf, \
     is_irreducible, same_field
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -52,10 +52,7 @@ def test_inversion_of_zero():
         ExtField(gf(2), 3).inv(0)
 
 
-def test_field_arith_dispatch():
-    f = gf(9)
-    assert field_arith(f, "add", 4, 7) == f.add(4, 7)
-    assert field_arith(f, "pow", 5, 8) == 1  # order divides q-1
+def test_same_field_rejects_mixed_fields():
     with pytest.raises(MixedFields):
         same_field(gf(4), gf(8))
 
@@ -138,20 +135,6 @@ def test_expand_linear():
             assert left == right
 
 
-def test_expand_custom_basis():
-    base = gf(2)
-    poly = ExtField(base, 3)
-    # basis (1, x, x+x^2): still full rank over GF(2)
-    ext = ExtField(base, 3, basis=(1, 2, 6))
-    for x in ext.elements():
-        coords = ext.expand(x)
-        acc = 0
-        for c, b in zip(coords, ext.basis):
-            if c:
-                acc = poly.add(acc, b)
-        assert acc == x
-
-
 def test_non_prime_base_extension():
     ext = ExtField(gf(4), 2)  # GF(16) as a degree-2 extension of GF(4)
     assert ext.order == 16
@@ -161,8 +144,3 @@ def test_non_prime_base_extension():
     for x in ext.elements():
         y = ext.frobenius(ext.frobenius(x))  # q=4 Frobenius has order 2
         assert y == x
-
-
-def test_dependent_basis_rejected():
-    with pytest.raises(ValueError):
-        ExtField(gf(2), 3, basis=(1, 2, 3))  # 3 = 1 + 2, not independent

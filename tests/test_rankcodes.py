@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from cdckit.counting import delsarte_rank_count, mrd_size
-from cdckit.errors import CaseMismatch, EnumerationLimitExceeded, InvalidDistance, \
+from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, \
     InvalidDistances, InvalidParameters
 from cdckit.gf import gf
 from cdckit.matrices import Matrix, _rref_rows, mat_rank, mat_sub
@@ -177,12 +177,6 @@ def test_fdrm_case2_paired():
     assert len(members) == 64
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 3
-
-
-def test_fdrm_case_mismatch():
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    with pytest.raises(CaseMismatch):
-        fdrm_union(2, sh, 1, 1, case=2)
 
 
 def test_fdrm_support_stays_in_shape():
