@@ -7,7 +7,8 @@ files where given and from the registry otherwise.  For a plan without
 files, `build --count-only` therefore equals `bound --plan` by
 construction.  What this module adds
 are the materializers: when the predicted size stays under the
-explicit-build cutoff, each family assembles every codeword so the
+explicit-build cutoff, each family assembles every codeword from
+Gabidulin codes, their coset lists and FDRM words (`rankcodes`) so the
 verifier can check distances exhaustively, and `BuildOutput.check` holds
 the materialized size to the count.
 """
@@ -23,11 +24,9 @@ from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vecto
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf
 from .matrices import Matrix, hstack, vstack
-from .rankcodes import FerrersShape, enumerate_code, fdrm_subcode_union, fdrm_union, \
-    gabidulin_mrd, subcode_cosets
+from .rankcodes import FerrersShape, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
-from .subspaces import CDC, IdentifyingVector, Subspace, cdc_from_text, \
-    lift_special_form, special_form_bits, subspace_from_rows
+from .subspaces import CDC, Subspace, cdc_from_text, lift_special_form, subspace_from_rows
 
 def explicit_cutoff() -> int:
     return int(os.environ.get("CDCKIT_EXPLICIT_CUTOFF", 10**6))
@@ -66,17 +65,6 @@ def parse_plan(text: str) -> ConstructionPlan:
     return ConstructionPlan(family=family, params=params, files=files, **core)
 
 
-def plan_to_text(plan: ConstructionPlan) -> str:
-    lines = [f"family = {plan.family}"]
-    for name in ("q", "n", "d", "k"):
-        lines.append(f"{name} = {getattr(plan, name)}")
-    for key, value in sorted(plan.params.items()):
-        lines.append(f"{key} = {value}")
-    for key, value in sorted(plan.files.items()):
-        lines.append(f"{key}_file = {value}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class BuildOutput:
     cdc: Optional[CDC]
@@ -97,7 +85,7 @@ def _trivial_cdc(q: int, n: int, d: int, k: int) -> CDC:
         hstack(Matrix.identity(gf(q), k), Matrix.zero(gf(q), k, n - k))
         if n > k else Matrix.identity(gf(q), k)
     )
-    return CDC(q, n, k, d, [word], provenance="trivial")
+    return CDC(q, n, k, d, [word])
 
 
 def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
@@ -106,7 +94,7 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
     one-codeword code when the registry proves size 1, else count-only."""
     if file is not None:
         with open(file, "r", encoding="utf-8") as fh:
-            cdc = cdc_from_text(fh.read(), provenance=file)
+            cdc = cdc_from_text(fh.read())
         if (cdc.q, cdc.n, cdc.k) != (q, n, k) or cdc.d < d:
             raise MissingSubcode(
                 f"{file} is a ({cdc.n},{len(cdc)},{cdc.d},{cdc.k})_{cdc.q} code, "
@@ -159,24 +147,12 @@ def _with_base(counts: Dict[str, int], size: int, base: Optional[BuildOutput],
 
 
 def _insert_output(plan: ConstructionPlan, words: List[Subspace], base: Optional[BuildOutput],
-                   name: str, base_name: str, counts: Dict[str, int], total: int) -> BuildOutput:
+                   counts: Dict[str, int], total: int) -> BuildOutput:
     """The materialized insert, united with the base's words when given."""
-    if base is not None and base.cdc is not None:
+    if base is not None:
         words.extend(base.cdc)
-        provenance = f"{name}+{base_name}"
-    else:
-        provenance = f"{name}-insert"
-    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words, provenance=provenance)
+    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words)
     return BuildOutput(cdc, counts, total).check()
-
-
-def _coset_lists(q: int, a: int, b: int, b_dist: int, h: int, s: int) -> List[List[Matrix]]:
-    """First s coset member-lists at ambient distance b_dist, subcode h."""
-    if b_dist == h:
-        members = sorted(enumerate_code(gabidulin_mrd(q, a, b, h)), key=Matrix.key)
-        return [members]
-    fam = subcode_cosets(q, a, b, b_dist, h)
-    return [members for _, members in fam.materialize()[:s]]
 
 
 # -- two-block linkage ---------------------------------------------------------
@@ -198,7 +174,7 @@ def build_linkage(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] 
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
         for u2 in subs["C2"]:
             words.append(subspace_from_rows(hstack(m1, u2.mat)))
-    cdc = CDC(q, plan.n, k, plan.d, words, provenance="linkage")
+    cdc = CDC(q, plan.n, k, plan.d, words)
     return BuildOutput(cdc, counts, total).check()
 
 
@@ -215,8 +191,8 @@ def build_blocks(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] =
     _check_cutoff(total)
     q, h, a1, a2, n1, n2 = p["q"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
     f = gf(q)
-    fam1 = _coset_lists(q, a1, n1 - a1, p["b1"], h, s)
-    fam2 = _coset_lists(q, a2, n2 - a2, p["b2"], h, s)
+    fam1 = coset_lists(q, a1, n1 - a1, p["b1"], h)
+    fam2 = coset_lists(q, a2, n2 - a2, p["b2"], h)
     m12s = list(enumerate_code(gabidulin_mrd(q, a1, n2 - a2, h)))
     m21s = list(enumerate_code(gabidulin_mrd(q, a2, n1 - a1, h)))
     i1, i2 = Matrix.identity(f, a1), Matrix.identity(f, a2)
@@ -230,7 +206,7 @@ def build_blocks(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] =
                         top = hstack(i1, m11, o_top, m12)
                         bot = hstack(o_bot, m21, i2, m22)
                         words.append(subspace_from_rows(vstack(top, bot)))
-    cdc = CDC(q, plan.n, plan.k, plan.d, words, provenance="blocks")
+    cdc = CDC(q, plan.n, plan.k, plan.d, words)
     return BuildOutput(cdc, counts, total).check()
 
 
@@ -252,8 +228,8 @@ def build_multiblocks(plan: ConstructionPlan, base: Optional[BuildOutput] = None
     q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
     n1, n2 = p["n1"], p["n2"]
     f = gf(q)
-    fam1 = _coset_lists(q, a1, n1 - t1, p["b1"], h, s)
-    fam2 = _coset_lists(q, a2, n2 - t2, p["b2"], h, s)
+    fam1 = coset_lists(q, a1, n1 - t1, p["b1"], h)
+    fam2 = coset_lists(q, a2, n2 - t2, p["b2"], h)
     m12s = list(enumerate_code(gabidulin_mrd(q, a1, n2 - t2, h), rank_cap=a1 - h))
     m21s = list(enumerate_code(gabidulin_mrd(q, a2, n1 - t1, h), rank_cap=a2 - h))
     o_top, o_bot = Matrix.zero(f, a1, t2), Matrix.zero(f, a2, t1)
@@ -268,7 +244,7 @@ def build_multiblocks(plan: ConstructionPlan, base: Optional[BuildOutput] = None
                                 top = hstack(u1.mat, m11, o_top, m12)
                                 bot = hstack(o_bot, m21, u2.mat, m22)
                                 words.append(subspace_from_rows(vstack(top, bot)))
-    return _insert_output(plan, words, base, "multiblocks", "linkage", counts, total)
+    return _insert_output(plan, words, base, counts, total)
 
 
 # -- parallel blocks insert -------------------------------------------------------
@@ -307,17 +283,10 @@ def build_parallel_blocks(plan: ConstructionPlan, prior: Optional[BuildOutput] =
                 top = hstack(m1, u1.mat, o1, o2)
                 bot = hstack(o3, o4, m2, u2.mat)
                 words.append(subspace_from_rows(vstack(top, bot)))
-    return _insert_output(plan, words, prior, "parallel-blocks", "prior", counts, total)
+    return _insert_output(plan, words, prior, counts, total)
 
 
 # -- multilevel inserts ---------------------------------------------------------
-
-
-def special_form_vector(delta1: int, delta2: int, u1: int, u2: int, Delta: int,
-                        d_f: Optional[int] = None) -> IdentifyingVector:
-    if d_f is not None and (u1 < d_f or u2 < d_f or delta2 < u2 + d_f):
-        raise HypothesisViolated("special-form blocks too small for d_f")
-    return IdentifyingVector(special_form_bits(delta1, delta2, u1, u2, Delta))
 
 
 def build_multilevel_insert(plan: ConstructionPlan, base: Optional[BuildOutput] = None,
@@ -340,11 +309,9 @@ def build_multilevel_insert(plan: ConstructionPlan, base: Optional[BuildOutput] 
     words: List[Subspace] = []
     for v1, v2, shift, c1, c2 in vectors:
         shape = FerrersShape(n1, n2, v1, v2, shift, h)
-        vec = IdentifyingVector(special_form_bits(n1, n2, v1, v2, shift))
-        fdrm = fdrm_subcode_union if shape.w1 >= h else fdrm_union
-        for m in fdrm(q, shape, c1, c2, rank3_cap=v1 - h):
-            words.append(lift_special_form(vec, m, shape))
-    return _insert_output(plan, words, base, plan.family, "linkage", counts, total)
+        for m in fdrm_words(q, shape, c1, c2):
+            words.append(lift_special_form(m, shape))
+    return _insert_output(plan, words, base, counts, total)
 
 
 # -- one-call driver ------------------------------------------------------------

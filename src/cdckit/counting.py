@@ -50,11 +50,13 @@ def delsarte_rank_count(q: int, a: int, b: int, d: int, u: int) -> int:
 def bounded_rank_size(q: int, a: int, b: int, d: int, u: int) -> int:
     """1 + sum of rank-i counts for d <= i <= u; the `+1` is the zero matrix.
 
-    u < d leaves only the zero matrix; u = min(a,b) recovers the full MRD
-    cardinality.
+    0 <= u < d leaves only the zero matrix; u = min(a,b) recovers the full
+    MRD cardinality.
     """
     if d < 1:
         raise InvalidDistance(f"need d >= 1, got d={d}")
+    if u < 0:
+        raise OutOfRange(f"rank cap u={u} is negative")
     if u > min(a, b):
         raise OutOfRange(f"rank cap u={u} exceeds min(a,b)={min(a, b)}")
     total = 1

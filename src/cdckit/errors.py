@@ -65,9 +65,5 @@ class ManifestMiss(CdckitError):
     pass
 
 
-class Mismatch(CdckitError):
-    pass
-
-
 class EmptyGrid(CdckitError):
     pass

@@ -13,7 +13,7 @@ runs; anything not in the table is found by the same deterministic search.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InversionOfZero, MixedFields
 
@@ -61,7 +61,7 @@ class GF:
     Use the :func:`gf` factory to get cached canonical instances.
     """
 
-    def __init__(self, p: int, degree: int = 1, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, degree: int = 1):
         if not _small_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:
@@ -74,18 +74,12 @@ class GF:
         self.q = q
         if degree == 1:
             self.modulus: Tuple[int, ...] = ()
-        elif modulus is not None:
-            self.modulus = tuple(int(c) % p for c in modulus)
-            if len(self.modulus) != degree:
-                raise ValueError("modulus must list `degree` coefficients")
         elif (p, degree) in _MODULUS_TABLE:
             self.modulus = _MODULUS_TABLE[(p, degree)]
         else:
             self.modulus = _search_modulus(gf(p), degree)
         if degree > 1:
             base = gf(p)
-            if not is_irreducible(self.modulus, base):
-                raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
             self._exp, self._log = _build_log_tables(
                 q, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
             )
@@ -157,11 +151,6 @@ class GF:
 
     def elements(self):
         return range(self.q)
-
-    def digits(self, a: int) -> Tuple[int, ...]:
-        """Base-p digit vector of an element code, length `degree`."""
-        p = self.p
-        return tuple((a // p**i) % p for i in range(self.degree))
 
 
 def same_field(a: GF, b: GF) -> GF:
@@ -335,13 +324,14 @@ def _build_log_tables(q: int, mul):
 
 
 class ExtField:
-    """GF(q^m) built over a base GF(q), with q-Frobenius and expansion.
+    """GF(q^m) built over a base GF(q), with multiplication, powers and
+    expansion over GF(q), the operations the Gabidulin generators need.
 
     Elements are coded in [0, q^m) as base-q digit vectors over the
     polynomial basis (1, x, ..., x^{m-1}).
     """
 
-    def __init__(self, base: GF, m: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, base: GF, m: int):
         if m < 1:
             raise ValueError("extension degree must be positive")
         self.base = base
@@ -349,10 +339,6 @@ class ExtField:
         self.order = base.q**m
         if m == 1:
             self.modulus: Tuple[int, ...] = ()
-        elif modulus is not None:
-            self.modulus = tuple(modulus)
-            if len(self.modulus) != m or not is_irreducible(self.modulus, base):
-                raise ValueError("modulus must be monic irreducible of degree m")
         elif base.degree == 1 and (base.p, m) in _MODULUS_TABLE:
             self.modulus = _MODULUS_TABLE[(base.p, m)]
         else:
@@ -367,31 +353,6 @@ class ExtField:
     def __repr__(self):
         return f"ExtField(GF({self.base.q}), m={self.m})"
 
-    def add(self, a: int, b: int) -> int:
-        if self.base.p == 2:
-            # base-q digits are GF(2^e) codes, so whole-code XOR is digitwise add
-            return a ^ b
-        q, out, shift = self.base.q, 0, 1
-        while a or b:
-            out += self.base.add(a % q, b % q) * shift
-            a //= q
-            b //= q
-            shift *= q
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.base.p == 2:
-            return a
-        q, out, shift = self.base.q, 0, 1
-        while a:
-            out += self.base.neg(a % q) * shift
-            a //= q
-            shift *= q
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return self.base.mul(a, b)
@@ -399,30 +360,15 @@ class ExtField:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InversionOfZero("0 has no multiplicative inverse")
-        if self.m == 1:
-            return self.base.inv(a)
-        return self._exp[(-self._log[a]) % (self.order - 1)]
-
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0."""
         if self.m == 1:
             return self.base.pow(a, e)
         if a == 0:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.order - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """x -> x^q, the GF(q)-linear field automorphism."""
-        return self.pow(a, self.base.q)
-
     def expand(self, a: int) -> Tuple[int, ...]:
         """Coordinates of `a` over the polynomial basis, as GF(q) element codes."""
         q = self.base.q
         return tuple((a // q**i) % q for i in range(self.m))
-
-    def elements(self):
-        return range(self.order)

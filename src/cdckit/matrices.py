@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): RREF, rank, kernels, block assembly.
+"""Dense matrices over GF(q): RREF, rank and block assembly.
 
 Matrices are immutable and row-major.  Over GF(2) a matrix keeps its rows
 packed, one int per row with column 0 as the highest bit, and the build path
@@ -132,19 +132,6 @@ class Matrix:
         e = [self.entries[r * self.ncols + c] for r in rows for c in cols]
         return Matrix(self.field, len(rows), len(cols), e)
 
-    def to_text(self) -> str:
-        lines = [f"{self.field.q} {self.nrows} {self.ncols}"]
-        for i in range(self.nrows):
-            lines.append(" ".join(str(x) for x in self.row(i)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Matrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        q, nrows, ncols = (int(t) for t in lines[0].split())
-        rows = [[int(t) for t in ln.split()] for ln in lines[1 : 1 + nrows]]
-        return cls.from_rows(gf(q), rows) if rows else cls(gf(q), 0, ncols, ())
-
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     f = same_field(a.field, b.field)
@@ -153,31 +140,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if a._packed is not None:
         return Matrix.from_packed(a.ncols, tuple(map(xor, a._packed, b._packed)))
     return Matrix(f, a.nrows, a.ncols, tuple(f.add(x, y) for x, y in zip(a.entries, b.entries)))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    f = same_field(a.field, b.field)
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch")
-    if a._packed is not None:
-        return mat_add(a, b)
-    return Matrix(f, a.nrows, a.ncols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    f = same_field(a.field, b.field)
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    out = [0] * (a.nrows * b.ncols)
-    for i in range(a.nrows):
-        arow = a.row(i)
-        for j in range(b.ncols):
-            acc = 0
-            for t, av in enumerate(arow):
-                if av:
-                    acc = f.add(acc, f.mul(av, b.entries[t * b.ncols + j]))
-            out[i * b.ncols + j] = acc
-    return Matrix(f, a.nrows, b.ncols, out)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -292,37 +254,9 @@ def rref_pivots_gf2(rows: Sequence[int], ncols: int) -> Optional[Tuple[int, ...]
 
 def mat_rank(m: Matrix) -> int:
     if m._packed is not None:
-        return rank_gf2(m._packed, m.ncols)
+        return rank_added_gf2([0] * (m.ncols + 1), m._packed)
     rows = [list(m.row(i)) for i in range(m.nrows)]
     return len(_rref_rows(m.field, rows, m.ncols))
-
-
-def mat_kernel(m: Matrix) -> Matrix:
-    """Basis of the left null space {v : v m = 0}, one vector per row."""
-    t = m.transpose()
-    red, pivots = mat_rref(t)
-    free = [c for c in range(t.ncols) if c not in pivots]
-    rows = []
-    f = m.field
-    for fc in free:
-        v = [0] * t.ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red[r, fc])
-        rows.append(v)
-    if not rows:
-        return Matrix(f, 0, m.nrows, ())
-    return Matrix.from_rows(f, rows)
-
-
-def invert(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise ValueError("only square matrices invert")
-    aug = hstack(m, Matrix.identity(m.field, m.nrows))
-    red, pivots = mat_rref(aug)
-    if list(pivots) != list(range(m.nrows)):
-        raise ValueError("matrix is singular")
-    return red.submatrix(range(m.nrows), range(m.nrows, 2 * m.nrows))
 
 
 # -- packed GF(2) rows ----------------------------------------------------------
@@ -336,11 +270,12 @@ def pack_rows_gf2(m: Matrix) -> Tuple[int, ...]:
     return m._packed
 
 
-def rank_gf2(packed_rows: Sequence[int], ncols: int) -> int:
-    """Rank of packed GF(2) rows."""
-    basis = [0] * (ncols + 1)
+def rank_added_gf2(basis: List[int], rows: Iterable[int]) -> int:
+    """How many of the packed `rows` lie outside the span of `basis`, where
+    `basis[b]` is the basis row of bit length b, or 0; the rows that do are
+    added to `basis`.  On a fresh basis of ncols + 1 zeros, the rank."""
     r = 0
-    for v in packed_rows:
+    for v in rows:
         while v:
             b = v.bit_length()
             w = basis[b]

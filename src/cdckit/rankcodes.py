@@ -1,9 +1,10 @@
 """Concrete rank-metric codes.
 
-Gabidulin codes realize every MRD parameter set we need; coset families
+Gabidulin codes realize every MRD parameter set we need; their cosets
 split them into translate classes with two-level distance guarantees, and
-the Ferrers-diagram unions assemble block codes supported on the two-block
-staircase shape used by the multilevel inserts.
+`fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
+two-block staircase shape that the multilevel inserts lift.  Their sizes
+are counted by the family spec in `bounds`, not here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import os
 from operator import xor
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .counting import bounded_rank_size, mrd_size
 from .errors import (
     EnumerationLimitExceeded,
     InvalidDistance,
@@ -137,54 +137,26 @@ def enumerate_code(
             yield m
 
 
-class CosetFamily:
-    """Translates of a distance-d_s subcode inside a distance-d_m code.
+def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Matrix]]:
+    """The cosets of the (q,a,b,d_s) Gabidulin subcode in the (q,a,b,d_m)
+    Gabidulin code, each as its members sorted by entries, ordered by their
+    least members.
 
-    Within one coset distinct members differ by rank >= d_s; across cosets
-    by rank >= d_m.  Cosets are ordered by their lexicographically smallest
-    member, which also serves as the stored representative.
+    Within a coset distinct members differ by rank >= d_s, across cosets by
+    rank >= d_m; d_m = d_s gives the one coset, the code itself.
     """
-
-    def __init__(self, ambient: LinearRankCode, subcode: LinearRankCode,
-                 extra_generators: Sequence[Matrix]):
-        self.ambient = ambient
-        self.subcode = subcode
-        self.extra_generators = list(extra_generators)
-        self.s = ambient.q ** len(self.extra_generators)
-        self._materialized: Optional[List[Tuple[Matrix, List[Matrix]]]] = None
-
-    def materialize(self) -> List[Tuple[Matrix, List[Matrix]]]:
-        """(leader, members) per coset, sorted by leader entries."""
-        if self._materialized is not None:
-            return self._materialized
-        if self.ambient.cardinality > enumeration_limit():
-            raise EnumerationLimitExceeded("coset family too large to materialize")
-        sub = list(enumerate_code(self.subcode))
-        cosets = []
-        shape = (self.ambient.a, self.ambient.b)
-        for rep in _span_iter(self.ambient.field, self.extra_generators, shape):
-            members = [mat_add(rep, m) for m in sub]
-            members.sort(key=Matrix.key)
-            cosets.append((members[0], members))
-        cosets.sort(key=lambda lm: lm[0].key())
-        self._materialized = cosets
-        return cosets
-
-
-def subcode_cosets(q: int, a: int, b: int, d_m: int, d_s: int) -> CosetFamily:
-    """Split the (q,a,b,d_m) Gabidulin code into cosets of its (q,a,b,d_s)
-    subcode (shared construction, fewer q-polynomial coefficients)."""
-    if not (1 <= d_m < d_s <= min(a, b)):
-        raise InvalidDistances(f"need d_m < d_s <= min(a,b), got {d_m}, {d_s}")
+    if not 1 <= d_m <= d_s <= min(a, b):
+        raise InvalidDistances(f"need d_m <= d_s <= min(a,b), got {d_m}, {d_s}")
     ambient = gabidulin_mrd(q, a, b, d_m)
-    subcode = gabidulin_mrd(q, a, b, d_s)
-    t = max(a, b)
-    n_sub = t * (min(a, b) - d_s + 1)
-    # generator list is ordered by q-degree, so the subcode basis is a prefix
-    extras = ambient.generators[n_sub:]
-    fam = CosetFamily(ambient, subcode, extras)
-    assert fam.s == mrd_size(q, a, b, d_m) // mrd_size(q, a, b, d_s)
-    return fam
+    if ambient.cardinality > enumeration_limit():
+        raise EnumerationLimitExceeded("coset family too large to materialize")
+    # generators are ordered by q-degree, so the subcode's basis is a prefix
+    n_sub = max(a, b) * (min(a, b) - d_s + 1)
+    sub = list(_span_iter(ambient.field, ambient.generators[:n_sub], (a, b)))
+    cosets = [sorted((mat_add(rep, m) for m in sub), key=Matrix.key)
+              for rep in _span_iter(ambient.field, ambient.generators[n_sub:], (a, b))]
+    cosets.sort(key=lambda members: members[0].key())
+    return cosets
 
 
 class FerrersShape:
@@ -221,183 +193,31 @@ class FerrersShape:
         )
 
 
-class FdrmCode:
-    """A (possibly non-linear) FDRM code on a FerrersShape: exact count plus
-    a deterministic streaming enumeration of its members."""
+def fdrm_words(q: int, shape: FerrersShape, c1: int, c2: int) -> Iterator[Matrix]:
+    """The words [[M1, M3], [0, M2]] of the FDRM code with minimum rank
+    distance d_f on `shape`, rank(M3) <= u1 - d_f.
 
-    def __init__(self, shape: FerrersShape, case: int, count: int, iterator_factory):
-        self.shape = shape
-        self.case = case
-        self.count = count
-        self._factory = iterator_factory
-
-    def __iter__(self) -> Iterator[Matrix]:
-        return self._factory()
-
-
-def _uppers(shape: FerrersShape, field: GF, m1: Optional[Matrix],
-            m3s: List[Matrix]) -> List[Matrix]:
-    """The upper rows [M1, M3] of the block matrices, one per M3; no M1
-    leaves its columns zero."""
-    left = m1 if m1 is not None else Matrix.zero(field, shape.u1, shape.w1)
-    return [hstack(left, m3) for m3 in m3s]
-
-
-def _assemble(shape: FerrersShape, field: GF, uppers: List[Matrix],
-              m2: Matrix) -> Iterator[Matrix]:
-    """k x (w1 + w2) matrices [[M1, M3], [0, M2]] on the Ferrers support,
-    one per upper block [M1, M3]."""
-    lower = hstack(Matrix.zero(field, shape.u2, shape.w1), m2)
-    for upper in uppers:
-        yield vstack(upper, lower)
-
-
-def _sorted_members(code: LinearRankCode) -> List[Matrix]:
-    members = list(enumerate_code(code))
-    members.sort(key=Matrix.key)
-    return members
-
-
-def _lam3(q: int, shape: FerrersShape, rank3_cap: Optional[int]) -> int:
-    if rank3_cap is None:
-        return mrd_size(q, shape.u1, shape.w2, shape.d_f)
-    return bounded_rank_size(q, shape.u1, shape.w2, shape.d_f, rank3_cap)
-
-
-def _m3_list(q: int, shape: FerrersShape, rank3_cap: Optional[int]) -> List[Matrix]:
-    code = gabidulin_mrd(q, shape.u1, shape.w2, shape.d_f)
-    return list(enumerate_code(code, rank_cap=rank3_cap))
-
-
-def fdrm_union(q: int, shape: FerrersShape, b1: int, b2: int,
-               rank3_cap: Optional[int] = None) -> FdrmCode:
-    """FDRM code on `shape` with minimum rank distance d_f.
-
-    The case follows from where w1 = delta1 - Delta - u1 falls against b1
-    and d_f; inside cases 1 and 3 the construction pins b2 (resp. b1 and
-    b2) to d_f, so the passed values only steer case 2.
+    The width w1 of M1 picks the branch, as in the count of `bounds._lifted`:
+    w1 < c1 leaves M1 zero and M2 runs through an MRD code; w1 < d_f pairs
+    the distance-c1 and distance-c2 MRD codes for M1 and M2 member by member;
+    otherwise M1 and M2 run through paired cosets of their distance-d_f
+    subcodes in the distance-c1 and distance-c2 codes.
     """
-    d_f = shape.d_f
-    if not (1 <= b1 <= d_f and 1 <= b2 <= d_f and b1 + b2 >= d_f):
-        raise InvalidParameters("need 1 <= b_i <= d_f and b1 + b2 >= d_f")
-    w1 = shape.w1
-    case = 1 if w1 < b1 else (2 if w1 < d_f else 3)
+    u1, u2, w1, w2, d_f = shape.u1, shape.u2, shape.w1, shape.w2, shape.d_f
     field = gf(q)
-    lam3 = _lam3(q, shape, rank3_cap)
-
-    if case == 1:
-        count = mrd_size(q, shape.u2, shape.w2, d_f) * lam3
-
-        def factory() -> Iterator[Matrix]:
-            m3s = _m3_list(q, shape, rank3_cap)
-            m2code = gabidulin_mrd(q, shape.u2, shape.w2, d_f)
-            uppers = _uppers(shape, field, None, m3s)
-            for m2 in enumerate_code(m2code):
-                yield from _assemble(shape, field, uppers, m2)
-
-        return FdrmCode(shape, 1, count, factory)
-
-    if case == 2:
-        n1 = mrd_size(q, shape.u1, w1, b1)
-        n2 = mrd_size(q, shape.u2, shape.w2, b2)
-        count = min(n1, n2) * lam3
-
-        def factory() -> Iterator[Matrix]:
-            h1 = _sorted_members(gabidulin_mrd(q, shape.u1, w1, b1))
-            h2 = _sorted_members(gabidulin_mrd(q, shape.u2, shape.w2, b2))
-            m3s = _m3_list(q, shape, rank3_cap)
-            for m1, m2 in zip(h1, h2):
-                yield from _assemble(shape, field, _uppers(shape, field, m1, m3s), m2)
-
-        return FdrmCode(shape, 2, count, factory)
-
-    count = (
-        mrd_size(q, shape.u1, w1, d_f)
-        * mrd_size(q, shape.u2, shape.w2, d_f)
-        * lam3
-    )
-
-    def factory() -> Iterator[Matrix]:
-        m1code = gabidulin_mrd(q, shape.u1, w1, d_f)
-        m2s = list(enumerate_code(gabidulin_mrd(q, shape.u2, shape.w2, d_f)))
-        m3s = _m3_list(q, shape, rank3_cap)
-        for m1 in enumerate_code(m1code):
-            uppers = _uppers(shape, field, m1, m3s)
+    if w1 < c1:
+        groups = [([Matrix.zero(field, u1, w1)], coset_lists(q, u2, w2, d_f, d_f)[0])]
+    elif w1 < d_f:
+        pairs = zip(coset_lists(q, u1, w1, c1, c1)[0], coset_lists(q, u2, w2, c2, c2)[0])
+        groups = [([m1], [m2]) for m1, m2 in pairs]
+    else:
+        groups = zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f))
+    m3s = list(enumerate_code(gabidulin_mrd(q, u1, w2, d_f), rank_cap=u1 - d_f))
+    left = Matrix.zero(field, u2, w1)
+    for m1s, m2s in groups:
+        for m1 in m1s:
+            uppers = [hstack(m1, m3) for m3 in m3s]
             for m2 in m2s:
-                yield from _assemble(shape, field, uppers, m2)
-
-    return FdrmCode(shape, 3, count, factory)
-
-
-def fdrm_subcode_union(q: int, shape: FerrersShape, c1: int, c2: int,
-                       rank3_cap: Optional[int] = None) -> FdrmCode:
-    """Coset-enlarged FDRM code (requires w1 >= d_f): a union of s block
-    codes whose diagonal blocks run through paired coset families."""
-    d_f = shape.d_f
-    if shape.w1 < d_f:
-        raise InvalidParameters("need delta1 >= Delta + u1 + d_f")
-    if not (1 <= c1 <= d_f and 1 <= c2 <= d_f and c1 + c2 >= d_f):
-        raise InvalidParameters("need 1 <= c_i <= d_f and c1 + c2 >= d_f")
-    field = gf(q)
-    lam1 = mrd_size(q, shape.u1, shape.w1, d_f)
-    lam2 = mrd_size(q, shape.u2, shape.w2, d_f)
-    lam3 = _lam3(q, shape, rank3_cap)
-    r1 = mrd_size(q, shape.u1, shape.w1, c1) // lam1
-    r2 = mrd_size(q, shape.u2, shape.w2, c2) // lam2
-    assert r1 * lam1 == mrd_size(q, shape.u1, shape.w1, c1)
-    assert r2 * lam2 == mrd_size(q, shape.u2, shape.w2, c2)
-    s = min(r1, r2)
-    count = s * lam1 * lam2 * lam3
-
-    def cosets(u: int, w: int, c: int) -> List[List[Matrix]]:
-        if c == d_f:
-            return [_sorted_members(gabidulin_mrd(q, u, w, d_f))]
-        fam = subcode_cosets(q, u, w, c, d_f)
-        return [members for _, members in fam.materialize()]
-
-    def factory() -> Iterator[Matrix]:
-        fam1 = cosets(shape.u1, shape.w1, c1)
-        fam2 = cosets(shape.u2, shape.w2, c2)
-        m3s = _m3_list(q, shape, rank3_cap)
-        for j in range(s):
-            for m1 in fam1[j]:
-                uppers = _uppers(shape, field, m1, m3s)
-                for m2 in fam2[j]:
-                    yield from _assemble(shape, field, uppers, m2)
-
-    return FdrmCode(shape, 3, count, factory)
-
-
-# -- rank-metric code file format -------------------------------------------
-
-
-def rmc_to_text(code: LinearRankCode) -> str:
-    lines = [f"RMC {code.q} {code.a} {code.b} {code.d} {code.cardinality}"]
-    for g in code.generators:
-        lines.append("")
-        for i in range(g.nrows):
-            lines.append(" ".join(str(x) for x in g.row(i)))
-    return "\n".join(lines) + "\n"
-
-
-def rmc_from_text(text: str) -> LinearRankCode:
-    lines = text.splitlines()
-    head = lines[0].split()
-    if head[0] != "RMC":
-        raise ValueError("not an RMC file")
-    q, a, b, d, card = (int(x) for x in head[1:6])
-    rows: List[List[int]] = []
-    gens: List[Matrix] = []
-    field = gf(q)
-    for ln in lines[1:] + [""]:
-        if ln.strip():
-            rows.append([int(t) for t in ln.split()])
-            if len(rows) == a:
-                gens.append(Matrix.from_rows(field, rows))
-                rows = []
-        elif rows:
-            raise ValueError("truncated generator block")
-    code = LinearRankCode(q, a, b, d, gens)
-    if code.cardinality != card:
-        raise ValueError("cardinality header does not match generator count")
-    return code
+                lower = hstack(left, m2)
+                for upper in uppers:
+                    yield vstack(upper, lower)

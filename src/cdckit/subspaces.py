@@ -1,4 +1,5 @@
-"""Canonical subspaces, subspace distance, lifting, and distance verification.
+"""Canonical subspaces, subspace distance, special-form lifting and distance
+verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal matrices; over GF(2) the RREF rows are packed ints (see
@@ -21,15 +22,9 @@ from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .counting import gauss_binomial
-from .errors import (
-    AmbientMismatch,
-    HypothesisViolated,
-    InvalidParameters,
-    PairLimitExceeded,
-    RankCapViolated,
-)
+from .errors import AmbientMismatch, InvalidParameters, PairLimitExceeded, RankCapViolated
 from .gf import GF, gf, same_field
-from .matrices import Matrix, hstack, mat_rank, mat_rref, pack_rows_gf2, \
+from .matrices import Matrix, mat_rank, mat_rref, pack_rows_gf2, rank_added_gf2, \
     rref_pivots_gf2
 from .rankcodes import FerrersShape
 
@@ -75,25 +70,10 @@ class Subspace:
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
 
 
-@dataclass(frozen=True)
-class IdentifyingVector:
-    bits: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FerrersData:
-    """Dots per row of the Ferrers diagram, plus the tableaux entries."""
-
-    row_lengths: Tuple[int, ...]
-    tableaux: Tuple[Tuple[int, ...], ...]
-
-
-def subspace_from_rows(m: Matrix, allow_rank_deficient: bool = False) -> Subspace:
+def subspace_from_rows(m: Matrix) -> Subspace:
     red, pivots = mat_rref(m)
     if len(pivots) < m.nrows:
-        if not allow_rank_deficient:
-            raise ValueError("rows are linearly dependent")
-        red = red.submatrix(range(len(pivots)), range(m.ncols))
+        raise ValueError("rows are linearly dependent")
     return Subspace(red, pivots)
 
 
@@ -103,28 +83,10 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     same_field(u.field, v.field)
     if u.field.p == 2 and u.field.degree == 1:
         basis = [0] * (u.n + 1)
-        rk = _rank_added_gf2(basis, u.packed()) + _rank_added_gf2(basis, v.packed())
+        rk = rank_added_gf2(basis, u.packed()) + rank_added_gf2(basis, v.packed())
     else:
         rk = _union_rank_generic(u.mat.rows(), v.mat.rows(), u.field)
     return 2 * rk - u.k - v.k
-
-
-def _rank_added_gf2(basis: List[int], rows: Iterable[int]) -> int:
-    """How many of the packed `rows` lie outside the span of `basis`, where
-    `basis[b]` is the basis row of bit length b, or 0; the rows that do are
-    added to `basis`."""
-    r = 0
-    for v in rows:
-        while v:
-            b = v.bit_length()
-            w = basis[b]
-            if w:
-                v ^= w
-            else:
-                basis[b] = v
-                r += 1
-                break
-    return r
 
 
 def _union_rank_generic(rows_a, rows_b, field: GF) -> int:
@@ -152,63 +114,16 @@ def _union_rank_generic(rows_a, rows_b, field: GF) -> int:
     return r
 
 
-def identifying_vector(u: Subspace) -> IdentifyingVector:
-    bits = [0] * u.n
-    for p in u.pivots:
-        bits[p] = 1
-    return IdentifyingVector(tuple(bits))
-
-
-def hamming_distance(a: IdentifyingVector, b: IdentifyingVector) -> int:
-    return sum(x != y for x, y in zip(a.bits, b.bits))
-
-
-def hamming_lb_check(u: Subspace, v: Subspace) -> bool:
-    """Subspace distance is bounded below by the Hamming distance of the
-    identifying vectors; returns whether that held for this pair."""
-    if u.k != v.k:
-        raise InvalidParameters("equal dimensions required")
-    dh = hamming_distance(identifying_vector(u), identifying_vector(v))
-    return subspace_distance(u, v) >= dh
-
-
-def ferrers_of(u: Subspace) -> FerrersData:
-    pivset = set(u.pivots)
-    lengths = []
-    tableaux = []
-    for i in range(u.k):
-        p = u.pivots[i]
-        cols = [c for c in range(p + 1, u.n) if c not in pivset]
-        lengths.append(len(cols))
-        tableaux.append(tuple(u.mat[i, c] for c in cols))
-    return FerrersData(tuple(lengths), tuple(tableaux))
-
-
-def lift_matrix(a: Matrix) -> Subspace:
-    """Row space of (I_k | A); already in RREF with pivots 0..k-1."""
-    k = a.nrows
-    return Subspace(hstack(Matrix.identity(a.field, k), a), tuple(range(k)))
-
-
-def special_form_bits(delta1: int, delta2: int, u1: int, u2: int, Delta: int) -> Tuple[int, ...]:
-    if delta1 < Delta + u1 or delta2 < u2:
-        raise HypothesisViolated("identifying vector does not fit its blocks")
-    return (
-        (0,) * Delta + (1,) * u1 + (0,) * (delta1 - Delta - u1)
-        + (1,) * u2 + (0,) * (delta2 - u2)
-    )
-
-
-def lift_special_form(v: IdentifyingVector, m: Matrix, shape: FerrersShape) -> Subspace:
-    """Lift one Ferrers-supported matrix to the subspace with vector v.
+def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
+    """Lift one Ferrers-supported matrix to the subspace whose identifying
+    vector is the special form of `shape`: Delta zeros, u1 ones, w1 zeros,
+    u2 ones, w2 zeros.
 
     `m` is the k x (n-k-Delta) block matrix [[M1, M3], [0, M2]]; the upper
     right block M3 must have rank at most u1 - d_f for the insert to stay
     compatible with the linkage code.
     """
     u1, u2, w1, w2 = shape.u1, shape.u2, shape.w1, shape.w2
-    if v.bits != special_form_bits(shape.delta1, shape.delta2, u1, u2, shape.Delta):
-        raise InvalidParameters("identifying vector does not match the shape")
     if (m.nrows, m.ncols) != (u1 + u2, w1 + w2):
         raise InvalidParameters("matrix does not match the shape")
     m3 = m.submatrix(range(u1), range(w1, w1 + w2))
@@ -240,20 +155,6 @@ def lift_special_form(v: IdentifyingVector, m: Matrix, shape: FerrersShape) -> S
     return Subspace(Matrix(f, k, n, entries), pivots)
 
 
-def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
-    """True iff u meets both coordinate subspaces S1 = R(0 | I_{n2}) and
-    S2 = R(I_{n1} | 0) in dimension >= d/2."""
-    if n1 + n2 != u.n:
-        raise AmbientMismatch(f"n1 + n2 = {n1 + n2} != ambient {u.n}")
-    if d % 2:
-        raise InvalidParameters("subspace distances are even")
-    left = u.mat.submatrix(range(u.k), range(n1))
-    right = u.mat.submatrix(range(u.k), range(n1, u.n))
-    dim_s2 = u.k - mat_rank(right)  # vectors of u supported on first n1 coords
-    dim_s1 = u.k - mat_rank(left)
-    return dim_s1 >= d // 2 and dim_s2 >= d // 2
-
-
 class CDC:
     """Container for a constant-dimension code; codewords kept sorted by
     their serialized RREF so files and comparisons are canonical.
@@ -264,13 +165,11 @@ class CDC:
     """
 
     def __init__(self, q: int, n: int, k: int, d: int,
-                 codewords: Iterable[Subspace], provenance: str = "",
-                 strict: bool = True):
+                 codewords: Iterable[Subspace], strict: bool = True):
         self.q = q
         self.n = n
         self.k = k
         self.d = d
-        self.provenance = provenance
         words = sorted(codewords, key=lambda s: s.key())
         seen = set()
         for w in words:
@@ -310,7 +209,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
     words = code.codewords
     if code.q == 2:  # d(U, V) = 2 dim(U + V) - 2k
         rows, n, k = [w.packed() for w in words], code.n, code.k
-        dists = ((2 * (_rank_added_gf2([0] * (n + 1), rows[i] + rows[j]) - k), i, j)
+        dists = ((2 * (rank_added_gf2([0] * (n + 1), rows[i] + rows[j]) - k), i, j)
                  for i, j in pairs)
     else:
         dists = ((subspace_distance(words[i], words[j]), i, j) for i, j in pairs)
@@ -336,14 +235,13 @@ def verify_min_distance(
     mode: str = "exhaustive",
     sample_count: int = 0,
     seed: Optional[int] = None,
-    jobs: int = 1,
 ) -> VerifyReport:
     """Exhaustive or seeded-sample minimum-distance check.
 
     Exhaustive mode returns the true minimum and the lexicographically
     first witness pair (indices into the sorted codeword list), and counts
     all N(N-1)/2 pairs as checked; sample mode returns the minimum over
-    `sample_count` seeded pairs.  `jobs` is accepted and has no effect.
+    `sample_count` seeded pairs.
     """
     if mode == "sample":
         if sample_count < 1:
@@ -493,7 +391,7 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def cdc_from_text(text: str, provenance: str = "file") -> CDC:
+def cdc_from_text(text: str) -> CDC:
     """Parse a CDC file.  Each distinct row text is checked once (n entries,
     each in [0, q)).  A GF(2) record already in RREF is checked as such and
     kept; any other record is reduced, and a rank-deficient one is refused."""
@@ -537,4 +435,4 @@ def cdc_from_text(text: str, provenance: str = "file") -> CDC:
         raise ValueError("truncated codeword record")
     if len(words) != count:
         raise ValueError(f"header says {count} codewords, file has {len(words)}")
-    return CDC(q, n, k, d, words, provenance=provenance, strict=False)
+    return CDC(q, n, k, d, words, strict=False)

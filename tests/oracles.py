@@ -1,0 +1,151 @@
+"""Independent checks of the paper's objects, kept beside the tests.
+
+The package builds codes without these: identifying vectors, Ferrers
+diagrams, the Hamming lower bound, the insertion predicate and plain
+lifting are how the tests check what the constructions produce.  The
+matrix and field helpers serve those checks (row operations, rank
+distances, rank-nullity, field addition in GF(q^m)).
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+from cdckit.errors import AmbientMismatch, HypothesisViolated, InvalidParameters
+from cdckit.gf import ExtField, same_field
+from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
+from cdckit.subspaces import Subspace, subspace_distance
+
+
+# -- matrices -------------------------------------------------------------------
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    f = same_field(a.field, b.field)
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    if f.q == 2:
+        return mat_add(a, b)
+    return Matrix(f, a.nrows, a.ncols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    f = same_field(a.field, b.field)
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    out = [0] * (a.nrows * b.ncols)
+    for i in range(a.nrows):
+        arow = a.row(i)
+        for j in range(b.ncols):
+            acc = 0
+            for t, av in enumerate(arow):
+                if av:
+                    acc = f.add(acc, f.mul(av, b.entries[t * b.ncols + j]))
+            out[i * b.ncols + j] = acc
+    return Matrix(f, a.nrows, b.ncols, out)
+
+
+def mat_kernel(m: Matrix) -> Matrix:
+    """Basis of the left null space {v : v m = 0}, one vector per row."""
+    t = m.transpose()
+    red, pivots = mat_rref(t)
+    free = [c for c in range(t.ncols) if c not in pivots]
+    rows = []
+    f = m.field
+    for fc in free:
+        v = [0] * t.ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red[r, fc])
+        rows.append(v)
+    if not rows:
+        return Matrix(f, 0, m.nrows, ())
+    return Matrix.from_rows(f, rows)
+
+
+def invert(m: Matrix) -> Matrix:
+    if m.nrows != m.ncols:
+        raise ValueError("only square matrices invert")
+    aug = hstack(m, Matrix.identity(m.field, m.nrows))
+    red, pivots = mat_rref(aug)
+    if list(pivots) != list(range(m.nrows)):
+        raise ValueError("matrix is singular")
+    return red.submatrix(range(m.nrows), range(m.nrows, 2 * m.nrows))
+
+
+def ext_add(ext: ExtField, a: int, b: int) -> int:
+    """a + b in GF(q^m): the GF(q) sum of each base-q digit of the codes."""
+    q, out, shift = ext.base.q, 0, 1
+    while a or b:
+        out += ext.base.add(a % q, b % q) * shift
+        a //= q
+        b //= q
+        shift *= q
+    return out
+
+
+# -- subspaces --------------------------------------------------------------------
+
+
+def identifying_vector(u: Subspace) -> Tuple[int, ...]:
+    """1 at each pivot column of the RREF, 0 elsewhere."""
+    bits = [0] * u.n
+    for p in u.pivots:
+        bits[p] = 1
+    return tuple(bits)
+
+
+def hamming_lb_check(u: Subspace, v: Subspace) -> bool:
+    """Subspace distance is bounded below by the Hamming distance of the
+    identifying vectors; returns whether that held for this pair."""
+    if u.k != v.k:
+        raise InvalidParameters("equal dimensions required")
+    dh = sum(x != y for x, y in zip(identifying_vector(u), identifying_vector(v)))
+    return subspace_distance(u, v) >= dh
+
+
+def ferrers_of(u: Subspace) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Dots per row of the Ferrers diagram, and the tableaux entries."""
+    pivset = set(u.pivots)
+    lengths = []
+    tableaux = []
+    for i in range(u.k):
+        p = u.pivots[i]
+        cols = [c for c in range(p + 1, u.n) if c not in pivset]
+        lengths.append(len(cols))
+        tableaux.append(tuple(u.mat[i, c] for c in cols))
+    return tuple(lengths), tuple(tableaux)
+
+
+def lift_matrix(a: Matrix) -> Subspace:
+    """Row space of (I_k | A); already in RREF with pivots 0..k-1."""
+    k = a.nrows
+    return Subspace(hstack(Matrix.identity(a.field, k), a), tuple(range(k)))
+
+
+def special_form_vector(delta1: int, delta2: int, u1: int, u2: int, Delta: int,
+                        d_f: Optional[int] = None) -> Tuple[int, ...]:
+    """Delta zeros, u1 ones and zeros to delta1, then u2 ones and zeros to
+    delta1 + delta2: the identifying vector a multilevel insert lifts on."""
+    if d_f is not None and (u1 < d_f or u2 < d_f or delta2 < u2 + d_f):
+        raise HypothesisViolated("special-form blocks too small for d_f")
+    if delta1 < Delta + u1 or delta2 < u2:
+        raise HypothesisViolated("identifying vector does not fit its blocks")
+    return (
+        (0,) * Delta + (1,) * u1 + (0,) * (delta1 - Delta - u1)
+        + (1,) * u2 + (0,) * (delta2 - u2)
+    )
+
+
+def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
+    """True iff u meets both coordinate subspaces S1 = R(0 | I_{n2}) and
+    S2 = R(I_{n1} | 0) in dimension >= d/2."""
+    if n1 + n2 != u.n:
+        raise AmbientMismatch(f"n1 + n2 = {n1 + n2} != ambient {u.n}")
+    if d % 2:
+        raise InvalidParameters("subspace distances are even")
+    left = u.mat.submatrix(range(u.k), range(n1))
+    right = u.mat.submatrix(range(u.k), range(n1, u.n))
+    dim_s2 = u.k - mat_rank(right)  # vectors of u supported on first n1 coords
+    dim_s1 = u.k - mat_rank(left)
+    return dim_s1 >= d // 2 and dim_s2 >= d // 2

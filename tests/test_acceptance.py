@@ -12,18 +12,18 @@ import random
 import time
 from collections import Counter
 
-from cdckit.bounds import ALL_TABLE_IDS, bound_cor41, bound_cor42, bound_cor43, \
-    bound_cor44, bound_cor45_poly, bound_linkage, load_table_manifest, reproduce_table
+from cdckit.bounds import ALL_TABLE_IDS, bound_cor45_poly, evaluate, load_table_manifest, \
+    reproduce_table
 from cdckit.cli import main
 from cdckit.constructions import ConstructionPlan, build_multiblocks, \
     build_multilevel_insert, run_plan
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref, mat_sub
+from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from cdckit.subspaces import CDC, hamming_lb_check, insertion_predicate, lift_matrix, \
-    subspace_distance, subspace_from_rows, verify_min_distance
+from cdckit.subspaces import CDC, subspace_distance, subspace_from_rows, verify_min_distance
+from oracles import hamming_lb_check, insertion_predicate, lift_matrix, mat_sub
 
 REG = shipped_registry()
 
@@ -60,19 +60,23 @@ def test_criterion_2_rank_distribution_oracle():
 
 def test_criterion_3_linkage_reproduction():
     t0 = time.monotonic()
-    assert bound_linkage(2, 12, 4, 6, 6, REG).total == 1212418496
-    assert bound_linkage(2, 15, 4, 5, 5, REG).total == 1252447538240
+    assert evaluate("linkage", 2, 12, 4, 6, dict(n1=6), REG).total == 1212418496
+    assert evaluate("linkage", 2, 15, 4, 5, dict(n1=5), REG).total == 1252447538240
     _report(3, t0, 1.0, "linkage totals 1212418496 and 1252447538240")
 
 
 def test_criterion_4_worked_examples():
     t0 = time.monotonic()
-    assert bound_cor41(2, 12, 4, 6, 6, 6, 4, 2, 1, 1, 4, 2, REG).total == 1214572992
-    assert bound_cor42(2, 16, 6, 8, 8, 8, 4, 4, 2, 1, 4, 4, 3, 2, REG).total == 282927684887704
-    r43 = bound_cor43(2, 12, 4, 6, 6, 6, 4, 2, 1, 1, REG)
+    r41 = evaluate("cor41", 2, 12, 4, 6,
+                   dict(n1=6, n2=6, a1=4, a2=2, b1=1, b2=1, t1=4, t2=2), REG)
+    assert r41.total == 1214572992
+    r42 = evaluate("cor42", 2, 16, 6, 8,
+                   dict(n1=8, n2=8, a1=4, a2=4, b1=2, b2=1, t1=4, t2=4, c1=3, c2=2), REG)
+    assert r42.total == 282927684887704
+    r43 = evaluate("cor43", 2, 12, 4, 6, dict(n1=6, n2=6, u1=4, u2=2, c1=1, c2=1), REG)
     assert r43.total == 1214577088
     assert r43.terms["term:L1"] == 2154496 and r43.terms["term:L2"] == 4096
-    r44 = bound_cor44(2, 14, 6, 7, 7, 7, 3, 4, 2, 1, None, REG)
+    r44 = evaluate("cor44", 2, 14, 6, 7, dict(n1=7, n2=7, u1=3, u2=4, b1=2, b2=1), REG)
     assert r44.total == 34532242136
     assert r44.terms["term:L2"] == 16
     _report(4, t0, 10.0, "cor41/cor42/cor43/cor44 worked values and components")
@@ -107,9 +111,11 @@ def test_criterion_6_polynomial_cross_check():
     t0 = time.monotonic()
     # path 1: stored polynomial; path 2: the parameterized formula stack
     assert bound_cor45_poly(12, 4, 6, 2, REG) == 1214577088
-    assert bound_cor43(2, 12, 4, 6, 6, 6, 4, 2, 1, 1, REG).total == 1214577088
+    assert evaluate("cor43", 2, 12, 4, 6,
+                    dict(n1=6, n2=6, u1=4, u2=2, c1=1, c2=1), REG).total == 1214577088
     assert bound_cor45_poly(14, 6, 7, 2, REG) == 34532242136
-    assert bound_cor44(2, 14, 6, 7, 7, 7, 3, 4, 2, 1, None, REG).total == 34532242136
+    assert evaluate("cor44", 2, 14, 6, 7,
+                    dict(n1=7, n2=7, u1=3, u2=4, b1=2, b2=1), REG).total == 34532242136
     # and both equal the published table values
     assert any(r.new == 1214577088 and r.q == 2 for r in load_table_manifest(4))
     assert any(r.new == 34532242136 and r.q == 2 for r in load_table_manifest(7))

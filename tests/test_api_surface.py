@@ -1,0 +1,74 @@
+"""Every module-level name in `src/cdckit` is reached by the program.
+
+A module-level function, class or constant must be referenced somewhere in
+the package outside its own definition, or be named in a file under
+`bench/` (the benchmark drives the package through those names), or be
+the CLI entry point `cli.main` or `__version__`.  Code that only tests
+reach belongs with the tests (see `oracles.py`), not in the package.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "cdckit")
+EXEMPT = {("cli", "main"), ("__init__", "__version__")}
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level def, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno, node.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name read or attribute taken in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _bench_text() -> str:
+    texts = []
+    for base, dirs, files in os.walk(os.path.join(ROOT, "bench")):
+        dirs[:] = [d for d in dirs if d not in ("out", "__pycache__")]
+        for name in files:
+            if name.endswith((".py", ".md", ".json", ".txt")):
+                with open(os.path.join(base, name), encoding="utf-8") as fh:
+                    texts.append(fh.read())
+    return "\n".join(texts)
+
+
+def unreached_names(package: str = PACKAGE) -> list:
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+    refs = {mod: list(_references(tree)) for mod, tree in trees.items()}
+    bench = _bench_text()
+    unreached = []
+    for mod, tree in trees.items():
+        for name, first, last in _definitions(tree):
+            if (mod, name) in EXEMPT or re.search(rf"\b{re.escape(name)}\b", bench):
+                continue
+            if not any(ref == name and (other != mod or not first <= line <= last)
+                       for other, found in refs.items() for ref, line in found):
+                unreached.append(f"{mod}.{name}")
+    return unreached
+
+
+def test_every_package_name_is_reached():
+    assert unreached_names() == []

@@ -4,68 +4,76 @@ from __future__ import annotations
 
 import pytest
 
-from cdckit.bounds import bound_cor41, bound_cor42, bound_cor43, \
-    bound_cor44, bound_cor45_poly, bound_linkage, evaluate_row, load_table_manifest, \
+from cdckit.bounds import bound_cor45_poly, evaluate, evaluate_row, load_table_manifest, \
     optimize_parameters, reproduce_table
 from cdckit.counting import gauss_binomial
-from cdckit.errors import EmptyGrid, HypothesisViolated, Mismatch, RegistryMiss
+from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
 from cdckit.registry import BaseBoundRegistry, shipped_registry
 
 REG = shipped_registry()
 
 
+def _recombined(result) -> int:
+    """Audit identity: the total is the sum of the term:* entries."""
+    return sum(v for key, v in result.terms.items() if key.startswith("term:"))
+
+
 def test_linkage_worked_values():
-    assert bound_linkage(2, 12, 4, 6, 6, REG).total == 1212418496
-    assert bound_linkage(2, 15, 4, 5, 5, REG).total == 1252447538240
+    assert evaluate("linkage", 2, 12, 4, 6, dict(n1=6), REG).total == 1212418496
+    assert evaluate("linkage", 2, 15, 4, 5, dict(n1=5), REG).total == 1252447538240
 
 
 def test_cor41_worked_examples():
-    r = bound_cor41(2, 12, 4, 6, 6, 6, 4, 2, 1, 1, 4, 2, REG)
+    r = evaluate("cor41", 2, 12, 4, 6, dict(n1=6, n2=6, a1=4, a2=2, b1=1, b2=1, t1=4, t2=2), REG)
     assert r.total == 1214572992
-    assert r.recombined() == r.total
-    r = bound_cor41(2, 18, 6, 6, 12, 6, 3, 3, 2, 1, 6, 3, REG)
+    assert _recombined(r) == r.total
+    r = evaluate("cor41", 2, 18, 6, 6, dict(n1=12, n2=6, a1=3, a2=3, b1=2, b2=1, t1=6, t2=3), REG)
     assert r.total == 282958323493518
 
 
 def test_cor41_collapses_when_b_is_half_d():
-    r = bound_cor41(2, 12, 4, 6, 6, 6, 4, 2, 2, 2, 4, 2, REG)
+    r = evaluate("cor41", 2, 12, 4, 6, dict(n1=6, n2=6, a1=4, a2=2, b1=2, b2=2, t1=4, t2=2), REG)
     assert r.terms["s"] == 1
 
 
 def test_cor42_worked_examples():
-    r = bound_cor42(2, 16, 6, 8, 8, 8, 4, 4, 2, 1, 4, 4, 3, 2, REG)
+    r = evaluate("cor42", 2, 16, 6, 8,
+                 dict(n1=8, n2=8, a1=4, a2=4, b1=2, b2=1, t1=4, t2=4, c1=3, c2=2), REG)
     assert r.total == 282927684887704
     assert r.terms["term:E"] == 2776
-    r = bound_cor42(2, 12, 6, 6, 6, 6, 3, 3, 2, 1, 3, 3, 2, 1, REG)
+    r = evaluate("cor42", 2, 12, 6, 6,
+                 dict(n1=6, n2=6, a1=3, a2=3, b1=2, b2=1, t1=3, t2=3, c1=2, c2=1), REG)
     assert r.total == 16865664
 
 
 def test_cor42_c_boundary():
     # c1 + c2 = k - d/2 is admissible; one more is not
-    bound_cor42(2, 16, 6, 8, 8, 8, 4, 4, 2, 1, 4, 4, 3, 2, REG)
+    evaluate("cor42", 2, 16, 6, 8,
+             dict(n1=8, n2=8, a1=4, a2=4, b1=2, b2=1, t1=4, t2=4, c1=3, c2=2), REG)
     with pytest.raises(HypothesisViolated):
-        bound_cor42(2, 16, 6, 8, 8, 8, 4, 4, 2, 1, 4, 4, 3, 3, REG)
+        evaluate("cor42", 2, 16, 6, 8,
+                 dict(n1=8, n2=8, a1=4, a2=4, b1=2, b2=1, t1=4, t2=4, c1=3, c2=3), REG)
 
 
 def test_cor43_worked_examples():
-    r = bound_cor43(2, 12, 4, 6, 6, 6, 4, 2, 1, 1, REG)
+    r = evaluate("cor43", 2, 12, 4, 6, dict(n1=6, n2=6, u1=4, u2=2, c1=1, c2=1), REG)
     assert r.total == 1214577088
     assert (r.terms["term:L1"], r.terms["term:L2"]) == (2154496, 4096)
-    r = bound_cor43(2, 18, 6, 9, 9, 9, 6, 3, 1, 2, REG)
+    r = evaluate("cor43", 2, 18, 6, 9, dict(n1=9, n2=9, u1=6, u2=3, c1=1, c2=2), REG)
     assert r.total == 9271545179590910976
 
 
 def test_cor43_boundary_u1_equals_d():
     # u1 = d makes the second vector use the minimum legal left block
-    r = bound_cor43(2, 12, 4, 6, 6, 6, 4, 2, 2, 2, REG)
-    assert r.total >= bound_linkage(2, 12, 4, 6, 6, REG).total
+    r = evaluate("cor43", 2, 12, 4, 6, dict(n1=6, n2=6, u1=4, u2=2, c1=2, c2=2), REG)
+    assert r.total >= evaluate("linkage", 2, 12, 4, 6, dict(n1=6), REG).total
 
 
 def test_cor44_worked_examples():
-    r = bound_cor44(2, 14, 6, 7, 7, 7, 3, 4, 2, 1, None, REG)
+    r = evaluate("cor44", 2, 14, 6, 7, dict(n1=7, n2=7, u1=3, u2=4, b1=2, b2=1), REG)
     assert r.total == 34532242136
     assert (r.terms["term:L1"], r.terms["term:L2"]) == (4096, 16)
-    r = bound_cor44(2, 10, 4, 5, 5, 5, 2, 3, 1, 1, None, REG)
+    r = evaluate("cor44", 2, 10, 4, 5, dict(n1=5, n2=5, u1=2, u2=3, b1=1, b2=1), REG)
     assert r.total == 1178828
 
 
@@ -73,7 +81,7 @@ def test_cor44_zero_width_case():
     # n1 - lam*u1 = 0 uses the first case formula Lambda_1 * Lambda_2
     from cdckit.counting import bounded_rank_size, mrd_size
 
-    r = bound_cor44(2, 12, 4, 6, 6, 6, 3, 3, 2, 2, None, REG)
+    r = evaluate("cor44", 2, 12, 4, 6, dict(n1=6, n2=6, u1=3, u2=3, b1=2, b2=2), REG)
     lam1 = mrd_size(2, 3, 3, 2)
     lam2 = bounded_rank_size(2, 3, 3, 2, 1)
     assert r.terms["term:L2"] == lam1 * lam2
@@ -139,18 +147,11 @@ def test_reproduce_table_spot_rows():
     assert vals[(16, 4, 4)] == 80596325666
 
 
-def test_reproduce_table_strict_mismatch():
-    doctored = BaseBoundRegistry(dict(REG.entries))
-    doctored.add(2, 12, 4, 4, 1, "wrong on purpose")
-    with pytest.raises(Mismatch):
-        reproduce_table(6, q_filter=2, registry=doctored, strict=True)
-
-
 def test_manifest_rows_recompute_from_breakdown():
     for tid in (1, 4, 6):
         for row in load_table_manifest(tid)[:3]:
             result = evaluate_row(row, REG)
-            assert result.recombined() == result.total
+            assert _recombined(result) == result.total
 
 
 def test_optimize_contains_published_tuple():
@@ -173,7 +174,7 @@ def test_optimize_empty_grid():
 
 def test_division_is_exact_in_coset_counts():
     # powers of q always divide exactly; the guard exists for regressions
-    r = bound_cor41(3, 12, 4, 6, 6, 6, 4, 2, 1, 1, 4, 2, REG)
+    r = evaluate("cor41", 3, 12, 4, 6, dict(n1=6, n2=6, a1=4, a2=2, b1=1, b2=1, t1=4, t2=2), REG)
     assert r.terms["s"] == 3**4
 
 
@@ -184,11 +185,13 @@ def test_bounds_equal_explicit_build_cardinalities():
     empty = BaseBoundRegistry()
     cases = [
         ("multiblocks", dict(n1=4, a1=2, b1=1, b2=1, t1=2, t2=2),
-         bound_cor41(2, 8, 4, 4, 4, 4, 2, 2, 1, 1, 2, 2, empty).total),
+         evaluate("cor41", 2, 8, 4, 4,
+                  dict(n1=4, n2=4, a1=2, a2=2, b1=1, b2=1, t1=2, t2=2), empty).total),
         ("parallel_blocks", dict(n1=4, a1=2, b1=1, b2=1, t1=2, t2=2, c1=1, c2=1),
-         bound_cor42(2, 8, 4, 4, 4, 4, 2, 2, 1, 1, 2, 2, 1, 1, empty).total),
+         evaluate("cor42", 2, 8, 4, 4,
+                  dict(n1=4, n2=4, a1=2, a2=2, b1=1, b2=1, t1=2, t2=2, c1=1, c2=1), empty).total),
         ("multilevel_II", dict(n1=4, u1=2, u2=2, b1=1, b2=1),
-         bound_cor44(2, 8, 4, 4, 4, 4, 2, 2, 1, 1, None, empty).total),
+         evaluate("cor44", 2, 8, 4, 4, dict(n1=4, n2=4, u1=2, u2=2, b1=1, b2=1), empty).total),
     ]
     for family, params, expected in cases:
         out = run_plan(ConstructionPlan(family, 2, 8, 4, 4, params), empty,
@@ -207,17 +210,19 @@ def test_poly_identity_for_registry_dependent_families():
         reg.add(3, 10, 4, 5, probe + 3, "probe")
         reg.add(3, 7, 4, 3, probe + 1, "probe")
         lhs = bound_cor45_poly(18, 4, 6, 3, reg)
-        rhs = bound_cor41(3, 18, 4, 6, 6, 12, 2, 4, 1, 1, 2, 8, reg).total
+        rhs = evaluate("cor41", 3, 18, 4, 6,
+                       dict(n1=6, n2=12, a1=2, a2=4, b1=1, b2=1, t1=2, t2=8), reg).total
         assert lhs == rhs
         lhs = bound_cor45_poly(15, 4, 5, 3, reg)
-        rhs = bound_cor41(3, 15, 4, 5, 5, 10, 2, 3, 1, 1, 2, 7, reg).total
+        rhs = evaluate("cor41", 3, 15, 4, 5,
+                       dict(n1=5, n2=10, a1=2, a2=3, b1=1, b2=1, t1=2, t2=7), reg).total
         assert lhs == rhs
 
 
 def test_bound_equals_count_only_build_on_the_admissible_grid():
     # bound and build --count-only evaluate one family spec, so they agree on
     # every admissible tuple: the same total, or the same error
-    from cdckit.bounds import FAMILIES, evaluate
+    from cdckit.bounds import FAMILIES
     from cdckit.constructions import ConstructionPlan, run_plan
 
     walked = 0
@@ -236,7 +241,7 @@ def test_bound_equals_count_only_build_on_the_admissible_grid():
                                     run_plan(plan, REG, explicit=False)
                                 assert miss.value.key == exc.key, (family, params)
                             else:
-                                assert bound.recombined() == bound.total, (family, params)
+                                assert _recombined(bound) == bound.total, (family, params)
                                 built = run_plan(plan, REG, explicit=False)
                                 assert built.total == bound.total, (family, q, n, d, k, params)
                             walked += 1

@@ -246,6 +246,7 @@ _BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--fa
     pytest.param(["build", "--count-only", "--plan"], _Q6, id="build-plan-q6"),
     pytest.param(["count", "delsarte", "2", "3", "3", "0", "1"], None, id="delsarte-d0"),
     pytest.param(["count", "bounded", "2", "3", "3", "0", "2"], None, id="bounded-d0"),
+    pytest.param(["count", "bounded", "2", "3", "3", "1", "-5"], None, id="bounded-negative-cap"),
     pytest.param(_BOUND_LINKAGE + ["--n2", "9"], None, id="linkage-n2"),
     pytest.param(_BOUND_LINKAGE + ["--a1", "2"], None, id="linkage-foreign-flag"),
     pytest.param(_BOUND_12_4_6 + ["cor41", "--n1", "6", "--n2", "5", "--a1", "4", "--b1", "1",

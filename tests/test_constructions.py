@@ -8,16 +8,15 @@ import random
 import pytest
 
 from cdckit.constructions import ConstructionPlan, build_blocks, build_linkage, \
-    build_multiblocks, build_multilevel_insert, build_parallel_blocks, parse_plan, \
-    plan_to_text, run_plan, special_form_vector
+    build_multiblocks, build_multilevel_insert, build_parallel_blocks, parse_plan, run_plan
 from cdckit.counting import mrd_size
 from cdckit.errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from cdckit.gf import gf
 from cdckit.matrices import Matrix
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import cdc_to_text, identifying_vector, insertion_predicate, \
-    verify_min_distance
+from cdckit.subspaces import cdc_to_text, verify_min_distance
+from oracles import identifying_vector, insertion_predicate, special_form_vector
 
 REG = BaseBoundRegistry()
 # the one non-analytic input the 15-coordinate worked value consumes
@@ -30,7 +29,8 @@ def _plan(family, q, n, d, k, **params):
 
 def test_plan_text_round_trip(tmp_path):
     plan = _plan("multiblocks", 2, 12, 4, 6, n1=6, a1=4, b1=1, b2=1, t1=4, t2=2)
-    text = plan_to_text(plan)
+    text = f"family = {plan.family}\nq = 2\nn = 12\nd = 4  # comment\n\nk = 6\n" + "".join(
+        f"{key} = {value}\n" for key, value in plan.params.items())
     back = parse_plan(text)
     assert back == plan
     with pytest.raises(HypothesisViolated):
@@ -148,12 +148,9 @@ def test_parallel_blocks_desk_explicit():
 
 
 def test_special_form_vector_examples():
-    assert special_form_vector(6, 6, 4, 2, 0).bits == tuple(
-        int(c) for c in "111100110000")
-    assert special_form_vector(6, 6, 2, 4, 0).bits == tuple(
-        int(c) for c in "110000111100")
-    assert special_form_vector(7, 7, 3, 4, 3).bits == tuple(
-        int(c) for c in "00011101111000")
+    assert special_form_vector(6, 6, 4, 2, 0) == tuple(int(c) for c in "111100110000")
+    assert special_form_vector(6, 6, 2, 4, 0) == tuple(int(c) for c in "110000111100")
+    assert special_form_vector(7, 7, 3, 4, 3) == tuple(int(c) for c in "00011101111000")
     with pytest.raises(HypothesisViolated):
         special_form_vector(4, 6, 3, 2, 2)
 
@@ -187,7 +184,7 @@ def test_multilevel_desk_explicit():
     insert = build_multilevel_insert(plan, None, REG, explicit=True)
     assert insert.total == len(insert.cdc) == 68
     assert all(insertion_predicate(w, 4, 4, 4) for w in insert.cdc)
-    vecs = {identifying_vector(w).bits for w in insert.cdc}
+    vecs = {identifying_vector(w) for w in insert.cdc}
     assert vecs == {tuple(int(c) for c in "11001100"),
                     tuple(int(c) for c in "00111100")}
     combined = run_plan(plan, REG, explicit=True)
@@ -245,14 +242,12 @@ def test_case1_insert_members_satisfy_insert_predicate():
     # sample the real 2154496-member insert stream of the (12,4,6) record
     import itertools as _it
 
-    from cdckit.rankcodes import FerrersShape, fdrm_subcode_union
-    from cdckit.subspaces import IdentifyingVector, lift_special_form, \
-        special_form_bits
+    from cdckit.rankcodes import FerrersShape, fdrm_words
+    from cdckit.subspaces import lift_special_form
 
     sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    vec = IdentifyingVector(special_form_bits(6, 6, 4, 2, 0))
-    code = fdrm_subcode_union(2, sh, 1, 1, rank3_cap=2)
-    for m in _it.islice(code, 200):
-        w = lift_special_form(vec, m, sh)
+    vec = special_form_vector(6, 6, 4, 2, 0)
+    for m in _it.islice(fdrm_words(2, sh, 1, 1), 200):
+        w = lift_special_form(m, sh)
         assert insertion_predicate(w, 6, 6, 4)
-        assert identifying_vector(w).bits == vec.bits
+        assert identifying_vector(w) == vec

@@ -11,6 +11,7 @@ from cdckit.counting import bounded_rank_size, delsarte_rank_count, gauss_binomi
 from cdckit.errors import InvalidDistance, OutOfRange
 from cdckit.gf import ExtField, gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref
+from oracles import ext_add
 
 
 def _count_subspaces_brute(n, k, q):
@@ -51,12 +52,12 @@ def _qpoly_matrices(q, t, degrees):
     ext = ExtField(gf(q), t)
     points = [ext.pow(q, j) for j in range(t)]
     mats = []
-    for coeffs in itertools.product(ext.elements(), repeat=len(degrees)):
+    for coeffs in itertools.product(range(ext.order), repeat=len(degrees)):
         cols = []
         for p in points:
             acc = 0
             for a, i in zip(coeffs, degrees):
-                acc = ext.add(acc, ext.mul(a, ext.pow(p, q**i)))
+                acc = ext_add(ext, acc, ext.mul(a, ext.pow(p, q**i)))
             cols.append(ext.expand(acc))
         entries = [cols[j][r] for r in range(t) for j in range(t)]
         mats.append(Matrix(gf(q), t, t, entries))
@@ -117,6 +118,8 @@ def test_bounded_rank_size_edges():
     assert bounded_rank_size(3, 5, 2, 1, 0) == 1
     with pytest.raises(OutOfRange):
         bounded_rank_size(2, 3, 3, 2, 4)
+    with pytest.raises(OutOfRange):
+        bounded_rank_size(2, 3, 3, 1, -5)
 
 
 def test_rank_counts_refuse_distance_below_one():

@@ -1,12 +1,18 @@
-"""Field arithmetic: axioms, fixed moduli, Frobenius, expansion."""
+"""Field arithmetic: axioms, fixed moduli, Frobenius, expansion.
+
+ExtField keeps only what the Gabidulin generators use (mul, pow, expand);
+the tests add in GF(q^m) coordinate-wise with `oracles.ext_add`, and take
+the Frobenius x -> x^q as a power.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from cdckit.errors import InversionOfZero, MixedFields
-from cdckit.gf import ExtField, GF, _MODULUS_TABLE, _search_modulus, gf, \
-    is_irreducible, same_field
+from cdckit.gf import ExtField, _MODULUS_TABLE, _search_modulus, gf, is_irreducible, \
+    same_field
+from oracles import ext_add
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -46,10 +52,9 @@ def test_gf7_inverse():
 
 
 def test_inversion_of_zero():
-    with pytest.raises(InversionOfZero):
-        gf(8).inv(0)
-    with pytest.raises(InversionOfZero):
-        ExtField(gf(2), 3).inv(0)
+    for q in (7, 8):
+        with pytest.raises(InversionOfZero):
+            gf(q).inv(0)
 
 
 def test_same_field_rejects_mixed_fields():
@@ -78,23 +83,21 @@ def test_modulus_table_is_lex_smallest(p, deg):
     assert _MODULUS_TABLE[(p, deg)] == _search_modulus(gf(p), deg)
 
 
-def test_reducible_modulus_rejected():
-    # x^2 + 1 = (x+1)^2 over GF(2)
-    with pytest.raises(ValueError):
-        GF(2, 2, modulus=(1, 0))
+def _frobenius(ext, x):
+    return ext.pow(x, ext.base.q)
 
 
 def test_frobenius_fixed_points():
     ext = ExtField(gf(2), 3)
-    assert ext.frobenius(0) == 0
-    assert ext.frobenius(1) == 1
+    assert _frobenius(ext, 0) == 0
+    assert _frobenius(ext, 1) == 1
 
 
 def test_frobenius_is_squaring_on_gf4():
     ext = ExtField(gf(2), 2)
-    for x in ext.elements():
-        assert ext.frobenius(x) == ext.mul(x, x)
-        assert ext.frobenius(ext.frobenius(x)) == x
+    for x in range(ext.order):
+        assert _frobenius(ext, x) == ext.mul(x, x)
+        assert _frobenius(ext, _frobenius(ext, x)) == x
 
 
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (2, 6), (2, 12), (3, 4), (3, 7),
@@ -106,7 +109,7 @@ def test_frobenius_periodicity(q, m):
     for x in range(0, ext.order, step):
         y = x
         for _ in range(m):
-            y = ext.frobenius(y)
+            y = _frobenius(ext, y)
         assert y == x
 
 
@@ -114,13 +117,13 @@ def test_frobenius_linearity():
     ext = ExtField(gf(3), 3)
     for x in range(0, ext.order, 5):
         for y in range(0, ext.order, 7):
-            assert ext.frobenius(ext.add(x, y)) == ext.add(
-                ext.frobenius(x), ext.frobenius(y))
+            assert _frobenius(ext, ext_add(ext, x, y)) == ext_add(
+                ext, _frobenius(ext, x), _frobenius(ext, y))
 
 
 def test_expand_injective_on_gf8():
     ext = ExtField(gf(2), 3)
-    images = {ext.expand(x) for x in ext.elements()}
+    images = {ext.expand(x) for x in range(ext.order)}
     assert len(images) == 8
     assert all(len(t) == 3 for t in images)
 
@@ -128,9 +131,9 @@ def test_expand_injective_on_gf8():
 def test_expand_linear():
     ext = ExtField(gf(3), 2)
     f = gf(3)
-    for x in ext.elements():
-        for y in ext.elements():
-            left = ext.expand(ext.add(x, y))
+    for x in range(ext.order):
+        for y in range(ext.order):
+            left = ext.expand(ext_add(ext, x, y))
             right = tuple(f.add(a, b) for a, b in zip(ext.expand(x), ext.expand(y)))
             assert left == right
 
@@ -138,9 +141,8 @@ def test_expand_linear():
 def test_non_prime_base_extension():
     ext = ExtField(gf(4), 2)  # GF(16) as a degree-2 extension of GF(4)
     assert ext.order == 16
-    nonzero = [x for x in ext.elements() if x]
-    for x in nonzero:
-        assert ext.mul(x, ext.inv(x)) == 1
-    for x in ext.elements():
-        y = ext.frobenius(ext.frobenius(x))  # q=4 Frobenius has order 2
+    for x in range(1, ext.order):
+        assert ext.mul(x, ext.pow(x, ext.order - 2)) == 1
+    for x in range(ext.order):
+        y = _frobenius(ext, _frobenius(ext, x))  # q=4 Frobenius has order 2
         assert y == x

@@ -1,4 +1,4 @@
-"""Gabidulin codes, coset families, and Ferrers-diagram unions."""
+"""Gabidulin codes, their coset lists, and FDRM words, counted by the spec."""
 
 from __future__ import annotations
 
@@ -7,14 +7,15 @@ from collections import Counter
 
 import pytest
 
-from cdckit.counting import delsarte_rank_count, mrd_size
+from cdckit.bounds import _lifted
+from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, \
     InvalidDistances, InvalidParameters
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, _rref_rows, mat_rank, mat_sub
-from cdckit.rankcodes import FerrersShape, LinearRankCode, enumerate_code, \
-    fdrm_subcode_union, fdrm_union, gabidulin_mrd, rmc_from_text, rmc_to_text, \
-    subcode_cosets
+from cdckit.matrices import Matrix, _rref_rows, mat_rank
+from cdckit.rankcodes import FerrersShape, LinearRankCode, coset_lists, enumerate_code, \
+    fdrm_words, gabidulin_mrd
+from oracles import mat_sub
 
 
 def _rank_distribution(code, **kw):
@@ -109,26 +110,27 @@ def test_enumeration_limit(monkeypatch):
 
 def test_subcode_cosets_counts():
     for q in (2, 3):
-        assert subcode_cosets(q, 4, 2, 1, 2).s == q**4
+        assert len(coset_lists(q, 4, 2, 1, 2)) == q**4
+    assert len(coset_lists(2, 3, 3, 2, 2)) == 1  # d_m = d_s: the code itself
     with pytest.raises(InvalidDistances):
-        subcode_cosets(2, 3, 3, 2, 2)
+        coset_lists(2, 3, 3, 3, 2)
 
 
 def test_subcode_cosets_partition_and_distances():
     for q, a, b, dm, ds in ((2, 2, 2, 1, 2), (2, 3, 3, 2, 3), (3, 2, 2, 1, 2)):
-        fam = subcode_cosets(q, a, b, dm, ds)
-        cosets = fam.materialize()
-        assert len(cosets) == fam.s == mrd_size(q, a, b, dm) // mrd_size(q, a, b, ds)
-        members = [m.entries for _, ms in cosets for m in ms]
+        cosets = coset_lists(q, a, b, dm, ds)
+        assert len(cosets) == mrd_size(q, a, b, dm) // mrd_size(q, a, b, ds)
+        members = [m.entries for ms in cosets for m in ms]
         assert len(members) == len(set(members)) == mrd_size(q, a, b, dm)
-        for _, ms in cosets:
+        for ms in cosets:
+            assert [m.entries for m in ms] == sorted(m.entries for m in ms)
             for x, y in itertools.combinations(ms, 2):
                 assert mat_rank(mat_sub(x, y)) >= ds
-        for (_, m1), (_, m2) in itertools.combinations(cosets, 2):
+        for m1, m2 in itertools.combinations(cosets, 2):
             for x in m1[:4]:
                 for y in m2[:4]:
                     assert mat_rank(mat_sub(x, y)) >= dm
-        leaders = [leader.entries for leader, _ in cosets]
+        leaders = [ms[0].entries for ms in cosets]
         assert leaders == sorted(leaders)
 
 
@@ -141,47 +143,54 @@ def test_ferrers_shape_validation():
     assert (sh.w1, sh.w2, sh.k, sh.width) == (2, 4, 6, 6)
 
 
+def _spec_count(q, shape, c1, c2):
+    """The size the family spec gives the FDRM code lifted on `shape`."""
+    p = {"q": q, "h": shape.d_f, "n1": shape.delta1, "n2": shape.delta2}
+    return _lifted(p, shape.u1, shape.u2, shape.Delta, c1, c2)[1]
+
+
 def test_fdrm_case1_zero_width():
-    # left blocks vanish; members are supported on F2/F3 only
+    # left blocks vanish; members are supported on F2/F3 only, and
+    # rank(M3) <= u1 - d_f = 0 leaves M3 zero
     sh = FerrersShape(4, 6, 2, 2, 2, 2)
-    code = fdrm_union(2, sh, 1, 2)
-    assert code.case == 1
-    assert code.count == mrd_size(2, 2, 4, 2) * mrd_size(2, 2, 4, 2)
-    members = list(code)
-    assert len(members) == code.count
-    for x, y in itertools.combinations(members[:60], 2):
+    members = list(fdrm_words(2, sh, 1, 2))
+    assert len(members) == _spec_count(2, sh, 1, 2) == mrd_size(2, 2, 4, 2) == 16
+    assert all(m.ncols == sh.w2 for m in members)
+    for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
 
 
 def test_fdrm_case3_large_instance():
-    # the (12,4,6) first-vector shape; case 3 pins b_i to d_f internally
+    # the (12,4,6) first-vector shape at c_i = d_f: a single coset, every
+    # M1 with every M2 and every rank-capped M3
     sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    code = fdrm_union(2, sh, 1, 1)
-    assert code.case == 3
-    lam = (mrd_size(2, 4, 2, 2), mrd_size(2, 2, 4, 2), mrd_size(2, 4, 4, 2))
-    assert code.count == lam[0] * lam[1] * lam[2] == 1 << 20
+    lam = (mrd_size(2, 4, 2, 2), mrd_size(2, 2, 4, 2), bounded_rank_size(2, 4, 4, 2, 2))
+    count = _spec_count(2, sh, 2, 2)
+    assert count == lam[0] * lam[1] * lam[2] == 134656
     # strided subsample, exhaustive pairwise inside the sample
-    stride = code.count // 240
-    sample = [m for i, m in enumerate(code) if i % stride == 0]
+    stride = count // 240
+    sample, total = [], 0
+    for i, m in enumerate(fdrm_words(2, sh, 2, 2)):
+        total += 1
+        if i % stride == 0:
+            sample.append(m)
+    assert total == count
     for x, y in itertools.combinations(sample, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
 
 
 def test_fdrm_case2_paired():
     sh = FerrersShape(7, 7, 3, 4, 2, 3)
-    code = fdrm_union(2, sh, 2, 1)
-    assert code.case == 2
+    members = list(fdrm_words(2, sh, 2, 1))
     n1, n2 = mrd_size(2, 3, 2, 2), mrd_size(2, 4, 3, 1)
-    assert code.count == min(n1, n2) * mrd_size(2, 3, 3, 3) == 64
-    members = list(code)
-    assert len(members) == 64
+    assert len(members) == _spec_count(2, sh, 2, 1) == min(n1, n2) == 8
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 3
 
 
 def test_fdrm_support_stays_in_shape():
     sh = FerrersShape(7, 7, 3, 4, 2, 3)
-    for m in itertools.islice(fdrm_union(2, sh, 2, 1), 20):
+    for m in itertools.islice(fdrm_words(2, sh, 2, 1), 20):
         for i in range(sh.u1, sh.k):
             for j in range(sh.w1):
                 assert m[i, j] == 0
@@ -189,35 +198,17 @@ def test_fdrm_support_stays_in_shape():
 
 def test_fdrm_subcode_union_counts():
     sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    code = fdrm_subcode_union(2, sh, 1, 1, rank3_cap=2)
-    assert code.count == 2154496
-    # c_i = d_f collapses to a single coset = plain case 3
-    base = fdrm_union(2, sh, 2, 2)
-    collapsed = fdrm_subcode_union(2, sh, 2, 2)
-    assert collapsed.count == base.count
+    assert _spec_count(2, sh, 1, 1) == 2154496
+    # c_i = d_f collapses to a single coset
+    assert _spec_count(2, sh, 2, 2) == \
+        mrd_size(2, 4, 2, 2) * mrd_size(2, 2, 4, 2) * bounded_rank_size(2, 4, 4, 2, 2)
 
 
 def test_fdrm_subcode_union_explicit_small():
     sh = FerrersShape(5, 4, 2, 2, 0, 2)
-    code = fdrm_subcode_union(2, sh, 1, 1, rank3_cap=0)
     expect = 4 * mrd_size(2, 2, 3, 2) * mrd_size(2, 2, 2, 2) * 1
-    assert code.count == expect == 128
-    members = list(code)
+    assert _spec_count(2, sh, 1, 1) == expect == 128
+    members = list(fdrm_words(2, sh, 1, 1))
     assert len(members) == len(set(m.entries for m in members)) == 128
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
-
-
-def test_fdrm_subcode_union_needs_wide_left_block():
-    sh = FerrersShape(2, 4, 2, 2, 0, 2)  # w1 = 0 < d_f
-    with pytest.raises(InvalidParameters):
-        fdrm_subcode_union(2, sh, 1, 1)
-
-
-def test_rmc_text_round_trip():
-    code = gabidulin_mrd(2, 3, 3, 2)
-    text = rmc_to_text(code)
-    assert text.startswith("RMC 2 3 3 2 64")
-    back = rmc_from_text(text)
-    assert back.generators == code.generators
-    assert back.cardinality == 64
