@@ -11,7 +11,8 @@ to the bound.  Four consumers evaluate that one spec: `evaluate` and
 `evaluate_row`; the count half of every `build_*` in `constructions`, so
 `build --count-only` equals `bound --plan` by construction (given the same
 sub-code sizes); the CLI's `bound` flags and plan mapping; and
-`optimize_parameters`, whose grid is the nest of the same ranges.
+`optimize_parameters`, which walks the nest of the same ranges and
+evaluates each part once per prefix of the parameters it reads.
 
   family   plan family       construction
   linkage  linkage           two-block concatenation of smaller codes
@@ -30,8 +31,9 @@ floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .counting import bounded_rank_size, mrd_size
 from .errors import EmptyGrid, HypothesisViolated, ManifestMiss, RegistryMiss
@@ -72,9 +74,20 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # A part maps the resolved parameters p (q, n, d, k, h = d/2 and the family's
 # own) and a sub-code size lookup a(slot, n', k') -> |A_q(n', d, k')| to its
 # size and its named terms.  Bounds look sizes up in the registry; builds
-# take them from the plan's sub-code files first.
+# take them from the plan's sub-code files first.  Each part declares the
+# family parameters it reads (`reads`); the search evaluates it once per
+# prefix of the deepest of them (see `optimize_parameters`).
 
 
+def _reads(*names: str):
+    """Declare the family parameters a count part reads besides q, n, d, k, h."""
+    def declare(part):
+        part.reads = names
+        return part
+    return declare
+
+
+@_reads("n1", "n2")
 def linkage_part(p, a):
     """|C1| m(q,k,n2,d/2) + theta |C2|, theta the rank-capped MRD size."""
     q, k, h, n1, n2 = p["q"], p["k"], p["h"], p["n1"], p["n2"]
@@ -85,6 +98,7 @@ def linkage_part(p, a):
     return c1 + c2, {"term:C1": c1, "term:C2": c2, "theta": theta, "m(q,k,n2,d/2)": m}
 
 
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2")
 def blocks_insert_part(p, a):
     """Insert B: s coset-paired block codes over the sub-codes Q1, Q2."""
     q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
@@ -98,6 +112,7 @@ def blocks_insert_part(p, a):
     return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
 
 
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2")
 def parallel_insert_part(p, a):
     """Insert E over the sub-codes D1, D2: every pair (M1, M2) of rank-capped
     words when b1 = b2 = d/2 (the product form), else min(Delta_3, Delta_4)
@@ -141,6 +156,7 @@ def _lifted(p, v1: int, v2: int, shift: int, c1: int, c2: int) -> Tuple[Optional
     return s, s * lam5 * lam1 * lam2
 
 
+@_reads("n1", "n2", "u1", "u2", "b1", "b2", "c1", "c2", "lam")
 def lifted_inserts_part(p, a):
     """Inserts L_1, L_2, ..., one per special-form vector; cor43 also
     reports the coset count s_j of each."""
@@ -151,6 +167,7 @@ def lifted_inserts_part(p, a):
     return sum(size for _, size in found), terms
 
 
+@_reads("n1", "n2", "a1", "a2", "b1", "b2")
 def blocks_part(p, a):
     """The standalone blocks code: s coset pairs of diagonal MRD blocks
     times every pair of off-diagonal MRD blocks."""
@@ -235,20 +252,50 @@ class Family:
             _need(lo <= value <= hi, par.why)
         return p
 
-    def grid(self, q: int, n: int, d: int, k: int) -> Iterator[Dict[str, int]]:
-        """Every admissible p in lexicographic order of `names`, a fill
-        parameter at its default only.  The one dict is updated in place."""
-        if d % 2 == 0 and d >= 2:
-            yield from self._walk(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2})
+    @cached_property
+    def levels(self) -> Tuple[int, ...]:
+        """Each part's level: the position in `names` of the deepest
+        parameter it reads (-1 when it reads none).  Parts are declared in
+        level order, so the parts fixed by a prefix come first."""
+        levels = tuple(max((self.names.index(r) for r in part.reads if r in self.names),
+                           default=-1) for part in self.parts)
+        if list(levels) != sorted(levels):
+            raise ValueError(f"{self.name}: parts are not declared in level order")
+        return levels
 
-    def _walk(self, i: int, p: Dict[str, int]) -> Iterator[Dict[str, int]]:
-        if i == len(self.params):
-            yield p
-            return
-        par = self.params[i]
+    def walk(self, q: int, n: int, d: int, k: int,
+             leaf: Callable[[Dict[str, int], int], Optional[int]]) -> None:
+        """Call leaf(p, fresh) on every admissible p in lexicographic order of
+        `names`, a fill parameter at its default only; the one dict p is
+        updated in place.  `fresh` is the shallowest level (position in
+        `names`) whose value changed since the previous call.  leaf returns
+        None to go on, or a level j to skip the rest of the subtree under the
+        current values of names[:j + 1] (j = -1 ends the walk)."""
+        if d % 2 == 0 and d >= 2:
+            self._descend(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2}, leaf, [0])
+
+    def _descend(self, i: int, p: Dict[str, int], leaf, fresh: List[int]) -> Optional[int]:
+        """`walk` from level i down, under the current values of names[:i];
+        fresh[0] is the shallowest level changed since the last leaf."""
+        par, last = self.params[i], len(self.params) - 1
         lo, hi = par.lo(p), par.hi(p)
         for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
-            yield from self._walk(i + 1, p)
+            if fresh[0] > i:
+                fresh[0] = i
+            if i < last:
+                skip = self._descend(i + 1, p, leaf, fresh)
+            else:
+                skip = leaf(p, fresh[0])
+                fresh[0] = last + 1
+            if skip is not None and skip < i:
+                return skip
+        return None
+
+    def grid(self, q: int, n: int, d: int, k: int) -> List[Dict[str, int]]:
+        """Every admissible p, in the order and with the defaults of `walk`."""
+        out: List[Dict[str, int]] = []
+        self.walk(q, n, d, k, lambda p, fresh: out.append(dict(p)))
+        return out
 
     def count(self, p, a) -> Tuple[int, Dict[str, int]]:
         """The total and the terms of all parts."""
@@ -476,28 +523,66 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     `target` set, returns instead the lexicographically smallest tuple whose
     value equals the target exactly, which recovers publishable parameters.
     The grid runs in lexicographic order, so the first hit is the smallest.
+
+    The search follows the spec's structure.  A part's level is the deepest
+    parameter it reads (`Family.levels`), so its value is fixed by the
+    prefix of the tuple up to that level.  The search keeps a running sum
+    after each part, in level order, and evaluates each part once per
+    prefix, lazily: at the first admissible leaf under the prefix, so a
+    subtree with no leaf evaluates nothing (evaluating on entering the
+    prefix would raise errors that no tuple raises).  A part that raises
+    RegistryMiss at level j would raise it at every leaf under the current
+    level-j prefix, and a tuple with a miss is skipped, so the rest of that
+    subtree is skipped unwalked: the pruning is exact.  Each sub-code size
+    (n', k') is looked up once per search, misses included.
     """
     registry = registry or shipped_registry()
     spec = FAMILIES[family]
-    get = registry.get
+    sizes: Dict[Tuple[int, int], object] = {}  # a size, or the key of a miss
 
     def a(_slot: str, nn: int, kk: int) -> int:
-        return get(q, nn, d, kk)
+        size = sizes.get((nn, kk))
+        if size is None:
+            try:
+                size = registry.get(q, nn, d, kk)
+            except RegistryMiss as miss:
+                size = miss.key
+            sizes[nn, kk] = size
+        if isinstance(size, tuple):  # a miss: raised anew, so no traceback is kept
+            raise RegistryMiss(*size)
+        return size
 
+    parts, levels = spec.parts, spec.levels
+    sums = [0] * (len(parts) + 1)  # sums[i]: the sizes of parts[:i]
+    known = 0  # the parts whose sums hold for the current prefix
     best: Optional[Dict[str, int]] = None
     best_total = -1
     evaluated = 0
-    for p in spec.grid(q, n, d, k):
-        try:
-            total = spec.count(p, a)[0]
-        except RegistryMiss:
-            continue
+
+    def leaf(p: Dict[str, int], fresh: int) -> Optional[int]:
+        nonlocal known, best, best_total, evaluated
+        i = known
+        while i and levels[i - 1] >= fresh:
+            i -= 1
+        while i < len(parts):
+            try:
+                sums[i + 1] = sums[i] + parts[i](p, a)[0]
+            except RegistryMiss:
+                known = i
+                return levels[i]
+            i += 1
+        known = i
         evaluated += 1
-        if target is not None:
-            if total == target:
-                return spec.bound(p, registry)
-        elif total > best_total:
-            best, best_total = dict(p), total
+        total = sums[i]
+        if target is None:
+            if total > best_total:
+                best, best_total = dict(p), total
+        elif total == target:
+            best = dict(p)
+            return -1
+        return None
+
+    spec.walk(q, n, d, k, leaf)
     if best is None:
         if evaluated == 0:
             raise EmptyGrid(f"no admissible tuple for ({q},{n},{d},{k}) {family}")

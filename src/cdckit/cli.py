@@ -243,6 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # exact values may have more digits than Python (3.10.7 on) converts to
+    # str by default; output prints them whole, and the limit is restored
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.fn(args)
     except RegistryMiss as exc:
@@ -252,6 +258,9 @@ def main(argv: Optional[list] = None) -> int:
     except (CdckitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    finally:
+        if set_digits:
+            set_digits(limit)
 
 
 if __name__ == "__main__":

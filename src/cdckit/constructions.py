@@ -148,10 +148,8 @@ def _with_base(counts: Dict[str, int], size: int, base: Optional[BuildOutput],
 
 def _insert_output(plan: ConstructionPlan, words: List[Subspace], base: Optional[BuildOutput],
                    counts: Dict[str, int], total: int) -> BuildOutput:
-    """The materialized insert, united with the base's words when given."""
-    if base is not None:
-        words.extend(base.cdc)
-    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words)
+    """The materialized insert, united with the base's code when given."""
+    cdc = CDC(plan.q, plan.n, plan.k, plan.d, words, base=base.cdc if base else None)
     return BuildOutput(cdc, counts, total).check()
 
 

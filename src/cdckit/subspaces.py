@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, repeat
@@ -161,16 +162,19 @@ class CDC:
 
     Constructions require distinct codewords; files loaded for verification
     may carry duplicates (strict=False), which the verifier then reports as
-    distance-0 witnesses.
+    distance-0 witnesses.  A `base` code of the same q, n, k is united with
+    the codewords: its words, sorted and checked already, are not checked
+    again; each new word is looked up among them for a duplicate, and the
+    two sorted runs are merged.
     """
 
-    def __init__(self, q: int, n: int, k: int, d: int,
-                 codewords: Iterable[Subspace], strict: bool = True):
+    def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[Subspace],
+                 strict: bool = True, base: Optional[CDC] = None):
         self.q = q
         self.n = n
         self.k = k
         self.d = d
-        words = sorted(codewords, key=lambda s: s.key())
+        words = sorted(codewords, key=Subspace.key)
         seen = set()
         for w in words:
             if w.n != n or w.k != k or w.field.q != q:
@@ -179,6 +183,14 @@ class CDC:
                 if w.key() in seen:
                     raise InvalidParameters("duplicate codeword")
                 seen.add(w.key())
+        if base is not None:
+            old = base.codewords
+            if strict:
+                for w in words:
+                    i = bisect_left(old, w.key(), key=Subspace.key)
+                    if i < len(old) and old[i].key() == w.key():
+                        raise InvalidParameters("duplicate codeword")
+            words = sorted(old + words, key=Subspace.key)  # merges two sorted runs
         self.codewords = words
 
     def __len__(self):

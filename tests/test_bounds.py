@@ -172,6 +172,125 @@ def test_optimize_empty_grid():
         optimize_parameters(2, 7, 4, 4, "linkage", REG)
 
 
+def _outcome(search, *args, **kwargs):
+    """A search's result as comparable data, or its exception's class and
+    message."""
+    try:
+        r = search(*args, **kwargs)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc).__name__, str(exc)
+    return r.total, r.params, r.terms, r.registry_deps
+
+
+def _brute_force(q, n, d, k, family, registry, target=None):
+    """The search's reference: every grid tuple through `evaluate`, a tuple
+    with a registry miss skipped; the first maximum, or the first hit."""
+    from cdckit.bounds import FAMILIES
+
+    spec = FAMILIES[family]
+    best, evaluated = None, 0
+    for p in spec.grid(q, n, d, k):
+        try:
+            r = evaluate(family, q, n, d, k, {name: p[name] for name in spec.names}, registry)
+        except RegistryMiss:
+            continue
+        evaluated += 1
+        if target is None and (best is None or r.total > best.total):
+            best = r
+        elif target is not None and r.total == target:
+            return r
+    if best is None:
+        raise EmptyGrid(f"no admissible tuple for ({q},{n},{d},{k}) {family}" if evaluated == 0
+                        else f"no tuple reaches the target for ({q},{n},{d},{k}) {family}")
+    return best
+
+
+def test_search_matches_brute_force():
+    # the structured search (parts once per prefix, subtrees pruned at a
+    # registry miss) against plain evaluation of every tuple: the same
+    # maximum, the same first hit for the maximum and for one less, and the
+    # same EmptyGrid message or error; k = 0, odd d and d > 2k included
+    from cdckit.bounds import FAMILIES
+
+    cases = 0
+    # the shipped registry, and for q = 2 the analytic rules alone, whose
+    # misses fall elsewhere in the grid
+    for q, top, registries in ((2, 13, (REG, BaseBoundRegistry())), (3, 12, (REG,))):
+        for n in range(2, top + 1):
+            for k in range(n + 1):
+                for d in range(2 * k + 3):
+                    for family in FAMILIES:
+                        for reg in registries:
+                            key = (q, n, d, k, family)
+                            best = _outcome(optimize_parameters, *key, reg)
+                            assert best == _outcome(_brute_force, *key, reg), key
+                            targets = (best[0], best[0] - 1) if isinstance(best[0], int) else (1,)
+                            for t in targets:
+                                assert _outcome(optimize_parameters, *key, reg, target=t) == \
+                                    _outcome(_brute_force, *key, reg, target=t), (key, t)
+                        cases += 1
+    assert cases == 5 * sum((n + 1) * (n + 3) for top in (13, 12) for n in range(2, top + 1))
+
+
+def test_parts_read_only_what_they_declare():
+    # the search evaluates a part once per prefix of its declared reads, so
+    # a part given only q, n, d, k, h and those reads must give the same
+    # size and terms, or the same miss
+    from cdckit.bounds import PLAN_FAMILIES
+
+    def outcome(part, p, q, d):
+        try:
+            return part(p, lambda _slot, n, k: REG.get(q, n, d, k))
+        except RegistryMiss as exc:
+            return exc.key
+
+    walked = 0
+    for key in ((2, 12, 4, 5), (2, 12, 4, 6), (3, 13, 4, 6)):
+        q, _, d, _ = key
+        for spec in PLAN_FAMILIES.values():
+            for p in spec.grid(*key):
+                for part in spec.parts:
+                    cut = {name: p[name] for name in ("q", "n", "d", "k", "h") + part.reads
+                           if name in p}
+                    assert outcome(part, cut, q, d) == outcome(part, p, q, d), (spec.name, p)
+                    walked += 1
+    assert walked > 500
+
+
+def test_search_evaluates_parts_only_under_a_leaf():
+    # k = 0 admits n1 but no a1: evaluating cor41's linkage part on entering
+    # the n1 prefix would raise InvalidDistance; no tuple exists, so the
+    # search reports the empty grid
+    with pytest.raises(EmptyGrid, match=r"no admissible tuple for \(2,2,2,0\) cor41"):
+        optimize_parameters(2, 2, 2, 0, "cor41", REG)
+
+
+def test_search_prunes_a_miss_exactly():
+    # without A_2(8,4,4) the linkage part misses at n1 = 4 and n1 = 8, so
+    # those subtrees are pruned whole; the best tuple moves to n1 = 7, after
+    # the first pruned subtree, and the old best becomes unreachable
+    reg = BaseBoundRegistry({key: v for key, v in REG.entries.items() if key != (2, 8, 4, 4)})
+    for family in ("linkage", "cor41", "cor42", "cor44"):
+        key = (2, 12, 4, 4, family)
+        best = _outcome(optimize_parameters, *key, reg)
+        assert best == _outcome(_brute_force, *key, reg), family
+        assert best[1]["n1"] == 7, family
+        old_best = optimize_parameters(*key, REG).total
+        for target in (best[0], old_best):
+            assert _outcome(optimize_parameters, *key, reg, target=target) == \
+                _outcome(_brute_force, *key, reg, target=target), (family, target)
+    with pytest.raises(EmptyGrid, match="no tuple reaches the target"):
+        optimize_parameters(2, 12, 4, 4, "linkage", reg, target=19673822)
+    # a miss in a deeper part: with A_2(7,4,3) but not A_2(6,4,3), cor41's
+    # insert misses at t2 = 6 and hits at t2 = 7 under the same prefix, where
+    # the large probe value puts the maximum; only the t2 = 6 leaf is skipped
+    reg = BaseBoundRegistry({(2, 9, 4, 4): (1000, "probe"), (2, 7, 4, 3): (10**12, "probe")})
+    key = (2, 14, 4, 5, "cor41")
+    best = _outcome(optimize_parameters, *key, reg)
+    assert best == _outcome(_brute_force, *key, reg)
+    assert (best[1]["n1"], best[1]["t1"], best[1]["t2"]) == (5, 2, 7)
+
+
 def test_division_is_exact_in_coset_counts():
     # powers of q always divide exactly; the guard exists for regressions
     r = evaluate("cor41", 3, 12, 4, 6, dict(n1=6, n2=6, a1=4, a2=2, b1=1, b2=1, t1=4, t2=2), REG)

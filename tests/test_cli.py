@@ -37,6 +37,17 @@ def test_count_examples(capsys):
     assert capsys.readouterr().out.strip() == "64"
 
 
+def test_count_prints_values_beyond_the_int_str_limit(capsys):
+    # [200 choose 100]_9 has about 9,500 digits, more than the 4,300 that
+    # Python converts to str by default; the command prints it whole
+    assert main(["count", "gauss", "200", "100", "9"]) == 0
+    out = capsys.readouterr().out.strip()
+    parsed = 0
+    for i in range(0, len(out), 1000):  # parsed in chunks, under the limit
+        parsed = parsed * 10 ** len(out[i:i + 1000]) + int(out[i:i + 1000])
+    assert len(out) > 4300 and parsed == gauss_binomial(200, 100, 9)
+
+
 def test_count_usage_errors(capsys):
     assert main(["count", "gauss", "4", "0"]) == 2
     assert "3 integers" in capsys.readouterr().err

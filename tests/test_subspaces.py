@@ -251,6 +251,20 @@ def test_cdc_duplicate_rejection_and_lenient_load():
     assert verify_min_distance(lenient).min_found == 0
 
 
+def test_cdc_united_with_a_base_keeps_order_and_duplicate_error():
+    # a base code's words are merged in, not sorted again: the same words in
+    # the same order as one plain construction, and a word in both is the
+    # same duplicate error
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
+    base = CDC(2, 6, 3, 4, words[::3])
+    rest = [w for i, w in enumerate(words) if i % 3]
+    united = CDC(2, 6, 3, 4, rest, base=base)
+    assert united.codewords == CDC(2, 6, 3, 4, words).codewords
+    for extra in (rest + [words[3]], rest + [rest[0]]):
+        with pytest.raises(InvalidParameters, match="duplicate codeword"):
+            CDC(2, 6, 3, 4, extra, base=base)
+
+
 def test_cdc_file_round_trip():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
     cdc = CDC(2, 6, 3, 4, words)
