@@ -214,7 +214,10 @@ def _t_range(i: str, hi: Callable[[Dict[str, int]], int], why: str) -> Param:
 
 
 _SPLIT = (
-    Param("n1", lambda p: p["k"], lambda p: p["n"] - p["k"], "need n1 >= k and n2 >= k"),
+    # the linkage part's MRD codes are k x n2 with rank distance d/2 <= k;
+    # k < d/2 leaves n1 no value
+    Param("n1", lambda p: p["k"], lambda p: p["n"] - p["k"] if p["k"] >= p["h"] else -1,
+          "need k >= d/2, n1 >= k and n2 >= k"),
     _derived("n2", lambda p: p["n"] - p["n1"], "need n2 = n - n1"),
 )
 _BLOCKS = _SPLIT + (

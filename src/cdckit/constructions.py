@@ -319,6 +319,8 @@ def run_plan(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = Non
              explicit: bool = True) -> BuildOutput:
     """Build a plan end to end (base linkage plus the family's insert)."""
     registry = registry or shipped_registry()
+    if explicit:
+        gf(plan.q)  # refuses a field with no row encoding before any count
     if plan.family == "linkage":
         return build_linkage(plan, registry, explicit)
     if plan.family == "blocks":

@@ -33,10 +33,6 @@ class InvalidParameters(CdckitError):
     pass
 
 
-class AmbientMismatch(CdckitError):
-    pass
-
-
 class RankCapViolated(CdckitError):
     pass
 

@@ -8,11 +8,23 @@ same way with base-q digits, each digit itself a GF(q) element code.
 Moduli come from a fixed table (lexicographically smallest monic irreducible
 polynomial, by digit code) so that element encodings are bit-exact across
 runs; anything not in the table is found by the same deterministic search.
+
+Matrix rows over GF(q) are packed ints (see `matrices`): each entry takes a
+fixed `width` of 1, 2, 4 or 8 bits, column 0 highest.  In characteristic 2
+an entry is stored as its element code, so XOR adds rows.  For odd p each
+base-p digit takes its own nibble, or its own byte when 2(p - 1) > 15, so an
+int sum adds digit-wise without carries and one `translate` reduces every
+digit mod p.  Both encodings increase with the element code, so packed rows
+order as their entries do.  A width dividing 8 keeps whole entries in each
+byte, and scaling a row by c is one `translate` by a 256-byte table.  Only
+fields with such an encoding are supported: q = 2^m <= 256, q in
+{3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 """
 
 from __future__ import annotations
 
 import math
+from operator import xor
 from typing import Sequence, Tuple
 
 from .errors import InversionOfZero, MixedFields
@@ -67,8 +79,6 @@ class GF:
         if degree < 1:
             raise ValueError("degree must be positive")
         q = p**degree
-        if q > 1 << 16:
-            raise ValueError(f"field order {q} exceeds the 2^16 support limit")
         self.p = p
         self.degree = degree
         self.q = q
@@ -83,6 +93,57 @@ class GF:
             self._exp, self._log = _build_log_tables(
                 q, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
             )
+        self._row_tables()
+
+    def _row_tables(self) -> None:
+        """The row encoding and its tables: `enc` and `dec` between element
+        codes and entry values, `mul_rows[c]` scaling each entry of a byte
+        by c, `negs` and `invs` of each element, and for odd p `mod_rows`,
+        reducing each digit of a byte mod p.  `row_add` adds two packed rows."""
+        p, q = self.p, self.q
+        if p == 2:
+            digit, self.width = 1, next(w for w in (1, 2, 4, 8) if self.degree <= w)
+        else:
+            digit = 4 if p <= 7 else 8
+            self.width = digit * self.degree
+        w = self.width
+        self.enc = [sum((x // p**i % p) << digit * i for i in range(self.degree))
+                    for x in range(q)]
+        self.dec = [0] * (1 << w)
+        for x, e in enumerate(self.enc):
+            self.dec[e] = x
+
+        def per_byte(entry):
+            """The byte table applying `entry` to each w-bit entry of a byte."""
+            table = one = [entry(e) for e in range(1 << w)]
+            for _ in range(8 // w - 1):
+                table = [(hi << w) | lo for hi in table for lo in one]
+            return bytes(table)
+
+        self.mul_rows = [per_byte(lambda e: self.enc[self.mul(c, self.dec[e])])
+                         for c in range(q)]
+        self.negs = [self.neg(x) for x in range(q)]
+        self.invs = [0] + [self.inv(x) for x in range(1, q)]
+        if p == 2:
+            self.row_add = xor
+        else:
+            ones = (1 << digit) - 1
+            self.mod_rows = per_byte(lambda e: sum(
+                (e >> i & ones) % p << i for i in range(0, w, digit)))
+            self.row_add = self._add_digits
+
+    def _add_digits(self, a: int, b: int) -> int:
+        """The sum of two packed rows over odd p: digit-wise, then mod p."""
+        s = a + b
+        return int.from_bytes(s.to_bytes((s.bit_length() + 7) >> 3, "big")
+                              .translate(self.mod_rows), "big")
+
+    def row_scale(self, row: int, c: int) -> int:
+        """The packed row times the element c."""
+        if c == 1:
+            return row
+        return int.from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "big")
+                              .translate(self.mul_rows[c]), "big")
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -163,12 +224,15 @@ _CACHE: dict = {}
 
 
 def gf(q: int) -> GF:
-    """Canonical GF(q) for a prime power q, with the fixed modulus table."""
+    """Canonical GF(q) for a prime power q with a one-byte row encoding (see
+    the module docstring), with the fixed modulus table."""
     if q in _CACHE:
         return _CACHE[q]
-    if q > 1 << 16:  # before factoring, which takes sqrt(q) steps for a prime q
-        raise ValueError(f"field order {q} exceeds the 2^16 support limit")
-    p, degree = factor_prime_power(q)
+    # q <= 256 before factoring, which takes sqrt(q) steps for a prime q
+    p, degree = factor_prime_power(q) if q <= 256 else (0, 0)
+    if not (p == 2 or 2 < p <= 7 and degree <= 2 or 11 <= p <= 127 and degree == 1):
+        raise ValueError(f"GF({q}) is not supported: build and verify need q = 2^m <= 256, "
+                         f"q in {{3, 5, 7, 9, 25, 49}} or a prime 11 <= q <= 127")
     fld = GF(p, degree)
     _CACHE[q] = fld
     return fld

@@ -4,13 +4,14 @@ Gabidulin codes realize every MRD parameter set we need; their cosets
 split them into translate classes with two-level distance guarantees, and
 `fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
 two-block staircase shape that the multilevel inserts lift.  Their sizes
-are counted by the family spec in `bounds`, not here.
+are counted by the family spec in `bounds`, not here.  Words are matrices
+of packed rows (see `matrices`), and enumeration adds whole rows: each word
+of a span is the previous one plus one tabulated combination.
 """
 
 from __future__ import annotations
 
 import os
-from operator import xor
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     InvalidParameters,
 )
 from .gf import ExtField, GF, gf
-from .matrices import Matrix, hstack, mat_add, mat_rank, pack_rows_gf2, vstack
+from .matrices import Matrix, hstack, mat_add, mat_rank, vstack
 
 
 def enumeration_limit() -> int:
@@ -70,56 +71,49 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
     return LinearRankCode(q, a, b, d, gens)
 
 
+_LOW_WORDS = 1 << 10  # at most this many words of the last generators' span are tabulated
+
+
 def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) -> Iterator[Matrix]:
     """All GF(q)-combinations in coefficient-counter order (deterministic):
-    the first generator's coefficient changes slowest."""
-    a, b = shape
-    if field.q == 2:
-        yield from _span_gf2([pack_rows_gf2(g) for g in generators], a, b)
-        return
-    zero = Matrix.zero(field, a, b)
-    if not generators:
-        yield zero
-        return
-    scaled = [[None] * field.q for _ in generators]
-    for gi, g in enumerate(generators):
-        for c in field.elements():
-            scaled[gi][c] = Matrix(field, a, b, tuple(field.mul(c, e) for e in g.entries))
-
-    def rec(i: int, acc: Matrix) -> Iterator[Matrix]:
-        if i == len(generators):
-            yield acc
-            return
-        for c in field.elements():
-            yield from rec(i + 1, acc if c == 0 else mat_add(acc, scaled[i][c]))
-
-    yield from rec(0, zero)
-
-
-_LOW_GENERATORS = 10  # the last generators, whose span _span_gf2 tabulates
-
-
-def _span_gf2(gens: List[Tuple[int, ...]], a: int, b: int) -> Iterator[Matrix]:
-    """`_span_iter` over GF(2): each word XORs packed generator rows.
+    the first generator's coefficient changes slowest, each running through
+    the element codes 0, ..., q - 1.
 
     The span of the last generators is tabulated in counter order.  For the
-    others, counting up flips the coefficients of the trailing run of
-    generators that carries, so `flips[t]` XORs the last t + 1 of them.
+    others, counting up sets the trailing run of coefficients at code q - 1
+    to 0 and raises the one before it, at place t from the end, from code c
+    to c + 1.  So `steps[t][c]` adds e(c + 1) - e(c) times that generator
+    and -e(q - 1) times each one after it, e(x) the element of code x; over
+    a prime field both factors are 1.
     """
-    split = max(0, len(gens) - _LOW_GENERATORS)
-    low = [(0,) * a]
-    for g in reversed(gens[split:]):
-        low += [tuple(map(xor, g, v)) for v in low]
-    flips, acc = [], (0,) * a
+    a, b = shape
+    q, add, scale = field.q, field.row_add, field.row_scale
+    gens = [g.packed for g in generators]
+
+    def plus(x, y):
+        return tuple(map(add, x, y))
+
+    def times(g, c):
+        return tuple(scale(v, c) for v in g)
+
+    split, low = len(gens), [(0,) * a]
+    while split and len(low) * q <= _LOW_WORDS:
+        split -= 1
+        multiples = [times(gens[split], c) for c in range(1, q)]
+        low += [plus(m, v) for m in multiples for v in low]
+    steps, carry = [], (0,) * a
     for g in reversed(gens[:split]):
-        acc = tuple(map(xor, acc, g))
-        flips.append(acc)
+        steps.append([plus(carry, times(g, field.sub(c + 1, c))) for c in range(q - 1)])
+        carry = plus(carry, times(g, field.negs[q - 1]))
     base = (0,) * a
-    for high in range(1 << split):
+    for high in range(q**split):
         if high:
-            base = tuple(map(xor, base, flips[(high & -high).bit_length() - 1]))
+            t = 0
+            while high % q**(t + 1) == 0:
+                t += 1
+            base = plus(base, steps[t][high // q**t % q - 1])
         for v in low:
-            yield Matrix.from_packed(b, tuple(map(xor, base, v)))
+            yield Matrix.from_packed(field, b, tuple(map(add, base, v)))
 
 
 def enumerate_code(

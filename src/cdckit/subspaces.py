@@ -2,14 +2,14 @@
 verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
-subspaces have equal matrices; over GF(2) the RREF rows are packed ints (see
+subspaces have equal matrices, and its rows are packed ints (see
 `matrices`).  A pair's distance 2*rank(stack) - dim U - dim V takes one
-elimination, on the packed rows over GF(2); a run of pair comparisons picks
-that path once per code, not once per pair.  Exhaustive verification
-instead finds the highest t at which two codewords share a t-subspace,
-keying each codeword's [k t]_q t-subspaces, and compares pairs only when
-they are fewer than the keys.  The CDC file format renders and checks each
-distinct row once, and keeps a GF(2) record that is already in RREF as it is.
+elimination on those rows.  Exhaustive verification instead finds the
+highest t at which two codewords share a t-subspace, keying each codeword's
+[k t]_q t-subspaces by their concatenated packed rows, and compares pairs
+only when they are fewer than the keys.  The CDC file format renders and
+checks each distinct row once, and keeps a record that is already in RREF
+as it is.
 """
 from __future__ import annotations
 
@@ -18,15 +18,14 @@ import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations, repeat
+from functools import partial
+from itertools import chain, combinations
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .counting import gauss_binomial
-from .errors import AmbientMismatch, InvalidParameters, PairLimitExceeded, RankCapViolated
-from .gf import GF, gf, same_field
-from .matrices import Matrix, mat_rank, mat_rref, pack_rows_gf2, rank_added_gf2, \
-    rref_pivots_gf2
+from .errors import InvalidParameters, PairLimitExceeded, RankCapViolated
+from .gf import GF, gf
+from .matrices import Matrix, mat_rank, mat_rref, rank_added, row_codes, rref_pivots
 from .rankcodes import FerrersShape
 
 
@@ -53,9 +52,6 @@ class Subspace:
         """Orders subspaces of one (n, k) as their RREF entry tuples do."""
         return self.mat.key()
 
-    def packed(self) -> Tuple[int, ...]:
-        return pack_rows_gf2(self.mat)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -78,43 +74,6 @@ def subspace_from_rows(m: Matrix) -> Subspace:
     return Subspace(red, pivots)
 
 
-def subspace_distance(u: Subspace, v: Subspace) -> int:
-    if u.n != v.n:
-        raise AmbientMismatch(f"ambient dimensions {u.n} and {v.n}")
-    same_field(u.field, v.field)
-    if u.field.p == 2 and u.field.degree == 1:
-        basis = [0] * (u.n + 1)
-        rk = rank_added_gf2(basis, u.packed()) + rank_added_gf2(basis, v.packed())
-    else:
-        rk = _union_rank_generic(u.mat.rows(), v.mat.rows(), u.field)
-    return 2 * rk - u.k - v.k
-
-
-def _union_rank_generic(rows_a, rows_b, field: GF) -> int:
-    basis = {}
-
-    def insert(row) -> int:
-        row = list(row)
-        while True:
-            lead = next((c for c, x in enumerate(row) if x), None)
-            if lead is None:
-                return 0
-            ex = basis.get(lead)
-            if ex is None:
-                inv = field.inv(row[lead])
-                basis[lead] = [field.mul(inv, x) for x in row]
-                return 1
-            f = row[lead]
-            row = [field.sub(x, field.mul(f, y)) for x, y in zip(row, ex)]
-
-    r = 0
-    for row in rows_a:
-        r += insert(row)
-    for row in rows_b:
-        r += insert(row)
-    return r
-
-
 def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
     """Lift one Ferrers-supported matrix to the subspace whose identifying
     vector is the special form of `shape`: Delta zeros, u1 ones, w1 zeros,
@@ -127,33 +86,24 @@ def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
     u1, u2, w1, w2 = shape.u1, shape.u2, shape.w1, shape.w2
     if (m.nrows, m.ncols) != (u1 + u2, w1 + w2):
         raise InvalidParameters("matrix does not match the shape")
-    m3 = m.submatrix(range(u1), range(w1, w1 + w2))
+    f, w = m.field, m.field.width
+    low = (1 << w2 * w) - 1  # a row's last w2 entries: M3 above, M2 below
+    m3 = Matrix.from_packed(f, w2, [r & low for r in m.packed[:u1]])
     if mat_rank(m3) > u1 - shape.d_f:
         raise RankCapViolated(
             f"rank(M3) = {mat_rank(m3)} exceeds u1 - d_f = {u1 - shape.d_f}"
         )
-    f = m.field
-    k = u1 + u2
+    # the entry in column c of a lifted row sits (n - 1 - c) * w bits up; M1
+    # ends in column delta1 - 1 and M2, M3 in the last column
     n = shape.delta1 + shape.delta2
-    entries: List[int] = []
-    for i in range(u1):
-        row = [0] * n
-        row[shape.Delta + i] = 1
-        for j in range(w1):
-            row[shape.Delta + u1 + j] = m[i, j]
-        for j in range(w2):
-            row[shape.delta1 + u2 + j] = m[i, w1 + j]
-        entries.extend(row)
-    for i in range(u2):
-        row = [0] * n
-        row[shape.delta1 + i] = 1
-        for j in range(w2):
-            row[shape.delta1 + u2 + j] = m[u1 + i, w1 + j]
-        entries.extend(row)
+    rows = [1 << (n - 1 - shape.Delta - i) * w | (r >> w2 * w) << shape.delta2 * w | r & low
+            for i, r in enumerate(m.packed[:u1])]
+    rows += [1 << (n - 1 - shape.delta1 - i) * w | r & low
+             for i, r in enumerate(m.packed[u1:])]
     pivots = tuple(range(shape.Delta, shape.Delta + u1)) + tuple(
         range(shape.delta1, shape.delta1 + u2)
     )
-    return Subspace(Matrix(f, k, n, entries), pivots)
+    return Subspace(Matrix.from_packed(f, n, rows), pivots)
 
 
 class CDC:
@@ -218,13 +168,11 @@ class VerifyReport:
 
 def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
     """Least distance over `pairs` and the first pair that reaches it."""
-    words = code.codewords
-    if code.q == 2:  # d(U, V) = 2 dim(U + V) - 2k
-        rows, n, k = [w.packed() for w in words], code.n, code.k
-        dists = ((2 * (rank_added_gf2([0] * (n + 1), rows[i] + rows[j]) - k), i, j)
-                 for i, j in pairs)
-    else:
-        dists = ((subspace_distance(words[i], words[j]), i, j) for i, j in pairs)
+    words, n, k = code.codewords, code.n, code.k
+    f, rows = words[0].field, [w.mat.packed for w in words]
+    # d(U, V) = 2 dim(U + V) - 2k
+    dists = ((2 * (rank_added(f, [0] * (n + 1), rows[i] + rows[j]) - k), i, j)
+             for i, j in pairs)
     best, witness = math.inf, None
     for dist, i, j in dists:
         if dist < best:
@@ -291,11 +239,12 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     k, q, words = code.k, code.q, code.codewords
     if 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) >= len(words):
         return _min_pair(code, combinations(range(len(words)), 2))
-    span = _span_gf2 if q == 2 else _span_field(words[0].field)
+    f = words[0].field
+    span = _span_gf2 if q == 2 else partial(_span, f)
     by_pivots: dict = {}
     for i, w in enumerate(words):
         by_pivots.setdefault(w.pivots, []).append(i)
-    shift = q**code.n
+    shift = code.n * f.width
 
     def level(t: int) -> Optional[Tuple[int, int]]:
         """The lexicographically first pair sharing a t-subspace, if any."""
@@ -308,11 +257,11 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
                 groups.setdefault(tuple(piv[r] for r in c), {})[piv] = c
 
         def keys_of(i: int, c: Tuple[int, ...]) -> List[int]:
-            g = words[i].packed() if q == 2 else words[i].mat.rows()
+            g = words[i].mat.packed
             keys = [0]
             for r, cols in zip(c, free[c]):
                 vals = span(g, r, cols)
-                keys = [key * shift + v for key in keys for v in vals]
+                keys = [key << shift | v for key in keys for v in vals]
             return keys
 
         found = []
@@ -346,25 +295,22 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     return 2 * k, (0, 1)
 
 
-def _span_gf2(g: List[int], r: int, cols: List[int]) -> List[int]:
-    """Packed rows g[r] + any sum of the rows g[j], j in cols, over GF(2)."""
+def _span(f: GF, g: Tuple[int, ...], r: int, cols: List[int]) -> List[int]:
+    """Packed rows g[r] + any combination of the rows g[j], j in cols."""
+    add, vals = f.row_add, [g[r]]
+    for j in cols:
+        multiples = [f.row_scale(g[j], c) for c in range(1, f.q)]
+        vals += [add(v, s) for s in multiples for v in vals]
+    return vals
+
+
+def _span_gf2(g: Tuple[int, ...], r: int, cols: List[int]) -> List[int]:
+    """`_span` over GF(2), where a row's one nonzero multiple is itself and
+    XOR adds; the scan's inner loop, which `_span` slows by about a sixth."""
     vals = [g[r]]
     for j in cols:
         vals += [v ^ g[j] for v in vals]
     return vals
-
-
-def _span_field(f: GF):
-    """Rows g[r] + any combination of the rows g[j], j in cols, as base-q ints,
-    by the field's own operations (q^2-entry tables would not fit for q = 2^16)."""
-    def span(g, r, cols):
-        vals = [g[r]]
-        for j in cols:
-            scaled = [tuple(map(f.mul, repeat(a), g[j])) for a in range(1, f.q)]
-            vals += [tuple(map(f.add, v, s)) for s in scaled for v in vals]
-        return [reduce(lambda acc, x: acc * f.q + x, v, 0) for v in vals]
-
-    return span
 
 
 # -- CDC file format ---------------------------------------------------------
@@ -372,21 +318,14 @@ def _span_field(f: GF):
 
 def cdc_to_text(code: CDC) -> str:
     """The file text; each distinct row is rendered once."""
-    n = code.n
-    if code.q == 2:
-        def render(row: int) -> str:
-            return " ".join(format(row, "b").zfill(n))
-    else:
-        def render(row: Tuple[int, ...]) -> str:
-            return " ".join(map(str, row))
     rendered: dict = {}
     lines = [f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}"]
     for w in code.codewords:
         lines.append("")
-        for row in (w.packed() if code.q == 2 else w.mat.rows()):
+        for row in w.mat.packed:
             text = rendered.get(row)
             if text is None:
-                text = rendered[row] = render(row)
+                text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
             lines.append(text)
     return "\n".join(lines) + "\n"
 
@@ -405,23 +344,22 @@ def _lines(text: str) -> Iterator[str]:
 
 def cdc_from_text(text: str) -> CDC:
     """Parse a CDC file.  Each distinct row text is checked once (n entries,
-    each in [0, q)).  A GF(2) record already in RREF is checked as such and
-    kept; any other record is reduced, and a rank-deficient one is refused."""
+    each in [0, q)).  A record already in RREF is checked as such and kept;
+    any other record is reduced, and a rank-deficient one is refused."""
     lines = _lines(text)
     head = next(lines, "").split()
     if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")
     q, n, k, d, count = (int(x) for x in head[1:6])
     field = gf(q)
-    parsed: dict = {}  # line -> packed row (GF(2)) or entry tuple
+    parsed: dict = {}  # line -> packed row
     shared: dict = {}  # one tuple per distinct pivot set
 
     def parse_row(ln: str):
         entries = ln.split()
         if len(entries) != n:
             raise ValueError(f"a row has {len(entries)} entries, need {n}")
-        row = Matrix(field, 1, n, entries)
-        return pack_rows_gf2(row)[0] if q == 2 else row.entries
+        return Matrix(field, 1, n, entries).packed[0]
 
     words = []
     rows: list = []
@@ -435,9 +373,8 @@ def cdc_from_text(text: str) -> CDC:
             row = parsed[ln] = parse_row(ln)
         rows.append(row)
         if len(rows) == k:
-            mat = Matrix.from_packed(n, rows) if q == 2 else \
-                Matrix(field, k, n, chain.from_iterable(rows))
-            pivots = rref_pivots_gf2(rows, n) if q == 2 else None
+            mat = Matrix.from_packed(field, n, rows)
+            pivots = rref_pivots(field, rows, n)
             if pivots is None:
                 words.append(subspace_from_rows(mat))
             else:

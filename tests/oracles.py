@@ -4,20 +4,66 @@ The package builds codes without these: identifying vectors, Ferrers
 diagrams, the Hamming lower bound, the insertion predicate and plain
 lifting are how the tests check what the constructions produce.  The
 matrix and field helpers serve those checks (row operations, rank
-distances, rank-nullity, field addition in GF(q^m)).
+distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
+per-entry Gaussian elimination through the field's own `add`, `mul` and
+`inv`, independent of the packed-row kernels it checks.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from cdckit.errors import AmbientMismatch, HypothesisViolated, InvalidParameters
-from cdckit.gf import ExtField, same_field
+from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
+from cdckit.gf import GF, ExtField, same_field
 from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
-from cdckit.subspaces import Subspace, subspace_distance
+from cdckit.subspaces import Subspace
+
+
+class AmbientMismatch(CdckitError):
+    """Subspaces of different ambient spaces compared."""
 
 
 # -- matrices -------------------------------------------------------------------
+
+
+def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
+    """In-place Gaussian elimination of entry lists; returns the pivot columns."""
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f_ = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f_, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def submatrix(m: Matrix, rows, cols) -> Matrix:
+    rows, cols = list(rows), list(cols)
+    return Matrix(m.field, len(rows), len(cols), [m[r, c] for r in rows for c in cols])
+
+
+def oracle_rref(m: Matrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The entries of the RREF of m and its pivot columns, by `rref_rows`."""
+    rows = [list(r) for r in m.rows()]
+    pivots = rref_rows(m.field, rows, m.ncols)
+    return tuple(x for r in rows for x in r), tuple(pivots)
+
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -70,7 +116,7 @@ def invert(m: Matrix) -> Matrix:
     red, pivots = mat_rref(aug)
     if list(pivots) != list(range(m.nrows)):
         raise ValueError("matrix is singular")
-    return red.submatrix(range(m.nrows), range(m.nrows, 2 * m.nrows))
+    return submatrix(red, range(m.nrows), range(m.nrows, 2 * m.nrows))
 
 
 def ext_add(ext: ExtField, a: int, b: int) -> int:
@@ -85,6 +131,15 @@ def ext_add(ext: ExtField, a: int, b: int) -> int:
 
 
 # -- subspaces --------------------------------------------------------------------
+
+
+def subspace_distance(u: Subspace, v: Subspace) -> int:
+    """2 dim(U + V) - dim U - dim V, the rank by `rref_rows`."""
+    if u.n != v.n:
+        raise AmbientMismatch(f"ambient dimensions {u.n} and {v.n}")
+    f = same_field(u.field, v.field)
+    rows = [list(r) for r in u.mat.rows() + v.mat.rows()]
+    return 2 * len(rref_rows(f, rows, u.n)) - u.k - v.k
 
 
 def identifying_vector(u: Subspace) -> Tuple[int, ...]:
@@ -144,8 +199,8 @@ def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
         raise AmbientMismatch(f"n1 + n2 = {n1 + n2} != ambient {u.n}")
     if d % 2:
         raise InvalidParameters("subspace distances are even")
-    left = u.mat.submatrix(range(u.k), range(n1))
-    right = u.mat.submatrix(range(u.k), range(n1, u.n))
+    left = submatrix(u.mat, range(u.k), range(n1))
+    right = submatrix(u.mat, range(u.k), range(n1, u.n))
     dim_s2 = u.k - mat_rank(right)  # vectors of u supported on first n1 coords
     dim_s1 = u.k - mat_rank(left)
     return dim_s1 >= d // 2 and dim_s2 >= d // 2

@@ -22,8 +22,9 @@ from cdckit.gf import gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from cdckit.subspaces import CDC, subspace_distance, subspace_from_rows, verify_min_distance
-from oracles import hamming_lb_check, insertion_predicate, lift_matrix, mat_sub
+from cdckit.subspaces import CDC, subspace_from_rows, verify_min_distance
+from oracles import hamming_lb_check, insertion_predicate, lift_matrix, mat_sub, \
+    subspace_distance
 
 REG = shipped_registry()
 

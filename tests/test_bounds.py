@@ -258,11 +258,20 @@ def test_parts_read_only_what_they_declare():
 
 
 def test_search_evaluates_parts_only_under_a_leaf():
-    # k = 0 admits n1 but no a1: evaluating cor41's linkage part on entering
-    # the n1 prefix would raise InvalidDistance; no tuple exists, so the
-    # search reports the empty grid
+    # k = 0 admits no tuple, so the search reports the empty grid
     with pytest.raises(EmptyGrid, match=r"no admissible tuple for \(2,2,2,0\) cor41"):
         optimize_parameters(2, 2, 2, 0, "cor41", REG)
+
+
+def test_linkage_needs_k_at_least_half_d():
+    # the linkage part's MRD code has rank distance d/2 <= k; below that the
+    # split admits no n1, so no MRD code outside its range is evaluated
+    with pytest.raises(HypothesisViolated, match="need k >= d/2"):
+        evaluate("linkage", 2, 4, 4, 1, {"n1": 2}, REG)
+    for key in ((2, 6, 6, 2), (2, 4, 4, 1), (3, 9, 8, 3)):
+        for family in ("linkage", "cor41", "cor44"):
+            with pytest.raises(EmptyGrid, match="no admissible tuple"):
+                optimize_parameters(*key, family, REG)
 
 
 def test_search_prunes_a_miss_exactly():

@@ -83,6 +83,14 @@ def test_bound_hypothesis_violation_exits_2(capsys):
     assert "u1 >= d" in capsys.readouterr().err
 
 
+def test_bound_linkage_below_half_d_names_the_hypothesis(capsys):
+    # k = 1 < d/2 = 2 once reached the MRD code's own distance check
+    assert main(["bound", "--family", "linkage", "--q", "2", "--n", "4", "--d", "4",
+                 "--k", "1", "--n1", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need k >= d/2, n1 >= k and n2 >= k\n"
+
+
 def test_table_subcommand(capsys):
     assert main(["table", "--id", "6", "--q", "2"]) == 0
     rows = _json_lines(capsys.readouterr().out)
@@ -299,7 +307,7 @@ def test_verify_bad_record_exits_2(tmp_path, capsys, record):
 
 
 def test_count_and_bound_take_a_prime_power_above_the_field_limit(tmp_path, capsys):
-    # the formula commands build no field, so q past 2^16 is fine there
+    # the formula commands build no field, so any prime power is fine there
     for q in (65537, 2**20):
         assert main(["count", "gauss", "4", "2", str(q)]) == 0
         assert int(capsys.readouterr().out) == gauss_binomial(4, 2, q)
@@ -310,6 +318,26 @@ def test_count_and_bound_take_a_prime_power_above_the_field_limit(tmp_path, caps
     path.write_text(LINKAGE_PLAN.replace("q = 2", "q = 131072"))
     assert main(["build", "--count-only", "--plan", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_fields_with_no_byte_encoding_are_refused_by_build_and_verify(tmp_path, capsys):
+    # GF(27) has no one-byte row encoding; build and verify refuse it with
+    # one line, while count, bound and a count-only build take q = 27
+    plan = tmp_path / "q27.plan"
+    plan.write_text("family = linkage\nq = 27\nn = 4\nd = 4\nk = 2\nn1 = 2\n")
+    cdc = tmp_path / "q27.cdc"
+    cdc.write_text("CDC 27 4 2 4 2\n\n1 0 0 0\n0 1 0 0\n\n0 0 1 0\n0 0 0 1\n")
+    for argv in (["build", "--plan", str(plan)], ["verify", "--in", str(cdc)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: GF(27) is not supported")
+        assert len(err.splitlines()) == 1
+    assert main(["count", "gauss", "4", "2", "27"]) == 0
+    assert int(capsys.readouterr().out) == gauss_binomial(4, 2, 27)
+    assert main(["bound", "--family", "linkage", "--q", "27", "--n", "8", "--d", "4",
+                 "--k", "4", "--n1", "4"]) == 0
+    assert main(["build", "--count-only", "--plan", str(plan)]) == 0
+    assert _json_lines(capsys.readouterr().out)[-1] == {"explicit": False, "total": 730}
 
 
 def test_bound_plan_equals_count_only_in_the_product_form(tmp_path, capsys):

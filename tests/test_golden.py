@@ -1,8 +1,9 @@
-"""Golden outputs: every plan family at q = 2 and linkage at q = 3 and 4.
+"""Golden outputs: every plan family at q = 2, linkage at q = 3, 4, 5, 7, 8
+and 9, and multilevel_II at q = 3.
 
 For each desk-size plan the test pins the SHA-256 of the file
-`build --out` writes and the stdout of exhaustive `verify`, `bound --plan`
-and `build --count-only`.  The expected values live in `golden.json`;
+`build --out` writes and the stdout of exhaustive and sampled `verify`,
+`bound --plan` and `build --count-only`.  The expected values live in `golden.json`;
 `PYTHONPATH=src python tests/test_golden.py` rewrites it from the current
 code, for a change meant to alter these outputs.
 """
@@ -39,6 +40,14 @@ PLANS = {
                            "u1 = 2\nb1 = 1\nb2 = 1\n",
     "linkage_q3": "family = linkage\nq = 3\nn = 6\nd = 4\nk = 3\nn1 = 3\n",
     "linkage_q4": "family = linkage\nq = 4\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
+    "linkage_q5": "family = linkage\nq = 5\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
+    "linkage_q7": "family = linkage\nq = 7\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
+    "linkage_q8": "family = linkage\nq = 8\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
+    "linkage_q9": "family = linkage\nq = 9\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
+    # the first vector's FDRM words run through coset pairs, the second's
+    # leave M1 zero
+    "multilevel_II_q3": "family = multilevel_II\nq = 3\nn = 4\nd = 2\nk = 2\nn1 = 2\nu1 = 1\n"
+                        "b1 = 1\nb2 = 1\n",
 }
 
 
@@ -61,6 +70,7 @@ def outputs(workdir: str) -> dict:
         found[name] = {
             "sha256": sha,
             "verify": _run(["verify", "--in", cdc]),
+            "verify_sample": _run(["verify", "--in", cdc, "--mode", "sample:500:7"]),
             "bound": _run(["bound", "--plan", plan]),
             "count_only": _run(["build", "--plan", plan, "--count-only"]),
         }

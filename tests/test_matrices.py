@@ -1,5 +1,5 @@
-"""RREF, rank, block assembly and packed GF(2) rows; the kernel, product and
-inverse the rank checks use come from `oracles`."""
+"""RREF, rank, block assembly and packed rows; the per-entry elimination,
+kernel, product and inverse the checks use come from `oracles`."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import random
 import pytest
 
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, _rref_rows, hstack, mat_add, mat_rank, mat_rref, \
-    pack_rows_gf2, rank_added_gf2, rref_pivots_gf2, vstack
-from oracles import invert, mat_kernel, mat_sub, matmul
+from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref, rank_added, \
+    rref_pivots, vstack
+from oracles import invert, mat_kernel, mat_sub, matmul, oracle_rref
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -147,45 +147,56 @@ def test_add_sub_stack():
 
 
 def test_packed_rank_matches_generic():
+    # the rank kernel against the per-entry elimination of `oracles`
     rng = random.Random(8)
     for _ in range(200):
-        m = _random_matrix(rng, 2, rng.randrange(1, 7), rng.randrange(1, 9))
-        assert rank_added_gf2([0] * (m.ncols + 1), pack_rows_gf2(m)) == len(mat_rref(m)[1])
+        q = rng.choice((2, 3, 4, 9))
+        m = _random_matrix(rng, q, rng.randrange(1, 7), rng.randrange(1, 9))
+        assert rank_added(m.field, [0] * (m.ncols + 1), m.packed) == len(oracle_rref(m)[1])
 
 
 def test_packed_rref_matches_generic_elimination():
-    # GF(2) matrices reduce on packed rows; the generic elimination is the oracle
+    # matrices reduce on packed rows; the per-entry elimination is the oracle
     rng = random.Random(80)
     for _ in range(300):
-        m = _random_matrix(rng, 2, rng.randrange(1, 7), rng.randrange(1, 80))
-        rows = [list(r) for r in m.rows()]
-        pivots = _rref_rows(gf(2), rows, m.ncols)
+        q = rng.choice((2, 2, 3, 4, 9))
+        m = _random_matrix(rng, q, rng.randrange(1, 7), rng.randrange(1, 80))
+        entries, pivots = oracle_rref(m)
         red, packed_pivots = mat_rref(m)
-        assert packed_pivots == tuple(pivots)
-        assert red.entries == tuple(x for r in rows for x in r)
+        assert packed_pivots == pivots
+        assert red.entries == entries
 
 
 def test_packed_rows_round_trip_to_entries():
-    # entries rebuilt from packed rows keep leading zeros, past 64 columns too
+    # entries rebuilt from packed rows keep leading zeros, past 64 bits too
     rng = random.Random(81)
-    for ncols in (1, 5, 64, 65, 130):
-        m = _random_matrix(rng, 2, 3, ncols)
-        back = Matrix.from_packed(ncols, pack_rows_gf2(m))
-        assert back.entries == m.entries and back == m and hash(back) == hash(m)
-        assert mat_add(m, Matrix.zero(gf(2), 3, ncols)).entries == m.entries
-        assert hstack(m, back).entries == tuple(
-            x for i in range(3) for x in m.row(i) + m.row(i))
+    for q in (2, 3, 4, 8, 9, 256):
+        for ncols in (1, 5, 64, 65, 130):
+            m = _random_matrix(rng, q, 3, ncols)
+            back = Matrix.from_packed(m.field, ncols, m.packed)
+            assert back.entries == m.entries and back == m and hash(back) == hash(m)
+            assert mat_add(m, Matrix.zero(gf(q), 3, ncols)).entries == m.entries
+            assert hstack(m, back).entries == tuple(
+                x for i in range(3) for x in m.row(i) + m.row(i))
 
 
 def test_rref_pivots_recognizes_exactly_the_full_rank_rref():
     rng = random.Random(82)
     for _ in range(300):
-        m = _random_matrix(rng, 2, rng.randrange(1, 5), rng.randrange(1, 7))
-        red, pivots = mat_rref(m)
+        q = rng.choice((2, 3, 4, 9))
+        f = gf(q)
+        m = _random_matrix(rng, q, rng.randrange(1, 5), rng.randrange(1, 7))
+        entries, pivots = oracle_rref(m)
+        red = Matrix(f, m.nrows, m.ncols, entries)
         full = len(pivots) == m.nrows
-        assert rref_pivots_gf2(pack_rows_gf2(red), m.ncols) == (pivots if full else None)
-        assert rref_pivots_gf2(pack_rows_gf2(m), m.ncols) == \
+        assert rref_pivots(f, red.packed, m.ncols) == (pivots if full else None)
+        assert rref_pivots(f, m.packed, m.ncols) == \
             (pivots if full and red == m else None)
+        if full and q > 2:
+            # a leading entry other than 1 is not RREF
+            c = rng.randrange(2, q)
+            scaled = [f.mul(c, x) for x in red.row(0)] + list(entries[m.ncols:])
+            assert rref_pivots(f, Matrix(f, m.nrows, m.ncols, scaled).packed, m.ncols) is None
 
 
 def test_constructor_still_checks_entries():

@@ -12,10 +12,10 @@ from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, \
     InvalidDistances, InvalidParameters
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, _rref_rows, mat_rank
+from cdckit.matrices import Matrix, mat_rank
 from cdckit.rankcodes import FerrersShape, LinearRankCode, coset_lists, enumerate_code, \
     fdrm_words, gabidulin_mrd
-from oracles import mat_sub
+from oracles import mat_sub, rref_rows
 
 
 def _rank_distribution(code, **kw):
@@ -59,16 +59,17 @@ def test_gabidulin_min_distance_exact():
 
 
 def _reference_words(code, rank_cap=None):
-    """Every GF(2) combination of the generators, the first generator's
-    coefficient changing slowest, added entry by entry."""
+    """Every GF(q) combination of the generators, the first generator's
+    coefficient changing slowest through the element codes, added entry by
+    entry."""
     f = code.field
-    for coeffs in itertools.product((0, 1), repeat=len(code.generators)):
+    for coeffs in itertools.product(range(code.q), repeat=len(code.generators)):
         acc = (0,) * (code.a * code.b)
         for c, g in zip(coeffs, code.generators):
             if c:
-                acc = tuple(f.add(x, y) for x, y in zip(acc, g.entries))
+                acc = tuple(f.add(x, f.mul(c, y)) for x, y in zip(acc, g.entries))
         rows = [list(acc[i * code.b:(i + 1) * code.b]) for i in range(code.a)]
-        if rank_cap is None or len(_rref_rows(f, rows, code.b)) <= rank_cap:
+        if rank_cap is None or len(rref_rows(f, rows, code.b)) <= rank_cap:
             yield acc
 
 
@@ -79,6 +80,17 @@ def test_gf2_enumeration_matches_reference_order(a, b, d, rank_cap):
     code = gabidulin_mrd(2, a, b, d)
     words = [m.entries for m in enumerate_code(code, rank_cap=rank_cap)]
     assert words == list(_reference_words(code, rank_cap))
+
+
+@pytest.mark.parametrize("q, a, b", [(3, 1, 7), (4, 1, 6), (8, 2, 2), (9, 2, 2)])
+def test_enumeration_matches_reference_order_over_fields(q, a, b):
+    # more generators than the enumerator tabulates at once, so counting
+    # carries through the other generators, with steps that are not all 1
+    # in GF(4), GF(8) and GF(9)
+    code = gabidulin_mrd(q, a, b, 1)
+    for rank_cap in (None, 0):
+        words = [m.entries for m in enumerate_code(code, rank_cap=rank_cap)]
+        assert words == list(_reference_words(code, rank_cap))
 
 
 def test_gabidulin_rejects_bad_distance():

@@ -9,16 +9,16 @@ import pytest
 
 from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import gauss_binomial
-from cdckit.errors import AmbientMismatch, InvalidParameters, PairLimitExceeded, \
-    RankCapViolated
+from cdckit.errors import InvalidParameters, PairLimitExceeded, RankCapViolated
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, hstack, mat_rank
+from cdckit.matrices import Matrix, hstack, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_words, gabidulin_mrd
-from cdckit.subspaces import CDC, cdc_from_text, cdc_to_text, lift_special_form, \
-    subspace_distance, subspace_from_rows, verify_min_distance
-from oracles import ferrers_of, hamming_lb_check, identifying_vector, insertion_predicate, \
-    lift_matrix, mat_sub, matmul, special_form_vector
+from cdckit.subspaces import CDC, _sampled_pairs, cdc_from_text, cdc_to_text, \
+    lift_special_form, subspace_from_rows, verify_min_distance
+from oracles import AmbientMismatch, ferrers_of, hamming_lb_check, identifying_vector, \
+    insertion_predicate, lift_matrix, mat_sub, matmul, oracle_rref, special_form_vector, \
+    subspace_distance
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -385,6 +385,40 @@ def test_verifier_small_code_over_large_field(size):
                 CDC(256, 6, 3, 2, words + words[:1], strict=False)):
         report = verify_min_distance(cdc)
         assert (report.min_found, report.witness) == _pairwise_oracle(cdc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 49, 256])
+def test_kernels_match_the_per_entry_oracle(q):
+    # RREF, rank and every pair distance the verifier takes, against the
+    # per-entry elimination of `oracles`
+    rng = random.Random(3000 + q)
+    f = gf(q)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 8)
+        rows = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        # a rank-deficient stack: a combination of two rows, and a duplicate
+        a, b = rng.randrange(q), rng.randrange(1, q)
+        mixed = [f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(rows[0], rows[-1])]
+        for m in (Matrix.from_rows(f, rows), Matrix.from_rows(f, rows + [mixed, rows[-1]])):
+            entries, pivots = oracle_rref(m)
+            red, red_pivots = mat_rref(m)
+            assert (red.entries, red_pivots) == (entries, pivots)
+            assert mat_rank(m) == len(pivots)
+    # k = 1 is keyed at any q; k = 2 is keyed up to q = 16, else pairs compared
+    for n, k, size in ((4, 1, 12), (4, 2, 6), (5, 2, 2 * (q + 2) + 1 if q <= 16 else 8)):
+        words = [_random_subspace(rng, q, n, k) for _ in range(size)]
+        for extra in ([], words[1:3]):  # and with two duplicates
+            w = CDC(q, n, k, 2, words + extra, strict=False).codewords
+            dist = {(i, j): subspace_distance(w[i], w[j])
+                    for i in range(len(w)) for j in range(i + 1, len(w))}
+            report = verify_min_distance(CDC(q, n, k, 2, w, strict=False))
+            assert (report.min_found, report.witness) == min((d, p) for p, d in dist.items())
+            report = verify_min_distance(CDC(q, n, k, 2, w, strict=False), mode="sample",
+                                         sample_count=40, seed=q)
+            pairs = list(_sampled_pairs(len(w), 40, q))
+            assert report.min_found == min(dist[p] for p in pairs)
+            assert report.witness == next(p for p in pairs if dist[p] == report.min_found)
 
 
 @pytest.mark.parametrize("count", [0, -3])
