@@ -142,9 +142,8 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         code = cdc_from_text(fh.read())
-    mode = args.mode
-    if mode.startswith("sample:"):
-        parts = mode.split(":")
+    mode, parts = args.mode, args.mode.split(":")
+    if parts[0] == "sample" and len(parts) in (2, 3):
         count = int(parts[1])
         seed = int(parts[2]) if len(parts) > 2 else args.seed
         if seed is None:
@@ -154,7 +153,7 @@ def _cmd_verify(args) -> int:
     elif mode == "exhaustive":
         report = verify_min_distance(code)
     else:
-        print(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED", file=sys.stderr)
+        print(f"bad --mode {mode!r}; use exhaustive or sample:N[:SEED]", file=sys.stderr)
         return USAGE_EXIT
     payload = {
         "min_found": None if report.min_found == float("inf") else report.min_found,
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the minimum distance of a CDC file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", default="exhaustive", help="exhaustive | sample:N:SEED")
+    p.add_argument("--mode", default="exhaustive", help="exhaustive | sample:N[:SEED]")
     p.add_argument("--seed", type=int, help="sampling seed (alternative to sample:N:SEED)")
     p.add_argument("--jobs", type=int, default=0,
                    help="accepted for compatibility; has no effect")

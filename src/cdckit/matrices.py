@@ -154,11 +154,12 @@ def vstack(*mats: Matrix) -> Matrix:
     return Matrix.from_packed(f, ncols, sum([m.packed for m in mats], ()))
 
 
-def rank_added(f: GF, basis: List[int], rows: Iterable[int]) -> int:
+def rank_added(f: GF, basis: List[int], rows: Iterable[int], stop: int = -1) -> int:
     """How many of the packed `rows` lie outside the span of `basis`, where
     `basis[b]` is the basis row whose leading entry, a 1, sits in the b-th
     entry from the right, or 0; the rows that do are added to `basis`,
-    scaled to a leading 1.  On a fresh basis of ncols + 1 zeros, the rank."""
+    scaled to a leading 1.  On a fresh basis of ncols + 1 zeros, the rank.
+    With `stop` > 0, returns `stop` as soon as that many rows are added."""
     r = 0
     if f.q == 2:  # leading entries are 1 and XOR adds: 1.6 times faster on GF(2) pairs
         for v in rows:
@@ -171,6 +172,8 @@ def rank_added(f: GF, basis: List[int], rows: Iterable[int]) -> int:
                     basis[b] = v
                     r += 1
                     break
+            if r == stop:
+                break
         return r
     w, dec, negs, invs, add, scale = f.width, f.dec, f.negs, f.invs, f.row_add, f.row_scale
     for v in rows:
@@ -184,6 +187,8 @@ def rank_added(f: GF, basis: List[int], rows: Iterable[int]) -> int:
                 basis[b] = scale(v, invs[lead])
                 r += 1
                 break
+        if r == stop:
+            break
     return r
 
 

@@ -4,7 +4,10 @@ verification.
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal matrices, and its rows are packed ints (see
 `matrices`).  A pair's distance 2*rank(stack) - dim U - dim V takes one
-elimination on those rows.  Exhaustive verification instead finds the
+elimination of V's rows against U's, which already form a reduced basis,
+and a pair stops once it cannot beat the running minimum.  Sampled
+verification draws its pairs by `getrandbits` with rejection, the same
+pairs `randrange` draws.  Exhaustive verification instead finds the
 highest t at which two codewords share a t-subspace, keying each codeword's
 [k t]_q t-subspaces by their concatenated packed rows, and compares pairs
 only when they are fewer than the keys.  The CDC file format renders and
@@ -168,26 +171,44 @@ class VerifyReport:
 
 def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
     """Least distance over `pairs` and the first pair that reaches it."""
-    words, n, k = code.codewords, code.n, code.k
+    words, k = code.codewords, code.k
     f, rows = words[0].field, [w.mat.packed for w in words]
-    # d(U, V) = 2 dim(U + V) - 2k
-    dists = ((2 * (rank_added(f, [0] * (n + 1), rows[i] + rows[j]) - k), i, j)
-             for i, j in pairs)
+    w = f.width
+    zero = [0] * (code.n + 1)
     best, witness = math.inf, None
-    for dist, i, j in dists:
-        if dist < best:
-            best, witness = dist, (i, j)
-            if dist == 0:
+    stop = k + 1  # best / 2: a pair that adds this many of V's rows cannot win
+    for i, j in pairs:
+        # d(U, V) = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
+        # are in RREF with leading 1s, so each goes straight into the basis
+        # slot of its leading entry, and only V's rows are reduced
+        basis = zero[:]
+        for row in rows[i]:
+            basis[(row.bit_length() + w - 1) // w] = row
+        added = rank_added(f, basis, rows[j], stop)
+        if added < stop:
+            best, witness, stop = 2 * added, (i, j), added
+            if added == 0:
                 break
     return best, witness
 
 
 def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
-    rng = random.Random(seed)
+    """`count` seeded pairs i < j.  Each index is drawn as `randrange` draws
+    it, by `getrandbits` of the bound's bit length, rejecting values at or
+    above the bound, so the pairs are `randrange`'s at a fraction of the
+    call cost."""
+    bits = random.Random(seed).getrandbits
+    m = n_words - 1
+    wi, wj = n_words.bit_length(), m.bit_length()
     for _ in range(count):
-        i, j = rng.randrange(n_words), rng.randrange(n_words - 1)
-        j += j >= i  # j is drawn from the other n_words - 1 indices
-        yield min(i, j), max(i, j)
+        i = bits(wi)
+        while i >= n_words:
+            i = bits(wi)
+        j = bits(wj)
+        while j >= m:
+            j = bits(wj)
+        # j is drawn from the other n_words - 1 indices
+        yield (i, j + 1) if j >= i else (j, i)
 
 
 def verify_min_distance(

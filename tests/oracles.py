@@ -6,11 +6,13 @@ lifting are how the tests check what the constructions produce.  The
 matrix and field helpers serve those checks (row operations, rank
 distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
 per-entry Gaussian elimination through the field's own `add`, `mul` and
-`inv`, independent of the packed-row kernels it checks.
+`inv`, independent of the packed-row kernels it checks.  `randrange_pairs`
+draws the verifier's sampled pairs by plain `random.Random.randrange`.
 """
 
 from __future__ import annotations
 
+import random
 from typing import List, Optional, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
@@ -140,6 +142,25 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     f = same_field(u.field, v.field)
     rows = [list(r) for r in u.mat.rows() + v.mat.rows()]
     return 2 * len(rref_rows(f, rows, u.n)) - u.k - v.k
+
+
+def randrange_pairs(n_words: int, count: int, seed) -> List[Tuple[int, int]]:
+    """`count` seeded pairs i < j: i by randrange(n_words), then j by
+    randrange(n_words - 1) over the indices other than i."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        i, j = rng.randrange(n_words), rng.randrange(n_words - 1)
+        if j >= i:
+            j += 1
+        pairs.append((min(i, j), max(i, j)))
+    return pairs
+
+
+def first_minimum(dists: List[int], pairs: List[Tuple[int, int]]):
+    """The least of `dists` and the first of `pairs` at it."""
+    best = min(dists)
+    return best, pairs[dists.index(best)]
 
 
 def identifying_vector(u: Subspace) -> Tuple[int, ...]:

@@ -237,6 +237,19 @@ def test_verify_sample_count_below_one_exits_2(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_verify_sample_mode_with_extra_fields_exits_2(tmp_path, capsys):
+    # a field after the seed is refused, not dropped
+    path = tmp_path / "two.cdc"
+    path.write_text("CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n")
+    for mode in ("sample:5:7:9", "sample:5:7:"):
+        assert main(["verify", "--in", str(path), "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert mode in err
+    assert main(["verify", "--in", str(path), "--mode", "sample:5:7"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
 LINKAGE_PLAN = "family = linkage\nq = 2\nn = 8\nd = 4\nk = 4\nn1 = 4\n"
 
 

@@ -155,6 +155,27 @@ def test_packed_rank_matches_generic():
         assert rank_added(m.field, [0] * (m.ncols + 1), m.packed) == len(oracle_rref(m)[1])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rank_added_returns_at_stop(q):
+    # with a stop, the kernel returns once that many rows are added, reading
+    # no row beyond; a stop above the rank gives the rank
+    rng = random.Random(90 + q)
+    f = gf(q)
+    for _ in range(60):
+        m = _random_matrix(rng, q, rng.randrange(1, 6), rng.randrange(1, 7))
+        rows = m.packed + m.packed[:1]  # a dependent row at the end
+        ranks = [len(oracle_rref(Matrix.from_packed(f, m.ncols, rows[:p]))[1])
+                 for p in range(len(rows) + 1)]
+        assert rank_added(f, [0] * (m.ncols + 1), rows) == ranks[-1]
+        for stop in range(1, ranks[-1] + 2):
+            basis, it = [0] * (m.ncols + 1), iter(rows)
+            added = rank_added(f, basis, it, stop)
+            assert added == min(stop, ranks[-1])
+            assert sum(1 for u in basis if u) == added
+            read = ranks.index(stop) if stop <= ranks[-1] else len(rows)
+            assert list(it) == list(rows[read:])
+
+
 def test_packed_rref_matches_generic_elimination():
     # matrices reduce on packed rows; the per-entry elimination is the oracle
     rng = random.Random(80)

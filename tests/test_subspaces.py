@@ -14,11 +14,11 @@ from cdckit.gf import gf
 from cdckit.matrices import Matrix, hstack, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_words, gabidulin_mrd
-from cdckit.subspaces import CDC, _sampled_pairs, cdc_from_text, cdc_to_text, \
+from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
     lift_special_form, subspace_from_rows, verify_min_distance
-from oracles import AmbientMismatch, ferrers_of, hamming_lb_check, identifying_vector, \
-    insertion_predicate, lift_matrix, mat_sub, matmul, oracle_rref, special_form_vector, \
-    subspace_distance
+from oracles import AmbientMismatch, ferrers_of, first_minimum, hamming_lb_check, \
+    identifying_vector, insertion_predicate, lift_matrix, mat_sub, matmul, oracle_rref, \
+    randrange_pairs, special_form_vector, subspace_distance
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -427,3 +427,121 @@ def test_verify_sample_count_below_one_rejected(count):
     cdc = CDC(2, 4, 2, 2, words)
     with pytest.raises(InvalidParameters):
         verify_min_distance(cdc, mode="sample", sample_count=count, seed=1)
+
+
+# the first 20 pairs of `verify --mode sample:N:1` on a 33,854-word code,
+# such as the (10,4,4)_2 linkage code (n1 = 5), as randrange drew them
+FIRST_PAIRS_33854_SEED_1 = [
+    (4135, 8805), (7727, 16716), (29457, 32468), (24878, 30949), (6151, 13759),
+    (1857, 31972), (25546, 28362), (138, 29189), (14992, 17454), (6699, 20804),
+    (1462, 2004), (603, 1667), (14195, 24982), (1903, 27663), (14528, 28698),
+    (15275, 32493), (15130, 22655), (14338, 30121), (1408, 18991), (6553, 27274),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -5, 2**70])
+def test_sampled_pairs_are_randranges(seed):
+    # drawn by getrandbits with rejection, the pairs are randrange's, at the
+    # bounds just below, at and above powers of two too
+    for n in list(range(2, 301)) + [4690, 33854, 65536, 65537, 2**40 + 3]:
+        count = 20 if n <= 300 else 2000
+        assert list(_sampled_pairs(n, count, seed)) == randrange_pairs(n, count, seed)
+
+
+def test_sampled_pairs_pinned():
+    # a change in the draws would change every sampled verify report
+    assert list(_sampled_pairs(33854, 20, 1)) == FIRST_PAIRS_33854_SEED_1
+
+
+def _line_pool(q, seed):
+    """Distinct random 2-subspaces in canonical order, small enough an
+    ambient space that some pairs meet, and their pair distances."""
+    rng = random.Random(seed)
+    n = 6 if q == 2 else 4
+    words = {}
+    while len(words) < 40:
+        w = _random_subspace(rng, q, n, 2)
+        words[w.key()] = w
+    pool = sorted(words.values(), key=Subspace.key)
+    dist = {(i, j): subspace_distance(pool[i], pool[j])
+            for i in range(len(pool)) for j in range(i + 1, len(pool))}
+    return pool, dist
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_sampled_pair_minimum_stops_exactly(q):
+    # a pair stops once it cannot beat the running minimum; at every sample
+    # count the minimum and its first pair are the oracle's over the pairs
+    # randrange draws
+    pool, dist = _line_pool(q, 4000 + q)
+    seen = set()
+    for words in (pool[:8], pool[:6] + pool[2:4]):  # and with two duplicates
+        code = CDC(q, pool[0].n, 2, 2, words, strict=False)
+        w = code.codewords
+        for seed in range(6):
+            pairs = randrange_pairs(len(w), 40, seed)
+            dists = [subspace_distance(w[i], w[j]) for i, j in pairs]
+            for count in range(1, 41):
+                best, witness = first_minimum(dists[:count], pairs[:count])
+                report = verify_min_distance(code, mode="sample", sample_count=count,
+                                             seed=seed)
+                assert (report.min_found, report.witness) == (best, witness)
+                if count > 1 and min(dists[:count - 1]) > best:
+                    # first reached at the last pair, below an earlier minimum
+                    seen.add(("lowered", min(dists[:count - 1]), best))
+                elif dists[count - 1] == best and pairs[count - 1] != witness:
+                    seen.add(("tie", best))
+    # lowered by one row, from 4 to 2; a duplicate reached last; a later pair
+    # tying the minimum, also a second duplicate pair after the first
+    assert {("lowered", 4, 2), ("tie", 2), ("tie", 0)} <= seen
+    assert ("lowered", 2, 0) in seen or ("lowered", 4, 0) in seen
+
+
+def _min_at_last_pair(dist, size):
+    """Indices of `size` pool words whose last two are their one pair at
+    distance 2, every other pair at distance 4."""
+    for a, b in sorted(dist, key=lambda p: (-p[1], -p[0])):
+        if dist[a, b] != 2:
+            continue
+        chosen = [b, a]
+        for x in range(a - 1, -1, -1):
+            if all(dist[x, y] == 4 for y in chosen):
+                chosen.append(x)
+                if len(chosen) == size:
+                    return sorted(chosen)
+    raise AssertionError("no such words in the pool")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_exhaustive_pair_minimum_stops_exactly(q):
+    # codes so small that exhaustive mode compares pairs, in order, each
+    # stopping once it cannot beat the running minimum; the minimum and its
+    # lexicographically first pair must be the oracle's
+    pool, dist = _line_pool(q, 5000 + q)
+    last = _min_at_last_pair(dist, 5)
+    a = last[-2]
+    # a word before the last pair, at distance 2 from one of the five only:
+    # the minimum is reached earlier and tied by the last pair
+    tie = next(x for x in range(a) if x not in last and
+               sorted(dist[min(x, y), max(x, y)] for y in last) == [2] + [4] * 4)
+    codes = {
+        "last": [pool[i] for i in last],
+        "tie": [pool[i] for i in sorted(last + [tie])],
+        # a duplicate of the last word: distance 0 first at the last pair
+        "duplicate last": [pool[i] for i in last + [last[-1]]],
+        # duplicates of the first and last words: 0 at (0, 1) ends the scan
+        "duplicates": [pool[i] for i in [last[0]] + last + [last[-1]]],
+    }
+    for name, words in codes.items():
+        assert 2 * sum(gauss_binomial(2, t, q) for t in (1, 2)) >= len(words)
+        code = CDC(q, pool[0].n, 2, 2, words, strict=False)
+        w = code.codewords
+        pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
+        dists = [subspace_distance(w[i], w[j]) for i, j in pairs]
+        best, witness = first_minimum(dists, pairs)
+        assert (best, witness == pairs[-1]) == {
+            "last": (2, True), "tie": (2, False), "duplicate last": (0, True),
+            "duplicates": (0, False)}[name]
+        assert dists[-1] == best
+        report = verify_min_distance(code)
+        assert (report.min_found, report.witness) == (best, witness)
