@@ -8,11 +8,12 @@ in order, each with its admissible range given the ones before it (the
 hypotheses) or its derivation (n2 = n - n1, a2 = k - a1, u2 = k - u1, and
 lam = floor(n1/u1) unless given), and its count parts, whose sizes add up
 to the bound.  Four consumers evaluate that one spec: `evaluate` and
-`evaluate_row`; the count half of every `build_*` in `constructions`, so
-`build --count-only` equals `bound --plan` by construction (given the same
-sub-code sizes); the CLI's `bound` flags and plan mapping; and
-`optimize_parameters`, which walks the nest of the same ranges and
-evaluates each part once per prefix of the parameters it reads.
+`evaluate_row`; `constructions.run_plan`, which counts a plan part by part
+and materializes each part in an explicit build, so `build --count-only`
+equals `bound --plan` by construction (given the same sub-code sizes); the
+CLI's `bound` flags and plan mapping; and `optimize_parameters`, which
+walks the nest of the same ranges and evaluates each part once per prefix
+of the parameters it reads.
 
   family   plan family       construction
   linkage  linkage           two-block concatenation of smaller codes

@@ -145,12 +145,15 @@ def _cmd_verify(args) -> int:
     mode, parts = args.mode, args.mode.split(":")
     if parts[0] == "sample" and len(parts) in (2, 3):
         count = int(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else args.seed
-        if seed is None:
-            print("sampling needs a seed: use sample:N:SEED or --seed", file=sys.stderr)
+        if (len(parts) > 2) == (args.seed is not None):
+            print("sampling needs one seed: use sample:N:SEED or --seed", file=sys.stderr)
             return USAGE_EXIT
+        seed = int(parts[2]) if len(parts) > 2 else args.seed
         report = verify_min_distance(code, mode="sample", sample_count=count, seed=seed)
     elif mode == "exhaustive":
+        if args.seed is not None:
+            print("--seed applies to sample mode only", file=sys.stderr)
+            return USAGE_EXIT
         report = verify_min_distance(code)
     else:
         print(f"bad --mode {mode!r}; use exhaustive or sample:N[:SEED]", file=sys.stderr)

@@ -158,6 +158,11 @@ class CDC:
 
 @dataclass
 class VerifyReport:
+    """The least distance found and its witness pair.  `pairs_checked` is
+    N(N-1)/2 in exhaustive mode; in sample mode it is the number of draws,
+    which are made with replacement, so a pair drawn twice counts twice
+    (three draws on a two-word code report 3)."""
+
     min_found: float
     witness: Optional[Tuple[int, int]]
     pairs_checked: int

@@ -15,8 +15,7 @@ from collections import Counter
 from cdckit.bounds import ALL_TABLE_IDS, bound_cor45_poly, evaluate, load_table_manifest, \
     reproduce_table
 from cdckit.cli import main
-from cdckit.constructions import ConstructionPlan, build_multiblocks, \
-    build_multilevel_insert, run_plan
+from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.gf import gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref
@@ -140,15 +139,20 @@ def test_criterion_7_explicit_construction_verification():
                                {"n1": 4, "a1": 2, "b1": 1, "b2": 1, "t1": 2, "t2": 2})
     mb = run_plan(mb_plan, empty, explicit=True)
     assert verify_min_distance(mb.cdc).min_found >= 4
-    b_only = build_multiblocks(mb_plan, None, empty, explicit=True)
-    assert all(insertion_predicate(w, 4, 4, 4) for w in b_only.cdc)
+    # the inserts are the combined codes minus the plans' common linkage code
+    linkage = {w.key() for w in run_plan(ConstructionPlan("linkage", 2, 8, 4, 4, {"n1": 4}),
+                                         empty, explicit=True).cdc}
+    b_only = [w for w in mb.cdc if w.key() not in linkage]
+    assert len(b_only) == mb.component_counts["B"] == 64
+    assert all(insertion_predicate(w, 4, 4, 4) for w in b_only)
     # desk multilevel: L_f u C verifies at d = 4, inserts pass the predicate
     ml_plan = ConstructionPlan("multilevel_II", 2, 8, 4, 4,
                                {"n1": 4, "u1": 2, "u2": 2, "b1": 1, "b2": 1})
     ml = run_plan(ml_plan, empty, explicit=True)
     assert verify_min_distance(ml.cdc).min_found >= 4
-    l_only = build_multilevel_insert(ml_plan, None, empty, explicit=True)
-    assert all(insertion_predicate(w, 4, 4, 4) for w in l_only.cdc)
+    l_only = [w for w in ml.cdc if w.key() not in linkage]
+    assert len(l_only) == ml.total - ml.component_counts["C"] == 68
+    assert all(insertion_predicate(w, 4, 4, 4) for w in l_only)
     _report(7, t0, 120.0,
             f"lifted (6,64,4,3), blocks 1024, B|C {mb.total}, L|C {ml.total} all verified")
 

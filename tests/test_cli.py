@@ -250,7 +250,17 @@ def test_verify_sample_mode_with_extra_fields_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 7
 
 
+def test_sample_mode_counts_draws_with_replacement(tmp_path, capsys):
+    # a two-word file has one pair; three draws report three pairs checked
+    path = tmp_path / "two.cdc"
+    path.write_text(TWO_WORDS)
+    assert main(["verify", "--in", str(path), "--mode", "sample:3:1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["pairs_checked"], payload["seed"], payload["min_found"]) == (3, 1, 4)
+
+
 LINKAGE_PLAN = "family = linkage\nq = 2\nn = 8\nd = 4\nk = 4\nn1 = 4\n"
+TWO_WORDS = "CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n"
 
 
 _NO_FAMILY = LINKAGE_PLAN.replace("family = linkage\n", "")
@@ -295,8 +305,12 @@ _BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--fa
     pytest.param(["bound", "--plan"], LINKAGE_PLAN + "n2 = 5\n", id="bound-plan-n2"),
     pytest.param(["build", "--count-only", "--plan"], LINKAGE_PLAN + "n2 = 5\n",
                  id="build-plan-n2"),
+    pytest.param(["verify", "--seed", "5", "--in"], TWO_WORDS, id="verify-exhaustive-seed"),
+    pytest.param(["verify", "--mode", "sample:3:1", "--seed", "5", "--in"], TWO_WORDS,
+                 id="verify-two-seeds"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
+    # `plan` is the text of the file whose path ends argv (a CDC file for verify)
     if plan is not None:
         path = tmp_path / "bad.plan"
         path.write_text(plan)

@@ -7,15 +7,14 @@ import random
 
 import pytest
 
-from cdckit.constructions import ConstructionPlan, build_blocks, build_linkage, \
-    build_multiblocks, build_multilevel_insert, build_parallel_blocks, parse_plan, run_plan
+from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import mrd_size
 from cdckit.errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from cdckit.gf import gf
-from cdckit.matrices import Matrix
+from cdckit.matrices import Matrix, hstack
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import cdc_to_text, verify_min_distance
+from cdckit.subspaces import CDC, cdc_to_text, subspace_from_rows, verify_min_distance
 from oracles import identifying_vector, insertion_predicate, special_form_vector, \
     subspace_distance
 
@@ -26,6 +25,19 @@ REG.add(2, 10, 4, 5, 1178824, "prior best known")
 
 def _plan(family, q, n, d, k, **params):
     return ConstructionPlan(family, q, n, d, k, params)
+
+
+def _minus(combined, base):
+    """The words of a combined build that its base build does not have:
+    both codes are strict, so this is the insert the combined build added."""
+    keys = {w.key() for w in base.cdc}
+    return [w for w in combined.cdc if w.key() not in keys]
+
+
+def _linkage_of(plan):
+    """The explicit build of a plan's linkage code."""
+    return run_plan(_plan("linkage", plan.q, plan.n, plan.d, plan.k, n1=plan.params["n1"]),
+                    REG)
 
 
 def test_plan_text_round_trip(tmp_path):
@@ -39,26 +51,26 @@ def test_plan_text_round_trip(tmp_path):
 
 
 def test_linkage_counts_match_published():
-    out = build_linkage(_plan("linkage", 2, 12, 4, 6, n1=6), REG)
+    out = run_plan(_plan("linkage", 2, 12, 4, 6, n1=6), REG, explicit=False)
     assert out.total == 1212418496
-    out = build_linkage(_plan("linkage", 2, 15, 4, 5, n1=5), REG)
+    out = run_plan(_plan("linkage", 2, 15, 4, 5, n1=5), REG, explicit=False)
     assert out.total == 1252447538240
 
 
 def test_linkage_rank_cap_degenerate():
     # d = 2k forces rank(M1) <= 0, so the second part is just |C2|
-    out = build_linkage(_plan("linkage", 2, 8, 4, 2, n1=4), REG)
+    out = run_plan(_plan("linkage", 2, 8, 4, 2, n1=4), REG, explicit=False)
     assert out.component_counts["C2_part"] == REG.get(2, 4, 4, 2)
 
 
 def test_linkage_explicit_desk():
-    out = build_linkage(_plan("linkage", 2, 8, 4, 4, n1=4), REG, explicit=True)
+    out = run_plan(_plan("linkage", 2, 8, 4, 4, n1=4), REG)
     assert out.total == len(out.cdc) == 4622
     assert out.component_counts == {"C1_part": 4096, "C2_part": 526}
 
 
 def test_blocks_desk_instance():
-    out = build_blocks(_plan("blocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1), REG)
+    out = run_plan(_plan("blocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1), REG)
     assert out.total == len(out.cdc) == 1024
     report = verify_min_distance(out.cdc)
     assert report.min_found >= 4
@@ -72,22 +84,21 @@ def test_blocks_desk_instance():
 
 
 def test_blocks_single_family_when_b_equals_half_d():
-    out = build_blocks(_plan("blocks", 2, 8, 4, 4, n1=4, a1=2, b1=2, b2=2), REG)
+    out = run_plan(_plan("blocks", 2, 8, 4, 4, n1=4, a1=2, b1=2, b2=2), REG)
     assert out.component_counts["s"] == 1
     assert out.total == mrd_size(2, 2, 2, 2) ** 4
 
 
 def test_blocks_hypothesis_rejection():
     with pytest.raises(HypothesisViolated):
-        build_blocks(_plan("blocks", 2, 8, 4, 4, n1=4, a1=1, b1=1, b2=1), REG)
+        run_plan(_plan("blocks", 2, 8, 4, 4, n1=4, a1=1, b1=1, b2=1), REG)
 
 
 def test_multiblocks_counts_match_published():
     plan = _plan("multiblocks", 2, 12, 4, 6, n1=6, a1=4, b1=1, b2=1, t1=4, t2=2)
-    base = build_linkage(plan, REG)
-    out = build_multiblocks(plan, base, REG)
+    out = run_plan(plan, REG, explicit=False)
     assert out.component_counts["B"] == 2154496
-    assert out.total == 1214572992
+    assert out.total == out.component_counts["C"] + 2154496 == 1214572992
 
 
 def test_multiblocks_forced_zero_block():
@@ -98,21 +109,20 @@ def test_multiblocks_forced_zero_block():
 
 def test_multiblocks_desk_explicit():
     plan = _plan("multiblocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1, t1=2, t2=2)
-    insert = build_multiblocks(plan, None, REG, explicit=True)
-    assert insert.total == 64 == len(insert.cdc)
-    assert all(insertion_predicate(w, 4, 4, 4) for w in insert.cdc)
     combined = run_plan(plan, REG, explicit=True)
-    assert combined.total == 4686 == len(combined.cdc)
+    insert = _minus(combined, _linkage_of(plan))
+    assert combined.component_counts["B"] == 64 == len(insert)
+    assert all(insertion_predicate(w, 4, 4, 4) for w in insert)
+    assert combined.total == combined.component_counts["C"] + 64 == 4686 == len(combined.cdc)
 
 
 def test_parallel_blocks_counts_match_published():
     plan = _plan("parallel_blocks", 2, 16, 6, 8, n1=8, a1=4, b1=2, b2=1,
                  t1=4, t2=4, c1=3, c2=2)
-    prior = build_multiblocks(plan, build_linkage(plan, REG), REG)
-    assert prior.total == 282927684884928
-    out = build_parallel_blocks(plan, prior, REG)
+    out = run_plan(plan, REG, explicit=False)
+    assert out.component_counts["prior"] == 282927684884928
     assert out.component_counts["E"] == 2776
-    assert out.total == 282927684887704
+    assert out.total == 282927684884928 + 2776 == 282927684887704
 
 
 def test_parallel_blocks_product_form():
@@ -122,24 +132,28 @@ def test_parallel_blocks_product_form():
     plan = _plan("parallel_blocks", 2, 8, 4, 4, n1=4, a1=2, b1=2, b2=2,
                  t1=2, t2=2, c1=2, c2=2)
     with pytest.raises(HypothesisViolated):
-        build_parallel_blocks(plan, None, REG)
+        run_plan(plan, REG, explicit=False)
     # b_i = d/2 on both sides gives the full product form
     plan2 = _plan("parallel_blocks", 2, 12, 4, 6, n1=6, a1=3, b1=2, b2=2,
                   t1=3, t2=3, c1=2, c2=2)
-    out = build_parallel_blocks(plan2, None, REG)
+    out = run_plan(plan2, REG, explicit=False)
     expect = (bounded_rank_size(2, 3, 3, 2, 2) ** 2
               * REG.get(2, 3, 4, 3) * REG.get(2, 3, 4, 3))
     assert out.component_counts["E"] == expect == 2500
+    assert out.total == out.component_counts["prior"] + 2500
 
 
 def test_parallel_blocks_desk_explicit():
     plan = _plan("parallel_blocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1,
                  t1=2, t2=2, c1=1, c2=1)
-    insert = build_parallel_blocks(plan, None, REG, explicit=True)
-    assert insert.total == len(insert.cdc) == 10
-    assert all(insertion_predicate(w, 4, 4, 4) for w in insert.cdc)
     combined = run_plan(plan, REG, explicit=True)
-    assert combined.total == len(combined.cdc) == 4696
+    # E alone: the combined code minus the multiblocks code it was inserted into
+    prior = run_plan(_plan("multiblocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1, t1=2, t2=2),
+                     REG)
+    insert = _minus(combined, prior)
+    assert combined.component_counts["E"] == len(insert) == 10
+    assert all(insertion_predicate(w, 4, 4, 4) for w in insert)
+    assert combined.total == combined.component_counts["prior"] + 10 == len(combined.cdc) == 4696
 
 
 def test_special_form_vector_examples():
@@ -152,8 +166,7 @@ def test_special_form_vector_examples():
 
 def test_multilevel_case1_counts_match_published():
     plan = _plan("multilevel_I", 2, 12, 4, 6, n1=6, u1=4, u2=2, c1=1, c2=1)
-    base = build_linkage(plan, REG)
-    out = build_multilevel_insert(plan, base, REG)
+    out = run_plan(plan, REG, explicit=False)
     assert out.component_counts["L_1"] == 2154496
     assert out.component_counts["L_2"] == 4096
     assert out.total == 1214577088
@@ -161,8 +174,7 @@ def test_multilevel_case1_counts_match_published():
 
 def test_multilevel_case2_counts_match_published():
     plan = _plan("multilevel_II", 2, 14, 6, 7, n1=7, u1=3, u2=4, b1=2, b2=1)
-    base = build_linkage(plan, REG)
-    out = build_multilevel_insert(plan, base, REG)
+    out = run_plan(plan, REG, explicit=False)
     assert out.component_counts["L_1"] == 4096
     assert out.component_counts["L_2"] == 16
     assert out.total == 34532242136
@@ -170,56 +182,83 @@ def test_multilevel_case2_counts_match_published():
 
 def test_multilevel_single_vector_reduces_to_plain_lift():
     plan = _plan("multilevel_II", 2, 14, 6, 7, n1=7, u1=3, u2=4, b1=2, b2=1, lam=1)
-    out = build_multilevel_insert(plan, None, REG)
-    assert out.total == out.component_counts["L_1"] == 4096
+    out = run_plan(plan, REG, explicit=False)
+    assert set(out.component_counts) == {"C", "L_1"}
+    assert out.total - out.component_counts["C"] == out.component_counts["L_1"] == 4096
 
 
 def test_multilevel_desk_explicit():
     plan = _plan("multilevel_II", 2, 8, 4, 4, n1=4, u1=2, u2=2, b1=1, b2=1)
-    insert = build_multilevel_insert(plan, None, REG, explicit=True)
-    assert insert.total == len(insert.cdc) == 68
-    assert all(insertion_predicate(w, 4, 4, 4) for w in insert.cdc)
-    vecs = {identifying_vector(w) for w in insert.cdc}
+    combined = run_plan(plan, REG, explicit=True)
+    insert = _minus(combined, _linkage_of(plan))
+    counts = combined.component_counts
+    assert counts["L_1"] + counts["L_2"] == len(insert) == 68
+    assert all(insertion_predicate(w, 4, 4, 4) for w in insert)
+    vecs = {identifying_vector(w) for w in insert}
     assert vecs == {tuple(int(c) for c in "11001100"),
                     tuple(int(c) for c in "00111100")}
-    combined = run_plan(plan, REG, explicit=True)
-    assert combined.total == len(combined.cdc) == 4690
+    assert combined.total == counts["C"] + 68 == len(combined.cdc) == 4690
 
 
 def test_multilevel_hypothesis_rejection():
     plan = _plan("multilevel_I", 2, 12, 4, 6, n1=6, u1=3, u2=3, c1=1, c2=1)
     with pytest.raises(HypothesisViolated):
-        build_multilevel_insert(plan, None, REG)  # u1 < d
+        run_plan(plan, REG, explicit=False)  # u1 < d
 
 
 def test_explicit_cutoff(monkeypatch):
     monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "100")
     plan = _plan("blocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1)
     with pytest.raises(EnumerationLimitExceeded):
-        build_blocks(plan, REG)
+        run_plan(plan, REG)
 
 
-def test_missing_subcode_for_nontrivial_base():
-    # an explicit spread would be needed; only its count is known
-    plan = _plan("parallel_blocks", 2, 12, 4, 4, n1=6, a1=2, b1=1, b2=1,
-                 t1=2, t2=2, c1=1, c2=1)
-    with pytest.raises(MissingSubcode):
-        build_parallel_blocks(plan, None, REG, explicit=True)
+def test_hypotheses_are_checked_before_any_subcode():
+    # t1 = 5 breaks the insert's t1 <= n1 - d/2; C1, a (6,*,4,4)_2 code of
+    # registry size 21, has no file, and the first part would ask for it
+    params = dict(n1=6, a1=2, b1=1, b2=1, t1=5, t2=2)
+    with pytest.raises(HypothesisViolated):
+        run_plan(_plan("multiblocks", 2, 10, 4, 4, **params), REG)
+    with pytest.raises(MissingSubcode, match=r"\(6,\*,4,4\)_2"):
+        run_plan(_plan("multiblocks", 2, 10, 4, 4, **dict(params, t1=2)), REG)
+
+
+def test_explicit_cutoff_holds_the_running_total(monkeypatch):
+    # the 4,622-word linkage part passes the cutoff, the 4,686-word union does not
+    monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "4650")
+    plan = _plan("multiblocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1, t1=2, t2=2)
+    assert len(_linkage_of(plan).cdc) == 4622
+    with pytest.raises(EnumerationLimitExceeded, match="4686"):
+        run_plan(plan, REG)
+
+
+def test_missing_subcode_for_nontrivial_base(tmp_path):
+    # an explicit spread would be needed for D1; only its count is known.  C1
+    # is given as a one-word file so that the linkage part builds and the
+    # insert's own slot is the one that misses
+    word = subspace_from_rows(hstack(Matrix.identity(gf(2), 4), Matrix.zero(gf(2), 4, 2)))
+    path = tmp_path / "c1.cdc"
+    path.write_text(cdc_to_text(CDC(2, 6, 4, 4, [word])))
+    plan = ConstructionPlan("parallel_blocks", 2, 10, 4, 4,
+                            dict(n1=6, a1=2, b1=1, b2=1, t1=2, t2=2, c1=1, c2=1),
+                            files={"C1": str(path)})
+    with pytest.raises(MissingSubcode, match=r"\(4,\*,4,2\)_2"):
+        run_plan(plan, REG, explicit=True)
 
 
 def test_subcode_from_file(tmp_path):
-    small = build_linkage(_plan("linkage", 2, 8, 4, 4, n1=4), REG, explicit=True)
+    small = run_plan(_plan("linkage", 2, 8, 4, 4, n1=4), REG)
     path = tmp_path / "c1.cdc"
     path.write_text(cdc_to_text(small.cdc))
     plan = ConstructionPlan("linkage", 2, 12, 4, 4, {"n1": 8},
                             files={"C1": str(path)})
-    out = build_linkage(plan, REG)
+    out = run_plan(plan, REG, explicit=False)
     assert out.component_counts["C1_part"] == 4622 * mrd_size(2, 4, 4, 2)
     # a file whose parameters disagree with the requested sub-code slot
     bad = ConstructionPlan("linkage", 2, 13, 4, 4, {"n1": 4},
                            files={"C2": str(path)})
     with pytest.raises(MissingSubcode):
-        build_linkage(bad, REG)
+        run_plan(bad, REG, explicit=False)
 
 
 def test_no_duplicates_across_components():
