@@ -7,13 +7,13 @@ Each construction family is written once, as a `Family`: its parameters
 in order, each with its admissible range given the ones before it (the
 hypotheses) or its derivation (n2 = n - n1, a2 = k - a1, u2 = k - u1, and
 lam = floor(n1/u1) unless given), and its count parts, whose sizes add up
-to the bound.  Four consumers evaluate that one spec: `evaluate` and
-`evaluate_row`; `constructions.run_plan`, which counts a plan part by part
-and materializes each part in an explicit build, so `build --count-only`
-equals `bound --plan` by construction (given the same sub-code sizes); the
-CLI's `bound` flags and plan mapping; and `optimize_parameters`, which
-walks the nest of the same ranges and evaluates each part once per prefix
-of the parameters it reads.
+to the bound.  Four consumers evaluate that one spec: `evaluate`, which
+`bound` (cor45 too) and `table` call; `constructions.run_plan`, which
+counts a plan part by part and materializes each part in an explicit
+build, so `build --count-only` equals `bound --plan` by construction
+(given the same sub-code sizes); the CLI's `bound` flags and plan mapping;
+and `optimize_parameters`, which walks the nest of the same ranges and
+evaluates each part once per prefix of the parameters it reads.
 
   family   plan family       construction
   linkage  linkage           two-block concatenation of smaller codes
@@ -23,7 +23,8 @@ of the parameters it reads.
   cor44    multilevel_II     linkage plus a ladder of shifted multilevel inserts
   blocks   blocks            the standalone blocks code (a build, no bound)
 
-cor45 is separate: seven closed-form polynomials in q.
+cor45 is no family of its own: `COR45` names one cor41-cor44 tuple for
+each of its seven (n, d, k).
 
 Coset counts must divide exactly; a remainder is a hard error, never a
 floor.
@@ -365,74 +366,19 @@ def evaluate(family: str, q: int, n: int, d: int, k: int, params: Dict[str, Opti
     return spec.bound(spec.resolve(q, n, d, k, params), registry or shipped_registry())
 
 
-# -- closed-form polynomial bounds -------------------------------------------
+# -- cor45 ----------------------------------------------------------------------
 
-# (n, d, k) -> [(registry key or None, {exponent: coefficient})]
-POLY_FAMILIES: Dict[Tuple[int, int, int], List[Tuple[Optional[Tuple[int, int, int]], Dict[int, int]]]] = {
-    (12, 4, 6): [
-        (None, {30: 1, 26: 1, 25: 1, 24: 2, 23: 1, 22: 1, 21: -1, 20: -2, 19: -3,
-                18: -1, 17: -1, 15: 3, 14: 3, 13: 4, 12: 4, 11: 1, 10: -1, 9: -3,
-                8: -3, 7: -2, 6: -1}),
-    ],
-    (14, 6, 7): [
-        (None, {35: 1, 26: 1, 25: 1, 24: 2, 23: 3, 22: 3, 21: 2, 20: 1, 19: -2,
-                18: -5, 17: -8, 16: -11, 15: -11, 14: -10, 13: -7, 12: -3, 11: 2,
-                10: 5, 9: 8, 8: 8, 7: 9, 6: 6, 5: 5, 4: 3, 3: 1}),
-    ],
-    (15, 4, 5): [
-        (None, {40: 1}),
-        ((10, 4, 5), {16: 1, 15: 1, 14: 2, 13: 1, 11: -2, 10: -3, 9: -4, 8: -2,
-                      6: 1, 5: 3, 4: 2, 3: 1}),
-        ((7, 4, 3), {12: 1}),
-    ],
-    (16, 6, 8): [
-        (None, {48: 1, 39: 1, 38: 1, 37: 2, 36: 3, 35: 3, 34: 3, 33: 2, 31: -4,
-                30: -6, 29: -10, 28: -10, 27: -11, 26: -7, 25: -3, 24: 6, 23: 12,
-                22: 19, 21: 23, 20: 25, 19: 22, 18: 16, 17: 9, 15: -7, 14: -13,
-                13: -15, 12: -17, 11: -13, 10: -11, 9: -8, 8: -5, 7: -4, 6: -2,
-                4: 1, 3: 1}),
-    ],
-    (18, 4, 6): [
-        (None, {60: 1}),
-        ((12, 4, 6), {26: 1, 25: 1, 24: 2, 23: 1, 22: 1, 21: -1, 20: -3, 19: -4,
-                      18: -3, 17: -2, 15: 4, 14: 5, 13: 5, 12: 3, 11: 1, 10: -1,
-                      9: -3, 8: -3, 7: -2, 6: -1}),
-        ((8, 4, 4), {28: 1, 27: 1, 26: 2, 25: 1, 23: -1, 22: -2, 21: -1}),
-    ],
-    (18, 6, 6): [
-        ((12, 6, 6), {24: 1}),
-        ((6, 6, 3), {15: 1}),
-        (None, {21: 1, 20: 1, 19: 2, 18: 3, 17: 3, 16: 3, 15: 3, 14: 2, 13: 1,
-                12: 1, 9: -1, 8: -1, 7: -2, 6: -3, 5: -3, 4: -3, 3: -3, 2: -2,
-                1: -1}),
-    ],
-    (18, 6, 9): [
-        (None, {63: 1, 54: 1, 53: 1, 52: 2, 51: 3, 50: 3, 49: 3, 48: 3, 47: 1,
-                46: -2, 45: -5, 44: -9, 43: -11, 42: -13, 41: -12, 40: -10,
-                39: -3, 38: 3, 37: 12, 36: 18, 35: 24, 34: 24, 33: 23, 32: 15,
-                31: 6, 30: -7, 29: -19, 28: -29, 27: -37, 26: -39, 25: -39,
-                24: -31, 23: -22, 22: -8, 21: 2, 20: 14, 19: 20, 18: 27, 17: 24,
-                16: 23, 15: 17, 14: 14, 13: 8, 12: 5, 11: 2, 10: 1}),
-    ],
+# the seven closed-form records of cor45, each one parameter tuple of the
+# families above: (n, d, k) -> (family, parameters)
+COR45 = {
+    (12, 4, 6): ("cor43", dict(n1=6, u1=4, c1=1, c2=1)),
+    (14, 6, 7): ("cor44", dict(n1=7, u1=3, b1=2, b2=1, lam=2)),
+    (15, 4, 5): ("cor41", dict(n1=5, a1=2, b1=1, b2=1, t1=2, t2=7)),
+    (16, 6, 8): ("cor42", dict(n1=8, a1=4, b1=1, b2=2, c1=2, c2=3, t1=4, t2=4)),
+    (18, 4, 6): ("cor41", dict(n1=6, a1=2, b1=1, b2=1, t1=2, t2=8)),
+    (18, 6, 6): ("cor41", dict(n1=12, a1=3, b1=2, b2=1, t1=6, t2=3)),
+    (18, 6, 9): ("cor43", dict(n1=9, u1=6, c1=1, c2=2)),
 }
-
-
-def bound_cor45_poly(n: int, d: int, k: int, q: int,
-                     registry: Optional[BaseBoundRegistry] = None) -> int:
-    """Evaluate one of the seven closed-form polynomial bounds at integer q."""
-    registry = registry or shipped_registry()
-    try:
-        parts = POLY_FAMILIES[(n, d, k)]
-    except KeyError:
-        raise HypothesisViolated(f"no polynomial bound for ({n},{d},{k})") from None
-    total = 0
-    for key, coeffs in parts:
-        value = sum(c * q**e for e, c in coeffs.items())
-        if key is not None:
-            nn, dd, kk = key
-            value *= registry.get(q, nn, dd, kk)
-        total += value
-    return total
 
 
 # -- table manifests ----------------------------------------------------------
@@ -485,10 +431,6 @@ def load_table_manifest(table_id: int) -> List[TableRow]:
     return parse_manifest(text)
 
 
-def evaluate_row(row: TableRow, registry: Optional[BaseBoundRegistry] = None) -> BoundResult:
-    return evaluate(row.family, row.q, row.n, row.d, row.k, row.params, registry)
-
-
 def reproduce_table(table_id: int, q_filter: Optional[int] = None,
                     registry: Optional[BaseBoundRegistry] = None) -> List[Dict]:
     """Evaluate every manifest row of one table against its published value.
@@ -500,7 +442,7 @@ def reproduce_table(table_id: int, q_filter: Optional[int] = None,
     for row in load_table_manifest(table_id):
         if q_filter is not None and row.q != q_filter:
             continue
-        result = evaluate_row(row, registry)
+        result = evaluate(row.family, row.q, row.n, row.d, row.k, row.params, registry)
         match = result.total == row.new
         out.append({
             "table": table_id, "row": row.row,

@@ -21,6 +21,9 @@ from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import cdc_from_text, cdc_to_text, verify_min_distance
 
 USAGE_EXIT, REGISTRY_EXIT, VERIFY_EXIT = 2, 3, 4
+# `count` refuses a value of order q^e with e * ceil(log2 q) over this many
+# bits (39,457 digits) before computing it; the table values have under 200
+COUNT_MAX_BITS = 1 << 17
 
 
 def _emit(obj) -> None:
@@ -35,26 +38,31 @@ def _load_registry(path: Optional[str]) -> BaseBoundRegistry:
     return reg
 
 
+# expression -> (function, arity)
+_COUNTS = {"gauss": (gauss_binomial, 3), "mrd": (mrd_size, 4),
+           "delsarte": (delsarte_rank_count, 5), "bounded": (bounded_rank_size, 5)}
+
+
 def _cmd_count(args) -> int:
-    expr = args.expr
-    vals = args.args
-    arity = {"gauss": 3, "mrd": 4, "delsarte": 5, "bounded": 5}
-    if expr not in arity:
+    expr, vals = args.expr, args.args
+    if expr not in _COUNTS:
         print(f"unknown expression {expr!r}", file=sys.stderr)
         return USAGE_EXIT
-    if len(vals) != arity[expr]:
-        print(f"{expr} takes {arity[expr]} integers, got {len(vals)}", file=sys.stderr)
+    fn, arity = _COUNTS[expr]
+    if len(vals) != arity:
+        print(f"{expr} takes {arity} integers, got {len(vals)}", file=sys.stderr)
         return USAGE_EXIT
-    factor_prime_power(vals[2] if expr == "gauss" else vals[0])  # q must be a prime power
     if expr == "gauss":
         n, k, q = vals
-        print(gauss_binomial(n, k, q))
-    elif expr == "mrd":
-        print(mrd_size(*vals))
-    elif expr == "delsarte":
-        print(delsarte_rank_count(*vals))
+        log_q = k * (n - k)  # [n choose k]_q < 4 q^(k(n-k))
     else:
-        print(bounded_rank_size(*vals))
+        q, a, b, d = vals[:4]
+        log_q = max(a, b) * (min(a, b) - d + 1)  # each count here is <= m(q,a,b,d)
+    factor_prime_power(q)  # q must be a prime power
+    if log_q * (q - 1).bit_length() > COUNT_MAX_BITS:
+        print(f"{expr} value is over the {COUNT_MAX_BITS}-bit cap of count", file=sys.stderr)
+        return USAGE_EXIT
+    print(fn(*vals))
     return 0
 
 
@@ -87,7 +95,10 @@ def _cmd_bound(args) -> int:
             stray = [name for name, value in given.items() if value is not None]
             if stray:
                 raise ValueError(f"cor45 takes no parameter {', '.join(stray)}")
-            total = bounds.bound_cor45_poly(n, d, k, q, registry)
+            if (n, d, k) not in bounds.COR45:
+                raise ValueError(f"cor45 has no tuple for ({n},{d},{k})")
+            family, given = bounds.COR45[n, d, k]
+            total = bounds.evaluate(family, q, n, d, k, given, registry).total
             _emit({"family": "cor45", "q": q, "n": n, "d": d, "k": k, "total": total})
             print(f"# A_{q}({n},{d},{k}) >= {total}", file=sys.stderr)
             return 0

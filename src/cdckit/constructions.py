@@ -124,8 +124,9 @@ def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
     """(U1 | M2) over C1 and the MRD code, then (M1 | U2) over the
     rank-capped MRD code and C2."""
     q, k, h, n1, n2 = p["q"], p["k"], p["h"], p["n1"], p["n2"]
+    mrd = gabidulin_mrd(q, k, n2, h)  # built once, enumerated anew for each U1
     for u1 in subs["C1"]:
-        for m2 in enumerate_code(gabidulin_mrd(q, k, n2, h)):
+        for m2 in enumerate_code(mrd):
             yield Subspace(hstack(u1.mat, m2), u1.pivots)
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
         for u2 in subs["C2"]:

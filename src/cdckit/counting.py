@@ -19,7 +19,7 @@ def gauss_binomial(n: int, k: int, q: int) -> int:
     if k > n:
         return 0
     out = 1
-    for i in range(k):
+    for i in range(min(k, n - k)):  # [n choose k]_q = [n choose n-k]_q
         out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
     return out
 

@@ -8,16 +8,19 @@ distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
 per-entry Gaussian elimination through the field's own `add`, `mul` and
 `inv`, independent of the packed-row kernels it checks.  `randrange_pairs`
 draws the verifier's sampled pairs by plain `random.Random.randrange`.
+`bound_cor45_poly` evaluates the cor45 records from their closed-form
+polynomials, the reference for the family tuples that `bound` evaluates.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.gf import GF, ExtField, same_field
 from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
+from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace
 
 
@@ -225,3 +228,74 @@ def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
     dim_s2 = u.k - mat_rank(right)  # vectors of u supported on first n1 coords
     dim_s1 = u.k - mat_rank(left)
     return dim_s1 >= d // 2 and dim_s2 >= d // 2
+
+
+# -- cor45 polynomials -----------------------------------------------------------
+#
+# The seven cor45 records as polynomials in q, each times at most one
+# registry value; `bounds.COR45` names the family tuple each one equals.
+
+# (n, d, k) -> [(registry key or None, {exponent: coefficient})]
+POLY_FAMILIES: Dict[Tuple[int, int, int], List[Tuple[Optional[Tuple[int, int, int]], Dict[int, int]]]] = {
+    (12, 4, 6): [
+        (None, {30: 1, 26: 1, 25: 1, 24: 2, 23: 1, 22: 1, 21: -1, 20: -2, 19: -3,
+                18: -1, 17: -1, 15: 3, 14: 3, 13: 4, 12: 4, 11: 1, 10: -1, 9: -3,
+                8: -3, 7: -2, 6: -1}),
+    ],
+    (14, 6, 7): [
+        (None, {35: 1, 26: 1, 25: 1, 24: 2, 23: 3, 22: 3, 21: 2, 20: 1, 19: -2,
+                18: -5, 17: -8, 16: -11, 15: -11, 14: -10, 13: -7, 12: -3, 11: 2,
+                10: 5, 9: 8, 8: 8, 7: 9, 6: 6, 5: 5, 4: 3, 3: 1}),
+    ],
+    (15, 4, 5): [
+        (None, {40: 1}),
+        ((10, 4, 5), {16: 1, 15: 1, 14: 2, 13: 1, 11: -2, 10: -3, 9: -4, 8: -2,
+                      6: 1, 5: 3, 4: 2, 3: 1}),
+        ((7, 4, 3), {12: 1}),
+    ],
+    (16, 6, 8): [
+        (None, {48: 1, 39: 1, 38: 1, 37: 2, 36: 3, 35: 3, 34: 3, 33: 2, 31: -4,
+                30: -6, 29: -10, 28: -10, 27: -11, 26: -7, 25: -3, 24: 6, 23: 12,
+                22: 19, 21: 23, 20: 25, 19: 22, 18: 16, 17: 9, 15: -7, 14: -13,
+                13: -15, 12: -17, 11: -13, 10: -11, 9: -8, 8: -5, 7: -4, 6: -2,
+                4: 1, 3: 1}),
+    ],
+    (18, 4, 6): [
+        (None, {60: 1}),
+        ((12, 4, 6), {26: 1, 25: 1, 24: 2, 23: 1, 22: 1, 21: -1, 20: -3, 19: -4,
+                      18: -3, 17: -2, 15: 4, 14: 5, 13: 5, 12: 3, 11: 1, 10: -1,
+                      9: -3, 8: -3, 7: -2, 6: -1}),
+        ((8, 4, 4), {28: 1, 27: 1, 26: 2, 25: 1, 23: -1, 22: -2, 21: -1}),
+    ],
+    (18, 6, 6): [
+        ((12, 6, 6), {24: 1}),
+        ((6, 6, 3), {15: 1}),
+        (None, {21: 1, 20: 1, 19: 2, 18: 3, 17: 3, 16: 3, 15: 3, 14: 2, 13: 1,
+                12: 1, 9: -1, 8: -1, 7: -2, 6: -3, 5: -3, 4: -3, 3: -3, 2: -2,
+                1: -1}),
+    ],
+    (18, 6, 9): [
+        (None, {63: 1, 54: 1, 53: 1, 52: 2, 51: 3, 50: 3, 49: 3, 48: 3, 47: 1,
+                46: -2, 45: -5, 44: -9, 43: -11, 42: -13, 41: -12, 40: -10,
+                39: -3, 38: 3, 37: 12, 36: 18, 35: 24, 34: 24, 33: 23, 32: 15,
+                31: 6, 30: -7, 29: -19, 28: -29, 27: -37, 26: -39, 25: -39,
+                24: -31, 23: -22, 22: -8, 21: 2, 20: 14, 19: 20, 18: 27, 17: 24,
+                16: 23, 15: 17, 14: 14, 13: 8, 12: 5, 11: 2, 10: 1}),
+    ],
+}
+
+
+def bound_cor45_poly(n: int, d: int, k: int, q: int, registry: BaseBoundRegistry) -> int:
+    """Evaluate one of the seven closed-form polynomial bounds at integer q."""
+    try:
+        parts = POLY_FAMILIES[(n, d, k)]
+    except KeyError:
+        raise HypothesisViolated(f"no polynomial bound for ({n},{d},{k})") from None
+    total = 0
+    for key, coeffs in parts:
+        value = sum(c * q**e for e, c in coeffs.items())
+        if key is not None:
+            nn, dd, kk = key
+            value *= registry.get(q, nn, dd, kk)
+        total += value
+    return total

@@ -12,8 +12,7 @@ import random
 import time
 from collections import Counter
 
-from cdckit.bounds import ALL_TABLE_IDS, bound_cor45_poly, evaluate, load_table_manifest, \
-    reproduce_table
+from cdckit.bounds import ALL_TABLE_IDS, COR45, evaluate, load_table_manifest, reproduce_table
 from cdckit.cli import main
 from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
@@ -22,8 +21,8 @@ from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry, shipped_registry
 from cdckit.subspaces import CDC, subspace_from_rows, verify_min_distance
-from oracles import hamming_lb_check, insertion_predicate, lift_matrix, mat_sub, \
-    subspace_distance
+from oracles import bound_cor45_poly, hamming_lb_check, insertion_predicate, lift_matrix, \
+    mat_sub, subspace_distance
 
 REG = shipped_registry()
 
@@ -109,17 +108,17 @@ def test_criterion_5_table_reproduction():
 
 def test_criterion_6_polynomial_cross_check():
     t0 = time.monotonic()
-    # path 1: stored polynomial; path 2: the parameterized formula stack
-    assert bound_cor45_poly(12, 4, 6, 2, REG) == 1214577088
-    assert evaluate("cor43", 2, 12, 4, 6,
-                    dict(n1=6, n2=6, u1=4, u2=2, c1=1, c2=1), REG).total == 1214577088
-    assert bound_cor45_poly(14, 6, 7, 2, REG) == 34532242136
-    assert evaluate("cor44", 2, 14, 6, 7,
-                    dict(n1=7, n2=7, u1=3, u2=4, b1=2, b2=1), REG).total == 34532242136
+    # path 1: the stored polynomial, the oracle; path 2: the family tuple
+    # that `bound --family cor45` evaluates through the formula stack
+    for (n, d, k), family, value in (((12, 4, 6), "cor43", 1214577088),
+                                     ((14, 6, 7), "cor44", 34532242136)):
+        assert bound_cor45_poly(n, d, k, 2, REG) == value
+        assert COR45[n, d, k][0] == family
+        assert evaluate(family, 2, n, d, k, COR45[n, d, k][1], REG).total == value
     # and both equal the published table values
     assert any(r.new == 1214577088 and r.q == 2 for r in load_table_manifest(4))
     assert any(r.new == 34532242136 and r.q == 2 for r in load_table_manifest(7))
-    _report(6, t0, 1.0, "closed-form polynomials equal the formula stack at q=2")
+    _report(6, t0, 1.0, "closed-form polynomials equal the cor45 family tuples at q=2")
 
 
 def test_criterion_7_explicit_construction_verification():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from cdckit.bounds import bound_cor45_poly, evaluate, evaluate_row, load_table_manifest, \
+from cdckit.bounds import COR45, evaluate, load_table_manifest, \
     optimize_parameters, reproduce_table
 from cdckit.counting import gauss_binomial
 from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
 from cdckit.registry import BaseBoundRegistry, shipped_registry
+from oracles import POLY_FAMILIES, bound_cor45_poly
 
 REG = shipped_registry()
 
@@ -87,23 +88,32 @@ def test_cor44_zero_width_case():
     assert r.terms["term:L2"] == lam1 * lam2
 
 
+def _cor45(q: int, n: int, d: int, k: int, registry) -> int:
+    """The cor45 record at (n, d, k): its family tuple, evaluated as `bound` does."""
+    family, params = COR45[n, d, k]
+    return evaluate(family, q, n, d, k, params, registry).total
+
+
 def test_cor45_polynomials_q2():
-    assert bound_cor45_poly(12, 4, 6, 2, REG) == 1214577088
-    assert bound_cor45_poly(14, 6, 7, 2, REG) == 34532242136
-    assert bound_cor45_poly(15, 4, 5, 2, REG) == 1252448902208
-    assert bound_cor45_poly(16, 6, 8, 2, REG) == 282927684887704
-    assert bound_cor45_poly(18, 6, 6, 2, REG) == 282958323493518
-    assert bound_cor45_poly(18, 6, 9, 2, REG) == 9271545179590910976
+    pinned = {(12, 4, 6): 1214577088, (14, 6, 7): 34532242136, (15, 4, 5): 1252448902208,
+              (16, 6, 8): 282927684887704, (18, 4, 6): 1321068380545845184,
+              (18, 6, 6): 282958323493518, (18, 6, 9): 9271545179590910976}
+    assert set(pinned) == set(COR45) == set(POLY_FAMILIES)
+    for (n, d, k), value in pinned.items():
+        assert _cor45(2, n, d, k, REG) == bound_cor45_poly(n, d, k, 2, REG) == value
 
 
 def test_cor45_degenerate_q_zero():
+    # the oracle's polynomial has no constant term
     assert bound_cor45_poly(12, 4, 6, 0, REG) == 0
 
 
 def test_cor45_registry_miss_names_entry():
-    with pytest.raises(RegistryMiss) as exc:
-        bound_cor45_poly(15, 4, 5, 3, REG)
-    assert exc.value.key == (3, 7, 4, 3)
+    # the tuple and the oracle miss the same registry value
+    for evaluate_cor45 in (_cor45, lambda q, n, d, k, reg: bound_cor45_poly(n, d, k, q, reg)):
+        with pytest.raises(RegistryMiss) as exc:
+            evaluate_cor45(3, 15, 4, 5, REG)
+        assert exc.value.key == (3, 7, 4, 3)
 
 
 def test_cor45_matches_tables_where_both_exist():
@@ -111,6 +121,7 @@ def test_cor45_matches_tables_where_both_exist():
     for (n, d, k), tid in pairs.items():
         for row in load_table_manifest(tid):
             if (row.n, row.d, row.k) == (n, d, k):
+                assert _cor45(row.q, n, d, k, REG) == row.new, (n, d, k, row.q)
                 assert bound_cor45_poly(n, d, k, row.q, REG) == row.new, (n, d, k, row.q)
 
 
@@ -150,7 +161,7 @@ def test_reproduce_table_spot_rows():
 def test_manifest_rows_recompute_from_breakdown():
     for tid in (1, 4, 6):
         for row in load_table_manifest(tid)[:3]:
-            result = evaluate_row(row, REG)
+            result = evaluate(row.family, row.q, row.n, row.d, row.k, row.params, REG)
             assert _recombined(result) == result.total
 
 
@@ -328,23 +339,22 @@ def test_bounds_equal_explicit_build_cardinalities():
 
 
 def test_poly_identity_for_registry_dependent_families():
-    # the two polynomials carrying registry factors equal the block-insert
-    # formula for every probe value of the unknown inputs (both sides are
-    # affine in them, so two probes pin the identity)
-    for probe in (1, 12345):
-        reg = BaseBoundRegistry()
-        reg.add(3, 12, 4, 6, probe, "probe")
-        reg.add(3, 8, 4, 4, probe + 7, "probe")
-        reg.add(3, 10, 4, 5, probe + 3, "probe")
-        reg.add(3, 7, 4, 3, probe + 1, "probe")
-        lhs = bound_cor45_poly(18, 4, 6, 3, reg)
-        rhs = evaluate("cor41", 3, 18, 4, 6,
-                       dict(n1=6, n2=12, a1=2, a2=4, b1=1, b2=1, t1=2, t2=8), reg).total
-        assert lhs == rhs
-        lhs = bound_cor45_poly(15, 4, 5, 3, reg)
-        rhs = evaluate("cor41", 3, 15, 4, 5,
-                       dict(n1=5, n2=10, a1=2, a2=3, b1=1, b2=1, t1=2, t2=7), reg).total
-        assert lhs == rhs
+    # each cor45 tuple equals its oracle polynomial as a function of q and of
+    # the registry values the polynomial names.  Both sides are polynomials
+    # in q of degree <= 63, so 64 integer points q = 2..65 pin them; both are
+    # affine in each registry value, so the corners of a box of probe values
+    # pin those (the argument is in CHANGES.md)
+    import itertools
+
+    for (n, d, k), parts in POLY_FAMILIES.items():
+        deps = [key for key, _ in parts if key is not None]
+        for probe in itertools.product((1, 12345), repeat=len(deps)):
+            reg = BaseBoundRegistry()
+            for q in range(2, 66):
+                for (nn, dd, kk), value in zip(deps, probe):
+                    reg.add(q, nn, dd, kk, value, "probe")
+                assert _cor45(q, n, d, k, reg) == bound_cor45_poly(n, d, k, q, reg), \
+                    (n, d, k, q, probe)
 
 
 def test_bound_equals_count_only_build_on_the_admissible_grid():

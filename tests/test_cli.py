@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,9 @@ def _json_lines(out: str):
 
 
 def test_count_examples(capsys):
+    # the README's examples
+    assert main(["count", "gauss", "4", "2", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "35"
     assert main(["count", "delsarte", "2", "3", "3", "2", "2"]) == 0
     assert capsys.readouterr().out.strip() == "49"
     assert main(["count", "gauss", "4", "0", "2"]) == 0
@@ -46,6 +50,37 @@ def test_count_prints_values_beyond_the_int_str_limit(capsys):
     for i in range(0, len(out), 1000):  # parsed in chunks, under the limit
         parsed = parsed * 10 ** len(out[i:i + 1000]) + int(out[i:i + 1000])
     assert len(out) > 4300 and parsed == gauss_binomial(200, 100, 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mrd", "2", "100000", "100000", "1"],
+    ["gauss", "100000", "50000", "2"],
+    ["delsarte", "3", "100000", "100000", "1", "1"],
+    ["bounded", "2", "100000", "100000", "1", "1"],
+    ["gauss", "200", "100", "2147483647"],  # q = 2^31 - 1, a prime
+])
+def test_count_refuses_a_value_over_the_size_cap(capsys, argv):
+    # each would build an integer of billions of bits; it exits 2 at once
+    t0 = time.monotonic()
+    assert main(["count"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1 and "-bit cap" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_count_at_the_size_cap(capsys):
+    # [n choose 1]_2 = 2^n - 1 has n bits: printed at the cap, refused past it
+    from cdckit.cli import COUNT_MAX_BITS
+
+    n = COUNT_MAX_BITS + 1  # k (n - k) = COUNT_MAX_BITS
+    assert main(["count", "gauss", str(n), "1", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.strip()) > 39000
+    # [n choose n-1]_2 is the same value, counted in one step, not n - 1
+    assert main(["count", "gauss", str(n), str(n - 1), "2"]) == 0
+    assert capsys.readouterr().out == out
+    assert main(["count", "gauss", str(n + 1), "1", "2"]) == 2
+    assert "-bit cap" in capsys.readouterr().err
 
 
 def test_count_usage_errors(capsys):
@@ -74,6 +109,37 @@ def test_bound_registry_miss_names_entry(capsys):
                  "--d", "4", "--k", "5"])
     assert code == 3
     assert "(3,7,4,3)" in capsys.readouterr().err
+
+
+_COR45_Q2 = {
+    (12, 4, 6): 1214577088,
+    (14, 6, 7): 34532242136,
+    (15, 4, 5): 1252448902208,
+    (16, 6, 8): 282927684887704,
+    (18, 4, 6): 1321068380545845184,
+    (18, 6, 6): 282958323493518,
+    (18, 6, 9): 9271545179590910976,
+}
+
+
+@pytest.mark.parametrize("q, n, d, k", [(2,) + key for key in _COR45_Q2]
+                         + [(3, 15, 4, 5), (2, 12, 4, 5)])
+def test_bound_cor45_stdout_is_pinned(capsys, q, n, d, k):
+    # the exact stdout line of each of the seven (n,d,k) at q = 2; at q = 3
+    # (15,4,5) needs A_3(7,4,3), a registry miss; (12,4,5) is not one of the
+    # seven and exits 2 with one line
+    code = main(["bound", "--family", "cor45", "--q", str(q), "--n", str(n),
+                 "--d", str(d), "--k", str(k)])
+    out, err = capsys.readouterr()
+    if (n, d, k) not in _COR45_Q2:
+        assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    elif q == 3:
+        assert code == 3 and out == "" and err == "registry miss: (3,7,4,3)\n"
+    else:
+        total = _COR45_Q2[n, d, k]
+        assert code == 0
+        assert out == (f'{{"d": {d}, "family": "cor45", "k": {k}, "n": {n}, '
+                       f'"q": 2, "total": {total}}}\n')
 
 
 def test_bound_hypothesis_violation_exits_2(capsys):

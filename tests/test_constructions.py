@@ -261,6 +261,28 @@ def test_subcode_from_file(tmp_path):
         run_plan(bad, REG, explicit=False)
 
 
+def test_linkage_builds_each_gabidulin_code_once(tmp_path, monkeypatch):
+    # a 5-word C1 (the spread of GF(2)^4) still gives one Gabidulin code for
+    # the (U1 | M2) words and one for the (M1 | U2) words
+    import cdckit.constructions as constructions
+
+    spread = run_plan(_plan("linkage", 2, 4, 4, 2, n1=2), REG)
+    path = tmp_path / "c1.cdc"
+    path.write_text(cdc_to_text(spread.cdc))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gabidulin_mrd(*args)
+
+    monkeypatch.setattr(constructions, "gabidulin_mrd", counted)
+    plan = ConstructionPlan("linkage", 2, 6, 4, 2, {"n1": 4}, files={"C1": str(path)})
+    out = run_plan(plan, REG)
+    assert len(spread.cdc) == 5 and out.total == len(out.cdc) == 5 * 4 + 1
+    assert calls == [(2, 2, 2, 2), (2, 2, 4, 2)]
+    assert verify_min_distance(out.cdc).ok(4)
+
+
 def test_no_duplicates_across_components():
     # the combined desk builds construct CDCs with strict duplicate detection
     for family, params in (
