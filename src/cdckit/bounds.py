@@ -296,12 +296,6 @@ class Family:
                 return skip
         return None
 
-    def grid(self, q: int, n: int, d: int, k: int) -> List[Dict[str, int]]:
-        """Every admissible p, in the order and with the defaults of `walk`."""
-        out: List[Dict[str, int]] = []
-        self.walk(q, n, d, k, lambda p, fresh: out.append(dict(p)))
-        return out
-
     def count(self, p, a) -> Tuple[int, Dict[str, int]]:
         """The total and the terms of all parts."""
         total, terms = 0, {}

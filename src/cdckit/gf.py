@@ -1,13 +1,16 @@
-"""Exact arithmetic over GF(q) and its extensions GF(q^m).
+"""Exact arithmetic over GF(q).
 
 Field elements are integer codes.  For GF(p^d) the code in [0, p^d) is read
 as the base-p digit vector of the residue polynomial: digit i is the
-coefficient of x^i.  For ExtField(GF(q), m) the code in [0, q^m) is read the
-same way with base-q digits, each digit itself a GF(q) element code.
+coefficient of x^i.
 
 Moduli come from a fixed table (lexicographically smallest monic irreducible
 polynomial, by digit code) so that element encodings are bit-exact across
 runs; anything not in the table is found by the same deterministic search.
+`field_modulus(q, t)` makes that choice for GF(p^d) over GF(p) and for
+GF(q^t) over GF(q) alike.  The Gabidulin generators need no table of
+GF(q^t): each entry is a base-q digit of a power of x mod f, and `x_power`
+computes it by square-and-multiply on base-q codes.
 
 Matrix rows over GF(q) are packed ints (see `matrices`): each entry takes a
 fixed `width` of 1, 2, 4 or 8 bits, column 0 highest.  In characteristic 2
@@ -58,11 +61,35 @@ _MODULUS_TABLE = {
 }
 
 
-def _small_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by the bases, then Miller-Rabin
+    to each base.  ValueError for an n with no such factor at or above
+    `_MR_EXACT_BELOW`, where the test is not exact."""
+    if n < 2:
         return False
-    for f in range(2, int(p**0.5) + 1):
-        if p % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to test: primality is exact only below 3.317e24")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -74,7 +101,7 @@ class GF:
     """
 
     def __init__(self, p: int, degree: int = 1):
-        if not _small_prime(p):
+        if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError("degree must be positive")
@@ -82,12 +109,7 @@ class GF:
         self.p = p
         self.degree = degree
         self.q = q
-        if degree == 1:
-            self.modulus: Tuple[int, ...] = ()
-        elif (p, degree) in _MODULUS_TABLE:
-            self.modulus = _MODULUS_TABLE[(p, degree)]
-        else:
-            self.modulus = _search_modulus(gf(p), degree)
+        self.modulus = field_modulus(p, degree)
         if degree > 1:
             base = gf(p)
             self._exp, self._log = _build_log_tables(
@@ -201,18 +223,6 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.degree == 1:
-            return pow(a, e, self.p) if e else 1 % self.p
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def elements(self):
-        return range(self.q)
-
 
 def same_field(a: GF, b: GF) -> GF:
     if a is not b and a != b:
@@ -228,7 +238,7 @@ def gf(q: int) -> GF:
     the module docstring), with the fixed modulus table."""
     if q in _CACHE:
         return _CACHE[q]
-    # q <= 256 before factoring, which takes sqrt(q) steps for a prime q
+    # no field above 256 has a row encoding
     p, degree = factor_prime_power(q) if q <= 256 else (0, 0)
     if not (p == 2 or 2 < p <= 7 and degree <= 2 or 11 <= p <= 127 and degree == 1):
         raise ValueError(f"GF({q}) is not supported: build and verify need q = 2^m <= 256, "
@@ -238,12 +248,29 @@ def gf(q: int) -> GF:
     return fld
 
 
+_TRIAL = 1 << 16  # factor_prime_power divides by every f below this
+
+
 def factor_prime_power(q: int) -> Tuple[int, int]:
-    """(p, degree) with p prime and p**degree == q, by trial division up to
-    sqrt(q); ValueError when q is not a prime power."""
+    """(p, degree) with p prime and p**degree == q; ValueError when q is not
+    a prime power.  Trial division finds a factor below 2^16.  Failing that,
+    every prime factor exceeds 2^16, so an e-th power has over 16e bits:
+    while q is a perfect e-th power for a prime e that allows, q is
+    replaced by its root, and `is_prime` decides what is left."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    root = math.isqrt(q)
+    p = next((f for f in range(2, min(root, _TRIAL) + 1) if q % f == 0), q)
+    if p == q and root > _TRIAL:
+        degree, e = 1, 2
+        while 16 * e < p.bit_length():
+            if is_prime(e) and (r := _iroot(p, e)) ** e == p:
+                p, degree = r, degree * e
+            else:
+                e += 1
+        if not is_prime(p):
+            raise ValueError(f"{q} is not a prime power")
+        return p, degree
     degree, m = 0, q
     while m % p == 0:
         m //= p
@@ -251,6 +278,43 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, degree
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)): a float estimate of the root of n's top bits, raised
+    to a sure upper bound (its error is below 2^-40), then Newton's method
+    from above."""
+    k = max(n.bit_length() // e - 60, 0)
+    r = (int(math.exp(math.log(n >> e * k) / e) * (1 + 2**-40)) + 1) << k
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def field_modulus(q: int, t: int) -> Tuple[int, ...]:
+    """The coefficients (c_0, ..., c_{t-1}) of the monic irreducible f of
+    degree t over GF(q) that defines GF(q^t): none for t = 1, the fixed
+    table's over a prime q (its keys are primes), the lex-smallest by
+    search otherwise."""
+    if t == 1:
+        return ()
+    if (q, t) in _MODULUS_TABLE:
+        return _MODULUS_TABLE[q, t]
+    return _search_modulus(gf(q), t)
+
+
+def x_power(e: int, base: GF, modulus: Sequence[int], c: int = 1) -> int:
+    """c x^e mod the modulus over `base`, c and the result base-q codes, by
+    square-and-multiply."""
+    out, square = c, base.q  # the code q is the polynomial x
+    while e:
+        if e & 1:
+            out = _poly_mul_code(out, square, base, modulus)
+        e >>= 1
+        square = _poly_mul_code(square, square, base, modulus)
+    return out
 
 
 # -- polynomial helpers over an arbitrary coefficient field -----------------
@@ -344,95 +408,17 @@ def _search_modulus(base: GF, degree: int) -> Tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _factorize(n: int) -> list:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _build_log_tables(q: int, mul):
-    """exp/log tables from the smallest primitive element code."""
-    factors = _factorize(q - 1)
+    """exp/log tables from the smallest primitive element code: the first g
+    with g^i != 1 for 0 < i < q - 1."""
     for g in range(2, q):
-        ok = True
-        for f in factors:
-            e = (q - 1) // f
-            # compute g^e by square-and-multiply with `mul`
-            acc, b, ee = 1, g, e
-            while ee:
-                if ee & 1:
-                    acc = mul(acc, b)
-                b = mul(b, b)
-                ee >>= 1
-            if acc == 1:
-                ok = False
-                break
-        if ok:
-            exp = [1] * (q - 1)
+        exp = [1]
+        while len(exp) < q - 1 and (x := mul(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
             log = [0] * q
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
+            for i, x in enumerate(exp):
                 log[x] = i
-                x = mul(x, g)
             return exp, log
     raise RuntimeError("no primitive element found")  # pragma: no cover
 
-
-class ExtField:
-    """GF(q^m) built over a base GF(q), with multiplication, powers and
-    expansion over GF(q), the operations the Gabidulin generators need.
-
-    Elements are coded in [0, q^m) as base-q digit vectors over the
-    polynomial basis (1, x, ..., x^{m-1}).
-    """
-
-    def __init__(self, base: GF, m: int):
-        if m < 1:
-            raise ValueError("extension degree must be positive")
-        self.base = base
-        self.m = m
-        self.order = base.q**m
-        if m == 1:
-            self.modulus: Tuple[int, ...] = ()
-        elif base.degree == 1 and (base.p, m) in _MODULUS_TABLE:
-            self.modulus = _MODULUS_TABLE[(base.p, m)]
-        else:
-            self.modulus = _search_modulus(base, m)
-        if m == 1:
-            self._exp, self._log = None, None
-        else:
-            self._exp, self._log = _build_log_tables(
-                self.order, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
-            )
-
-    def __repr__(self):
-        return f"ExtField(GF({self.base.q}), m={self.m})"
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return self.base.mul(a, b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0."""
-        if self.m == 1:
-            return self.base.pow(a, e)
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
-    def expand(self, a: int) -> Tuple[int, ...]:
-        """Coordinates of `a` over the polynomial basis, as GF(q) element codes."""
-        q = self.base.q
-        return tuple((a // q**i) % q for i in range(self.m))

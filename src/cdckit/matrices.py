@@ -59,17 +59,6 @@ class Matrix:
     def identity(cls, field: GF, k: int) -> "Matrix":
         return cls.from_packed(field, k, [1 << (k - 1 - i) * field.width for i in range(k)])
 
-    @classmethod
-    def from_rows(cls, field: GF, rows: Sequence[Sequence[int]]) -> "Matrix":
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        flat: List[int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(field, len(rows), ncols, flat)
-
     def __getattr__(self, name: str):
         # reached only for an unset slot: the entries of a matrix built by
         # `from_packed`, read for the first time
@@ -106,14 +95,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.nrows}x{self.ncols})"
-
-    def transpose(self) -> "Matrix":
-        e = tuple(
-            self.entries[r * self.ncols + c]
-            for c in range(self.ncols)
-            for r in range(self.nrows)
-        )
-        return Matrix(self.field, self.ncols, self.nrows, e)
 
 
 def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:

@@ -20,7 +20,7 @@ from .errors import (
     InvalidDistances,
     InvalidParameters,
 )
-from .gf import ExtField, GF, gf
+from .gf import GF, field_modulus, gf, x_power
 from .matrices import Matrix, hstack, mat_add, mat_rank, vstack
 
 
@@ -50,24 +50,26 @@ class LinearRankCode:
 def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
     """MRD code of minimum rank distance exactly d in a x b matrices.
 
-    Evaluates q-polynomials of q-degree <= min(a,b) - d over GF(q^max(a,b))
-    on the points 1, x, x^2, ..., expands coordinates over GF(q), and
-    transposes when a <= b so the output shape is a x b.
+    Evaluates the q-polynomials of q-degree <= s - d over GF(q^t), with
+    s = min(a,b) and t = max(a,b), on the points 1, x, ..., x^(s-1), where
+    GF(q^t) is GF(q)[x] mod f for f = `field_modulus(q, t)`.  The generator
+    for q-degree i and coefficient x^l maps point x^j to x^(l + j q^i), so
+    its entry at point j and coordinate r is the r-th base-q digit of
+    x^(l + j q^i) mod f.  Points index the columns when a >= b and the
+    rows otherwise, so the output shape is a x b.
     """
     if not 1 <= d <= min(a, b):
         raise InvalidDistance(f"need 1 <= d <= min(a,b), got d={d}, a={a}, b={b}")
     s, t = min(a, b), max(a, b)
-    ext = ExtField(gf(q), t)
-    points = [ext.pow(q if t > 1 else 1, j) for j in range(s)]
+    field, f = gf(q), field_modulus(q, t)
     gens = []
     for i in range(s - d + 1):  # q-degree of the monomial
-        qi = q**i
-        for l in range(t):  # basis coefficient beta = x^l
-            beta = ext.pow(q if t > 1 else 1, l)
-            cols = [ext.expand(ext.mul(beta, ext.pow(p, qi))) for p in points]
-            entries = [cols[j][r] for r in range(t) for j in range(s)]
-            mat = Matrix(gf(q), t, s, entries)
-            gens.append(mat if a >= b else mat.transpose())
+        images = [x_power(j * q**i, field, f) for j in range(s)]
+        for l in range(t):  # basis coefficient x^l; images[j] is x^(l + j q^i)
+            digits = [[v // q**r % q for r in range(t)] for v in images]  # [j][r]
+            rows = zip(*digits) if a >= b else digits
+            gens.append(Matrix(field, a, b, [x for row in rows for x in row]))
+            images = [x_power(1, field, f, v) for v in images]
     return LinearRankCode(q, a, b, d, gens)
 
 

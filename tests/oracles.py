@@ -6,19 +6,26 @@ lifting are how the tests check what the constructions produce.  The
 matrix and field helpers serve those checks (row operations, rank
 distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
 per-entry Gaussian elimination through the field's own `add`, `mul` and
-`inv`, independent of the packed-row kernels it checks.  `randrange_pairs`
-draws the verifier's sampled pairs by plain `random.Random.randrange`.
+`inv`, independent of the packed-row kernels it checks.  `ExtField` is
+GF(q^m) with full exp/log tables, the reference the Gabidulin generators
+are checked against, and `trial_factor_prime_power` factors a prime power
+by trial division up to sqrt(q), the reference for `factor_prime_power`.
+`grid` lists a family's admissible parameters.  `randrange_pairs` draws
+the verifier's sampled pairs by plain `random.Random.randrange`.
 `bound_cor45_poly` evaluates the cor45 records from their closed-form
 polynomials, the reference for the family tuples that `bound` evaluates.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
-from cdckit.gf import GF, ExtField, same_field
+from cdckit.bounds import Family
+from cdckit.gf import GF, _MODULUS_TABLE, _build_log_tables, _poly_mul_code, \
+    _search_modulus, same_field
 from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace
@@ -56,6 +63,22 @@ def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
         if r == len(rows):
             break
     return pivots
+
+
+def from_rows(field: GF, rows: Sequence[Sequence[int]]) -> Matrix:
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    flat: List[int] = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("ragged rows")
+        flat.extend(r)
+    return Matrix(field, len(rows), ncols, flat)
+
+
+def transpose(m: Matrix) -> Matrix:
+    e = tuple(m.entries[r * m.ncols + c] for c in range(m.ncols) for r in range(m.nrows))
+    return Matrix(m.field, m.ncols, m.nrows, e)
 
 
 def submatrix(m: Matrix, rows, cols) -> Matrix:
@@ -98,7 +121,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_kernel(m: Matrix) -> Matrix:
     """Basis of the left null space {v : v m = 0}, one vector per row."""
-    t = m.transpose()
+    t = transpose(m)
     red, pivots = mat_rref(t)
     free = [c for c in range(t.ncols) if c not in pivots]
     rows = []
@@ -111,7 +134,7 @@ def mat_kernel(m: Matrix) -> Matrix:
         rows.append(v)
     if not rows:
         return Matrix(f, 0, m.nrows, ())
-    return Matrix.from_rows(f, rows)
+    return from_rows(f, rows)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -122,6 +145,86 @@ def invert(m: Matrix) -> Matrix:
     if list(pivots) != list(range(m.nrows)):
         raise ValueError("matrix is singular")
     return submatrix(red, range(m.nrows), range(m.nrows, 2 * m.nrows))
+
+
+# -- fields ---------------------------------------------------------------------
+
+
+def field_pow(f: GF, a: int, e: int) -> int:
+    """a^e in GF(q) for e >= 0, by square-and-multiply through `f.mul`."""
+    out = 1
+    while e:
+        if e & 1:
+            out = f.mul(out, a)
+        a = f.mul(a, a)
+        e >>= 1
+    return out
+
+
+def trial_factor_prime_power(q: int) -> Tuple[int, int]:
+    """(p, degree) with p prime and p**degree == q, by trial division up to
+    sqrt(q); ValueError when q is not a prime power."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    degree, m = 0, q
+    while m % p == 0:
+        m //= p
+        degree += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, degree
+
+
+class ExtField:
+    """GF(q^m) built over a base GF(q), with multiplication, powers and
+    expansion over GF(q), the operations the Gabidulin generators need.
+
+    Elements are coded in [0, q^m) as base-q digit vectors over the
+    polynomial basis (1, x, ..., x^{m-1}).
+    """
+
+    def __init__(self, base: GF, m: int):
+        if m < 1:
+            raise ValueError("extension degree must be positive")
+        self.base = base
+        self.m = m
+        self.order = base.q**m
+        if m == 1:
+            self.modulus: Tuple[int, ...] = ()
+        elif base.degree == 1 and (base.p, m) in _MODULUS_TABLE:
+            self.modulus = _MODULUS_TABLE[(base.p, m)]
+        else:
+            self.modulus = _search_modulus(base, m)
+        if m == 1:
+            self._exp, self._log = None, None
+        else:
+            self._exp, self._log = _build_log_tables(
+                self.order, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
+            )
+
+    def __repr__(self):
+        return f"ExtField(GF({self.base.q}), m={self.m})"
+
+    def mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return self.base.mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0."""
+        if self.m == 1:
+            return field_pow(self.base, a, e)
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
+
+    def expand(self, a: int) -> Tuple[int, ...]:
+        """Coordinates of `a` over the polynomial basis, as GF(q) element codes."""
+        q = self.base.q
+        return tuple((a // q**i) % q for i in range(self.m))
 
 
 def ext_add(ext: ExtField, a: int, b: int) -> int:
@@ -228,6 +331,16 @@ def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
     dim_s2 = u.k - mat_rank(right)  # vectors of u supported on first n1 coords
     dim_s1 = u.k - mat_rank(left)
     return dim_s1 >= d // 2 and dim_s2 >= d // 2
+
+
+# -- families ------------------------------------------------------------------
+
+
+def grid(spec: Family, q: int, n: int, d: int, k: int) -> List[Dict[str, int]]:
+    """Every admissible p, in the order and with the defaults of `spec.walk`."""
+    out: List[Dict[str, int]] = []
+    spec.walk(q, n, d, k, lambda p, fresh: out.append(dict(p)))
+    return out
 
 
 # -- cor45 polynomials -----------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Every module-level name in `src/cdckit` is reached by the program.
+"""Every module-level name and public method in `src/cdckit` is reached by
+the program.
 
 A module-level function, class or constant must be referenced somewhere in
 the package outside its own definition, or be named in a file under
 `bench/` (the benchmark drives the package through those names), or be
-the CLI entry point `cli.main` or `__version__`.  Code that only tests
-reach belongs with the tests (see `oracles.py`), not in the package.
+the CLI entry point `cli.main` or `__version__`.  So must each public
+method of a class (one whose name has no leading underscore); as the
+check does not know types, any attribute of that name counts.  Code that
+only tests reach belongs with the tests (see `oracles.py`), not in the
+package.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ EXEMPT = {("cli", "main"), ("__init__", "__version__")}
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each top-level def, class or constant."""
+    """(name, first line, last line) of each top-level def, class or
+    constant, and of each public method, named `Class.method`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -61,14 +69,29 @@ def unreached_names(package: str = PACKAGE) -> list:
     bench = _bench_text()
     unreached = []
     for mod, tree in trees.items():
-        for name, first, last in _definitions(tree):
-            if (mod, name) in EXEMPT or re.search(rf"\b{re.escape(name)}\b", bench):
+        for qualified, first, last in _definitions(tree):
+            cls, _, name = qualified.rpartition(".")
+            # the benchmark reaches a method as an attribute, `.name`
+            in_bench = ("[.]" if cls else r"\b") + re.escape(name) + r"\b"
+            if (mod, qualified) in EXEMPT or re.search(in_bench, bench):
                 continue
             if not any(ref == name and (other != mod or not first <= line <= last)
                        for other, found in refs.items() for ref, line in found):
-                unreached.append(f"{mod}.{name}")
+                unreached.append(f"{mod}.{qualified}")
     return unreached
 
 
 def test_every_package_name_is_reached():
     assert unreached_names() == []
+
+
+def test_methods_are_checked(tmp_path):
+    # a method reached only from its own body is flagged; one reached
+    # through an attribute elsewhere in the package is not
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def used(self):\n        return 1\n"
+        "    def stranded(self):\n        return self.stranded()\n"
+        "    def _private(self):\n        pass\n"
+        "A().used()\n")
+    assert unreached_names(str(tmp_path)) == ["mod.A.stranded"]

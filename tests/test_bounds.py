@@ -9,7 +9,7 @@ from cdckit.bounds import COR45, evaluate, load_table_manifest, \
 from cdckit.counting import gauss_binomial
 from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from oracles import POLY_FAMILIES, bound_cor45_poly
+from oracles import POLY_FAMILIES, bound_cor45_poly, grid
 
 REG = shipped_registry()
 
@@ -200,7 +200,7 @@ def _brute_force(q, n, d, k, family, registry, target=None):
 
     spec = FAMILIES[family]
     best, evaluated = None, 0
-    for p in spec.grid(q, n, d, k):
+    for p in grid(spec, q, n, d, k):
         try:
             r = evaluate(family, q, n, d, k, {name: p[name] for name in spec.names}, registry)
         except RegistryMiss:
@@ -259,7 +259,7 @@ def test_parts_read_only_what_they_declare():
     for key in ((2, 12, 4, 5), (2, 12, 4, 6), (3, 13, 4, 6)):
         q, _, d, _ = key
         for spec in PLAN_FAMILIES.values():
-            for p in spec.grid(*key):
+            for p in grid(spec, *key):
                 for part in spec.parts:
                     cut = {name: p[name] for name in ("q", "n", "d", "k", "h") + part.reads
                            if name in p}
@@ -369,7 +369,7 @@ def test_bound_equals_count_only_build_on_the_admissible_grid():
             for k in range(1, n // 2 + 1):
                 for d in range(4, 2 * k + 1, 2):
                     for family, spec in FAMILIES.items():
-                        for p in spec.grid(q, n, d, k):
+                        for p in grid(spec, q, n, d, k):
                             params = {name: p[name] for name in spec.names}
                             plan = ConstructionPlan(spec.plan, q, n, d, k, params)
                             try:
@@ -405,6 +405,6 @@ def test_grid_is_the_admissible_set():
                 admitted.append(spec.resolve(q, n, d, k, dict(zip(free, values))))
             except HypothesisViolated:
                 pass
-        assert admitted and [dict(p) for p in spec.grid(q, n, d, k)] == admitted, family
+        assert admitted and [dict(p) for p in grid(spec, q, n, d, k)] == admitted, family
     for d in (3, 0):
-        assert list(FAMILIES["cor41"].grid(2, 12, d, 6)) == []
+        assert list(grid(FAMILIES["cor41"], 2, 12, d, 6)) == []

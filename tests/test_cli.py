@@ -413,6 +413,26 @@ def test_count_and_bound_take_a_prime_power_above_the_field_limit(tmp_path, caps
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("q", [2**61 - 1, (2**31 - 1)**2])
+def test_a_large_prime_power_q_is_answered_at_once(capsys, q):
+    # q has no factor below 2^16; the root and Miller-Rabin test decide it
+    t0 = time.monotonic()
+    assert main(["count", "mrd", str(q), "1", "1", "1"]) == 0
+    assert capsys.readouterr().out == f"{q}\n"
+    assert main(["bound", "--family", "linkage", "--q", str(q), "--n", "8", "--d", "4",
+                 "--k", "4", "--n1", "4"]) in (0, 3)
+    capsys.readouterr()
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_a_large_q_not_shown_to_be_a_prime_power_is_refused(capsys):
+    # a composite with no small factor, and a prime above the exact range
+    for q in ((2**31 - 1) * (2**61 - 1), 2**89 - 1):
+        assert main(["count", "mrd", str(q), "1", "1", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+
 def test_fields_with_no_byte_encoding_are_refused_by_build_and_verify(tmp_path, capsys):
     # GF(27) has no one-byte row encoding; build and verify refuse it with
     # one line, while count, bound and a count-only build take q = 27

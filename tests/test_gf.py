@@ -1,18 +1,23 @@
-"""Field arithmetic: axioms, fixed moduli, Frobenius, expansion.
+"""Field arithmetic: axioms, fixed moduli, prime powers, Frobenius, expansion.
 
-ExtField keeps only what the Gabidulin generators use (mul, pow, expand);
-the tests add in GF(q^m) coordinate-wise with `oracles.ext_add`, and take
-the Frobenius x -> x^q as a power.
+The package has no GF(q^m) arithmetic beyond powers of x (`gf.x_power`);
+the Frobenius and expansion tests check `oracles.ExtField`, the exp/log
+table field the Gabidulin generators are compared against.  They add in
+GF(q^m) coordinate-wise with `oracles.ext_add`, and take the Frobenius
+x -> x^q as a power.  `factor_prime_power` and `is_prime` are checked
+against trial division and a sieve, and on primes far beyond either.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cdckit.errors import InversionOfZero, MixedFields
-from cdckit.gf import ExtField, _MODULUS_TABLE, _search_modulus, gf, is_irreducible, \
-    same_field
-from oracles import ext_add
+from cdckit.gf import _MODULUS_TABLE, _MR_EXACT_BELOW, _iroot, _search_modulus, \
+    factor_prime_power, field_modulus, gf, is_irreducible, is_prime, same_field
+from oracles import ExtField, ext_add, trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -20,7 +25,7 @@ SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_field_axioms_exhaustive(q):
     f = gf(q)
-    els = list(f.elements())
+    els = list(range(q))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -65,8 +70,8 @@ def test_same_field_rejects_mixed_fields():
 def test_elements_stay_in_range():
     for q in SMALL_Q:
         f = gf(q)
-        for a in f.elements():
-            for b in f.elements():
+        for a in range(q):
+            for b in range(q):
                 assert 0 <= f.add(a, b) < q
                 assert 0 <= f.mul(a, b) < q
 
@@ -81,6 +86,96 @@ def test_modulus_table_irreducible():
 @pytest.mark.parametrize("p,deg", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 3)])
 def test_modulus_table_is_lex_smallest(p, deg):
     assert _MODULUS_TABLE[(p, deg)] == _search_modulus(gf(p), deg)
+
+
+def test_field_modulus_is_the_fields_own():
+    # one rule for GF(p^e) over GF(p) and GF(q^t) over GF(q): t = 1 has none
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 49, 256):
+        assert field_modulus(q, 1) == ()
+        p, e = factor_prime_power(q)
+        assert gf(q).modulus == field_modulus(p, e)
+    assert all(is_prime(p) for p, _ in _MODULUS_TABLE)  # the table is over prime bases
+    assert field_modulus(2, 8) == _MODULUS_TABLE[2, 8]
+    assert field_modulus(4, 3) == _search_modulus(gf(4), 3)  # base not prime
+    assert field_modulus(11, 2) == _search_modulus(gf(11), 2)  # not in the table
+    assert is_irreducible(field_modulus(16, 5), gf(16))
+
+
+def _sieve(limit):
+    prime = [False, False] + [True] * (limit - 2)
+    for f in range(2, int(limit**0.5) + 1):
+        if prime[f]:
+            prime[f * f::f] = [False] * len(range(f * f, limit, f))
+    return prime
+
+
+def _outcome(fn, q):
+    try:
+        return fn(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_factor_prime_power_matches_trial_division():
+    for q in range(-2, 200_000):
+        assert _outcome(factor_prime_power, q) == _outcome(trial_factor_prime_power, q), q
+
+
+def test_is_prime_matches_a_sieve():
+    prime = _sieve(200_000)
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if prime[n]]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    561, 1105, 2**32 + 1, 65537 * 65539,
+])
+def test_is_prime_rejects_pseudoprimes_and_composites(n):
+    assert not is_prime(n)
+
+
+# 2^64 - 59, 2^79 - 67 and bound - 168 are the largest primes below 2^64,
+# 2^79 and the bound of the exact range
+@pytest.mark.parametrize("p", [65537, 2**31 - 1, 4294967311, 2**61 - 1, 2**64 - 59,
+                               2**79 - 67, _MR_EXACT_BELOW - 168])
+def test_large_prime_powers_are_factored(p):
+    # p^e has no factor below 2^16, so above 2^32 the root test decides it
+    assert is_prime(p)
+    for e in (1, 2, 3, 6, 35):
+        assert factor_prime_power(p**e) == (p, e)
+
+
+def test_iroot_is_the_floor_of_the_root():
+    # the float estimate must start Newton's method above the root: checked
+    # at exact powers, one either side of them, and random n up to 4000 bits
+    rng = random.Random(11)
+    for _ in range(1500):
+        e = rng.randrange(1, 60)
+        n = rng.getrandbits(rng.randrange(1, 4000)) + 1
+        if rng.random() < 0.5:
+            n = max(1, (rng.getrandbits(rng.randrange(1, 200)) + 1)**e + rng.choice((-1, 0, 1)))
+        r = _iroot(n, e)
+        assert r**e <= n < (r + 1)**e, (n, e)
+
+
+def test_large_q_that_are_not_prime_powers_are_refused():
+    # below 2^32 trial division decides; above, a root below the bound
+    for q in (0, 1, 65537 * 65539, 65537**2 * 65539, (65537 * 65539)**6,
+              65537**5 * 65539**10, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(q)
+
+
+def test_a_root_beyond_the_exact_range_is_refused():
+    # the bound is itself a composite that passes Miller-Rabin to all 13
+    # bases; no root at or above it is tested, prime (2^89 - 1) or not
+    p = 2**89 - 1
+    for q in (_MR_EXACT_BELOW, (2**31 - 1) * (2**61 - 1), (2**61 - 1)**2 * (2**31 - 1),
+              p, p**2):
+        with pytest.raises(ValueError, match="too large to test"):
+            factor_prime_power(q)
 
 
 def _frobenius(ext, x):

@@ -1,8 +1,13 @@
-"""Gabidulin codes, their coset lists, and FDRM words, counted by the spec."""
+"""Gabidulin codes, their coset lists, and FDRM words, counted by the spec.
+
+The generators are compared with the exp/log table construction of
+`oracles.ExtField` on every small case, and at q = 16, t = 5 with powers
+of x taken by repeated shift-and-reduce."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,11 +16,11 @@ from cdckit.bounds import _lifted
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, \
     InvalidDistances, InvalidParameters
-from cdckit.gf import gf
+from cdckit.gf import field_modulus, gf
 from cdckit.matrices import Matrix, mat_rank
 from cdckit.rankcodes import FerrersShape, LinearRankCode, coset_lists, enumerate_code, \
     fdrm_words, gabidulin_mrd
-from oracles import mat_sub, rref_rows
+from oracles import ExtField, mat_sub, rref_rows, transpose
 
 
 def _rank_distribution(code, **kw):
@@ -91,6 +96,76 @@ def test_enumeration_matches_reference_order_over_fields(q, a, b):
     for rank_cap in (None, 0):
         words = [m.entries for m in enumerate_code(code, rank_cap=rank_cap)]
         assert words == list(_reference_words(code, rank_cap))
+
+
+def _oracle_generators(ext, a, b, d):
+    """The generators evaluated over the exp/log table field GF(q^t):
+    x^l (x^j)^(q^i) expanded over GF(q), transposed when a < b."""
+    q, s, t = ext.base.q, min(a, b), max(a, b)
+    points = [ext.pow(q if t > 1 else 1, j) for j in range(s)]
+    gens = []
+    for i in range(s - d + 1):
+        for l in range(t):
+            beta = ext.pow(q if t > 1 else 1, l)
+            cols = [ext.expand(ext.mul(beta, ext.pow(p, q**i))) for p in points]
+            mat = Matrix(gf(q), t, s, [cols[j][r] for r in range(t) for j in range(s)])
+            gens.append(mat if a >= b else transpose(mat))
+    return gens
+
+
+ORACLE_Q = (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 49, 256)
+
+
+def test_gabidulin_matches_the_table_field():
+    # every (q, a, b, d) with a, b <= 5 and q^max(a, b) <= 4096
+    cases = 0
+    for q in ORACLE_Q:
+        for t in range(1, 6):
+            if q**t > 4096:
+                break
+            ext = ExtField(gf(q), t)
+            for a, b in itertools.product(range(1, t + 1), repeat=2):
+                if max(a, b) != t:
+                    continue
+                for d in range(1, min(a, b) + 1):
+                    code = gabidulin_mrd(q, a, b, d)
+                    assert [g.packed for g in code.generators] == \
+                        [g.packed for g in _oracle_generators(ext, a, b, d)], (q, a, b, d)
+                    cases += 1
+    assert cases == 333
+
+
+def test_gabidulin_q16_t5_by_shift_and_reduce():
+    # GF(16^5) is beyond the table field's reach; x^e mod f is taken by
+    # multiplying by x e times: shift each digit up, then subtract the
+    # overflow digit times f
+    q, t, s, d = 16, 5, 5, 3
+    f, F = field_modulus(q, t), gf(q)
+    power = [[1, 0, 0, 0, 0]]  # x^e as its t digits, lowest first
+    for _ in range(t - 1 + (s - 1) * q**(s - d)):
+        v = [0] + power[-1]
+        top = v.pop()
+        power.append([F.sub(c, F.mul(top, fc)) for c, fc in zip(v, f)])
+    for a, b in ((5, 5), (5, 3), (3, 5)):
+        code = gabidulin_mrd(q, a, b, d)
+        m = min(a, b)
+        gens = iter(code.generators)
+        for i in range(m - d + 1):
+            for l in range(t):
+                g = next(gens)
+                for j in range(m):
+                    column = power[l + j * q**i]
+                    for r in range(t):
+                        assert (g[r, j] if a >= b else g[j, r]) == column[r], (a, b, i, l, j, r)
+    # the rank distance holds on random codewords of the 5 x 5 code
+    code, rng = gabidulin_mrd(q, 5, 5, d), random.Random(3)
+    for _ in range(200):
+        word = [0] * 25
+        for g in code.generators:
+            c = rng.randrange(q)
+            word = [F.add(x, F.mul(c, y)) for x, y in zip(word, g.entries)]
+        if any(word):
+            assert mat_rank(Matrix(F, 5, 5, word)) >= d
 
 
 def test_gabidulin_rejects_bad_distance():

@@ -16,9 +16,9 @@ from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_words, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
     lift_special_form, subspace_from_rows, verify_min_distance
-from oracles import AmbientMismatch, ferrers_of, first_minimum, hamming_lb_check, \
-    identifying_vector, insertion_predicate, lift_matrix, mat_sub, matmul, oracle_rref, \
-    randrange_pairs, special_form_vector, subspace_distance
+from oracles import AmbientMismatch, ferrers_of, first_minimum, from_rows, \
+    hamming_lb_check, identifying_vector, insertion_predicate, lift_matrix, mat_sub, matmul, \
+    oracle_rref, randrange_pairs, special_form_vector, subspace_distance
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -55,7 +55,7 @@ def test_canonical_form_collapses_row_equivalence():
 
 
 def test_example_identifying_vector_and_ferrers():
-    u = subspace_from_rows(Matrix.from_rows(gf(2), EXAMPLE_RREF))
+    u = subspace_from_rows(from_rows(gf(2), EXAMPLE_RREF))
     assert identifying_vector(u) == (1, 0, 1, 1, 0, 0, 0)
     row_lengths, tableaux = ferrers_of(u)
     assert row_lengths == (4, 3, 3)
@@ -64,7 +64,7 @@ def test_example_identifying_vector_and_ferrers():
 
 def test_identifying_vector_edges():
     f = gf(2)
-    lifted = lift_matrix(Matrix.from_rows(f, [[1, 0, 1], [0, 1, 1]]))
+    lifted = lift_matrix(from_rows(f, [[1, 0, 1], [0, 1, 1]]))
     assert identifying_vector(lifted) == (1, 1, 0, 0, 0)
     full = subspace_from_rows(Matrix.identity(f, 4))
     assert identifying_vector(full) == (1, 1, 1, 1)
@@ -77,7 +77,7 @@ def test_identifying_vector_edges():
 
 
 def test_distance_basics():
-    u = subspace_from_rows(Matrix.from_rows(gf(2), EXAMPLE_RREF))
+    u = subspace_from_rows(from_rows(gf(2), EXAMPLE_RREF))
     assert subspace_distance(u, u) == 0
     f = gf(2)
     left = subspace_from_rows(hstack(Matrix.identity(f, 3), Matrix.zero(f, 3, 3)))
@@ -90,9 +90,9 @@ def test_distance_basics():
 def test_distance_against_intersection_oracle():
     # dim of the intersection counted by exhausting one subspace's vectors
     f = gf(2)
-    u = subspace_from_rows(Matrix.from_rows(f, EXAMPLE_RREF))
+    u = subspace_from_rows(from_rows(f, EXAMPLE_RREF))
     e5 = [0, 0, 0, 0, 1, 0, 0]
-    v = subspace_from_rows(Matrix.from_rows(f, [EXAMPLE_RREF[0], EXAMPLE_RREF[1], e5]))
+    v = subspace_from_rows(from_rows(f, [EXAMPLE_RREF[0], EXAMPLE_RREF[1], e5]))
 
     def span(sub):
         vecs = set()
@@ -163,7 +163,7 @@ def test_insertion_predicate():
     u = subspace_from_rows(hstack(Matrix.identity(f, 3), Matrix.zero(f, 3, 3)))
     assert not insertion_predicate(u, 3, 3, 4)
     # a subspace meeting both sides in dimension 1: rows e1, e4
-    m = Matrix.from_rows(f, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+    m = from_rows(f, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
     w = subspace_from_rows(m)
     assert insertion_predicate(w, 3, 3, 2)
     assert not insertion_predicate(w, 3, 3, 4)
@@ -187,7 +187,7 @@ def test_lift_special_form():
     for i in range(3):
         bad[i][2 + i] = 1  # rank-3 M3 block in columns w1..w1+w2
     with pytest.raises(RankCapViolated):
-        lift_special_form(Matrix.from_rows(f, bad), sh)
+        lift_special_form(from_rows(f, bad), sh)
 
 
 def test_verify_single_codeword_sentinel():
@@ -209,7 +209,7 @@ def test_verify_pair_limit_counts_keys(monkeypatch):
     # k = 1: ten points of GF(2)^4 have 45 pairs but only 10 keys, so the
     # collision scan stays within a limit of 10
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
-    words = [subspace_from_rows(Matrix.from_rows(gf(2), [[v >> s & 1 for s in (3, 2, 1, 0)]]))
+    words = [subspace_from_rows(from_rows(gf(2), [[v >> s & 1 for s in (3, 2, 1, 0)]]))
              for v in range(1, 11)]
     report = verify_min_distance(CDC(2, 4, 1, 2, words))
     assert (report.min_found, report.witness, report.pairs_checked) == (2, (0, 1), 45)
@@ -283,7 +283,7 @@ def test_packed_order_is_entry_order(n):
     rng = random.Random(n)
     words = [_random_subspace(rng, 2, n, 3) for _ in range(50)]
     words += [_random_subspace(rng, 2, n, 3) for _ in range(10)]
-    words += [subspace_from_rows(Matrix.from_rows(gf(2), rows)) for rows in (
+    words += [subspace_from_rows(from_rows(gf(2), rows)) for rows in (
         [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 1) + [1]],
         [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 2) + [1, 0]],
     )]
@@ -400,7 +400,7 @@ def test_kernels_match_the_per_entry_oracle(q):
         # a rank-deficient stack: a combination of two rows, and a duplicate
         a, b = rng.randrange(q), rng.randrange(1, q)
         mixed = [f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(rows[0], rows[-1])]
-        for m in (Matrix.from_rows(f, rows), Matrix.from_rows(f, rows + [mixed, rows[-1]])):
+        for m in (from_rows(f, rows), from_rows(f, rows + [mixed, rows[-1]])):
             entries, pivots = oracle_rref(m)
             red, red_pivots = mat_rref(m)
             assert (red.entries, red_pivots) == (entries, pivots)
