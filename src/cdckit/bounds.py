@@ -33,7 +33,7 @@ floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -100,16 +100,24 @@ def linkage_part(p, a):
     return c1 + c2, {"term:C1": c1, "term:C2": c2, "theta": theta, "m(q,k,n2,d/2)": m}
 
 
+@lru_cache(maxsize=None)
+def _block_side(q: int, h: int, a: int, a_other: int, w: int, b: int) -> Tuple[int, int, int]:
+    """One side of insert B, a x w blocks with the other side's a_other:
+    (m, s, Delta_other), the MRD size m(q,a,w,d/2), this side's coset count
+    m(q,a,w,b)/m, and the other side's rank-capped size over width w."""
+    m = mrd_size(q, a, w, h)
+    return m, _exact_div(mrd_size(q, a, w, b), m), _bounded(q, a_other, w, h, a_other - h)
+
+
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2")
 def blocks_insert_part(p, a):
-    """Insert B: s coset-paired block codes over the sub-codes Q1, Q2."""
+    """Insert B: s coset-paired block codes over the sub-codes Q1, Q2.  Each
+    side's factors are fixed by its own t, so the search's t2 loop reuses
+    side 1's from the cache."""
     q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
-    w1, w2 = p["n1"] - t1, p["n2"] - t2
-    m1, m2 = mrd_size(q, a1, w1, h), mrd_size(q, a2, w2, h)
-    s = min(_exact_div(mrd_size(q, a1, w1, p["b1"]), m1),
-            _exact_div(mrd_size(q, a2, w2, p["b2"]), m2))
-    d1 = _bounded(q, a1, w2, h, a1 - h)
-    d2 = _bounded(q, a2, w1, h, a2 - h)
+    m1, s1, d2 = _block_side(q, h, a1, a2, p["n1"] - t1, p["b1"])
+    m2, s2, d1 = _block_side(q, h, a2, a1, p["n2"] - t2, p["b2"])
+    s = min(s1, s2)
     size = s * a("Q1", t1, a1) * m1 * d1 * a("Q2", t2, a2) * m2 * d2
     return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
 

@@ -1,7 +1,10 @@
 """Exact q-combinatorics: Gauss coefficients, MRD sizes, rank distributions.
 
 Everything returns plain Python ints; the table values downstream reach
-~10^52 so nothing here may round or overflow.
+~10^52 so nothing here may round or overflow.  All four are pure and
+cached per process: the parameter search asks for the same few thousand
+arguments hundreds of thousands of times.  An error is not cached, so an
+argument out of range raises on every call.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ def gauss_binomial(n: int, k: int, q: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def mrd_size(q: int, a: int, b: int, d: int) -> int:
     """Cardinality of a maximum rank-distance code in a x b matrices."""
     if not 1 <= d <= min(a, b):
@@ -47,6 +51,7 @@ def delsarte_rank_count(q: int, a: int, b: int, d: int, u: int) -> int:
     return gauss_binomial(min(a, b), u, q) * acc
 
 
+@lru_cache(maxsize=None)
 def bounded_rank_size(q: int, a: int, b: int, d: int, u: int) -> int:
     """1 + sum of rank-i counts for d <= i <= u; the `+1` is the zero matrix.
 

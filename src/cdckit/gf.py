@@ -65,6 +65,7 @@ _MODULUS_TABLE = {
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+_LONG = 10**30  # an error names an int this long by its length (`_named`)
 
 
 def is_prime(n: int) -> bool:
@@ -77,7 +78,8 @@ def is_prime(n: int) -> bool:
         if n % a == 0:
             return n == a
     if n >= _MR_EXACT_BELOW:
-        raise ValueError(f"{n} is too large to test: primality is exact only below 3.317e24")
+        raise ValueError(f"{_named(n, 'number')} is too large to test: primality is exact "
+                         "only below 3.317e24")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -256,9 +258,10 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     a prime power.  Trial division finds a factor below 2^16.  Failing that,
     every prime factor exceeds 2^16, so an e-th power has over 16e bits:
     while q is a perfect e-th power for a prime e that allows, q is
-    replaced by its root, and `is_prime` decides what is left."""
+    replaced by its root, and `is_prime` decides what is left.  The error
+    names a q of over 30 digits by its length (`_named`)."""
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        raise ValueError(f"{_named(q, 'q')} is not a prime power")
     root = math.isqrt(q)
     p = next((f for f in range(2, min(root, _TRIAL) + 1) if q % f == 0), q)
     if p == q and root > _TRIAL:
@@ -269,15 +272,28 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
             else:
                 e += 1
         if not is_prime(p):
-            raise ValueError(f"{q} is not a prime power")
+            raise ValueError(f"{_named(q, 'q')} is not a prime power")
         return p, degree
     degree, m = 0, q
     while m % p == 0:
         m //= p
         degree += 1
     if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise ValueError(f"{_named(q, 'q')} is not a prime power")
     return p, degree
+
+
+def _named(n: int, noun: str) -> str:
+    """n for an error message: itself, or "a D-digit <noun>" when it has
+    over 30 digits (D counted without `str`, which refuses an int of over
+    4,300 digits by default)."""
+    if -_LONG < n < _LONG:
+        return str(n)
+    m, sign = abs(n), "negative " if n < 0 else ""
+    digits = int(m.bit_length() * math.log10(2)) - 1  # one or two short
+    while 10**digits <= m:
+        digits += 1
+    return f"a {digits}-digit {sign}{noun}"
 
 
 def _iroot(n: int, e: int) -> int:

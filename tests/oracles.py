@@ -10,7 +10,8 @@ per-entry Gaussian elimination through the field's own `add`, `mul` and
 GF(q^m) with full exp/log tables, the reference the Gabidulin generators
 are checked against, and `trial_factor_prime_power` factors a prime power
 by trial division up to sqrt(q), the reference for `factor_prime_power`.
-`grid` lists a family's admissible parameters.  `randrange_pairs` draws
+`grid` lists a family's admissible parameters, and `blocks_insert_oracle`
+is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.
 `bound_cor45_poly` evaluates the cor45 records from their closed-form
 polynomials, the reference for the family tuples that `bound` evaluates.
@@ -23,7 +24,8 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
-from cdckit.bounds import Family
+from cdckit.bounds import Family, _bounded, _exact_div
+from cdckit.counting import mrd_size
 from cdckit.gf import GF, _MODULUS_TABLE, _build_log_tables, _poly_mul_code, \
     _search_modulus, same_field
 from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
@@ -341,6 +343,20 @@ def grid(spec: Family, q: int, n: int, d: int, k: int) -> List[Dict[str, int]]:
     out: List[Dict[str, int]] = []
     spec.walk(q, n, d, k, lambda p, fresh: out.append(dict(p)))
     return out
+
+
+def blocks_insert_oracle(p, a):
+    """Insert B as one expression, the reference for `blocks_insert_part`,
+    which takes each side's factors from a cached helper."""
+    q, h, a1, a2, t1, t2 = p["q"], p["h"], p["a1"], p["a2"], p["t1"], p["t2"]
+    w1, w2 = p["n1"] - t1, p["n2"] - t2
+    m1, m2 = mrd_size(q, a1, w1, h), mrd_size(q, a2, w2, h)
+    s = min(_exact_div(mrd_size(q, a1, w1, p["b1"]), m1),
+            _exact_div(mrd_size(q, a2, w2, p["b2"]), m2))
+    d1 = _bounded(q, a1, w2, h, a1 - h)
+    d2 = _bounded(q, a2, w1, h, a2 - h)
+    size = s * a("Q1", t1, a1) * m1 * d1 * a("Q2", t2, a2) * m2 * d2
+    return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
 
 
 # -- cor45 polynomials -----------------------------------------------------------

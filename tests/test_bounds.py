@@ -9,7 +9,7 @@ from cdckit.bounds import COR45, evaluate, load_table_manifest, \
 from cdckit.counting import gauss_binomial
 from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from oracles import POLY_FAMILIES, bound_cor45_poly, grid
+from oracles import POLY_FAMILIES, blocks_insert_oracle, bound_cor45_poly, grid
 
 REG = shipped_registry()
 
@@ -266,6 +266,36 @@ def test_parts_read_only_what_they_declare():
                     assert outcome(part, cut, q, d) == outcome(part, p, q, d), (spec.name, p)
                     walked += 1
     assert walked > 500
+
+
+def test_block_insert_split_matches_the_one_expression():
+    # blocks_insert_part takes each side's factors from a cached helper; on
+    # every grid tuple of the two families with insert B (cor41, the
+    # multiblocks plan, and cor42) it gives the one-expression formula's
+    # size and terms, or its error.  The shipped registry has every size
+    # here, so a second lookup also misses each (n', k') with n' + k' odd
+    from cdckit.bounds import FAMILIES, blocks_insert_part
+
+    def outcome(part, p, holes):
+        def a(_slot, n, k):
+            if holes and (n + k) % 2:
+                raise RegistryMiss(p["q"], n, p["d"], k)
+            return REG.get(p["q"], n, p["d"], k)
+        try:
+            return part(p, a)
+        except Exception as exc:  # every outcome is compared, errors included
+            return type(exc).__name__, str(exc)
+
+    walked = misses = 0
+    for key in ((2, 12, 4, 5), (2, 12, 4, 6), (3, 13, 4, 6), (4, 12, 6, 6)):
+        for family in ("cor41", "cor42"):
+            for p in grid(FAMILIES[family], *key):
+                for holes in (False, True):
+                    got = outcome(blocks_insert_part, p, holes)
+                    assert got == outcome(blocks_insert_oracle, p, holes), (family, p, holes)
+                    walked += 1
+                    misses += got[0] == "RegistryMiss"
+    assert walked == 2 * 441 and 0 < misses < walked
 
 
 def test_search_evaluates_parts_only_under_a_leaf():

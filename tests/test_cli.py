@@ -433,6 +433,17 @@ def test_a_large_q_not_shown_to_be_a_prime_power_is_refused(capsys):
         assert out == "" and len(err.strip().splitlines()) == 1
 
 
+def test_a_long_q_is_refused_in_one_short_line(capsys):
+    # the refusal names a q of over 30 digits by its length, not in full
+    q = str(10**3999)
+    for argv in (["count", "mrd", q, "1", "1", "1"],
+                 ["bound", "--family", "linkage", "--q", q, "--n", "8", "--d", "4", "--k", "4"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and len(err) < 200, argv
+        assert err == "error: a 4000-digit q is not a prime power\n"
+
+
 def test_fields_with_no_byte_encoding_are_refused_by_build_and_verify(tmp_path, capsys):
     # GF(27) has no one-byte row encoding; build and verify refuse it with
     # one line, while count, bound and a count-only build take q = 27

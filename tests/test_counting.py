@@ -132,6 +132,49 @@ def test_rank_counts_refuse_distance_below_one():
             bounded_rank_size(2, 3, 3, d, d - 1)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc).__name__, str(exc)
+
+
+def test_cached_counts_equal_their_uncached_bodies():
+    # mrd_size and bounded_rank_size are lru_cached; each equals its
+    # wrapped body on every small argument in range, and after those cached
+    # calls an argument out of range still raises, with the same message
+    calls = 0
+    for q in range(2, 10):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                for d in range(1, min(a, b) + 1):
+                    assert mrd_size(q, a, b, d) == mrd_size.__wrapped__(q, a, b, d)
+                    for u in range(min(a, b) + 1):
+                        args = (q, a, b, d, u)
+                        assert bounded_rank_size(*args) == bounded_rank_size.__wrapped__(*args)
+                        calls += 1
+    assert calls == 8 * sum(min(a, b) * (min(a, b) + 1) for a in range(1, 7)
+                            for b in range(1, 7))
+    for fn, args in ((mrd_size, (2, 3, 3, 4)), (mrd_size, (2, 3, 3, 0)),
+                     (bounded_rank_size, (2, 3, 3, 2, 4)), (bounded_rank_size, (2, 3, 3, 1, -5)),
+                     (bounded_rank_size, (2, 3, 3, 0, 1))):
+        expected = _outcome(fn.__wrapped__, *args)
+        assert expected[0] in ("InvalidDistance", "OutOfRange"), args
+        assert _outcome(fn, *args) == _outcome(fn, *args) == expected, args
+
+
+def test_count_stdout_with_warm_caches(capsys):
+    # the README's count examples print the same line again in one process,
+    # where the second run reads the cached values
+    from cdckit.cli import main
+
+    for argv, line in ((["count", "mrd", "2", "3", "3", "2"], "64\n"),
+                       (["count", "bounded", "2", "4", "4", "2", "3"], "2776\n")):
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == line
+
+
 def test_completeness_identity():
     # summing the whole rank distribution recovers the MRD cardinality
     for q in (2, 3, 4, 5, 7, 8, 9):

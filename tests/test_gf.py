@@ -178,6 +178,25 @@ def test_a_root_beyond_the_exact_range_is_refused():
             factor_prime_power(q)
 
 
+def test_a_long_int_is_named_by_its_length_in_errors():
+    # up to 30 digits an error shows the int as before; beyond, it gives the
+    # digit count, which is exact on both sides of each power of ten and
+    # is counted without str, so past Python's 4,300-digit limit too
+    assert _outcome(factor_prime_power, 10**30 - 1) == f"{10**30 - 1} is not a prime power"
+    assert _outcome(factor_prime_power, -(10**30 - 1)) == f"{-(10**30 - 1)} is not a prime power"
+    assert _outcome(factor_prime_power, 2**89 - 1) == \
+        f"{2**89 - 1} is too large to test: primality is exact only below 3.317e24"
+    for digits in (31, 32, 100, 4000, 4301, 9000):
+        for q in (10**(digits - 1), 10**digits - 1, 2 * 10**(digits - 1) + 2):
+            assert _outcome(factor_prime_power, q) == f"a {digits}-digit q is not a prime power"
+        assert _outcome(factor_prime_power, -10**(digits - 1)) == \
+            f"a {digits}-digit negative q is not a prime power"
+    # a composite of two primes beyond 2^16 reaches the primality test
+    q = (2**127 - 1) * (2**521 - 1)
+    assert _outcome(factor_prime_power, q) == (
+        "a 196-digit number is too large to test: primality is exact only below 3.317e24")
+
+
 def _frobenius(ext, x):
     return ext.pow(x, ext.base.q)
 
