@@ -40,6 +40,10 @@ from .rankcodes import FerrersShape, coset_lists, enumerate_code, fdrm_words, ga
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import CDC, Subspace, cdc_from_text, lift_special_form, subspace_from_rows
 
+# a plan reads no value of more digits than an argv int may have: Python's
+# default int-string limit, which the CLI lifts while a command runs
+PLAN_MAX_DIGITS = 4300
+
 
 @dataclass
 class ConstructionPlan:
@@ -68,7 +72,13 @@ def parse_plan(text: str) -> ConstructionPlan:
     if family not in PLAN_FAMILIES:
         raise HypothesisViolated(f"unknown family {family!r}")
     files = {k[: -len("_file")]: v for k, v in kv.items() if k.endswith("_file")}
-    params = {k: int(v) for k, v in kv.items() if not k.endswith("_file")}
+    params = {k: v for k, v in kv.items() if not k.endswith("_file")}
+    for key, value in params.items():
+        digits = len(value.lstrip("+-"))
+        if digits > PLAN_MAX_DIGITS:
+            raise HypothesisViolated(f"plan value {key} has {digits:,} digits; "
+                                     f"at most {PLAN_MAX_DIGITS:,} are read")
+        params[key] = int(value)
     core = {name: params.pop(name) for name in ("q", "n", "d", "k")}
     factor_prime_power(core["q"])  # a q that is not a prime power is refused here
     return ConstructionPlan(family=family, params=params, files=files, **core)

@@ -4,13 +4,14 @@ Field elements are integer codes.  For GF(p^d) the code in [0, p^d) is read
 as the base-p digit vector of the residue polynomial: digit i is the
 coefficient of x^i.
 
-Moduli come from a fixed table (lexicographically smallest monic irreducible
-polynomial, by digit code) so that element encodings are bit-exact across
-runs; anything not in the table is found by the same deterministic search.
-`field_modulus(q, t)` makes that choice for GF(p^d) over GF(p) and for
-GF(q^t) over GF(q) alike.  The Gabidulin generators need no table of
-GF(q^t): each entry is a base-q digit of a power of x mod f, and `x_power`
-computes it by square-and-multiply on base-q codes.
+One rule picks every modulus: `field_modulus(q, t)` is the lexicographically
+smallest monic irreducible polynomial of degree t over GF(q), by digit code,
+found by search, so element encodings are bit-exact across runs.  It defines
+GF(p^d) over GF(p) and GF(q^t) over GF(q) alike.  Products come from powers
+of x mod f, taken by square-and-multiply on base-q codes (`x_power`).  Each
+Gabidulin generator entry is a digit of one.  Multiplication by c in GF(p^d)
+is GF(p)-linear, so the products c b are the span of the c x^i: c b is the
+sum of b_i (c x^i) over the digits b_i of b, and the row tables hold them.
 
 Matrix rows over GF(q) are packed ints (see `matrices`): each entry takes a
 fixed `width` of 1, 2, 4 or 8 bits, column 0 highest.  In characteristic 2
@@ -19,47 +20,20 @@ base-p digit takes its own nibble, or its own byte when 2(p - 1) > 15, so an
 int sum adds digit-wise without carries and one `translate` reduces every
 digit mod p.  Both encodings increase with the element code, so packed rows
 order as their entries do.  A width dividing 8 keeps whole entries in each
-byte, and scaling a row by c is one `translate` by a 256-byte table.  Only
-fields with such an encoding are supported: q = 2^m <= 256, q in
-{3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
+byte, and scaling a row by c is one `translate` by a 256-byte table.  The
+scalar `add`, `sub`, `mul` and `inv` read the same tables, for every field
+alike.  Only fields with such an encoding are supported: q = 2^m <= 256,
+q in {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import xor
 from typing import Sequence, Tuple
 
 from .errors import InversionOfZero, MixedFields
-
-# (p, degree) -> coefficients (c_0, ..., c_{deg-1}) of the monic modulus
-# x^deg + c_{deg-1} x^{deg-1} + ... + c_0.  Lex-smallest irreducible by code
-# sum(c_i * p^i); verified by trial division in the test suite.
-_MODULUS_TABLE = {
-    (2, 2): (1, 1),
-    (2, 3): (1, 1, 0),
-    (2, 4): (1, 1, 0, 0),
-    (2, 5): (1, 0, 1, 0, 0),
-    (2, 6): (1, 1, 0, 0, 0, 0),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0),
-    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-    (3, 2): (1, 0),
-    (3, 3): (1, 2, 0),
-    (3, 4): (2, 1, 0, 0),
-    (3, 5): (1, 2, 0, 0, 0),
-    (3, 6): (2, 1, 0, 0, 0, 0),
-    (5, 2): (2, 0),
-    (5, 3): (1, 1, 0),
-    (5, 4): (2, 0, 0, 0),
-    (7, 2): (1, 0),
-    (7, 3): (2, 0, 0),
-    (7, 4): (1, 1, 0, 0),
-}
-
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
@@ -99,7 +73,7 @@ def is_prime(n: int) -> bool:
 class GF:
     """The field GF(p^degree) with integer-coded elements.
 
-    Use the :func:`gf` factory to get cached canonical instances.
+    Use the :func:`gf` factory: it makes one instance per q.
     """
 
     def __init__(self, p: int, degree: int = 1):
@@ -107,16 +81,10 @@ class GF:
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError("degree must be positive")
-        q = p**degree
         self.p = p
         self.degree = degree
-        self.q = q
+        self.q = p**degree
         self.modulus = field_modulus(p, degree)
-        if degree > 1:
-            base = gf(p)
-            self._exp, self._log = _build_log_tables(
-                q, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
-            )
         self._row_tables()
 
     def _row_tables(self) -> None:
@@ -144,10 +112,6 @@ class GF:
                 table = [(hi << w) | lo for hi in table for lo in one]
             return bytes(table)
 
-        self.mul_rows = [per_byte(lambda e: self.enc[self.mul(c, self.dec[e])])
-                         for c in range(q)]
-        self.negs = [self.neg(x) for x in range(q)]
-        self.invs = [0] + [self.inv(x) for x in range(1, q)]
         if p == 2:
             self.row_add = xor
         else:
@@ -155,6 +119,23 @@ class GF:
             self.mod_rows = per_byte(lambda e: sum(
                 (e >> i & ones) % p << i for i in range(0, w, digit)))
             self.row_add = self._add_digits
+        products = [self._products(c) for c in range(q)]
+        self.mul_rows = [per_byte(lambda e: row[self.dec[e]]) for row in products]
+        self.negs = [self.dec[e] for e in products[p - 1]]
+        self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
+
+    def _products(self, c: int) -> list:
+        """enc[c b] for b = 0, ..., q - 1: the GF(p)-span of the enc[c x^i],
+        digit 0 of b the fastest, with c x^(i+1) = x (c x^i) mod the modulus."""
+        out, v = [0], c
+        for i in range(self.degree):
+            if i:
+                v = x_power(1, gf(self.p), self.modulus, v)
+            step, layer = self.enc[v], out
+            for _ in range(self.p - 1):
+                layer = [self.row_add(e, step) for e in layer]
+                out += layer
+        return out
 
     def _add_digits(self, a: int, b: int) -> int:
         """The sum of two packed rows over odd p: digit-wise, then mod p."""
@@ -172,82 +153,37 @@ class GF:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and self.p == other.p
-            and self.degree == other.degree
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.degree, self.modulus))
-
     def add(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p, out, shift = self.p, 0, 1
-        while a or b:
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.degree == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p, out, shift = self.p, 0, 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self.dec[self.row_add(self.enc[a], self.enc[b])]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, self.negs[b])
 
     def mul(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.dec[self.mul_rows[a][self.enc[b]]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InversionOfZero("0 has no multiplicative inverse")
-        if self.degree == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self.invs[a]
 
 
 def same_field(a: GF, b: GF) -> GF:
-    if a is not b and a != b:
+    if a is not b:
         raise MixedFields(f"operands from {a} and {b}")
     return a
 
 
-_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def gf(q: int) -> GF:
-    """Canonical GF(q) for a prime power q with a one-byte row encoding (see
-    the module docstring), with the fixed modulus table."""
-    if q in _CACHE:
-        return _CACHE[q]
+    """The GF(q) of a prime power q with a one-byte row encoding (see the
+    module docstring); one instance per q."""
     # no field above 256 has a row encoding
     p, degree = factor_prime_power(q) if q <= 256 else (0, 0)
     if not (p == 2 or 2 < p <= 7 and degree <= 2 or 11 <= p <= 127 and degree == 1):
         raise ValueError(f"GF({q}) is not supported: build and verify need q = 2^m <= 256, "
                          f"q in {{3, 5, 7, 9, 25, 49}} or a prime 11 <= q <= 127")
-    fld = GF(p, degree)
-    _CACHE[q] = fld
-    return fld
+    return GF(p, degree)
 
 
 _TRIAL = 1 << 16  # factor_prime_power divides by every f below this
@@ -309,16 +245,12 @@ def _iroot(n: int, e: int) -> int:
         r = s
 
 
+@lru_cache(maxsize=None)
 def field_modulus(q: int, t: int) -> Tuple[int, ...]:
     """The coefficients (c_0, ..., c_{t-1}) of the monic irreducible f of
-    degree t over GF(q) that defines GF(q^t): none for t = 1, the fixed
-    table's over a prime q (its keys are primes), the lex-smallest by
-    search otherwise."""
-    if t == 1:
-        return ()
-    if (q, t) in _MODULUS_TABLE:
-        return _MODULUS_TABLE[q, t]
-    return _search_modulus(gf(q), t)
+    degree t over GF(q) that defines GF(q^t): none for t = 1, else the
+    lex-smallest by digit code (`_search_modulus`)."""
+    return _search_modulus(gf(q), t) if t > 1 else ()
 
 
 def x_power(e: int, base: GF, modulus: Sequence[int], c: int = 1) -> int:
@@ -329,7 +261,8 @@ def x_power(e: int, base: GF, modulus: Sequence[int], c: int = 1) -> int:
         if e & 1:
             out = _poly_mul_code(out, square, base, modulus)
         e >>= 1
-        square = _poly_mul_code(square, square, base, modulus)
+        if e:
+            square = _poly_mul_code(square, square, base, modulus)
     return out
 
 
@@ -376,22 +309,21 @@ def _poly_mul_code(a: int, b: int, base: GF, modulus: Sequence[int]) -> int:
     return _poly_to_code(prod, q)
 
 
-def _poly_divmod(num: list, den: list, base: GF):
+def _poly_mod(num: list, den: list, base: GF) -> list:
+    """The remainder of num divided by den, coefficient lists over `base`."""
     num = list(num)
     dd = len(den) - 1
     lead_inv = base.inv(den[-1])
-    quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
         f = base.mul(c, lead_inv)
-        quot[i - dd] = f
         for j, cj in enumerate(den):
             num[i - dd + j] = base.sub(num[i - dd + j], base.mul(f, cj))
     while num and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
@@ -407,8 +339,7 @@ def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
         for code in range(q**ddeg):
             den = _code_to_poly(code, q)
             den += [0] * (ddeg - len(den)) + [1]
-            _, rem = _poly_divmod(poly, den, base)
-            if not rem:
+            if not _poly_mod(poly, den, base):
                 return False
     return True
 
@@ -422,19 +353,3 @@ def _search_modulus(base: GF, degree: int) -> Tuple[int, ...]:
         if is_irreducible(coeffs, base):
             return coeffs
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-
-def _build_log_tables(q: int, mul):
-    """exp/log tables from the smallest primitive element code: the first g
-    with g^i != 1 for 0 < i < q - 1."""
-    for g in range(2, q):
-        exp = [1]
-        while len(exp) < q - 1 and (x := mul(exp[-1], g)) != 1:
-            exp.append(x)
-        if len(exp) == q - 1:
-            log = [0] * q
-            for i, x in enumerate(exp):
-                log[x] = i
-            return exp, log
-    raise RuntimeError("no primitive element found")  # pragma: no cover
-

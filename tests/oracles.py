@@ -5,11 +5,15 @@ diagrams, the Hamming lower bound, the insertion predicate and plain
 lifting are how the tests check what the constructions produce.  The
 matrix and field helpers serve those checks (row operations, rank
 distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
-per-entry Gaussian elimination through the field's own `add`, `mul` and
-`inv`, independent of the packed-row kernels it checks.  `ExtField` is
+per-entry Gaussian elimination through the field's scalar `add`, `mul` and
+`inv`, not the packed-row kernels it checks; the scalar ops read the same
+tables, which `test_gf` checks against `ExtField` and integer arithmetic.
+`ExtField` is
 GF(q^m) with full exp/log tables, the reference the Gabidulin generators
-are checked against, and `trial_factor_prime_power` factors a prime power
-by trial division up to sqrt(q), the reference for `factor_prime_power`.
+and the field's own row tables are checked against, over the pinned
+modulus table `_MODULUS_TABLE` that `gf.field_modulus` must reproduce by
+search.  `trial_factor_prime_power` factors a prime power by trial
+division up to sqrt(q), the reference for `factor_prime_power`.
 `grid` lists a family's admissible parameters, and `blocks_insert_oracle`
 is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.
@@ -26,8 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import Family, _bounded, _exact_div
 from cdckit.counting import mrd_size
-from cdckit.gf import GF, _MODULUS_TABLE, _build_log_tables, _poly_mul_code, \
-    _search_modulus, same_field
+from cdckit.gf import GF, _poly_mul_code, _search_modulus, same_field
 from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace
@@ -132,7 +135,7 @@ def mat_kernel(m: Matrix) -> Matrix:
         v = [0] * t.ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red[r, fc])
+            v[pc] = f.negs[red[r, fc]]
         rows.append(v)
     if not rows:
         return Matrix(f, 0, m.nrows, ())
@@ -161,6 +164,50 @@ def field_pow(f: GF, a: int, e: int) -> int:
         a = f.mul(a, a)
         e >>= 1
     return out
+
+
+# (p, degree) -> coefficients (c_0, ..., c_{deg-1}) of the monic modulus
+# x^deg + c_{deg-1} x^{deg-1} + ... + c_0.  Lex-smallest irreducible by code
+# sum(c_i * p^i), the pinned reference for `gf.field_modulus`.
+_MODULUS_TABLE = {
+    (2, 2): (1, 1),
+    (2, 3): (1, 1, 0),
+    (2, 4): (1, 1, 0, 0),
+    (2, 5): (1, 0, 1, 0, 0),
+    (2, 6): (1, 1, 0, 0, 0, 0),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 2): (1, 0),
+    (3, 3): (1, 2, 0),
+    (3, 4): (2, 1, 0, 0),
+    (3, 5): (1, 2, 0, 0, 0),
+    (3, 6): (2, 1, 0, 0, 0, 0),
+    (5, 2): (2, 0),
+    (5, 3): (1, 1, 0),
+    (5, 4): (2, 0, 0, 0),
+    (7, 2): (1, 0),
+    (7, 3): (2, 0, 0),
+    (7, 4): (1, 1, 0, 0),
+}
+
+
+def _build_log_tables(q: int, mul):
+    """exp/log tables from the smallest primitive element code: the first g
+    with g^i != 1 for 0 < i < q - 1."""
+    for g in range(2, q):
+        exp = [1]
+        while len(exp) < q - 1 and (x := mul(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, x in enumerate(exp):
+                log[x] = i
+            return exp, log
+    raise RuntimeError("no primitive element found")  # pragma: no cover
 
 
 def trial_factor_prime_power(q: int) -> Tuple[int, int]:

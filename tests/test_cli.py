@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 import time
 
 import pytest
@@ -442,6 +444,39 @@ def test_a_long_q_is_refused_in_one_short_line(capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and len(err) < 200, argv
         assert err == "error: a 4000-digit q is not a prime power\n"
+
+
+def test_a_plan_value_longer_than_an_argv_int_is_refused_at_once(tmp_path, capsys):
+    # a random 100,000-bit q with no factor below 2^16 would stall the
+    # prime-power test; a plan reads no value of over 4,300 digits, as argv
+    sieve = bytearray([1]) * (1 << 16)
+    for f in range(2, 256):
+        sieve[f * f::f] = bytes(len(range(f * f, 1 << 16, f)))
+    primes = [f for f in range(2, 1 << 16) if sieve[f]]
+    rng = random.Random(14)
+    q = rng.getrandbits(100_000) | 1 << 99_999
+    while any(q % f == 0 for f in primes):
+        q += 1
+    set_digits = getattr(sys, "set_int_max_str_digits", None)  # Python 3.10.7 on
+    if set_digits:
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
+    try:
+        text = LINKAGE_PLAN.replace("q = 2", f"q = {q}")
+    finally:
+        if set_digits:
+            set_digits(limit)
+    path = tmp_path / "long.plan"
+    path.write_text(text)
+    for argv in (["bound", "--plan", str(path)], ["build", "--count-only", "--plan", str(path)]):
+        t0 = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - t0 < 2.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: plan value q has 30,103 digits; at most 4,300 are read\n"
+    path.write_text(LINKAGE_PLAN.replace("n1 = 4", "n1 = " + "0" * 4299 + "4"))
+    assert main(["bound", "--plan", str(path)]) == 0  # 4,300 digits are read
+    capsys.readouterr()
 
 
 def test_fields_with_no_byte_encoding_are_refused_by_build_and_verify(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""Field arithmetic: axioms, fixed moduli, prime powers, Frobenius, expansion.
+"""Field arithmetic: axioms, moduli, tables, prime powers, Frobenius, expansion.
 
-The package has no GF(q^m) arithmetic beyond powers of x (`gf.x_power`);
-the Frobenius and expansion tests check `oracles.ExtField`, the exp/log
-table field the Gabidulin generators are compared against.  They add in
+The package has no GF(q^m) arithmetic beyond powers of x (`gf.x_power`),
+and each GF(q) is its row tables; every supported field's tables are
+checked against integers mod p or `oracles.ExtField`, and the searched
+moduli against the pinned `oracles._MODULUS_TABLE`.  The Frobenius and
+expansion tests check `oracles.ExtField`, the exp/log table field the
+Gabidulin generators are compared against.  They add in
 GF(q^m) coordinate-wise with `oracles.ext_add`, and take the Frobenius
 x -> x^q as a power.  `factor_prime_power` and `is_prime` are checked
 against trial division and a sieve, and on primes far beyond either.
@@ -15,11 +18,14 @@ import random
 import pytest
 
 from cdckit.errors import InversionOfZero, MixedFields
-from cdckit.gf import _MODULUS_TABLE, _MR_EXACT_BELOW, _iroot, _search_modulus, \
-    factor_prime_power, field_modulus, gf, is_irreducible, is_prime, same_field
-from oracles import ExtField, ext_add, trial_factor_prime_power
+from cdckit.gf import _MR_EXACT_BELOW, _iroot, _search_modulus, factor_prime_power, \
+    field_modulus, gf, is_irreducible, is_prime, same_field
+from oracles import _MODULUS_TABLE, ExtField, ext_add, trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
+# every q with a row encoding: 2^m <= 256, 3, 5, 7, 9, 25, 49, primes to 127
+SUPPORTED_Q = sorted({2**m for m in range(1, 9)} | {3, 5, 7, 9, 25, 49}
+                     | {p for p in range(11, 128) if is_prime(p)})
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -29,7 +35,7 @@ def test_field_axioms_exhaustive(q):
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.negs[a]) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
     for a in els:
@@ -83,9 +89,46 @@ def test_modulus_table_irreducible():
         assert is_irreducible(coeffs, gf(p)), (p, deg)
 
 
-@pytest.mark.parametrize("p,deg", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 3)])
+@pytest.mark.parametrize("p,deg", sorted(_MODULUS_TABLE))
 def test_modulus_table_is_lex_smallest(p, deg):
     assert _MODULUS_TABLE[(p, deg)] == _search_modulus(gf(p), deg)
+    assert field_modulus(p, deg) == _MODULUS_TABLE[(p, deg)]
+
+
+def test_one_field_per_q():
+    assert len(SUPPORTED_Q) == 41
+    for q in SUPPORTED_Q:
+        assert gf(q) is gf(q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_tables_match_independent_arithmetic(q):
+    # the scalar ops read the row tables the kernels use; here they meet
+    # arithmetic that shares no table of GF(q) with them: integers mod p,
+    # and for p^e the exp/log field over the pinned modulus with digit-wise
+    # sums, whose digit arithmetic is GF(p)'s, checked by the prime case
+    f = gf(q)
+    p, e = factor_prime_power(q)
+    els = range(q)
+    if e == 1:
+        for a in els:
+            assert f.negs[a] == -a % p
+            if a:
+                assert f.inv(a) == pow(a, p - 2, p)
+            for b in els:
+                assert (f.add(a, b), f.sub(a, b), f.mul(a, b)) == \
+                    ((a + b) % p, (a - b) % p, a * b % p)
+        return
+    ext = ExtField(gf(p), e)
+    assert ext.modulus == _MODULUS_TABLE[p, e] == f.modulus
+    for a in els:
+        assert ext_add(ext, a, f.negs[a]) == 0
+        if a:
+            assert f.inv(a) == ext.pow(a, q - 2)
+        for b in els:
+            assert f.add(a, b) == ext_add(ext, a, b)
+            assert ext_add(ext, f.sub(a, b), b) == a
+            assert f.mul(a, b) == ext.mul(a, b)
 
 
 def test_field_modulus_is_the_fields_own():
