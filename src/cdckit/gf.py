@@ -138,8 +138,12 @@ class GF:
         return out
 
     def _add_digits(self, a: int, b: int) -> int:
-        """The sum of two packed rows over odd p: digit-wise, then mod p."""
+        """The sum of two packed rows over odd p: digit-wise, then mod p.
+        Two digits below p <= 127 never carry out of theirs, so a sum below
+        256 is one byte of digits, and one table lookup reduces it."""
         s = a + b
+        if s < 256:
+            return self.mod_rows[s]
         return int.from_bytes(s.to_bytes((s.bit_length() + 7) >> 3, "big")
                               .translate(self.mod_rows), "big")
 

@@ -10,9 +10,10 @@ verification draws its pairs by `getrandbits` with rejection, the same
 pairs `randrange` draws.  Exhaustive verification instead finds the
 highest t at which two codewords share a t-subspace, keying each codeword's
 [k t]_q t-subspaces by their concatenated packed rows, and compares pairs
-only when they are fewer than the keys.  The CDC file format renders and
-checks each distinct row once, and keeps a record that is already in RREF
-as it is.
+only when they are fewer than the keys.  For a code of N words, the first N
+pairs bound the minimum beforehand, and only the levels whose distance is
+below that bound are keyed.  The CDC file format renders and checks each
+distinct row once, and keeps a record that is already in RREF as it is.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .counting import gauss_binomial
@@ -261,10 +262,20 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     by that pivot set, one group held at a time.  The levels hold up to
     N * sum_t [k t]_q keys; when the N(N-1)/2 pairs are fewer, they are
     compared instead.
+
+    Before any level is keyed, the first N pairs in i-major order give an
+    upper bound m on the minimum and w, the first of them at distance m,
+    and the scan stops before the first level with 2(k - t) >= m.  This is
+    exact: a level with 2(k - t) < m that collides gives its result as
+    before; if none does, no pair is closer than m, so m is the minimum;
+    and every pair before w lies in the prefix at a distance above m, so w
+    is the first pair at distance m.  A duplicate in the prefix gives
+    m = 0, and no level is keyed.
     """
     k, q, words = code.k, code.q, code.codewords
     if 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) >= len(words):
         return _min_pair(code, combinations(range(len(words)), 2))
+    best, witness = _min_pair(code, islice(combinations(range(len(words)), 2), len(words)))
     f = words[0].field
     span = _span_gf2 if q == 2 else partial(_span, f)
     by_pivots: dict = {}
@@ -314,11 +325,11 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
                     break
         return min(found, default=None)
 
-    for t in range(k, 0, -1):
+    for t in range(k, k - best // 2, -1):  # the levels with 2(k - t) < best
         found = level(t)
         if found is not None:
             return 2 * (k - t), found
-    return 2 * k, (0, 1)
+    return best, witness
 
 
 def _span(f: GF, g: Tuple[int, ...], r: int, cols: List[int]) -> List[int]:

@@ -20,6 +20,7 @@ import pytest
 from cdckit.errors import InversionOfZero, MixedFields
 from cdckit.gf import _MR_EXACT_BELOW, _iroot, _search_modulus, factor_prime_power, \
     field_modulus, gf, is_irreducible, is_prime, same_field
+from cdckit.matrices import Matrix, row_codes
 from oracles import _MODULUS_TABLE, ExtField, ext_add, trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -110,6 +111,17 @@ def test_tables_match_independent_arithmetic(q):
     f = gf(q)
     p, e = factor_prime_power(q)
     els = range(q)
+    if p > 2:
+        # `row_add` on rows of one byte and of several (entries are 4 or 8
+        # bits wide): digit-wise sums mod p
+        rng = random.Random(q)
+        for n in (1, 2, 3, 9):
+            for _ in range(60):
+                a, b = ([rng.randrange(q) for _ in range(n)] for _ in "ab")
+                total = f.row_add(Matrix(f, 1, n, a).packed[0], Matrix(f, 1, n, b).packed[0])
+                assert row_codes(f, total, n) == tuple(
+                    sum((x // p**i + y // p**i) % p * p**i for i in range(e))
+                    for x, y in zip(a, b))
     if e == 1:
         for a in els:
             assert f.negs[a] == -a % p

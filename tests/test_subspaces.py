@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations, islice
 
 import pytest
 
+from cdckit import subspaces
 from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded, RankCapViolated
@@ -545,3 +547,108 @@ def test_exhaustive_pair_minimum_stops_exactly(q):
         assert dists[-1] == best
         report = verify_min_distance(code)
         assert (report.min_found, report.witness) == (best, witness)
+
+
+def _prefix(n_words):
+    """The first N pairs in i-major order of a code of N words, which bound
+    the minimum before exhaustive verification keys any level."""
+    return list(islice(combinations(range(n_words), 2), n_words))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_prefix_bound_matches_pairwise_oracle(q):
+    # codes of lines in GF(q)^6 with more words than 2 * ([2 1]_q + [2 2]_q),
+    # so their levels are keyed: a partial spread, every pair at 2k = 4, and
+    # one line more that meets some of its words, wherever that line sorts
+    size = 2 * (q + 2) + 1
+    spread = sorted((lift_matrix(m) for m in enumerate_code(gabidulin_mrd(q, 2, 4, 2))),
+                    key=Subspace.key)
+    base = spread[:size - 1]
+    prefix = set(_prefix(size))
+    rng = random.Random(7000 + q)
+    codes = {}
+    while len(codes) < 3:
+        x = _random_subspace(rng, q, 6, 2)
+        words = sorted(base + [x], key=Subspace.key)
+        i = words.index(x)
+        dists = [subspace_distance(x, w) for w in words]
+        near = [tuple(sorted((i, j))) for j, d in enumerate(dists) if d == 2]
+        if near and 0 not in dists[:i] + dists[i + 1:]:
+            inside = {p in prefix for p in near}
+            codes.setdefault("inside" if inside == {True} else
+                             "after" if inside == {False} else "tie", words)
+    codes["duplicate in prefix"] = base + base[:1]
+    codes["duplicate after prefix"] = base + base[4:5]
+    codes["every distance 2k"] = spread[:size]
+    for name, words in codes.items():
+        code = CDC(q, 6, 2, 4, words, strict=False)
+        assert len(code) == size
+        report = verify_min_distance(code)
+        best, witness = _pairwise_oracle(code)
+        assert (report.min_found, report.witness) == (best, witness)
+        w = code.codewords
+        dists = {(i, j): subspace_distance(w[i], w[j]) for i, j in combinations(range(size), 2)}
+        bound = min(dists[p] for p in prefix)
+        ties = [p for p, d in dists.items() if d == best and p != witness]
+        assert (bound, best, witness in prefix, bool(ties)) == {
+            "inside": (2, 2, True, False),  # reached in the prefix only
+            "after": (4, 2, False, False),  # first reached after the prefix
+            "tie": (2, 2, True, True),  # reached in the prefix, tied later
+            "duplicate in prefix": (0, 0, True, False),
+            "duplicate after prefix": (4, 0, False, False),
+            "every distance 2k": (4, 4, True, True),
+        }[name]
+    assert verify_min_distance(CDC(q, 6, 2, 4, codes["duplicate in prefix"],
+                                   strict=False)).witness == (0, 1)
+
+
+def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
+    # the lifted 3 x 3 Gabidulin code of rank distance 2: 64 planes of
+    # GF(2)^6, more than 2 * ([3 1]_2 + [3 2]_2 + [3 3]_2) = 30, at d = 4.
+    # A word's keys at level t come from C(k, t) pivot choices of t
+    # `_span_gf2` calls each, so a clean level t costs N * t * C(k, t) calls
+    k, d = 3, 4
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
+    clean = CDC(2, 6, k, d, words)
+    w = clean.codewords
+    assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == d
+    # a planted word at distance 2 from the code, whose first pair at
+    # distance 2 lies after the prefix
+    f, keys = gf(2), {w.key() for w in words}
+    for bits in range(1, 512):
+        b = lift_matrix(from_rows(f, [[bits >> (3 * r + c) & 1 for c in range(3)]
+                                      for r in range(3)]))
+        if b.key() in keys:
+            continue
+        planted = CDC(2, 6, k, d, words + [b])
+        i = planted.codewords.index(b)
+        near = [tuple(sorted((i, j))) for j, v in enumerate(planted.codewords)
+                if subspace_distance(b, v) == 2]
+        if near and min(near) not in _prefix(len(planted)):
+            break
+    oracle = {clean: _pairwise_oracle(clean), planted: _pairwise_oracle(planted)}
+    assert oracle[clean][0] == d and oracle[planted] == (2, min(near))
+    calls = []
+    span = subspaces._span_gf2
+
+    def counted(*args):
+        calls.append(args)
+        return span(*args)
+
+    monkeypatch.setattr(subspaces, "_span_gf2", counted)
+
+    def span_calls(code):
+        calls.clear()
+        report = verify_min_distance(code)
+        assert (report.min_found, report.witness) == oracle[code]
+        return len(calls)
+
+    clean_calls, planted_calls = span_calls(clean), span_calls(planted)
+    # no key at any level t <= k - d/2
+    assert clean_calls == len(clean) * sum(t * math.comb(k, t)
+                                           for t in range(k - d // 2 + 1, k + 1))
+    # the scan with its prefix bound at 2k keys every level down to the
+    # first that collides
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
+    assert span_calls(planted) == planted_calls
+    assert span_calls(clean) > clean_calls
