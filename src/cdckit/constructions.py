@@ -1,4 +1,4 @@
-"""Plan builds: exact counts and explicit codes, one count part at a time.
+"""Plan builds: exact counts part by part, and explicit codes built once.
 
 A plan's family, parameters, hypotheses and count parts are the family
 spec in `bounds` (`PLAN_FAMILIES`), and `run_plan` is the one function that
@@ -6,11 +6,14 @@ walks it.  It checks the family's hypotheses once, then takes the family's
 count parts in order.  Each part is counted with sub-code sizes taken from
 the plan's files where given and from the registry otherwise, so for a
 plan without files `build --count-only` equals `bound --plan` by
-construction.  An explicit build then holds the running total to the
-explicit-build cutoff and materializes the part: every codeword is
+construction.  An explicit build holds the running total to the
+explicit-build cutoff after each part, and only then materializes every
+part into one code, whose size must equal the total.  Each codeword is
 assembled from Gabidulin codes, their coset lists and FDRM words
-(`rankcodes`) and united with the code built so far, whose size must equal
-the running total.  The verifier can then check distances exhaustively.
+(`rankcodes`): the blocks' packed rows are shifted to their columns and
+joined by OR, and `subspaces.codeword` makes the subspace, trusting the
+pivots of rows already in RREF.  The verifier can then check distances
+exhaustively.
 
 `_PARTS` pairs each count part with its materializer and the components a
 build reports for it.  A build reports the components of its family's last
@@ -29,16 +32,16 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
     lifted_inserts_part, linkage_part, parallel_insert_part
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf
-from .matrices import Matrix, hstack, vstack
+from .matrices import Matrix
 from .rankcodes import FerrersShape, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
-from .subspaces import CDC, Subspace, cdc_from_text, lift_special_form, subspace_from_rows
+from .subspaces import CDC, Subspace, cdc_from_text, codeword, lift_special_form
 
 # a plan reads no value of more digits than an argv int may have: Python's
 # default int-string limit, which the CLI lifts while a command runs
@@ -93,11 +96,9 @@ class BuildOutput:
 
 def _trivial_cdc(q: int, n: int, d: int, k: int) -> CDC:
     """Canonical one-codeword code: the row space of (I_k | 0)."""
-    word = subspace_from_rows(
-        hstack(Matrix.identity(gf(q), k), Matrix.zero(gf(q), k, n - k))
-        if n > k else Matrix.identity(gf(q), k)
-    )
-    return CDC(q, n, k, d, [word])
+    f = gf(q)
+    rows = [1 << (n - 1 - i) * f.width for i in range(k)]
+    return CDC(q, n, k, d, [codeword(f, n, rows, tuple(range(k)))])
 
 
 def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
@@ -132,66 +133,80 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
 
 def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
     """(U1 | M2) over C1 and the MRD code, then (M1 | U2) over the
-    rank-capped MRD code and C2."""
-    q, k, h, n1, n2 = p["q"], p["k"], p["h"], p["n1"], p["n2"]
+    rank-capped MRD code and C2.  The first rows are in RREF with U1's
+    pivots; the second are reduced."""
+    q, n, k, h, n1, n2 = p["q"], p["n"], p["k"], p["h"], p["n1"], p["n2"]
+    f = gf(q)
+    shift = n2 * f.width  # the left block's rows move past the right block's n2 columns
     mrd = gabidulin_mrd(q, k, n2, h)  # built once, enumerated anew for each U1
     for u1 in subs["C1"]:
+        high = [r << shift for r in u1.mat.packed]
         for m2 in enumerate_code(mrd):
-            yield Subspace(hstack(u1.mat, m2), u1.pivots)
+            yield codeword(f, n, [u | m for u, m in zip(high, m2.packed)], u1.pivots)
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
+        high = [r << shift for r in m1.packed]
         for u2 in subs["C2"]:
-            yield subspace_from_rows(hstack(m1, u2.mat))
+            yield codeword(f, n, [m | u for m, u in zip(high, u2.mat.packed)])
 
 
-def _block_words(p, s: int, diag1: List[Matrix], diag2: List[Matrix], t1: int, t2: int,
-                 cap1: Optional[int], cap2: Optional[int]) -> Iterator[Subspace]:
+def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace],
+                 t1: int, t2: int, cap1: Optional[int], cap2: Optional[int]
+                 ) -> Iterator[Subspace]:
     """Rows (U1 | M11 | 0 | M12) over (0 | M21 | U2 | M22): U1, U2 from the
-    diagonal blocks (t1, t2 columns wide), M11 and M22 from the r-th paired
-    cosets for r < s, and M12, M21 from MRD codes under the rank caps."""
-    q, h, a1, a2, n1, n2 = p["q"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
+    diagonal codes (t1, t2 columns wide), M11 and M22 from the r-th paired
+    cosets for r < s, and M12, M21 from MRD codes under the rank caps.
+    Each block's rows are shifted to their columns once, and a word's rows
+    are their ORs."""
+    q, n, h, a1, a2, n1, n2 = p["q"], p["n"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
     f = gf(q)
-    fam1 = coset_lists(q, a1, n1 - t1, p["b1"], h)
-    fam2 = coset_lists(q, a2, n2 - t2, p["b2"], h)
-    m12s = list(enumerate_code(gabidulin_mrd(q, a1, n2 - t2, h), rank_cap=cap1))
-    m21s = list(enumerate_code(gabidulin_mrd(q, a2, n1 - t1, h), rank_cap=cap2))
-    o_top, o_bot = Matrix.zero(f, a1, t2), Matrix.zero(f, a2, t1)
+
+    def placed(mats: Iterable[Matrix], right: int) -> List[Tuple[int, ...]]:
+        """Each matrix's rows, moved left past `right` columns."""
+        return [tuple(r << right * f.width for r in m.packed) for m in mats]
+
+    fam1 = [placed(c, n2) for c in coset_lists(q, a1, n1 - t1, p["b1"], h)]
+    fam2 = [placed(c, 0) for c in coset_lists(q, a2, n2 - t2, p["b2"], h)]
+    m12s = placed(enumerate_code(gabidulin_mrd(q, a1, n2 - t2, h), rank_cap=cap1), 0)
+    m21s = placed(enumerate_code(gabidulin_mrd(q, a2, n1 - t1, h), rank_cap=cap2), n2)
+    us1 = placed((u.mat for u in diag1), n - t1)
+    us2 = placed((u.mat for u in diag2), n2 - t2)
     for r in range(s):
         for u1, u2, m11, m22, m12, m21 in itertools.product(
-                diag1, diag2, fam1[r], fam2[r], m12s, m21s):
-            top = hstack(u1, m11, o_top, m12)
-            bot = hstack(o_bot, m21, u2, m22)
-            yield subspace_from_rows(vstack(top, bot))
+                us1, us2, fam1[r], fam2[r], m12s, m21s):
+            yield codeword(f, n, [a | b | c for a, b, c in zip(u1, m11, m12)]
+                           + [a | b | c for a, b, c in zip(m21, u2, m22)])
 
 
 def _blocks_words(p, subs, terms) -> Iterator[Subspace]:
     """The standalone blocks code: identity diagonal blocks, t = a, no cap."""
-    f, a1, a2 = gf(p["q"]), p["a1"], p["a2"]
-    return _block_words(p, terms["s"], [Matrix.identity(f, a1)], [Matrix.identity(f, a2)],
+    q, d, a1, a2 = p["q"], p["d"], p["a1"], p["a2"]
+    return _block_words(p, terms["s"], _trivial_cdc(q, a1, d, a1), _trivial_cdc(q, a2, d, a2),
                         a1, a2, None, None)
 
 
 def _blocks_insert_words(p, subs, terms) -> Iterator[Subspace]:
     """Insert B: diagonal blocks from Q1, Q2, off-diagonal ranks <= a - d/2."""
     h, a1, a2 = p["h"], p["a1"], p["a2"]
-    return _block_words(p, terms["s"], [u.mat for u in subs["Q1"]],
-                        [u.mat for u in subs["Q2"]], p["t1"], p["t2"], a1 - h, a2 - h)
+    return _block_words(p, terms["s"], subs["Q1"], subs["Q2"], p["t1"], p["t2"],
+                        a1 - h, a2 - h)
 
 
 def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
     """Insert E: rows (M1 | U1 | 0) over (0 | M2 | U2), U1 in D1, U2 in D2,
     with (M1, M2) every pair in the product form, else paired in order."""
-    q, a1, a2, b1, b2 = p["q"], p["a1"], p["a2"], p["b1"], p["b2"]
+    q, n, a1, a2, b1, b2 = p["q"], p["n"], p["a1"], p["a2"], p["b1"], p["b2"]
+    t1, t2, n2 = p["t1"], p["t2"], p["n2"]
     f = gf(q)
-    m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, p["t1"], b1), rank_cap=p["c1"]),
+    w = f.width
+    m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]),
                  key=Matrix.key)
-    m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, p["t2"], b2), rank_cap=p["c2"]),
+    m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]),
                  key=Matrix.key)
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
-    o_top, o_bot = Matrix.zero(f, a1, p["n2"]), Matrix.zero(f, a2, p["n1"])
     for (m1, m2), u1, u2 in itertools.product(pairs, subs["D1"], subs["D2"]):
-        top = hstack(m1, u1.mat, o_top)
-        bot = hstack(o_bot, m2, u2.mat)
-        yield subspace_from_rows(vstack(top, bot))
+        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1.packed, u1.mat.packed)]
+        bot = [m << (n2 - t2) * w | u for m, u in zip(m2.packed, u2.mat.packed)]
+        yield codeword(f, n, top + bot)
 
 
 def _lifted_words(p, subs, terms) -> Iterator[Subspace]:
@@ -231,7 +246,8 @@ def run_plan(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = Non
     """Count a plan part by part and, when explicit, build its code.
 
     The family's hypotheses are checked before any part runs; each part
-    resolves its sub-codes before the cutoff check on the running total.
+    resolves its sub-codes before the cutoff check on the running total,
+    and no word is built before every part has passed both.
     """
     registry = registry or shipped_registry()
     if explicit:
@@ -247,9 +263,9 @@ def run_plan(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = Non
                                            registry, explicit)
         return count
 
-    cdc, total = None, 0
+    total, words = 0, []
     for part in spec.parts:
-        words, components, base = _PARTS[part]
+        materialize, components, base = _PARTS[part]
         size, terms = part(p, a)
         counts = components(terms)
         if base is not None:
@@ -258,8 +274,10 @@ def run_plan(plan: ConstructionPlan, registry: Optional[BaseBoundRegistry] = Non
         if explicit:
             if total > int(os.environ.get("CDCKIT_EXPLICIT_CUTOFF", 10**6)):
                 raise EnumerationLimitExceeded(f"{total} codewords exceed the explicit cutoff")
-            cdc = CDC(plan.q, plan.n, plan.k, plan.d, words(p, subs, terms), base=cdc)
-            if len(cdc) != total:
-                raise AssertionError(
-                    f"explicit build produced {len(cdc)} codewords, expected {total}")
+            words.append(materialize(p, subs, terms))  # a generator: nothing is built yet
+    if not explicit:
+        return BuildOutput(None, counts, total)
+    cdc = CDC(plan.q, plan.n, plan.k, plan.d, itertools.chain.from_iterable(words))
+    if len(cdc) != total:
+        raise AssertionError(f"explicit build produced {len(cdc)} codewords, expected {total}")
     return BuildOutput(cdc, counts, total)

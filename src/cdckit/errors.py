@@ -9,10 +9,6 @@ class InversionOfZero(CdckitError):
     pass
 
 
-class MixedFields(CdckitError):
-    pass
-
-
 class InvalidDistance(CdckitError):
     pass
 

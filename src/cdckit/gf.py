@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import xor
 from typing import Sequence, Tuple
 
-from .errors import InversionOfZero, MixedFields
+from .errors import InversionOfZero
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
@@ -170,12 +170,6 @@ class GF:
         if a == 0:
             raise InversionOfZero("0 has no multiplicative inverse")
         return self.invs[a]
-
-
-def same_field(a: GF, b: GF) -> GF:
-    if a is not b:
-        raise MixedFields(f"operands from {a} and {b}")
-    return a
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
-"""Dense matrices over GF(q): RREF, rank and block assembly.
+"""Dense matrices over GF(q): RREF and rank.
 
 Matrices are immutable and row-major, and keep their rows packed: one int
 per row, each entry in a fixed field of `field.width` bits, column 0 in the
 highest bits (the encoding is `gf`'s).  Every operation works on those
-ints: the field's `row_add` adds rows (XOR in characteristic 2), shift-or
-joins blocks side by side, `row_scale` scales a row by one `translate`, and
-the bit length finds a row's pivot.  Rows of equal width compare as ints
+ints: the field's `row_add` adds rows (XOR in characteristic 2),
+`row_scale` scales a row by one `translate`, and the bit length finds a
+row's pivot.  Blocks are joined side by side by shift-or on the rows
+themselves, where the constructions assemble their codewords.  Rows of equal width compare as ints
 exactly as their entry tuples do.  The entry tuple is decoded only when a
 caller reads `entries`.  The public constructor checks every entry;
 `from_packed` trusts rows derived from checked matrices.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gf import GF, same_field
+from .gf import GF
 
 
 class Matrix:
@@ -50,14 +51,6 @@ class Matrix:
         m.ncols = ncols
         m.packed = tuple(rows)
         return m
-
-    @classmethod
-    def zero(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
-        return cls.from_packed(field, ncols, (0,) * nrows)
-
-    @classmethod
-    def identity(cls, field: GF, k: int) -> "Matrix":
-        return cls.from_packed(field, k, [1 << (k - 1 - i) * field.width for i in range(k)])
 
     def __getattr__(self, name: str):
         # reached only for an unset slot: the entries of a matrix built by
@@ -102,37 +95,6 @@ def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
     w, dec = field.width, field.dec
     mask = (1 << w) - 1
     return tuple(dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    f = same_field(a.field, b.field)
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch")
-    return Matrix.from_packed(f, a.ncols, tuple(map(f.row_add, a.packed, b.packed)))
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    f = mats[0].field
-    nrows = mats[0].nrows
-    for m in mats[1:]:
-        same_field(f, m.field)
-        if m.nrows != nrows:
-            raise ValueError("row-count mismatch in hstack")
-    rows = mats[0].packed
-    for m in mats[1:]:
-        shift = m.ncols * f.width
-        rows = [(r << shift) | x for r, x in zip(rows, m.packed)]
-    return Matrix.from_packed(f, sum(m.ncols for m in mats), rows)
-
-
-def vstack(*mats: Matrix) -> Matrix:
-    f = mats[0].field
-    ncols = mats[0].ncols
-    for m in mats:
-        same_field(f, m.field)
-        if m.ncols != ncols:
-            raise ValueError("column-count mismatch in vstack")
-    return Matrix.from_packed(f, ncols, sum([m.packed for m in mats], ()))
 
 
 def rank_added(f: GF, basis: List[int], rows: Iterable[int], stop: int = -1) -> int:

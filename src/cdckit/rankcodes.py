@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameters,
 )
 from .gf import GF, field_modulus, gf, x_power
-from .matrices import Matrix, hstack, mat_add, mat_rank, vstack
+from .matrices import Matrix, mat_rank
 
 
 def enumeration_limit() -> int:
@@ -148,9 +148,11 @@ def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Matrix]
         raise EnumerationLimitExceeded("coset family too large to materialize")
     # generators are ordered by q-degree, so the subcode's basis is a prefix
     n_sub = max(a, b) * (min(a, b) - d_s + 1)
-    sub = list(_span_iter(ambient.field, ambient.generators[:n_sub], (a, b)))
-    cosets = [sorted((mat_add(rep, m) for m in sub), key=Matrix.key)
-              for rep in _span_iter(ambient.field, ambient.generators[n_sub:], (a, b))]
+    f = ambient.field
+    sub = [m.packed for m in _span_iter(f, ambient.generators[:n_sub], (a, b))]
+    cosets = [sorted((Matrix.from_packed(f, b, tuple(map(f.row_add, rep.packed, m)))
+                      for m in sub), key=Matrix.key)
+              for rep in _span_iter(f, ambient.generators[n_sub:], (a, b))]
     cosets.sort(key=lambda members: members[0].key())
     return cosets
 
@@ -202,18 +204,19 @@ def fdrm_words(q: int, shape: FerrersShape, c1: int, c2: int) -> Iterator[Matrix
     u1, u2, w1, w2, d_f = shape.u1, shape.u2, shape.w1, shape.w2, shape.d_f
     field = gf(q)
     if w1 < c1:
-        groups = [([Matrix.zero(field, u1, w1)], coset_lists(q, u2, w2, d_f, d_f)[0])]
+        groups = [([(0,) * u1], coset_lists(q, u2, w2, d_f, d_f)[0])]
     elif w1 < d_f:
         pairs = zip(coset_lists(q, u1, w1, c1, c1)[0], coset_lists(q, u2, w2, c2, c2)[0])
-        groups = [([m1], [m2]) for m1, m2 in pairs]
+        groups = [([m1.packed], [m2]) for m1, m2 in pairs]
     else:
-        groups = zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f))
-    m3s = list(enumerate_code(gabidulin_mrd(q, u1, w2, d_f), rank_cap=u1 - d_f))
-    left = Matrix.zero(field, u2, w1)
+        groups = [([m1.packed for m1 in m1s], m2s) for m1s, m2s in
+                  zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f))]
+    m3s = [m.packed for m in enumerate_code(gabidulin_mrd(q, u1, w2, d_f), rank_cap=u1 - d_f)]
+    shift = w2 * field.width  # M1 sits left of M3; the lower rows' M2 has zeros to its left
     for m1s, m2s in groups:
         for m1 in m1s:
-            uppers = [hstack(m1, m3) for m3 in m3s]
+            high = [r << shift for r in m1]
+            uppers = [tuple(h | x for h, x in zip(high, m3)) for m3 in m3s]
             for m2 in m2s:
-                lower = hstack(left, m2)
                 for upper in uppers:
-                    yield vstack(upper, lower)
+                    yield Matrix.from_packed(field, w1 + w2, upper + m2.packed)

@@ -3,7 +3,9 @@ verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal matrices, and its rows are packed ints (see
-`matrices`).  A pair's distance 2*rank(stack) - dim U - dim V takes one
+`matrices`).  `codeword` is the one way a subspace is made from packed
+rows: rows given with their pivots are trusted to be in RREF, and any
+others are reduced.  A pair's distance 2*rank(stack) - dim U - dim V takes one
 elimination of V's rows against U's, which already form a reduced basis,
 and a pair stops once it cannot beat the running minimum.  Sampled
 verification draws its pairs by `getrandbits` with rejection, the same
@@ -13,23 +15,23 @@ highest t at which two codewords share a t-subspace, keying each codeword's
 only when they are fewer than the keys.  For a code of N words, the first N
 pairs bound the minimum beforehand, and only the levels whose distance is
 below that bound are keyed.  The CDC file format renders and checks each
-distinct row once, and keeps a record that is already in RREF as it is.
+distinct row once, keeps a record that is already in RREF as it is, and
+refuses a header that claims d < 1, which any two words would meet.
 """
 from __future__ import annotations
 
 import math
 import os
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded, RankCapViolated
 from .gf import GF, gf
-from .matrices import Matrix, mat_rank, mat_rref, rank_added, row_codes, rref_pivots
+from .matrices import Matrix, mat_rref, rank_added, row_codes, rref_pivots
 from .rankcodes import FerrersShape
 
 
@@ -71,11 +73,17 @@ class Subspace:
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
 
 
-def subspace_from_rows(m: Matrix) -> Subspace:
-    red, pivots = mat_rref(m)
-    if len(pivots) < m.nrows:
-        raise ValueError("rows are linearly dependent")
-    return Subspace(red, pivots)
+def codeword(f: GF, n: int, rows: Sequence[int],
+             pivots: Optional[Tuple[int, ...]] = None) -> Subspace:
+    """The subspace spanned by packed rows of n entries of f.  Rows given
+    with their `pivots` are trusted to be in RREF with those pivot columns;
+    any others are reduced, and rank-deficient rows are refused."""
+    mat = Matrix.from_packed(f, n, rows)
+    if pivots is None:
+        mat, pivots = mat_rref(mat)
+        if len(pivots) < mat.nrows:
+            raise ValueError("rows are linearly dependent")
+    return Subspace(mat, pivots)
 
 
 def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
@@ -92,11 +100,9 @@ def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
         raise InvalidParameters("matrix does not match the shape")
     f, w = m.field, m.field.width
     low = (1 << w2 * w) - 1  # a row's last w2 entries: M3 above, M2 below
-    m3 = Matrix.from_packed(f, w2, [r & low for r in m.packed[:u1]])
-    if mat_rank(m3) > u1 - shape.d_f:
-        raise RankCapViolated(
-            f"rank(M3) = {mat_rank(m3)} exceeds u1 - d_f = {u1 - shape.d_f}"
-        )
+    rank3 = rank_added(f, [0] * (w2 + 1), [r & low for r in m.packed[:u1]])
+    if rank3 > u1 - shape.d_f:
+        raise RankCapViolated(f"rank(M3) = {rank3} exceeds u1 - d_f = {u1 - shape.d_f}")
     # the entry in column c of a lifted row sits (n - 1 - c) * w bits up; M1
     # ends in column delta1 - 1 and M2, M3 in the last column
     n = shape.delta1 + shape.delta2
@@ -107,7 +113,7 @@ def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
     pivots = tuple(range(shape.Delta, shape.Delta + u1)) + tuple(
         range(shape.delta1, shape.delta1 + u2)
     )
-    return Subspace(Matrix.from_packed(f, n, rows), pivots)
+    return codeword(f, n, rows, pivots)
 
 
 class CDC:
@@ -116,14 +122,11 @@ class CDC:
 
     Constructions require distinct codewords; files loaded for verification
     may carry duplicates (strict=False), which the verifier then reports as
-    distance-0 witnesses.  A `base` code of the same q, n, k is united with
-    the codewords: its words, sorted and checked already, are not checked
-    again; each new word is looked up among them for a duplicate, and the
-    two sorted runs are merged.
+    distance-0 witnesses.
     """
 
     def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[Subspace],
-                 strict: bool = True, base: Optional[CDC] = None):
+                 strict: bool = True):
         self.q = q
         self.n = n
         self.k = k
@@ -137,14 +140,6 @@ class CDC:
                 if w.key() in seen:
                     raise InvalidParameters("duplicate codeword")
                 seen.add(w.key())
-        if base is not None:
-            old = base.codewords
-            if strict:
-                for w in words:
-                    i = bisect_left(old, w.key(), key=Subspace.key)
-                    if i < len(old) and old[i].key() == w.key():
-                        raise InvalidParameters("duplicate codeword")
-            words = sorted(old + words, key=Subspace.key)  # merges two sorted runs
         self.codewords = words
 
     def __len__(self):
@@ -388,6 +383,8 @@ def cdc_from_text(text: str) -> CDC:
     if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")
     q, n, k, d, count = (int(x) for x in head[1:6])
+    if d < 1:  # every pair of codewords would meet a claimed d <= 0
+        raise ValueError(f"claimed distance {d} is below 1")
     field = gf(q)
     parsed: dict = {}  # line -> packed row
     shared: dict = {}  # one tuple per distinct pivot set
@@ -410,12 +407,10 @@ def cdc_from_text(text: str) -> CDC:
             row = parsed[ln] = parse_row(ln)
         rows.append(row)
         if len(rows) == k:
-            mat = Matrix.from_packed(field, n, rows)
             pivots = rref_pivots(field, rows, n)
-            if pivots is None:
-                words.append(subspace_from_rows(mat))
-            else:
-                words.append(Subspace(mat, shared.setdefault(pivots, pivots)))
+            if pivots is not None:
+                pivots = shared.setdefault(pivots, pivots)
+            words.append(codeword(field, n, rows, pivots))
             rows = []
     if rows:
         raise ValueError("truncated codeword record")

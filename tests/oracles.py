@@ -4,7 +4,10 @@ The package builds codes without these: identifying vectors, Ferrers
 diagrams, the Hamming lower bound, the insertion predicate and plain
 lifting are how the tests check what the constructions produce.  The
 matrix and field helpers serve those checks (row operations, rank
-distances, rank-nullity, field addition in GF(q^m)).  `rref_rows` is a
+distances, rank-nullity, field addition in GF(q^m)), and so do the
+whole-matrix helpers the package assembles without: zero and identity
+matrices, `mat_add`, `hstack`, `vstack`, `subspace_from_rows` (a matrix's
+row space through `codeword`) and the mixed-field guard `same_field`.  `rref_rows` is a
 per-entry Gaussian elimination through the field's scalar `add`, `mul` and
 `inv`, not the packed-row kernels it checks; the scalar ops read the same
 tables, which `test_gf` checks against `ExtField` and integer arithmetic.
@@ -30,14 +33,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import Family, _bounded, _exact_div
 from cdckit.counting import mrd_size
-from cdckit.gf import GF, _poly_mul_code, _search_modulus, same_field
-from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref
+from cdckit.gf import GF, _poly_mul_code, _search_modulus
+from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import Subspace
+from cdckit.subspaces import Subspace, codeword
 
 
 class AmbientMismatch(CdckitError):
     """Subspaces of different ambient spaces compared."""
+
+
+class MixedFields(CdckitError):
+    """Operands from two different fields."""
+
+
+def same_field(a: GF, b: GF) -> GF:
+    if a is not b:
+        raise MixedFields(f"operands from {a} and {b}")
+    return a
 
 
 # -- matrices -------------------------------------------------------------------
@@ -68,6 +81,49 @@ def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
         if r == len(rows):
             break
     return pivots
+
+
+def zero_matrix(field: GF, nrows: int, ncols: int) -> Matrix:
+    return Matrix.from_packed(field, ncols, (0,) * nrows)
+
+
+def identity_matrix(field: GF, k: int) -> Matrix:
+    return Matrix.from_packed(field, k, [1 << (k - 1 - i) * field.width for i in range(k)])
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    f = same_field(a.field, b.field)
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    return Matrix.from_packed(f, a.ncols, tuple(map(f.row_add, a.packed, b.packed)))
+
+
+def hstack(*mats: Matrix) -> Matrix:
+    """The blocks side by side, joined by shift-or on their packed rows."""
+    f = mats[0].field
+    for m in mats[1:]:
+        same_field(f, m.field)
+        if m.nrows != mats[0].nrows:
+            raise ValueError("row-count mismatch in hstack")
+    rows = mats[0].packed
+    for m in mats[1:]:
+        shift = m.ncols * f.width
+        rows = [(r << shift) | x for r, x in zip(rows, m.packed)]
+    return Matrix.from_packed(f, sum(m.ncols for m in mats), rows)
+
+
+def vstack(*mats: Matrix) -> Matrix:
+    f = mats[0].field
+    for m in mats:
+        same_field(f, m.field)
+        if m.ncols != mats[0].ncols:
+            raise ValueError("column-count mismatch in vstack")
+    return Matrix.from_packed(f, mats[0].ncols, sum([m.packed for m in mats], ()))
+
+
+def subspace_from_rows(m: Matrix) -> Subspace:
+    """The row space of m, reduced by `codeword`; rank-deficient m is refused."""
+    return codeword(m.field, m.ncols, m.packed)
 
 
 def from_rows(field: GF, rows: Sequence[Sequence[int]]) -> Matrix:
@@ -145,7 +201,7 @@ def mat_kernel(m: Matrix) -> Matrix:
 def invert(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
-    aug = hstack(m, Matrix.identity(m.field, m.nrows))
+    aug = hstack(m, identity_matrix(m.field, m.nrows))
     red, pivots = mat_rref(aug)
     if list(pivots) != list(range(m.nrows)):
         raise ValueError("matrix is singular")
@@ -351,7 +407,8 @@ def ferrers_of(u: Subspace) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...
 def lift_matrix(a: Matrix) -> Subspace:
     """Row space of (I_k | A); already in RREF with pivots 0..k-1."""
     k = a.nrows
-    return Subspace(hstack(Matrix.identity(a.field, k), a), tuple(range(k)))
+    return codeword(a.field, a.ncols + k, hstack(identity_matrix(a.field, k), a).packed,
+                    tuple(range(k)))
 
 
 def special_form_vector(delta1: int, delta2: int, u1: int, u2: int, Delta: int,

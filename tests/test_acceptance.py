@@ -20,9 +20,9 @@ from cdckit.gf import gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from cdckit.subspaces import CDC, subspace_from_rows, verify_min_distance
+from cdckit.subspaces import CDC, verify_min_distance
 from oracles import bound_cor45_poly, hamming_lb_check, insertion_predicate, lift_matrix, \
-    mat_sub, subspace_distance
+    mat_sub, subspace_distance, subspace_from_rows
 
 REG = shipped_registry()
 

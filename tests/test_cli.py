@@ -289,6 +289,17 @@ def test_verify_vacuous_file_fails(tmp_path, capsys):
         assert "no pair to check" in err
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_verify_refuses_a_claimed_distance_below_one(tmp_path, capsys, d):
+    # any two words, even one word twice, are at distance >= d <= 0, so such
+    # a header would verify nothing; it is refused before any record is read
+    path = tmp_path / "d.cdc"
+    path.write_text(f"CDC 2 4 2 {d} 2\n1 0 0 0\n0 1 0 0\n\n1 0 0 0\n0 1 0 0\n")
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: claimed distance {d} is below 1\n"
+
+
 def test_verify_empty_or_headerless_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cdc"
     for text in ("", "\n", "1 0 0 0\n0 1 0 0\n"):

@@ -11,12 +11,13 @@ from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import mrd_size
 from cdckit.errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, hstack
+from cdckit.matrices import mat_rref, rref_pivots
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import CDC, cdc_to_text, subspace_from_rows, verify_min_distance
-from oracles import identifying_vector, insertion_predicate, special_form_vector, \
-    subspace_distance
+from cdckit.subspaces import CDC, cdc_to_text, verify_min_distance
+from oracles import hstack, identifying_vector, identity_matrix, insertion_predicate, \
+    special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+from test_golden import PLANS as GOLDEN_PLANS
 
 REG = BaseBoundRegistry()
 # the one non-analytic input the 15-coordinate worked value consumes
@@ -104,7 +105,7 @@ def test_multiblocks_counts_match_published():
 def test_multiblocks_forced_zero_block():
     # rank cap a2 - d/2 = 0 leaves only the zero matrix
     caps = list(enumerate_code(gabidulin_mrd(2, 2, 2, 2), rank_cap=0))
-    assert caps == [Matrix.zero(gf(2), 2, 2)]
+    assert caps == [zero_matrix(gf(2), 2, 2)]
 
 
 def test_multiblocks_desk_explicit():
@@ -232,16 +233,83 @@ def test_explicit_cutoff_holds_the_running_total(monkeypatch):
         run_plan(plan, REG)
 
 
+def _count_yielded(monkeypatch):
+    """Wrap every materializer so that the returned list gathers the words
+    they yield."""
+    import cdckit.constructions as constructions
+
+    yielded = []
+
+    def counted(materialize):
+        def words(*args):
+            for w in materialize(*args):
+                yielded.append(w)
+                yield w
+        return words
+
+    for part, (materialize, components, base) in list(constructions._PARTS.items()):
+        monkeypatch.setitem(constructions._PARTS, part, (counted(materialize), components, base))
+    return yielded
+
+
+def _one_word_c1(tmp_path):
+    """A one-word (6, 1, 4, 4)_2 file for a C1 slot."""
+    word = subspace_from_rows(hstack(identity_matrix(gf(2), 4), zero_matrix(gf(2), 4, 2)))
+    path = tmp_path / "c1.cdc"
+    path.write_text(cdc_to_text(CDC(2, 6, 4, 4, [word])))
+    return str(path)
+
+
+def test_build_counts_every_part_before_any_word(tmp_path, monkeypatch):
+    # a last part over the cutoff, or a later part without its sub-code file,
+    # stops the build before any materializer yields a word
+    yielded = _count_yielded(monkeypatch)
+    plan = _plan("multiblocks", 2, 8, 4, 4, n1=4, a1=2, b1=1, b2=1, t1=2, t2=2)
+    assert len(run_plan(plan, REG).cdc) == len(yielded) == 4686  # the counter sees words
+    yielded.clear()
+    monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "4650")
+    with pytest.raises(EnumerationLimitExceeded, match="^4686 codewords exceed the explicit"):
+        run_plan(plan, REG)
+    assert yielded == []
+    monkeypatch.delenv("CDCKIT_EXPLICIT_CUTOFF")
+    plan = ConstructionPlan("parallel_blocks", 2, 10, 4, 4,
+                            dict(n1=6, a1=2, b1=1, b2=1, t1=2, t2=2, c1=1, c2=1),
+                            files={"C1": _one_word_c1(tmp_path)})
+    with pytest.raises(MissingSubcode, match=r"\(4,\*,4,2\)_2"):
+        run_plan(plan, REG)
+    assert yielded == []
+
+
+# the benchmark's three build plans
+BENCH_PLANS = {
+    "ml2_q2": "family = multilevel_II\nq = 2\nn = 8\nd = 4\nk = 4\n"
+              "n1 = 4\nu1 = 2\nu2 = 2\nb1 = 1\nb2 = 1\n",
+    "link10_q2": "family = linkage\nq = 2\nn = 10\nd = 4\nk = 4\nn1 = 5\n",
+    "link6_q3": "family = linkage\nq = 3\nn = 6\nd = 4\nk = 3\nn1 = 3\n",
+}
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_PLANS.values()) + list(BENCH_PLANS.values()),
+                         ids=list(GOLDEN_PLANS) + list(BENCH_PLANS))
+def test_built_words_carry_their_rref_pivots(text):
+    # words assembled with trusted pivots (the linkage code's (U1 | M2) rows,
+    # lifted FDRM words) skip reduction: their rows must be their own RREF,
+    # and the pivots those of the rows
+    code = run_plan(parse_plan(text)).cdc
+    f = gf(code.q)
+    for w in code:
+        assert w.pivots == rref_pivots(f, w.mat.packed, code.n)
+        red, pivots = mat_rref(w.mat)
+        assert red.packed == w.mat.packed and pivots == w.pivots
+
+
 def test_missing_subcode_for_nontrivial_base(tmp_path):
     # an explicit spread would be needed for D1; only its count is known.  C1
     # is given as a one-word file so that the linkage part builds and the
     # insert's own slot is the one that misses
-    word = subspace_from_rows(hstack(Matrix.identity(gf(2), 4), Matrix.zero(gf(2), 4, 2)))
-    path = tmp_path / "c1.cdc"
-    path.write_text(cdc_to_text(CDC(2, 6, 4, 4, [word])))
     plan = ConstructionPlan("parallel_blocks", 2, 10, 4, 4,
                             dict(n1=6, a1=2, b1=1, b2=1, t1=2, t2=2, c1=1, c2=1),
-                            files={"C1": str(path)})
+                            files={"C1": _one_word_c1(tmp_path)})
     with pytest.raises(MissingSubcode, match=r"\(4,\*,4,2\)_2"):
         run_plan(plan, REG, explicit=True)
 

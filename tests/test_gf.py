@@ -17,11 +17,12 @@ import random
 
 import pytest
 
-from cdckit.errors import InversionOfZero, MixedFields
+from cdckit.errors import InversionOfZero
 from cdckit.gf import _MR_EXACT_BELOW, _iroot, _search_modulus, factor_prime_power, \
-    field_modulus, gf, is_irreducible, is_prime, same_field
+    field_modulus, gf, is_irreducible, is_prime
 from cdckit.matrices import Matrix, row_codes
-from oracles import _MODULUS_TABLE, ExtField, ext_add, trial_factor_prime_power
+from oracles import _MODULUS_TABLE, ExtField, MixedFields, ext_add, same_field, \
+    trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 # every q with a row encoding: 2^m <= 256, 3, 5, 7, 9, 25, 49, primes to 127

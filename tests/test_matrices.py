@@ -1,5 +1,5 @@
-"""RREF, rank, block assembly and packed rows; the per-entry elimination,
-kernel, product and inverse the checks use come from `oracles`."""
+"""RREF, rank and packed rows; the per-entry elimination, kernel, product,
+inverse and block assembly the checks use come from `oracles`."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import random
 import pytest
 
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, hstack, mat_add, mat_rank, mat_rref, rank_added, \
-    rref_pivots, vstack
-from oracles import from_rows, invert, mat_kernel, mat_sub, matmul, oracle_rref
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref_pivots
+from oracles import from_rows, hstack, identity_matrix, invert, mat_add, mat_kernel, mat_sub, \
+    matmul, oracle_rref, vstack, zero_matrix
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -31,10 +31,10 @@ def test_rref_fixes_reduced_matrix():
 
 
 def test_rref_zero_and_identity():
-    z = Matrix.zero(gf(3), 2, 4)
+    z = zero_matrix(gf(3), 2, 4)
     red, pivots = mat_rref(z)
     assert red == z and pivots == ()
-    i4 = Matrix.identity(gf(5), 4)
+    i4 = identity_matrix(gf(5), 4)
     red, pivots = mat_rref(i4)
     assert red == i4 and pivots == (0, 1, 2, 3)
 
@@ -101,9 +101,9 @@ def test_rank_against_determinant_oracle():
 
 def test_kernel_contract():
     f = gf(2)
-    assert mat_kernel(Matrix.identity(f, 3)).nrows == 0
-    kz = mat_kernel(Matrix.zero(f, 3, 5))
-    assert kz == Matrix.identity(f, 3)
+    assert mat_kernel(identity_matrix(f, 3)).nrows == 0
+    kz = mat_kernel(zero_matrix(f, 3, 5))
+    assert kz == identity_matrix(f, 3)
     m = from_rows(f, [[1, 0], [1, 0]])
     ker = mat_kernel(m)
     assert ker.rows() == [(1, 1)]
@@ -129,11 +129,11 @@ def test_matmul_identity_and_invert():
     rng = random.Random(13)
     f = gf(5)
     m = _random_matrix(rng, 5, 3, 4)
-    assert matmul(Matrix.identity(f, 3), m) == m
+    assert matmul(identity_matrix(f, 3), m) == m
     sq = from_rows(f, [[1, 2, 0], [0, 1, 4], [3, 0, 1]])
     if mat_rank(sq) == 3:
         inv = invert(sq)
-        assert matmul(sq, inv) == Matrix.identity(f, 3)
+        assert matmul(sq, inv) == identity_matrix(f, 3)
 
 
 def test_add_sub_stack():
@@ -196,7 +196,7 @@ def test_packed_rows_round_trip_to_entries():
             m = _random_matrix(rng, q, 3, ncols)
             back = Matrix.from_packed(m.field, ncols, m.packed)
             assert back.entries == m.entries and back == m and hash(back) == hash(m)
-            assert mat_add(m, Matrix.zero(gf(q), 3, ncols)).entries == m.entries
+            assert mat_add(m, zero_matrix(gf(q), 3, ncols)).entries == m.entries
             assert hstack(m, back).entries == tuple(
                 x for i in range(3) for x in m.row(i) + m.row(i))
 

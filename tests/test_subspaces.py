@@ -13,14 +13,15 @@ from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded, RankCapViolated
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, hstack, mat_rank, mat_rref
+from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_words, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
-    lift_special_form, subspace_from_rows, verify_min_distance
+    lift_special_form, verify_min_distance
 from oracles import AmbientMismatch, ferrers_of, first_minimum, from_rows, \
-    hamming_lb_check, identifying_vector, insertion_predicate, lift_matrix, mat_sub, matmul, \
-    oracle_rref, randrange_pairs, special_form_vector, subspace_distance
+    hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
+    lift_matrix, mat_sub, matmul, oracle_rref, randrange_pairs, special_form_vector, \
+    subspace_distance, subspace_from_rows, zero_matrix
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -68,12 +69,12 @@ def test_identifying_vector_edges():
     f = gf(2)
     lifted = lift_matrix(from_rows(f, [[1, 0, 1], [0, 1, 1]]))
     assert identifying_vector(lifted) == (1, 1, 0, 0, 0)
-    full = subspace_from_rows(Matrix.identity(f, 4))
+    full = subspace_from_rows(identity_matrix(f, 4))
     assert identifying_vector(full) == (1, 1, 1, 1)
     assert ferrers_of(full)[0] == (0, 0, 0, 0)
     assert ferrers_of(lifted)[0] == (3, 3)
     # trailing ones leave an empty diagram; leading ones a full rectangle
-    tail = subspace_from_rows(hstack(Matrix.zero(f, 2, 3), Matrix.identity(f, 2)))
+    tail = subspace_from_rows(hstack(zero_matrix(f, 2, 3), identity_matrix(f, 2)))
     assert identifying_vector(tail) == (0, 0, 0, 1, 1)
     assert ferrers_of(tail)[0] == (0, 0)
 
@@ -82,8 +83,8 @@ def test_distance_basics():
     u = subspace_from_rows(from_rows(gf(2), EXAMPLE_RREF))
     assert subspace_distance(u, u) == 0
     f = gf(2)
-    left = subspace_from_rows(hstack(Matrix.identity(f, 3), Matrix.zero(f, 3, 3)))
-    right = subspace_from_rows(hstack(Matrix.zero(f, 3, 3), Matrix.identity(f, 3)))
+    left = subspace_from_rows(hstack(identity_matrix(f, 3), zero_matrix(f, 3, 3)))
+    right = subspace_from_rows(hstack(zero_matrix(f, 3, 3), identity_matrix(f, 3)))
     assert subspace_distance(left, right) == 6
     with pytest.raises(AmbientMismatch):
         subspace_distance(left, u)
@@ -136,7 +137,7 @@ def test_lift_matrix_isometry_and_injectivity():
         assert subspace_distance(la, lb) == 2 * r
         # the intersection argument: dim = a_rows - rank(A-B)
         assert la != lb
-    zero_lift = lift_matrix(Matrix.zero(gf(2), 3, 4))
+    zero_lift = lift_matrix(zero_matrix(gf(2), 3, 4))
     assert identifying_vector(zero_lift) == (1, 1, 1, 0, 0, 0, 0)
 
 
@@ -162,7 +163,7 @@ def test_hamming_lower_bound_randomized():
 
 def test_insertion_predicate():
     f = gf(2)
-    u = subspace_from_rows(hstack(Matrix.identity(f, 3), Matrix.zero(f, 3, 3)))
+    u = subspace_from_rows(hstack(identity_matrix(f, 3), zero_matrix(f, 3, 3)))
     assert not insertion_predicate(u, 3, 3, 4)
     # a subspace meeting both sides in dimension 1: rows e1, e4
     m = from_rows(f, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
@@ -193,7 +194,7 @@ def test_lift_special_form():
 
 
 def test_verify_single_codeword_sentinel():
-    word = subspace_from_rows(Matrix.identity(gf(2), 3))
+    word = subspace_from_rows(identity_matrix(gf(2), 3))
     cdc = CDC(2, 3, 3, 2, [word])
     report = verify_min_distance(cdc)
     assert report.min_found == math.inf and report.witness is None
@@ -245,26 +246,12 @@ def test_verify_generic_field_path():
 
 
 def test_cdc_duplicate_rejection_and_lenient_load():
-    word = subspace_from_rows(Matrix.identity(gf(2), 2))
+    word = subspace_from_rows(identity_matrix(gf(2), 2))
     with pytest.raises(InvalidParameters):
         CDC(2, 2, 2, 2, [word, word])
     lenient = CDC(2, 2, 2, 2, [word, word], strict=False)
     assert len(lenient) == 2
     assert verify_min_distance(lenient).min_found == 0
-
-
-def test_cdc_united_with_a_base_keeps_order_and_duplicate_error():
-    # a base code's words are merged in, not sorted again: the same words in
-    # the same order as one plain construction, and a word in both is the
-    # same duplicate error
-    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
-    base = CDC(2, 6, 3, 4, words[::3])
-    rest = [w for i, w in enumerate(words) if i % 3]
-    united = CDC(2, 6, 3, 4, rest, base=base)
-    assert united.codewords == CDC(2, 6, 3, 4, words).codewords
-    for extra in (rest + [words[3]], rest + [rest[0]]):
-        with pytest.raises(InvalidParameters, match="duplicate codeword"):
-            CDC(2, 6, 3, 4, extra, base=base)
 
 
 def test_cdc_file_round_trip():
@@ -368,7 +355,7 @@ def test_verifier_matches_pairwise_oracle_over_fields(q):
     duplicated = CDC(q, 6, 2, 4, words + [words[4]] * 2, strict=False)
     # a line spread of GF(q)^4: every pair is at the largest distance 2k = 4
     spread = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(q, 2, 2, 2))]
-    spread.append(subspace_from_rows(hstack(Matrix.zero(f, 2, 2), Matrix.identity(f, 2))))
+    spread.append(subspace_from_rows(hstack(zero_matrix(f, 2, 2), identity_matrix(f, 2))))
     spread = CDC(q, 4, 2, 4, spread)
     for cdc in codes + [duplicated, spread]:
         report = verify_min_distance(cdc)
