@@ -26,6 +26,18 @@ USAGE_EXIT, REGISTRY_EXIT, VERIFY_EXIT = 2, 3, 4
 COUNT_MAX_BITS = 1 << 17
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: one stderr line, exit 2
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _check_cap(q: int, e: int, what: str) -> None:
+    """Refuse `what`, of order q^e, before computing it when e * ceil(log2 q)
+    is over the cap."""
+    if e * (q - 1).bit_length() > COUNT_MAX_BITS:
+        raise ValueError(f"{what} is over the {COUNT_MAX_BITS}-bit cap")
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -59,9 +71,7 @@ def _cmd_count(args) -> int:
         q, a, b, d = vals[:4]
         log_q = max(a, b) * (min(a, b) - d + 1)  # each count here is <= m(q,a,b,d)
     factor_prime_power(q)  # q must be a prime power
-    if log_q * (q - 1).bit_length() > COUNT_MAX_BITS:
-        print(f"{expr} value is over the {COUNT_MAX_BITS}-bit cap of count", file=sys.stderr)
-        return USAGE_EXIT
+    _check_cap(q, log_q, f"{expr} value")
     print(fn(*vals))
     return 0
 
@@ -91,17 +101,18 @@ def _cmd_bound(args) -> int:
             return USAGE_EXIT
         factor_prime_power(q)
         given = {name: getattr(args, name) for name in _BOUND_FLAGS}
-        if family == "cor45":
-            stray = [name for name, value in given.items() if value is not None]
-            if stray:
-                raise ValueError(f"cor45 takes no parameter {', '.join(stray)}")
-            if (n, d, k) not in bounds.COR45:
-                raise ValueError(f"cor45 has no tuple for ({n},{d},{k})")
-            family, given = bounds.COR45[n, d, k]
-            total = bounds.evaluate(family, q, n, d, k, given, registry).total
-            _emit({"family": "cor45", "q": q, "n": n, "d": d, "k": k, "total": total})
-            print(f"# A_{q}({n},{d},{k}) >= {total}", file=sys.stderr)
-            return 0
+    _check_cap(q, k * (n - k), "a bound of order q^(k(n-k))")  # at most [n choose k]_q
+    if family == "cor45":  # by flags only: no plan names it
+        stray = [name for name, value in given.items() if value is not None]
+        if stray:
+            raise ValueError(f"cor45 takes no parameter {', '.join(stray)}")
+        if (n, d, k) not in bounds.COR45:
+            raise ValueError(f"cor45 has no tuple for ({n},{d},{k})")
+        family, given = bounds.COR45[n, d, k]
+        total = bounds.evaluate(family, q, n, d, k, given, registry).total
+        _emit({"family": "cor45", "q": q, "n": n, "d": d, "k": k, "total": total})
+        print(f"# A_{q}({n},{d},{k}) >= {total}", file=sys.stderr)
+        return 0
     result = bounds.evaluate(family, q, n, d, k, given, registry)
     _emit({
         "family": result.family, "q": q, "n": n, "d": d, "k": k,
@@ -139,6 +150,7 @@ def _cmd_build(args) -> int:
     registry = _load_registry(args.registry)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = parse_plan(fh.read())
+    _check_cap(plan.q, plan.k * (plan.n - plan.k), "a code of order q^(k(n-k))")
     out = run_plan(plan, registry, explicit=not args.count_only)
     for name, value in sorted(out.component_counts.items()):
         _emit({"component": name, "count": value})
@@ -206,8 +218,7 @@ def _cmd_registry(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cdckit",
-                                 description="constant-dimension code workbench")
+    ap = _Parser(prog="cdckit", description="constant-dimension code workbench")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("count", help="exact q-combinatorics")

@@ -41,7 +41,8 @@ from .gf import factor_prime_power, gf
 from .matrices import Matrix
 from .rankcodes import FerrersShape, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
-from .subspaces import CDC, Subspace, cdc_from_text, codeword, lift_special_form
+from .subspaces import CDC, Subspace, cdc_from_text, codeword, lift_special_form, \
+    verify_min_distance
 
 # a plan reads no value of more digits than an argv int may have: Python's
 # default int-string limit, which the CLI lifts while a command runs
@@ -104,7 +105,9 @@ def _trivial_cdc(q: int, n: int, d: int, k: int) -> CDC:
 def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
                    registry: BaseBoundRegistry, explicit: bool) -> Tuple[Optional[CDC], int]:
     """Resolve a sub-code reference: explicit file, else the canonical
-    one-codeword code when the registry proves size 1, else count-only."""
+    one-codeword code when the registry proves size 1, else count-only.
+    A file's claimed d is not trusted: its words are verified to be at
+    distance >= d (a file of fewer than two words is)."""
     if file is not None:
         with open(file, "r", encoding="utf-8") as fh:
             cdc = cdc_from_text(fh.read())
@@ -113,6 +116,10 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
                 f"{file} is a ({cdc.n},{len(cdc)},{cdc.d},{cdc.k})_{cdc.q} code, "
                 f"need an ({n},*,{d},{k})_{q} code"
             )
+        found = verify_min_distance(cdc).min_found
+        if found < d:
+            raise MissingSubcode(f"{file} claims d = {cdc.d}, but two of its words are at "
+                                 f"distance {found}; need an ({n},*,{d},{k})_{q} code")
         return cdc, len(cdc)
     count = registry.get(q, n, d, k)
     if explicit:

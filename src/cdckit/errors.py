@@ -5,10 +5,6 @@ class CdckitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InversionOfZero(CdckitError):
-    pass
-
-
 class InvalidDistance(CdckitError):
     pass
 

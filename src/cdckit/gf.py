@@ -4,15 +4,6 @@ Field elements are integer codes.  For GF(p^d) the code in [0, p^d) is read
 as the base-p digit vector of the residue polynomial: digit i is the
 coefficient of x^i.
 
-One rule picks every modulus: `field_modulus(q, t)` is the lexicographically
-smallest monic irreducible polynomial of degree t over GF(q), by digit code,
-found by search, so element encodings are bit-exact across runs.  It defines
-GF(p^d) over GF(p) and GF(q^t) over GF(q) alike.  Products come from powers
-of x mod f, taken by square-and-multiply on base-q codes (`x_power`).  Each
-Gabidulin generator entry is a digit of one.  Multiplication by c in GF(p^d)
-is GF(p)-linear, so the products c b are the span of the c x^i: c b is the
-sum of b_i (c x^i) over the digits b_i of b, and the row tables hold them.
-
 Matrix rows over GF(q) are packed ints (see `matrices`): each entry takes a
 fixed `width` of 1, 2, 4 or 8 bits, column 0 highest.  In characteristic 2
 an entry is stored as its element code, so XOR adds rows.  For odd p each
@@ -21,19 +12,28 @@ int sum adds digit-wise without carries and one `translate` reduces every
 digit mod p.  Both encodings increase with the element code, so packed rows
 order as their entries do.  A width dividing 8 keeps whole entries in each
 byte, and scaling a row by c is one `translate` by a 256-byte table.  The
-scalar `add`, `sub`, `mul` and `inv` read the same tables, for every field
-alike.  Only fields with such an encoding are supported: q = 2^m <= 256,
+scalar `add`, `sub` and `mul` read the same tables, for every field alike.
+Only fields with such an encoding are supported: q = 2^m <= 256,
 q in {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
+
+A polynomial of degree < t over GF(q) is a row of t entries, the
+coefficient of x^i the i-th from the right, so an element's `enc` is the
+row of its residue polynomial over GF(p).  `times_x` shifts a row one entry
+and reduces the spill by the modulus; `x_power` squares and multiplies
+rows.  One rule picks every modulus: `field_modulus(q, t)` is the
+lex-smallest monic irreducible of degree t over GF(q) by digit code, found
+by trial division on rows, so encodings are bit-exact across runs.
+Multiplication by c in GF(p^d) is GF(p)-linear: c b is the sum of
+b_i (c x^i) over the digits b_i of b, and the row tables hold these sums.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from operator import xor
 from typing import Sequence, Tuple
-
-from .errors import InversionOfZero
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
@@ -126,12 +126,12 @@ class GF:
 
     def _products(self, c: int) -> list:
         """enc[c b] for b = 0, ..., q - 1: the GF(p)-span of the enc[c x^i],
-        digit 0 of b the fastest, with c x^(i+1) = x (c x^i) mod the modulus."""
-        out, v = [0], c
+        digit 0 of b the fastest; enc[c x^(i+1)] is `times_x` over GF(p)."""
+        out, step = [0], self.enc[c]
         for i in range(self.degree):
             if i:
-                v = x_power(1, gf(self.p), self.modulus, v)
-            step, layer = self.enc[v], out
+                step = times_x(gf(self.p), step, self.modulus)
+            layer = out
             for _ in range(self.p - 1):
                 layer = [self.row_add(e, step) for e in layer]
                 out += layer
@@ -165,11 +165,6 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         return self.dec[self.mul_rows[a][self.enc[b]]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InversionOfZero("0 has no multiplicative inverse")
-        return self.invs[a]
 
 
 @lru_cache(maxsize=None)
@@ -247,107 +242,80 @@ def _iroot(n: int, e: int) -> int:
 def field_modulus(q: int, t: int) -> Tuple[int, ...]:
     """The coefficients (c_0, ..., c_{t-1}) of the monic irreducible f of
     degree t over GF(q) that defines GF(q^t): none for t = 1, else the
-    lex-smallest by digit code (`_search_modulus`)."""
-    return _search_modulus(gf(q), t) if t > 1 else ()
+    lex-smallest by digit code sum(c_i q^i)."""
+    if t == 1:
+        return ()
+    base = gf(q)
+    for digits in product(range(q), repeat=t):  # the last place, c_0, runs fastest
+        if is_irreducible(digits[::-1], base):
+            return digits[::-1]
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-def x_power(e: int, base: GF, modulus: Sequence[int], c: int = 1) -> int:
-    """c x^e mod the modulus over `base`, c and the result base-q codes, by
-    square-and-multiply."""
-    out, square = c, base.q  # the code q is the polynomial x
+def _row(f: GF, coeffs: Sequence[int]) -> int:
+    """The packed row of a polynomial over f: c_i in the i-th entry from the right."""
+    return sum(f.enc[c] << i * f.width for i, c in enumerate(coeffs))
+
+
+_modulus_row = lru_cache(maxsize=None)(_row)  # one entry per field and modulus in use
+
+
+def times_x(f: GF, v: int, modulus: Sequence[int]) -> int:
+    """x v mod the modulus, v and the result rows of t = len(modulus)
+    entries over f: v moves up one entry, and an entry c that spills past
+    t comes back as c x^t = -c (the modulus's lower terms)."""
+    shift = (len(modulus) - 1) * f.width
+    top = v >> shift
+    v = (v ^ top << shift) << f.width
+    if top:
+        v = f.row_add(v, f.row_scale(_modulus_row(f, modulus), f.negs[f.dec[top]]))
+    return v
+
+
+def x_power(e: int, f: GF, modulus: Sequence[int], v: int = 1) -> int:
+    """v x^e mod the modulus, v and the result rows as for `times_x` (the
+    row 1 is the polynomial 1), by square-and-multiply."""
+    square = 1 << f.width  # the row of x
     while e:
         if e & 1:
-            out = _poly_mul_code(out, square, base, modulus)
+            v = _times(f, v, square, modulus)
         e >>= 1
         if e:
-            square = _poly_mul_code(square, square, base, modulus)
+            square = _times(f, square, square, modulus)
+    return v
+
+
+def _times(f: GF, a: int, b: int, modulus: Sequence[int]) -> int:
+    """a b mod the modulus by Horner's rule: for each entry c of b, highest
+    first, the running sum is multiplied by x and c a is added."""
+    w = f.width
+    out, mask = 0, (1 << w) - 1
+    for i in range((len(modulus) - 1) * w, -1, -w):
+        out = times_x(f, out, modulus)
+        c = b >> i & mask
+        if c:
+            out = f.row_add(out, f.row_scale(a, f.dec[c]))
     return out
-
-
-# -- polynomial helpers over an arbitrary coefficient field -----------------
-
-
-def _code_to_poly(code: int, q: int) -> list:
-    out = []
-    while code:
-        out.append(code % q)
-        code //= q
-    return out
-
-
-def _poly_to_code(poly: Sequence[int], q: int) -> int:
-    code = 0
-    for c in reversed(poly):
-        code = code * q + c
-    return code
-
-
-def _poly_mul_code(a: int, b: int, base: GF, modulus: Sequence[int]) -> int:
-    """Multiply residue polynomials given as base-q digit codes."""
-    q = base.q
-    deg = len(modulus)
-    pa = _code_to_poly(a, q)
-    pb = _code_to_poly(b, q)
-    prod = [0] * (len(pa) + len(pb) - 1) if pa and pb else []
-    for i, ca in enumerate(pa):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(pb):
-            if cb:
-                prod[i + j] = base.add(prod[i + j], base.mul(ca, cb))
-    # reduce by x^deg = -modulus
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
-        if c == 0:
-            continue
-        prod[i] = 0
-        for j, mj in enumerate(modulus):
-            if mj:
-                prod[i - deg + j] = base.sub(prod[i - deg + j], base.mul(c, mj))
-    return _poly_to_code(prod, q)
-
-
-def _poly_mod(num: list, den: list, base: GF) -> list:
-    """The remainder of num divided by den, coefficient lists over `base`."""
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = base.inv(den[-1])
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        f = base.mul(c, lead_inv)
-        for j, cj in enumerate(den):
-            num[i - dd + j] = base.sub(num[i - dd + j], base.mul(f, cj))
-    while num and num[-1] == 0:
-        num.pop()
-    return num
 
 
 def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
-    """Trial division of the monic poly x^deg + sum(coeffs[i] x^i)."""
-    deg = len(coeffs)
-    poly = list(coeffs) + [1]
-    if deg == 0:
-        return False
-    if poly[0] == 0:
+    """Whether the monic x^deg + sum(coeffs[i] x^i) over `base`, deg >= 1,
+    is irreducible, by trial division on rows by every monic polynomial of
+    degree 1 to deg / 2.  A monic divisor needs no inverse: each step
+    subtracts the divisor, times the leading entry, shifted under it."""
+    deg, w, dec, negs = len(coeffs), base.width, base.dec, base.negs
+    if coeffs[0] == 0:  # x divides it
         return deg == 1
-    q = base.q
-    for ddeg in range(1, deg // 2 + 1):
-        for code in range(q**ddeg):
-            den = _code_to_poly(code, q)
-            den += [0] * (ddeg - len(den)) + [1]
-            if not _poly_mod(poly, den, base):
+    poly, mask = _row(base, (*coeffs, 1)), (1 << w) - 1
+    for dd in range(1, deg // 2 + 1):
+        for lower in product(base.enc, repeat=dd):
+            den, num = 1, poly
+            for e in lower:
+                den = den << w | e
+            for i in range((deg - dd) * w, -1, -w):
+                top = num >> i + dd * w & mask
+                if top:
+                    num = base.row_add(num, base.row_scale(den, negs[dec[top]]) << i)
+            if not num:
                 return False
     return True
-
-
-def _search_modulus(base: GF, degree: int) -> Tuple[int, ...]:
-    """Lex-smallest (by digit code) monic irreducible of given degree."""
-    q = base.q
-    for code in range(q**degree):
-        poly = _code_to_poly(code, q)
-        coeffs = tuple(poly) + (0,) * (degree - len(poly))
-        if is_irreducible(coeffs, base):
-            return coeffs
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover

@@ -20,8 +20,8 @@ from .errors import (
     InvalidDistances,
     InvalidParameters,
 )
-from .gf import GF, field_modulus, gf, x_power
-from .matrices import Matrix, mat_rank
+from .gf import GF, field_modulus, gf, times_x, x_power
+from .matrices import Matrix, mat_rank, row_codes
 
 
 def enumeration_limit() -> int:
@@ -54,8 +54,10 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
     s = min(a,b) and t = max(a,b), on the points 1, x, ..., x^(s-1), where
     GF(q^t) is GF(q)[x] mod f for f = `field_modulus(q, t)`.  The generator
     for q-degree i and coefficient x^l maps point x^j to x^(l + j q^i), so
-    its entry at point j and coordinate r is the r-th base-q digit of
-    x^(l + j q^i) mod f.  Points index the columns when a >= b and the
+    its entry at point j and coordinate r is the coefficient of x^r in
+    x^(l + j q^i) mod f.  That power is a packed row over GF(q), x^r its
+    r-th entry from the right: `x_power` gives the one for l = 0, and each
+    next l is one `times_x`.  Points index the columns when a >= b and the
     rows otherwise, so the output shape is a x b.
     """
     if not 1 <= d <= min(a, b):
@@ -66,10 +68,11 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
     for i in range(s - d + 1):  # q-degree of the monomial
         images = [x_power(j * q**i, field, f) for j in range(s)]
         for l in range(t):  # basis coefficient x^l; images[j] is x^(l + j q^i)
-            digits = [[v // q**r % q for r in range(t)] for v in images]  # [j][r]
+            digits = [row_codes(field, v, t)[::-1] for v in images]  # [j][r]
             rows = zip(*digits) if a >= b else digits
             gens.append(Matrix(field, a, b, [x for row in rows for x in row]))
-            images = [x_power(1, field, f, v) for v in images]
+            if l < t - 1:
+                images = [times_x(field, v, f) for v in images]
     return LinearRankCode(q, a, b, d, gens)
 
 

@@ -7,15 +7,18 @@ matrix and field helpers serve those checks (row operations, rank
 distances, rank-nullity, field addition in GF(q^m)), and so do the
 whole-matrix helpers the package assembles without: zero and identity
 matrices, `mat_add`, `hstack`, `vstack`, `subspace_from_rows` (a matrix's
-row space through `codeword`) and the mixed-field guard `same_field`.  `rref_rows` is a
-per-entry Gaussian elimination through the field's scalar `add`, `mul` and
-`inv`, not the packed-row kernels it checks; the scalar ops read the same
-tables, which `test_gf` checks against `ExtField` and integer arithmetic.
-`ExtField` is
-GF(q^m) with full exp/log tables, the reference the Gabidulin generators
+row space through `codeword`) and the mixed-field guard `same_field`.
+`rref_rows` is a per-entry Gaussian elimination through the field's scalar
+`add`, `sub` and `mul` and its table of inverses `invs`, not the
+packed-row kernels it checks; they read the same tables, which `test_gf`
+checks against `ExtField` and integer arithmetic.  `ExtField` is GF(q^m)
+with full exp/log tables, built from its own schoolbook polynomial
+multiply over base-q codes.  It is the reference the Gabidulin generators
 and the field's own row tables are checked against, over the pinned
-modulus table `_MODULUS_TABLE` that `gf.field_modulus` must reproduce by
-search.  `trial_factor_prime_power` factors a prime power by trial
+modulus table `_MODULUS_TABLE`.  `search_modulus` finds the lex-smallest
+monic irreducible by scalar trial division, one coefficient at a time:
+the reference for `gf.field_modulus`, which divides whole rows.
+`trial_factor_prime_power` factors a prime power by trial
 division up to sqrt(q), the reference for `factor_prime_power`.
 `grid` lists a family's admissible parameters, and `blocks_insert_oracle`
 is the block insert's size as one expression.  `randrange_pairs` draws
@@ -33,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import Family, _bounded, _exact_div
 from cdckit.counting import mrd_size
-from cdckit.gf import GF, _poly_mul_code, _search_modulus
+from cdckit.gf import GF
 from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace, codeword
@@ -69,7 +72,7 @@ def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
+        inv = field.invs[rows[r][c]]
         if inv != 1:
             rows[r] = [field.mul(inv, x) for x in rows[r]]
         for i in range(len(rows)):
@@ -251,6 +254,76 @@ _MODULUS_TABLE = {
 }
 
 
+# -- polynomials over GF(q), one coefficient at a time ---------------------------
+#
+# The scalar reference for `gf`'s row arithmetic: a polynomial is a list of
+# coefficient codes, lowest first, or the base-q code sum(c_i q^i).
+
+
+def _code_to_poly(code: int, q: int) -> list:
+    out = []
+    while code:
+        out.append(code % q)
+        code //= q
+    return out
+
+
+def _poly_to_code(poly: Sequence[int], q: int) -> int:
+    code = 0
+    for c in reversed(poly):
+        code = code * q + c
+    return code
+
+
+def _poly_mod(num: list, den: list, base: GF) -> list:
+    """The remainder of num divided by den, coefficient lists over `base`."""
+    num = list(num)
+    dd = len(den) - 1
+    lead_inv = base.invs[den[-1]]
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        f = base.mul(c, lead_inv)
+        for j, cj in enumerate(den):
+            num[i - dd + j] = base.sub(num[i - dd + j], base.mul(f, cj))
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _scalar_irreducible(coeffs: Sequence[int], base: GF) -> bool:
+    """Trial division of the monic x^deg + sum(coeffs[i] x^i) by every
+    monic polynomial of degree 1 to deg / 2, coefficient by coefficient."""
+    deg = len(coeffs)
+    poly = list(coeffs) + [1]
+    if deg == 0:
+        return False
+    if poly[0] == 0:
+        return deg == 1
+    q = base.q
+    for ddeg in range(1, deg // 2 + 1):
+        for code in range(q**ddeg):
+            den = _code_to_poly(code, q)
+            den += [0] * (ddeg - len(den)) + [1]
+            if not _poly_mod(poly, den, base):
+                return False
+    return True
+
+
+def search_modulus(base: GF, degree: int) -> Tuple[int, ...]:
+    """The lex-smallest (by digit code) monic irreducible of the degree
+    over `base`, by scalar trial division: the reference for
+    `gf.field_modulus`."""
+    q = base.q
+    for code in range(q**degree):
+        poly = _code_to_poly(code, q)
+        coeffs = tuple(poly) + (0,) * (degree - len(poly))
+        if _scalar_irreducible(coeffs, base):
+            return coeffs
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+
+
 def _build_log_tables(q: int, mul):
     """exp/log tables from the smallest primitive element code: the first g
     with g^i != 1 for 0 < i < q - 1."""
@@ -300,16 +373,36 @@ class ExtField:
         elif base.degree == 1 and (base.p, m) in _MODULUS_TABLE:
             self.modulus = _MODULUS_TABLE[(base.p, m)]
         else:
-            self.modulus = _search_modulus(base, m)
+            self.modulus = search_modulus(base, m)
         if m == 1:
             self._exp, self._log = None, None
         else:
-            self._exp, self._log = _build_log_tables(
-                self.order, lambda a, b: _poly_mul_code(a, b, base, self.modulus)
-            )
+            self._exp, self._log = _build_log_tables(self.order, self._poly_mul)
 
     def __repr__(self):
         return f"ExtField(GF({self.base.q}), m={self.m})"
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """a b mod the modulus, schoolbook over the base-q digits of the
+        codes, then reduced by x^m = -(the modulus's lower terms)."""
+        base, q, deg = self.base, self.base.q, self.m
+        pa, pb = _code_to_poly(a, q), _code_to_poly(b, q)
+        prod = [0] * (len(pa) + len(pb) - 1) if pa and pb else []
+        for i, ca in enumerate(pa):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(pb):
+                if cb:
+                    prod[i + j] = base.add(prod[i + j], base.mul(ca, cb))
+        for i in range(len(prod) - 1, deg - 1, -1):
+            c = prod[i]
+            if c == 0:
+                continue
+            prod[i] = 0
+            for j, mj in enumerate(self.modulus):
+                if mj:
+                    prod[i - deg + j] = base.sub(prod[i - deg + j], base.mul(c, mj))
+        return _poly_to_code(prod, q)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -213,6 +213,31 @@ def test_build_count_only(capsys, tmp_path):
     assert counts["L_1"] == 2154496 and counts["L_2"] == 4096
 
 
+# two words of a (4, *, *, 2)_2 file, at distance 2
+WORD_A, WORD_B = "1 0 0 0\n0 1 0 0\n", "1 0 0 0\n0 0 1 0\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--count-only"])
+def test_build_refuses_a_subcode_file_below_its_claimed_distance(tmp_path, capsys, flag):
+    # the header's d is not trusted: the words are verified, and a pair
+    # closer than the slot's d exits 2 before anything is written
+    c1 = tmp_path / "c1.cdc"
+    c1.write_text(f"CDC 2 4 2 4 2\n{WORD_A}\n{WORD_B}")
+    plan = tmp_path / "link.plan"
+    plan.write_text(f"family = linkage\nq = 2\nn = 6\nd = 4\nk = 2\nn1 = 4\nC1_file = {c1}\n")
+    out = tmp_path / "out.cdc"
+    argv = ["build", "--plan", str(plan)] + ([flag, str(out)] if flag == "--out" else [flag])
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and len(err.strip().splitlines()) == 1
+    assert "distance 2" in err and not out.exists()
+    # the same slot takes a file of one word or of none: no pair falls short
+    for words, text in ((1, WORD_A), (0, "")):
+        c1.write_text(f"CDC 2 4 2 4 {words}\n{text}")
+        assert main(argv) == 0
+        assert {"component": "C1_part", "count": 4 * words} in _json_lines(capsys.readouterr().out)
+
+
 def test_verify_duplicate_codeword_exits_4(tmp_path, capsys):
     base = (
         "CDC 2 4 2 2 3\n"
@@ -387,6 +412,13 @@ _BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--fa
     pytest.param(["verify", "--seed", "5", "--in"], TWO_WORDS, id="verify-exhaustive-seed"),
     pytest.param(["verify", "--mode", "sample:3:1", "--seed", "5", "--in"], TWO_WORDS,
                  id="verify-two-seeds"),
+    # values of order q^(k(n-k)) over the cap of count are refused, not computed
+    pytest.param(["bound", "--family", "linkage", "--q", "2", "--n", str(10**21), "--d", "4",
+                  "--k", "4", "--n1", "4"], None, id="bound-huge-n"),
+    pytest.param(["bound", "--plan"], LINKAGE_PLAN.replace("n = 8", "n = 100000"),
+                 id="bound-plan-huge-n"),
+    pytest.param(["build", "--count-only", "--plan"], LINKAGE_PLAN.replace("n = 8", "n = 100000"),
+                 id="build-plan-huge-n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
     # `plan` is the text of the file whose path ends argv (a CDC file for verify)
@@ -397,6 +429,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["count", "gauss", "x"], ["verify"], ["bogus"],
+                                  ["build", "--plan", "p", "--stray"]])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    # argparse's own errors too: one line naming the problem, no usage block
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert "error: " in err
 
 
 @pytest.mark.parametrize("record", [

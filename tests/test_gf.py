@@ -1,11 +1,14 @@
 """Field arithmetic: axioms, moduli, tables, prime powers, Frobenius, expansion.
 
-The package has no GF(q^m) arithmetic beyond powers of x (`gf.x_power`),
-and each GF(q) is its row tables; every supported field's tables are
-checked against integers mod p or `oracles.ExtField`, and the searched
-moduli against the pinned `oracles._MODULUS_TABLE`.  The Frobenius and
-expansion tests check `oracles.ExtField`, the exp/log table field the
-Gabidulin generators are compared against.  They add in
+The package's polynomials over GF(q) are packed rows, and its only GF(q^m)
+arithmetic is multiplication by x (`gf.times_x`) and powers of x
+(`gf.x_power`).  Each GF(q) is its row tables; every supported field's
+tables are checked against integers mod p or `oracles.ExtField`.  The
+row-wise modulus search is checked against the pinned
+`oracles._MODULUS_TABLE` and the scalar trial division
+`oracles.search_modulus`, and the row powers of x against `ExtField`'s.
+The Frobenius and expansion tests check `oracles.ExtField`, the exp/log
+table field the Gabidulin generators are compared against.  They add in
 GF(q^m) coordinate-wise with `oracles.ext_add`, and take the Frobenius
 x -> x^q as a power.  `factor_prime_power` and `is_prime` are checked
 against trial division and a sieve, and on primes far beyond either.
@@ -17,11 +20,10 @@ import random
 
 import pytest
 
-from cdckit.errors import InversionOfZero
-from cdckit.gf import _MR_EXACT_BELOW, _iroot, _search_modulus, factor_prime_power, \
-    field_modulus, gf, is_irreducible, is_prime
+from cdckit.gf import _MR_EXACT_BELOW, _iroot, factor_prime_power, field_modulus, gf, \
+    is_irreducible, is_prime, times_x, x_power
 from cdckit.matrices import Matrix, row_codes
-from oracles import _MODULUS_TABLE, ExtField, MixedFields, ext_add, same_field, \
+from oracles import _MODULUS_TABLE, ExtField, MixedFields, ext_add, same_field, search_modulus, \
     trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -39,7 +41,7 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, 1) == a
         assert f.add(a, f.negs[a]) == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, f.invs[a]) == 1
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)
@@ -60,14 +62,8 @@ def test_gf4_mul_example():
 
 
 def test_gf7_inverse():
-    assert gf(7).inv(3) == 5
+    assert gf(7).invs[3] == 5
     assert 3 * 5 % 7 == 1
-
-
-def test_inversion_of_zero():
-    for q in (7, 8):
-        with pytest.raises(InversionOfZero):
-            gf(q).inv(0)
 
 
 def test_same_field_rejects_mixed_fields():
@@ -93,7 +89,7 @@ def test_modulus_table_irreducible():
 
 @pytest.mark.parametrize("p,deg", sorted(_MODULUS_TABLE))
 def test_modulus_table_is_lex_smallest(p, deg):
-    assert _MODULUS_TABLE[(p, deg)] == _search_modulus(gf(p), deg)
+    assert _MODULUS_TABLE[(p, deg)] == search_modulus(gf(p), deg)
     assert field_modulus(p, deg) == _MODULUS_TABLE[(p, deg)]
 
 
@@ -127,7 +123,7 @@ def test_tables_match_independent_arithmetic(q):
         for a in els:
             assert f.negs[a] == -a % p
             if a:
-                assert f.inv(a) == pow(a, p - 2, p)
+                assert f.invs[a] == pow(a, p - 2, p)
             for b in els:
                 assert (f.add(a, b), f.sub(a, b), f.mul(a, b)) == \
                     ((a + b) % p, (a - b) % p, a * b % p)
@@ -137,7 +133,7 @@ def test_tables_match_independent_arithmetic(q):
     for a in els:
         assert ext_add(ext, a, f.negs[a]) == 0
         if a:
-            assert f.inv(a) == ext.pow(a, q - 2)
+            assert f.invs[a] == ext.pow(a, q - 2)
         for b in els:
             assert f.add(a, b) == ext_add(ext, a, b)
             assert ext_add(ext, f.sub(a, b), b) == a
@@ -152,9 +148,41 @@ def test_field_modulus_is_the_fields_own():
         assert gf(q).modulus == field_modulus(p, e)
     assert all(is_prime(p) for p, _ in _MODULUS_TABLE)  # the table is over prime bases
     assert field_modulus(2, 8) == _MODULUS_TABLE[2, 8]
-    assert field_modulus(4, 3) == _search_modulus(gf(4), 3)  # base not prime
-    assert field_modulus(11, 2) == _search_modulus(gf(11), 2)  # not in the table
     assert is_irreducible(field_modulus(16, 5), gf(16))
+
+
+# every (q, t) with t >= 2 and q^t <= 4096, non-prime bases 4, 8, 9 and 16 too
+ROW_CASES = [(q, t) for q in SUPPORTED_Q for t in range(2, 13) if q**t <= 4096]
+
+
+def test_row_modulus_search_matches_the_scalar_search():
+    # the package divides whole rows; the oracle divides coefficient by
+    # coefficient through the scalar ops and `invs`
+    assert len(ROW_CASES) == 56 and {4, 8, 9, 16} <= {q for q, _ in ROW_CASES}
+    for q, t in ROW_CASES:
+        assert field_modulus(q, t) == search_modulus(gf(q), t), (q, t)
+
+
+@pytest.mark.parametrize("q,t", ROW_CASES)
+def test_row_powers_of_x_match_the_table_field(q, t):
+    # x_power and times_x on rows against the exp/log field's powers of x
+    # (the code q) and products: seeded exponents, some beyond q^t, and the
+    # Gabidulin exponents l + j q^i
+    f, modulus, ext = gf(q), field_modulus(q, t), ExtField(gf(q), t)
+    assert ext.modulus == modulus
+
+    def as_row(code):
+        return sum(f.enc[c] << i * f.width for i, c in enumerate(ext.expand(code)))
+
+    rng = random.Random(q * 100 + t)
+    exponents = [0, 1, t, q**t - 1, q**t, q**t + 1] + [rng.randrange(3 * q**t) for _ in range(8)]
+    exponents += [l + j * q**i for i in range(t) for j in range(t) for l in range(t)
+                  if l + j * q**i < 4 * q**t]
+    for e in exponents:
+        v = rng.randrange(1, q**t)
+        assert x_power(e, f, modulus) == as_row(ext.pow(q, e)), (q, t, e)
+        assert x_power(e, f, modulus, as_row(v)) == as_row(ext.mul(v, ext.pow(q, e)))
+        assert times_x(f, as_row(v), modulus) == as_row(ext.mul(v, q))
 
 
 def _sieve(limit):
