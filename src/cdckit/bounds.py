@@ -136,24 +136,27 @@ def parallel_insert_part(p, a):
     return size, {"term:E": size, "Delta_3": d3, "Delta_4": d4}
 
 
-def insert_vectors(p) -> List[Tuple[int, int, int, int, int]]:
+def insert_vectors(p) -> List[Tuple[int, int, int, int, int, int, int]]:
     """The special-form vectors of a multilevel insert as (v1, v2, shift,
-    c1, c2): cor43 lifts (u1, u2) and (u1 - d/2, u2 + d/2); cor44, the
-    family with lam, lifts (u1, u2) shifted by (i - 1) u1 for i = 1..lam."""
-    u1, u2 = p["u1"], p["u2"]
+    w1, w2, c1, c2), with w1 = n1 - shift - v1 and w2 = n2 - v2 the widths
+    each block leaves free after the vector's ones: cor43 lifts (u1, u2)
+    and (u1 - d/2, u2 + d/2); cor44, the family with lam, lifts (u1, u2)
+    shifted by (i - 1) u1 for i = 1..lam."""
+    u1, u2, n1, n2 = p["u1"], p["u2"], p["n1"], p["n2"]
     if "lam" in p:
-        return [(u1, u2, i * u1, p["b1"], p["b2"]) for i in range(p["lam"])]
-    h = p["h"]
-    return [(u1, u2, 0, p["c1"], p["c2"]), (u1 - h, u2 + h, 0, p["c1"], p["c2"])]
+        return [(u1, u2, shift, n1 - shift - u1, n2 - u2, p["b1"], p["b2"])
+                for shift in range(0, p["lam"] * u1, u1)]
+    h, c1, c2 = p["h"], p["c1"], p["c2"]
+    return [(u1, u2, 0, n1 - u1, n2 - u2, c1, c2),
+            (u1 - h, u2 + h, 0, n1 - u1 + h, n2 - u2 - h, c1, c2)]
 
 
-def _lifted(p, v1: int, v2: int, shift: int, c1: int, c2: int) -> Tuple[Optional[int], int]:
-    """(s, size) of the FDRM code lifted on one vector; the case follows
-    from the width w1 = n1 - shift - v1 that the vector leaves free after
-    its ones in the first block, and s is the coset count where cosets
-    pair up (else None)."""
+def _lifted(p, v1: int, v2: int, shift: int, w1: int, w2: int, c1: int, c2: int
+            ) -> Tuple[Optional[int], int]:
+    """(s, size) of the FDRM code lifted on one vector of `insert_vectors`;
+    the case follows from the width w1 of M1, and s is the coset count
+    where cosets pair up (else None).  The shift does not change the size."""
     q, h = p["q"], p["h"]
-    w1, w2 = p["n1"] - shift - v1, p["n2"] - v2
     lam1 = mrd_size(q, v2, w2, h)
     lam2 = _bounded(q, v1, w2, h, v1 - h)
     if w1 < c1:

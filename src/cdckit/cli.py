@@ -127,21 +127,18 @@ def _cmd_bound(args) -> int:
 def _cmd_table(args) -> int:
     registry = _load_registry(args.registry)
     ids = [args.id] if args.id else list(bounds.ALL_TABLE_IDS)
-    bad = 0
+    rows, bad = 0, []
     for tid in ids:
         for row in bounds.reproduce_table(tid, q_filter=args.q, registry=registry):
             _emit(row)
+            rows += 1
             if not row["match"]:
-                bad += 1
-                print(
-                    f"# MISMATCH table {tid} row {row['row']} "
-                    f"A_{row['q']}({row['n']},{row['d']},{row['k']}): "
-                    f"computed {row['computed']} != {row['published_new']} "
-                    f"(delta {row['computed'] - row['published_new']})",
-                    file=sys.stderr,
-                )
-    if bad:
-        print(f"# {bad} rows mismatched", file=sys.stderr)
+                bad.append(f"table {tid} row {row['row']} "
+                           f"A_{row['q']}({row['n']},{row['d']},{row['k']}): "
+                           f"computed {row['computed']} != {row['published_new']} "
+                           f"(delta {row['computed'] - row['published_new']})")
+    if bad:  # one stderr line names every mismatched row
+        print(f"# MISMATCH in {len(bad)} of {rows} rows: " + "; ".join(bad), file=sys.stderr)
         return VERIFY_EXIT
     return 0
 

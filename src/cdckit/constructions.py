@@ -10,10 +10,12 @@ construction.  An explicit build holds the running total to the
 explicit-build cutoff after each part, and only then materializes every
 part into one code, whose size must equal the total.  Each codeword is
 assembled from Gabidulin codes, their coset lists and FDRM words
-(`rankcodes`): the blocks' packed rows are shifted to their columns and
-joined by OR, and `subspaces.codeword` makes the subspace, trusting the
-pivots of rows already in RREF.  The verifier can then check distances
-exhaustively.
+(`rankcodes`), all tuples of packed rows: the blocks' rows are shifted to
+their columns and joined by OR, and `subspaces.codeword` makes the
+subspace, trusting the pivots of rows already in RREF.  A lifted insert's
+FDRM rows go beside the identity blocks of its special-form vector, whose
+widths `bounds.insert_vectors` gives the count and the build alike.  The
+verifier can then check distances exhaustively.
 
 `_PARTS` pairs each count part with its materializer and the components a
 build reports for it.  A build reports the components of its family's last
@@ -38,11 +40,9 @@ from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vecto
     lifted_inserts_part, linkage_part, parallel_insert_part
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf
-from .matrices import Matrix
-from .rankcodes import FerrersShape, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
+from .rankcodes import coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
-from .subspaces import CDC, Subspace, cdc_from_text, codeword, lift_special_form, \
-    verify_min_distance
+from .subspaces import CDC, Subspace, cdc_from_text, codeword, verify_min_distance
 
 # a plan reads no value of more digits than an argv int may have: Python's
 # default int-string limit, which the CLI lifts while a command runs
@@ -167,16 +167,20 @@ def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace]
     q, n, h, a1, a2, n1, n2 = p["q"], p["n"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
     f = gf(q)
 
-    def placed(mats: Iterable[Matrix], right: int) -> List[Tuple[int, ...]]:
-        """Each matrix's rows, moved left past `right` columns."""
-        return [tuple(r << right * f.width for r in m.packed) for m in mats]
+    def placed(words: Iterable[Tuple[int, ...]], right: int) -> List[Tuple[int, ...]]:
+        """Each word's rows, moved left past `right` columns."""
+        return [tuple(r << right * f.width for r in rows) for rows in words]
+
+    def mrd_rows(a: int, b: int, cap: Optional[int]) -> Iterator[Tuple[int, ...]]:
+        """The rows of the a x b distance-d/2 Gabidulin words of rank <= cap."""
+        return (m.packed for m in enumerate_code(gabidulin_mrd(q, a, b, h), rank_cap=cap))
 
     fam1 = [placed(c, n2) for c in coset_lists(q, a1, n1 - t1, p["b1"], h)]
     fam2 = [placed(c, 0) for c in coset_lists(q, a2, n2 - t2, p["b2"], h)]
-    m12s = placed(enumerate_code(gabidulin_mrd(q, a1, n2 - t2, h), rank_cap=cap1), 0)
-    m21s = placed(enumerate_code(gabidulin_mrd(q, a2, n1 - t1, h), rank_cap=cap2), n2)
-    us1 = placed((u.mat for u in diag1), n - t1)
-    us2 = placed((u.mat for u in diag2), n2 - t2)
+    m12s = placed(mrd_rows(a1, n2 - t2, cap1), 0)
+    m21s = placed(mrd_rows(a2, n1 - t1, cap2), n2)
+    us1 = placed((u.mat.packed for u in diag1), n - t1)
+    us2 = placed((u.mat.packed for u in diag2), n2 - t2)
     for r in range(s):
         for u1, u2, m11, m22, m12, m21 in itertools.product(
                 us1, us2, fam1[r], fam2[r], m12s, m21s):
@@ -205,25 +209,33 @@ def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
     t1, t2, n2 = p["t1"], p["t2"], p["n2"]
     f = gf(q)
     w = f.width
-    m1s = sorted(enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]),
-                 key=Matrix.key)
-    m2s = sorted(enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]),
-                 key=Matrix.key)
+    m1s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]))
+    m2s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]))
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
     for (m1, m2), u1, u2 in itertools.product(pairs, subs["D1"], subs["D2"]):
-        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1.packed, u1.mat.packed)]
-        bot = [m << (n2 - t2) * w | u for m, u in zip(m2.packed, u2.mat.packed)]
+        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1.mat.packed)]
+        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2.mat.packed)]
         yield codeword(f, n, top + bot)
 
 
 def _lifted_words(p, subs, terms) -> Iterator[Subspace]:
-    """The lifted FDRM codes, one per special-form vector.  The vectors lie
-    at Hamming distance d or more from each other by the family's
-    hypotheses, so the lifted codes combine."""
-    for v1, v2, shift, c1, c2 in insert_vectors(p):
-        shape = FerrersShape(p["n1"], p["n2"], v1, v2, shift, p["h"])
-        for m in fdrm_words(p["q"], shape, c1, c2):
-            yield lift_special_form(m, shape)
+    """The lifted FDRM codes, one per special-form vector: shift zeros, v1
+    ones, w1 zeros, then v2 ones and w2 zeros.  Each word's rows are the
+    vector's identity rows beside the FDRM word's [[M1, M3], [0, M2]]: M1
+    moved past the n2 columns of the second block, M3 and M2 in the last w2
+    entries.  They are in RREF with the vector's ones as pivots.  The
+    vectors lie at Hamming distance d or more from each other by the
+    family's hypotheses, so the lifted codes combine."""
+    q, n, n1, n2, h = p["q"], p["n"], p["n1"], p["n2"], p["h"]
+    f = gf(q)
+    w = f.width
+    for v1, v2, shift, w1, w2, c1, c2 in insert_vectors(p):
+        pivots = tuple(range(shift, shift + v1)) + tuple(range(n1, n1 + v2))
+        ones = [1 << (n - 1 - c) * w for c in pivots]
+        low = (1 << w2 * w) - 1
+        for rows in fdrm_words(q, v1, v2, w1, w2, h, c1, c2):
+            yield codeword(f, n, [e | (r >> w2 * w) << n2 * w | r & low
+                                  for e, r in zip(ones, rows)], pivots)
 
 
 def _named(**terms: str):

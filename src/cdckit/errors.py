@@ -25,10 +25,6 @@ class InvalidParameters(CdckitError):
     pass
 
 
-class RankCapViolated(CdckitError):
-    pass
-
-
 class PairLimitExceeded(CdckitError):
     pass
 

@@ -4,9 +4,11 @@ Gabidulin codes realize every MRD parameter set we need; their cosets
 split them into translate classes with two-level distance guarantees, and
 `fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
 two-block staircase shape that the multilevel inserts lift.  Their sizes
-are counted by the family spec in `bounds`, not here.  Words are matrices
-of packed rows (see `matrices`), and enumeration adds whole rows: each word
-of a span is the previous one plus one tabulated combination.
+are counted by the family spec in `bounds`, not here.  A word is the tuple
+of its packed rows (see `matrices`), and enumeration adds whole rows: each
+word of a span is the previous one plus one tabulated combination.  Only
+`enumerate_code` hands out `Matrix` values, and only for the words it
+keeps under its rank cap; coset lists and FDRM words stay row tuples.
 """
 
 from __future__ import annotations
@@ -14,14 +16,9 @@ from __future__ import annotations
 import os
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (
-    EnumerationLimitExceeded,
-    InvalidDistance,
-    InvalidDistances,
-    InvalidParameters,
-)
+from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
 from .gf import GF, field_modulus, gf, times_x, x_power
-from .matrices import Matrix, mat_rank, row_codes
+from .matrices import Matrix, rank_added, row_codes
 
 
 def enumeration_limit() -> int:
@@ -79,10 +76,10 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
 _LOW_WORDS = 1 << 10  # at most this many words of the last generators' span are tabulated
 
 
-def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) -> Iterator[Matrix]:
-    """All GF(q)-combinations in coefficient-counter order (deterministic):
-    the first generator's coefficient changes slowest, each running through
-    the element codes 0, ..., q - 1.
+def _span_iter(field: GF, generators: Sequence[Matrix], nrows: int) -> Iterator[Tuple[int, ...]]:
+    """The packed rows of all GF(q)-combinations in coefficient-counter
+    order (deterministic): the first generator's coefficient changes
+    slowest, each running through the element codes 0, ..., q - 1.
 
     The span of the last generators is tabulated in counter order.  For the
     others, counting up sets the trailing run of coefficients at code q - 1
@@ -91,7 +88,6 @@ def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) 
     and -e(q - 1) times each one after it, e(x) the element of code x; over
     a prime field both factors are 1.
     """
-    a, b = shape
     q, add, scale = field.q, field.row_add, field.row_scale
     gens = [g.packed for g in generators]
 
@@ -101,16 +97,16 @@ def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) 
     def times(g, c):
         return tuple(scale(v, c) for v in g)
 
-    split, low = len(gens), [(0,) * a]
+    split, low = len(gens), [(0,) * nrows]
     while split and len(low) * q <= _LOW_WORDS:
         split -= 1
         multiples = [times(gens[split], c) for c in range(1, q)]
         low += [plus(m, v) for m in multiples for v in low]
-    steps, carry = [], (0,) * a
+    steps, carry = [], (0,) * nrows
     for g in reversed(gens[:split]):
         steps.append([plus(carry, times(g, field.sub(c + 1, c))) for c in range(q - 1)])
         carry = plus(carry, times(g, field.negs[q - 1]))
-    base = (0,) * a
+    base = (0,) * nrows
     for high in range(q**split):
         if high:
             t = 0
@@ -118,7 +114,7 @@ def _span_iter(field: GF, generators: Sequence[Matrix], shape: Tuple[int, int]) 
                 t += 1
             base = plus(base, steps[t][high // q**t % q - 1])
         for v in low:
-            yield Matrix.from_packed(field, b, tuple(map(add, base, v)))
+            yield tuple(map(add, base, v))
 
 
 def enumerate_code(
@@ -126,20 +122,22 @@ def enumerate_code(
     rank_cap: Optional[int] = None,
     streaming: bool = False,
 ) -> Iterator[Matrix]:
-    """Yield each codeword once; with rank_cap keep only ranks <= cap."""
+    """Yield each codeword once; with rank_cap keep only ranks <= cap.
+    Only the words kept become `Matrix` values."""
     if not streaming and code.cardinality > enumeration_limit():
         raise EnumerationLimitExceeded(
             f"{code.cardinality} codewords exceed the {enumeration_limit()} limit"
         )
-    for m in _span_iter(code.field, code.generators, (code.a, code.b)):
-        if rank_cap is None or mat_rank(m) <= rank_cap:
-            yield m
+    f, b = code.field, code.b
+    for rows in _span_iter(f, code.generators, code.a):
+        if rank_cap is None or rank_added(f, [0] * (b + 1), rows) <= rank_cap:
+            yield Matrix.from_packed(f, b, rows)
 
 
-def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Matrix]]:
+def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Tuple[int, ...]]]:
     """The cosets of the (q,a,b,d_s) Gabidulin subcode in the (q,a,b,d_m)
-    Gabidulin code, each as its members sorted by entries, ordered by their
-    least members.
+    Gabidulin code, each as its members' packed rows sorted, ordered by
+    their least members.
 
     Within a coset distinct members differ by rank >= d_s, across cosets by
     rank >= d_m; d_m = d_s gives the one coset, the code itself.
@@ -152,74 +150,39 @@ def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Matrix]
     # generators are ordered by q-degree, so the subcode's basis is a prefix
     n_sub = max(a, b) * (min(a, b) - d_s + 1)
     f = ambient.field
-    sub = [m.packed for m in _span_iter(f, ambient.generators[:n_sub], (a, b))]
-    cosets = [sorted((Matrix.from_packed(f, b, tuple(map(f.row_add, rep.packed, m)))
-                      for m in sub), key=Matrix.key)
-              for rep in _span_iter(f, ambient.generators[n_sub:], (a, b))]
-    cosets.sort(key=lambda members: members[0].key())
+    sub = list(_span_iter(f, ambient.generators[:n_sub], a))
+    cosets = [sorted(tuple(map(f.row_add, rep, m)) for m in sub)
+              for rep in _span_iter(f, ambient.generators[n_sub:], a)]
+    cosets.sort()  # cosets are disjoint, so their least members decide
     return cosets
 
 
-class FerrersShape:
-    """Two-block staircase Ferrers shape with blocks F1, F2, F3.
-
-    F1 is u1 x (delta1 - Delta - u1), F2 is u2 x (delta2 - u2) and F3 is
-    u1 x (delta2 - u2); F3 sits above F2, F1 to its left.
-    """
-
-    def __init__(self, delta1: int, delta2: int, u1: int, u2: int, Delta: int, d_f: int):
-        if u1 < d_f or u2 < d_f:
-            raise InvalidParameters("need u1 >= d_f and u2 >= d_f")
-        if delta1 < Delta + u1:
-            raise InvalidParameters("need delta1 >= Delta + u1")
-        if delta2 < u2 + d_f:
-            raise InvalidParameters("need delta2 >= u2 + d_f")
-        if min(delta1, delta2, u1, u2, Delta, d_f) < 0:
-            raise InvalidParameters("shape parameters must be nonnegative")
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.u1 = u1
-        self.u2 = u2
-        self.Delta = Delta
-        self.d_f = d_f
-        self.w1 = delta1 - Delta - u1
-        self.w2 = delta2 - u2
-        self.k = u1 + u2
-        self.width = self.w1 + self.w2
-
-    def __repr__(self):
-        return (
-            f"FerrersShape(d1={self.delta1}, d2={self.delta2}, u1={self.u1}, "
-            f"u2={self.u2}, Delta={self.Delta}, d_f={self.d_f})"
-        )
-
-
-def fdrm_words(q: int, shape: FerrersShape, c1: int, c2: int) -> Iterator[Matrix]:
-    """The words [[M1, M3], [0, M2]] of the FDRM code with minimum rank
-    distance d_f on `shape`, rank(M3) <= u1 - d_f.
+def fdrm_words(q: int, u1: int, u2: int, w1: int, w2: int, d_f: int, c1: int, c2: int
+               ) -> Iterator[Tuple[int, ...]]:
+    """The packed rows of the words [[M1, M3], [0, M2]] of the FDRM code
+    with minimum rank distance d_f on the two-block staircase shape: M1 is
+    u1 x w1, M3 is u1 x w2 of rank <= u1 - d_f, and M2 is u2 x w2.
 
     The width w1 of M1 picks the branch, as in the count of `bounds._lifted`:
     w1 < c1 leaves M1 zero and M2 runs through an MRD code; w1 < d_f pairs
     the distance-c1 and distance-c2 MRD codes for M1 and M2 member by member;
     otherwise M1 and M2 run through paired cosets of their distance-d_f
-    subcodes in the distance-c1 and distance-c2 codes.
+    subcodes in the distance-c1 and distance-c2 codes.  The shape's
+    hypotheses are the family's, checked before any count.
     """
-    u1, u2, w1, w2, d_f = shape.u1, shape.u2, shape.w1, shape.w2, shape.d_f
-    field = gf(q)
     if w1 < c1:
         groups = [([(0,) * u1], coset_lists(q, u2, w2, d_f, d_f)[0])]
     elif w1 < d_f:
         pairs = zip(coset_lists(q, u1, w1, c1, c1)[0], coset_lists(q, u2, w2, c2, c2)[0])
-        groups = [([m1.packed], [m2]) for m1, m2 in pairs]
+        groups = [([m1], [m2]) for m1, m2 in pairs]
     else:
-        groups = [([m1.packed for m1 in m1s], m2s) for m1s, m2s in
-                  zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f))]
+        groups = list(zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f)))
     m3s = [m.packed for m in enumerate_code(gabidulin_mrd(q, u1, w2, d_f), rank_cap=u1 - d_f)]
-    shift = w2 * field.width  # M1 sits left of M3; the lower rows' M2 has zeros to its left
+    shift = w2 * gf(q).width  # M1 sits left of M3; the lower rows' M2 has zeros to its left
     for m1s, m2s in groups:
         for m1 in m1s:
             high = [r << shift for r in m1]
             uppers = [tuple(h | x for h, x in zip(high, m3)) for m3 in m3s]
             for m2 in m2s:
                 for upper in uppers:
-                    yield Matrix.from_packed(field, w1 + w2, upper + m2.packed)
+                    yield upper + m2

@@ -1,11 +1,12 @@
-"""Canonical subspaces, subspace distance, special-form lifting and distance
-verification.
+"""Canonical subspaces, subspace distance and distance verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal matrices, and its rows are packed ints (see
 `matrices`).  `codeword` is the one way a subspace is made from packed
 rows: rows given with their pivots are trusted to be in RREF, and any
-others are reduced.  A pair's distance 2*rank(stack) - dim U - dim V takes one
+others are reduced.  The constructions do their own lifting: a linkage
+word's (U1 | M2) rows and a multilevel insert's rows beside the identity
+blocks of its special-form vector come with their pivots.  A pair's distance 2*rank(stack) - dim U - dim V takes one
 elimination of V's rows against U's, which already form a reduced basis,
 and a pair stops once it cannot beat the running minimum.  Sampled
 verification draws its pairs by `getrandbits` with rejection, the same
@@ -29,10 +30,9 @@ from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import gauss_binomial
-from .errors import InvalidParameters, PairLimitExceeded, RankCapViolated
+from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, gf
 from .matrices import Matrix, mat_rref, rank_added, row_codes, rref_pivots
-from .rankcodes import FerrersShape
 
 
 def pair_limit() -> int:
@@ -84,36 +84,6 @@ def codeword(f: GF, n: int, rows: Sequence[int],
         if len(pivots) < mat.nrows:
             raise ValueError("rows are linearly dependent")
     return Subspace(mat, pivots)
-
-
-def lift_special_form(m: Matrix, shape: FerrersShape) -> Subspace:
-    """Lift one Ferrers-supported matrix to the subspace whose identifying
-    vector is the special form of `shape`: Delta zeros, u1 ones, w1 zeros,
-    u2 ones, w2 zeros.
-
-    `m` is the k x (n-k-Delta) block matrix [[M1, M3], [0, M2]]; the upper
-    right block M3 must have rank at most u1 - d_f for the insert to stay
-    compatible with the linkage code.
-    """
-    u1, u2, w1, w2 = shape.u1, shape.u2, shape.w1, shape.w2
-    if (m.nrows, m.ncols) != (u1 + u2, w1 + w2):
-        raise InvalidParameters("matrix does not match the shape")
-    f, w = m.field, m.field.width
-    low = (1 << w2 * w) - 1  # a row's last w2 entries: M3 above, M2 below
-    rank3 = rank_added(f, [0] * (w2 + 1), [r & low for r in m.packed[:u1]])
-    if rank3 > u1 - shape.d_f:
-        raise RankCapViolated(f"rank(M3) = {rank3} exceeds u1 - d_f = {u1 - shape.d_f}")
-    # the entry in column c of a lifted row sits (n - 1 - c) * w bits up; M1
-    # ends in column delta1 - 1 and M2, M3 in the last column
-    n = shape.delta1 + shape.delta2
-    rows = [1 << (n - 1 - shape.Delta - i) * w | (r >> w2 * w) << shape.delta2 * w | r & low
-            for i, r in enumerate(m.packed[:u1])]
-    rows += [1 << (n - 1 - shape.delta1 - i) * w | r & low
-             for i, r in enumerate(m.packed[u1:])]
-    pivots = tuple(range(shape.Delta, shape.Delta + u1)) + tuple(
-        range(shape.delta1, shape.delta1 + u2)
-    )
-    return codeword(f, n, rows, pivots)
 
 
 class CDC:

@@ -20,6 +20,9 @@ monic irreducible by scalar trial division, one coefficient at a time:
 the reference for `gf.field_modulus`, which divides whole rows.
 `trial_factor_prime_power` factors a prime power by trial
 division up to sqrt(q), the reference for `factor_prime_power`.
+`lifted_with_vectors` pairs each lifted insert word of a cor43 or cor44
+tuple with the special-form vector it should lift on, for the identifying
+vector and insertion predicate checks.
 `grid` lists a family's admissible parameters, and `blocks_insert_oracle`
 is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.
@@ -31,10 +34,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat, zip_longest
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
-from cdckit.bounds import Family, _bounded, _exact_div
+from cdckit.bounds import FAMILIES, Family, _bounded, _exact_div, _lifted, insert_vectors
+from cdckit.constructions import _lifted_words
 from cdckit.counting import mrd_size
 from cdckit.gf import GF
 from cdckit.matrices import Matrix, mat_rank, mat_rref
@@ -516,6 +521,30 @@ def special_form_vector(delta1: int, delta2: int, u1: int, u2: int, Delta: int,
         (0,) * Delta + (1,) * u1 + (0,) * (delta1 - Delta - u1)
         + (1,) * u2 + (0,) * (delta2 - u2)
     )
+
+
+# a cor43 and a cor44 tuple (family, q, n, d, k, params) at q = 2 and at q = 3;
+# the first is the (12, 4, 6)_2 record, whose first insert has 2,154,496 words
+MULTILEVEL_TUPLES = (
+    ("cor43", 2, 12, 4, 6, {"n1": 6, "u1": 4, "c1": 1, "c2": 1}),
+    ("cor43", 3, 6, 2, 3, {"n1": 3, "u1": 2, "c1": 1, "c2": 1}),
+    ("cor44", 2, 8, 4, 4, {"n1": 4, "u1": 2, "b1": 1, "b2": 1}),
+    ("cor44", 3, 4, 2, 2, {"n1": 2, "u1": 1, "b1": 1, "b2": 1}),
+)
+
+
+def lifted_with_vectors(family: str, q: int, n: int, d: int, k: int, params: Dict[str, int]
+                        ) -> Tuple[Dict[str, int], Iterator[Tuple[Subspace, Tuple[int, ...]]]]:
+    """A multilevel tuple's resolved parameters, and the words of its lifted
+    inserts from the materializer, each paired with the special-form vector
+    it should lift on: the words come vector by vector, as many for each as
+    the family spec counts.  A word or a vector left over is paired with
+    None."""
+    p = FAMILIES[family].resolve(q, n, d, k, params)
+    vectors = chain.from_iterable(
+        repeat(special_form_vector(p["n1"], p["n2"], v[0], v[1], v[2], p["h"]), _lifted(p, *v)[1])
+        for v in insert_vectors(p))
+    return p, zip_longest(_lifted_words(p, {}, {}), vectors)
 
 
 def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:

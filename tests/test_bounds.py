@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cdckit.bounds import COR45, evaluate, load_table_manifest, \
+from cdckit.bounds import COR45, FAMILIES, evaluate, insert_vectors, load_table_manifest, \
     optimize_parameters, reproduce_table
 from cdckit.counting import gauss_binomial
 from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
@@ -86,6 +86,23 @@ def test_cor44_zero_width_case():
     lam1 = mrd_size(2, 3, 3, 2)
     lam2 = bounded_rank_size(2, 3, 3, 2, 1)
     assert r.terms["term:L2"] == lam1 * lam2
+
+
+def test_insert_vectors_widths_and_hypotheses():
+    # each vector's widths leave the k x (n - k - shift) FDRM shape beside
+    # its ones: w1 = n1 - shift - v1 and w2 = n2 - v2
+    p = FAMILIES["cor43"].resolve(2, 12, 4, 6, dict(n1=6, u1=4, c1=1, c2=1))
+    assert insert_vectors(p) == [(4, 2, 0, 2, 4, 1, 1), (2, 4, 0, 4, 2, 1, 1)]
+    p = FAMILIES["cor44"].resolve(2, 8, 4, 4, dict(n1=4, u1=2, b1=1, b2=1))
+    assert insert_vectors(p) == [(2, 2, 0, 2, 2, 1, 1), (2, 2, 2, 0, 2, 1, 1)]
+    # a vector's blocks too small for d/2, or its ones past n1, are refused
+    # by the family before any FDRM word is built
+    with pytest.raises(HypothesisViolated, match="u1 >= d"):
+        FAMILIES["cor43"].resolve(2, 12, 4, 6, dict(n1=6, u1=3, c1=1, c2=1))
+    with pytest.raises(HypothesisViolated, match="u1 >= d/2"):
+        FAMILIES["cor44"].resolve(2, 8, 4, 4, dict(n1=4, u1=1, b1=1, b2=1))
+    with pytest.raises(HypothesisViolated, match="lam <= floor"):
+        FAMILIES["cor44"].resolve(2, 8, 4, 4, dict(n1=4, u1=2, b1=1, b2=1, lam=3))
 
 
 def _cor45(q: int, n: int, d: int, k: int, registry) -> int:

@@ -172,7 +172,14 @@ def test_table_mismatch_exits_4(tmp_path, capsys):
     extra.write_text("2 12 4 4 1 doctored\n")
     code = main(["table", "--id", "6", "--q", "2", "--registry", str(extra)])
     assert code == 4
-    assert "MISMATCH" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "MISMATCH" in err
+    # one stderr line names every mismatched row; every row is on stdout
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    rows = _json_lines(out)
+    bad = [r for r in rows if not r["match"]]
+    assert len(rows) == 2 and len(bad) == 1
+    assert f"in 1 of 2 rows: table 6 row {bad[0]['row']} A_2(16,4,4)" in err
 
 
 def test_build_verify_round_trip(tmp_path, capsys):

@@ -6,11 +6,13 @@ not an integer, and stray flags inserted.  Valid plan files of every
 family lose a key, repeat one (with the same or another value), gain an
 unknown one, or get a value that is negative, huge or not an integer, and
 run through `bound --plan`, `build --count-only` or an explicit
-`build --out`.  One or two mutations are made at a time, and each input
-runs through `cli.main` in process.  Whatever the input, the exit code is
-0, 2, 3 or 4; a nonzero exit prints exactly one stderr line and no
-traceback; and stdout that promises JSON (`bound`, `build`, `table`,
-`verify`) parses line by line, as `count`'s parses as an integer.
+`build --out`.  Apart, with its own seed, `table --registry` command lines
+over a doctored registry file are mutated the same way.  One or two
+mutations are made at a time, and each input runs through `cli.main` in
+process.  Whatever the input, the exit code is 0, 2, 3 or 4; a nonzero
+exit prints exactly one stderr line and no traceback; and stdout that
+promises JSON (`bound`, `build`, `table`, `verify`) parses line by line,
+as `count`'s parses as an integer.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ ARGVS = (
     ["build", "--plan", "p.plan", "--out", "out.cdc"],
 )
 JSON_COMMANDS = {"bound", "build", "table", "verify"}
+TABLE_CASES = 100
+# wrong values for an input of table 6 at q = 2 and one of table 8
+DOCTORED = "2 12 4 4 1 doctored\n2 10 4 5 7 doctored\n"
+TABLE_ARGVS = (
+    ["table", "--id", "6", "--q", "2", "--registry", "reg.txt"],
+    ["table", "--id", "8", "--registry", "reg.txt"],
+    ["table", "--registry", "reg.txt"],
+)
 STRAY = ("--bogus", "-x", "--q", "--n1", "--count-only", "--seed", "--mode", "--jobs",
          "--registry", "--in", "--plan", "--out", "--id", "--family", "linkage", "7")
 INTS = ("-1", "0", "1", "2", "3", "5", "16", "-7", str(10**30), str(2**64 + 1),
@@ -110,13 +120,27 @@ def _mutant_plan(rng, plan):
     return "\n".join(lines) + "\n"
 
 
-def _run(argv, capsys):
+def _check(argv, capsys, case) -> int:
+    """Run argv and check the contract; returns the exit code."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse: a usage error, or --help
         code = exc.code or 0
     out, err = capsys.readouterr()
-    return code, out, err
+    where = case + (err,)
+    assert code in (0, 2, 3, 4), where
+    assert "Traceback" not in err, where
+    if code:
+        assert len(err.strip().splitlines()) == 1, where
+    if code in (0, 3, 4):
+        if argv[0] in JSON_COMMANDS:
+            for line in out.splitlines():
+                json.loads(line)
+        elif argv[0] == "count" and code == 0:
+            int(out)
+    if code == 2:
+        assert out == "", where
+    return code
 
 
 def test_cli_survives_mutated_argv_and_plans(tmp_path, capsys, monkeypatch):
@@ -137,21 +161,24 @@ def test_cli_survives_mutated_argv_and_plans(tmp_path, capsys, monkeypatch):
         else:
             argv = _mutant_argv(rng, argv)
         (tmp_path / "p.plan").write_text(plan)
-        code, out, err = _run(argv, capsys)
-        where = (case, argv, plan, err)
-        assert code in exits, where
-        exits[code] += 1
-        assert "Traceback" not in err, where
-        if code:
-            assert len(err.strip().splitlines()) == 1, where
-        if code in (0, 3, 4):
-            if argv[0] in JSON_COMMANDS:
-                for line in out.splitlines():
-                    json.loads(line)
-            elif argv[0] == "count" and code == 0:
-                int(out)
-        if code == 2:
-            assert out == "", where
+        exits[_check(argv, capsys, (case, argv, plan))] += 1
     # every exit code is reached, and the run stays short
     assert all(exits.values()), exits
+    assert time.perf_counter() - start < 5
+
+
+def test_cli_survives_mutated_table_argv_over_a_doctored_registry(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a registry file that overrides two inputs of the tables with wrong
+    # values: a table that reads them exits 4 with one stderr line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reg.txt").write_text(DOCTORED)
+    rng = random.Random(18)
+    exits = {0: 0, 2: 0, 3: 0, 4: 0}
+    start = time.perf_counter()
+    for case in range(TABLE_CASES):
+        argv = rng.choice(TABLE_ARGVS)
+        argv = _mutant_argv(rng, argv) if rng.random() < 0.8 else argv
+        exits[_check(argv, capsys, (case, argv))] += 1
+    assert exits[0] and exits[2] and exits[4], exits
     assert time.perf_counter() - start < 5

@@ -15,8 +15,9 @@ from cdckit.matrices import mat_rref, rref_pivots
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import CDC, cdc_to_text, verify_min_distance
-from oracles import hstack, identifying_vector, identity_matrix, insertion_predicate, \
-    special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+from oracles import MULTILEVEL_TUPLES, hstack, identifying_vector, identity_matrix, \
+    insertion_predicate, lifted_with_vectors, special_form_vector, subspace_distance, \
+    subspace_from_rows, zero_matrix
 from test_golden import PLANS as GOLDEN_PLANS
 
 REG = BaseBoundRegistry()
@@ -363,15 +364,10 @@ def test_no_duplicates_across_components():
 
 
 def test_case1_insert_members_satisfy_insert_predicate():
-    # sample the real 2154496-member insert stream of the (12,4,6) record
-    import itertools as _it
-
-    from cdckit.rankcodes import FerrersShape, fdrm_words
-    from cdckit.subspaces import lift_special_form
-
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    vec = special_form_vector(6, 6, 4, 2, 0)
-    for m in _it.islice(fdrm_words(2, sh, 1, 1), 200):
-        w = lift_special_form(m, sh)
-        assert insertion_predicate(w, 6, 6, 4)
-        assert identifying_vector(w) == vec
+    # sample the real 2154496-member insert stream of the (12,4,6) record,
+    # and take every insert word of the smaller cor43 and cor44 tuples
+    for family, q, n, d, k, params in MULTILEVEL_TUPLES:
+        p, pairs = lifted_with_vectors(family, q, n, d, k, params)
+        for w, vec in itertools.islice(pairs, 200 if n == 12 else None):
+            assert insertion_predicate(w, p["n1"], p["n2"], d)
+            assert identifying_vector(w) == vec

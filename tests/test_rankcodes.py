@@ -14,13 +14,12 @@ import pytest
 
 from cdckit.bounds import _lifted
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
-from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, \
-    InvalidDistances, InvalidParameters
+from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
 from cdckit.gf import field_modulus, gf
 from cdckit.matrices import Matrix, mat_rank
-from cdckit.rankcodes import FerrersShape, LinearRankCode, coset_lists, enumerate_code, \
-    fdrm_words, gabidulin_mrd
-from oracles import ExtField, mat_sub, rref_rows, transpose, zero_matrix
+from cdckit.rankcodes import LinearRankCode, coset_lists, enumerate_code, fdrm_words, \
+    gabidulin_mrd
+from oracles import ExtField, mat_sub, oracle_rref, rref_rows, transpose, zero_matrix
 
 
 def _rank_distribution(code, **kw):
@@ -205,7 +204,8 @@ def test_subcode_cosets_counts():
 
 def test_subcode_cosets_partition_and_distances():
     for q, a, b, dm, ds in ((2, 2, 2, 1, 2), (2, 3, 3, 2, 3), (3, 2, 2, 1, 2)):
-        cosets = coset_lists(q, a, b, dm, ds)
+        cosets = [[Matrix.from_packed(gf(q), b, rows) for rows in ms]
+                  for ms in coset_lists(q, a, b, dm, ds)]
         assert len(cosets) == mrd_size(q, a, b, dm) // mrd_size(q, a, b, ds)
         members = [m.entries for ms in cosets for m in ms]
         assert len(members) == len(set(members)) == mrd_size(q, a, b, dm)
@@ -221,28 +221,23 @@ def test_subcode_cosets_partition_and_distances():
         assert leaders == sorted(leaders)
 
 
-def test_ferrers_shape_validation():
-    with pytest.raises(InvalidParameters):
-        FerrersShape(6, 6, 1, 2, 0, 2)  # u1 < d_f
-    with pytest.raises(InvalidParameters):
-        FerrersShape(3, 6, 2, 2, 2, 2)  # delta1 < Delta + u1
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    assert (sh.w1, sh.w2, sh.k, sh.width) == (2, 4, 6, 6)
+def _spec_count(q, u1, u2, w1, w2, d_f, c1, c2):
+    """The size the family spec gives the FDRM code on these widths."""
+    return _lifted({"q": q, "h": d_f}, u1, u2, 0, w1, w2, c1, c2)[1]
 
 
-def _spec_count(q, shape, c1, c2):
-    """The size the family spec gives the FDRM code lifted on `shape`."""
-    p = {"q": q, "h": shape.d_f, "n1": shape.delta1, "n2": shape.delta2}
-    return _lifted(p, shape.u1, shape.u2, shape.Delta, c1, c2)[1]
+def _fdrm(q, u1, u2, w1, w2, d_f, c1, c2):
+    """The FDRM words as (u1 + u2) x (w1 + w2) matrices."""
+    return [Matrix.from_packed(gf(q), w1 + w2, rows)
+            for rows in fdrm_words(q, u1, u2, w1, w2, d_f, c1, c2)]
 
 
 def test_fdrm_case1_zero_width():
     # left blocks vanish; members are supported on F2/F3 only, and
     # rank(M3) <= u1 - d_f = 0 leaves M3 zero
-    sh = FerrersShape(4, 6, 2, 2, 2, 2)
-    members = list(fdrm_words(2, sh, 1, 2))
-    assert len(members) == _spec_count(2, sh, 1, 2) == mrd_size(2, 2, 4, 2) == 16
-    assert all(m.ncols == sh.w2 for m in members)
+    members = _fdrm(2, 2, 2, 0, 4, 2, 1, 2)
+    assert len(members) == _spec_count(2, 2, 2, 0, 4, 2, 1, 2) == mrd_size(2, 2, 4, 2) == 16
+    assert all(m.ncols == 4 for m in members)
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
 
@@ -250,52 +245,74 @@ def test_fdrm_case1_zero_width():
 def test_fdrm_case3_large_instance():
     # the (12,4,6) first-vector shape at c_i = d_f: a single coset, every
     # M1 with every M2 and every rank-capped M3
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
     lam = (mrd_size(2, 4, 2, 2), mrd_size(2, 2, 4, 2), bounded_rank_size(2, 4, 4, 2, 2))
-    count = _spec_count(2, sh, 2, 2)
+    count = _spec_count(2, 4, 2, 2, 4, 2, 2, 2)
     assert count == lam[0] * lam[1] * lam[2] == 134656
     # strided subsample, exhaustive pairwise inside the sample
     stride = count // 240
     sample, total = [], 0
-    for i, m in enumerate(fdrm_words(2, sh, 2, 2)):
+    for i, rows in enumerate(fdrm_words(2, 4, 2, 2, 4, 2, 2, 2)):
         total += 1
         if i % stride == 0:
-            sample.append(m)
+            sample.append(Matrix.from_packed(gf(2), 6, rows))
     assert total == count
     for x, y in itertools.combinations(sample, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
 
 
 def test_fdrm_case2_paired():
-    sh = FerrersShape(7, 7, 3, 4, 2, 3)
-    members = list(fdrm_words(2, sh, 2, 1))
+    members = _fdrm(2, 3, 4, 2, 3, 3, 2, 1)
     n1, n2 = mrd_size(2, 3, 2, 2), mrd_size(2, 4, 3, 1)
-    assert len(members) == _spec_count(2, sh, 2, 1) == min(n1, n2) == 8
+    assert len(members) == _spec_count(2, 3, 4, 2, 3, 3, 2, 1) == min(n1, n2) == 8
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 3
 
 
 def test_fdrm_support_stays_in_shape():
-    sh = FerrersShape(7, 7, 3, 4, 2, 3)
-    for m in itertools.islice(fdrm_words(2, sh, 2, 1), 20):
-        for i in range(sh.u1, sh.k):
-            for j in range(sh.w1):
+    for m in _fdrm(2, 3, 4, 2, 3, 3, 2, 1)[:20]:
+        for i in range(3, 7):
+            for j in range(2):
                 assert m[i, j] == 0
 
 
 def test_fdrm_subcode_union_counts():
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    assert _spec_count(2, sh, 1, 1) == 2154496
+    assert _spec_count(2, 4, 2, 2, 4, 2, 1, 1) == 2154496
     # c_i = d_f collapses to a single coset
-    assert _spec_count(2, sh, 2, 2) == \
+    assert _spec_count(2, 4, 2, 2, 4, 2, 2, 2) == \
         mrd_size(2, 4, 2, 2) * mrd_size(2, 2, 4, 2) * bounded_rank_size(2, 4, 4, 2, 2)
 
 
 def test_fdrm_subcode_union_explicit_small():
-    sh = FerrersShape(5, 4, 2, 2, 0, 2)
     expect = 4 * mrd_size(2, 2, 3, 2) * mrd_size(2, 2, 2, 2) * 1
-    assert _spec_count(2, sh, 1, 1) == expect == 128
-    members = list(fdrm_words(2, sh, 1, 1))
+    assert _spec_count(2, 2, 2, 3, 2, 2, 1, 1) == expect == 128
+    members = _fdrm(2, 2, 2, 3, 2, 2, 1, 1)
     assert len(members) == len(set(m.entries for m in members)) == 128
     for x, y in itertools.combinations(members, 2):
         assert mat_rank(mat_sub(x, y)) >= 2
+
+
+# one (u1, u2, w1, w2, d_f, c1, c2) per branch of `fdrm_words`: w1 < c1
+# (M1 zero, the cap keeps the rank-1 M3 of all 2 x 2), c1 <= w1 < d_f (M1
+# and M2 paired, the cap keeps M3 zero) and w1 >= d_f (paired cosets)
+BRANCH_SHAPES = ((2, 1, 0, 2, 1, 1, 1), (3, 2, 1, 2, 2, 1, 1), (2, 2, 2, 2, 2, 1, 1))
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("shape", BRANCH_SHAPES)
+def test_fdrm_words_meet_the_shape(q, shape):
+    # what the FDRM code promises its lifting: M3 within the rank cap, the
+    # lower rows zero under M1, distinct words as many as the spec counts,
+    # and rank distance >= d_f between any two
+    u1, u2, w1, w2, d_f, c1, c2 = shape
+    f = gf(q)
+    words = list(fdrm_words(q, *shape))
+    assert len(words) == len(set(words)) == _spec_count(q, *shape)
+    m3_mask = (1 << w2 * f.width) - 1
+    for rows in words:
+        assert len(rows) == u1 + u2
+        m3 = Matrix.from_packed(f, w2, [r & m3_mask for r in rows[:u1]])
+        assert len(oracle_rref(m3)[1]) <= u1 - d_f
+        assert all(r >> w2 * f.width == 0 for r in rows[u1:])
+    sample = [Matrix.from_packed(f, w1 + w2, rows) for rows in words[::len(words) // 120 + 1]]
+    for x, y in itertools.combinations(sample, 2):
+        assert mat_rank(mat_sub(x, y)) >= d_f

@@ -11,17 +11,17 @@ import pytest
 from cdckit import subspaces
 from cdckit.constructions import ConstructionPlan, run_plan
 from cdckit.counting import gauss_binomial
-from cdckit.errors import InvalidParameters, PairLimitExceeded, RankCapViolated
+from cdckit.errors import InvalidParameters, PairLimitExceeded
 from cdckit.gf import gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
-from cdckit.rankcodes import FerrersShape, enumerate_code, fdrm_words, gabidulin_mrd
+from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
-    lift_special_form, verify_min_distance
-from oracles import AmbientMismatch, ferrers_of, first_minimum, from_rows, \
+    verify_min_distance
+from oracles import MULTILEVEL_TUPLES, AmbientMismatch, ferrers_of, first_minimum, from_rows, \
     hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
-    lift_matrix, mat_sub, matmul, oracle_rref, randrange_pairs, special_form_vector, \
-    subspace_distance, subspace_from_rows, zero_matrix
+    lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, randrange_pairs, \
+    special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -175,22 +175,14 @@ def test_insertion_predicate():
 
 
 def test_lift_special_form():
-    sh = FerrersShape(6, 6, 4, 2, 0, 2)
-    vec = special_form_vector(6, 6, 4, 2, 0)
-    assert vec == (1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0)
-    it = fdrm_words(2, sh, 1, 1)
-    for _ in range(50):
-        m = next(it)
-        w = lift_special_form(m, sh)
-        assert identifying_vector(w) == vec
-        assert w.k == 6
-    # violating the rank cap on M3 (here u1 - d_f = 2) is rejected
-    f = gf(2)
-    bad = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        bad[i][2 + i] = 1  # rank-3 M3 block in columns w1..w1+w2
-    with pytest.raises(RankCapViolated):
-        lift_special_form(from_rows(f, bad), sh)
+    # the lifted materializer puts each insert word on its special-form
+    # vector, with k rows
+    assert special_form_vector(6, 6, 4, 2, 0) == (1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0)
+    for family, q, n, d, k, params in MULTILEVEL_TUPLES:
+        _, pairs = lifted_with_vectors(family, q, n, d, k, params)
+        for w, vec in islice(pairs, 50 if n == 12 else None):
+            assert identifying_vector(w) == vec
+            assert w.k == k
 
 
 def test_verify_single_codeword_sentinel():
