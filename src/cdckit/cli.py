@@ -17,6 +17,7 @@ from .constructions import parse_plan, run_plan
 from .counting import bounded_rank_size, delsarte_rank_count, gauss_binomial, mrd_size
 from .errors import CdckitError, RegistryMiss
 from .gf import factor_prime_power
+from .matrices import row_codes
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import cdc_from_text, cdc_to_text, verify_min_distance
 
@@ -188,10 +189,11 @@ def _cmd_verify(args) -> int:
     }
     if report.witness is not None:
         i, j = report.witness
+        f = code.codewords[i].field
         payload["witness"] = {
             "indices": [i, j],
-            "rows_i": [list(code.codewords[i].mat.row(r)) for r in range(code.k)],
-            "rows_j": [list(code.codewords[j].mat.row(r)) for r in range(code.k)],
+            "rows_i": [list(row_codes(f, row, code.n)) for row in code.codewords[i].rows],
+            "rows_j": [list(row_codes(f, row, code.n)) for row in code.codewords[j].rows],
         }
     _emit(payload)
     if not report.ok(code.d):

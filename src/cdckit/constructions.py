@@ -147,13 +147,13 @@ def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
     shift = n2 * f.width  # the left block's rows move past the right block's n2 columns
     mrd = gabidulin_mrd(q, k, n2, h)  # built once, enumerated anew for each U1
     for u1 in subs["C1"]:
-        high = [r << shift for r in u1.mat.packed]
+        high = [r << shift for r in u1.rows]
         for m2 in enumerate_code(mrd):
             yield codeword(f, n, [u | m for u, m in zip(high, m2.packed)], u1.pivots)
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
         high = [r << shift for r in m1.packed]
         for u2 in subs["C2"]:
-            yield codeword(f, n, [m | u for m, u in zip(high, u2.mat.packed)])
+            yield codeword(f, n, [m | u for m, u in zip(high, u2.rows)])
 
 
 def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace],
@@ -179,8 +179,8 @@ def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace]
     fam2 = [placed(c, 0) for c in coset_lists(q, a2, n2 - t2, p["b2"], h)]
     m12s = placed(mrd_rows(a1, n2 - t2, cap1), 0)
     m21s = placed(mrd_rows(a2, n1 - t1, cap2), n2)
-    us1 = placed((u.mat.packed for u in diag1), n - t1)
-    us2 = placed((u.mat.packed for u in diag2), n2 - t2)
+    us1 = placed((u.rows for u in diag1), n - t1)
+    us2 = placed((u.rows for u in diag2), n2 - t2)
     for r in range(s):
         for u1, u2, m11, m22, m12, m21 in itertools.product(
                 us1, us2, fam1[r], fam2[r], m12s, m21s):
@@ -213,8 +213,8 @@ def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
     m2s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]))
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
     for (m1, m2), u1, u2 in itertools.product(pairs, subs["D1"], subs["D2"]):
-        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1.mat.packed)]
-        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2.mat.packed)]
+        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1.rows)]
+        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2.rows)]
         yield codeword(f, n, top + bot)
 
 

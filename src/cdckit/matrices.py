@@ -1,15 +1,20 @@
-"""Dense matrices over GF(q): RREF and rank.
+"""Dense matrices over GF(q): packed rows, RREF and rank.
 
-Matrices are immutable and row-major, and keep their rows packed: one int
-per row, each entry in a fixed field of `field.width` bits, column 0 in the
-highest bits (the encoding is `gf`'s).  Every operation works on those
-ints: the field's `row_add` adds rows (XOR in characteristic 2),
-`row_scale` scales a row by one `translate`, and the bit length finds a
-row's pivot.  Blocks are joined side by side by shift-or on the rows
-themselves, where the constructions assemble their codewords.  Rows of equal width compare as ints
-exactly as their entry tuples do.  The entry tuple is decoded only when a
-caller reads `entries`.  The public constructor checks every entry;
-`from_packed` trusts rows derived from checked matrices.
+A row over GF(q) is packed into one int: each entry takes a fixed field of
+`field.width` bits, column 0 in the highest bits (the encoding is `gf`'s).
+Rows of equal width compare as ints exactly as their entry tuples do.
+Every operation works on those ints: the field's `row_add` adds rows (XOR
+in characteristic 2), `row_scale` scales a row by one `translate`, and the
+bit length finds a row's pivot.  `rank_added` and `rref_pivots` take bare
+packed rows.  `pack_row` packs element codes and checks each one; the CDC
+parser, the Gabidulin generators and the `Matrix` constructor use it.
+
+A `Matrix` wraps packed rows with their shape, and decodes its entry tuple
+only when a caller reads `entries`.  One is made only where entries are
+read or a matrix is the result: the words `rankcodes.enumerate_code`
+yields, `mat_rref`'s result (through which `subspaces.codeword` reduces
+rows given without pivots), and the `Subspace.mat` view.  The public
+constructor checks every entry; `from_packed` trusts its rows.
 """
 
 from __future__ import annotations
@@ -26,20 +31,12 @@ class Matrix:
         entries = tuple(int(e) for e in entries)
         if len(entries) != nrows * ncols:
             raise ValueError(f"need {nrows * ncols} entries, got {len(entries)}")
-        for e in entries:
-            if not 0 <= e < field.q:
-                raise ValueError(f"entry {e} outside GF({field.q})")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.entries = entries
-        w, enc, packed = field.width, field.enc, []
-        for i in range(nrows):
-            v = 0
-            for x in entries[i * ncols : (i + 1) * ncols]:
-                v = (v << w) | enc[x]
-            packed.append(v)
-        self.packed = tuple(packed)
+        self.packed = tuple(pack_row(field, entries[i * ncols : (i + 1) * ncols])
+                            for i in range(nrows))
 
     @classmethod
     def from_packed(cls, field: GF, ncols: int, rows: Sequence[int]) -> "Matrix":
@@ -60,10 +57,6 @@ class Matrix:
         self.entries = tuple(x for v in self.packed for x in row_codes(self.field, v, self.ncols))
         return self.entries
 
-    def key(self) -> tuple:
-        """A tuple that orders matrices of one shape as their entries do."""
-        return self.packed
-
     def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
 
@@ -74,20 +67,19 @@ class Matrix:
         r, c = rc
         return self.entries[r * self.ncols + c]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.packed == other.packed
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.nrows, self.ncols, self.packed))
-
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.nrows}x{self.ncols})"
+
+
+def pack_row(field: GF, codes: Sequence[int]) -> int:
+    """The packed row of the element codes `codes`, each checked to lie in
+    [0, q)."""
+    q, w, enc, v = field.q, field.width, field.enc, 0
+    for x in codes:
+        if not 0 <= x < q:
+            raise ValueError(f"entry {x} outside GF({q})")
+        v = v << w | enc[x]
+    return v
 
 
 def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:

@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
 from .gf import GF, field_modulus, gf, times_x, x_power
-from .matrices import Matrix, rank_added, row_codes
+from .matrices import Matrix, pack_row, rank_added, row_codes
 
 
 def enumeration_limit() -> int:
@@ -26,17 +26,19 @@ def enumeration_limit() -> int:
 
 
 class LinearRankCode:
-    """A linear rank-metric code given by a GF(q)-basis of generator matrices."""
+    """A linear rank-metric code given by a GF(q)-basis of a x b generator
+    matrices, each the tuple of its packed rows."""
 
-    def __init__(self, q: int, a: int, b: int, d: int, generators: Sequence[Matrix]):
+    def __init__(self, q: int, a: int, b: int, d: int, generators: Sequence[Tuple[int, ...]]):
         self.q = q
         self.a = a
         self.b = b
         self.d = d
         self.field = gf(q)
         self.generators = list(generators)
+        width = b * self.field.width
         for g in self.generators:
-            if (g.nrows, g.ncols) != (a, b):
+            if len(g) != a or any(v >> width for v in g):
                 raise ValueError("generator shape mismatch")
         self.cardinality = q ** len(self.generators)
 
@@ -67,7 +69,7 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
         for l in range(t):  # basis coefficient x^l; images[j] is x^(l + j q^i)
             digits = [row_codes(field, v, t)[::-1] for v in images]  # [j][r]
             rows = zip(*digits) if a >= b else digits
-            gens.append(Matrix(field, a, b, [x for row in rows for x in row]))
+            gens.append(tuple(pack_row(field, row) for row in rows))
             if l < t - 1:
                 images = [times_x(field, v, f) for v in images]
     return LinearRankCode(q, a, b, d, gens)
@@ -76,7 +78,8 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
 _LOW_WORDS = 1 << 10  # at most this many words of the last generators' span are tabulated
 
 
-def _span_iter(field: GF, generators: Sequence[Matrix], nrows: int) -> Iterator[Tuple[int, ...]]:
+def _span_iter(field: GF, gens: Sequence[Tuple[int, ...]], nrows: int
+               ) -> Iterator[Tuple[int, ...]]:
     """The packed rows of all GF(q)-combinations in coefficient-counter
     order (deterministic): the first generator's coefficient changes
     slowest, each running through the element codes 0, ..., q - 1.
@@ -89,7 +92,6 @@ def _span_iter(field: GF, generators: Sequence[Matrix], nrows: int) -> Iterator[
     a prime field both factors are 1.
     """
     q, add, scale = field.q, field.row_add, field.row_scale
-    gens = [g.packed for g in generators]
 
     def plus(x, y):
         return tuple(map(add, x, y))

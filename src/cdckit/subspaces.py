@@ -1,23 +1,28 @@
 """Canonical subspaces, subspace distance and distance verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
-subspaces have equal matrices, and its rows are packed ints (see
-`matrices`).  `codeword` is the one way a subspace is made from packed
-rows: rows given with their pivots are trusted to be in RREF, and any
-others are reduced.  The constructions do their own lifting: a linkage
-word's (U1 | M2) rows and a multilevel insert's rows beside the identity
-blocks of its special-form vector come with their pivots.  A pair's distance 2*rank(stack) - dim U - dim V takes one
-elimination of V's rows against U's, which already form a reduced basis,
-and a pair stops once it cannot beat the running minimum.  Sampled
-verification draws its pairs by `getrandbits` with rejection, the same
-pairs `randrange` draws.  Exhaustive verification instead finds the
-highest t at which two codewords share a t-subspace, keying each codeword's
-[k t]_q t-subspaces by their concatenated packed rows, and compares pairs
-only when they are fewer than the keys.  For a code of N words, the first N
-pairs bound the minimum beforehand, and only the levels whose distance is
-below that bound are keyed.  The CDC file format renders and checks each
-distinct row once, keeps a record that is already in RREF as it is, and
-refuses a header that claims d < 1, which any two words would meet.
+subspaces have equal rows.  A `Subspace` holds its field, n, the packed
+rows of its RREF (see `matrices`) as a tuple, and their pivot columns;
+`Subspace.mat` makes a `Matrix` view on each read, for readers of entries.
+`codeword` is the one way a subspace is made from packed rows: rows given
+with their pivots are trusted to be in RREF, and any others are reduced.
+The constructions do their own lifting: a linkage word's (U1 | M2) rows
+and a multilevel insert's rows beside the identity blocks of its
+special-form vector come with their pivots.  A `CDC` sorts its words by
+their rows and finds duplicates as equal neighbours.
+
+A pair's distance 2*rank(stack) - dim U - dim V takes one elimination of
+V's rows against U's, which already form a reduced basis, and a pair stops
+once it cannot beat the running minimum.  Sampled verification draws its
+pairs by `getrandbits` with rejection, the same pairs `randrange` draws.
+Exhaustive verification instead finds the highest t at which two
+codewords share a t-subspace, keying each codeword's [k t]_q t-subspaces
+by their concatenated packed rows, and compares pairs only when they are
+fewer than the keys.  For a code of N words, the first N pairs bound the
+minimum beforehand, and only the levels whose distance is below that bound
+are keyed.  The CDC file format renders and checks each distinct row
+once, keeps a record that is already in RREF as it is, and refuses a
+header that claims d < 1, which any two words would meet.
 """
 from __future__ import annotations
 
@@ -27,12 +32,13 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, gf
-from .matrices import Matrix, mat_rref, rank_added, row_codes, rref_pivots
+from .matrices import Matrix, mat_rref, pack_row, rank_added, row_codes, rref_pivots
 
 
 def pair_limit() -> int:
@@ -40,34 +46,30 @@ def pair_limit() -> int:
 
 
 class Subspace:
-    """A k-dimensional subspace of GF(q)^n in canonical RREF form."""
+    """A k-dimensional subspace of GF(q)^n in canonical RREF form: the
+    packed rows of its RREF, a tuple, and their pivot columns."""
 
-    __slots__ = ("n", "k", "mat", "pivots")
+    __slots__ = ("field", "n", "rows", "pivots")
 
-    def __init__(self, mat: Matrix, pivots: Tuple[int, ...]):
-        self.n = mat.ncols
-        self.k = mat.nrows
-        self.mat = mat
+    def __init__(self, field: GF, n: int, rows: Tuple[int, ...], pivots: Tuple[int, ...]):
+        self.field = field
+        self.n = n
+        self.rows = rows
         self.pivots = pivots
 
     @property
-    def field(self) -> GF:
-        return self.mat.field
+    def k(self) -> int:
+        return len(self.rows)
+
+    @property
+    def mat(self) -> Matrix:
+        """The RREF as a `Matrix`, made anew on each read, for readers of
+        entries."""
+        return Matrix.from_packed(self.field, self.n, self.rows)
 
     def key(self) -> tuple:
         """Orders subspaces of one (n, k) as their RREF entry tuples do."""
-        return self.mat.key()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.n == other.n
-            and self.k == other.k
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.mat.key()))
+        return self.rows
 
     def __repr__(self):
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
@@ -78,17 +80,17 @@ def codeword(f: GF, n: int, rows: Sequence[int],
     """The subspace spanned by packed rows of n entries of f.  Rows given
     with their `pivots` are trusted to be in RREF with those pivot columns;
     any others are reduced, and rank-deficient rows are refused."""
-    mat = Matrix.from_packed(f, n, rows)
     if pivots is None:
-        mat, pivots = mat_rref(mat)
+        mat, pivots = mat_rref(Matrix.from_packed(f, n, rows))
         if len(pivots) < mat.nrows:
             raise ValueError("rows are linearly dependent")
-    return Subspace(mat, pivots)
+        rows = mat.packed
+    return Subspace(f, n, tuple(rows), pivots)
 
 
 class CDC:
     """Container for a constant-dimension code; codewords kept sorted by
-    their serialized RREF so files and comparisons are canonical.
+    their RREF rows so files and comparisons are canonical.
 
     Constructions require distinct codewords; files loaded for verification
     may carry duplicates (strict=False), which the verifier then reports as
@@ -101,15 +103,14 @@ class CDC:
         self.n = n
         self.k = k
         self.d = d
-        words = sorted(codewords, key=Subspace.key)
-        seen = set()
+        words = sorted(codewords, key=attrgetter("rows"))
+        prev = None
         for w in words:
             if w.n != n or w.k != k or w.field.q != q:
                 raise InvalidParameters("codeword does not match container parameters")
-            if strict:
-                if w.key() in seen:
-                    raise InvalidParameters("duplicate codeword")
-                seen.add(w.key())
+            if strict and w.rows == prev:  # sorted, so equal words are neighbours
+                raise InvalidParameters("duplicate codeword")
+            prev = w.rows
         self.codewords = words
 
     def __len__(self):
@@ -143,7 +144,7 @@ class VerifyReport:
 def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
     """Least distance over `pairs` and the first pair that reaches it."""
     words, k = code.codewords, code.k
-    f, rows = words[0].field, [w.mat.packed for w in words]
+    f, rows = words[0].field, [w.rows for w in words]
     w = f.width
     zero = [0] * (code.n + 1)
     best, witness = math.inf, None
@@ -259,7 +260,7 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
                 groups.setdefault(tuple(piv[r] for r in c), {})[piv] = c
 
         def keys_of(i: int, c: Tuple[int, ...]) -> List[int]:
-            g = words[i].mat.packed
+            g = words[i].rows
             keys = [0]
             for r, cols in zip(c, free[c]):
                 vals = span(g, r, cols)
@@ -324,7 +325,7 @@ def cdc_to_text(code: CDC) -> str:
     lines = [f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}"]
     for w in code.codewords:
         lines.append("")
-        for row in w.mat.packed:
+        for row in w.rows:
             text = rendered.get(row)
             if text is None:
                 text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
@@ -363,7 +364,7 @@ def cdc_from_text(text: str) -> CDC:
         entries = ln.split()
         if len(entries) != n:
             raise ValueError(f"a row has {len(entries)} entries, need {n}")
-        return Matrix(field, 1, n, entries).packed[0]
+        return pack_row(field, [int(e) for e in entries])
 
     words = []
     rows: list = []

@@ -491,14 +491,14 @@ def hamming_lb_check(u: Subspace, v: Subspace) -> bool:
 
 def ferrers_of(u: Subspace) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """Dots per row of the Ferrers diagram, and the tableaux entries."""
-    pivset = set(u.pivots)
+    pivset, m = set(u.pivots), u.mat
     lengths = []
     tableaux = []
     for i in range(u.k):
         p = u.pivots[i]
         cols = [c for c in range(p + 1, u.n) if c not in pivset]
         lengths.append(len(cols))
-        tableaux.append(tuple(u.mat[i, c] for c in cols))
+        tableaux.append(tuple(m[i, c] for c in cols))
     return tuple(lengths), tuple(tableaux)
 
 

@@ -260,6 +260,21 @@ def test_verify_duplicate_codeword_exits_4(tmp_path, capsys):
     assert payload["witness"]["rows_i"] == payload["witness"]["rows_j"]
 
 
+def test_verify_witness_rows_are_element_codes(tmp_path, capsys):
+    # over GF(9) a packed entry is not its element code (code 8 packs as
+    # 34), so the witness rows must be decoded: both equal the duplicated
+    # last record's text entries
+    last = [[1, 0, 5, 8], [0, 1, 7, 3]]
+    records = ["1 0 0 0\n0 1 0 0\n", "1 0 2 4\n0 1 6 0\n",
+               "".join(" ".join(map(str, row)) + "\n" for row in last)]
+    path = tmp_path / "dup9.cdc"
+    path.write_text("CDC 9 4 2 2 4\n" + "".join("\n" + r for r in records + records[-1:]))
+    assert main(["verify", "--in", str(path)]) == 4
+    payload = _json_lines(capsys.readouterr().out)[0]
+    assert payload["min_found"] == 0
+    assert payload["witness"]["rows_i"] == payload["witness"]["rows_j"] == last
+
+
 def test_verify_sample_mode(tmp_path, capsys):
     plan = tmp_path / "blocks.plan"
     plan.write_text(BLOCKS_PLAN)

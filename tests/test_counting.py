@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -14,17 +16,23 @@ from cdckit.matrices import Matrix, mat_rank, mat_rref
 from oracles import ExtField, ext_add, from_rows
 
 
+@lru_cache(maxsize=None)
+def _subspaces_brute(n, k, q):
+    """The k-dim subspaces of GF(q)^n as their canonical RREF rows, each the
+    span of a (k - 1)-dim one and one more vector."""
+    if k == 0:
+        return frozenset({()})
+    f, grown = gf(q), set()
+    for rows in _subspaces_brute(n, k - 1, q):
+        for v in itertools.product(range(q), repeat=n):
+            red, pivots = mat_rref(from_rows(f, rows + (v,)))
+            if len(pivots) == k:
+                grown.add(tuple(red.rows()))
+    return frozenset(grown)
+
+
 def _count_subspaces_brute(n, k, q):
-    """Count k-dim subspaces of GF(q)^n by canonical RREF forms."""
-    f = gf(q)
-    seen = set()
-    vectors = list(itertools.product(range(q), repeat=n))
-    for rows in itertools.combinations(vectors, k):
-        m = from_rows(f, rows)
-        red, pivots = mat_rref(m)
-        if len(pivots) == k:
-            seen.add(red.entries)
-    return len(seen)
+    return len(_subspaces_brute(n, k, q))
 
 
 def test_gauss_binomial_brute_force():
@@ -47,10 +55,11 @@ def test_gauss_symmetry():
                 assert gauss_binomial(n, k, q) == gauss_binomial(n, n - k, q)
 
 
-def _qpoly_matrices(q, t, degrees):
-    """All t x t matrices of the maps sum a_i x^(q^i) on GF(q^t), i in degrees."""
+def _qpoly_matrices(q, t, degrees, s=None):
+    """All t x s matrices of the maps sum a_i x^(q^i) on GF(q^t), i in
+    degrees, at the s points 1, x, ..., x^(s-1) (s = t by default)."""
     ext = ExtField(gf(q), t)
-    points = [ext.pow(q, j) for j in range(t)]
+    points = [ext.pow(q if t > 1 else 1, j) for j in range(t if s is None else s)]
     mats = []
     for coeffs in itertools.product(range(ext.order), repeat=len(degrees)):
         cols = []
@@ -59,8 +68,8 @@ def _qpoly_matrices(q, t, degrees):
             for a, i in zip(coeffs, degrees):
                 acc = ext_add(ext, acc, ext.mul(a, ext.pow(p, q**i)))
             cols.append(ext.expand(acc))
-        entries = [cols[j][r] for r in range(t) for j in range(t)]
-        mats.append(Matrix(gf(q), t, t, entries))
+        entries = [cols[j][r] for r in range(t) for j in range(len(points))]
+        mats.append(Matrix(gf(q), t, len(points), entries))
     return mats
 
 
@@ -173,6 +182,38 @@ def test_count_stdout_with_warm_caches(capsys):
         for _ in range(2):
             assert main(argv) == 0
             assert capsys.readouterr().out == line
+
+
+def test_count_cli_prints_the_enumerated_counts(capsys):
+    # `count` through the CLI at tiny sizes against enumeration: subspaces
+    # grown vector by vector, and the rank distribution of every a x b MRD
+    # code, evaluated as q-polynomials (transposed when a < b, which keeps
+    # every rank)
+    from cdckit.cli import main
+
+    def printed(*argv):
+        assert main(["count", *map(str, argv)]) == 0
+        return int(capsys.readouterr().out)
+
+    for q in (2, 3):
+        for n in range(1, 5):
+            for k in range(n + 2):
+                assert printed("gauss", n, k, q) == _count_subspaces_brute(n, k, q), (q, n, k)
+        codes = {}  # (t, s, d) -> number of distinct words, rank distribution
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            t, s = max(a, b), min(a, b)
+            for d in range(1, s + 1):
+                if (t, s, d) not in codes:
+                    mats = _qpoly_matrices(q, t, range(s - d + 1), s)
+                    codes[t, s, d] = (len({m.entries for m in mats}),
+                                      Counter(mat_rank(m) for m in mats))
+                words, ranks = codes[t, s, d]
+                assert printed("mrd", q, a, b, d) == words, (q, a, b, d)
+                for u in range(s + 1):
+                    assert printed("bounded", q, a, b, d, u) == \
+                        sum(ranks[r] for r in range(u + 1)), (q, a, b, d, u)
+                for u in range(d, s + 1):
+                    assert printed("delsarte", q, a, b, d, u) == ranks[u], (q, a, b, d, u)
 
 
 def test_completeness_identity():

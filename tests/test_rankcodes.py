@@ -19,7 +19,7 @@ from cdckit.gf import field_modulus, gf
 from cdckit.matrices import Matrix, mat_rank
 from cdckit.rankcodes import LinearRankCode, coset_lists, enumerate_code, fdrm_words, \
     gabidulin_mrd
-from oracles import ExtField, mat_sub, oracle_rref, rref_rows, transpose, zero_matrix
+from oracles import ExtField, mat_sub, oracle_rref, rref_rows, transpose
 
 
 def _rank_distribution(code, **kw):
@@ -67,11 +67,12 @@ def _reference_words(code, rank_cap=None):
     coefficient changing slowest through the element codes, added entry by
     entry."""
     f = code.field
-    for coeffs in itertools.product(range(code.q), repeat=len(code.generators)):
+    gens = [Matrix.from_packed(f, code.b, g).entries for g in code.generators]
+    for coeffs in itertools.product(range(code.q), repeat=len(gens)):
         acc = (0,) * (code.a * code.b)
-        for c, g in zip(coeffs, code.generators):
+        for c, g in zip(coeffs, gens):
             if c:
-                acc = tuple(f.add(x, f.mul(c, y)) for x, y in zip(acc, g.entries))
+                acc = tuple(f.add(x, f.mul(c, y)) for x, y in zip(acc, g))
         rows = [list(acc[i * code.b:(i + 1) * code.b]) for i in range(code.a)]
         if rank_cap is None or len(rref_rows(f, rows, code.b)) <= rank_cap:
             yield acc
@@ -128,7 +129,7 @@ def test_gabidulin_matches_the_table_field():
                     continue
                 for d in range(1, min(a, b) + 1):
                     code = gabidulin_mrd(q, a, b, d)
-                    assert [g.packed for g in code.generators] == \
+                    assert code.generators == \
                         [g.packed for g in _oracle_generators(ext, a, b, d)], (q, a, b, d)
                     cases += 1
     assert cases == 333
@@ -151,7 +152,7 @@ def test_gabidulin_q16_t5_by_shift_and_reduce():
         gens = iter(code.generators)
         for i in range(m - d + 1):
             for l in range(t):
-                g = next(gens)
+                g = Matrix.from_packed(F, b, next(gens))
                 for j in range(m):
                     column = power[l + j * q**i]
                     for r in range(t):
@@ -162,7 +163,8 @@ def test_gabidulin_q16_t5_by_shift_and_reduce():
         word = [0] * 25
         for g in code.generators:
             c = rng.randrange(q)
-            word = [F.add(x, F.mul(c, y)) for x, y in zip(word, g.entries)]
+            word = [F.add(x, F.mul(c, y))
+                    for x, y in zip(word, Matrix.from_packed(F, 5, g).entries)]
         if any(word):
             assert mat_rank(Matrix(F, 5, 5, word)) >= d
 
@@ -182,7 +184,7 @@ def test_enumerate_rank_caps():
 def test_enumerate_zero_dimensional():
     code = LinearRankCode(2, 2, 3, 1, [])
     members = list(enumerate_code(code))
-    assert members == [zero_matrix(gf(2), 2, 3)]
+    assert [(m.ncols, m.packed) for m in members] == [(3, (0, 0))]
 
 
 def test_enumeration_limit(monkeypatch):

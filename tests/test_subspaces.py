@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -53,7 +54,7 @@ def test_canonical_form_collapses_row_equivalence():
             u = _random_subspace(rng, q, 6, 3)
             t = _random_invertible(rng, q, 3)
             v = subspace_from_rows(matmul(t, u.mat))
-            assert u == v
+            assert (u.rows, u.pivots) == (v.rows, v.pivots)
             assert u.mat.entries == v.mat.entries
 
 
@@ -121,7 +122,7 @@ def test_distance_metric_axioms_randomized():
             for b in words:
                 dab = subspace_distance(a, b)
                 assert dab == subspace_distance(b, a)
-                assert (dab == 0) == (a == b)
+                assert (dab == 0) == (a.rows == b.rows)
                 for c in words[:6]:
                     assert dab <= subspace_distance(a, c) + subspace_distance(c, b)
 
@@ -136,7 +137,7 @@ def test_lift_matrix_isometry_and_injectivity():
         r = mat_rank(mat_sub(a, b))
         assert subspace_distance(la, lb) == 2 * r
         # the intersection argument: dim = a_rows - rank(A-B)
-        assert la != lb
+        assert la.rows != lb.rows
     zero_lift = lift_matrix(zero_matrix(gf(2), 3, 4))
     assert identifying_vector(zero_lift) == (1, 1, 1, 0, 0, 0, 0)
 
@@ -244,6 +245,23 @@ def test_cdc_duplicate_rejection_and_lenient_load():
     lenient = CDC(2, 2, 2, 2, [word, word], strict=False)
     assert len(lenient) == 2
     assert verify_min_distance(lenient).min_found == 0
+    # duplicates apart in input order: a strict code still refuses them, and
+    # a lenient one keeps every copy and reports the first duplicate pair of
+    # the sorted order, found here by entry tuples
+    for q, rows in ((2, ([[0, 1, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 1]],
+                         [[1, 0, 1, 1], [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0, 1]])),
+                    (3, ([[1, 2, 0, 1], [0, 0, 1, 2]], [[0, 1, 0, 2], [0, 0, 1, 1]],
+                         [[1, 0, 2, 0], [0, 1, 1, 1]], [[0, 1, 0, 2], [0, 0, 1, 1]],
+                         [[1, 2, 0, 1], [0, 0, 1, 2]]))):
+        words = [subspace_from_rows(from_rows(gf(q), r)) for r in rows]
+        with pytest.raises(InvalidParameters):
+            CDC(q, 4, 2, 2, words)
+        lenient = CDC(q, 4, 2, 2, words, strict=False)
+        assert len(lenient) == len(words)
+        entries = sorted(w.mat.entries for w in words)
+        first = next(i for i in range(len(entries)) if entries[i] == entries[i + 1])
+        report = verify_min_distance(lenient)
+        assert (report.min_found, report.witness) == (0, (first, first + 1))
 
 
 def test_cdc_file_round_trip():
@@ -255,6 +273,23 @@ def test_cdc_file_round_trip():
     assert cdc_to_text(back) == text
     keys = [w.key() for w in back]
     assert keys == sorted(keys)
+
+
+def test_a_parsed_word_retains_under_180_bytes():
+    # a parsed word is one object holding its RREF's row tuple and shared
+    # pivots (about 144 B on CPython 3.11); with a Matrix around the rows
+    # it was about 220 B.  Row ints are shared between words
+    plan = ConstructionPlan("multilevel_II", 2, 8, 4, 4, dict(n1=4, u1=2, u2=2, b1=1, b2=1))
+    text = cdc_to_text(run_plan(plan).cdc)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = cdc_from_text(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 4690
+    assert retained / len(code) < 180
 
 
 @pytest.mark.parametrize("n", [5, 64, 70, 100])
@@ -271,7 +306,8 @@ def test_packed_order_is_entry_order(n):
     cdc = CDC(2, n, 3, 2, words, strict=False)
     entries = [w.mat.entries for w in cdc]
     assert entries == sorted(entries)
-    assert cdc_from_text(cdc_to_text(cdc)).codewords == cdc.codewords
+    assert [(w.rows, w.pivots) for w in cdc_from_text(cdc_to_text(cdc))] == \
+        [(w.rows, w.pivots) for w in cdc]
 
 
 @pytest.mark.parametrize("q", [2, 3])
