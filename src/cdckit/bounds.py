@@ -78,15 +78,42 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # size and its named terms.  Bounds look sizes up in the registry; builds
 # take them from the plan's sub-code files first.  Each part declares the
 # family parameters it reads (`reads`); the search evaluates it once per
-# prefix of the deepest of them (see `optimize_parameters`).
+# prefix of the deepest of them (see `optimize_parameters`).  A deep part
+# also declares `bounds`, shallowest first, which the search's max mode
+# prunes with.  Each is a function bound(p, a, memo) of its own `reads`:
+# at least the part's size at every tuple that shares their values and
+# whose sub-code sizes all resolve, or RegistryMiss when no such tuple
+# exists.  `memo` is a dict of the part's that lives for one search.
 
 
-def _reads(*names: str):
-    """Declare the family parameters a count part reads besides q, n, d, k, h."""
+def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
+    """Declare the family parameters a count part reads besides q, n, d, k, h,
+    and the part's bounds."""
     def declare(part):
-        part.reads = names
+        part.reads, part.bounds = names, bounds
         return part
     return declare
+
+
+def _side_max(p, a, memo, factors, i: str, t_hi: int) -> Tuple[int, int]:
+    """Side i's largest g and largest sg, (g, sg) = factors(p, a, i, t), over
+    t_i = t in [a_i, t_hi], a t whose sub-code size misses skipped; memoized
+    under (i, n_i, a_i, b_i), and RegistryMiss when every t misses."""
+    key = (i, p["n" + i], p["a" + i], p["b" + i])
+    found = memo.get(key)
+    if found is None:
+        found = miss = None
+        for t in range(p["a" + i], t_hi + 1):
+            try:
+                g, sg = factors(p, a, i, t)
+            except RegistryMiss as exc:
+                miss = exc.key
+                continue
+            found = (g, sg) if found is None else (max(found[0], g), max(found[1], sg))
+        memo[key] = found = found or miss
+    if len(found) == 4:  # the key of a miss
+        raise RegistryMiss(*found)
+    return found
 
 
 @_reads("n1", "n2")
@@ -109,7 +136,37 @@ def _block_side(q: int, h: int, a: int, a_other: int, w: int, b: int) -> Tuple[i
     return m, _exact_div(mrd_size(q, a, w, b), m), _bounded(q, a_other, w, h, a_other - h)
 
 
-@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2")
+def _block_factors(p, a, i: str, t: int) -> Tuple[int, int]:
+    """(G_i, s_i G_i) of insert B's side i at t_i = t: its size is
+    min(s1, s2) G1 G2, with G1 = |Q1| m1 Delta_2 and G2 = |Q2| m2 Delta_1."""
+    o = "2" if i == "1" else "1"
+    m, s, d = _block_side(p["q"], p["h"], p["a" + i], p["a" + o], p["n" + i] - t, p["b" + i])
+    g = a("Q" + i, t, p["a" + i]) * m * d
+    return g, s * g
+
+
+def _blocks_bound(p, a, memo, g1: int, sg1: int) -> int:
+    """min(s1, s2) G1 G2 <= min(s1 G1 max G2, G1 max s2 G2), the maxima over
+    a2 <= t2 <= n2 - d/2, the widest t2 range of the families with insert B."""
+    g2, sg2 = _side_max(p, a, memo, _block_factors, "2", p["n2"] - p["h"])
+    return min(sg1 * g2, g1 * sg2)
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2")
+def blocks_insert_bound(p, a, memo) -> int:
+    """Insert B over a b2-subtree: side 1 at its maxima too, over
+    a1 <= t1 <= n1 - d/2."""
+    return _blocks_bound(p, a, memo, *_side_max(p, a, memo, _block_factors, "1", p["n1"] - p["h"]))
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
+def blocks_insert_row_bound(p, a, memo) -> int:
+    """Insert B over a t1-row."""
+    return _blocks_bound(p, a, memo, *_block_factors(p, a, "1", p["t1"]))
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2",
+        bounds=(blocks_insert_bound, blocks_insert_row_bound))
 def blocks_insert_part(p, a):
     """Insert B: s coset-paired block codes over the sub-codes Q1, Q2.  Each
     side's factors are fixed by its own t, so the search's t2 loop reuses
@@ -122,7 +179,40 @@ def blocks_insert_part(p, a):
     return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
 
 
-@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2")
+def _parallel_factors(p, a, i: str, t: int) -> Tuple[int, int]:
+    """(|D_i|, Delta |D_i|) of insert E's side i at t_i = t, with Delta
+    (Delta_3 or Delta_4) at its largest: the rank cap c_i <= a_i <= t only
+    lowers it from the MRD size m(q, a_i, t, b_i)."""
+    ai = p["a" + i]
+    g = a("D" + i, p["n" + i] - t, ai)
+    return g, mrd_size(p["q"], ai, t, p["b" + i]) * g
+
+
+def _parallel_bound(p, a, memo, g1: int, dg1: int) -> int:
+    """Delta_3 Delta_4 |D1| |D2| <= Delta_3 |D1| max Delta_4 |D2| in the
+    product form, else min(Delta_3, Delta_4) |D1| |D2| <= the smaller of
+    Delta_3 |D1| max |D2| and |D1| max Delta_4 |D2|, the maxima over
+    a2 <= t2 <= n2 - a2, the range of cor42, the one family with insert E."""
+    g2, dg2 = _side_max(p, a, memo, _parallel_factors, "2", p["n2"] - p["a2"])
+    return dg1 * dg2 if p["b1"] == p["b2"] == p["h"] else min(dg1 * g2, g1 * dg2)
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2")
+def parallel_insert_bound(p, a, memo) -> int:
+    """Insert E over a b2-subtree: side 1 at its maxima too, over
+    a1 <= t1 <= n1 - a1."""
+    return _parallel_bound(p, a, memo,
+                           *_side_max(p, a, memo, _parallel_factors, "1", p["n1"] - p["a1"]))
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
+def parallel_insert_row_bound(p, a, memo) -> int:
+    """Insert E over a t1-row."""
+    return _parallel_bound(p, a, memo, *_parallel_factors(p, a, "1", p["t1"]))
+
+
+@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2",
+        bounds=(parallel_insert_bound, parallel_insert_row_bound))
 def parallel_insert_part(p, a):
     """Insert E over the sub-codes D1, D2: every pair (M1, M2) of rank-capped
     words when b1 = b2 = d/2 (the product form), else min(Delta_3, Delta_4)
@@ -268,16 +358,34 @@ class Family:
             _need(lo <= value <= hi, par.why)
         return p
 
+    def _level(self, reads: Tuple[str, ...]) -> int:
+        """The position in `names` of the deepest of `reads` (-1 for none)."""
+        return max((self.names.index(r) for r in reads if r in self.names), default=-1)
+
     @cached_property
     def levels(self) -> Tuple[int, ...]:
         """Each part's level: the position in `names` of the deepest
-        parameter it reads (-1 when it reads none).  Parts are declared in
-        level order, so the parts fixed by a prefix come first."""
-        levels = tuple(max((self.names.index(r) for r in part.reads if r in self.names),
-                           default=-1) for part in self.parts)
+        parameter it reads.  Parts are declared in level order, so the parts
+        fixed by a prefix come first."""
+        levels = tuple(self._level(part.reads) for part in self.parts)
         if list(levels) != sorted(levels):
             raise ValueError(f"{self.name}: parts are not declared in level order")
         return levels
+
+    @cached_property
+    def bound_levels(self) -> Tuple[Tuple[int, int, Tuple[Callable, ...]], ...]:
+        """(j, c, bounds) for each level j of a declared bound at which the
+        family's total is bounded, shallowest first: the first c parts are
+        fixed by the prefix up to j, and `bounds` holds, for each later
+        part, its deepest bound fixed by that prefix."""
+        out = []
+        for j in sorted({self._level(b.reads) for part in self.parts for b in part.bounds}):
+            c = sum(level <= j for level in self.levels)
+            fixed = [[b for b in part.bounds if self._level(b.reads) <= j]
+                     for part in self.parts[c:]]
+            if all(fixed):
+                out.append((j, c, tuple(bs[-1] for bs in fixed)))
+        return tuple(out)
 
     def walk(self, q: int, n: int, d: int, k: int,
              leaf: Callable[[Dict[str, int], int], Optional[int]]) -> None:
@@ -486,6 +594,23 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     level-j prefix, and a tuple with a miss is skipped, so the rest of that
     subtree is skipped unwalked: the pruning is exact.  Each sub-code size
     (n', k') is looked up once per search, misses included.
+
+    In max mode the search also prunes by the parts' declared bounds
+    (`Family.bound_levels`).  At the first leaf under a new prefix at a
+    bounded level j (for cor41 and cor42: a b2-subtree, then a t1-row), it
+    adds the exact parts fixed by the prefix and the bounds of the deeper
+    parts; when that is at most `best_total`, the rest of the subtree is
+    skipped.  This is exact: a later tuple replaces `best` only when its
+    total is > `best_total`, and `best_total` never falls, so no tuple in
+    the subtree could change the returned tuple, total, terms or deps.  A
+    bound factor that misses in the registry for every leaf of the subtree
+    prunes it too, since each of those leaves would be skipped.  Nor can a
+    skipped leaf have raised anything but RegistryMiss: its coset counts
+    m(b)/m(d/2) = q^(max(a,w)(d/2-b)) divide exactly, and the t ranges keep
+    every width w >= d/2 >= b, so every MRD size is defined.  The bounds
+    multiply the largest factors, so they take each registry value to be
+    what it is, a code size >= 0.  They need no memory beyond one search:
+    the side maxima live in dicts local to it.
     """
     registry = registry or shipped_registry()
     spec = FAMILIES[family]
@@ -504,6 +629,10 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
         return size
 
     parts, levels = spec.parts, spec.levels
+    memos = [{} for _ in parts]  # each part's, shared by its bounds
+    checks: List[List] = [[] for _ in parts]  # checks[c]: the levels bounded before parts[c]
+    for j, c, bounds in spec.bound_levels if target is None else ():
+        checks[c].append((j, list(zip(bounds, memos[c:]))))
     sums = [0] * (len(parts) + 1)  # sums[i]: the sizes of parts[:i]
     known = 0  # the parts whose sums hold for the current prefix
     best: Optional[Dict[str, int]] = None
@@ -516,6 +645,17 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
         while i and levels[i - 1] >= fresh:
             i -= 1
         while i < len(parts):
+            for j, deep in checks[i]:
+                if fresh <= j:  # the first leaf under a new level-j prefix
+                    top = sums[i]
+                    try:
+                        for bound, memo in deep:
+                            top += bound(p, a, memo)
+                    except RegistryMiss:  # no leaf under it resolves
+                        top = -1
+                    if top <= best_total:
+                        known = i
+                        return j
             try:
                 sums[i + 1] = sums[i] + parts[i](p, a)[0]
             except RegistryMiss:

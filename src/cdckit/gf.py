@@ -23,8 +23,9 @@ and reduces the spill by the modulus; `x_power` squares and multiplies
 rows.  One rule picks every modulus: `field_modulus(q, t)` is the
 lex-smallest monic irreducible of degree t over GF(q) by digit code, found
 by trial division on rows, so encodings are bit-exact across runs.
-Multiplication by c in GF(p^d) is GF(p)-linear: c b is the sum of
-b_i (c x^i) over the digits b_i of b, and the row tables hold these sums.
+Multiplication in GF(p^d) is GF(p)-linear: c b is the sum of c_i (x^i b)
+over the digits c_i of c, and the row tables hold these sums, each made
+for all q elements b at once as one packed row of q entries.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class GF:
         for x, e in enumerate(self.enc):
             self.dec[e] = x
 
-        def per_byte(entry):
-            """The byte table applying `entry` to each w-bit entry of a byte."""
-            table = one = [entry(e) for e in range(1 << w)]
+        def per_byte(one):
+            """The byte table applying one[e] to each w-bit entry e of a byte."""
+            table = one
             for _ in range(8 // w - 1):
                 table = [(hi << w) | lo for hi in table for lo in one]
             return bytes(table)
@@ -116,26 +117,41 @@ class GF:
             self.row_add = xor
         else:
             ones = (1 << digit) - 1
-            self.mod_rows = per_byte(lambda e: sum(
-                (e >> i & ones) % p << i for i in range(0, w, digit)))
+            self.mod_rows = per_byte([sum((e >> i & ones) % p << i for i in range(0, w, digit))
+                                      for e in range(1 << w)])
             self.row_add = self._add_digits
-        products = [self._products(c) for c in range(q)]
-        self.mul_rows = [per_byte(lambda e: row[self.dec[e]]) for row in products]
+        products = self._products()
+        self.mul_rows = [per_byte([row[e] for e in self.dec]) for row in products]
         self.negs = [self.dec[e] for e in products[p - 1]]
         self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
 
-    def _products(self, c: int) -> list:
-        """enc[c b] for b = 0, ..., q - 1: the GF(p)-span of the enc[c x^i],
-        digit 0 of b the fastest; enc[c x^(i+1)] is `times_x` over GF(p)."""
-        out, step = [0], self.enc[c]
+    def _products(self) -> list:
+        """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1.
+        Each row is made packed, enc[c b] the b-th entry from the right, as
+        the GF(p)-span of the rows of x^i b, digit 0 of c the fastest, so a
+        `row_add` adds q entries at once.  Entry b of the row of x^(i+1) b is
+        `times_x` over GF(p) of entry b of the row of x^i b."""
+        w = self.width
+        step = sum(e << w * b for b, e in enumerate(self.enc))
+        out = [0]
         for i in range(self.degree):
             if i:
-                step = times_x(gf(self.p), step, self.modulus)
+                step = sum(times_x(gf(self.p), e, self.modulus) << w * b
+                           for b, e in enumerate(self._entries(step)))
             layer = out
             for _ in range(self.p - 1):
                 layer = [self.row_add(e, step) for e in layer]
                 out += layer
-        return out
+        return [self._entries(row) for row in out]
+
+    def _entries(self, row: int) -> list:
+        """The q entries of a packed row of q entries, the rightmost first."""
+        w = self.width
+        data = row.to_bytes((self.q * w + 7) // 8, "little")
+        if w == 8:
+            return list(data)
+        mask = (1 << w) - 1
+        return [byte >> i & mask for byte in data for i in range(0, 8, w)][:self.q]
 
     def _add_digits(self, a: int, b: int) -> int:
         """The sum of two packed rows over odd p: digit-wise, then mod p.

@@ -101,3 +101,18 @@ def test_methods_are_checked(tmp_path):
         "    def _private(self):\n        pass\n"
         "A().used()\n")
     assert unreached_names(str(tmp_path)) == ["mod.A.stranded"]
+
+
+def test_search_signature_is_pinned():
+    # the search's pruning is exact and always on: no keyword may switch it
+    # off or pick a second search path
+    import inspect
+
+    from cdckit.bounds import optimize_parameters
+
+    params = inspect.signature(optimize_parameters).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default) for name, default in (
+            ("q", inspect.Parameter.empty), ("n", inspect.Parameter.empty),
+            ("d", inspect.Parameter.empty), ("k", inspect.Parameter.empty),
+            ("family", inspect.Parameter.empty), ("registry", None), ("target", None))]

@@ -260,29 +260,164 @@ def test_search_matches_brute_force():
     assert cases == 5 * sum((n + 1) * (n + 3) for top in (13, 12) for n in range(2, top + 1))
 
 
+# the keys where the bounds prune most: q = 2, 14 <= n <= 19, d in {4, 6, 8}
+_DEEP_KEYS = [(2, n, d, k) for n in range(14, 20) for d in (4, 6, 8) for k in range(n + 1)]
+_SMALL_KEYS = [(q, n, d, k) for q, top in ((2, 13), (3, 12)) for n in range(2, top + 1)
+               for k in range(n + 1) for d in range(2 * k + 3)]
+
+
+def _bounds_hold(key, family, registry) -> int:
+    """Check every prefix at each of the family's bounded levels: the exact
+    parts it fixes plus the declared bounds of the deeper parts must be at
+    least the total of each leaf under it that resolves, and a bound may
+    miss only when every such leaf misses.  The memos live for the whole
+    key, as in the search.  Returns the number of prefixes checked."""
+    spec = FAMILIES[family]
+    q, _, d, _ = key
+
+    def a(_slot, n, k):
+        return registry.get(q, n, d, k)
+
+    leaves = grid(spec, *key)
+    totals = []
+    for p in leaves:
+        try:
+            totals.append(spec.count(p, a)[0])
+        except RegistryMiss:
+            totals.append(None)
+    memos = {part: {} for part in spec.parts}
+    checked = 0
+    for j, c, bounds in spec.bound_levels:
+        firsts = {}
+        for p, total in zip(leaves, totals):
+            prefix = tuple(p[name] for name in spec.names[:j + 1])
+            first, most = firsts.get(prefix, (p, None))
+            if total is not None and (most is None or total > most):
+                most = total
+            firsts[prefix] = first, most
+        for first, most in firsts.values():
+            try:
+                top = sum(part(first, a)[0] for part in spec.parts[:c])
+                for bound, part in zip(bounds, spec.parts[c:]):
+                    top += bound(first, a, memos[part])
+            except RegistryMiss:
+                top = None
+            assert (most is None) if top is None else top >= (most or 0), (key, family, first)
+            checked += 1
+    return checked
+
+
+def test_declared_bounds_hold_on_every_prefix():
+    # the max-mode search prunes a b2-subtree or a t1-row of cor41 and cor42
+    # when this sum is at most its incumbent, so an unsound bound could hide
+    # behind a large incumbent in the brute-force comparison; here each is
+    # checked against every leaf under it, with the shipped registry and,
+    # for q = 2, the analytic rules alone, whose misses fall elsewhere
+    assert [(family, [j for j, _, _ in spec.bound_levels]) for family, spec in FAMILIES.items()] \
+        == [("linkage", []), ("cor41", [5, 6]), ("cor42", [5, 6]), ("cor43", []), ("cor44", [])]
+    checked = 0
+    for key in _SMALL_KEYS + _DEEP_KEYS:
+        for registry in (REG, BaseBoundRegistry()) if key[0] == 2 else (REG,):
+            for family in ("cor41", "cor42"):
+                checked += _bounds_hold(key, family, registry)
+    assert checked > 40000
+
+
+def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
+    # cor41 and cor42 at the keys of _DEEP_KEYS: the pruned search gives the
+    # brute force's maximum, tuple, terms and deps, or its error; and it
+    # evaluates insert B under a tenth as often as the unpruned search, which
+    # made 17,883 calls here, so pruning that silently stops shows
+    import dataclasses
+
+    from cdckit.bounds import blocks_insert_part
+
+    calls = 0
+
+    def counted(part):
+        def wrapper(p, a):
+            nonlocal calls
+            calls += part is blocks_insert_part
+            return part(p, a)
+        wrapper.reads, wrapper.bounds = part.reads, part.bounds
+        return wrapper
+
+    found = {}
+    with monkeypatch.context() as patch:
+        for family in ("cor41", "cor42"):
+            spec = FAMILIES[family]
+            patch.setitem(FAMILIES, family,
+                          dataclasses.replace(spec, parts=tuple(map(counted, spec.parts))))
+        for key in _DEEP_KEYS:
+            for family in ("cor41", "cor42"):
+                found[key, family] = _outcome(optimize_parameters, *key, family, REG)
+    assert 0 < calls < 17883 // 10
+    for (key, family), outcome in found.items():
+        assert outcome == _outcome(_brute_force, *key, family, REG), (key, family)
+    assert sum(isinstance(outcome[0], int) for outcome in found.values()) > 90
+
+
+def test_search_prunes_exactly_the_subtrees_that_cannot_win(monkeypatch):
+    # a toy family whose deep part declares its exact maximum over each x as
+    # its bound: x = 1 can beat the best of x = 0 by one, so it is walked and
+    # wins; x = 2 can at most tie the best, so it is skipped unevaluated
+    from cdckit.bounds import Family, Param, _reads
+
+    sizes = {(0, 0): 5, (0, 1): 3, (1, 0): 5, (1, 1): 6, (2, 0): 6, (2, 1): 4}
+    evaluated = []
+
+    @_reads("x")
+    def most(p, a, memo):
+        return max(size for (x, _), size in sizes.items() if x == p["x"])
+
+    @_reads("x")
+    def base(p, a):
+        return 0, {}
+
+    @_reads("x", "y", bounds=(most,))
+    def deep(p, a):
+        evaluated.append((p["x"], p["y"]))
+        return sizes[p["x"], p["y"]], {}
+
+    monkeypatch.setitem(FAMILIES, "toy", Family("toy", "toy", (
+        Param("x", lambda p: 0, lambda p: 2, ""), Param("y", lambda p: 0, lambda p: 1, "")),
+        (base, deep)))
+    best = optimize_parameters(2, 4, 2, 1, "toy", REG)
+    assert (best.params, best.total) == ({"x": 1, "y": 1}, 6)
+    # the last evaluation counts the returned tuple
+    assert evaluated == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
+
+
 def test_parts_read_only_what_they_declare():
-    # the search evaluates a part once per prefix of its declared reads, so
-    # a part given only q, n, d, k, h and those reads must give the same
-    # size and terms, or the same miss
+    # the search evaluates a part once per prefix of its declared reads, and
+    # checks a part's bound once per prefix of the bound's, so each given
+    # only q, n, d, k, h and those reads must give the same size and terms,
+    # or bound, or the same miss
     from cdckit.bounds import PLAN_FAMILIES
 
-    def outcome(part, p, q, d):
+    parts = {part for spec in PLAN_FAMILIES.values() for part in spec.parts}
+
+    def outcome(fn, p, q, d):
+        memo = () if fn in parts else ({},)  # a bound's, fresh on each call
         try:
-            return part(p, lambda _slot, n, k: REG.get(q, n, d, k))
+            return fn(p, lambda _slot, n, k: REG.get(q, n, d, k), *memo)
         except RegistryMiss as exc:
             return exc.key
 
-    walked = 0
+    walked = bounded = 0
     for key in ((2, 12, 4, 5), (2, 12, 4, 6), (3, 13, 4, 6)):
         q, _, d, _ = key
         for spec in PLAN_FAMILIES.values():
             for p in grid(spec, *key):
                 for part in spec.parts:
-                    cut = {name: p[name] for name in ("q", "n", "d", "k", "h") + part.reads
-                           if name in p}
-                    assert outcome(part, cut, q, d) == outcome(part, p, q, d), (spec.name, p)
-                    walked += 1
-    assert walked > 500
+                    for fn in (part,) + part.bounds:
+                        cut = {name: p[name] for name in ("q", "n", "d", "k", "h") + fn.reads
+                               if name in p}
+                        assert outcome(fn, cut, q, d) == outcome(fn, p, q, d), \
+                            (spec.name, fn.__name__, p)
+                        walked += 1
+                        bounded += fn is not part
+    assert walked > 500 and bounded > 500
 
 
 def test_block_insert_split_matches_the_one_expression():

@@ -108,6 +108,13 @@ def test_tables_match_independent_arithmetic(q):
     f = gf(q)
     p, e = factor_prime_power(q)
     els = range(q)
+    # `row_scale` on rows of several entries reads whole bytes of mul_rows,
+    # so every entry of a byte must be scaled, checked against `mul`
+    rng = random.Random(-q)
+    for _ in range(40):
+        a, c = [rng.randrange(q) for _ in range(9)], rng.randrange(q)
+        scaled = f.row_scale(Matrix(f, 1, 9, a).packed[0], c)
+        assert row_codes(f, scaled, 9) == tuple(f.mul(c, x) for x in a)
     if p > 2:
         # `row_add` on rows of one byte and of several (entries are 4 or 8
         # bits wide): digit-wise sums mod p
