@@ -6,8 +6,9 @@ Rows of equal width compare as ints exactly as their entry tuples do.
 Every operation works on those ints: the field's `row_add` adds rows (XOR
 in characteristic 2), `row_scale` scales a row by one `translate`, and the
 bit length finds a row's pivot.  `rank_added` and `rref_pivots` take bare
-packed rows.  `pack_row` packs element codes and checks each one; the CDC
-parser, the Gabidulin generators and the `Matrix` constructor use it.
+packed rows, and calls of `rref_pivots` share what the bit lengths fix.
+`pack_row` packs element codes and checks each one; the CDC parser, the
+Gabidulin generators and the `Matrix` constructor use it.
 
 A `Matrix` wraps packed rows with their shape, and decodes its entry tuple
 only when a caller reads `entries`.  One is made only where entries are
@@ -147,22 +148,34 @@ def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     return Matrix.from_packed(f, ncols, rows), tuple(ncols - b for b, _ in reduced)
 
 
-def rref_pivots(f: GF, rows: Sequence[int], ncols: int) -> Optional[Tuple[int, ...]]:
-    """The pivot columns of the packed rows if they are in RREF with no zero
-    row, else None."""
+def _rref_shape(f: GF, lengths: Sequence[int], ncols: int):
+    """For rows of these bit lengths, their pivot columns, the mask of the
+    entries in those columns and the leading 1s that an RREF's rows sum to
+    under it; None unless the leading entries strictly move right.  Each row
+    meets the pivot columns in at least its own leading entry, so the sums
+    agree only if each meets them in a leading 1 alone."""
     w = f.width
     prev, pivot_bits, ones = ncols + 1, 0, 0
-    for v in rows:  # leading entries strictly move right
-        b = (v.bit_length() + w - 1) // w
+    for length in lengths:
+        b = (length + w - 1) // w
         if not 0 < b < prev:
             return None
         prev, one = b, 1 << (b - 1) * w
         pivot_bits, ones = pivot_bits | one * ((1 << w) - 1), ones | one
-    # each row meets the pivot columns in at least its own leading entry, so
-    # the sums agree only if each meets them in a leading 1 alone
-    if sum(v & pivot_bits for v in rows) != ones:
-        return None
-    return tuple(ncols - (v.bit_length() + w - 1) // w for v in rows)
+    return tuple(ncols - (length + w - 1) // w for length in lengths), pivot_bits, ones
+
+
+def rref_pivots(f: GF, rows: Sequence[int], ncols: int,
+                shapes: dict) -> Optional[Tuple[int, ...]]:
+    """The pivot columns of the packed rows if they are in RREF with no zero
+    row, else None.  `shapes` keeps each `_rref_shape` of rows of this field
+    and width, so that rows whose bit lengths repeat cost one masked sum,
+    and share one pivot tuple."""
+    lengths = tuple(map(int.bit_length, rows))
+    if lengths not in shapes:
+        shapes[lengths] = _rref_shape(f, lengths, ncols)
+    shape = shapes[lengths]
+    return shape[0] if shape and sum(v & shape[1] for v in rows) == shape[2] else None
 
 
 def mat_rank(m: Matrix) -> int:

@@ -16,13 +16,17 @@ V's rows against U's, which already form a reduced basis, and a pair stops
 once it cannot beat the running minimum.  Sampled verification draws its
 pairs by `getrandbits` with rejection, the same pairs `randrange` draws.
 Exhaustive verification instead finds the highest t at which two
-codewords share a t-subspace, keying each codeword's [k t]_q t-subspaces
-by their concatenated packed rows, and compares pairs only when they are
-fewer than the keys.  For a code of N words, the first N pairs bound the
-minimum beforehand, and only the levels whose distance is below that bound
-are keyed.  The CDC file format renders and checks each distinct row
-once, keeps a record that is already in RREF as it is, and refuses a
-header that claims d < 1, which any two words would meet.
+codewords share a t-subspace, and compares pairs only when they are fewer
+than the keys.  At t = k, equal words are sorted neighbours.  Below it,
+each codeword's [k t]_q t-subspaces are keyed by their concatenated packed
+rows: for each choice of t of its rows, one base plus every combination of
+the rows they may add, each shifted to its place in the key.  For a code
+of N words, the first N pairs bound the minimum beforehand, and only the
+levels whose distance is below that bound are keyed.  The CDC file format
+renders and checks each distinct row once, checks the RREF of each
+record through a mask shared by every record of its rows' bit lengths,
+keeps a record that is already in RREF as it is, and refuses a header
+that claims d < 1, which any two words would meet.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -223,27 +226,31 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
 
     Words U, V share a t-subspace iff d(U, V) <= 2(k - t), so the first
     level t = k, k-1, ..., 1 at which two words share one gives the minimum.
-    For a word's RREF G and a t x k RREF matrix C, C*G is the RREF of a
-    t-subspace whose pivots are G's at C's pivot columns c; keys are grouped
-    by that pivot set, one group held at a time.  The levels hold up to
+    Level k is read off the sorted words, where equal words are neighbours.
+    Below it, for a word's RREF G and a t x k RREF matrix C, C*G is the RREF
+    of a t-subspace whose pivots are G's at C's pivot columns c; keys are
+    grouped by that pivot set, one group held at a time, and `keys_of`
+    builds a word's keys for one c at once.  The levels hold up to
     N * sum_t [k t]_q keys; when the N(N-1)/2 pairs are fewer, they are
     compared instead.
 
-    Before any level is keyed, the first N pairs in i-major order give an
-    upper bound m on the minimum and w, the first of them at distance m,
-    and the scan stops before the first level with 2(k - t) >= m.  This is
-    exact: a level with 2(k - t) < m that collides gives its result as
-    before; if none does, no pair is closer than m, so m is the minimum;
-    and every pair before w lies in the prefix at a distance above m, so w
-    is the first pair at distance m.  A duplicate in the prefix gives
-    m = 0, and no level is keyed.
+    Before any level below k is keyed, the first N pairs in i-major order
+    give an upper bound m on the minimum and w, the first of them at
+    distance m, and the scan stops before the first level with
+    2(k - t) >= m.  This is exact: a level with 2(k - t) < m that collides
+    gives its result as before; if none does, no pair is closer than m, so
+    m is the minimum; and every pair before w lies in the prefix at a
+    distance above m, so w is the first pair at distance m.
     """
     k, q, words = code.k, code.q, code.codewords
     if 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) >= len(words):
         return _min_pair(code, combinations(range(len(words)), 2))
+    # level k: the words' own rows, and equal words sort together
+    i = next((i for i in range(len(words) - 1) if words[i].rows == words[i + 1].rows), None)
+    if i is not None:
+        return 0, (i, i + 1)
     best, witness = _min_pair(code, islice(combinations(range(len(words)), 2), len(words)))
     f = words[0].field
-    span = _span_gf2 if q == 2 else partial(_span, f)
     by_pivots: dict = {}
     for i, w in enumerate(words):
         by_pivots.setdefault(w.pivots, []).append(i)
@@ -251,32 +258,25 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
 
     def level(t: int) -> Optional[Tuple[int, int]]:
         """The lexicographically first pair sharing a t-subspace, if any."""
-        # for C's pivot columns c, the rows of G each row of C*G may add
-        free = {c: [[j for j in range(r + 1, k) if j not in c] for r in c]
-                for c in combinations(range(k), t)}
         groups: dict = {}
-        for piv in by_pivots:
-            for c in free:
-                groups.setdefault(tuple(piv[r] for r in c), {})[piv] = c
-
-        def keys_of(i: int, c: Tuple[int, ...]) -> List[int]:
-            g = words[i].rows
-            keys = [0]
-            for r, cols in zip(c, free[c]):
-                vals = span(g, r, cols)
-                keys = [key << shift | v for key in keys for v in vals]
-            return keys
+        for c in combinations(range(k), t):
+            # row p of C*G, shifted to its place in the key, is G's row c_p
+            # plus any combination of G's rows j > c_p outside c
+            places = [(r, (t - 1 - p) * shift) for p, r in enumerate(c)]
+            spec = (places, [(j, s) for r, s in places for j in range(r + 1, k) if j not in c])
+            for piv in by_pivots:
+                groups.setdefault(tuple(piv[r] for r in c), {})[piv] = spec
 
         found = []
         while groups:
-            cs = groups.popitem()[1]
-            order = sorted(chain.from_iterable(by_pivots[piv] for piv in cs))
+            specs = groups.popitem()[1]
+            order = sorted(chain.from_iterable(by_pivots[piv] for piv in specs))
             # a key is stored as one bit of a 64-bit mask under key >> 6;
             # words arrive in index order, so a key's first repeat is its
             # second-lowest holder
             seen, second = {}, {}
             for i in order:
-                for key in keys_of(i, cs[words[i].pivots]):
+                for key in keys_of(f, words[i].rows, specs[words[i].pivots]):
                     high, bit = key >> 6, 1 << (key & 63)
                     old = seen.get(high, 0)
                     if old & bit:
@@ -284,36 +284,41 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
                     else:
                         seen[high] = old | bit
             for i in order if second else ():
-                partners = [second[key] for key in keys_of(i, cs[words[i].pivots])
-                            if key in second]
+                keys = keys_of(f, words[i].rows, specs[words[i].pivots])
+                partners = [second[key] for key in keys if key in second]
                 if partners:  # i is the lowest holder of any repeated key
                     found.append((i, min(partners)))
                     break
         return min(found, default=None)
 
-    for t in range(k, k - best // 2, -1):  # the levels with 2(k - t) < best
+    for t in range(k - 1, k - best // 2, -1):  # the levels below k with 2(k - t) < best
         found = level(t)
         if found is not None:
             return 2 * (k - t), found
     return best, witness
 
 
-def _span(f: GF, g: Tuple[int, ...], r: int, cols: List[int]) -> List[int]:
-    """Packed rows g[r] + any combination of the rows g[j], j in cols."""
-    add, vals = f.row_add, [g[r]]
-    for j in cols:
-        multiples = [f.row_scale(g[j], c) for c in range(1, f.q)]
-        vals += [add(v, s) for s in multiples for v in vals]
-    return vals
-
-
-def _span_gf2(g: Tuple[int, ...], r: int, cols: List[int]) -> List[int]:
-    """`_span` over GF(2), where a row's one nonzero multiple is itself and
-    XOR adds; the scan's inner loop, which `_span` slows by about a sixth."""
-    vals = [g[r]]
-    for j in cols:
-        vals += [v ^ g[j] for v in vals]
-    return vals
+def keys_of(f: GF, g: Tuple[int, ...], spec) -> List[int]:
+    """The keys of the t-subspaces C*G of the word with RREF rows g, for one
+    pivot choice C: `spec` is the (row, shift) pairs of C's rows and the
+    (row, shift) pairs of the rows each may add.  A key concatenates t
+    packed rows, and concatenation is a shift, so a key is the base sum of
+    the shifted rows plus any combination of the shifted generators."""
+    places, gens = spec
+    key = 0
+    for r, s in places:
+        key |= g[r] << s
+    keys = [key]
+    if f.q == 2:  # a row's one nonzero multiple is itself, and XOR adds
+        for j, s in gens:
+            x = g[j] << s
+            keys += [v ^ x for v in keys]
+        return keys
+    add = f.row_add
+    for j, s in gens:
+        multiples = [f.row_scale(g[j] << s, c) for c in range(1, f.q)]
+        keys += [add(v, m) for m in multiples for v in keys]
+    return keys
 
 
 # -- CDC file format ---------------------------------------------------------
@@ -358,7 +363,7 @@ def cdc_from_text(text: str) -> CDC:
         raise ValueError(f"claimed distance {d} is below 1")
     field = gf(q)
     parsed: dict = {}  # line -> packed row
-    shared: dict = {}  # one tuple per distinct pivot set
+    shapes: dict = {}  # for rref_pivots
 
     def parse_row(ln: str):
         entries = ln.split()
@@ -378,10 +383,7 @@ def cdc_from_text(text: str) -> CDC:
             row = parsed[ln] = parse_row(ln)
         rows.append(row)
         if len(rows) == k:
-            pivots = rref_pivots(field, rows, n)
-            if pivots is not None:
-                pivots = shared.setdefault(pivots, pivots)
-            words.append(codeword(field, n, rows, pivots))
+            words.append(codeword(field, n, rows, rref_pivots(field, rows, n, shapes)))
             rows = []
     if rows:
         raise ValueError("truncated codeword record")

@@ -23,6 +23,9 @@ division up to sqrt(q), the reference for `factor_prime_power`.
 `lifted_with_vectors` pairs each lifted insert word of a cor43 or cor44
 tuple with the special-form vector it should lift on, for the identifying
 vector and insertion predicate checks.
+`row_by_row_keys` builds a word's t-subspace keys for one pivot choice a
+row at a time, each row the span of its free rows: the reference for
+`subspaces.keys_of`, which builds them in one pass.
 `grid` lists a family's admissible parameters, and `blocks_insert_oracle`
 is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.
@@ -464,6 +467,22 @@ def randrange_pairs(n_words: int, count: int, seed) -> List[Tuple[int, int]]:
             j += 1
         pairs.append((min(i, j), max(i, j)))
     return pairs
+
+
+def row_by_row_keys(f: GF, n: int, g: Tuple[int, ...], c: Tuple[int, ...]) -> List[int]:
+    """The keys of the t-subspaces C*G of the word with RREF rows g, for the
+    pivot choice C with pivot columns c: row r of C*G is g[r] plus any
+    combination of the rows g[j], j > r outside c, and a key concatenates
+    the t rows of n entries each."""
+    keys = [0]
+    for r in c:
+        vals = [g[r]]
+        for j in range(r + 1, len(g)):
+            if j not in c:
+                multiples = [f.row_scale(g[j], a) for a in range(1, f.q)]
+                vals += [f.row_add(v, m) for m in multiples for v in vals]
+        keys = [key << n * f.width | v for key in keys for v in vals]
+    return keys
 
 
 def first_minimum(dists: List[int], pairs: List[Tuple[int, int]]):

@@ -297,9 +297,9 @@ def test_built_words_carry_their_rref_pivots(text):
     # lifted FDRM words) skip reduction: their rows must be their own RREF,
     # and the pivots those of the rows
     code = run_plan(parse_plan(text)).cdc
-    f = gf(code.q)
+    f, shapes = gf(code.q), {}
     for w in code:
-        assert w.pivots == rref_pivots(f, w.rows, code.n)
+        assert w.pivots == rref_pivots(f, w.rows, code.n, shapes)
         red, pivots = mat_rref(w.mat)
         assert red.packed == w.rows and pivots == w.pivots
 

@@ -5,24 +5,26 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
 
 from cdckit import subspaces
-from cdckit.constructions import ConstructionPlan, run_plan
+from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref
+from cdckit.matrices import Matrix, mat_rank, mat_rref, pack_row, rank_added
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
-    verify_min_distance
+    codeword, verify_min_distance
 from oracles import MULTILEVEL_TUPLES, AmbientMismatch, ferrers_of, first_minimum, from_rows, \
     hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
     lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, randrange_pairs, \
-    special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+    row_by_row_keys, special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+from test_golden import PLANS as GOLDEN_PLANS
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -620,8 +622,9 @@ def test_prefix_bound_matches_pairwise_oracle(q):
 def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # the lifted 3 x 3 Gabidulin code of rank distance 2: 64 planes of
     # GF(2)^6, more than 2 * ([3 1]_2 + [3 2]_2 + [3 3]_2) = 30, at d = 4.
-    # A word's keys at level t come from C(k, t) pivot choices of t
-    # `_span_gf2` calls each, so a clean level t costs N * t * C(k, t) calls
+    # Level k is read off the sorted words; at each level t < k a word's
+    # keys come from one `keys_of` call per pivot choice, so a clean level
+    # t costs N * C(k, t) calls
     k, d = 3, 4
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
     clean = CDC(2, 6, k, d, words)
@@ -644,26 +647,140 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     oracle = {clean: _pairwise_oracle(clean), planted: _pairwise_oracle(planted)}
     assert oracle[clean][0] == d and oracle[planted] == (2, min(near))
     calls = []
-    span = subspaces._span_gf2
+    keys_of = subspaces.keys_of
 
-    def counted(*args):
-        calls.append(args)
-        return span(*args)
+    def counted(f, g, spec):
+        calls.append(len(spec[0]))  # the level: one base row per row of C
+        return keys_of(f, g, spec)
 
-    monkeypatch.setattr(subspaces, "_span_gf2", counted)
+    monkeypatch.setattr(subspaces, "keys_of", counted)
 
-    def span_calls(code):
+    def level_calls(code):
         calls.clear()
         report = verify_min_distance(code)
         assert (report.min_found, report.witness) == oracle[code]
-        return len(calls)
+        return Counter(calls)
 
-    clean_calls, planted_calls = span_calls(clean), span_calls(planted)
-    # no key at any level t <= k - d/2
-    assert clean_calls == len(clean) * sum(t * math.comb(k, t)
-                                           for t in range(k - d // 2 + 1, k + 1))
+    clean_calls, planted_calls = level_calls(clean), level_calls(planted)
+    # no key at level k, nor at any level t <= k - d/2
+    assert clean_calls == {t: len(clean) * math.comb(k, t) for t in range(k - d // 2 + 1, k)}
+    assert set(planted_calls) == {k - 1}
     # the scan with its prefix bound at 2k keys every level down to the
     # first that collides
     monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
-    assert span_calls(planted) == planted_calls
-    assert span_calls(clean) > clean_calls
+    assert level_calls(planted) == planted_calls
+    forced = level_calls(clean)
+    assert set(forced) == set(range(1, k)) and forced[k - 1] == clean_calls[k - 1]
+
+
+def _random_rref(rng, q, n, k):
+    """A random k-subspace of GF(q)^n, on k random pivot columns."""
+    f = gf(q)
+    pivots = sorted(rng.sample(range(n), k))
+    rows = [[int(c == p) if c <= p or c in pivots else rng.randrange(q) for c in range(n)]
+            for p in pivots]
+    return codeword(f, n, [pack_row(f, r) for r in rows], tuple(pivots))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
+    # every key list the scan builds, for every word and pivot choice at
+    # every level below k, against the per-row product.  Each word's keys
+    # are tagged with its index, so that no level collides, and the prefix
+    # bound is held at 2k, so that every level is keyed
+    rng = random.Random(2100 + q)
+    codes = [run_plan(plan).cdc for plan in map(parse_plan, GOLDEN_PLANS.values())
+             if plan.q == q]
+    for k in (2, 3):
+        size = 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) + 20
+        words: dict = {}
+        while len(words) < size:
+            w = _random_rref(rng, q, 6, k)
+            words[w.rows] = w
+        codes.append(CDC(q, 6, k, 2, words.values()))
+    keys_of = subspaces.keys_of
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
+    for code in codes:
+        size, n, seen = len(code), code.n, set()
+        index = {w.rows: i for i, w in enumerate(code)}
+
+        def tagged(f, g, spec):
+            c, i = tuple(r for r, _ in spec[0]), index[g]
+            keys = keys_of(f, g, spec)
+            assert sorted(keys) == sorted(row_by_row_keys(f, n, g, c))
+            seen.add((i, c))
+            return [key * size + i for key in keys]
+
+        monkeypatch.setattr(subspaces, "keys_of", tagged)
+        assert verify_min_distance(code).min_found == 2 * code.k
+        assert seen == {(i, c) for i in range(len(code)) for t in range(1, code.k)
+                        for c in combinations(range(code.k), t)}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_level_k_reads_equal_neighbours(q, monkeypatch):
+    # codes of lines in GF(q)^6, large enough that their levels are keyed,
+    # with runs of equal words first, in the middle, last, three long, and
+    # two runs: the sorted words give the first pair at distance 0 with no
+    # key built, and it is the pairwise oracle's
+    spread = sorted((lift_matrix(m) for m in enumerate_code(gabidulin_mrd(q, 2, 4, 2))),
+                    key=Subspace.key)[:12]
+    runs = {"first": ([0], 0), "middle": ([5], 5), "last": ([11], 11), "triple": ([6, 6], 6),
+            "two runs": ([8, 3, 8], 3)}
+
+    def unkeyed(*args):
+        raise AssertionError("a key was built")
+
+    monkeypatch.setattr(subspaces, "keys_of", unkeyed)
+    for extra, i in runs.values():
+        code = CDC(q, 6, 2, 4, spread + [spread[j] for j in extra], strict=False)
+        assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1)
+        report = verify_min_distance(code)
+        assert (report.min_found, report.witness) == _pairwise_oracle(code) == (0, (i, i + 1))
+
+
+def test_exhaustive_verification_of_the_lifted_9_4_4_code():
+    # the 32,768-word lifted Gabidulin (9, ., 4, 4)_2 code, at the scale
+    # where keying dominates: clean, and with a word planted at distance 2
+    # from one word, past the first N pairs
+    k, n = 4, 9
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 4, 5, 2))]
+    code = CDC(2, n, k, 4, words)
+    size = len(code)
+    assert size == 2 ** 15
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness, report.pairs_checked) == \
+        (4, (0, 1), size * (size - 1) // 2)
+    # flip the last free entry of one word's last row: the two words share
+    # k - 1 rows, so they lie at distance 2
+    u = code.codewords[size // 2]
+    free = max(set(range(n)) - set(u.pivots))
+    planted = codeword(u.field, n, u.rows[:-1] + (u.rows[-1] ^ 1 << n - 1 - free,), u.pivots)
+    code = CDC(2, n, k, 4, words + [planted])
+    i = code.codewords.index(planted)
+    basis = [0] * (n + 1)  # the planted word's rows, by leading entry
+    for row in planted.rows:
+        basis[row.bit_length()] = row
+    near = [tuple(sorted((i, j))) for j, w in enumerate(code.codewords)
+            if j != i and rank_added(w.field, basis[:], w.rows) == 1]
+    assert near and min(near) > (1, 2)  # past the first N pairs
+    assert {subspace_distance(planted, code.codewords[j]) for p in near for j in p if j != i} == {2}
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness, report.pairs_checked) == \
+        (2, min(near), (size + 1) * size // 2)
+
+
+def test_exhaustive_verification_holds_no_group_of_keys():
+    # the (8, 4690, 4, 4)_2 multilevel_II code: the scan holds one bit per
+    # key in 64-bit masks, so its traced peak stays far below what a set of
+    # a pivot group's keys would take
+    code = run_plan(parse_plan(GOLDEN_PLANS["multilevel_II_q2"])).cdc
+    assert len(code) == 4690
+    tracemalloc.start()
+    try:
+        report = verify_min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.min_found, report.witness) == (4, (0, 1))
+    assert peak < 1.5e6
