@@ -12,8 +12,10 @@ to the bound.  Four consumers evaluate that one spec: `evaluate`, which
 counts a plan part by part and materializes each part in an explicit
 build, so `build --count-only` equals `bound --plan` by construction
 (given the same sub-code sizes); the CLI's `bound` flags and plan mapping;
-and `optimize_parameters`, which walks the nest of the same ranges and
-evaluates each part once per prefix of the parameters it reads.
+and `optimize_parameters`, which descends the nest of the same ranges and
+evaluates each part once per prefix of the parameters it reads.  The
+ranges are exact: every value a parameter admits has an admissible tuple
+below it, save a few of cor42's n1 (see `FAMILIES`).
 
   family   plan family       construction
   linkage  linkage           two-block concatenation of smaller codes
@@ -79,11 +81,10 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # take them from the plan's sub-code files first.  Each part declares the
 # family parameters it reads (`reads`); the search evaluates it once per
 # prefix of the deepest of them (see `optimize_parameters`).  A deep part
-# also declares `bounds`, shallowest first, which the search's max mode
-# prunes with.  Each is a function bound(p, a, memo) of its own `reads`:
+# also declares `bounds`, which the search's max mode prunes with.  Each is a function bound(p, a, memo) of its own `reads`:
 # at least the part's size at every tuple that shares their values and
 # whose sub-code sizes all resolve, or RegistryMiss when no such tuple
-# exists.  `memo` is a dict of the part's that lives for one search.
+# exists.  `memo` is a dict that lives for one search, shared by all bounds.
 
 
 def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
@@ -98,8 +99,8 @@ def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
 def _side_max(p, a, memo, factors, i: str, t_hi: int) -> Tuple[int, int]:
     """Side i's largest g and largest sg, (g, sg) = factors(p, a, i, t), over
     t_i = t in [a_i, t_hi], a t whose sub-code size misses skipped; memoized
-    under (i, n_i, a_i, b_i), and RegistryMiss when every t misses."""
-    key = (i, p["n" + i], p["a" + i], p["b" + i])
+    under (factors, i, n_i, a_i, b_i), and RegistryMiss when every t misses."""
+    key = (factors, i, p["n" + i], p["a" + i], p["b" + i])
     found = memo.get(key)
     if found is None:
         found = miss = None
@@ -289,7 +290,8 @@ def blocks_part(p, a):
 @dataclass(frozen=True)
 class Param:
     """A family parameter, admissible in [lo(p), hi(p)] given the parameters
-    before it; `why` states that hypothesis.  A `fill` parameter may be left
+    before it; `why` states that hypothesis.  The range is exact: each value
+    in it has an admissible tuple below it.  A `fill` parameter may be left
     out and then takes hi(p); a derived one is a fill parameter with lo = hi."""
 
     name: str
@@ -316,16 +318,22 @@ def _t_range(i: str, hi: Callable[[Dict[str, int]], int], why: str) -> Param:
     return Param("t" + i, lambda p: p[a], hi, f"need a{i} <= t{i} <= {why}")
 
 
-_SPLIT = (
-    # the linkage part's MRD codes are k x n2 with rank distance d/2 <= k;
-    # k < d/2 leaves n1 no value
-    Param("n1", lambda p: p["k"], lambda p: p["n"] - p["k"] if p["k"] >= p["h"] else -1,
-          "need k >= d/2, n1 >= k and n2 >= k"),
-    _derived("n2", lambda p: p["n"] - p["n1"], "need n2 = n - n1"),
-)
-_BLOCKS = _SPLIT + (
+def _split(least: Callable[[int], int], why: str) -> Tuple[Param, Param]:
+    """n1 in [k, n - k] and n2 = n - n1, with no n1 unless k >= least(d/2):
+    the least k the family's later ranges leave a value for (`why`)."""
+    return (Param("n1", lambda p: p["k"],
+                  lambda p: p["n"] - p["k"] if p["k"] >= least(p["h"]) else -1,
+                  f"need {why}, n1 >= k and n2 >= k"),
+            _derived("n2", lambda p: p["n"] - p["n1"], "need n2 = n - n1"))
+
+
+# the linkage part's MRD codes are k x n2 with rank distance d/2 <= k
+_SPLIT = _split(lambda h: h, "k >= d/2")
+_A2 = _derived("a2", lambda p: p["k"] - p["a1"], "need a2 = k - a1")
+# a1 and a2 = k - a1 at least d/2 take k >= d
+_BLOCKS = _split(lambda h: 2 * h, "k >= d") + (
     Param("a1", lambda p: p["h"], lambda p: p["k"] - p["h"], "need a1 >= d/2 and a2 >= d/2"),
-    _derived("a2", lambda p: p["k"] - p["a1"], "need a2 = k - a1"),
+    _A2,
 ) + _coset_pair("b")
 _U2 = _derived("u2", lambda p: p["k"] - p["u1"], "need u2 = k - u1")
 
@@ -358,62 +366,25 @@ class Family:
             _need(lo <= value <= hi, par.why)
         return p
 
-    def _level(self, reads: Tuple[str, ...]) -> int:
-        """The position in `names` of the deepest of `reads` (-1 for none)."""
-        return max((self.names.index(r) for r in reads if r in self.names), default=-1)
-
     @cached_property
-    def levels(self) -> Tuple[int, ...]:
-        """Each part's level: the position in `names` of the deepest
-        parameter it reads.  Parts are declared in level order, so the parts
-        fixed by a prefix come first."""
-        levels = tuple(self._level(part.reads) for part in self.parts)
-        if list(levels) != sorted(levels):
-            raise ValueError(f"{self.name}: parts are not declared in level order")
-        return levels
+    def levels(self) -> Tuple[Tuple[Tuple[Callable, ...], Tuple[Callable, ...]], ...]:
+        """(parts, bounds) of each level i, a position in `names`: the parts
+        whose deepest read is names[i] (names[0] for a part that reads none),
+        fixed once names[:i + 1] is set; and the bounds max mode adds there,
+        each deeper part's bound whose deepest read is names[i], when every
+        deeper part declares one."""
+        names = self.names
 
-    @cached_property
-    def bound_levels(self) -> Tuple[Tuple[int, int, Tuple[Callable, ...]], ...]:
-        """(j, c, bounds) for each level j of a declared bound at which the
-        family's total is bounded, shallowest first: the first c parts are
-        fixed by the prefix up to j, and `bounds` holds, for each later
-        part, its deepest bound fixed by that prefix."""
+        def level(fn) -> int:
+            return max((names.index(r) for r in fn.reads if r in names), default=0)
+
         out = []
-        for j in sorted({self._level(b.reads) for part in self.parts for b in part.bounds}):
-            c = sum(level <= j for level in self.levels)
-            fixed = [[b for b in part.bounds if self._level(b.reads) <= j]
-                     for part in self.parts[c:]]
-            if all(fixed):
-                out.append((j, c, tuple(bs[-1] for bs in fixed)))
+        for i in range(len(self.params)):
+            deep = [[b for b in part.bounds if level(b) == i]
+                    for part in self.parts if level(part) > i]
+            out.append((tuple(part for part in self.parts if level(part) == i),
+                        tuple(bs[0] for bs in deep) if deep and all(deep) else ()))
         return tuple(out)
-
-    def walk(self, q: int, n: int, d: int, k: int,
-             leaf: Callable[[Dict[str, int], int], Optional[int]]) -> None:
-        """Call leaf(p, fresh) on every admissible p in lexicographic order of
-        `names`, a fill parameter at its default only; the one dict p is
-        updated in place.  `fresh` is the shallowest level (position in
-        `names`) whose value changed since the previous call.  leaf returns
-        None to go on, or a level j to skip the rest of the subtree under the
-        current values of names[:j + 1] (j = -1 ends the walk)."""
-        if d % 2 == 0 and d >= 2:
-            self._descend(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2}, leaf, [0])
-
-    def _descend(self, i: int, p: Dict[str, int], leaf, fresh: List[int]) -> Optional[int]:
-        """`walk` from level i down, under the current values of names[:i];
-        fresh[0] is the shallowest level changed since the last leaf."""
-        par, last = self.params[i], len(self.params) - 1
-        lo, hi = par.lo(p), par.hi(p)
-        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
-            if fresh[0] > i:
-                fresh[0] = i
-            if i < last:
-                skip = self._descend(i + 1, p, leaf, fresh)
-            else:
-                skip = leaf(p, fresh[0])
-                fresh[0] = last + 1
-            if skip is not None and skip < i:
-                return skip
-        return None
 
     def count(self, p, a) -> Tuple[int, Dict[str, int]]:
         """The total and the terms of all parts."""
@@ -443,20 +414,37 @@ FAMILIES = {
         _t_range("1", lambda p: p["n1"] - p["h"], "n1 - d/2"),
         _t_range("2", lambda p: p["n2"] - p["h"], "n2 - d/2"),
     ), (linkage_part, blocks_insert_part)),
-    "cor42": Family("cor42", "parallel_blocks", _BLOCKS + (
+    # the one range that is not exact: an n1 with floor(n1/2) + floor(n2/2)
+    # < k leaves a1 no value, and no interval of n1 leaves those out
+    "cor42": Family("cor42", "parallel_blocks", _split(
+        lambda h: max(2 * h, h + 2), "k >= d, k >= d/2 + 2") + (
+        # t1 in [a1, n1 - a1] and t2 in [a2, n2 - a2] take 2 a1 <= n1 and 2 a2 <= n2
+        Param("a1", lambda p: max(p["h"], p["k"] - p["n2"] // 2),
+              lambda p: min(p["k"] - p["h"], p["n1"] // 2),
+              "need a1 >= d/2, a2 >= d/2, 2 a1 <= n1 and 2 a2 <= n2"),
+        _A2,
+        # c1 >= b1 and c2 >= b2 with c1 + c2 <= k - d/2 take b1 + b2 <= k - d/2
+        Param("b1", lambda p: 1, lambda p: min(p["h"], p["k"] - p["h"] - 1),
+              "need 1 <= b1 <= d/2 and b1 + 1 <= k - d/2"),
+        Param("b2", lambda p: max(1, p["h"] - p["b1"]),
+              lambda p: min(p["h"], p["k"] - p["h"] - p["b1"]),
+              "need 1 <= b2 <= d/2 and d/2 <= b1 + b2 <= k - d/2"),
         _t_range("1", lambda p: p["n1"] - p["a1"], "n1 - a1"),
         _t_range("2", lambda p: p["n2"] - p["a2"], "n2 - a2"),
-        Param("c1", lambda p: p["b1"], lambda p: p["a1"], "need b1 <= c1 <= a1"),
+        Param("c1", lambda p: p["b1"], lambda p: min(p["a1"], p["k"] - p["h"] - p["b2"]),
+              "need b1 <= c1 <= a1 and c1 + b2 <= k - d/2"),
         Param("c2", lambda p: p["b2"], lambda p: min(p["a2"], p["k"] - p["h"] - p["c1"]),
               "need b2 <= c2 <= a2 and c1 + c2 <= k - d/2"),
     ), (linkage_part, blocks_insert_part, parallel_insert_part)),
-    "cor43": Family("cor43", "multilevel_I", _SPLIT + (
+    # u1 >= d and u2 = k - u1 >= d/2 take k >= 3d/2
+    "cor43": Family("cor43", "multilevel_I", _split(lambda h: 3 * h, "k >= 3d/2") + (
         Param("u1", lambda p: max(p["d"], p["k"] - p["n2"] + p["d"]),
               lambda p: min(p["k"] - p["h"], p["n1"] - p["h"]),
               "need u1 >= d, u2 >= d/2, n1 - u1 >= d/2 and n2 - u2 >= d"),
         _U2,
     ) + _coset_pair("c"), (linkage_part, lifted_inserts_part)),
-    "cor44": Family("cor44", "multilevel_II", _SPLIT + (
+    # u1 and u2 = k - u1 at least d/2 take k >= d
+    "cor44": Family("cor44", "multilevel_II", _split(lambda h: 2 * h, "k >= d") + (
         Param("u1", lambda p: max(p["h"], p["k"] - p["n2"] + p["h"]),
               lambda p: p["k"] - p["h"], "need u1 >= d/2, u2 >= d/2 and n2 - u2 >= d/2"),
         _U2,
@@ -583,34 +571,33 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     value equals the target exactly, which recovers publishable parameters.
     The grid runs in lexicographic order, so the first hit is the smallest.
 
-    The search follows the spec's structure.  A part's level is the deepest
-    parameter it reads (`Family.levels`), so its value is fixed by the
-    prefix of the tuple up to that level.  The search keeps a running sum
-    after each part, in level order, and evaluates each part once per
-    prefix, lazily: at the first admissible leaf under the prefix, so a
-    subtree with no leaf evaluates nothing (evaluating on entering the
-    prefix would raise errors that no tuple raises).  A part that raises
-    RegistryMiss at level j would raise it at every leaf under the current
-    level-j prefix, and a tuple with a miss is skipped, so the rest of that
-    subtree is skipped unwalked: the pruning is exact.  Each sub-code size
-    (n', k') is looked up once per search, misses included.
+    The search descends the family's ranges, one level per parameter, and
+    evaluates the spec by its structure (`Family.levels`).  A part's level
+    is the deepest parameter it reads, so its value is fixed by the prefix
+    up to that level: on setting a value the search adds the parts fixed
+    there to the running sum.  The ranges are exact, so every prefix it
+    enters has an admissible tuple below it and each part is defined there;
+    the one exception, a cor42 n1 with no a1, evaluates only the linkage
+    part, defined for every n1.  A part that raises RegistryMiss at level j
+    would raise it at every tuple under the level-j prefix, and a tuple with
+    a miss is skipped, so the search goes to the next value at level j: the
+    pruning is exact.  Each sub-code size (n', k') is looked up once per
+    search, misses included.
 
-    In max mode the search also prunes by the parts' declared bounds
-    (`Family.bound_levels`).  At the first leaf under a new prefix at a
-    bounded level j (for cor41 and cor42: a b2-subtree, then a t1-row), it
-    adds the exact parts fixed by the prefix and the bounds of the deeper
-    parts; when that is at most `best_total`, the rest of the subtree is
-    skipped.  This is exact: a later tuple replaces `best` only when its
-    total is > `best_total`, and `best_total` never falls, so no tuple in
-    the subtree could change the returned tuple, total, terms or deps.  A
-    bound factor that misses in the registry for every leaf of the subtree
-    prunes it too, since each of those leaves would be skipped.  Nor can a
-    skipped leaf have raised anything but RegistryMiss: its coset counts
-    m(b)/m(d/2) = q^(max(a,w)(d/2-b)) divide exactly, and the t ranges keep
-    every width w >= d/2 >= b, so every MRD size is defined.  The bounds
-    multiply the largest factors, so they take each registry value to be
-    what it is, a code size >= 0.  They need no memory beyond one search:
-    the side maxima live in dicts local to it.
+    In max mode the search also prunes by the parts' declared bounds.  At a
+    level with bounds (for cor41 and cor42: a b2-subtree, then a t1-row) it
+    adds them to the running sum, and goes to the next value when that is at
+    most `best_total`.  This is exact: a later tuple replaces `best` only
+    when its total is > `best_total`, and `best_total` never falls, so no
+    tuple in the subtree could change the returned tuple, total, terms or
+    deps.  A bound factor that misses in the registry for every tuple of
+    the subtree prunes it too, since each of those tuples would be skipped.
+    Nor can a skipped tuple have raised anything but RegistryMiss: its coset
+    counts m(b)/m(d/2) = q^(max(a,w)(d/2-b)) divide exactly, and the t
+    ranges keep every width w >= d/2 >= b, so every MRD size is defined.
+    The bounds multiply the largest factors, so they take each registry
+    value to be what it is, a code size >= 0.  They need no memory beyond
+    one search: the side maxima live in a dict local to it.
     """
     registry = registry or shipped_registry()
     spec = FAMILIES[family]
@@ -628,52 +615,44 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
             raise RegistryMiss(*size)
         return size
 
-    parts, levels = spec.parts, spec.levels
-    memos = [{} for _ in parts]  # each part's, shared by its bounds
-    checks: List[List] = [[] for _ in parts]  # checks[c]: the levels bounded before parts[c]
-    for j, c, bounds in spec.bound_levels if target is None else ():
-        checks[c].append((j, list(zip(bounds, memos[c:]))))
-    sums = [0] * (len(parts) + 1)  # sums[i]: the sizes of parts[:i]
-    known = 0  # the parts whose sums hold for the current prefix
+    steps = [(par, parts, bounds if target is None else ())
+             for par, (parts, bounds) in zip(spec.params, spec.levels)]
+    memo: Dict = {}  # the bounds' side maxima
     best: Optional[Dict[str, int]] = None
     best_total = -1
     evaluated = 0
 
-    def leaf(p: Dict[str, int], fresh: int) -> Optional[int]:
-        nonlocal known, best, best_total, evaluated
-        i = known
-        while i and levels[i - 1] >= fresh:
-            i -= 1
-        while i < len(parts):
-            for j, deep in checks[i]:
-                if fresh <= j:  # the first leaf under a new level-j prefix
-                    top = sums[i]
-                    try:
-                        for bound, memo in deep:
-                            top += bound(p, a, memo)
-                    except RegistryMiss:  # no leaf under it resolves
-                        top = -1
-                    if top <= best_total:
-                        known = i
-                        return j
+    def descend(i: int, p: Dict[str, int], total: int) -> bool:
+        """Every tuple under the current values of names[:i], whose parts
+        sum to `total`; True once the target is hit."""
+        nonlocal best, best_total, evaluated
+        par, parts, bounds = steps[i]
+        lo, hi = par.lo(p), par.hi(p)
+        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
+            here = total
             try:
-                sums[i + 1] = sums[i] + parts[i](p, a)[0]
-            except RegistryMiss:
-                known = i
-                return levels[i]
-            i += 1
-        known = i
-        evaluated += 1
-        total = sums[i]
-        if target is None:
-            if total > best_total:
-                best, best_total = dict(p), total
-        elif total == target:
-            best = dict(p)
-            return -1
-        return None
+                for part in parts:
+                    here += part(p, a)[0]
+                if bounds and here + sum(bound(p, a, memo) for bound in bounds) <= best_total:
+                    continue
+            except RegistryMiss:  # at every tuple under this value
+                continue
+            if i + 1 < len(steps):
+                if descend(i + 1, p, here):
+                    return True
+            else:
+                evaluated += 1
+                if target is None:
+                    if here > best_total:
+                        best, best_total = dict(p), here
+                elif here == target:
+                    best = dict(p)
+                    return True
+        return False
 
-    spec.walk(q, n, d, k, leaf)
+    if d % 2 == 0 and d >= 2:
+        descend(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2}, 0)
+    del descend  # the closure refers to itself
     if best is None:
         if evaluated == 0:
             raise EmptyGrid(f"no admissible tuple for ({q},{n},{d},{k}) {family}")

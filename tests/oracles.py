@@ -584,9 +584,22 @@ def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:
 
 
 def grid(spec: Family, q: int, n: int, d: int, k: int) -> List[Dict[str, int]]:
-    """Every admissible p, in the order and with the defaults of `spec.walk`."""
+    """Every admissible p, in lexicographic order of `spec.names`, a fill
+    parameter at its default (the top of its range) only: the order the
+    search descends in."""
     out: List[Dict[str, int]] = []
-    spec.walk(q, n, d, k, lambda p, fresh: out.append(dict(p)))
+
+    def descend(i: int, p: Dict[str, int]) -> None:
+        if i == len(spec.params):
+            out.append(dict(p))
+            return
+        par = spec.params[i]
+        lo, hi = par.lo(p), par.hi(p)
+        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
+            descend(i + 1, p)
+
+    if d % 2 == 0 and d >= 2:
+        descend(0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2})
     return out
 
 

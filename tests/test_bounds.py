@@ -270,8 +270,9 @@ def _bounds_hold(key, family, registry) -> int:
     """Check every prefix at each of the family's bounded levels: the exact
     parts it fixes plus the declared bounds of the deeper parts must be at
     least the total of each leaf under it that resolves, and a bound may
-    miss only when every such leaf misses.  The memos live for the whole
-    key, as in the search.  Returns the number of prefixes checked."""
+    miss only when every such leaf misses.  One memo lives for the whole
+    key and serves every bound, as in the search.  Returns the number of
+    prefixes checked."""
     spec = FAMILIES[family]
     q, _, d, _ = key
 
@@ -285,9 +286,12 @@ def _bounds_hold(key, family, registry) -> int:
             totals.append(spec.count(p, a)[0])
         except RegistryMiss:
             totals.append(None)
-    memos = {part: {} for part in spec.parts}
+    memo = {}
     checked = 0
-    for j, c, bounds in spec.bound_levels:
+    for j, (_, bounds) in enumerate(spec.levels):
+        if not bounds:
+            continue
+        exact = [part for parts, _ in spec.levels[:j + 1] for part in parts]
         firsts = {}
         for p, total in zip(leaves, totals):
             prefix = tuple(p[name] for name in spec.names[:j + 1])
@@ -297,9 +301,9 @@ def _bounds_hold(key, family, registry) -> int:
             firsts[prefix] = first, most
         for first, most in firsts.values():
             try:
-                top = sum(part(first, a)[0] for part in spec.parts[:c])
-                for bound, part in zip(bounds, spec.parts[c:]):
-                    top += bound(first, a, memos[part])
+                top = sum(part(first, a)[0] for part in exact)
+                for bound in bounds:
+                    top += bound(first, a, memo)
             except RegistryMiss:
                 top = None
             assert (most is None) if top is None else top >= (most or 0), (key, family, first)
@@ -313,7 +317,8 @@ def test_declared_bounds_hold_on_every_prefix():
     # behind a large incumbent in the brute-force comparison; here each is
     # checked against every leaf under it, with the shipped registry and,
     # for q = 2, the analytic rules alone, whose misses fall elsewhere
-    assert [(family, [j for j, _, _ in spec.bound_levels]) for family, spec in FAMILIES.items()] \
+    assert [(family, [j for j, (_, bounds) in enumerate(spec.levels) if bounds])
+            for family, spec in FAMILIES.items()] \
         == [("linkage", []), ("cor41", [5, 6]), ("cor42", [5, 6]), ("cor43", []), ("cor44", [])]
     checked = 0
     for key in _SMALL_KEYS + _DEEP_KEYS:
@@ -321,6 +326,94 @@ def test_declared_bounds_hold_on_every_prefix():
             for family in ("cor41", "cor42"):
                 checked += _bounds_hold(key, family, registry)
     assert checked > 40000
+
+
+def test_bound_memo_is_keyed_by_insert():
+    # one memo serves every bound of a search; insert B's and insert E's
+    # side maxima share its keys' (side, n_i, a_i, b_i), so each bound must
+    # give with a memo the other insert's bound filled what it gives with a
+    # fresh one
+    from cdckit.bounds import blocks_insert_bound, blocks_insert_row_bound, \
+        parallel_insert_bound, parallel_insert_row_bound
+
+    def outcome(bound, p, memo):
+        try:
+            return bound(p, lambda _slot, n, k: REG.get(p["q"], n, p["d"], k), memo)
+        except RegistryMiss as exc:
+            return exc.key
+
+    checked = differ = 0
+    pairs = ((blocks_insert_bound, parallel_insert_bound),
+             (blocks_insert_row_bound, parallel_insert_row_bound))
+    for key in ((2, 12, 4, 6), (2, 16, 6, 8), (3, 12, 4, 5)):
+        for p in grid(FAMILIES["cor42"], *key):
+            for pair in pairs:
+                for first, second in (pair, pair[::-1]):
+                    memo = {}
+                    outcome(first, p, memo)
+                    fresh = outcome(second, p, {})
+                    assert outcome(second, p, memo) == fresh, (first.__name__, p)
+                    checked += 1
+                    differ += fresh != outcome(first, p, {})
+    assert checked > 400 and differ > checked // 2
+
+
+def _level(spec, fn) -> int:
+    """The position in `spec.names` of the deepest parameter fn reads."""
+    return max((spec.names.index(r) for r in fn.reads if r in spec.names), default=0)
+
+
+def test_ranges_are_exact():
+    # every value a parameter admits has an admissible tuple below it, so
+    # the search, which evaluates each part and bound once its level is set,
+    # evaluates nothing that no tuple evaluates.  The one exception: a cor42
+    # n1 with floor(n1/2) + floor(n2/2) < k leaves a1 no value, and no
+    # interval of n1 leaves those out; only the linkage part is fixed there.
+    # Every part and declared bound, at every prefix of its level, gives a
+    # value or a registry miss.  Odd d admits nothing, so it is left out
+    from cdckit.bounds import PLAN_FAMILIES
+
+    leafless, evaluated = [], 0
+
+    def descend(spec, i, p, fns, a, memo) -> bool:
+        """Whether an admissible tuple lies under the current names[:i]."""
+        nonlocal evaluated
+        if i == len(spec.params):
+            return True
+        par = spec.params[i]
+        lo, hi = par.lo(p), par.hi(p)
+        found = False
+        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
+            for fn in fns[i]:
+                try:
+                    if fn in spec.parts:
+                        fn(p, a)
+                    else:
+                        fn(p, a, memo)
+                except RegistryMiss:
+                    pass
+                evaluated += 1
+            if descend(spec, i + 1, p, fns, a, memo):
+                found = True
+            else:
+                leafless.append((spec.name, p["q"], par.name, p["n"], p["k"], p["n1"]))
+        return found
+
+    for spec in PLAN_FAMILIES.values():
+        fns = [[fn for part in spec.parts for fn in (part,) + part.bounds if _level(spec, fn) == i]
+               for i in range(len(spec.params))]
+        for q in (2, 3):
+            for n in range(2, 20):
+                for k in range(n + 1):
+                    for d in range(2, 2 * k + 3, 2):
+                        def a(_slot, nn, kk):
+                            return REG.get(q, nn, d, kk)
+                        descend(spec, 0, {"q": q, "n": n, "d": d, "k": k, "h": d // 2}, fns,
+                                a, {})
+    assert evaluated > 100000
+    assert leafless and all(
+        family == "cor42" and name in ("n1", "n2") and n1 // 2 + (n - n1) // 2 < k
+        for family, _, name, n, k, n1 in leafless), sorted(set(leafless))[:10]
 
 
 def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
@@ -451,7 +544,8 @@ def test_block_insert_split_matches_the_one_expression():
 
 
 def test_search_evaluates_parts_only_under_a_leaf():
-    # k = 0 admits no tuple, so the search reports the empty grid
+    # k = 0 admits no tuple, and the ranges are exact, so no part is
+    # evaluated and the search reports the empty grid
     with pytest.raises(EmptyGrid, match=r"no admissible tuple for \(2,2,2,0\) cor41"):
         optimize_parameters(2, 2, 2, 0, "cor41", REG)
 

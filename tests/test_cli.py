@@ -159,6 +159,17 @@ def test_bound_linkage_below_half_d_names_the_hypothesis(capsys):
     assert out == "" and err == "error: need k >= d/2, n1 >= k and n2 >= k\n"
 
 
+def test_bound_cor42_b_sum_past_the_c_budget_names_the_hypothesis(capsys):
+    # c1 >= b1 and c2 >= b2 with c1 + c2 <= k - d/2 leave b2 no value when
+    # b1 + b2 > k - d/2, so the b2 range names it; CI runs the same argv
+    # through the installed script
+    assert main(["bound", "--family", "cor42", "--q", "2", "--n", "12", "--d", "6", "--k", "6",
+                 "--n1", "6", "--a1", "3", "--b1", "2", "--b2", "2", "--t1", "3", "--t2", "3",
+                 "--c1", "2", "--c2", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need 1 <= b2 <= d/2 and d/2 <= b1 + b2 <= k - d/2\n"
+
+
 def test_table_subcommand(capsys):
     assert main(["table", "--id", "6", "--q", "2"]) == 0
     rows = _json_lines(capsys.readouterr().out)
