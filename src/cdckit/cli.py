@@ -155,14 +155,14 @@ def _cmd_build(args) -> int:
     _emit({"total": out.total, "explicit": out.cdc is not None})
     if out.cdc is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cdc_to_text(out.cdc))
+            cdc_to_text(out.cdc, fh)
         print(f"# wrote {len(out.cdc)} codewords to {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
-        code = cdc_from_text(fh.read())
+        code = cdc_from_text(fh)
     mode, parts = args.mode, args.mode.split(":")
     if parts[0] == "sample" and len(parts) in (2, 3):
         count = int(parts[1])

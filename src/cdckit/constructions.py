@@ -110,7 +110,7 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
     distance >= d (a file of fewer than two words is)."""
     if file is not None:
         with open(file, "r", encoding="utf-8") as fh:
-            cdc = cdc_from_text(fh.read())
+            cdc = cdc_from_text(fh)
         if (cdc.q, cdc.n, cdc.k) != (q, n, k) or cdc.d < d:
             raise MissingSubcode(
                 f"{file} is a ({cdc.n},{len(cdc)},{cdc.d},{cdc.k})_{cdc.q} code, "

@@ -26,7 +26,10 @@ levels whose distance is below that bound are keyed.  The CDC file format
 renders and checks each distinct row once, checks the RREF of each
 record through a mask shared by every record of its rows' bit lengths,
 keeps a record that is already in RREF as it is, and refuses a header
-that claims d < 1, which any two words would meet.
+that claims d < 1, which any two words would meet.  A file is written to
+and read from an open text file about 64 KiB at a time, so neither its
+whole text nor a list of its lines is held: at 10^6 words the text alone
+is over 100 MB.
 """
 from __future__ import annotations
 
@@ -34,9 +37,10 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, islice
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
@@ -324,37 +328,60 @@ def keys_of(f: GF, g: Tuple[int, ...], spec) -> List[int]:
 # -- CDC file format ---------------------------------------------------------
 
 
-def cdc_to_text(code: CDC) -> str:
-    """The file text; each distinct row is rendered once."""
+_BLOCK = 1 << 16  # characters a file is written and read in at a time
+
+
+def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
+    """The file text, or, given an open text file `out`, None once the text
+    is written to it: the header line, then blocks of about 64 KiB of whole
+    records, each record a blank line and its rows.  Each distinct row is
+    rendered once."""
+    blocks: List[str] = []
+    write = blocks.append if out is None else out.write
+    write(f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}\n")
     rendered: dict = {}
-    lines = [f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}"]
-    for w in code.codewords:
-        lines.append("")
-        for row in w.rows:
-            text = rendered.get(row)
-            if text is None:
-                text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
-            lines.append(text)
-    return "\n".join(lines) + "\n"
+    # a record takes at most this many characters
+    step = max(_BLOCK // (1 + code.k * code.n * (len(str(code.q - 1)) + 1)), 1)
+    words = code.codewords
+    for start in range(0, len(words), step):
+        lines = [""]
+        for w in words[start:start + step]:
+            for row in w.rows:
+                text = rendered.get(row)
+                if text is None:
+                    text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
+                lines.append(text)
+            lines.append("")
+        write("\n".join(lines))
+    return "".join(blocks) if out is None else None
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of `text`, split about 64 KiB at a time: a list of every
-    line of a large file would take several times the memory of its text."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + (1 << 16))
-        if end < 0:
-            end = len(text)
-        yield from text[start:end].split("\n")
-        start = end + 1
+def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
+    """The lines of a str or of an open text file, as `split("\\n")` gives
+    them, in one list per block of 64 KiB, so neither a list of every line
+    nor a file's whole text is held.  A line met in pieces is joined once,
+    so a line of many blocks costs its length."""
+    if isinstance(source, str):
+        blocks: Iterable[str] = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
+    else:
+        blocks = iter(partial(source.read, _BLOCK), "")
+    pieces: List[str] = []  # of the line that the last block left open
+    for block in blocks:
+        lines = block.split("\n")
+        pieces.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(pieces)
+            pieces = [lines.pop()]
+            yield lines
+    yield ["".join(pieces)]
 
 
-def cdc_from_text(text: str) -> CDC:
-    """Parse a CDC file.  Each distinct row text is checked once (n entries,
-    each in [0, q)).  A record already in RREF is checked as such and kept;
-    any other record is reduced, and a rank-deficient one is refused."""
-    lines = _lines(text)
+def cdc_from_text(source: Union[str, TextIO]) -> CDC:
+    """Parse a CDC file from its text or from an open text file.  Each
+    distinct row text is checked once (n entries, each in [0, q)).  A record
+    already in RREF is checked as such and kept; any other record is
+    reduced, and a rank-deficient one is refused."""
+    lines = chain.from_iterable(_lines(source))  # no generator step per line
     head = next(lines, "").split()
     if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")

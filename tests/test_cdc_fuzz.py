@@ -6,7 +6,9 @@ rank-deficient records, duplicate records, a claimed distance at or below
 0 and a dimension above the length, one or two of these at a time.  Each mutant is verified in process.  Whatever the input, the exit
 code is 0, 2 or 4; a nonzero exit prints exactly one stderr line and no
 traceback; stdout on exit 0 or 4 is JSON; and `ok` is never true for a
-file in which two records span the same subspace.
+file in which two records span the same subspace.  Each mutant is also
+parsed as its text and from the open file, which give the same code or
+the same error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from cdckit.cli import main
 from cdckit.constructions import parse_plan, run_plan
 from cdckit.gf import gf
-from cdckit.subspaces import cdc_to_text
+from cdckit.subspaces import cdc_from_text, cdc_to_text
 from oracles import rref_rows
 
 # desk plans whose first words make the base files
@@ -121,6 +123,15 @@ def _has_equal_spans(text):
     return len(spans) < len(rows) // k
 
 
+def _parse_outcome(source):
+    """The parsed code's header and words, or the error's class and message."""
+    try:
+        code = cdc_from_text(source)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    return (code.q, code.n, code.k, code.d), [(w.rows, w.pivots) for w in code]
+
+
 def test_verify_survives_mutated_files(tmp_path, capsys):
     rng = random.Random(16)
     bases = _base_files(rng)
@@ -131,6 +142,8 @@ def test_verify_survives_mutated_files(tmp_path, capsys):
         q, head, records = rng.choice(bases)
         text = _mutant(rng, q, head, records)
         path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            assert _parse_outcome(fh) == _parse_outcome(text), text
         code = main(["verify", "--in", str(path)])
         out, err = capsys.readouterr()
         assert code in exits, (text, err)

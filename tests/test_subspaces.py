@@ -24,6 +24,7 @@ from oracles import MULTILEVEL_TUPLES, AmbientMismatch, ferrers_of, first_minimu
     hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
     lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, randrange_pairs, \
     row_by_row_keys, special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+from test_constructions import BENCH_PLANS
 from test_golden import PLANS as GOLDEN_PLANS
 
 EXAMPLE_RREF = [
@@ -275,6 +276,66 @@ def test_cdc_file_round_trip():
     assert cdc_to_text(back) == text
     keys = [w.key() for w in back]
     assert keys == sorted(keys)
+
+
+@pytest.fixture(scope="module")
+def link10():
+    """The benchmark's 33,854-word (10, 4, 4)_2 linkage code."""
+    return run_plan(parse_plan(BENCH_PLANS["link10_q2"])).cdc
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PLANS) + list(BENCH_PLANS))
+def test_written_file_is_the_text(name, tmp_path):
+    # a file is written a block at a time; its bytes are the text's
+    code = run_plan(parse_plan({**GOLDEN_PLANS, **BENCH_PLANS}[name])).cdc
+    path = tmp_path / "code.cdc"
+    with open(path, "w", encoding="utf-8") as fh:
+        assert cdc_to_text(code, fh) is None
+    assert path.read_bytes() == cdc_to_text(code).encode()
+
+
+def _parsed(code):
+    return (code.q, code.n, code.k, code.d), [(w.rows, w.pivots) for w in code]
+
+
+def _first_records(text, m):
+    """The file of the first m records of `text`, its header count set to m."""
+    head, *records = text.rstrip("\n").split("\n\n")
+    fields = head.split()
+    fields[5] = str(m)
+    return "\n\n".join([" ".join(fields)] + records[:m]) + "\n"
+
+
+def _last_record_straddles(text):
+    """Whether the edge of the file's last block falls inside its last record."""
+    edge = (len(text) - 1) // subspaces._BLOCK * subspaces._BLOCK
+    return text.rindex("\n\n") + 2 < edge < len(text) - 1
+
+
+@pytest.mark.parametrize("variant", ["as_written", "crlf", "no_final_newline",
+                                     "last_record_straddles", "ends_on_an_edge"])
+def test_parse_from_file_matches_text(variant, link10, tmp_path):
+    # the 2.74 MB file is read in 64 KiB blocks, ~42 of whose edges fall in
+    # records; each variant parses from the open file as from its text
+    text = cdc_to_text(link10)
+    if variant == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif variant == "no_final_newline":
+        text = text[:-1]
+    elif variant == "last_record_straddles":
+        text = next(t for t in (_first_records(text[:2 * subspaces._BLOCK], m)
+                                for m in range(1, 1000)) if _last_record_straddles(t))
+    elif variant == "ends_on_an_edge":  # three whole blocks, the last ending in blank lines
+        text = _first_records(text, 3 * subspaces._BLOCK // 81 - 1)
+        text += "\n" * (-len(text) % subspaces._BLOCK)
+        assert len(text) == 3 * subspaces._BLOCK
+    path = tmp_path / "code.cdc"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        from_file = _parsed(cdc_from_text(fh))
+    assert from_file == _parsed(cdc_from_text(text))
+    if variant in ("as_written", "crlf", "no_final_newline"):
+        assert from_file == _parsed(link10)
 
 
 def test_a_parsed_word_retains_under_180_bytes():
@@ -784,3 +845,37 @@ def test_exhaustive_verification_holds_no_group_of_keys():
         tracemalloc.stop()
     assert (report.min_found, report.witness) == (4, (0, 1))
     assert peak < 1.5e6
+
+
+def _traced(fn):
+    """fn()'s result, and the traced memory it retains and its peak above
+    what was traced before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, now - before, peak - before
+
+
+def test_writing_a_file_holds_no_whole_text(link10, tmp_path):
+    # the 2.74 MB text of the (10, 33854, 4, 4)_2 code goes out in 64 KiB
+    # blocks; a list of its lines and their joined text would peak at 6.98 MB
+    path = tmp_path / "link10.cdc"
+    with open(path, "w", encoding="utf-8") as fh:
+        _, _, peak = _traced(lambda: cdc_to_text(link10, fh))
+    assert path.stat().st_size == 2_742_193
+    assert peak < 1e6
+
+
+def test_parsing_a_file_holds_no_whole_text(link10, tmp_path):
+    # read from the open file in 64 KiB blocks, the parse peaks little above
+    # the 4.89 MB code it keeps; the whole text held would add 3.3 MB
+    path = tmp_path / "link10.cdc"
+    path.write_text(cdc_to_text(link10), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        code, retained, peak = _traced(lambda: cdc_from_text(fh))
+    assert len(code) == 33854
+    assert peak - retained < 1e6
