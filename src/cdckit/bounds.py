@@ -80,11 +80,12 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # size and its named terms.  Bounds look sizes up in the registry; builds
 # take them from the plan's sub-code files first.  Each part declares the
 # family parameters it reads (`reads`); the search evaluates it once per
-# prefix of the deepest of them (see `optimize_parameters`).  A deep part
-# also declares `bounds`, which the search's max mode prunes with.  Each is a function bound(p, a, memo) of its own `reads`:
-# at least the part's size at every tuple that shares their values and
-# whose sub-code sizes all resolve, or RegistryMiss when no such tuple
-# exists.  `memo` is a dict that lives for one search, shared by all bounds.
+# prefix of the deepest of them (see `optimize_parameters`).  Inserts B and
+# E also declare `bounds` (made by `_insert_bounds`) for the search's max
+# mode: each a function bound(p, a, memo) of its own `reads`, at least the
+# part's size at every tuple that shares their values and whose sub-code
+# sizes all resolve, or RegistryMiss when no such tuple exists.  `memo` is
+# a dict that lives for one search, shared by all bounds.
 
 
 def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
@@ -96,25 +97,46 @@ def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
     return declare
 
 
-def _side_max(p, a, memo, factors, i: str, t_hi: int) -> Tuple[int, int]:
-    """Side i's largest g and largest sg, (g, sg) = factors(p, a, i, t), over
-    t_i = t in [a_i, t_hi], a t whose sub-code size misses skipped; memoized
-    under (factors, i, n_i, a_i, b_i), and RegistryMiss when every t misses."""
+def _side_max(p, a, memo, factors, t_hi, i: str) -> Tuple[int, int]:
+    """Side i's largest g and largest xg, (g, xg) = factors(p, a, i, t), over
+    t_i = t in [a_i, t_hi(p, i)], a t whose sub-code size misses skipped;
+    memoized under (factors, i, n_i, a_i, b_i), RegistryMiss if all miss."""
     key = (factors, i, p["n" + i], p["a" + i], p["b" + i])
     found = memo.get(key)
     if found is None:
         found = miss = None
-        for t in range(p["a" + i], t_hi + 1):
+        for t in range(p["a" + i], t_hi(p, i) + 1):
             try:
-                g, sg = factors(p, a, i, t)
+                g, xg = factors(p, a, i, t)
             except RegistryMiss as exc:
                 miss = exc.key
                 continue
-            found = (g, sg) if found is None else (max(found[0], g), max(found[1], sg))
+            found = (g, xg) if found is None else (max(found[0], g), max(found[1], xg))
         memo[key] = found = found or miss
     if len(found) == 4:  # the key of a miss
         raise RegistryMiss(*found)
     return found
+
+
+def _insert_bounds(factors, t_hi, product: bool = False) -> Tuple[Callable, Callable]:
+    """An insert's bounds over a b2-subtree and over a t1-row, from the
+    factors (g_i, x_i g_i) = factors(p, a, i, t) of side i at t_i = t in
+    [a_i, t_hi(p, i)]: x1 g1 x2 g2 <= x1 g1 max x2 g2 in the product form
+    (when b1 = b2 = d/2), else min(x1, x2) g1 g2 <= min(x1 g1 max g2,
+    g1 max x2 g2); over a b2-subtree, side 1 takes its maxima too."""
+    def bound(p, a, memo, g1: int, xg1: int) -> int:
+        g2, xg2 = _side_max(p, a, memo, factors, t_hi, "2")
+        return xg1 * xg2 if product and p["b1"] == p["b2"] == p["h"] else min(xg1 * g2, g1 * xg2)
+
+    @_reads("n1", "n2", "a1", "a2", "b1", "b2")
+    def subtree(p, a, memo) -> int:
+        return bound(p, a, memo, *_side_max(p, a, memo, factors, t_hi, "1"))
+
+    @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
+    def row(p, a, memo) -> int:
+        return bound(p, a, memo, *factors(p, a, "1", p["t1"]))
+
+    return subtree, row
 
 
 @_reads("n1", "n2")
@@ -146,28 +168,9 @@ def _block_factors(p, a, i: str, t: int) -> Tuple[int, int]:
     return g, s * g
 
 
-def _blocks_bound(p, a, memo, g1: int, sg1: int) -> int:
-    """min(s1, s2) G1 G2 <= min(s1 G1 max G2, G1 max s2 G2), the maxima over
-    a2 <= t2 <= n2 - d/2, the widest t2 range of the families with insert B."""
-    g2, sg2 = _side_max(p, a, memo, _block_factors, "2", p["n2"] - p["h"])
-    return min(sg1 * g2, g1 * sg2)
-
-
-@_reads("n1", "n2", "a1", "a2", "b1", "b2")
-def blocks_insert_bound(p, a, memo) -> int:
-    """Insert B over a b2-subtree: side 1 at its maxima too, over
-    a1 <= t1 <= n1 - d/2."""
-    return _blocks_bound(p, a, memo, *_side_max(p, a, memo, _block_factors, "1", p["n1"] - p["h"]))
-
-
-@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
-def blocks_insert_row_bound(p, a, memo) -> int:
-    """Insert B over a t1-row."""
-    return _blocks_bound(p, a, memo, *_block_factors(p, a, "1", p["t1"]))
-
-
+# t_i <= n_i - d/2, the widest t range of the families with insert B
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2",
-        bounds=(blocks_insert_bound, blocks_insert_row_bound))
+        bounds=_insert_bounds(_block_factors, lambda p, i: p["n" + i] - p["h"]))
 def blocks_insert_part(p, a):
     """Insert B: s coset-paired block codes over the sub-codes Q1, Q2.  Each
     side's factors are fixed by its own t, so the search's t2 loop reuses
@@ -189,31 +192,9 @@ def _parallel_factors(p, a, i: str, t: int) -> Tuple[int, int]:
     return g, mrd_size(p["q"], ai, t, p["b" + i]) * g
 
 
-def _parallel_bound(p, a, memo, g1: int, dg1: int) -> int:
-    """Delta_3 Delta_4 |D1| |D2| <= Delta_3 |D1| max Delta_4 |D2| in the
-    product form, else min(Delta_3, Delta_4) |D1| |D2| <= the smaller of
-    Delta_3 |D1| max |D2| and |D1| max Delta_4 |D2|, the maxima over
-    a2 <= t2 <= n2 - a2, the range of cor42, the one family with insert E."""
-    g2, dg2 = _side_max(p, a, memo, _parallel_factors, "2", p["n2"] - p["a2"])
-    return dg1 * dg2 if p["b1"] == p["b2"] == p["h"] else min(dg1 * g2, g1 * dg2)
-
-
-@_reads("n1", "n2", "a1", "a2", "b1", "b2")
-def parallel_insert_bound(p, a, memo) -> int:
-    """Insert E over a b2-subtree: side 1 at its maxima too, over
-    a1 <= t1 <= n1 - a1."""
-    return _parallel_bound(p, a, memo,
-                           *_side_max(p, a, memo, _parallel_factors, "1", p["n1"] - p["a1"]))
-
-
-@_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
-def parallel_insert_row_bound(p, a, memo) -> int:
-    """Insert E over a t1-row."""
-    return _parallel_bound(p, a, memo, *_parallel_factors(p, a, "1", p["t1"]))
-
-
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2",
-        bounds=(parallel_insert_bound, parallel_insert_row_bound))
+        bounds=_insert_bounds(_parallel_factors, lambda p, i: p["n" + i] - p["a" + i],
+                              product=True))
 def parallel_insert_part(p, a):
     """Insert E over the sub-codes D1, D2: every pair (M1, M2) of rank-capped
     words when b1 = b2 = d/2 (the product form), else min(Delta_3, Delta_4)

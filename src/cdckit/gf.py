@@ -176,9 +176,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self.dec[self.row_add(self.enc[a], self.enc[b])]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.negs[b])
-
     def mul(self, a: int, b: int) -> int:
         return self.dec[self.mul_rows[a][self.enc[b]]]
 

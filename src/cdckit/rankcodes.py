@@ -5,15 +5,17 @@ split them into translate classes with two-level distance guarantees, and
 `fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
 two-block staircase shape that the multilevel inserts lift.  Their sizes
 are counted by the family spec in `bounds`, not here.  A word is the tuple
-of its packed rows (see `matrices`), and enumeration adds whole rows: each
-word of a span is the previous one plus one tabulated combination.  Only
-`enumerate_code` hands out `Matrix` values, and only for the words it
+of its packed rows (see `matrices`), and enumeration adds whole rows: a
+span's words are sums of the leading generators' multiples plus tabulated
+words.  Only `enumerate_code` hands out `Matrix` values, for the words it
 keeps under its rank cap; coset lists and FDRM words stay row tuples.
 """
 
 from __future__ import annotations
 
 import os
+from functools import reduce
+from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
@@ -82,39 +84,23 @@ def _span_iter(field: GF, gens: Sequence[Tuple[int, ...]], nrows: int
                ) -> Iterator[Tuple[int, ...]]:
     """The packed rows of all GF(q)-combinations in coefficient-counter
     order (deterministic): the first generator's coefficient changes
-    slowest, each running through the element codes 0, ..., q - 1.
-
-    The span of the last generators is tabulated in counter order.  For the
-    others, counting up sets the trailing run of coefficients at code q - 1
-    to 0 and raises the one before it, at place t from the end, from code c
-    to c + 1.  So `steps[t][c]` adds e(c + 1) - e(c) times that generator
-    and -e(q - 1) times each one after it, e(x) the element of code x; over
-    a prime field both factors are 1.
-    """
+    slowest, each running through the element codes 0, ..., q - 1.  The
+    last generators' span is tabulated in that order; each combination of
+    the others' multiples is summed once, then added to every word of it."""
     q, add, scale = field.q, field.row_add, field.row_scale
 
     def plus(x, y):
         return tuple(map(add, x, y))
 
-    def times(g, c):
-        return tuple(scale(v, c) for v in g)
+    def multiples(g, codes):
+        return [tuple(scale(v, c) for v in g) for c in codes]
 
     split, low = len(gens), [(0,) * nrows]
     while split and len(low) * q <= _LOW_WORDS:
         split -= 1
-        multiples = [times(gens[split], c) for c in range(1, q)]
-        low += [plus(m, v) for m in multiples for v in low]
-    steps, carry = [], (0,) * nrows
-    for g in reversed(gens[:split]):
-        steps.append([plus(carry, times(g, field.sub(c + 1, c))) for c in range(q - 1)])
-        carry = plus(carry, times(g, field.negs[q - 1]))
-    base = (0,) * nrows
-    for high in range(q**split):
-        if high:
-            t = 0
-            while high % q**(t + 1) == 0:
-                t += 1
-            base = plus(base, steps[t][high // q**t % q - 1])
+        low += [plus(m, v) for m in multiples(gens[split], range(1, q)) for v in low]
+    for high in product(*(multiples(g, range(q)) for g in gens[:split])):
+        base = reduce(plus, high, low[0])  # low[0] is the zero word
         for v in low:
             yield tuple(map(add, base, v))
 

@@ -366,13 +366,19 @@ def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
     else:
         blocks = iter(partial(source.read, _BLOCK), "")
     pieces: List[str] = []  # of the line that the last block left open
-    for block in blocks:
-        lines = block.split("\n")
-        pieces.append(lines[0])
-        if len(lines) > 1:
-            lines[0] = "".join(pieces)
-            pieces = [lines.pop()]
-            yield lines
+    try:
+        for block in blocks:
+            lines = block.split("\n")
+            pieces.append(lines[0])
+            if len(lines) > 1:
+                lines[0] = "".join(pieces)
+                pieces = [lines.pop()]
+                yield lines
+    except UnicodeDecodeError:  # its position counts from the block's start
+        if hasattr(source, "buffer") and source.buffer.seekable():
+            source.buffer.seek(0)  # decoded again, it counts from the file's
+            source.buffer.read().decode(source.encoding, source.errors)
+        raise
     yield ["".join(pieces)]
 
 

@@ -9,13 +9,14 @@ whole-matrix helpers the package assembles without: zero and identity
 matrices, `mat_add`, `hstack`, `vstack`, `subspace_from_rows` (a matrix's
 row space through `codeword`) and the mixed-field guard `same_field`.
 `rref_rows` is a per-entry Gaussian elimination through the field's scalar
-`add`, `sub` and `mul` and its table of inverses `invs`, not the
-packed-row kernels it checks; they read the same tables, which `test_gf`
-checks against `ExtField` and integer arithmetic.  `ExtField` is GF(q^m)
-with full exp/log tables, built from its own schoolbook polynomial
-multiply over base-q codes.  It is the reference the Gabidulin generators
-and the field's own row tables are checked against, over the pinned
-modulus table `_MODULUS_TABLE`.  `search_modulus` finds the lex-smallest
+`add` and `mul`, `sub` (a plus the negative of b, from the field's `negs`)
+and the table of inverses `invs`, not the packed-row kernels it checks;
+they read the same tables, which `test_gf` checks against `ExtField` and
+integer arithmetic.  `ExtField` is GF(q^m) with full exp/log tables, built
+from its own schoolbook polynomial multiply over base-q codes.  It is the
+reference the Gabidulin generators and the field's own row tables are
+checked against, over the pinned modulus table `_MODULUS_TABLE`.
+`search_modulus` finds the lex-smallest
 monic irreducible by scalar trial division, one coefficient at a time:
 the reference for `gf.field_modulus`, which divides whole rows.
 `trial_factor_prime_power` factors a prime power by trial
@@ -64,6 +65,11 @@ def same_field(a: GF, b: GF) -> GF:
     return a
 
 
+def sub(field: GF, a: int, b: int) -> int:
+    """a - b in the field, by element codes: a plus the negative of b."""
+    return field.add(a, field.negs[b])
+
+
 # -- matrices -------------------------------------------------------------------
 
 
@@ -86,7 +92,7 @@ def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f_ = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f_, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [sub(field, x, field.mul(f_, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -172,7 +178,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch")
     if f.q == 2:
         return mat_add(a, b)
-    return Matrix(f, a.nrows, a.ncols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
+    return Matrix(f, a.nrows, a.ncols, tuple(sub(f, x, y) for x, y in zip(a.entries, b.entries)))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -294,7 +300,7 @@ def _poly_mod(num: list, den: list, base: GF) -> list:
             continue
         f = base.mul(c, lead_inv)
         for j, cj in enumerate(den):
-            num[i - dd + j] = base.sub(num[i - dd + j], base.mul(f, cj))
+            num[i - dd + j] = sub(base, num[i - dd + j], base.mul(f, cj))
     while num and num[-1] == 0:
         num.pop()
     return num
@@ -409,7 +415,7 @@ class ExtField:
             prod[i] = 0
             for j, mj in enumerate(self.modulus):
                 if mj:
-                    prod[i - deg + j] = base.sub(prod[i - deg + j], base.mul(c, mj))
+                    prod[i - deg + j] = sub(base, prod[i - deg + j], base.mul(c, mj))
         return _poly_to_code(prod, q)
 
     def mul(self, a: int, b: int) -> int:

@@ -333,8 +333,7 @@ def test_bound_memo_is_keyed_by_insert():
     # side maxima share its keys' (side, n_i, a_i, b_i), so each bound must
     # give with a memo the other insert's bound filled what it gives with a
     # fresh one
-    from cdckit.bounds import blocks_insert_bound, blocks_insert_row_bound, \
-        parallel_insert_bound, parallel_insert_row_bound
+    from cdckit.bounds import blocks_insert_part, parallel_insert_part
 
     def outcome(bound, p, memo):
         try:
@@ -343,8 +342,8 @@ def test_bound_memo_is_keyed_by_insert():
             return exc.key
 
     checked = differ = 0
-    pairs = ((blocks_insert_bound, parallel_insert_bound),
-             (blocks_insert_row_bound, parallel_insert_row_bound))
+    # (subtree bounds, row bounds)
+    pairs = tuple(zip(blocks_insert_part.bounds, parallel_insert_part.bounds))
     for key in ((2, 12, 4, 6), (2, 16, 6, 8), (3, 12, 4, 5)):
         for p in grid(FAMILIES["cor42"], *key):
             for pair in pairs:

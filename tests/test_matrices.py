@@ -10,7 +10,7 @@ import pytest
 from cdckit.gf import gf
 from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref_pivots
 from oracles import from_rows, hstack, identity_matrix, invert, mat_add, mat_kernel, mat_sub, \
-    matmul, oracle_rref, vstack, zero_matrix
+    matmul, oracle_rref, sub, vstack, zero_matrix
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -82,7 +82,7 @@ def _det3(m):
                 mul3(m[0, 2], m[1, 0], m[2, 1]))
     neg = f.add(f.add(mul3(m[0, 2], m[1, 1], m[2, 0]), mul3(m[0, 0], m[1, 2], m[2, 1])),
                 mul3(m[0, 1], m[1, 0], m[2, 2]))
-    return f.sub(pos, neg)
+    return sub(f, pos, neg)
 
 
 def test_rank_against_determinant_oracle():

@@ -19,7 +19,7 @@ from cdckit.gf import field_modulus, gf
 from cdckit.matrices import Matrix, mat_rank
 from cdckit.rankcodes import LinearRankCode, coset_lists, enumerate_code, fdrm_words, \
     gabidulin_mrd
-from oracles import ExtField, mat_sub, oracle_rref, rref_rows, transpose
+from oracles import ExtField, mat_sub, oracle_rref, rref_rows, sub, transpose
 
 
 def _rank_distribution(code, **kw):
@@ -87,11 +87,13 @@ def test_gf2_enumeration_matches_reference_order(a, b, d, rank_cap):
     assert words == list(_reference_words(code, rank_cap))
 
 
-@pytest.mark.parametrize("q, a, b", [(3, 1, 7), (4, 1, 6), (8, 2, 2), (9, 2, 2)])
+@pytest.mark.parametrize("q, a, b", [(3, 1, 7), (4, 1, 6), (8, 2, 2), (9, 2, 2),
+                                     (3, 2, 4), (4, 1, 7)])
 def test_enumeration_matches_reference_order_over_fields(q, a, b):
-    # more generators than the enumerator tabulates at once, so counting
-    # carries through the other generators, with steps that are not all 1
-    # in GF(4), GF(8) and GF(9)
+    # more generators than the enumerator tabulates at once: it sums each
+    # combination of the leading generators' multiples, by elements that
+    # are not all 0 or 1, and adds it to every tabulated word.  (3, 2, 4)
+    # and (4, 1, 7) leave two generators untabulated, the others one
     code = gabidulin_mrd(q, a, b, 1)
     for rank_cap in (None, 0):
         words = [m.entries for m in enumerate_code(code, rank_cap=rank_cap)]
@@ -145,7 +147,7 @@ def test_gabidulin_q16_t5_by_shift_and_reduce():
     for _ in range(t - 1 + (s - 1) * q**(s - d)):
         v = [0] + power[-1]
         top = v.pop()
-        power.append([F.sub(c, F.mul(top, fc)) for c, fc in zip(v, f)])
+        power.append([sub(F, c, F.mul(top, fc)) for c, fc in zip(v, f)])
     for a, b in ((5, 5), (5, 3), (3, 5)):
         code = gabidulin_mrd(q, a, b, d)
         m = min(a, b)

@@ -338,6 +338,21 @@ def test_parse_from_file_matches_text(variant, link10, tmp_path):
         assert from_file == _parsed(link10)
 
 
+@pytest.mark.parametrize("at", [10, 100_000])
+def test_undecodable_byte_is_placed_in_the_file(at, link10, tmp_path):
+    # the open file is decoded in 64 KiB blocks, and the decoder counts the
+    # bad byte's position from its block's start; the error must count it
+    # from the file's, as a whole-file read does
+    data = bytearray(cdc_to_text(link10).encode())
+    data[at] = 0xff
+    path = tmp_path / "code.cdc"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as err:
+        cdc_from_text(fh)
+    assert str(err.value) == \
+        f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+
+
 def test_a_parsed_word_retains_under_180_bytes():
     # a parsed word is one object holding its RREF's row tuple and shared
     # pivots (about 144 B on CPython 3.11); with a Matrix around the rows
