@@ -20,9 +20,11 @@ codewords share a t-subspace, and compares pairs only when they are fewer
 than the keys.  At t = k, equal words are sorted neighbours.  Below it,
 each codeword's [k t]_q t-subspaces are keyed by their concatenated packed
 rows: for each choice of t of its rows, one base plus every combination of
-the rows they may add, each shifted to its place in the key.  For a code
-of N words, the first N pairs bound the minimum beforehand, and only the
-levels whose distance is below that bound are keyed.  The CDC file format
+the rows they may add, each shifted to its place in the key, for up to 128
+words of one pivot tuple at once; a group is keyed again, for holders, only
+where a pass at one bit per key finds a repeat.  For a code of N words, the
+first N pairs bound the minimum beforehand, and only the levels whose
+distance is below that bound are keyed.  The CDC file format
 renders and checks each distinct row once, checks the RREF of each
 record through a mask shared by every record of its rows' bit lengths,
 keeps a record that is already in RREF as it is, and refuses a header
@@ -38,7 +40,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, cycle, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -46,6 +48,8 @@ from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, gf
 from .matrices import Matrix, mat_rref, pack_row, rank_added, row_codes, rref_pivots
+
+_BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
 
 def pair_limit() -> int:
@@ -234,9 +238,11 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     Below it, for a word's RREF G and a t x k RREF matrix C, C*G is the RREF
     of a t-subspace whose pivots are G's at C's pivot columns c; keys are
     grouped by that pivot set, one group held at a time, and `keys_of`
-    builds a word's keys for one c at once.  The levels hold up to
-    N * sum_t [k t]_q keys; when the N(N-1)/2 pairs are fewer, they are
-    compared instead.
+    keys a batch of words of one pivot tuple for one c.  A first pass finds
+    a group's repeated keys; only then a second keys it again for their
+    holders, and the first pair is the least (lowest, second-lowest) one.
+    The levels hold up to N * sum_t [k t]_q keys; when the N(N-1)/2 pairs
+    are fewer, they are compared instead.
 
     Before any level below k is keyed, the first N pairs in i-major order
     give an upper bound m on the minimum and w, the first of them at
@@ -271,28 +277,37 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
             for piv in by_pivots:
                 groups.setdefault(tuple(piv[r] for r in c), {})[piv] = spec
 
+        def keyed(specs):  # each batch of a group's words, and their keys
+            for piv, spec in specs.items():
+                held = by_pivots[piv]
+                for b in range(0, len(held), _BATCH):
+                    batch = held[b:b + _BATCH]
+                    yield batch, keys_of(f, [words[i].rows for i in batch], spec)
+
         found = []
         while groups:
             specs = groups.popitem()[1]
-            order = sorted(chain.from_iterable(by_pivots[piv] for piv in specs))
-            # a key is stored as one bit of a 64-bit mask under key >> 6;
-            # words arrive in index order, so a key's first repeat is its
-            # second-lowest holder
-            seen, second = {}, {}
-            for i in order:
-                for key in keys_of(f, words[i].rows, specs[words[i].pivots]):
-                    high, bit = key >> 6, 1 << (key & 63)
-                    old = seen.get(high, 0)
-                    if old & bit:
-                        second.setdefault(key, i)
+            # a key is stored as one bit of a 64-bit mask under key >> 6
+            seen, repeated, last = {}, set(), -1
+            get = seen.get
+            for b, (_, keys) in enumerate(keyed(specs)):
+                for key in keys:
+                    high = key >> 6
+                    old = get(high, 0)
+                    new = old | 1 << (key & 63)
+                    if new == old:
+                        repeated.add(key)
+                        last = b
                     else:
-                        seen[high] = old | bit
-            for i in order if second else ():
-                keys = keys_of(f, words[i].rows, specs[words[i].pivots])
-                partners = [second[key] for key in keys if key in second]
-                if partners:  # i is the lowest holder of any repeated key
-                    found.append((i, min(partners)))
-                    break
+                        seen[high] = new
+            # every holder is keyed by batch `last`, as a later one would repeat
+            holders: dict = {}
+            for batch, keys in islice(keyed(specs), last + 1):
+                if not repeated.isdisjoint(keys):
+                    for x, key in enumerate(keys):
+                        if key in repeated:
+                            holders.setdefault(key, []).append(batch[x % len(batch)])
+            found += [tuple(sorted(h)[:2]) for h in holders.values()]  # first pairs
         return min(found, default=None)
 
     for t in range(k - 1, k - best // 2, -1):  # the levels below k with 2(k - t) < best
@@ -302,26 +317,26 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     return best, witness
 
 
-def keys_of(f: GF, g: Tuple[int, ...], spec) -> List[int]:
-    """The keys of the t-subspaces C*G of the word with RREF rows g, for one
-    pivot choice C: `spec` is the (row, shift) pairs of C's rows and the
-    (row, shift) pairs of the rows each may add.  A key concatenates t
-    packed rows, and concatenation is a shift, so a key is the base sum of
-    the shifted rows plus any combination of the shifted generators."""
+def keys_of(f: GF, rows: List[Tuple[int, ...]], spec) -> List[int]:
+    """The keys of the t-subspaces C*G of the words with RREF rows G in
+    `rows`, words of one pivot tuple, for one pivot choice C: `spec` is the
+    (row, shift) pairs of C's rows and the (row, shift) pairs of the rows
+    each may add.  A key concatenates t packed rows, and concatenation is a
+    shift, so a key is the base sum of the shifted rows plus any combination
+    of the shifted generators.  Word w's key for combination x is at
+    x * len(rows) + w."""
     places, gens = spec
-    key = 0
+    keys = [0] * len(rows)
     for r, s in places:
-        key |= g[r] << s
-    keys = [key]
+        keys = [key | g[r] << s for key, g in zip(keys, rows)]
     if f.q == 2:  # a row's one nonzero multiple is itself, and XOR adds
         for j, s in gens:
-            x = g[j] << s
-            keys += [v ^ x for v in keys]
+            keys += [v ^ x for v, x in zip(keys, cycle([g[j] << s for g in rows]))]
         return keys
-    add = f.row_add
+    add, scale = f.row_add, f.row_scale
     for j, s in gens:
-        multiples = [f.row_scale(g[j] << s, c) for c in range(1, f.q)]
-        keys += [add(v, m) for m in multiples for v in keys]
+        multiples = [[scale(g[j] << s, c) for g in rows] for c in range(1, f.q)]
+        keys += [add(v, x) for m in multiples for v, x in zip(keys, cycle(m))]
     return keys
 
 

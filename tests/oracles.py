@@ -26,7 +26,7 @@ tuple with the special-form vector it should lift on, for the identifying
 vector and insertion predicate checks.
 `row_by_row_keys` builds a word's t-subspace keys for one pivot choice a
 row at a time, each row the span of its free rows: the reference for
-`subspaces.keys_of`, which builds them in one pass.
+`subspaces.keys_of`, which builds them for a batch of words at once.
 `grid` lists a family's admissible parameters, and `blocks_insert_oracle`
 is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.

@@ -8,7 +8,8 @@ code is 0, 2 or 4; a nonzero exit prints exactly one stderr line and no
 traceback; stdout on exit 0 or 4 is JSON; and `ok` is never true for a
 file in which two records span the same subspace.  Each mutant is also
 parsed as its text and from the open file, which give the same code or
-the same error.
+the same error.  With CDCKIT_LONG_TESTS=1, the loop also runs 4,000 cases
+for each of four more seeds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 import random
 import time
+
+import pytest
 
 from cdckit.cli import main
 from cdckit.constructions import parse_plan, run_plan
@@ -30,6 +33,8 @@ _PLANS = (
     "family = linkage\nq = 4\nn = 5\nd = 4\nk = 2\nn1 = 2\n",
 )
 CASES = 400
+LONG_CASES = 4000  # a case count and the seeds of the runs marked `long`
+LONG_SEEDS = (101, 102, 103, 104)
 
 
 def _base_files(rng):
@@ -51,13 +56,17 @@ def _base_files(rng):
 
 def _scrambled(rng, f, record):
     """The record with one row plus a nonzero multiple of another added to
-    it: the same span, another text."""
-    rows = [[int(x) for x in ln.split()] for ln in record]
-    if len(rows) < 2:
+    it: the same span, another text.  A record with an entry that an
+    earlier mutation made no element is returned as it is."""
+    try:
+        rows = [[int(x) for x in ln.split()] for ln in record]
+        if len(rows) < 2:
+            return record
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.randrange(1, f.q)
+        rows[i] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+    except (ValueError, IndexError):
         return record
-    i, j = rng.sample(range(len(rows)), 2)
-    c = rng.randrange(1, f.q)
-    rows[i] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[i], rows[j])]
     return [" ".join(map(str, r)) for r in rows]
 
 
@@ -65,9 +74,13 @@ def _text(head, records):
     return " ".join(head) + "\n" + "".join("\n" + "\n".join(rec) + "\n" for rec in records)
 
 
-def _mutant(rng, q, head, records):
+def _mutant(rng, q, base, records):
     """One or two mutations of a base file, as its text."""
-    head, records = list(head), [list(rec) for rec in records]
+    head, records = list(base), [list(rec) for rec in records]
+
+    def number(i):  # head[i], or the base's if a mutation left no integer there
+        return int(head[i] if head[i].lstrip("-").isdigit() else base[i])
+
     for _ in range(rng.choice((1, 2))):
         kind = rng.randrange(10)
         if kind == 0:  # cut at a random character
@@ -100,11 +113,11 @@ def _mutant(rng, q, head, records):
         elif kind == 7:  # a claimed distance at or below 0
             head[4] = str(rng.randrange(-2, 1))
         elif kind == 8:  # k above n, the records left as they are
-            head[3] = str(int(head[2]) + rng.randrange(1, 3))
+            head[3] = str(number(2) + rng.randrange(1, 3))
         elif rng.random() < 0.5:  # a record cut short
             records[-1] = records[-1][:-1]
         else:  # the count off by one
-            head[5] = str(int(head[5]) + rng.choice((-1, 1)))
+            head[5] = str(number(5) + rng.choice((-1, 1)))
     return _text(head, records)
 
 
@@ -132,13 +145,13 @@ def _parse_outcome(source):
     return (code.q, code.n, code.k, code.d), [(w.rows, w.pivots) for w in code]
 
 
-def test_verify_survives_mutated_files(tmp_path, capsys):
-    rng = random.Random(16)
+def _fuzz_files(tmp_path, capsys, seed, cases):
+    rng = random.Random(seed)
     bases = _base_files(rng)
     path = tmp_path / "mutant.cdc"
     exits = {0: 0, 2: 0, 4: 0}
     start = time.perf_counter()
-    for _ in range(CASES):
+    for _ in range(cases):
         q, head, records = rng.choice(bases)
         text = _mutant(rng, q, head, records)
         path.write_text(text)
@@ -159,4 +172,14 @@ def test_verify_survives_mutated_files(tmp_path, capsys):
             assert out == ""
     # every outcome is reached, and the run stays short
     assert all(exits.values()), exits
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 5 * cases / CASES
+
+
+def test_verify_survives_mutated_files(tmp_path, capsys):
+    _fuzz_files(tmp_path, capsys, 16, CASES)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+def test_verify_survives_a_long_fuzz_run(seed, tmp_path, capsys):
+    _fuzz_files(tmp_path, capsys, seed, LONG_CASES)

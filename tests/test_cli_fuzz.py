@@ -12,7 +12,8 @@ mutations are made at a time, and each input runs through `cli.main` in
 process.  Whatever the input, the exit code is 0, 2, 3 or 4; a nonzero
 exit prints exactly one stderr line and no traceback; and stdout that
 promises JSON (`bound`, `build`, `table`, `verify`) parses line by line,
-as `count`'s parses as an integer.
+as `count`'s parses as an integer.  With CDCKIT_LONG_TESTS=1, each loop
+also runs 4,000 cases for each of four more seeds.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ import json
 import random
 import time
 
+import pytest
+
 from cdckit.cli import main
 
 CASES = 300
+LONG_CASES = 4000  # a case count and the seeds of the runs marked `long`
+LONG_SEEDS = (101, 102, 103, 104)
 
 PLANS = (
     "family = linkage\nq = 2\nn = 8\nd = 4\nk = 4\nn1 = 4\n",
@@ -143,15 +148,15 @@ def _check(argv, capsys, case) -> int:
     return code
 
 
-def test_cli_survives_mutated_argv_and_plans(tmp_path, capsys, monkeypatch):
+def _fuzz_argv(tmp_path, capsys, monkeypatch, seed, cases):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "5000")  # explicit builds stay small
     for name, text in CDC_FILES.items():
         (tmp_path / name).write_text(text)
-    rng = random.Random(17)
+    rng = random.Random(seed)
     exits = {0: 0, 2: 0, 3: 0, 4: 0}
     start = time.perf_counter()
-    for case in range(CASES):
+    for case in range(cases):
         plan = rng.choice(PLANS)
         argv = rng.choice(ARGVS)
         if "p.plan" in argv:
@@ -164,21 +169,36 @@ def test_cli_survives_mutated_argv_and_plans(tmp_path, capsys, monkeypatch):
         exits[_check(argv, capsys, (case, argv, plan))] += 1
     # every exit code is reached, and the run stays short
     assert all(exits.values()), exits
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 5 * cases / CASES
 
 
-def test_cli_survives_mutated_table_argv_over_a_doctored_registry(tmp_path, capsys,
-                                                                  monkeypatch):
+def _fuzz_table_argv(tmp_path, capsys, monkeypatch, seed, cases):
     # a registry file that overrides two inputs of the tables with wrong
     # values: a table that reads them exits 4 with one stderr line
     monkeypatch.chdir(tmp_path)
     (tmp_path / "reg.txt").write_text(DOCTORED)
-    rng = random.Random(18)
+    rng = random.Random(seed)
     exits = {0: 0, 2: 0, 3: 0, 4: 0}
     start = time.perf_counter()
-    for case in range(TABLE_CASES):
+    for case in range(cases):
         argv = rng.choice(TABLE_ARGVS)
         argv = _mutant_argv(rng, argv) if rng.random() < 0.8 else argv
         exits[_check(argv, capsys, (case, argv))] += 1
     assert exits[0] and exits[2] and exits[4], exits
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 5 * cases / TABLE_CASES
+
+
+def test_cli_survives_mutated_argv_and_plans(tmp_path, capsys, monkeypatch):
+    _fuzz_argv(tmp_path, capsys, monkeypatch, 17, CASES)
+
+
+def test_cli_survives_mutated_table_argv_over_a_doctored_registry(tmp_path, capsys,
+                                                                  monkeypatch):
+    _fuzz_table_argv(tmp_path, capsys, monkeypatch, 18, TABLE_CASES)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+def test_cli_survives_a_long_fuzz_run(seed, tmp_path, capsys, monkeypatch):
+    _fuzz_argv(tmp_path, capsys, monkeypatch, seed, LONG_CASES)
+    _fuzz_table_argv(tmp_path, capsys, monkeypatch, seed, LONG_CASES)

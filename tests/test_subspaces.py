@@ -6,7 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 
 import pytest
 
@@ -15,7 +15,7 @@ from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref, pack_row, rank_added
+from cdckit.matrices import Matrix, mat_rank, mat_rref, pack_row, rank_added, row_codes
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
@@ -698,9 +698,9 @@ def test_prefix_bound_matches_pairwise_oracle(q):
 def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # the lifted 3 x 3 Gabidulin code of rank distance 2: 64 planes of
     # GF(2)^6, more than 2 * ([3 1]_2 + [3 2]_2 + [3 3]_2) = 30, at d = 4.
-    # Level k is read off the sorted words; at each level t < k a word's
-    # keys come from one `keys_of` call per pivot choice, so a clean level
-    # t costs N * C(k, t) calls
+    # Level k is read off the sorted words; at each level t < k a word is
+    # keyed once per pivot choice, in batches of the words of one pivot
+    # tuple, so a clean level t keys N * C(k, t) words
     k, d = 3, 4
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
     clean = CDC(2, 6, k, d, words)
@@ -725,9 +725,9 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     calls = []
     keys_of = subspaces.keys_of
 
-    def counted(f, g, spec):
-        calls.append(len(spec[0]))  # the level: one base row per row of C
-        return keys_of(f, g, spec)
+    def counted(f, rows, spec):
+        calls.extend([len(spec[0])] * len(rows))  # the level: one base row per row of C
+        return keys_of(f, rows, spec)
 
     monkeypatch.setattr(subspaces, "keys_of", counted)
 
@@ -780,17 +780,90 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
         size, n, seen = len(code), code.n, set()
         index = {w.rows: i for i, w in enumerate(code)}
 
-        def tagged(f, g, spec):
-            c, i = tuple(r for r, _ in spec[0]), index[g]
-            keys = keys_of(f, g, spec)
-            assert sorted(keys) == sorted(row_by_row_keys(f, n, g, c))
-            seen.add((i, c))
-            return [key * size + i for key in keys]
+        def tagged(f, rows, spec):
+            c, tags = tuple(r for r, _ in spec[0]), [index[g] for g in rows]
+            keys = keys_of(f, rows, spec)
+            # word w's keys are every len(rows)-th key from the w-th
+            for w, (g, i) in enumerate(zip(rows, tags)):
+                assert sorted(keys[w::len(rows)]) == sorted(row_by_row_keys(f, n, g, c))
+                seen.add((i, c))
+            return [key * size + tags[x % len(rows)] for x, key in enumerate(keys)]
 
         monkeypatch.setattr(subspaces, "keys_of", tagged)
         assert verify_min_distance(code).min_found == 2 * code.k
         assert seen == {(i, c) for i in range(len(code)) for t in range(1, code.k)
                         for c in combinations(range(code.k), t)}
+
+
+@pytest.mark.parametrize("q, m", [(2, 8), (3, 5), (4, 4)])
+def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
+    # lines of GF(q)^(m + 2): a sample of the lifted Gabidulin code of 2 x m
+    # matrices at rank distance 2, pairwise disjoint on pivots (0, 1), over
+    # one batch of them; and three lines that meet them.  With p the first
+    # row of one of them, s, and e_j the unit rows: h1 = <e0 + e_(n-1),
+    # p - e0 - e_(n-1)> on pivots (0, 2), word 1; h2 = <p, e1 + e_(n-1)>,
+    # beside s on pivots (0, 1); h4 = <e0 + e1 + e_(n-1), h1's second row>,
+    # the last word.  Sampled words that meet them are dropped, so the pairs
+    # at distance 2 are those of p's holders h1 < h2 < s in one pivot group
+    # and (h1, h4) in another, all after the first N pairs.  The scan's first
+    # pass is watched: it keys h1 after h2 and s, and meets (h1, h4) before
+    # p's holders, so neither the first repeat met nor a key's first two
+    # holders met give the first pair (h1, h2)
+    rng = random.Random(2500 + q)
+    f, n = gf(q), m + 2
+    unit = [pack_row(f, [int(j == c) for j in range(n)]) for c in range(n)]
+    spread = sorted((lift_matrix(x) for x in enumerate_code(gabidulin_mrd(q, 2, m, 2))),
+                    key=Subspace.key)
+    zero = spread[0]
+    assert zero.rows == (unit[0], unit[1])
+    s = rng.choice([w for w in spread if row_codes(f, w.rows[0], n)[2]])
+    p, low = s.rows[0], f.row_add(unit[0], unit[-1])
+    h1 = codeword(f, n, [low, f.row_add(p, f.row_scale(low, f.negs[1]))])
+    h2 = codeword(f, n, [p, f.row_add(unit[1], unit[-1])])
+    h4 = codeword(f, n, [f.row_add(low, unit[1]), h1.rows[1]])
+    sample = [w for w in rng.sample(spread, 160) if w not in (zero, s)]
+    code = CDC(q, n, 2, 4, [zero, s, h1, h2, h4] + [
+        w for w in sample if all(subspace_distance(w, h) == 4 for h in (h1, h2, h4))])
+    w = code.codewords
+    index = {u.rows: i for i, u in enumerate(w)}
+    i1, i2, i_s, i4 = (index[u.rows] for u in (h1, h2, s, h4))
+    assert (i1, i4) == (1, len(w) - 1) and i1 < i2 < i_s < i4
+    assert sum(u.pivots == (0, 1) for u in w) > 128
+    oracle = _pairwise_oracle(code)
+    assert oracle == (2, (i1, i2))
+    assert all(subspace_distance(w[i], w[j]) == 4 for i, j in _prefix(len(w)))
+
+    # (pivot group, key) -> [(order met, batch, word)] in the first pass
+    holders: dict = {}
+    keyed, batches, met = set(), [], count()
+    keys_of = subspaces.keys_of
+
+    def watched(f, rows, spec):
+        keys = keys_of(f, rows, spec)
+        c, tags = tuple(r for r, _ in spec[0]), [index[g] for g in rows]
+        if (tags[0], c) not in keyed:  # not the second pass
+            keyed.update((i, c) for i in tags)
+            batches.append(tags)
+            for x, key in enumerate(keys):
+                i = tags[x % len(tags)]
+                group = tuple(w[i].pivots[r] for r in c)
+                holders.setdefault((group, key), []).append((next(met), len(batches), i))
+        return keys
+
+    monkeypatch.setattr(subspaces, "keys_of", watched)
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness) == oracle
+    assert max(map(len, batches)) == 128
+    shared = {gk: h for gk, h in holders.items() if len(h) > 1}
+    assert len({group for group, _ in shared}) == 2
+    # a lowest holder keyed in a later batch than the second-lowest
+    assert any(a[1] > b[1] for a, b in (sorted(h, key=lambda x: x[2])[:2]
+                                        for h in shared.values()))
+    # neither the first repeat met nor each key's first two holders met
+    # give the first pair
+    first = min(shared.values(), key=lambda h: h[1][0])
+    assert tuple(sorted(i for _, _, i in first[:2])) != oracle[1]
+    assert min(tuple(sorted(i for _, _, i in h[:2])) for h in shared.values()) != oracle[1]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -815,15 +888,15 @@ def test_level_k_reads_equal_neighbours(q, monkeypatch):
         assert (report.min_found, report.witness) == _pairwise_oracle(code) == (0, (i, i + 1))
 
 
-def test_exhaustive_verification_of_the_lifted_9_4_4_code():
-    # the 32,768-word lifted Gabidulin (9, ., 4, 4)_2 code, at the scale
-    # where keying dominates: clean, and with a word planted at distance 2
-    # from one word, past the first N pairs
-    k, n = 4, 9
-    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 4, 5, 2))]
+def _verify_lifted(m):
+    """Exhaustive verification of the lifted Gabidulin (4 + m, 2^(3m), 4, 4)_2
+    code of 4 x m matrices at rank distance 2: clean, and with a word planted
+    at distance 2 from one word, past the first N pairs."""
+    k, n = 4, 4 + m
+    words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, m, 2))]
     code = CDC(2, n, k, 4, words)
     size = len(code)
-    assert size == 2 ** 15
+    assert size == 2 ** (3 * m)
     report = verify_min_distance(code)
     assert (report.min_found, report.witness, report.pairs_checked) == \
         (4, (0, 1), size * (size - 1) // 2)
@@ -844,6 +917,17 @@ def test_exhaustive_verification_of_the_lifted_9_4_4_code():
     report = verify_min_distance(code)
     assert (report.min_found, report.witness, report.pairs_checked) == \
         (2, min(near), (size + 1) * size // 2)
+
+
+def test_exhaustive_verification_of_the_lifted_9_4_4_code():
+    # 32,768 words, at the scale where keying dominates
+    _verify_lifted(5)
+
+
+@pytest.mark.long
+def test_exhaustive_verification_of_the_lifted_10_4_4_code():
+    # 262,144 words
+    _verify_lifted(6)
 
 
 def test_exhaustive_verification_holds_no_group_of_keys():
