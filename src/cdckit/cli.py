@@ -16,8 +16,7 @@ from . import bounds
 from .constructions import parse_plan, run_plan
 from .counting import bounded_rank_size, delsarte_rank_count, gauss_binomial, mrd_size
 from .errors import CdckitError, RegistryMiss
-from .gf import factor_prime_power
-from .matrices import row_codes
+from .gf import factor_prime_power, row_codes
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import cdc_from_text, cdc_to_text, verify_min_distance
 
@@ -126,6 +125,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.q is not None:
+        factor_prime_power(args.q)
     registry = _load_registry(args.registry)
     ids = [args.id] if args.id else list(bounds.ALL_TABLE_IDS)
     rows, bad = 0, []
@@ -206,12 +207,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_registry(args) -> int:
+    arity = 4 if args.action == "get" else 0
+    if len(args.args) != arity:
+        print(f"{args.action} takes {arity} integers, got {len(args.args)}", file=sys.stderr)
+        return USAGE_EXIT
     registry = _load_registry(args.registry)
     if args.action == "list":
         sys.stdout.write(registry.to_text())
         return 0
-    q, n, d, k = args.args
-    value, source = registry.lookup(q, n, d, k)
+    factor_prime_power(args.args[0])  # q must be a prime power
+    value, source = registry.lookup(*args.args)
     print(f"{value} {source}")
     return 0
 

@@ -1,20 +1,21 @@
-"""Exact arithmetic over GF(q).
+"""Exact arithmetic over GF(q), and the packed rows every layer works on.
 
 Field elements are integer codes.  For GF(p^d) the code in [0, p^d) is read
 as the base-p digit vector of the residue polynomial: digit i is the
 coefficient of x^i.
 
-Matrix rows over GF(q) are packed ints (see `matrices`): each entry takes a
-fixed `width` of 1, 2, 4 or 8 bits, column 0 highest.  In characteristic 2
-an entry is stored as its element code, so XOR adds rows.  For odd p each
-base-p digit takes its own nibble, or its own byte when 2(p - 1) > 15, so an
-int sum adds digit-wise without carries and one `translate` reduces every
-digit mod p.  Both encodings increase with the element code, so packed rows
-order as their entries do.  A width dividing 8 keeps whole entries in each
-byte, and scaling a row by c is one `translate` by a 256-byte table.  The
-scalar `add`, `sub` and `mul` read the same tables, for every field alike.
-Only fields with such an encoding are supported: q = 2^m <= 256,
-q in {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
+A row over GF(q) is packed into one int, each entry in a fixed `width` of
+1, 2, 4 or 8 bits, column 0 highest: `pack_row` packs element codes,
+checking each, and `row_codes` reads them back.  In characteristic 2 an
+entry is stored as its element code, so XOR adds rows.  For odd p each
+base-p digit takes its own nibble, or its own byte when 2(p - 1) > 15, so
+an int sum adds digit-wise without carries and one `translate` reduces
+every digit mod p.  Both encodings increase with the element code, so
+packed rows order as their entries do.  A width dividing 8 keeps whole
+entries in each byte, and scaling a row by c is one `translate` by a
+256-byte table.  The scalar `add` and `mul` read the same tables, for every
+field alike.  Only fields with such an encoding are supported: q = 2^m <=
+256, q in {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 
 A polynomial of degree < t over GF(q) is a row of t entries, the
 coefficient of x^i the i-th from the right, so an element's `enc` is the
@@ -24,8 +25,8 @@ rows.  One rule picks every modulus: `field_modulus(q, t)` is the
 lex-smallest monic irreducible of degree t over GF(q) by digit code, found
 by trial division on rows, so encodings are bit-exact across runs.
 Multiplication in GF(p^d) is GF(p)-linear: c b is the sum of c_i (x^i b)
-over the digits c_i of c, and the row tables hold these sums, each made
-for all q elements b at once as one packed row of q entries.
+over the digits c_i of c, and the product table is built from these sums,
+the list of x^i b for every b taken by `times_x` from that of x^(i-1) b.
 """
 
 from __future__ import annotations
@@ -126,32 +127,19 @@ class GF:
         self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
 
     def _products(self) -> list:
-        """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1.
-        Each row is made packed, enc[c b] the b-th entry from the right, as
-        the GF(p)-span of the rows of x^i b, digit 0 of c the fastest, so a
-        `row_add` adds q entries at once.  Entry b of the row of x^(i+1) b is
-        `times_x` over GF(p) of entry b of the row of x^i b."""
-        w = self.width
-        step = sum(e << w * b for b, e in enumerate(self.enc))
-        out = [0]
+        """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1,
+        made as the GF(p)-span of the lists of enc[x^i b], digit 0 of c the
+        fastest.  Entry b of the list of x^(i+1) b is `times_x` over GF(p) of
+        entry b of the list of x^i b."""
+        xb, out = self.enc, [[0] * self.q]
         for i in range(self.degree):
             if i:
-                step = sum(times_x(gf(self.p), e, self.modulus) << w * b
-                           for b, e in enumerate(self._entries(step)))
+                xb = [times_x(gf(self.p), e, self.modulus) for e in xb]
             layer = out
             for _ in range(self.p - 1):
-                layer = [self.row_add(e, step) for e in layer]
+                layer = [list(map(self.row_add, row, xb)) for row in layer]
                 out += layer
-        return [self._entries(row) for row in out]
-
-    def _entries(self, row: int) -> list:
-        """The q entries of a packed row of q entries, the rightmost first."""
-        w = self.width
-        data = row.to_bytes((self.q * w + 7) // 8, "little")
-        if w == 8:
-            return list(data)
-        mask = (1 << w) - 1
-        return [byte >> i & mask for byte in data for i in range(0, 8, w)][:self.q]
+        return out
 
     def _add_digits(self, a: int, b: int) -> int:
         """The sum of two packed rows over odd p: digit-wise, then mod p.
@@ -265,12 +253,26 @@ def field_modulus(q: int, t: int) -> Tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _row(f: GF, coeffs: Sequence[int]) -> int:
-    """The packed row of a polynomial over f: c_i in the i-th entry from the right."""
-    return sum(f.enc[c] << i * f.width for i, c in enumerate(coeffs))
+def pack_row(field: GF, codes: Sequence[int]) -> int:
+    """The packed row of the element codes `codes`, column 0 highest, each
+    checked to lie in [0, q)."""
+    q, w, enc, v = field.q, field.width, field.enc, 0
+    for x in codes:
+        if not 0 <= x < q:
+            raise ValueError(f"entry {x} outside GF({q})")
+        v = v << w | enc[x]
+    return v
 
 
-_modulus_row = lru_cache(maxsize=None)(_row)  # one entry per field and modulus in use
+def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
+    """The element codes of the ncols entries of a packed row."""
+    w, dec, mask = field.width, field.dec, (1 << field.width) - 1
+    return tuple(dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w))
+
+
+@lru_cache(maxsize=None)  # one entry per field and modulus in use
+def _modulus_row(f: GF, modulus: Tuple[int, ...]) -> int:
+    return pack_row(f, modulus[::-1])
 
 
 def times_x(f: GF, v: int, modulus: Sequence[int]) -> int:
@@ -319,7 +321,7 @@ def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
     deg, w, dec, negs = len(coeffs), base.width, base.dec, base.negs
     if coeffs[0] == 0:  # x divides it
         return deg == 1
-    poly, mask = _row(base, (*coeffs, 1)), (1 << w) - 1
+    poly, mask = pack_row(base, (1, *coeffs[::-1])), (1 << w) - 1
     for dd in range(1, deg // 2 + 1):
         for lower in product(base.enc, repeat=dd):
             den, num = 1, poly

@@ -1,41 +1,34 @@
-"""Dense matrices over GF(q): packed rows, RREF and rank.
+"""Elimination over GF(q) on packed rows, and the `Matrix` view.
 
-A row over GF(q) is packed into one int: each entry takes a fixed field of
-`field.width` bits, column 0 in the highest bits (the encoding is `gf`'s).
-Rows of equal width compare as ints exactly as their entry tuples do.
-Every operation works on those ints: the field's `row_add` adds rows (XOR
-in characteristic 2), `row_scale` scales a row by one `translate`, and the
-bit length finds a row's pivot.  `rank_added` and `rref_pivots` take bare
-packed rows, and calls of `rref_pivots` share what the bit lengths fix.
-`pack_row` packs element codes and checks each one; the CDC parser, the
-Gabidulin generators and the `Matrix` constructor use it.
+Every operation works on packed rows, `gf`'s encoding: the field's
+`row_add` adds rows (XOR in characteristic 2), `row_scale` scales a row by
+one `translate`, and the bit length finds a row's pivot.  Rows of equal
+width compare as ints exactly as their entry tuples do.  `rank_added`,
+`rref` and `rref_pivots` take bare packed rows, and calls of `rref_pivots`
+share what the bit lengths fix; `subspaces.codeword` reduces through `rref`.
 
-A `Matrix` wraps packed rows with their shape, and decodes its entry tuple
-only when a caller reads `entries`.  One is made only where entries are
-read or a matrix is the result: the words `rankcodes.enumerate_code`
-yields, `mat_rref`'s result (through which `subspaces.codeword` reduces
-rows given without pivots), and the `Subspace.mat` view.  The public
-constructor checks every entry; `from_packed` trusts its rows.
+A `Matrix` is a view of packed rows with their column count: its `nrows`,
+`entries` and `rows()` are decoded from the rows on each read.  One is made
+only where a caller reads entries: the words `rankcodes.enumerate_code`
+yields, `mat_rref`'s result, and the `Subspace.mat` view.  The public
+constructor packs and checks every entry; `from_packed` trusts its rows.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gf import GF
+from .gf import GF, pack_row, row_codes
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "packed", "entries")
+    __slots__ = ("field", "ncols", "packed")
 
     def __init__(self, field: GF, nrows: int, ncols: int, entries: Sequence[int]):
-        entries = tuple(int(e) for e in entries)
+        entries = [int(e) for e in entries]
         if len(entries) != nrows * ncols:
             raise ValueError(f"need {nrows * ncols} entries, got {len(entries)}")
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = entries
+        self.field, self.ncols = field, ncols
         self.packed = tuple(pack_row(field, entries[i * ncols : (i + 1) * ncols])
                             for i in range(nrows))
 
@@ -44,50 +37,22 @@ class Matrix:
         """Matrix with the given packed rows, each trusted to hold ncols
         encoded entries of `field`."""
         m = cls.__new__(cls)
-        m.field = field
-        m.nrows = len(rows)
-        m.ncols = ncols
-        m.packed = tuple(rows)
+        m.field, m.ncols, m.packed = field, ncols, tuple(rows)
         return m
 
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the entries of a matrix built by
-        # `from_packed`, read for the first time
-        if name != "entries":
-            raise AttributeError(name)
-        self.entries = tuple(x for v in self.packed for x in row_codes(self.field, v, self.ncols))
-        return self.entries
+    @property
+    def nrows(self) -> int:
+        return len(self.packed)
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.ncols : (i + 1) * self.ncols]
+    @property
+    def entries(self) -> Tuple[int, ...]:
+        return tuple(x for row in self.rows() for x in row)
 
     def rows(self) -> List[Tuple[int, ...]]:
-        return [self.row(i) for i in range(self.nrows)]
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r * self.ncols + c]
+        return [row_codes(self.field, v, self.ncols) for v in self.packed]
 
     def __repr__(self):
         return f"Matrix(GF({self.field.q}), {self.nrows}x{self.ncols})"
-
-
-def pack_row(field: GF, codes: Sequence[int]) -> int:
-    """The packed row of the element codes `codes`, each checked to lie in
-    [0, q)."""
-    q, w, enc, v = field.q, field.width, field.enc, 0
-    for x in codes:
-        if not 0 <= x < q:
-            raise ValueError(f"entry {x} outside GF({q})")
-        v = v << w | enc[x]
-    return v
-
-
-def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
-    """The element codes of the ncols entries of a packed row."""
-    w, dec = field.width, field.dec
-    mask = (1 << w) - 1
-    return tuple(dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w))
 
 
 def rank_added(f: GF, basis: List[int], rows: Iterable[int], stop: int = -1) -> int:
@@ -128,11 +93,11 @@ def rank_added(f: GF, basis: List[int], rows: Iterable[int], stop: int = -1) -> 
     return r
 
 
-def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
-    f, ncols = m.field, m.ncols
+def rref(f: GF, rows: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form of packed rows of
+    ncols entries, and their pivot columns."""
     basis = [0] * (ncols + 1)
-    rank_added(f, basis, m.packed)
+    rank_added(f, basis, rows)
     w, dec, negs = f.width, f.dec, f.negs
     mask = (1 << w) - 1
     reduced: List[Tuple[int, int]] = []  # (leading entry's place from the right, row)
@@ -144,8 +109,13 @@ def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                     v = f.row_add(v, f.row_scale(u, negs[dec[x]]))
             reduced.append((b, v))
     reduced.reverse()
-    rows = tuple(v for _, v in reduced) + (0,) * (m.nrows - len(reduced))
-    return Matrix.from_packed(f, ncols, rows), tuple(ncols - b for b, _ in reduced)
+    return tuple(v for _, v in reduced), tuple(ncols - b for b, _ in reduced)
+
+
+def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
+    """Reduced row echelon form, padded with zero rows to m's, and its pivot columns."""
+    rows, pivots = rref(m.field, m.packed, m.ncols)
+    return Matrix.from_packed(m.field, m.ncols, rows + (0,) * (m.nrows - len(rows))), pivots
 
 
 def _rref_shape(f: GF, lengths: Sequence[int], ncols: int):

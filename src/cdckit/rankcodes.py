@@ -5,10 +5,11 @@ split them into translate classes with two-level distance guarantees, and
 `fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
 two-block staircase shape that the multilevel inserts lift.  Their sizes
 are counted by the family spec in `bounds`, not here.  A word is the tuple
-of its packed rows (see `matrices`), and enumeration adds whole rows: a
+of its packed rows (`gf.pack_row`), and enumeration adds whole rows: a
 span's words are sums of the leading generators' multiples plus tabulated
-words.  Only `enumerate_code` hands out `Matrix` values, for the words it
-keeps under its rank cap; coset lists and FDRM words stay row tuples.
+words.  Only `enumerate_code` hands out `Matrix` views, for the words it
+keeps under its rank cap; coset lists and FDRM words stay row tuples, and
+the constructions lift them into codewords as rows, with no `Matrix`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
-from .gf import GF, field_modulus, gf, times_x, x_power
-from .matrices import Matrix, pack_row, rank_added, row_codes
+from .gf import GF, field_modulus, gf, pack_row, row_codes, times_x, x_power
+from .matrices import Matrix, rank_added
 
 
 def enumeration_limit() -> int:

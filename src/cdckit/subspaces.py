@@ -2,10 +2,11 @@
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal rows.  A `Subspace` holds its field, n, the packed
-rows of its RREF (see `matrices`) as a tuple, and their pivot columns;
+rows of its RREF (`gf.pack_row`) as a tuple, and their pivot columns;
 `Subspace.mat` makes a `Matrix` view on each read, for readers of entries.
 `codeword` is the one way a subspace is made from packed rows: rows given
-with their pivots are trusted to be in RREF, and any others are reduced.
+with their pivots are trusted to be in RREF, and any others are reduced
+by `matrices.rref` on the bare rows, with no `Matrix` made.
 The constructions do their own lifting: a linkage word's (U1 | M2) rows
 and a multilevel insert's rows beside the identity blocks of its
 special-form vector come with their pivots.  A `CDC` sorts its words by
@@ -31,10 +32,12 @@ keeps a record that is already in RREF as it is, and refuses a header
 that claims d < 1, which any two words would meet.  A file is written to
 and read from an open text file about 64 KiB at a time, so neither its
 whole text nor a list of its lines is held: at 10^6 words the text alone
-is over 100 MB.
+is over 100 MB.  The text as a str is written to and read from a
+`StringIO` by the same block loops.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
@@ -46,8 +49,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, 
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
-from .gf import GF, gf
-from .matrices import Matrix, mat_rref, pack_row, rank_added, row_codes, rref_pivots
+from .gf import GF, gf, pack_row, row_codes
+from .matrices import Matrix, rank_added, rref, rref_pivots
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
@@ -92,10 +95,10 @@ def codeword(f: GF, n: int, rows: Sequence[int],
     with their `pivots` are trusted to be in RREF with those pivot columns;
     any others are reduced, and rank-deficient rows are refused."""
     if pivots is None:
-        mat, pivots = mat_rref(Matrix.from_packed(f, n, rows))
-        if len(pivots) < mat.nrows:
+        reduced, pivots = rref(f, rows, n)
+        if len(reduced) < len(rows):
             raise ValueError("rows are linearly dependent")
-        rows = mat.packed
+        rows = reduced
     return Subspace(f, n, tuple(rows), pivots)
 
 
@@ -351,9 +354,8 @@ def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
     is written to it: the header line, then blocks of about 64 KiB of whole
     records, each record a blank line and its rows.  Each distinct row is
     rendered once."""
-    blocks: List[str] = []
-    write = blocks.append if out is None else out.write
-    write(f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}\n")
+    buffer = io.StringIO() if out is None else out
+    buffer.write(f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}\n")
     rendered: dict = {}
     # a record takes at most this many characters
     step = max(_BLOCK // (1 + code.k * code.n * (len(str(code.q - 1)) + 1)), 1)
@@ -367,22 +369,21 @@ def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
                     text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
                 lines.append(text)
             lines.append("")
-        write("\n".join(lines))
-    return "".join(blocks) if out is None else None
+        buffer.write("\n".join(lines))
+    return buffer.getvalue() if out is None else None
 
 
 def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
     """The lines of a str or of an open text file, as `split("\\n")` gives
-    them, in one list per block of 64 KiB, so neither a list of every line
-    nor a file's whole text is held.  A line met in pieces is joined once,
-    so a line of many blocks costs its length."""
+    them, in one list per block of 64 KiB read from it (a str through a
+    `StringIO`), so neither a list of every line nor a file's whole text is
+    held.  A line met in pieces is joined once, so a line of many blocks
+    costs its length."""
     if isinstance(source, str):
-        blocks: Iterable[str] = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
-    else:
-        blocks = iter(partial(source.read, _BLOCK), "")
+        source = io.StringIO(source)
     pieces: List[str] = []  # of the line that the last block left open
     try:
-        for block in blocks:
+        for block in iter(partial(source.read, _BLOCK), ""):
             lines = block.split("\n")
             pieces.append(lines[0])
             if len(lines) > 1:

@@ -8,6 +8,8 @@ distances, rank-nullity, field addition in GF(q^m)), and so do the
 whole-matrix helpers the package assembles without: zero and identity
 matrices, `mat_add`, `hstack`, `vstack`, `subspace_from_rows` (a matrix's
 row space through `codeword`) and the mixed-field guard `same_field`.
+`row_of` and `entry` read one row or entry of a `Matrix` view, decoded
+from its packed row by `gf.row_codes`.
 `rref_rows` is a per-entry Gaussian elimination through the field's scalar
 `add` and `mul`, `sub` (a plus the negative of b, from the field's `negs`)
 and the table of inverses `invs`, not the packed-row kernels it checks;
@@ -45,7 +47,7 @@ from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import FAMILIES, Family, _bounded, _exact_div, _lifted, insert_vectors
 from cdckit.constructions import _lifted_words
 from cdckit.counting import mrd_size
-from cdckit.gf import GF
+from cdckit.gf import GF, row_codes
 from cdckit.matrices import Matrix, mat_rank, mat_rref
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace, codeword
@@ -98,6 +100,16 @@ def rref_rows(field: GF, rows: List[List[int]], ncols: int) -> List[int]:
         if r == len(rows):
             break
     return pivots
+
+
+def row_of(m: Matrix, i: int) -> Tuple[int, ...]:
+    """The element codes of row i of m."""
+    return row_codes(m.field, m.packed[i], m.ncols)
+
+
+def entry(m: Matrix, r: int, c: int) -> int:
+    """The entry of m in row r and column c."""
+    return row_of(m, r)[c]
 
 
 def zero_matrix(field: GF, nrows: int, ncols: int) -> Matrix:
@@ -161,7 +173,7 @@ def transpose(m: Matrix) -> Matrix:
 
 def submatrix(m: Matrix, rows, cols) -> Matrix:
     rows, cols = list(rows), list(cols)
-    return Matrix(m.field, len(rows), len(cols), [m[r, c] for r in rows for c in cols])
+    return Matrix(m.field, len(rows), len(cols), [entry(m, r, c) for r in rows for c in cols])
 
 
 def oracle_rref(m: Matrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -187,7 +199,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch")
     out = [0] * (a.nrows * b.ncols)
     for i in range(a.nrows):
-        arow = a.row(i)
+        arow = row_of(a, i)
         for j in range(b.ncols):
             acc = 0
             for t, av in enumerate(arow):
@@ -208,7 +220,7 @@ def mat_kernel(m: Matrix) -> Matrix:
         v = [0] * t.ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = f.negs[red[r, fc]]
+            v[pc] = f.negs[entry(red, r, fc)]
         rows.append(v)
     if not rows:
         return Matrix(f, 0, m.nrows, ())
@@ -523,7 +535,7 @@ def ferrers_of(u: Subspace) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...
         p = u.pivots[i]
         cols = [c for c in range(p + 1, u.n) if c not in pivset]
         lengths.append(len(cols))
-        tableaux.append(tuple(m[i, c] for c in cols))
+        tableaux.append(tuple(entry(m, i, c) for c in cols))
     return tuple(lengths), tuple(tableaux)
 
 

@@ -318,6 +318,15 @@ def test_registry_subcommand(capsys):
     capsys.readouterr()
     assert main(["registry", "list"]) == 0
     assert "2 7 4 3 333" in capsys.readouterr().out
+    # a q that is not a prime power is refused as `count` and `bound` refuse it
+    for argv in (["registry", "get", "6", "8", "2", "4"], ["table", "--q", "6"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: 6 is not a prime power\n")
+    # a wrong count of integers is named as `count` names it
+    assert main(["registry", "get", "2", "8"]) == 2
+    assert capsys.readouterr() == ("", "get takes 4 integers, got 2\n")
+    assert main(["registry", "list", "5"]) == 2
+    assert capsys.readouterr() == ("", "list takes 0 integers, got 1\n")
 
 
 def test_verify_jobs_flag(tmp_path, capsys):
@@ -411,6 +420,11 @@ _BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--fa
 @pytest.mark.parametrize("argv, plan", [
     pytest.param(["count", "gauss", "4", "2", "1"], None, id="count-q1"),
     pytest.param(["count", "mrd", "6", "2", "2", "1"], None, id="count-q6"),
+    pytest.param(["registry", "get", "6", "8", "2", "4"], None, id="registry-get-q6"),
+    pytest.param(["registry", "get", "1", "8", "4", "4"], None, id="registry-get-q1"),
+    pytest.param(["registry", "get", "2", "8"], None, id="registry-get-arity"),
+    pytest.param(["registry", "list", "5"], None, id="registry-list-stray"),
+    pytest.param(["table", "--q", "6"], None, id="table-q6"),
     pytest.param(["bound", "--family", "linkage", "--q", "6", "--n", "8", "--d", "4",
                   "--k", "4", "--n1", "4"], None, id="bound-q6"),
     pytest.param(["bound", "--q", "2", "--n", "8", "--d", "4", "--k", "4"], None,

@@ -21,8 +21,7 @@ import random
 import pytest
 
 from cdckit.gf import _MR_EXACT_BELOW, _iroot, factor_prime_power, field_modulus, gf, \
-    is_irreducible, is_prime, times_x, x_power
-from cdckit.matrices import Matrix, row_codes
+    is_irreducible, is_prime, pack_row, row_codes, times_x, x_power
 from oracles import _MODULUS_TABLE, ExtField, MixedFields, ext_add, same_field, search_modulus, \
     sub, trial_factor_prime_power
 
@@ -113,7 +112,7 @@ def test_tables_match_independent_arithmetic(q):
     rng = random.Random(-q)
     for _ in range(40):
         a, c = [rng.randrange(q) for _ in range(9)], rng.randrange(q)
-        scaled = f.row_scale(Matrix(f, 1, 9, a).packed[0], c)
+        scaled = f.row_scale(pack_row(f, a), c)
         assert row_codes(f, scaled, 9) == tuple(f.mul(c, x) for x in a)
     if p > 2:
         # `row_add` on rows of one byte and of several (entries are 4 or 8
@@ -122,7 +121,7 @@ def test_tables_match_independent_arithmetic(q):
         for n in (1, 2, 3, 9):
             for _ in range(60):
                 a, b = ([rng.randrange(q) for _ in range(n)] for _ in "ab")
-                total = f.row_add(Matrix(f, 1, n, a).packed[0], Matrix(f, 1, n, b).packed[0])
+                total = f.row_add(pack_row(f, a), pack_row(f, b))
                 assert row_codes(f, total, n) == tuple(
                     sum((x // p**i + y // p**i) % p * p**i for i in range(e))
                     for x, y in zip(a, b))

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref_pivots
-from oracles import from_rows, hstack, identity_matrix, invert, mat_add, mat_kernel, mat_sub, \
-    matmul, oracle_rref, sub, vstack, zero_matrix
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref, rref_pivots
+from oracles import entry, from_rows, hstack, identity_matrix, invert, mat_add, mat_kernel, \
+    mat_sub, matmul, oracle_rref, row_of, sub, vstack, zero_matrix
 
 EXAMPLE_RREF = [
     [1, 1, 0, 0, 1, 1, 1],
@@ -57,9 +57,9 @@ def test_rref_pivot_contract():
         red, pivots = mat_rref(m)
         assert list(pivots) == sorted(pivots)
         for r, c in enumerate(pivots):
-            assert red[r, c] == 1
-            assert all(red[i, c] == 0 for i in range(red.nrows) if i != r)
-            assert all(red[r, j] == 0 for j in range(c))
+            assert entry(red, r, c) == 1
+            assert all(entry(red, i, c) == 0 for i in range(red.nrows) if i != r)
+            assert all(entry(red, r, j) == 0 for j in range(c))
 
 
 def test_rank_nullity():
@@ -78,10 +78,12 @@ def _det3(m):
         for x in xs:
             acc = f.mul(acc, x)
         return acc
-    pos = f.add(f.add(mul3(m[0, 0], m[1, 1], m[2, 2]), mul3(m[0, 1], m[1, 2], m[2, 0])),
-                mul3(m[0, 2], m[1, 0], m[2, 1]))
-    neg = f.add(f.add(mul3(m[0, 2], m[1, 1], m[2, 0]), mul3(m[0, 0], m[1, 2], m[2, 1])),
-                mul3(m[0, 1], m[1, 0], m[2, 2]))
+    def e(r, c):
+        return entry(m, r, c)
+    pos = f.add(f.add(mul3(e(0, 0), e(1, 1), e(2, 2)), mul3(e(0, 1), e(1, 2), e(2, 0))),
+                mul3(e(0, 2), e(1, 0), e(2, 1)))
+    neg = f.add(f.add(mul3(e(0, 2), e(1, 1), e(2, 0)), mul3(e(0, 0), e(1, 2), e(2, 1))),
+                mul3(e(0, 1), e(1, 0), e(2, 2)))
     return sub(f, pos, neg)
 
 
@@ -109,7 +111,7 @@ def test_kernel_contract():
     assert ker.rows() == [(1, 1)]
     # oracle: exhaust all 4 left-vectors
     hits = [v for v in ((0, 0), (0, 1), (1, 0), (1, 1))
-            if all(f.add(f.mul(v[0], m[0, c]), f.mul(v[1], m[1, c])) == 0
+            if all(f.add(f.mul(v[0], entry(m, 0, c)), f.mul(v[1], entry(m, 1, c))) == 0
                    for c in range(2))]
     assert hits == [(0, 0), (1, 1)]
 
@@ -177,15 +179,33 @@ def test_rank_added_returns_at_stop(q):
 
 
 def test_packed_rref_matches_generic_elimination():
-    # matrices reduce on packed rows; the per-entry elimination is the oracle
+    # matrices reduce on packed rows; the per-entry elimination is the oracle.
+    # `rref` gives the nonzero rows of bare packed rows, and `mat_rref` pads
+    # them with zero rows to the matrix's row count
     rng = random.Random(80)
-    for _ in range(300):
-        q = rng.choice((2, 2, 3, 4, 9))
-        m = _random_matrix(rng, q, rng.randrange(1, 7), rng.randrange(1, 80))
+    cases = [_random_matrix(rng, rng.choice((2, 2, 3, 4, 9)), rng.randrange(1, 7),
+                            rng.randrange(1, 80)) for _ in range(300)]
+    for q in (2, 3, 4, 5, 9, 16):
+        f = gf(q)
+        for _ in range(20):
+            m = _random_matrix(rng, q, rng.randrange(2, 6), rng.randrange(1, 12))
+            # a zero row and a combination of two rows, each at a random place
+            rows = list(m.packed)
+            rows.insert(rng.randrange(len(rows) + 1), 0)
+            rows.insert(rng.randrange(len(rows) + 1),
+                        f.row_add(f.row_scale(rows[0], rng.randrange(q)),
+                                  f.row_scale(rows[-1], rng.randrange(q))))
+            cases += [Matrix.from_packed(f, m.ncols, rows),
+                      Matrix(f, m.nrows, m.ncols, oracle_rref(m)[0]),  # already reduced
+                      zero_matrix(f, 3, m.ncols)]
+    for m in cases:
         entries, pivots = oracle_rref(m)
         red, packed_pivots = mat_rref(m)
         assert packed_pivots == pivots
         assert red.entries == entries
+        assert red.nrows == m.nrows and red.packed[len(pivots):] == (0,) * (m.nrows - len(pivots))
+        rows = Matrix(m.field, len(pivots), m.ncols, entries[:len(pivots) * m.ncols]).packed
+        assert rref(m.field, m.packed, m.ncols) == (rows, pivots)
 
 
 def test_packed_rows_round_trip_to_entries():
@@ -196,9 +216,14 @@ def test_packed_rows_round_trip_to_entries():
             m = _random_matrix(rng, q, 3, ncols)
             back = Matrix.from_packed(m.field, ncols, m.packed)
             assert back.entries == m.entries and back.packed == m.packed
+            assert back.rows() == m.rows() == [row_of(m, i) for i in range(3)]
+            assert back.nrows == m.nrows == 3
             assert mat_add(m, zero_matrix(gf(q), 3, ncols)).entries == m.entries
             assert hstack(m, back).entries == tuple(
-                x for i in range(3) for x in m.row(i) + m.row(i))
+                x for i in range(3) for x in row_of(m, i) + row_of(m, i))
+        empty, back = Matrix(gf(q), 0, 4, ()), Matrix.from_packed(gf(q), 4, ())
+        assert empty.entries == back.entries == () and empty.rows() == back.rows() == []
+        assert empty.nrows == back.nrows == 0
 
 
 def test_rref_pivots_recognizes_exactly_the_full_rank_rref():
@@ -218,7 +243,7 @@ def test_rref_pivots_recognizes_exactly_the_full_rank_rref():
         if full and q > 2:
             # a leading entry other than 1 is not RREF
             c = rng.randrange(2, q)
-            scaled = [f.mul(c, x) for x in red.row(0)] + list(entries[m.ncols:])
+            scaled = [f.mul(c, x) for x in row_of(red, 0)] + list(entries[m.ncols:])
             scaled = Matrix(f, m.nrows, m.ncols, scaled).packed
             assert rref_pivots(f, scaled, m.ncols, shapes) is None
 

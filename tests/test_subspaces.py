@@ -14,8 +14,8 @@ from cdckit import subspaces
 from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded
-from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref, pack_row, rank_added, row_codes
+from cdckit.gf import gf, pack_row, row_codes
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
@@ -56,9 +56,15 @@ def test_canonical_form_collapses_row_equivalence():
         for _ in range(60):
             u = _random_subspace(rng, q, 6, 3)
             t = _random_invertible(rng, q, 3)
-            v = subspace_from_rows(matmul(t, u.mat))
+            scrambled = matmul(t, u.mat)
+            v = subspace_from_rows(scrambled)
             assert (u.rows, u.pivots) == (v.rows, v.pivots)
             assert u.mat.entries == v.mat.entries
+            # a row in the span of the others, or a zero row, is refused
+            f, rows = u.field, scrambled.packed
+            for extra in (f.row_add(rows[0], f.row_scale(rows[-1], q - 1)), 0):
+                with pytest.raises(ValueError, match="^rows are linearly dependent$"):
+                    codeword(f, 6, rows + (extra,))
 
 
 def test_example_identifying_vector_and_ferrers():
