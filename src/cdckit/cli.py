@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -28,6 +29,8 @@ COUNT_MAX_BITS = 1 << 17
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error: one stderr line, exit 2
+        # a quoted value of over 30 characters (an int past 4,300 digits) is named by its length
+        message = re.sub(r"'([^']{31,})'", lambda m: f"a {len(m[1]):,}-character value", message)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
@@ -215,7 +218,9 @@ def _cmd_registry(args) -> int:
     if args.action == "list":
         sys.stdout.write(registry.to_text())
         return 0
-    factor_prime_power(args.args[0])  # q must be a prime power
+    q, n, _, k = args.args
+    factor_prime_power(q)  # q must be a prime power
+    _check_cap(q, k * (n - k), "a value of order q^(k(n-k))")  # at most [n choose k]_q
     value, source = registry.lookup(*args.args)
     print(f"{value} {source}")
     return 0

@@ -287,10 +287,10 @@ def times_x(f: GF, v: int, modulus: Sequence[int]) -> int:
     return v
 
 
-def x_power(e: int, f: GF, modulus: Sequence[int], v: int = 1) -> int:
-    """v x^e mod the modulus, v and the result rows as for `times_x` (the
-    row 1 is the polynomial 1), by square-and-multiply."""
-    square = 1 << f.width  # the row of x
+def x_power(e: int, f: GF, modulus: Sequence[int]) -> int:
+    """x^e mod the modulus, a row as for `times_x` (the row 1 is the
+    polynomial 1), by square-and-multiply."""
+    v, square = 1, 1 << f.width  # the rows of 1 and x
     while e:
         if e & 1:
             v = _times(f, v, square, modulus)

@@ -32,8 +32,8 @@ keeps a record that is already in RREF as it is, and refuses a header
 that claims d < 1, which any two words would meet.  A file is written to
 and read from an open text file about 64 KiB at a time, so neither its
 whole text nor a list of its lines is held: at 10^6 words the text alone
-is over 100 MB.  The text as a str is written to and read from a
-`StringIO` by the same block loops.
+is over 100 MB.  The text as a str is written through a `StringIO` by the
+same block loop, and read in 64 KiB slices of the str.
 """
 from __future__ import annotations
 
@@ -227,7 +227,8 @@ def verify_min_distance(
     if min(total_pairs, keys) > pair_limit():
         raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
                                 f"the limit {pair_limit()}")
-    best, witness = _collision_scan(code)
+    best, witness = (_min_pair(code, combinations(range(n_words), 2)) if total_pairs < keys
+                     else _collision_scan(code))
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
 
@@ -244,8 +245,8 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     keys a batch of words of one pivot tuple for one c.  A first pass finds
     a group's repeated keys; only then a second keys it again for their
     holders, and the first pair is the least (lowest, second-lowest) one.
-    The levels hold up to N * sum_t [k t]_q keys; when the N(N-1)/2 pairs
-    are fewer, they are compared instead.
+    The levels hold up to N * sum_t [k t]_q keys; the caller compares the
+    N(N-1)/2 pairs instead when they are fewer.
 
     Before any level below k is keyed, the first N pairs in i-major order
     give an upper bound m on the minimum and w, the first of them at
@@ -255,9 +256,7 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     m is the minimum; and every pair before w lies in the prefix at a
     distance above m, so w is the first pair at distance m.
     """
-    k, q, words = code.k, code.q, code.codewords
-    if 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) >= len(words):
-        return _min_pair(code, combinations(range(len(words)), 2))
+    k, words = code.k, code.codewords
     # level k: the words' own rows, and equal words sort together
     i = next((i for i in range(len(words) - 1) if words[i].rows == words[i + 1].rows), None)
     if i is not None:
@@ -332,14 +331,10 @@ def keys_of(f: GF, rows: List[Tuple[int, ...]], spec) -> List[int]:
     keys = [0] * len(rows)
     for r, s in places:
         keys = [key | g[r] << s for key, g in zip(keys, rows)]
-    if f.q == 2:  # a row's one nonzero multiple is itself, and XOR adds
-        for j, s in gens:
-            keys += [v ^ x for v, x in zip(keys, cycle([g[j] << s for g in rows]))]
-        return keys
-    add, scale = f.row_add, f.row_scale
     for j, s in gens:
-        multiples = [[scale(g[j] << s, c) for g in rows] for c in range(1, f.q)]
-        keys += [add(v, x) for m in multiples for v, x in zip(keys, cycle(m))]
+        shifted, before = [g[j] << s for g in rows], keys[:]  # shifted: the multiples by c = 1
+        for m in [shifted] + [[f.row_scale(x, c) for x in shifted] for c in range(2, f.q)]:
+            keys += map(f.row_add, before, cycle(m))  # c-major, then key index
     return keys
 
 
@@ -375,15 +370,15 @@ def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
 
 def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
     """The lines of a str or of an open text file, as `split("\\n")` gives
-    them, in one list per block of 64 KiB read from it (a str through a
-    `StringIO`), so neither a list of every line nor a file's whole text is
+    them, in one list per block of 64 KiB sliced from the str or read from
+    the file, so neither a list of every line nor a file's whole text is
     held.  A line met in pieces is joined once, so a line of many blocks
     costs its length."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    blocks = ((source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
+              if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""))
     pieces: List[str] = []  # of the line that the last block left open
     try:
-        for block in iter(partial(source.read, _BLOCK), ""):
+        for block in blocks:
             lines = block.split("\n")
             pieces.append(lines[0])
             if len(lines) > 1:

@@ -466,6 +466,7 @@ _BOUND_12_4_6 = ["bound", "--q", "2", "--n", "12", "--d", "4", "--k", "6", "--fa
                  id="bound-plan-huge-n"),
     pytest.param(["build", "--count-only", "--plan"], LINKAGE_PLAN.replace("n = 8", "n = 100000"),
                  id="build-plan-huge-n"),
+    pytest.param(["registry", "get", "2", "100000", "2", "50000"], None, id="registry-get-huge-n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
     # `plan` is the text of the file whose path ends argv (a CDC file for verify)
@@ -473,9 +474,11 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, plan):
         path = tmp_path / "bad.plan"
         path.write_text(plan)
         argv = argv + [str(path)]
+    t0 = time.monotonic()
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("argv", [["count", "gauss", "x"], ["verify"], ["bogus"],
@@ -545,6 +548,17 @@ def test_a_long_q_is_refused_in_one_short_line(capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and len(err) < 200, argv
         assert err == "error: a 4000-digit q is not a prime power\n"
+    # argparse refuses an int of over 4,300 digits before cdckit reads it
+    # (Python 3.10.7 on), and its message names the value by its length
+    n = "1" + "0" * 4999  # 10^4999
+    for argv in (["count", "mrd", n, "1", "1", "1"], ["bound", "--n", n],
+                 ["registry", "get", "2", n, "2", "4"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and len(err) < 200, argv
 
 
 def test_a_plan_value_longer_than_an_argv_int_is_refused_at_once(tmp_path, capsys):

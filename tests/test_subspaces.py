@@ -455,11 +455,13 @@ def test_verifier_matches_pairwise_oracle_over_fields(q):
     rng = random.Random(2020 + q)
     f = gf(q)
     codes = []
-    # a general code, k = 1, n < 2k, and one mostly at 2k; each once with so
-    # few words that its levels hold more keys than it has pairs, so pairs
-    # are compared, and once with enough words to key every level
+    # a general code, k = 1, n < 2k, and one mostly at 2k; each with so few
+    # words that its levels hold more keys than it has pairs, so pairs are
+    # compared, and with enough words to key every level: 2 sum_t [k t]_q
+    # words are the most that are compared, and one more is keyed
     for n, k in ((6, 3), (4, 1), (5, 3), (8, 2)):
-        for size in (4, 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1)) + 1):
+        most = 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1))
+        for size in (4, most, most + 1):
             words = [_random_subspace(rng, q, n, k) for _ in range(size)]
             codes.append(CDC(q, n, k, 2, words, strict=False))
     words = [_random_subspace(rng, q, 6, 2) for _ in range(9)]
@@ -977,10 +979,15 @@ def test_writing_a_file_holds_no_whole_text(link10, tmp_path):
 
 def test_parsing_a_file_holds_no_whole_text(link10, tmp_path):
     # read from the open file in 64 KiB blocks, the parse peaks little above
-    # the 4.89 MB code it keeps; the whole text held would add 3.3 MB
+    # the 4.89 MB code it keeps; the whole text held would add 3.3 MB.  The
+    # text as a str is read in 64 KiB slices, with no copy of it made
+    text = cdc_to_text(link10)
     path = tmp_path / "link10.cdc"
-    path.write_text(cdc_to_text(link10), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         code, retained, peak = _traced(lambda: cdc_from_text(fh))
+    assert len(code) == 33854
+    assert peak - retained < 1e6
+    code, retained, peak = _traced(lambda: cdc_from_text(text))
     assert len(code) == 33854
     assert peak - retained < 1e6
