@@ -31,6 +31,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error: one stderr line, exit 2
         # a quoted value of over 30 characters (an int past 4,300 digits) is named by its length
         message = re.sub(r"'([^']{31,})'", lambda m: f"a {len(m[1]):,}-character value", message)
+        # and so is an unquoted stray token of over 30 characters
+        stray = "unrecognized arguments: "
+        if message.startswith(stray):
+            message = stray + " ".join(t if len(t) <= 30 else f"a {len(t):,}-character argument"
+                                       for t in message[len(stray):].split(" "))
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 

@@ -81,7 +81,7 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
 _LOW_WORDS = 1 << 10  # at most this many words of the last generators' span are tabulated
 
 
-def _span_iter(field: GF, gens: Sequence[Tuple[int, ...]], nrows: int
+def span_iter(field: GF, gens: Sequence[Tuple[int, ...]], nrows: int
                ) -> Iterator[Tuple[int, ...]]:
     """The packed rows of all GF(q)-combinations in coefficient-counter
     order (deterministic): the first generator's coefficient changes
@@ -118,7 +118,7 @@ def enumerate_code(
             f"{code.cardinality} codewords exceed the {enumeration_limit()} limit"
         )
     f, b = code.field, code.b
-    for rows in _span_iter(f, code.generators, code.a):
+    for rows in span_iter(f, code.generators, code.a):
         if rank_cap is None or rank_added(f, [0] * (b + 1), rows) <= rank_cap:
             yield Matrix.from_packed(f, b, rows)
 
@@ -139,9 +139,9 @@ def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Tuple[i
     # generators are ordered by q-degree, so the subcode's basis is a prefix
     n_sub = max(a, b) * (min(a, b) - d_s + 1)
     f = ambient.field
-    sub = list(_span_iter(f, ambient.generators[:n_sub], a))
+    sub = list(span_iter(f, ambient.generators[:n_sub], a))
     cosets = [sorted(tuple(map(f.row_add, rep, m)) for m in sub)
-              for rep in _span_iter(f, ambient.generators[n_sub:], a)]
+              for rep in span_iter(f, ambient.generators[n_sub:], a)]
     cosets.sort()  # cosets are disjoint, so their least members decide
     return cosets
 

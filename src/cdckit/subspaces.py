@@ -25,15 +25,23 @@ the rows they may add, each shifted to its place in the key, for up to 128
 words of one pivot tuple at once; a group is keyed again, for holders, only
 where a pass at one bit per key finds a repeat.  For a code of N words, the
 first N pairs bound the minimum beforehand, and only the levels whose
-distance is below that bound are keyed.  The CDC file format
-renders and checks each distinct row once, checks the RREF of each
-record through a mask shared by every record of its rows' bit lengths,
-keeps a record that is already in RREF as it is, and refuses a header
-that claims d < 1, which any two words would meet.  A file is written to
-and read from an open text file about 64 KiB at a time, so neither its
-whole text nor a list of its lines is held: at 10^6 words the text alone
-is over 100 MB.  The text as a str is written through a `StringIO` by the
-same block loop, and read in 64 KiB slices of the str.
+distance is below that bound are keyed.  A pivot group, the words of one
+pivot tuple, is settled with no key when two facts show that none of its
+pairs lies below that bound.  Every other pivot set differs from its own
+in at least that many columns, and d(U, V) >= |P_U ^ P_V| for pivot sets
+P (Etzion and Silberstein, IEEE Trans. IT 2009, Lemma 2).  Its q^D words,
+each its rows end to end, are an affine space v0 + L with no nonzero
+element of rank below half the bound, and words of one pivot tuple lie
+2 rank(U - V) apart (Silva, Kschischang and Kotter, IEEE Trans. IT 2008).
+The CDC file format renders and checks each distinct row once, checks the
+RREF of each record through a mask shared by every record of its rows'
+bit lengths, keeps a record that is already in RREF as it is, and
+refuses a header that claims d < 1, which any two words would meet.  A
+file is written to and read from an open text file about 64 KiB at a
+time, so neither its whole text nor a list of its lines is held: at 10^6
+words the text alone is over 100 MB.  The text as a str is written
+through a `StringIO` by the same block loop, and read in 64 KiB slices of
+the str.
 """
 from __future__ import annotations
 
@@ -43,14 +51,15 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, cycle, islice
-from operator import attrgetter
+from itertools import chain, combinations, cycle, islice, product, repeat, tee
+from operator import attrgetter, lshift
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, gf, pack_row, row_codes
 from .matrices import Matrix, rank_added, rref, rref_pivots
+from .rankcodes import span_iter
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
@@ -255,17 +264,44 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     gives its result as before; if none does, no pair is closer than m, so
     m is the minimum; and every pair before w lies in the prefix at a
     distance above m, so w is the first pair at distance m.
+
+    A pivot group P is then removed before any level is keyed when it is
+    isolated, |P ^ Q| >= m for every other pivot tuple Q of the code, and
+    `_affine_clean` finds its q^D words an affine space v0 + L with no
+    nonzero element of rank below m/2.  This is exact.  d(U, V) >=
+    |P_U ^ P_V| (Etzion and Silberstein, "Error-correcting codes in
+    projective spaces via rank-metric codes and Ferrers diagrams", IEEE
+    Trans. IT 2009, Lemma 2), so no pair across the group is closer than m.
+    Two words of one pivot tuple lie at 2 rank(U - V), taken on their RREF
+    rows (Silva, Kschischang and Kotter, "A rank-metric approach to error
+    control in random network coding", IEEE Trans. IT 2008), so no pair
+    inside it is either.  No pair closer than m has a word in a removed
+    group, so every level finds the pairs it found with the group keyed.
     """
     k, words = code.k, code.codewords
     # level k: the words' own rows, and equal words sort together
     i = next((i for i in range(len(words) - 1) if words[i].rows == words[i + 1].rows), None)
     if i is not None:
         return 0, (i, i + 1)
-    best, witness = _min_pair(code, islice(combinations(range(len(words)), 2), len(words)))
+    # the first N pairs, (0, 1), ..., (0, N - 1), (1, 2), with no tuple of N
+    # indices, which `combinations` would make
+    n_words = len(words)
+    best, witness = _min_pair(code, islice(chain(zip(repeat(0), range(1, n_words)),
+                                                 zip(repeat(1), range(2, n_words))), n_words))
     f = words[0].field
     by_pivots: dict = {}
     for i, w in enumerate(words):
         by_pivots.setdefault(w.pivots, []).append(i)
+    if best >= 4:  # below 4 no level is keyed
+        # |P ^ Q| for pivot sets P and Q is the popcount of their masks' XOR
+        masks = {piv: sum(1 << c for c in piv) for piv in by_pivots}
+        for piv, held in list(by_pivots.items()):
+            dim = round(math.log(len(held), f.q))
+            if (dim and f.q ** dim == len(held)
+                    and all((masks[piv] ^ masks[other]).bit_count() >= best
+                            for other in masks if other != piv)
+                    and _affine_clean(code, held, dim, best)):
+                del by_pivots[piv]
     shift = code.n * f.width
 
     def level(t: int) -> Optional[Tuple[int, int]]:
@@ -317,6 +353,36 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
         if found is not None:
             return 2 * (k - t), found
     return best, witness
+
+
+def _affine_clean(code: CDC, held: List[int], dim: int, best: int) -> bool:
+    """Whether the q^dim words at `held`, distinct and of one pivot tuple,
+    form an affine space v0 + L with no pair closer than `best`.  A word's
+    vector v concatenates its RREF rows.  The differences of neighbours
+    span L and the words lie in v0 + L, so rank dim gives S = v0 + L.  Two
+    words of one pivot tuple are 2 rank(U - V) apart, so S is clean iff no
+    nonzero element of L has rank below best / 2.  At best = 4 that asks
+    whether a rank-1 u (x) v lies in L, with v off the pivot columns and u
+    led by a 1, when these are fewer than L's elements; else L is walked."""
+    f, k, n, words = code.codewords[0].field, code.k, code.n, code.codewords
+    q, places = f.q, [(k - 1 - r) * n * f.width for r in range(k)]
+    before, after = tee(sum(map(lshift, words[i].rows, places)) for i in held)
+    next(after)
+    basis = [0] * (k * n + 1)
+    diffs = map(f.row_add, after, map(f.row_scale, before, repeat(f.negs[1])))
+    if rank_added(f, basis, diffs, dim + 1) != dim:
+        return False
+    free, stop = [c for c in range(n) if c not in words[held[0]].pivots], best // 2
+    if stop == 2 and (q ** k - 1) // (q - 1) * (q ** len(free) - 1) < q ** dim:
+        leads = [u for u in product(range(q), repeat=k) if any(u) and next(filter(None, u)) == 1]
+        units = [(1 << (n - 1 - c) * f.width,) for c in free]  # a 1 at each free column
+        rank_one = (sum(f.row_scale(v, c) << s for c, s in zip(u, places))
+                    for (v,) in islice(span_iter(f, units, 1), 1, None) for u in leads)
+        return all(rank_added(f, basis[:], [x], 1) for x in rank_one)  # 1: x is outside L
+    mask = (1 << n * f.width) - 1
+    gens = [tuple(b >> s & mask for s in places) for b in basis if b]  # L's basis, as rows
+    return all(rank_added(f, [0] * (n + 1), rows, stop) == stop
+               for rows in islice(span_iter(f, gens, k), 1, None))  # after the zero word
 
 
 def keys_of(f: GF, rows: List[Tuple[int, ...]], spec) -> List[int]:

@@ -26,6 +26,9 @@ division up to sqrt(q), the reference for `factor_prime_power`.
 `lifted_with_vectors` pairs each lifted insert word of a cor43 or cor44
 tuple with the special-form vector it should lift on, for the identifying
 vector and insertion predicate checks.
+`settled_groups` names, by per-entry elimination, the pivot groups that
+exhaustive verification settles with no key: the reference for
+`subspaces._affine_clean` and the pivot test beside it.
 `row_by_row_keys` builds a word's t-subspace keys for one pivot choice a
 row at a time, each row the span of its free rows: the reference for
 `subspaces.keys_of`, which builds them for a batch of words at once.
@@ -472,6 +475,31 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     f = same_field(u.field, v.field)
     rows = [list(r) for r in u.mat.rows() + v.mat.rows()]
     return 2 * len(rref_rows(f, rows, u.n)) - u.k - v.k
+
+
+def settled_groups(code, best: int) -> set:
+    """The pivot tuples whose words exhaustive verification may leave
+    unkeyed once its first pairs bound the minimum at `best` >= 4: groups
+    of q^D words, D >= 1, whose pivot set is at symmetric difference
+    >= `best` from every other tuple of the code, whose entry vectors (rows
+    end to end) minus the first word's have rank D by `rref_rows`, so that
+    they are the first word plus that span, and whose differences from the
+    first word, as k x n matrices, have rank >= best / 2."""
+    f, k, n = code.codewords[0].field, code.k, code.n
+    groups: Dict[Tuple[int, ...], list] = {}
+    for w in code:
+        groups.setdefault(w.pivots, []).append([x for row in w.mat.rows() for x in row])
+    settled = set()
+    for piv, vectors in groups.items():
+        dim = round(math.log(len(vectors), f.q))
+        if dim < 1 or f.q ** dim != len(vectors) or any(
+                len(set(piv) ^ set(other)) < best for other in groups if other != piv):
+            continue
+        diffs = [[sub(f, x, y) for x, y in zip(v, vectors[0])] for v in vectors[1:]]
+        if all(len(rref_rows(f, [d[r * n:(r + 1) * n] for r in range(k)], n)) >= best // 2
+               for d in diffs) and len(rref_rows(f, [d[:] for d in diffs], k * n)) == dim:
+            settled.add(piv)
+    return settled
 
 
 def randrange_pairs(n_words: int, count: int, seed) -> List[Tuple[int, int]]:

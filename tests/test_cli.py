@@ -561,6 +561,22 @@ def test_a_long_q_is_refused_in_one_short_line(capsys):
         assert code == 2 and out == "" and len(err.splitlines()) == 1 and len(err) < 200, argv
 
 
+def test_a_long_stray_argument_is_named_by_its_length(capsys):
+    # argparse's refusal of stray arguments quotes none of them: a token of
+    # over 30 characters is named by its length, and shorter ones are kept
+    for argv, message in (
+            (["table", "1" * 5000], "a 5,000-character argument"),
+            (["table", "abc", "x" * 31, "y" * 30],
+             "abc a 31-character argument " + "y" * 30),
+            (["bound", "--family", "linkage", "extra"], "extra")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err == f"cdckit: error: unrecognized arguments: {message}\n"
+        assert len(err) < 200
+
+
 def test_a_plan_value_longer_than_an_argv_int_is_refused_at_once(tmp_path, capsys):
     # a random 100,000-bit q with no factor below 2^16 would stall the
     # prime-power test; a plan reads no value of over 4,300 digits, as argv

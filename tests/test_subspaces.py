@@ -6,7 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, count, islice
+from itertools import combinations, count, islice, product
 
 import pytest
 
@@ -17,13 +17,14 @@ from cdckit.errors import InvalidParameters, PairLimitExceeded
 from cdckit.gf import gf, pack_row, row_codes
 from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added
 from cdckit.registry import BaseBoundRegistry
-from cdckit.rankcodes import enumerate_code, gabidulin_mrd
+from cdckit.rankcodes import LinearRankCode, enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
     codeword, verify_min_distance
 from oracles import MULTILEVEL_TUPLES, AmbientMismatch, ferrers_of, first_minimum, from_rows, \
     hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
     lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, randrange_pairs, \
-    row_by_row_keys, special_form_vector, subspace_distance, subspace_from_rows, zero_matrix
+    row_by_row_keys, settled_groups, special_form_vector, subspace_distance, subspace_from_rows, \
+    zero_matrix
 from test_constructions import BENCH_PLANS
 from test_golden import PLANS as GOLDEN_PLANS
 
@@ -703,17 +704,33 @@ def test_prefix_bound_matches_pairwise_oracle(q):
                                    strict=False)).witness == (0, 1)
 
 
+def _swap_columns(rows, a, b, n):
+    """GF(2) packed rows with columns a and b swapped."""
+    x, y = n - 1 - a, n - 1 - b  # their bits
+    return [r & ~(1 << x | 1 << y) | (r >> x & 1) << y | (r >> y & 1) << x for r in rows]
+
+
 def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # the lifted 3 x 3 Gabidulin code of rank distance 2: 64 planes of
     # GF(2)^6, more than 2 * ([3 1]_2 + [3 2]_2 + [3 3]_2) = 30, at d = 4.
-    # Level k is read off the sorted words; at each level t < k a word is
-    # keyed once per pivot choice, in batches of the words of one pivot
-    # tuple, so a clean level t keys N * C(k, t) words
+    # It is one affine pivot group with no rank-1 difference, so it is
+    # settled with no key.  Its copy with columns 2 and 3 swapped, an
+    # isometry, splits into two pivot groups at symmetric difference 2, and
+    # neither is settled.  Level k is read off the sorted words; at each
+    # level t < k a word of a kept group is keyed once per pivot choice, in
+    # batches of the words of one pivot tuple, so a clean level t of the
+    # copy keys N * C(k, t) words
     k, d = 3, 4
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
     clean = CDC(2, 6, k, d, words)
-    w = clean.codewords
-    assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == d
+    swapped = CDC(2, 6, k, d, [codeword(gf(2), 6, _swap_columns(w.rows, 2, 3, 6))
+                               for w in words])
+    for code in (clean, swapped):
+        w = code.codewords
+        assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == d
+    assert settled_groups(clean, d) == {(0, 1, 2)}
+    assert {u.pivots for u in swapped} == {(0, 1, 2), (0, 1, 3)}
+    assert settled_groups(swapped, d) == set()
     # a planted word at distance 2 from the code, whose first pair at
     # distance 2 lies after the prefix
     f, keys = gf(2), {w.key() for w in words}
@@ -728,8 +745,8 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
                 if subspace_distance(b, v) == 2]
         if near and min(near) not in _prefix(len(planted)):
             break
-    oracle = {clean: _pairwise_oracle(clean), planted: _pairwise_oracle(planted)}
-    assert oracle[clean][0] == d and oracle[planted] == (2, min(near))
+    oracle = {code: _pairwise_oracle(code) for code in (clean, swapped, planted)}
+    assert oracle[clean][0] == oracle[swapped][0] == d and oracle[planted] == (2, min(near))
     calls = []
     keys_of = subspaces.keys_of
 
@@ -745,16 +762,19 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
         assert (report.min_found, report.witness) == oracle[code]
         return Counter(calls)
 
-    clean_calls, planted_calls = level_calls(clean), level_calls(planted)
+    clean_calls, planted_calls = level_calls(swapped), level_calls(planted)
+    assert level_calls(clean) == {}
     # no key at level k, nor at any level t <= k - d/2
-    assert clean_calls == {t: len(clean) * math.comb(k, t) for t in range(k - d // 2 + 1, k)}
+    assert clean_calls == {t: len(swapped) * math.comb(k, t) for t in range(k - d // 2 + 1, k)}
     assert set(planted_calls) == {k - 1}
     # the scan with its prefix bound at 2k keys every level down to the
-    # first that collides
+    # first that collides; the rank-2 differences of the Gabidulin code are
+    # below 2k / 2, so it is keyed as its copy is
     monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
     assert level_calls(planted) == planted_calls
-    forced = level_calls(clean)
+    forced = level_calls(swapped)
     assert set(forced) == set(range(1, k)) and forced[k - 1] == clean_calls[k - 1]
+    assert level_calls(clean) == forced
 
 
 def _random_rref(rng, q, n, k):
@@ -771,7 +791,11 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
     # every key list the scan builds, for every word and pivot choice at
     # every level below k, against the per-row product.  Each word's keys
     # are tagged with its index, so that no level collides, and the prefix
-    # bound is held at 2k, so that every level is keyed
+    # bound is held at 2k, so that every level is keyed.  The scan keys
+    # exactly the words of the groups it keeps, as `settled_groups` names
+    # them, and with no group settled, every word.  The lifted Gabidulin
+    # codes of the golden linkage plans at q >= 4 have k = 2 and no rank-1
+    # difference, so they are settled at 2k = 4
     rng = random.Random(2100 + q)
     codes = [run_plan(plan).cdc for plan in map(parse_plan, GOLDEN_PLANS.values())
              if plan.q == q]
@@ -782,8 +806,9 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
             w = _random_rref(rng, q, 6, k)
             words[w.rows] = w
         codes.append(CDC(q, 6, k, 2, words.values()))
-    keys_of = subspaces.keys_of
+    keys_of, affine_clean = subspaces.keys_of, subspaces._affine_clean
     monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
+    settled_any = False
     for code in codes:
         size, n, seen = len(code), code.n, set()
         index = {w.rows: i for i, w in enumerate(code)}
@@ -798,9 +823,18 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
             return [key * size + tags[x % len(rows)] for x, key in enumerate(keys)]
 
         monkeypatch.setattr(subspaces, "keys_of", tagged)
-        assert verify_min_distance(code).min_found == 2 * code.k
-        assert seen == {(i, c) for i in range(len(code)) for t in range(1, code.k)
-                        for c in combinations(range(code.k), t)}
+        settled = settled_groups(code, 2 * code.k)
+        settled_any |= bool(settled)
+        # a code with a settled group is keyed again with none settled
+        for rule in [affine_clean] + [lambda *args: False] * bool(settled):
+            monkeypatch.setattr(subspaces, "_affine_clean", rule)
+            seen.clear()
+            assert verify_min_distance(code).min_found == 2 * code.k
+            kept = [i for i, w in enumerate(code) if rule is not affine_clean
+                    or w.pivots not in settled]
+            assert seen == {(i, c) for i in kept for t in range(1, code.k)
+                            for c in combinations(range(code.k), t)}
+    assert settled_any == (q >= 4)
 
 
 @pytest.mark.parametrize("q, m", [(2, 8), (3, 5), (4, 4)])
@@ -896,6 +930,125 @@ def test_level_k_reads_equal_neighbours(q, monkeypatch):
         assert (report.min_found, report.witness) == _pairwise_oracle(code) == (0, (i, i + 1))
 
 
+def _lifts(f, k, m, mats):
+    """The words (I_k | A) of k x m matrices A, each a tuple of packed rows."""
+    n = k + m
+    return [codeword(f, n, [1 << (n - 1 - r) * f.width | x for r, x in enumerate(a)],
+                     tuple(range(k))) for a in mats]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
+    # lines of GF(q)^n, n = m + 2, in pivot group (0, 1), with the line X =
+    # <e2, e3> as word 0, at distance 4 from each of them and at pivot
+    # symmetric difference 4 = the prefix bound.  The groups: the lifted
+    # Gabidulin code of 2 x m matrices at rank distance 2, settled with no
+    # key; the lifts of the (a, a with its last two entries swapped), an
+    # affine space whose difference (e0, e0) has rank 1; the Gabidulin code
+    # one word short; that code with its middle word replaced by its last
+    # word with the last entry of row 1 changed, q^m words that are not
+    # affine; and the Gabidulin code beside a line Z on pivots (0, 2), at
+    # pivot symmetric difference 2, which meets one of its words.  Each
+    # minimum at 2 lies past the first N pairs, so level 1 is keyed: every
+    # word of a kept group is keyed, no word of a settled one
+    f, m = gf(q), 4 if q == 2 else 3
+    n = m + 2
+    gabidulin = [w.packed for w in enumerate_code(gabidulin_mrd(q, 2, m, 2))]
+    mask = (1 << f.width) - 1
+
+    def swapped(a):  # a with its last two entries swapped
+        low, high = a & mask, a >> f.width & mask
+        return a >> 2 * f.width << 2 * f.width | low << f.width | high
+
+    rank_one = [(a, swapped(a)) for a in
+                (pack_row(f, e) for e in product(range(q), repeat=m))]
+    x = codeword(f, n, [pack_row(f, [int(c == r) for c in range(n)]) for r in (2, 3)], (2, 3))
+    z = codeword(f, n, [pack_row(f, [1, q - 1] + [0] * m),
+                        pack_row(f, [0, 0, 1] + [0] * (m - 2) + [1])], (0, 2))
+    code = CDC(q, n, 2, 4, _lifts(f, 2, m, gabidulin))
+    gone, last = code.codewords[len(code) // 2], code.codewords[-1]
+    changed = codeword(f, n, (last.rows[0], f.row_add(last.rows[1], 1)), (0, 1))
+    short = [w for w in code if w is not gone]
+    cases = {  # words, the groups settled, and the minimum
+        "clean": (list(code) + [x], {(0, 1)}, 4),
+        "rank-1 difference": (_lifts(f, 2, m, rank_one) + [x], set(), 2),
+        "one word short": (short + [x], set(), 4),
+        "not affine": (short + [changed, x], set(), 2),
+        "pivots 2 apart": (list(code) + [x, z], set(), 2),
+    }
+    keys_of, keyed = subspaces.keys_of, set()
+
+    def watched(f, rows, spec):
+        keyed.update(rows)
+        return keys_of(f, rows, spec)
+
+    monkeypatch.setattr(subspaces, "keys_of", watched)
+    for name, (words, settled, least) in cases.items():
+        code = CDC(q, n, 2, 4, words)
+        w = code.codewords
+        assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1) and w[0] is x
+        assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == 4
+        assert settled_groups(code, 4) == settled, name
+        keyed.clear()
+        report = verify_min_distance(code)
+        assert (report.min_found, report.witness) == _pairwise_oracle(code)
+        assert report.min_found == least
+        assert keyed == {u.rows for u in w if u.pivots not in settled}, name
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
+    # `_affine_clean` on one pivot group against `settled_groups`, at the
+    # prefix bounds 4 and 6.  The groups: lifted Gabidulin codes of 2 x 3
+    # and 3 x 3 matrices at rank distance 2 and of 3 x 3 at rank distance 3;
+    # the 3 x 3 code at rank distance 2 with one generator replaced by a
+    # rank-1 matrix; the 2 x 3 code with one word replaced by another at
+    # rank distance 1 from a third, which is not affine; q^2 words of that
+    # code that are not affine; and seeded affine groups of 1 to 4
+    # dimensions.  Over GF(2) and GF(3) the 3 x 3 code at rank distance 2
+    # has more words than the rank-1 matrices off its pivots, so these are
+    # what is tested at 4; the others walk their space
+    f, rng = gf(q), random.Random(2800 + q)
+    gabidulin = {(k, d): [w.packed for w in enumerate_code(gabidulin_mrd(q, k, 3, d))]
+                 for k, d in ((2, 2), (3, 3), (3, 2))}
+    last = gabidulin[2, 2][-1]
+    planted = gabidulin_mrd(q, 3, 3, 2).generators[:-1] + [(1, 1, 0)]  # rank 1
+    groups = {  # name: (k, matrices, settled at 4 and at 6)
+        "2 x 3 at 2": (2, gabidulin[2, 2], (True, False)),
+        "3 x 3 at 3": (3, gabidulin[3, 3], (True, True)),
+        "rank-1 generator": (3, [w.packed for w in enumerate_code(
+            LinearRankCode(q, 3, 3, 1, planted))], (False, False)),
+        "not affine": (2, gabidulin[2, 2][1:] + [last[:-1] + (f.row_add(last[-1], 1),)],
+                       (False, False)),
+        # q^2 words at rank distance 2 or 3 whose differences span 3 dimensions
+        "clean, not affine": (2, gabidulin[2, 2][:q * q - 1] + [last], (False, False)),
+    }
+    if q < 4:  # 4,096 words over GF(4)
+        groups["3 x 3 at 2"] = (3, gabidulin[3, 2], (True, False))
+
+    def seeded(k):  # a k x 3 matrix
+        return tuple(pack_row(f, [rng.randrange(q) for _ in range(3)]) for _ in range(k))
+
+    for dim in (1, 2, 3, 4) * 3:
+        k = rng.choice((2, 3))
+        while True:
+            gens = [seeded(k) for _ in range(dim)]
+            mats = [w.packed for w in enumerate_code(LinearRankCode(q, k, 3, 1, gens))]
+            if len(set(mats)) == q ** dim:
+                break
+        offset = seeded(k)
+        groups[f"seeded {len(groups)}"] = (k, [tuple(map(f.row_add, a, offset)) for a in mats],
+                                           None)
+    for name, (k, mats, expected) in groups.items():
+        code = CDC(q, k + 3, k, 2, _lifts(f, k, 3, mats))
+        dim = round(math.log(len(code), q))
+        assert q ** dim == len(code)
+        settled = tuple(subspaces._affine_clean(code, list(range(len(code))), dim, best)
+                        for best in (4, 6))
+        assert settled == tuple(bool(settled_groups(code, best)) for best in (4, 6)), name
+        assert expected in (None, settled), name
+
+
 def _verify_lifted(m):
     """Exhaustive verification of the lifted Gabidulin (4 + m, 2^(3m), 4, 4)_2
     code of 4 x m matrices at rank distance 2: clean, and with a word planted
@@ -928,7 +1081,8 @@ def _verify_lifted(m):
 
 
 def test_exhaustive_verification_of_the_lifted_9_4_4_code():
-    # 32,768 words, at the scale where keying dominates
+    # 32,768 words in one affine pivot group, settled with no key; the
+    # planted copy's group of 32,769 words is keyed
     _verify_lifted(5)
 
 
@@ -952,6 +1106,41 @@ def test_exhaustive_verification_holds_no_group_of_keys():
         tracemalloc.stop()
     assert (report.min_found, report.witness) == (4, (0, 1))
     assert peak < 1.5e6
+
+
+def test_settling_a_pivot_group_holds_none_of_its_vectors():
+    # the 32,768-word lifted (9, ., 4, 4)_2 code is one affine pivot group,
+    # settled with no key.  Its vectors are streamed to the rank test, so
+    # the traced peak stays below 1.5 MB, about 1.2 MB of it the group's
+    # list of indices; a list of the vectors would add about 1.3 MB
+    words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 5, 2))]
+    code = CDC(2, 9, 4, 4, words)
+    report, _, peak = _traced(lambda: verify_min_distance(code))
+    assert (report.min_found, report.witness) == (4, (0, 1))
+    assert peak < 1.5e6
+
+
+@pytest.mark.long
+def test_exhaustive_verification_of_the_multiblocks_10_4_5_code(monkeypatch):
+    # the 1,178,824-word (10, ., 4, 5)_2 multiblocks code: its lifted
+    # Gabidulin part, 2^20 words of one pivot group, is settled with no key,
+    # and the other 130,248 words are keyed
+    monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "2000000")
+    code = run_plan(parse_plan("family = multiblocks\nq = 2\nn = 10\nd = 4\nk = 5\nn1 = 5\n"
+                               "a1 = 2\nb1 = 1\nb2 = 1\nt1 = 2\nt2 = 3\n")).cdc
+    assert len(code) == 1_178_824
+    affine_clean, settled = subspaces._affine_clean, []
+
+    def watched(code, held, dim, best):
+        found = affine_clean(code, held, dim, best)
+        settled.extend([len(held)] * found)
+        return found
+
+    monkeypatch.setattr(subspaces, "_affine_clean", watched)
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness, report.pairs_checked) == \
+        (4, (0, 1), 694_812_422_076)
+    assert settled == [2 ** 20]
 
 
 def _traced(fn):
