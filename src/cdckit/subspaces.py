@@ -12,10 +12,23 @@ and a multilevel insert's rows beside the identity blocks of its
 special-form vector come with their pivots.  A `CDC` sorts its words by
 their rows and finds duplicates as equal neighbours.
 
+Two facts bound a pair's distance from below.  For pivot sets P,
+d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
+Lemma 2), and words of one pivot tuple lie 2 rank(U - V) apart (Silva,
+Kschischang and Kotter, IEEE Trans. IT 2008).  So a pivot group, the
+words of one pivot tuple, is settled at a bound m when its q^D words, each
+its rows end to end, are distinct and an affine space v0 + L with no
+nonzero element of rank below m / 2: none of its pairs lies below m.
 A pair's distance 2*rank(stack) - dim U - dim V takes one elimination of
 V's rows against U's, which already form a reduced basis, and a pair stops
-once it cannot beat the running minimum.  Sampled verification draws its
-pairs by `getrandbits` with rejection, the same pairs `randrange` draws.
+once it cannot beat the running minimum.  A pair is skipped when it cannot
+lower that minimum: when its pivot sets differ in at least as many columns,
+or when both its words lie in a settled group.  A group of q^D words is
+tested once as many of its pairs have been computed, since the minimum
+last fell, as it has words, so the test at most doubles the work it can
+save; the groups' words are counted once as many pairs have been computed
+as the code has words.  Sampled verification draws its pairs by `getrandbits` with
+rejection, the same pairs `randrange` draws.
 Exhaustive verification instead finds the highest t at which two
 codewords share a t-subspace, and compares pairs only when they are fewer
 than the keys.  At t = k, equal words are sorted neighbours.  Below it,
@@ -25,14 +38,9 @@ the rows they may add, each shifted to its place in the key, for up to 128
 words of one pivot tuple at once; a group is keyed again, for holders, only
 where a pass at one bit per key finds a repeat.  For a code of N words, the
 first N pairs bound the minimum beforehand, and only the levels whose
-distance is below that bound are keyed.  A pivot group, the words of one
-pivot tuple, is settled with no key when two facts show that none of its
-pairs lies below that bound.  Every other pivot set differs from its own
-in at least that many columns, and d(U, V) >= |P_U ^ P_V| for pivot sets
-P (Etzion and Silberstein, IEEE Trans. IT 2009, Lemma 2).  Its q^D words,
-each its rows end to end, are an affine space v0 + L with no nonzero
-element of rank below half the bound, and words of one pivot tuple lie
-2 rank(U - V) apart (Silva, Kschischang and Kotter, IEEE Trans. IT 2008).
+distance is below that bound are keyed.  A group settled at that bound,
+whose pivot set differs from every other in at least that many columns,
+is not keyed; a group the first N pairs settled is not tested again.
 The CDC file format renders and checks each distinct row once, checks the
 RREF of each record through a mask shared by every record of its rows'
 bit lengths, keeps a record that is already in RREF as it is, and
@@ -49,9 +57,11 @@ import io
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, cycle, islice, product, repeat, tee
+from itertools import chain, combinations, compress, count, cycle, islice, product, repeat, \
+    takewhile, tee
 from operator import attrgetter, lshift
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -164,27 +174,82 @@ class VerifyReport:
         return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]]):
-    """Least distance over `pairs` and the first pair that reaches it."""
-    words, k = code.codewords, code.k
-    f, rows = words[0].field, [w.rows for w in words]
+class _Masks(dict):
+    """Pivot tuple -> the mask of its columns, made at its first lookup.
+    |P ^ Q| for pivot sets P and Q is the popcount of their masks' XOR."""
+
+    def __missing__(self, piv: Tuple[int, ...]) -> int:
+        mask = self[piv] = sum(1 << c for c in piv)
+        return mask
+
+
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], settled: Optional[set] = None):
+    """Least distance over `pairs` and the first pair that reaches it.
+
+    A pair is skipped when it cannot lower the running minimum `best`: when
+    its words' pivot sets differ in at least best columns, or when both lie
+    in one pivot group settled at best or above (the two facts of the module
+    docstring).  A skipped pair lies at best or more, so it could not
+    strictly lower it, and the result is the one every pair computed gives.
+    A group of q^D words, D >= 1, is tested by `_affine_clean` when best >= 4
+    and as many of its pairs have been computed since best last fell as it
+    has words; the test is about one pass over the group, so it at most
+    doubles the work it could save.  The groups' words are counted once as
+    many pairs have been computed as the code has words, so a sample far
+    smaller than the code pays nothing for the count.  A settled group
+    stays settled as best falls; the others count from 0 again.  `settled`
+    holds the settled pivot tuples and may be shared with the caller."""
+    words, k, q = code.codewords, code.k, code.q
+    f = words[0].field
     w = f.width
     zero = [0] * (code.n + 1)
-    best, witness = math.inf, None
+    masks = _Masks()
+    sizes: Optional[Counter] = None  # each group's words, counted once needed
+    counts: dict = {}  # each group's pairs computed since best last fell; None once tested
+    settled = set() if settled is None else settled
+    computed, best, witness = 0, math.inf, None
     stop = k + 1  # best / 2: a pair that adds this many of V's rows cannot win
     for i, j in pairs:
+        u, v = words[i], words[j]
+        piv = u.pivots
+        if piv == v.pivots:
+            if piv in settled:
+                continue
+            seen = counts.get(piv, 0)
+            if seen is not None:
+                counts[piv] = seen = seen + 1
+                if sizes is not None and seen >= sizes[piv]:
+                    counts[piv] = None  # one test at each best
+                    size = sizes[piv]
+                    dim = round(math.log(size, q))
+                    if (best >= 4 and dim and q ** dim == size
+                            and _affine_clean(code, _group(words, piv), dim, best)):
+                        settled.add(piv)
+                        continue
+        elif (masks[piv] ^ masks[v.pivots]).bit_count() >= best:
+            continue
+        computed += 1
+        if computed == len(words):  # the count costs less than these pairs did
+            sizes = Counter(map(attrgetter("pivots"), words))
         # d(U, V) = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
         # are in RREF with leading 1s, so each goes straight into the basis
         # slot of its leading entry, and only V's rows are reduced
         basis = zero[:]
-        for row in rows[i]:
+        for row in u.rows:
             basis[(row.bit_length() + w - 1) // w] = row
-        added = rank_added(f, basis, rows[j], stop)
+        added = rank_added(f, basis, v.rows, stop)
         if added < stop:
             best, witness, stop = 2 * added, (i, j), added
             if added == 0:
                 break
+            counts = {}
     return best, witness
+
+
+def _group(words: List[Subspace], piv: Tuple[int, ...]) -> Iterator[int]:
+    """The indices of the words on pivot tuple `piv`, in order, streamed:
+    a group settled by `_affine_clean` is never listed."""
+    return compress(count(), map(piv.__eq__, map(attrgetter("pivots"), words)))
 
 
 def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
@@ -268,7 +333,8 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     A pivot group P is then removed before any level is keyed when it is
     isolated, |P ^ Q| >= m for every other pivot tuple Q of the code, and
     `_affine_clean` finds its q^D words an affine space v0 + L with no
-    nonzero element of rank below m/2.  This is exact.  d(U, V) >=
+    nonzero element of rank below m/2, or the first N pairs settled it at
+    a bound no lower than m.  This is exact.  d(U, V) >=
     |P_U ^ P_V| (Etzion and Silberstein, "Error-correcting codes in
     projective spaces via rank-metric codes and Ferrers diagrams", IEEE
     Trans. IT 2009, Lemma 2), so no pair across the group is closer than m.
@@ -286,22 +352,27 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     # the first N pairs, (0, 1), ..., (0, N - 1), (1, 2), with no tuple of N
     # indices, which `combinations` would make
     n_words = len(words)
+    settled: set = set()  # the groups the prefix settles, not tested again at its bound
     best, witness = _min_pair(code, islice(chain(zip(repeat(0), range(1, n_words)),
-                                                 zip(repeat(1), range(2, n_words))), n_words))
+                                                 zip(repeat(1), range(2, n_words))), n_words),
+                              settled)
+    if best < 4:  # no level below k lies below the bound
+        return best, witness
     f = words[0].field
-    by_pivots: dict = {}
+    sizes, masks = Counter(map(attrgetter("pivots"), words)), _Masks()
+    by_pivots: dict = {}  # the word indices of each group that is keyed
+    for piv, size in sizes.items():
+        dim = round(math.log(size, f.q))
+        if (dim and f.q ** dim == size
+                and all((masks[piv] ^ masks[other]).bit_count() >= best
+                        for other in sizes if other != piv)
+                and (piv in settled or _affine_clean(code, _group(words, piv), dim, best))):
+            continue  # no pair closer than best has a word in it
+        by_pivots[piv] = []
     for i, w in enumerate(words):
-        by_pivots.setdefault(w.pivots, []).append(i)
-    if best >= 4:  # below 4 no level is keyed
-        # |P ^ Q| for pivot sets P and Q is the popcount of their masks' XOR
-        masks = {piv: sum(1 << c for c in piv) for piv in by_pivots}
-        for piv, held in list(by_pivots.items()):
-            dim = round(math.log(len(held), f.q))
-            if (dim and f.q ** dim == len(held)
-                    and all((masks[piv] ^ masks[other]).bit_count() >= best
-                            for other in masks if other != piv)
-                    and _affine_clean(code, held, dim, best)):
-                del by_pivots[piv]
+        held = by_pivots.get(w.pivots)
+        if held is not None:
+            held.append(i)
     shift = code.n * f.width
 
     def level(t: int) -> Optional[Tuple[int, int]]:
@@ -355,24 +426,32 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     return best, witness
 
 
-def _affine_clean(code: CDC, held: List[int], dim: int, best: int) -> bool:
-    """Whether the q^dim words at `held`, distinct and of one pivot tuple,
-    form an affine space v0 + L with no pair closer than `best`.  A word's
-    vector v concatenates its RREF rows.  The differences of neighbours
-    span L and the words lie in v0 + L, so rank dim gives S = v0 + L.  Two
-    words of one pivot tuple are 2 rank(U - V) apart, so S is clean iff no
-    nonzero element of L has rank below best / 2.  At best = 4 that asks
-    whether a rank-1 u (x) v lies in L, with v off the pivot columns and u
-    led by a 1, when these are fewer than L's elements; else L is walked."""
+def _affine_clean(code: CDC, held: Iterable[int], dim: int, best: int) -> bool:
+    """Whether the q^dim words at the increasing indices `held`, of one
+    pivot tuple, are distinct and form an affine space v0 + L with no pair
+    closer than `best`.  A word's vector v concatenates its RREF rows.  The
+    differences of neighbours span L and the words lie in v0 + L, so rank
+    dim and no zero difference (sorted, equal words are neighbours) give
+    S = v0 + L.  Two words of one pivot tuple are 2 rank(U - V) apart, so S
+    is clean iff no nonzero element of L has rank below best / 2.  At best
+    = 4 that asks whether a rank-1 u (x) v lies in L, with v off the pivot
+    columns and u led by a 1, when these are fewer than L's elements; else
+    L is walked.  The vectors are streamed, so none is held."""
     f, k, n, words = code.codewords[0].field, code.k, code.n, code.codewords
     q, places = f.q, [(k - 1 - r) * n * f.width for r in range(k)]
-    before, after = tee(sum(map(lshift, words[i].rows, places)) for i in held)
+    held = iter(held)
+    first = next(held)
+    before, after = tee(sum(map(lshift, words[i].rows, places)) for i in chain((first,), held))
     next(after)
     basis = [0] * (k * n + 1)
-    diffs = map(f.row_add, after, map(f.row_scale, before, repeat(f.negs[1])))
-    if rank_added(f, basis, diffs, dim + 1) != dim:
+    if f.negs[1] != 1:  # -1 = 1 in characteristic 2
+        before = map(f.row_scale, before, repeat(f.negs[1]))
+    # a zero difference, a repeated word, ends `takewhile` before the closing 0
+    diffs = chain(map(f.row_add, after, before), (0,))
+    rank = rank_added(f, basis, takewhile(bool, diffs), dim + 1)
+    if rank != dim or next(diffs, None) is not None:
         return False
-    free, stop = [c for c in range(n) if c not in words[held[0]].pivots], best // 2
+    free, stop = [c for c in range(n) if c not in words[first].pivots], best // 2
     if stop == 2 and (q ** k - 1) // (q - 1) * (q ** len(free) - 1) < q ** dim:
         leads = [u for u in product(range(q), repeat=k) if any(u) and next(filter(None, u)) == 1]
         units = [(1 << (n - 1 - c) * f.width,) for c in free]  # a 1 at each free column

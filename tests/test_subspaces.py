@@ -770,7 +770,7 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # the scan with its prefix bound at 2k keys every level down to the
     # first that collides; the rank-2 differences of the Gabidulin code are
     # below 2k / 2, so it is keyed as its copy is
-    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, settled: (2 * code.k, (0, 1)))
     assert level_calls(planted) == planted_calls
     forced = level_calls(swapped)
     assert set(forced) == set(range(1, k)) and forced[k - 1] == clean_calls[k - 1]
@@ -807,7 +807,7 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
             words[w.rows] = w
         codes.append(CDC(q, 6, k, 2, words.values()))
     keys_of, affine_clean = subspaces.keys_of, subspaces._affine_clean
-    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs: (2 * code.k, (0, 1)))
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, settled: (2 * code.k, (0, 1)))
     settled_any = False
     for code in codes:
         size, n, seen = len(code), code.n, set()
@@ -997,6 +997,91 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
+def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
+    # lines of GF(q)^n, n = m + 2, from the lifted Gabidulin code of 2 x m
+    # matrices at rank distance 2: q^m words in pivot group (0, 1), each
+    # pair at distance 4.  Four versions: clean; with a line on pivots
+    # (0, 2), at pivot symmetric difference 2, so its pairs are computed;
+    # with a word replaced by the middle word with the last entry of its
+    # last row changed, at distance 2 from it; and with a word replaced by
+    # a copy of the middle word.  Each group keeps its q^m words, so it is
+    # tested once about q^m of its pairs are computed.  At sample counts
+    # below and above that, every report is the oracle's over randrange's
+    # pairs
+    f, m = gf(q), 4 if q == 2 else 3
+    n = m + 2
+    lifted = _lifts(f, 2, m, [w.packed for w in enumerate_code(gabidulin_mrd(q, 2, m, 2))])
+    size = len(lifted)
+    middle = lifted[size // 2]
+    near = codeword(f, n, [pack_row(f, [1, q - 1] + [0] * m),
+                           pack_row(f, [0, 0, 1] + [0] * (m - 2) + [1])], (0, 2))
+    planted = codeword(f, n, (middle.rows[0], f.row_add(middle.rows[1], 1)), (0, 1))
+    versions = {
+        "clean": lifted,
+        "near": lifted + [near],
+        "planted": lifted[1:] + [planted],
+        "duplicate": lifted[1:] + [middle],
+    }
+    affine_clean, tested = subspaces._affine_clean, set()
+
+    def watched(code, held, dim, best):
+        found = affine_clean(code, held, dim, best)
+        tested.add((name, found))
+        return found
+
+    monkeypatch.setattr(subspaces, "_affine_clean", watched)
+    for name, words in versions.items():
+        code = CDC(q, n, 2, 4, words, strict=False)
+        w, dist = code.codewords, {}
+        for seed in range(6):
+            pairs = randrange_pairs(len(w), 3 * size, seed)
+            dists = [dist.get(p) or dist.setdefault(p, subspace_distance(w[p[0]], w[p[1]]))
+                     for p in pairs]
+            for count in range(1, 3 * size + 1):
+                report = verify_min_distance(code, mode="sample", sample_count=count, seed=seed)
+                assert (report.min_found, report.witness) == \
+                    first_minimum(dists[:count], pairs[:count]), (name, seed, count)
+    # the clean group is settled, beside the near line too; a group with a
+    # planted or a repeated word is tested and kept
+    assert tested == {("clean", True), ("near", True), ("planted", False),
+                      ("duplicate", False)}
+
+
+def test_a_repeated_word_keeps_its_affine_group_unsettled():
+    # the (4, 4, 4, 2)_2 file with records [I|0], [I|I], [I|J], [I|J], J =
+    # [[0, 1], [1, 1]]: four words of one pivot tuple whose differences
+    # span {0, I, J, I + J}, with no element of rank 1, yet two of them are
+    # equal.  The group is not settled, so the pair of equal words is
+    # computed: d = 0 at (1, 2), exhaustively and over 5,000 draws
+    code = cdc_from_text("CDC 2 4 2 4 4\n\n1 0 0 0\n0 1 0 0\n\n1 0 1 0\n0 1 0 1\n\n"
+                         "1 0 0 1\n0 1 1 1\n\n1 0 0 1\n0 1 1 1\n")
+    assert [w.rows for w in code] == [(8, 4), (9, 7), (9, 7), (10, 5)]
+    assert not subspaces._affine_clean(code, range(4), 2, 4)
+    for report in (verify_min_distance(code),
+                   verify_min_distance(code, mode="sample", sample_count=5000, seed=1)):
+        assert (report.min_found, report.witness) == (0, (1, 2))
+
+
+def test_sampled_verification_computes_few_draws(monkeypatch):
+    # 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code, one
+    # affine pivot group at d = 4: once 4,096 of its pairs are computed, the
+    # group is settled (one rank test and 225 rank-1 tests), and no other
+    # draw is eliminated
+    code = CDC(2, 8, 4, 4, [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))])
+    assert len(code) == 4096
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rank_added(*args)
+
+    monkeypatch.setattr(subspaces, "rank_added", counted)
+    report = verify_min_distance(code, mode="sample", sample_count=200_000, seed=1)
+    assert report.min_found == 4
+    assert len(calls) <= 4096 + 226 + 100  # about 2.2 % of the draws
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
     # `_affine_clean` on one pivot group against `settled_groups`, at the
     # prefix bounds 4 and 6.  The groups: lifted Gabidulin codes of 2 x 3
@@ -1110,14 +1195,15 @@ def test_exhaustive_verification_holds_no_group_of_keys():
 
 def test_settling_a_pivot_group_holds_none_of_its_vectors():
     # the 32,768-word lifted (9, ., 4, 4)_2 code is one affine pivot group,
-    # settled with no key.  Its vectors are streamed to the rank test, so
-    # the traced peak stays below 1.5 MB, about 1.2 MB of it the group's
-    # list of indices; a list of the vectors would add about 1.3 MB
+    # settled with no key.  Its indices and vectors are streamed to the
+    # rank test, so the traced peak stays below 0.1 MB (about 17 KB); a
+    # list of the vectors would add about 1.3 MB, and a list of the
+    # indices about 1.2 MB
     words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 5, 2))]
     code = CDC(2, 9, 4, 4, words)
     report, _, peak = _traced(lambda: verify_min_distance(code))
     assert (report.min_found, report.witness) == (4, (0, 1))
-    assert peak < 1.5e6
+    assert peak < 0.1e6
 
 
 @pytest.mark.long
@@ -1132,6 +1218,7 @@ def test_exhaustive_verification_of_the_multiblocks_10_4_5_code(monkeypatch):
     affine_clean, settled = subspaces._affine_clean, []
 
     def watched(code, held, dim, best):
+        held = list(held)  # the first N pairs may settle the group from a stream
         found = affine_clean(code, held, dim, best)
         settled.extend([len(held)] * found)
         return found
