@@ -15,19 +15,24 @@ their rows and finds duplicates as equal neighbours.
 Two facts bound a pair's distance from below.  For pivot sets P,
 d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
 Lemma 2), and words of one pivot tuple lie 2 rank(U - V) apart (Silva,
-Kschischang and Kotter, IEEE Trans. IT 2008).  So a pivot group, the
-words of one pivot tuple, is settled at a bound m when its q^D words, each
-its rows end to end, are distinct and an affine space v0 + L with no
-nonzero element of rank below m / 2: none of its pairs lies below m.
+Kschischang and Kotter, IEEE Trans. IT 2008).  The words of one pivot
+tuple form a pivot group.  Each verification indexes its groups once,
+pivot tuple -> [the mask of its columns, its word count, its state], and
+every step reads that one index.  A group's state is the count of its
+inner pairs computed since the running minimum m last fell, None once it
+is tested at m, or True once it is settled.  A group is tested, by
+`_affine_clean`, when m >= 4 and its count reaches its word count, so the
+test, about one pass over the group, at most doubles the work it can save.
+It is settled when its q^D words, D >= 1, each its rows end to end, are
+distinct and an affine space v0 + L with no nonzero element of rank below
+m / 2: none of its pairs lies below m, and it stays settled as m falls.
+A group is isolated when its pivot set differs from every other in at
+least m columns: none of its cross pairs lies below m.
 A pair's distance 2*rank(stack) - dim U - dim V takes one elimination of
 V's rows against U's, which already form a reduced basis, and a pair stops
-once it cannot beat the running minimum.  A pair is skipped when it cannot
-lower that minimum: when its pivot sets differ in at least as many columns,
-or when both its words lie in a settled group.  A group of q^D words is
-tested once as many of its pairs have been computed, since the minimum
-last fell, as it has words, so the test at most doubles the work it can
-save; the groups' words are counted once as many pairs have been computed
-as the code has words.  Sampled verification draws its pairs by `getrandbits` with
+once it cannot beat m.  A pair is skipped when it cannot lower m: when its
+pivot sets differ in at least m columns, or when both its words lie in a
+settled group.  Sampled verification draws its pairs by `getrandbits` with
 rejection, the same pairs `randrange` draws.
 Exhaustive verification instead finds the highest t at which two
 codewords share a t-subspace, and compares pairs only when they are fewer
@@ -38,9 +43,8 @@ the rows they may add, each shifted to its place in the key, for up to 128
 words of one pivot tuple at once; a group is keyed again, for holders, only
 where a pass at one bit per key finds a repeat.  For a code of N words, the
 first N pairs bound the minimum beforehand, and only the levels whose
-distance is below that bound are keyed.  A group settled at that bound,
-whose pivot set differs from every other in at least that many columns,
-is not keyed; a group the first N pairs settled is not tested again.
+distance is below that bound are keyed, and an isolated group settled at
+that bound is not keyed.
 The CDC file format renders and checks each distinct row once, checks the
 RREF of each record through a mask shared by every record of its rows'
 bit lengths, keeps a record that is already in RREF as it is, and
@@ -60,8 +64,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, count, cycle, islice, product, repeat, \
-    takewhile, tee
+from itertools import chain, combinations, compress, cycle, islice, product, repeat, takewhile, tee
 from operator import attrgetter, lshift
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -174,63 +177,41 @@ class VerifyReport:
         return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-class _Masks(dict):
-    """Pivot tuple -> the mask of its columns, made at its first lookup.
-    |P ^ Q| for pivot sets P and Q is the popcount of their masks' XOR."""
-
-    def __missing__(self, piv: Tuple[int, ...]) -> int:
-        mask = self[piv] = sum(1 << c for c in piv)
-        return mask
+def _pivot_groups(code: CDC) -> dict:
+    """The pivot-group index of the module docstring: pivot tuple -> [the
+    mask of its columns, its word count, its state], counted in one pass."""
+    return {piv: [sum(1 << c for c in piv), size, 0]
+            for piv, size in Counter(map(attrgetter("pivots"), code.codewords)).items()}
 
 
-def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], settled: Optional[set] = None):
-    """Least distance over `pairs` and the first pair that reaches it.
-
-    A pair is skipped when it cannot lower the running minimum `best`: when
-    its words' pivot sets differ in at least best columns, or when both lie
-    in one pivot group settled at best or above (the two facts of the module
-    docstring).  A skipped pair lies at best or more, so it could not
-    strictly lower it, and the result is the one every pair computed gives.
-    A group of q^D words, D >= 1, is tested by `_affine_clean` when best >= 4
-    and as many of its pairs have been computed since best last fell as it
-    has words; the test is about one pass over the group, so it at most
-    doubles the work it could save.  The groups' words are counted once as
-    many pairs have been computed as the code has words, so a sample far
-    smaller than the code pays nothing for the count.  A settled group
-    stays settled as best falls; the others count from 0 again.  `settled`
-    holds the settled pivot tuples and may be shared with the caller."""
-    words, k, q = code.codewords, code.k, code.q
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: dict):
+    """Least distance over `pairs` and the first pair that reaches it.  A
+    pair that cannot lower the running minimum is skipped, and the groups
+    of the pivot-group index `groups` are tested and settled, by the rule
+    of the module docstring, so the result is the one every pair gives."""
+    words, k = code.codewords, code.k
     f = words[0].field
     w = f.width
     zero = [0] * (code.n + 1)
-    masks = _Masks()
-    sizes: Optional[Counter] = None  # each group's words, counted once needed
-    counts: dict = {}  # each group's pairs computed since best last fell; None once tested
-    settled = set() if settled is None else settled
-    computed, best, witness = 0, math.inf, None
+    best, witness = math.inf, None
     stop = k + 1  # best / 2: a pair that adds this many of V's rows cannot win
     for i, j in pairs:
         u, v = words[i], words[j]
         piv = u.pivots
+        group = groups[piv]
         if piv == v.pivots:
-            if piv in settled:
+            seen = group[2]
+            if seen is True:
                 continue
-            seen = counts.get(piv, 0)
             if seen is not None:
-                counts[piv] = seen = seen + 1
-                if sizes is not None and seen >= sizes[piv]:
-                    counts[piv] = None  # one test at each best
-                    size = sizes[piv]
-                    dim = round(math.log(size, q))
-                    if (best >= 4 and dim and q ** dim == size
-                            and _affine_clean(code, _group(words, piv), dim, best)):
-                        settled.add(piv)
+                group[2] = seen = seen + 1
+                if seen == group[1]:  # one test at each best
+                    group[2] = None
+                    if best >= 4 and _affine_clean(code, piv, seen, best):
+                        group[2] = True
                         continue
-        elif (masks[piv] ^ masks[v.pivots]).bit_count() >= best:
+        elif (group[0] ^ groups[v.pivots][0]).bit_count() >= best:
             continue
-        computed += 1
-        if computed == len(words):  # the count costs less than these pairs did
-            sizes = Counter(map(attrgetter("pivots"), words))
         # d(U, V) = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
         # are in RREF with leading 1s, so each goes straight into the basis
         # slot of its leading entry, and only V's rows are reduced
@@ -242,14 +223,10 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], settled: Optional[set
             best, witness, stop = 2 * added, (i, j), added
             if added == 0:
                 break
-            counts = {}
+            for g in groups.values():
+                if g[2] is not True:  # a settled group stays settled
+                    g[2] = 0
     return best, witness
-
-
-def _group(words: List[Subspace], piv: Tuple[int, ...]) -> Iterator[int]:
-    """The indices of the words on pivot tuple `piv`, in order, streamed:
-    a group settled by `_affine_clean` is never listed."""
-    return compress(count(), map(piv.__eq__, map(attrgetter("pivots"), words)))
 
 
 def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
@@ -293,20 +270,21 @@ def verify_min_distance(
     total_pairs = n_words * (n_words - 1) // 2
     if n_words < 2:
         return VerifyReport(math.inf, None, 0, mode, seed)
+    groups = _pivot_groups(code)
     if mode == "sample":
-        best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed))
+        best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), groups)
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
     keys = n_words * sum(gauss_binomial(code.k, t, code.q) for t in range(1, code.k + 1))
     if min(total_pairs, keys) > pair_limit():
         raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
                                 f"the limit {pair_limit()}")
-    best, witness = (_min_pair(code, combinations(range(n_words), 2)) if total_pairs < keys
-                     else _collision_scan(code))
+    best, witness = (_min_pair(code, combinations(range(n_words), 2), groups)
+                     if total_pairs < keys else _collision_scan(code, groups))
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
 
-def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
+def _collision_scan(code: CDC, groups: dict) -> Tuple[int, Tuple[int, int]]:
     """Minimum distance of a code with two or more words, and the
     lexicographically first pair at that distance.
 
@@ -330,19 +308,12 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     m is the minimum; and every pair before w lies in the prefix at a
     distance above m, so w is the first pair at distance m.
 
-    A pivot group P is then removed before any level is keyed when it is
-    isolated, |P ^ Q| >= m for every other pivot tuple Q of the code, and
-    `_affine_clean` finds its q^D words an affine space v0 + L with no
-    nonzero element of rank below m/2, or the first N pairs settled it at
-    a bound no lower than m.  This is exact.  d(U, V) >=
-    |P_U ^ P_V| (Etzion and Silberstein, "Error-correcting codes in
-    projective spaces via rank-metric codes and Ferrers diagrams", IEEE
-    Trans. IT 2009, Lemma 2), so no pair across the group is closer than m.
-    Two words of one pivot tuple lie at 2 rank(U - V), taken on their RREF
-    rows (Silva, Kschischang and Kotter, "A rank-metric approach to error
-    control in random network coding", IEEE Trans. IT 2008), so no pair
-    inside it is either.  No pair closer than m has a word in a removed
-    group, so every level finds the pairs it found with the group keyed.
+    A pivot group of the index `groups` is then removed before any level
+    is keyed when it is isolated and settled at m, by the rule of the
+    module docstring.  This is exact: no pair closer than m has a word in a
+    removed group, so every level finds the pairs it found with the group
+    keyed.  The first N pairs test no group: the first of them sets m, and
+    fewer than S inner pairs of a group of S words follow it among them.
     """
     k, words = code.k, code.codewords
     # level k: the words' own rows, and equal words sort together
@@ -352,21 +323,16 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     # the first N pairs, (0, 1), ..., (0, N - 1), (1, 2), with no tuple of N
     # indices, which `combinations` would make
     n_words = len(words)
-    settled: set = set()  # the groups the prefix settles, not tested again at its bound
     best, witness = _min_pair(code, islice(chain(zip(repeat(0), range(1, n_words)),
                                                  zip(repeat(1), range(2, n_words))), n_words),
-                              settled)
+                              groups)
     if best < 4:  # no level below k lies below the bound
         return best, witness
     f = words[0].field
-    sizes, masks = Counter(map(attrgetter("pivots"), words)), _Masks()
     by_pivots: dict = {}  # the word indices of each group that is keyed
-    for piv, size in sizes.items():
-        dim = round(math.log(size, f.q))
-        if (dim and f.q ** dim == size
-                and all((masks[piv] ^ masks[other]).bit_count() >= best
-                        for other in sizes if other != piv)
-                and (piv in settled or _affine_clean(code, _group(words, piv), dim, best))):
+    for piv, g in groups.items():
+        if (all((g[0] ^ h[0]).bit_count() >= best for h in groups.values() if h is not g)
+                and _affine_clean(code, piv, g[1], best)):
             continue  # no pair closer than best has a word in it
         by_pivots[piv] = []
     for i, w in enumerate(words):
@@ -426,22 +392,24 @@ def _collision_scan(code: CDC) -> Tuple[int, Tuple[int, int]]:
     return best, witness
 
 
-def _affine_clean(code: CDC, held: Iterable[int], dim: int, best: int) -> bool:
-    """Whether the q^dim words at the increasing indices `held`, of one
-    pivot tuple, are distinct and form an affine space v0 + L with no pair
+def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool:
+    """Whether the `size` words on pivot tuple `piv` are settled at `best`:
+    q^D of them, D >= 1, distinct and an affine space v0 + L with no pair
     closer than `best`.  A word's vector v concatenates its RREF rows.  The
     differences of neighbours span L and the words lie in v0 + L, so rank
-    dim and no zero difference (sorted, equal words are neighbours) give
+    D and no zero difference (sorted, equal words are neighbours) give
     S = v0 + L.  Two words of one pivot tuple are 2 rank(U - V) apart, so S
     is clean iff no nonzero element of L has rank below best / 2.  At best
     = 4 that asks whether a rank-1 u (x) v lies in L, with v off the pivot
     columns and u led by a 1, when these are fewer than L's elements; else
-    L is walked.  The vectors are streamed, so none is held."""
+    L is walked.  The words and vectors are streamed, so none is held."""
     f, k, n, words = code.codewords[0].field, code.k, code.n, code.codewords
     q, places = f.q, [(k - 1 - r) * n * f.width for r in range(k)]
-    held = iter(held)
-    first = next(held)
-    before, after = tee(sum(map(lshift, words[i].rows, places)) for i in chain((first,), held))
+    dim = round(math.log(size, q))
+    if dim < 1 or q ** dim != size:
+        return False
+    group = compress(words, map(piv.__eq__, map(attrgetter("pivots"), words)))
+    before, after = tee(sum(map(lshift, w.rows, places)) for w in group)
     next(after)
     basis = [0] * (k * n + 1)
     if f.negs[1] != 1:  # -1 = 1 in characteristic 2
@@ -451,7 +419,7 @@ def _affine_clean(code: CDC, held: Iterable[int], dim: int, best: int) -> bool:
     rank = rank_added(f, basis, takewhile(bool, diffs), dim + 1)
     if rank != dim or next(diffs, None) is not None:
         return False
-    free, stop = [c for c in range(n) if c not in words[first].pivots], best // 2
+    free, stop = [c for c in range(n) if c not in piv], best // 2
     if stop == 2 and (q ** k - 1) // (q - 1) * (q ** len(free) - 1) < q ** dim:
         leads = [u for u in product(range(q), repeat=k) if any(u) and next(filter(None, u)) == 1]
         units = [(1 << (n - 1 - c) * f.width,) for c in free]  # a 1 at each free column

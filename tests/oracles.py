@@ -28,7 +28,8 @@ tuple with the special-form vector it should lift on, for the identifying
 vector and insertion predicate checks.
 `settled_groups` names, by per-entry elimination, the pivot groups that
 exhaustive verification settles with no key: the reference for
-`subspaces._affine_clean` and the pivot test beside it.
+`subspaces._affine_clean`, which tests one group by its pivot tuple and
+word count, and for the isolation test beside it in the scan.
 `row_by_row_keys` builds a word's t-subspace keys for one pivot choice a
 row at a time, each row the span of its free rows: the reference for
 `subspaces.keys_of`, which builds them for a batch of words at once.

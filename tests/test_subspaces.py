@@ -770,7 +770,7 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # the scan with its prefix bound at 2k keys every level down to the
     # first that collides; the rank-2 differences of the Gabidulin code are
     # below 2k / 2, so it is keyed as its copy is
-    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, settled: (2 * code.k, (0, 1)))
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, groups: (2 * code.k, (0, 1)))
     assert level_calls(planted) == planted_calls
     forced = level_calls(swapped)
     assert set(forced) == set(range(1, k)) and forced[k - 1] == clean_calls[k - 1]
@@ -807,7 +807,7 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
             words[w.rows] = w
         codes.append(CDC(q, 6, k, 2, words.values()))
     keys_of, affine_clean = subspaces.keys_of, subspaces._affine_clean
-    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, settled: (2 * code.k, (0, 1)))
+    monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, groups: (2 * code.k, (0, 1)))
     settled_any = False
     for code in codes:
         size, n, seen = len(code), code.n, set()
@@ -1000,14 +1000,16 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
 def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
     # lines of GF(q)^n, n = m + 2, from the lifted Gabidulin code of 2 x m
     # matrices at rank distance 2: q^m words in pivot group (0, 1), each
-    # pair at distance 4.  Four versions: clean; with a line on pivots
+    # pair at distance 4.  Five versions: clean; with a line on pivots
     # (0, 2), at pivot symmetric difference 2, so its pairs are computed;
     # with a word replaced by the middle word with the last entry of its
-    # last row changed, at distance 2 from it; and with a word replaced by
-    # a copy of the middle word.  Each group keeps its q^m words, so it is
-    # tested once about q^m of its pairs are computed.  At sample counts
-    # below and above that, every report is the oracle's over randrange's
-    # pairs
+    # last row changed, at distance 2 from it; with a word replaced by a
+    # copy of the middle word; and with that changed word added, q^m + 1
+    # words, a group that is never settled.  Each other group keeps its q^m
+    # words, so it is tested once about q^m of its pairs are computed.  At
+    # sample counts below and above that, every report is the oracle's over
+    # randrange's pairs, and the exhaustive report of the group of q^m + 1
+    # words is the oracle's over all pairs
     f, m = gf(q), 4 if q == 2 else 3
     n = m + 2
     lifted = _lifts(f, 2, m, [w.packed for w in enumerate_code(gabidulin_mrd(q, 2, m, 2))])
@@ -1021,11 +1023,12 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
         "near": lifted + [near],
         "planted": lifted[1:] + [planted],
         "duplicate": lifted[1:] + [middle],
+        "one word over": lifted + [planted],
     }
     affine_clean, tested = subspaces._affine_clean, set()
 
-    def watched(code, held, dim, best):
-        found = affine_clean(code, held, dim, best)
+    def watched(code, piv, size, best):
+        found = affine_clean(code, piv, size, best)
         tested.add((name, found))
         return found
 
@@ -1041,10 +1044,15 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
                 report = verify_min_distance(code, mode="sample", sample_count=count, seed=seed)
                 assert (report.min_found, report.witness) == \
                     first_minimum(dists[:count], pairs[:count]), (name, seed, count)
+    code = CDC(q, n, 2, 4, versions["one word over"], strict=False)
+    w, pairs = code.codewords, list(combinations(range(len(code)), 2))
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness) == \
+        first_minimum([subspace_distance(w[i], w[j]) for i, j in pairs], pairs)
     # the clean group is settled, beside the near line too; a group with a
-    # planted or a repeated word is tested and kept
+    # planted or a repeated word, or of q^m + 1 words, is tested and kept
     assert tested == {("clean", True), ("near", True), ("planted", False),
-                      ("duplicate", False)}
+                      ("duplicate", False), ("one word over", False)}
 
 
 def test_a_repeated_word_keeps_its_affine_group_unsettled():
@@ -1056,7 +1064,7 @@ def test_a_repeated_word_keeps_its_affine_group_unsettled():
     code = cdc_from_text("CDC 2 4 2 4 4\n\n1 0 0 0\n0 1 0 0\n\n1 0 1 0\n0 1 0 1\n\n"
                          "1 0 0 1\n0 1 1 1\n\n1 0 0 1\n0 1 1 1\n")
     assert [w.rows for w in code] == [(8, 4), (9, 7), (9, 7), (10, 5)]
-    assert not subspaces._affine_clean(code, range(4), 2, 4)
+    assert not subspaces._affine_clean(code, (0, 1), 4, 4)
     for report in (verify_min_distance(code),
                    verify_min_distance(code, mode="sample", sample_count=5000, seed=1)):
         assert (report.min_found, report.witness) == (0, (1, 2))
@@ -1079,6 +1087,49 @@ def test_sampled_verification_computes_few_draws(monkeypatch):
     report = verify_min_distance(code, mode="sample", sample_count=200_000, seed=1)
     assert report.min_found == 4
     assert len(calls) <= 4096 + 226 + 100  # about 2.2 % of the draws
+
+
+def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
+    # each `_affine_clean` call, and whether the pair loop or the scan made
+    # it: over 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code,
+    # and in the exhaustive verification of the (8, 4690, 4, 4)_2
+    # multilevel_II code, no group is tested twice at one running minimum,
+    # and each settles its 4,096-word lifted Gabidulin group at 4.  With a
+    # word added at distance 2 from one of its words, the group of 4,097
+    # words is tested at 4 and kept, and its inner pairs are computed, but
+    # it is not tested again.  The first N pairs of the exhaustive scan test
+    # no group, so the scan tests none they settled: the first of them sets
+    # the minimum, and fewer than S inner pairs of a group of S words follow
+    # it among them
+    affine_clean, min_pair, calls, phase = subspaces._affine_clean, subspaces._min_pair, [], [""]
+
+    def watched(code, piv, size, best):
+        found = affine_clean(code, piv, size, best)
+        calls.append((phase[0], piv, best, found))
+        return found
+
+    def paired(code, pairs, groups):
+        phase[0] = "pairs"
+        found = min_pair(code, pairs, groups)
+        phase[0] = "scan"  # the scan tests only after its first N pairs
+        return found
+
+    monkeypatch.setattr(subspaces, "_affine_clean", watched)
+    monkeypatch.setattr(subspaces, "_min_pair", paired)
+    words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))]
+    u = words[len(words) // 2]
+    over = codeword(u.field, 8, u.rows[:-1] + (u.rows[-1] ^ 1,), u.pivots)  # last entry flipped
+    golden = run_plan(parse_plan(GOLDEN_PLANS["multilevel_II_q2"])).cdc.codewords
+    sampled = {"mode": "sample", "sample_count": 200_000, "seed": 1}
+    runs = {"sampled": (words, sampled, "pairs", True),
+            "one word over": (words + [over], sampled, "pairs", False),
+            "exhaustive": (golden, {}, "scan", True)}
+    for name, (code_words, options, step, settled) in runs.items():
+        calls.clear()
+        assert verify_min_distance(CDC(2, 8, 4, 4, code_words), **options).min_found == 4
+        assert max(Counter((piv, best) for _, piv, best, _ in calls).values()) == 1, name
+        assert {s for s, _, _, _ in calls} == {step}, name
+        assert (step, (0, 1, 2, 3), 4, settled) in calls, name
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -1126,9 +1177,9 @@ def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
                                            None)
     for name, (k, mats, expected) in groups.items():
         code = CDC(q, k + 3, k, 2, _lifts(f, k, 3, mats))
-        dim = round(math.log(len(code), q))
-        assert q ** dim == len(code)
-        settled = tuple(subspaces._affine_clean(code, list(range(len(code))), dim, best)
+        assert q ** round(math.log(len(code), q)) == len(code)
+        assert len({w.pivots for w in code}) == 1
+        settled = tuple(subspaces._affine_clean(code, code.codewords[0].pivots, len(code), best)
                         for best in (4, 6))
         assert settled == tuple(bool(settled_groups(code, best)) for best in (4, 6)), name
         assert expected in (None, settled), name
@@ -1217,10 +1268,9 @@ def test_exhaustive_verification_of_the_multiblocks_10_4_5_code(monkeypatch):
     assert len(code) == 1_178_824
     affine_clean, settled = subspaces._affine_clean, []
 
-    def watched(code, held, dim, best):
-        held = list(held)  # the first N pairs may settle the group from a stream
-        found = affine_clean(code, held, dim, best)
-        settled.extend([len(held)] * found)
+    def watched(code, piv, size, best):
+        found = affine_clean(code, piv, size, best)
+        settled.extend([size] * found)
         return found
 
     monkeypatch.setattr(subspaces, "_affine_clean", watched)
