@@ -21,9 +21,9 @@ pivot tuple -> [the mask of its columns, its word count, its state], and
 every step reads that one index.  A group's state is the count of its
 inner pairs computed since the running minimum m last fell, None once it
 is tested at m, or True once it is settled.  A group is tested, by
-`_affine_clean`, when m >= 4 and its count reaches its word count, so the
-test, about one pass over the group, at most doubles the work it can save.
-It is settled when its q^D words, D >= 1, each its rows end to end, are
+`_affine_clean`, when its count reaches its word count, so the test, about
+one pass over the group, at most doubles the work it can save.  It is
+settled when its q^D words, D >= 1, each its rows end to end, are
 distinct and an affine space v0 + L with no nonzero element of rank below
 m / 2: none of its pairs lies below m, and it stays settled as m falls.
 A group is isolated when its pivot set differs from every other in at
@@ -72,7 +72,6 @@ from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, gf, pack_row, row_codes
 from .matrices import Matrix, rank_added, rref, rref_pivots
-from .rankcodes import span_iter
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
@@ -207,7 +206,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: dict):
                 group[2] = seen = seen + 1
                 if seen == group[1]:  # one test at each best
                     group[2] = None
-                    if best >= 4 and _affine_clean(code, piv, seen, best):
+                    if _affine_clean(code, piv, seen, best):
                         group[2] = True
                         continue
         elif (group[0] ^ groups[v.pivots][0]).bit_count() >= best:
@@ -398,15 +397,16 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     closer than `best`.  A word's vector v concatenates its RREF rows.  The
     differences of neighbours span L and the words lie in v0 + L, so rank
     D and no zero difference (sorted, equal words are neighbours) give
-    S = v0 + L.  Two words of one pivot tuple are 2 rank(U - V) apart, so S
-    is clean iff no nonzero element of L has rank below best / 2.  At best
-    = 4 that asks whether a rank-1 u (x) v lies in L, with v off the pivot
-    columns and u led by a 1, when these are fewer than L's elements; else
-    L is walked.  The words and vectors are streamed, so none is held."""
+    S = v0 + L.  Words of one pivot tuple lie 2 rank(U - V) apart, so S is
+    clean iff no nonzero element of L has its columns in an r-dimensional
+    W, r = best / 2 - 1: iff, for each W, L's basis stays independent of
+    the matrices that put an RREF row of W down a column off the pivots.
+    That is [k r]_q rank tests at any |L|, so a tiny group at large k and q
+    costs more than a walk of L did.  The words and vectors are streamed."""
     f, k, n, words = code.codewords[0].field, code.k, code.n, code.codewords
     q, places = f.q, [(k - 1 - r) * n * f.width for r in range(k)]
-    dim = round(math.log(size, q))
-    if dim < 1 or q ** dim != size:
+    dim, r = round(math.log(size, q)), (best - 1) // 2  # r: the highest rank below best / 2
+    if dim < 1 or q ** dim != size or r >= k:  # at r >= k, every element is of rank r or less
         return False
     group = compress(words, map(piv.__eq__, map(attrgetter("pivots"), words)))
     before, after = tee(sum(map(lshift, w.rows, places)) for w in group)
@@ -419,17 +419,16 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     rank = rank_added(f, basis, takewhile(bool, diffs), dim + 1)
     if rank != dim or next(diffs, None) is not None:
         return False
-    free, stop = [c for c in range(n) if c not in piv], best // 2
-    if stop == 2 and (q ** k - 1) // (q - 1) * (q ** len(free) - 1) < q ** dim:
-        leads = [u for u in product(range(q), repeat=k) if any(u) and next(filter(None, u)) == 1]
-        units = [(1 << (n - 1 - c) * f.width,) for c in free]  # a 1 at each free column
-        rank_one = (sum(f.row_scale(v, c) << s for c, s in zip(u, places))
-                    for (v,) in islice(span_iter(f, units, 1), 1, None) for u in leads)
-        return all(rank_added(f, basis[:], [x], 1) for x in rank_one)  # 1: x is outside L
-    mask = (1 << n * f.width) - 1
-    gens = [tuple(b >> s & mask for s in places) for b in basis if b]  # L's basis, as rows
-    return all(rank_added(f, [0] * (n + 1), rows, stop) == stop
-               for rows in islice(span_iter(f, gens, k), 1, None))  # after the zero word
+    free = [(n - 1 - c) * f.width for c in range(n) if c not in piv]  # a free column's shift
+    for c in combinations(range(k), r):
+        # W's RREF rows, down the last column: a 1 at pivot c_p, any entries right of it off c
+        right = [[places[j] for j in range(cp + 1, k) if j not in c] for cp in c]
+        each = [[sum(map(lshift, e, s), 1 << places[cp]) for e in product(f.enc, repeat=len(s))]
+                for cp, s in zip(c, right)]
+        for down in product(*each):
+            if rank_added(f, basis[:], [x << s for x in down for s in free]) < r * len(free):
+                return False  # L meets the matrices whose columns lie in W
+    return True
 
 
 def keys_of(f: GF, rows: List[Tuple[int, ...]], spec) -> List[int]:

@@ -480,7 +480,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
 
 def settled_groups(code, best: int) -> set:
     """The pivot tuples whose words exhaustive verification may leave
-    unkeyed once its first pairs bound the minimum at `best` >= 4: groups
+    unkeyed once its first pairs bound the minimum at `best`: groups
     of q^D words, D >= 1, whose pivot set is at symmetric difference
     >= `best` from every other tuple of the code, whose entry vectors (rows
     end to end) minus the first word's have rank D by `rref_rows`, so that

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from itertools import combinations, count, islice, product
 import pytest
 
 from cdckit import subspaces
+from cdckit.bounds import FAMILIES, load_table_manifest
 from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded
@@ -1005,11 +1007,13 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
     # with a word replaced by the middle word with the last entry of its
     # last row changed, at distance 2 from it; with a word replaced by a
     # copy of the middle word; and with that changed word added, q^m + 1
-    # words, a group that is never settled.  Each other group keeps its q^m
-    # words, so it is tested once about q^m of its pairs are computed.  At
-    # sample counts below and above that, every report is the oracle's over
-    # randrange's pairs, and the exhaustive report of the group of q^m + 1
-    # words is the oracle's over all pairs
+    # words, a group that is never settled.  A sixth is a d = 2 lifted code:
+    # the q^m lifts of the 2 x m matrices with a zero second row, each pair
+    # at distance 2, settled at 2.  Each other group keeps its q^m words,
+    # so it is tested once about q^m of its pairs are computed.  At sample
+    # counts below and above that, every report is the oracle's over
+    # randrange's pairs, and the exhaustive reports of the group of q^m + 1
+    # words and of the d = 2 code are the oracle's over all pairs
     f, m = gf(q), 4 if q == 2 else 3
     n = m + 2
     lifted = _lifts(f, 2, m, [w.packed for w in enumerate_code(gabidulin_mrd(q, 2, m, 2))])
@@ -1024,6 +1028,7 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
         "planted": lifted[1:] + [planted],
         "duplicate": lifted[1:] + [middle],
         "one word over": lifted + [planted],
+        "d = 2": _lifts(f, 2, m, [(pack_row(f, e), 0) for e in product(range(q), repeat=m)]),
     }
     affine_clean, tested = subspaces._affine_clean, set()
 
@@ -1044,15 +1049,17 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
                 report = verify_min_distance(code, mode="sample", sample_count=count, seed=seed)
                 assert (report.min_found, report.witness) == \
                     first_minimum(dists[:count], pairs[:count]), (name, seed, count)
-    code = CDC(q, n, 2, 4, versions["one word over"], strict=False)
-    w, pairs = code.codewords, list(combinations(range(len(code)), 2))
-    report = verify_min_distance(code)
-    assert (report.min_found, report.witness) == \
-        first_minimum([subspace_distance(w[i], w[j]) for i, j in pairs], pairs)
-    # the clean group is settled, beside the near line too; a group with a
-    # planted or a repeated word, or of q^m + 1 words, is tested and kept
+    for name in ("one word over", "d = 2"):
+        code = CDC(q, n, 2, 4, versions[name], strict=False)
+        w, pairs = code.codewords, list(combinations(range(len(code)), 2))
+        report = verify_min_distance(code)
+        assert (report.min_found, report.witness) == \
+            first_minimum([subspace_distance(w[i], w[j]) for i, j in pairs], pairs), name
+    # the clean group is settled, beside the near line too, and the d = 2
+    # group at 2; a group with a planted or a repeated word, or of q^m + 1
+    # words, is tested and kept
     assert tested == {("clean", True), ("near", True), ("planted", False),
-                      ("duplicate", False), ("one word over", False)}
+                      ("duplicate", False), ("one word over", False), ("d = 2", True)}
 
 
 def test_a_repeated_word_keeps_its_affine_group_unsettled():
@@ -1073,8 +1080,8 @@ def test_a_repeated_word_keeps_its_affine_group_unsettled():
 def test_sampled_verification_computes_few_draws(monkeypatch):
     # 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code, one
     # affine pivot group at d = 4: once 4,096 of its pairs are computed, the
-    # group is settled (one rank test and 225 rank-1 tests), and no other
-    # draw is eliminated
+    # group is settled (one rank test, then one for each of the [4 1]_2 = 15
+    # lines of GF(2)^4), and no other draw is eliminated
     code = CDC(2, 8, 4, 4, [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))])
     assert len(code) == 4096
     calls = []
@@ -1086,7 +1093,7 @@ def test_sampled_verification_computes_few_draws(monkeypatch):
     monkeypatch.setattr(subspaces, "rank_added", counted)
     report = verify_min_distance(code, mode="sample", sample_count=200_000, seed=1)
     assert report.min_found == 4
-    assert len(calls) <= 4096 + 226 + 100  # about 2.2 % of the draws
+    assert len(calls) <= 4096 + 16 + 100  # about 2.1 % of the draws
 
 
 def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
@@ -1132,35 +1139,57 @@ def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
         assert (step, (0, 1, 2, 3), 4, settled) in calls, name
 
 
+def test_a_group_test_costs_one_rank_test_per_low_rank_space(link10, monkeypatch):
+    # the rank tests of `_affine_clean`: one for the group's affinity, then
+    # one for each r-dimensional W of GF(q)^k, r = best / 2 - 1, whatever
+    # the group's size.  link10's 32,768-word lifted Gabidulin group (k = 4)
+    # at 4 takes 1 + [4 1]_2 = 16 of them, and the lifted (10, 32768, 6, 5)_2
+    # code of 5 x 5 matrices at rank distance 3 at 6 takes 1 + [5 2]_2 = 156.
+    # Both settle
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rank_added(*args)
+
+    monkeypatch.setattr(subspaces, "rank_added", counted)
+    lifted = CDC(2, 10, 5, 6, [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 5, 5, 3))])
+    for code, best, tests in ((link10, 4, 16), (lifted, 6, 156)):
+        piv = tuple(range(code.k))
+        assert Counter(w.pivots for w in code)[piv] == 32768
+        calls.clear()
+        assert subspaces._affine_clean(code, piv, 32768, best)
+        assert len(calls) == 1 + gauss_binomial(code.k, best // 2 - 1, 2) == tests
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
     # `_affine_clean` on one pivot group against `settled_groups`, at the
-    # prefix bounds 4 and 6.  The groups: lifted Gabidulin codes of 2 x 3
-    # and 3 x 3 matrices at rank distance 2 and of 3 x 3 at rank distance 3;
+    # minima 2, 4 and 6.  The groups: lifted Gabidulin codes of 2 x 3 and
+    # 3 x 3 matrices at rank distance 2 and of 3 x 3 at rank distance 3;
     # the 3 x 3 code at rank distance 2 with one generator replaced by a
     # rank-1 matrix; the 2 x 3 code with one word replaced by another at
     # rank distance 1 from a third, which is not affine; q^2 words of that
     # code that are not affine; and seeded affine groups of 1 to 4
-    # dimensions.  Over GF(2) and GF(3) the 3 x 3 code at rank distance 2
-    # has more words than the rank-1 matrices off its pivots, so these are
-    # what is tested at 4; the others walk their space
+    # dimensions.  Every affine group of distinct words settles at 2, as
+    # its pairs lie at least 2 apart
     f, rng = gf(q), random.Random(2800 + q)
     gabidulin = {(k, d): [w.packed for w in enumerate_code(gabidulin_mrd(q, k, 3, d))]
                  for k, d in ((2, 2), (3, 3), (3, 2))}
     last = gabidulin[2, 2][-1]
     planted = gabidulin_mrd(q, 3, 3, 2).generators[:-1] + [(1, 1, 0)]  # rank 1
-    groups = {  # name: (k, matrices, settled at 4 and at 6)
-        "2 x 3 at 2": (2, gabidulin[2, 2], (True, False)),
-        "3 x 3 at 3": (3, gabidulin[3, 3], (True, True)),
+    groups = {  # name: (k, matrices, settled at 2, 4 and 6)
+        "2 x 3 at 2": (2, gabidulin[2, 2], (True, True, False)),
+        "3 x 3 at 3": (3, gabidulin[3, 3], (True, True, True)),
         "rank-1 generator": (3, [w.packed for w in enumerate_code(
-            LinearRankCode(q, 3, 3, 1, planted))], (False, False)),
+            LinearRankCode(q, 3, 3, 1, planted))], (True, False, False)),
         "not affine": (2, gabidulin[2, 2][1:] + [last[:-1] + (f.row_add(last[-1], 1),)],
-                       (False, False)),
+                       (False, False, False)),
         # q^2 words at rank distance 2 or 3 whose differences span 3 dimensions
-        "clean, not affine": (2, gabidulin[2, 2][:q * q - 1] + [last], (False, False)),
+        "clean, not affine": (2, gabidulin[2, 2][:q * q - 1] + [last], (False, False, False)),
     }
     if q < 4:  # 4,096 words over GF(4)
-        groups["3 x 3 at 2"] = (3, gabidulin[3, 2], (True, False))
+        groups["3 x 3 at 2"] = (3, gabidulin[3, 2], (True, True, False))
 
     def seeded(k):  # a k x 3 matrix
         return tuple(pack_row(f, [rng.randrange(q) for _ in range(3)]) for _ in range(k))
@@ -1180,9 +1209,10 @@ def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
         assert q ** round(math.log(len(code), q)) == len(code)
         assert len({w.pivots for w in code}) == 1
         settled = tuple(subspaces._affine_clean(code, code.codewords[0].pivots, len(code), best)
-                        for best in (4, 6))
-        assert settled == tuple(bool(settled_groups(code, best)) for best in (4, 6)), name
+                        for best in (2, 4, 6))
+        assert settled == tuple(bool(settled_groups(code, best)) for best in (2, 4, 6)), name
         assert expected in (None, settled), name
+        assert settled[0] or "not affine" in name, name
 
 
 def _verify_lifted(m):
@@ -1277,6 +1307,39 @@ def test_exhaustive_verification_of_the_multiblocks_10_4_5_code(monkeypatch):
     report = verify_min_distance(code)
     assert (report.min_found, report.witness, report.pairs_checked) == \
         (4, (0, 1), 694_812_422_076)
+    assert settled == [2 ** 20]
+
+
+@pytest.mark.long
+def test_table_6_row_1_builds_and_verifies(monkeypatch, tmp_path):
+    # the paper's record A_2(10,4,5) >= 1,178,828 by cor44, built explicitly
+    # from its manifest row past the default cutoff: C, L_1 and L_2 in
+    # their counted sizes, the file's pinned SHA-256, and an exhaustive
+    # verify at d = 4 that settles one group, of 2^20 words, with no key
+    monkeypatch.setenv("CDCKIT_EXPLICIT_CUTOFF", "2000000")
+    row = load_table_manifest(6)[0]
+    assert (row.q, row.n, row.d, row.k, row.family, row.new) == (2, 10, 4, 5, "cor44", 1_178_828)
+    plan = ConstructionPlan(FAMILIES[row.family].plan, row.q, row.n, row.d, row.k, row.params)
+    assert plan.family == "multilevel_II"
+    out = run_plan(plan)
+    assert out.total == len(out.cdc) == row.new
+    assert out.component_counts == {"C": 1_178_312, "L_1": 512, "L_2": 4}
+    path = tmp_path / "table6_row1.cdc"
+    with open(path, "w", encoding="utf-8") as fh:
+        cdc_to_text(out.cdc, fh)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "963bf33e8605d5c5010a8a3db8ac2d67d773a431337b0848332218e0aaf48d15"
+    affine_clean, settled = subspaces._affine_clean, []
+
+    def watched(code, piv, size, best):
+        found = affine_clean(code, piv, size, best)
+        settled.extend([size] * found)
+        return found
+
+    monkeypatch.setattr(subspaces, "_affine_clean", watched)
+    report = verify_min_distance(out.cdc)
+    assert (report.min_found, report.witness, report.pairs_checked) == \
+        (4, (0, 1), 694_817_137_378)
     assert settled == [2 ** 20]
 
 
