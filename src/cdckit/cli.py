@@ -198,11 +198,10 @@ def _cmd_verify(args) -> int:
     }
     if report.witness is not None:
         i, j = report.witness
-        f = code.codewords[i].field
         payload["witness"] = {
             "indices": [i, j],
-            "rows_i": [list(row_codes(f, row, code.n)) for row in code.codewords[i].rows],
-            "rows_j": [list(row_codes(f, row, code.n)) for row in code.codewords[j].rows],
+            "rows_i": [list(row_codes(code.field, row, code.n)) for row in code[i].rows],
+            "rows_j": [list(row_codes(code.field, row, code.n)) for row in code[j].rows],
         }
     _emit(payload)
     if not report.ok(code.d):

@@ -150,10 +150,11 @@ def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
         high = [r << shift for r in u1.rows]
         for m2 in enumerate_code(mrd):
             yield codeword(f, n, [u | m for u, m in zip(high, m2.packed)], u1.pivots)
+    c2 = [u2.rows for u2 in subs["C2"]]  # a code makes words on read: once, not per M1
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
         high = [r << shift for r in m1.packed]
-        for u2 in subs["C2"]:
-            yield codeword(f, n, [m | u for m, u in zip(high, u2.rows)])
+        for rows in c2:
+            yield codeword(f, n, [m | u for m, u in zip(high, rows)])
 
 
 def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace],

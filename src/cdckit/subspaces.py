@@ -2,58 +2,43 @@
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
 subspaces have equal rows.  A `Subspace` holds its field, n, the packed
-rows of its RREF (`gf.pack_row`) as a tuple, and their pivot columns;
-`Subspace.mat` makes a `Matrix` view on each read, for readers of entries.
-`codeword` is the one way a subspace is made from packed rows: rows given
-with their pivots are trusted to be in RREF, and any others are reduced
-by `matrices.rref` on the bare rows, with no `Matrix` made.
-The constructions do their own lifting: a linkage word's (U1 | M2) rows
-and a multilevel insert's rows beside the identity blocks of its
-special-form vector come with their pivots.  A `CDC` sorts its words by
-their rows and finds duplicates as equal neighbours.
+rows of its RREF (`gf.pack_row`) as a tuple, and their pivot columns.
+`codeword` makes one from packed rows: rows given with their pivots, as
+the constructions and the parser give them, are trusted to be in RREF,
+and others are reduced by `matrices.rref`.  A `CDC` holds no `Subspace`:
+each word is one int, its rows end to end (k n w bits), in a sorted list
+beside its pivot-group number, an index into a table of the distinct
+pivot tuples, taken from the incoming words and never recomputed.  Rows
+of one width compare as their concatenation does, so the order is the
+rows' order and equal words are neighbours.  The readers below take a
+word's rows from its int by shift and mask; reading the code as a
+sequence makes each word's `Subspace`.
 
 Two facts bound a pair's distance from below.  For pivot sets P,
 d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
 Lemma 2), and words of one pivot tuple lie 2 rank(U - V) apart (Silva,
 Kschischang and Kotter, IEEE Trans. IT 2008).  The words of one pivot
-tuple form a pivot group.  Each verification indexes its groups once,
-pivot tuple -> [the mask of its columns, its word count, its state], and
-every step reads that one index.  A group's state is the count of its
-inner pairs computed since the running minimum m last fell, None once it
-is tested at m, or True once it is settled.  A group is tested, by
-`_affine_clean`, when its count reaches its word count, so the test, about
-one pass over the group, at most doubles the work it can save.  It is
-settled when its q^D words, D >= 1, each its rows end to end, are
-distinct and an affine space v0 + L with no nonzero element of rank below
-m / 2: none of its pairs lies below m, and it stays settled as m falls.
-A group is isolated when its pivot set differs from every other in at
-least m columns: none of its cross pairs lies below m.
-A pair's distance 2*rank(stack) - dim U - dim V takes one elimination of
-V's rows against U's, which already form a reduced basis, and a pair stops
-once it cannot beat m.  A pair is skipped when it cannot lower m: when its
-pivot sets differ in at least m columns, or when both its words lie in a
-settled group.  Sampled verification draws its pairs by `getrandbits` with
-rejection, the same pairs `randrange` draws.
+tuple form a pivot group.  Each verification indexes its groups once, a
+list by group number of [the mask of its columns, its word count, its
+state].  A group's state is the count of its inner pairs computed since
+the running minimum m last fell, None once it is tested at m, or True
+once it is settled.  A group is tested, by `_affine_clean`, when its count
+reaches its word count, so the test, about one pass over the group, at
+most doubles the work it can save.  It is settled when its q^D words,
+D >= 1, are distinct and an affine space v0 + L with no nonzero element
+of rank below m / 2: none of its pairs lies below m, and it stays settled
+as m falls.  A group is isolated when its pivot set differs from every
+other in at least m columns: none of its cross pairs lies below m.  A
+pair is skipped when it cannot lower m: when its pivot sets differ in at
+least m columns, or when both its words lie in a settled group.
 Exhaustive verification instead finds the highest t at which two
-codewords share a t-subspace, and compares pairs only when they are fewer
-than the keys.  At t = k, equal words are sorted neighbours.  Below it,
-each codeword's [k t]_q t-subspaces are keyed by their concatenated packed
-rows: for each choice of t of its rows, one base plus every combination of
-the rows they may add, each shifted to its place in the key, for up to 128
-words of one pivot tuple at once; a group is keyed again, for holders, only
-where a pass at one bit per key finds a repeat.  For a code of N words, the
-first N pairs bound the minimum beforehand, and only the levels whose
-distance is below that bound are keyed, and an isolated group settled at
-that bound is not keyed.
-The CDC file format renders and checks each distinct row once, checks the
-RREF of each record through a mask shared by every record of its rows'
-bit lengths, keeps a record that is already in RREF as it is, and
-refuses a header that claims d < 1, which any two words would meet.  A
-file is written to and read from an open text file about 64 KiB at a
-time, so neither its whole text nor a list of its lines is held: at 10^6
-words the text alone is over 100 MB.  The text as a str is written
-through a `StringIO` by the same block loop, and read in 64 KiB slices of
-the str.
+codewords share a t-subspace (`_collision_scan`), and compares pairs only
+when they are fewer than the keys.
+The CDC file format renders and checks each distinct row once, and keeps a
+record already in RREF.  Its header is CDC and the integers q, n, k, d and
+the word count, with 1 <= k <= n, count >= 0 and d >= 1 (any two words
+meet d <= 0).  A file is written and read about 64 KiB at a time, so
+neither its whole text nor a list of its lines is held.
 """
 from __future__ import annotations
 
@@ -62,11 +47,13 @@ import math
 import os
 import random
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, cycle, islice, product, repeat, takewhile, tee
-from operator import attrgetter, lshift
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from itertools import chain, combinations, compress, count, cycle, islice, product, repeat, \
+    takewhile, tee
+from operator import and_, eq, lshift, rshift
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
@@ -76,21 +63,15 @@ from .matrices import Matrix, rank_added, rref, rref_pivots
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
 
-def pair_limit() -> int:
-    return int(os.environ.get("CDCKIT_PAIR_LIMIT", 10**9))
-
-
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF form: the
-    packed rows of its RREF, a tuple, and their pivot columns."""
+    packed rows of its RREF, a tuple, and their pivot columns.  Two are
+    equal when they are one subspace of one GF(q)^n."""
 
     __slots__ = ("field", "n", "rows", "pivots")
 
     def __init__(self, field: GF, n: int, rows: Tuple[int, ...], pivots: Tuple[int, ...]):
-        self.field = field
-        self.n = n
-        self.rows = rows
-        self.pivots = pivots
+        self.field, self.n, self.rows, self.pivots = field, n, rows, pivots
 
     @property
     def k(self) -> int:
@@ -98,13 +79,16 @@ class Subspace:
 
     @property
     def mat(self) -> Matrix:
-        """The RREF as a `Matrix`, made anew on each read, for readers of
-        entries."""
+        """The RREF as a `Matrix`, made anew on each read."""
         return Matrix.from_packed(self.field, self.n, self.rows)
 
     def key(self) -> tuple:
         """Orders subspaces of one (n, k) as their RREF entry tuples do."""
         return self.rows
+
+    def __eq__(self, other):
+        return isinstance(other, Subspace) and \
+            (self.field.q, self.n, self.rows) == (other.field.q, other.n, other.rows)
 
     def __repr__(self):
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
@@ -123,36 +107,66 @@ def codeword(f: GF, n: int, rows: Sequence[int],
     return Subspace(f, n, tuple(rows), pivots)
 
 
-class CDC:
-    """Container for a constant-dimension code; codewords kept sorted by
-    their RREF rows so files and comparisons are canonical.
-
-    Constructions require distinct codewords; files loaded for verification
-    may carry duplicates (strict=False), which the verifier then reports as
-    distance-0 witnesses.
-    """
+class CDC(Sequence):
+    """A constant-dimension code, its words sorted by their RREF rows so
+    that files and witnesses are canonical.  Word i is `packed[i]`, its rows
+    end to end, row r shifted by `places[r]`, on the pivot tuple
+    `pivot_tuples[group[i]]`; as a sequence, the code reads its words as
+    `Subspace`s, each made on read.  Constructions require distinct
+    codewords; files loaded for verification may carry duplicates
+    (strict=False), which the verifier then reports as distance-0
+    witnesses."""
 
     def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[Subspace],
                  strict: bool = True):
-        self.q = q
-        self.n = n
-        self.k = k
-        self.d = d
-        words = sorted(codewords, key=attrgetter("rows"))
-        prev = None
-        for w in words:
-            if w.n != n or w.k != k or w.field.q != q:
+        self.q, self.n, self.k, self.d, self.field = q, n, k, d, gf(q)
+        width = n * self.field.width  # a row's bits
+        # while the words sort, each carries its group number in n low bits:
+        # a code has at most C(n, k) < 2^n pivot tuples
+        numbers: dict = {}  # pivot tuple -> its number in the input
+        packed, setdefault = [], numbers.setdefault
+        for w in codewords:
+            rows, x = w.rows, 0
+            if w.n != n or len(rows) != k or w.field.q != q:
                 raise InvalidParameters("codeword does not match container parameters")
-            if strict and w.rows == prev:  # sorted, so equal words are neighbours
-                raise InvalidParameters("duplicate codeword")
-            prev = w.rows
-        self.codewords = words
+            for row in rows:
+                x = x << width | row
+            packed.append(x << n | setdefault(w.pivots, len(numbers)))
+        # a code with no word reads no row, so its header's n and k may be of any size
+        self.places = [(k - 1 - r) * width for r in range(k if packed else 0)]
+        self.row_mask = (1 << width) - 1 if packed else 0
+        packed.sort()
+        low = (1 << len(numbers).bit_length()) - 1  # the bits of the input numbers
+        first = dict.fromkeys(map(and_, packed, repeat(low)))  # numbers, by first word
+        tuples, renumber = list(numbers), dict(zip(first, range(len(first))))
+        self.pivot_tuples = [tuples[old] for old in first]
+        self.group = list(map(renumber.__getitem__, map(and_, packed, repeat(low))))
+        for i in range(0, len(packed), 4096):  # in place: no second list is held
+            packed[i:i + 4096] = map(rshift, packed[i:i + 4096], repeat(n))
+        if strict and any(map(eq, packed, islice(packed, 1, None))):
+            raise InvalidParameters("duplicate codeword")  # sorted, so equal words are neighbours
+        self.packed = packed
+
+    def rows(self, words: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+        """The RREF rows of each packed word, a tuple each, made as they are read."""
+        return zip(*[map(and_, map(rshift, words, repeat(s)), repeat(self.row_mask))
+                     for s in self.places])
+
+    # the words, each a `Subspace` made on read: the code itself
+    codewords = property(lambda self: self)
 
     def __len__(self):
-        return len(self.codewords)
+        return len(self.packed)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        rows, = self.rows([self.packed[i]])
+        return Subspace(self.field, self.n, rows, self.pivot_tuples[self.group[i]])
 
     def __iter__(self):
-        return iter(self.codewords)
+        return map(Subspace, repeat(self.field), repeat(self.n), self.rows(self.packed),
+                   map(self.pivot_tuples.__getitem__, self.group))
 
     def __repr__(self):
         return f"CDC(({self.n}, {len(self)}, {self.d}, {self.k})_{self.q})"
@@ -176,29 +190,21 @@ class VerifyReport:
         return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-def _pivot_groups(code: CDC) -> dict:
-    """The pivot-group index of the module docstring: pivot tuple -> [the
-    mask of its columns, its word count, its state], counted in one pass."""
-    return {piv: [sum(1 << c for c in piv), size, 0]
-            for piv, size in Counter(map(attrgetter("pivots"), code.codewords)).items()}
-
-
-def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: dict):
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
     """Least distance over `pairs` and the first pair that reaches it.  A
     pair that cannot lower the running minimum is skipped, and the groups
     of the pivot-group index `groups` are tested and settled, by the rule
     of the module docstring, so the result is the one every pair gives."""
-    words, k = code.codewords, code.k
-    f = words[0].field
-    w = f.width
-    zero = [0] * (code.n + 1)
-    best, witness = math.inf, None
-    stop = k + 1  # best / 2: a pair that adds this many of V's rows cannot win
+    words, numbers, places, f = code.packed, code.group, code.places, code.field
+    mask, add, neg = code.row_mask, f.row_add, f.negs[1]
+    # by group, each row's basis slot (its pivot's place from the right) and shift
+    slots = [[(code.n - c, s) for c, s in zip(piv, places)] for piv in code.pivot_tuples]
+    zero, best, witness = [0] * (code.n + 1), math.inf, None
+    stop = code.k + 1  # best / 2: a pair that adds this many of V's rows cannot win
     for i, j in pairs:
-        u, v = words[i], words[j]
-        piv = u.pivots
-        group = groups[piv]
-        if piv == v.pivots:
+        g, h = numbers[i], numbers[j]
+        group = groups[g]
+        if g == h:
             seen = group[2]
             if seen is True:
                 continue
@@ -206,25 +212,29 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: dict):
                 group[2] = seen = seen + 1
                 if seen == group[1]:  # one test at each best
                     group[2] = None
-                    if _affine_clean(code, piv, seen, best):
+                    if _affine_clean(code, code.pivot_tuples[g], seen, best):
                         group[2] = True
                         continue
-        elif (group[0] ^ groups[v.pivots][0]).bit_count() >= best:
+        elif (group[0] ^ groups[h][0]).bit_count() >= best:
             continue
-        # d(U, V) = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
-        # are in RREF with leading 1s, so each goes straight into the basis
-        # slot of its leading entry, and only V's rows are reduced
-        basis = zero[:]
-        for row in u.rows:
-            basis[(row.bit_length() + w - 1) // w] = row
-        added = rank_added(f, basis, v.rows, stop)
+        u, v, basis, rows = words[i], words[j], zero[:], []
+        if g == h:  # one pivot tuple: d = 2 rank(U - V), and U - V is 0 at the pivots
+            v = add(u, v if neg == 1 else f.row_scale(v, neg))
+        else:  # d = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
+            # are in RREF with leading 1s, so each goes straight into the basis
+            # slot of its leading entry, and only V's rows are reduced
+            for b, s in slots[g]:
+                basis[b] = u >> s & mask
+        for s in places:  # a loop, as a comprehension costs a call
+            rows.append(v >> s & mask)
+        added = rank_added(f, basis, rows, stop)
         if added < stop:
             best, witness, stop = 2 * added, (i, j), added
             if added == 0:
                 break
-            for g in groups.values():
-                if g[2] is not True:  # a settled group stays settled
-                    g[2] = 0
+            for group in groups:
+                if group[2] is not True:  # a settled group stays settled
+                    group[2] = 0
     return best, witness
 
 
@@ -247,12 +257,8 @@ def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
         yield (i, j + 1) if j >= i else (j, i)
 
 
-def verify_min_distance(
-    code: CDC,
-    mode: str = "exhaustive",
-    sample_count: int = 0,
-    seed: Optional[int] = None,
-) -> VerifyReport:
+def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int = 0,
+                        seed: Optional[int] = None) -> VerifyReport:
     """Exhaustive or seeded-sample minimum-distance check.
 
     Exhaustive mode returns the true minimum and the lexicographically
@@ -269,76 +275,66 @@ def verify_min_distance(
     total_pairs = n_words * (n_words - 1) // 2
     if n_words < 2:
         return VerifyReport(math.inf, None, 0, mode, seed)
-    groups = _pivot_groups(code)
+    sizes = Counter(code.group)  # the pivot-group index of the module docstring
+    groups = [[sum(1 << c for c in piv), sizes[g], 0] for g, piv in enumerate(code.pivot_tuples)]
     if mode == "sample":
         best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), groups)
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
     keys = n_words * sum(gauss_binomial(code.k, t, code.q) for t in range(1, code.k + 1))
-    if min(total_pairs, keys) > pair_limit():
+    if min(total_pairs, keys) > (limit := int(os.environ.get("CDCKIT_PAIR_LIMIT", 10**9))):
         raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
-                                f"the limit {pair_limit()}")
+                                f"the limit {limit}")
     best, witness = (_min_pair(code, combinations(range(n_words), 2), groups)
                      if total_pairs < keys else _collision_scan(code, groups))
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
 
-def _collision_scan(code: CDC, groups: dict) -> Tuple[int, Tuple[int, int]]:
+def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
     """Minimum distance of a code with two or more words, and the
     lexicographically first pair at that distance.
 
     Words U, V share a t-subspace iff d(U, V) <= 2(k - t), so the first
     level t = k, k-1, ..., 1 at which two words share one gives the minimum.
-    Level k is read off the sorted words, where equal words are neighbours.
-    Below it, for a word's RREF G and a t x k RREF matrix C, C*G is the RREF
-    of a t-subspace whose pivots are G's at C's pivot columns c; keys are
-    grouped by that pivot set, one group held at a time, and `keys_of`
-    keys a batch of words of one pivot tuple for one c.  A first pass finds
-    a group's repeated keys; only then a second keys it again for their
-    holders, and the first pair is the least (lowest, second-lowest) one.
-    The levels hold up to N * sum_t [k t]_q keys; the caller compares the
-    N(N-1)/2 pairs instead when they are fewer.
+    Level k is read off the sorted words.  Below it, for a word's RREF G and
+    a t x k RREF matrix C, C*G is the RREF of a t-subspace whose pivots are
+    G's at C's pivot columns c; keys are grouped by that pivot set, one
+    group held at a time, and `keys_of` keys a batch of words of one pivot
+    tuple for one c.  A first pass finds a group's repeated keys; only then
+    a second keys it again for their holders, and the first pair is the
+    least (lowest, second-lowest) one.
 
     Before any level below k is keyed, the first N pairs in i-major order
-    give an upper bound m on the minimum and w, the first of them at
-    distance m, and the scan stops before the first level with
-    2(k - t) >= m.  This is exact: a level with 2(k - t) < m that collides
-    gives its result as before; if none does, no pair is closer than m, so
-    m is the minimum; and every pair before w lies in the prefix at a
-    distance above m, so w is the first pair at distance m.
-
-    A pivot group of the index `groups` is then removed before any level
-    is keyed when it is isolated and settled at m, by the rule of the
-    module docstring.  This is exact: no pair closer than m has a word in a
-    removed group, so every level finds the pairs it found with the group
-    keyed.  The first N pairs test no group: the first of them sets m, and
+    give an upper bound m and w, the first of them at distance m, and the
+    scan stops before the first level with 2(k - t) >= m.  This is exact:
+    a level with 2(k - t) < m that collides gives its result as before; if
+    none does, m is the minimum, and every pair before w lies in the prefix
+    at a distance above m.  A pivot group of the index `groups` isolated
+    and settled at m is then not keyed, as no pair closer than m has a word
+    in it.  The first N pairs test no group: the first of them sets m, and
     fewer than S inner pairs of a group of S words follow it among them.
     """
-    k, words = code.k, code.codewords
-    # level k: the words' own rows, and equal words sort together
-    i = next((i for i in range(len(words) - 1) if words[i].rows == words[i + 1].rows), None)
+    k, words, tuples, n_words = code.k, code.packed, code.pivot_tuples, len(code)
+    # level k: the words themselves, and equal words sort together
+    i = next(compress(count(), map(eq, words, islice(words, 1, None))), None)
     if i is not None:
         return 0, (i, i + 1)
     # the first N pairs, (0, 1), ..., (0, N - 1), (1, 2), with no tuple of N
     # indices, which `combinations` would make
-    n_words = len(words)
     best, witness = _min_pair(code, islice(chain(zip(repeat(0), range(1, n_words)),
                                                  zip(repeat(1), range(2, n_words))), n_words),
                               groups)
     if best < 4:  # no level below k lies below the bound
         return best, witness
-    f = words[0].field
-    by_pivots: dict = {}  # the word indices of each group that is keyed
-    for piv, g in groups.items():
-        if (all((g[0] ^ h[0]).bit_count() >= best for h in groups.values() if h is not g)
-                and _affine_clean(code, piv, g[1], best)):
-            continue  # no pair closer than best has a word in it
-        by_pivots[piv] = []
-    for i, w in enumerate(words):
-        held = by_pivots.get(w.pivots)
-        if held is not None:
-            held.append(i)
-    shift = code.n * f.width
+    # the word indices of each group that is keyed: no pair closer than best
+    # has a word in a group that is isolated and settled at best
+    by_group = {g: [] for g, group in enumerate(groups) if not (
+        all((group[0] ^ h[0]).bit_count() >= best for h in groups if h is not group)
+        and _affine_clean(code, tuples[g], group[1], best))}
+    for i, g in enumerate(code.group):
+        if g in by_group:
+            by_group[g].append(i)
+    shift = code.n * code.field.width
 
     def level(t: int) -> Optional[Tuple[int, int]]:
         """The lexicographically first pair sharing a t-subspace, if any."""
@@ -348,15 +344,16 @@ def _collision_scan(code: CDC, groups: dict) -> Tuple[int, Tuple[int, int]]:
             # plus any combination of G's rows j > c_p outside c
             places = [(r, (t - 1 - p) * shift) for p, r in enumerate(c)]
             spec = (places, [(j, s) for r, s in places for j in range(r + 1, k) if j not in c])
-            for piv in by_pivots:
-                groups.setdefault(tuple(piv[r] for r in c), {})[piv] = spec
+            for g in by_group:
+                groups.setdefault(tuple(tuples[g][r] for r in c), {})[g] = spec
 
         def keyed(specs):  # each batch of a group's words, and their keys
-            for piv, spec in specs.items():
-                held = by_pivots[piv]
+            for g, spec in specs.items():
+                held = by_group[g]
                 for b in range(0, len(held), _BATCH):
                     batch = held[b:b + _BATCH]
-                    yield batch, keys_of(f, [words[i].rows for i in batch], spec)
+                    rows = list(code.rows([words[i] for i in batch]))
+                    yield batch, keys_of(code.field, rows, spec)
 
         found = []
         while groups:
@@ -394,22 +391,19 @@ def _collision_scan(code: CDC, groups: dict) -> Tuple[int, Tuple[int, int]]:
 def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool:
     """Whether the `size` words on pivot tuple `piv` are settled at `best`:
     q^D of them, D >= 1, distinct and an affine space v0 + L with no pair
-    closer than `best`.  A word's vector v concatenates its RREF rows.  The
-    differences of neighbours span L and the words lie in v0 + L, so rank
-    D and no zero difference (sorted, equal words are neighbours) give
-    S = v0 + L.  Words of one pivot tuple lie 2 rank(U - V) apart, so S is
-    clean iff no nonzero element of L has its columns in an r-dimensional
-    W, r = best / 2 - 1: iff, for each W, L's basis stays independent of
-    the matrices that put an RREF row of W down a column off the pivots.
-    That is [k r]_q rank tests at any |L|, so a tiny group at large k and q
-    costs more than a walk of L did.  The words and vectors are streamed."""
-    f, k, n, words = code.codewords[0].field, code.k, code.n, code.codewords
-    q, places = f.q, [(k - 1 - r) * n * f.width for r in range(k)]
-    dim, r = round(math.log(size, q)), (best - 1) // 2  # r: the highest rank below best / 2
-    if dim < 1 or q ** dim != size or r >= k:  # at r >= k, every element is of rank r or less
+    closer than `best`.  A word's vector v is its packed int, its RREF rows
+    end to end.  The differences of neighbours span L and the words lie in
+    v0 + L, so rank D and no zero difference (sorted, equal words are
+    neighbours) give S = v0 + L.  Words of one pivot tuple lie 2 rank(U - V)
+    apart, so S is clean iff no nonzero element of L has its columns in an
+    r-dimensional W, r = best / 2 - 1: iff, for each W, L's basis stays
+    independent of the matrices that put an RREF row of W down a column off
+    the pivots: [k r]_q rank tests at any |L|.  The words are streamed."""
+    f, k, n, places, number = code.field, code.k, code.n, code.places, code.pivot_tuples.index(piv)
+    dim, r = round(math.log(size, f.q)), (best - 1) // 2  # r: the highest rank below best / 2
+    if dim < 1 or f.q ** dim != size or r >= k:  # at r >= k, every element is of rank r or less
         return False
-    group = compress(words, map(piv.__eq__, map(attrgetter("pivots"), words)))
-    before, after = tee(sum(map(lshift, w.rows, places)) for w in group)
+    before, after = tee(compress(code.packed, map(number.__eq__, code.group)))
     next(after)
     basis = [0] * (k * n + 1)
     if f.negs[1] != 1:  # -1 = 1 in characteristic 2
@@ -461,19 +455,19 @@ def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
     is written to it: the header line, then blocks of about 64 KiB of whole
     records, each record a blank line and its rows.  Each distinct row is
     rendered once."""
-    buffer = io.StringIO() if out is None else out
+    buffer, rendered = io.StringIO() if out is None else out, {}
     buffer.write(f"CDC {code.q} {code.n} {code.k} {code.d} {len(code)}\n")
-    rendered: dict = {}
     # a record takes at most this many characters
     step = max(_BLOCK // (1 + code.k * code.n * (len(str(code.q - 1)) + 1)), 1)
-    words = code.codewords
+    words, places, mask = code.packed, code.places, code.row_mask
     for start in range(0, len(words), step):
         lines = [""]
-        for w in words[start:start + step]:
-            for row in w.rows:
+        for x in words[start:start + step]:
+            for s in places:
+                row = x >> s & mask
                 text = rendered.get(row)
                 if text is None:
-                    text = rendered[row] = " ".join(map(str, row_codes(w.field, row, code.n)))
+                    text = rendered[row] = " ".join(map(str, row_codes(code.field, row, code.n)))
                 lines.append(text)
             lines.append("")
         buffer.write("\n".join(lines))
@@ -483,9 +477,7 @@ def cdc_to_text(code: CDC, out: Optional[TextIO] = None) -> Optional[str]:
 def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
     """The lines of a str or of an open text file, as `split("\\n")` gives
     them, in one list per block of 64 KiB sliced from the str or read from
-    the file, so neither a list of every line nor a file's whole text is
-    held.  A line met in pieces is joined once, so a line of many blocks
-    costs its length."""
+    the file.  A line met in pieces is joined once, at the cost of its length."""
     blocks = ((source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
               if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""))
     pieces: List[str] = []  # of the line that the last block left open
@@ -514,35 +506,41 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
     head = next(lines, "").split()
     if not head or head[0] != "CDC":
         raise ValueError("not a CDC file")
-    q, n, k, d, count = (int(x) for x in head[1:6])
+    if len(head) != 6:
+        raise ValueError(f"a CDC header is the six fields CDC q n k d count, not {len(head)}")
+    for name, x in zip(("q", "n", "k", "d", "count"), head[1:]):
+        if not (x[1:] if x[:1] in "+-" else x).isdecimal():
+            raise ValueError(f"header field {name} is not an integer")
+    q, n, k, d, count = map(int, head[1:])
+    for name, rule, ok in (("k", "1 <= k <= n", 1 <= k <= n), ("count", "count >= 0", count >= 0)):
+        if not ok:
+            raise ValueError(f"header field {name} does not meet {rule}")
     if d < 1:  # every pair of codewords would meet a claimed d <= 0
         raise ValueError(f"claimed distance {d} is below 1")
     field = gf(q)
-    parsed: dict = {}  # line -> packed row
-    shapes: dict = {}  # for rref_pivots
+    parsed, shapes = {}, {}  # line -> packed row, and the shapes of rref_pivots
 
-    def parse_row(ln: str):
-        entries = ln.split()
-        if len(entries) != n:
-            raise ValueError(f"a row has {len(entries)} entries, need {n}")
-        return pack_row(field, [int(e) for e in entries])
+    def words() -> Iterator[Subspace]:
+        rows: list = []
+        for ln in lines:
+            row = parsed.get(ln)
+            if row is None:
+                entries = ln.split()
+                if not entries:
+                    if rows:
+                        raise ValueError("truncated codeword record")
+                    continue
+                if len(entries) != n:
+                    raise ValueError(f"a row has {len(entries)} entries, need {n}")
+                row = parsed[ln] = pack_row(field, [int(e) for e in entries])
+            rows.append(row)
+            if len(rows) == k:
+                yield codeword(field, n, rows, rref_pivots(field, rows, n, shapes))
+                rows = []
+        if rows:
+            raise ValueError("truncated codeword record")
 
-    words = []
-    rows: list = []
-    for ln in lines:
-        row = parsed.get(ln)
-        if row is None:
-            if not ln.strip():
-                if rows:
-                    raise ValueError("truncated codeword record")
-                continue
-            row = parsed[ln] = parse_row(ln)
-        rows.append(row)
-        if len(rows) == k:
-            words.append(codeword(field, n, rows, rref_pivots(field, rows, n, shapes)))
-            rows = []
-    if rows:
-        raise ValueError("truncated codeword record")
-    if len(words) != count:
-        raise ValueError(f"header says {count} codewords, file has {len(words)}")
-    return CDC(q, n, k, d, words, strict=False)
+    code = CDC(q, n, k, d, words(), strict=False)
+    if len(code) != count:
+        raise ValueError(f"header says {count} codewords, file has {len(code)}")
+    return code

@@ -367,6 +367,40 @@ def test_verify_refuses_a_claimed_distance_below_one(tmp_path, capsys, d):
     assert out == "" and err == f"error: claimed distance {d} is below 1\n"
 
 
+@pytest.mark.parametrize("head, named", [
+    ("CDC 2 4 2 2", "six fields"),  # no count
+    ("CDC 2 4 2 2 1 junk", "six fields"),  # a seventh field
+    ("CDC 2 4 two 2 1", "field k"),
+    ("CDC 2 4 2 2 1.0", "field count"),
+    ("CDC 2 4 0 2 1", "field k"),  # k = 0
+    ("CDC 2 4 0 2 0", "field k"),  # k = 0 and no record
+    ("CDC 2 3 5 2 1", "field k"),  # k > n
+    ("CDC 2 0 0 2 0", "field k"),  # n = 0
+    ("CDC 2 0 1 2 0", "field k"),
+    ("CDC 2 4 2 2 -1", "field count"),
+])
+def test_verify_refuses_a_malformed_header(tmp_path, capsys, head, named):
+    # the header is CDC and five integers, q n k d count, with 1 <= k <= n
+    # and count >= 0.  Any other exits 2 before a record is read, with one
+    # stderr line naming the field (a packed word of k = 0 would be 0)
+    path = tmp_path / "head.cdc"
+    path.write_text(f"{head}\n\n1 0 0 0\n0 1 0 0\n")
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and named in err, err
+
+
+def test_verify_reads_a_wordless_header_of_any_size(tmp_path, capsys):
+    # a file of no word reads no row, so n and k of any size cost nothing:
+    # no mask or shift of n or k bits is made, and it fails with no pair
+    path = tmp_path / "none.cdc"
+    for n, k in ((10**30, 3), (10**30, 10**30)):
+        path.write_text(f"CDC 2 {n} {k} 4 0\n")
+        assert main(["verify", "--in", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert _json_lines(out)[0]["pairs_checked"] == 0 and "no pair to check" in err
+
+
 def test_verify_empty_or_headerless_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cdc"
     for text in ("", "\n", "1 0 0 0\n0 1 0 0\n"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import math
 import random
@@ -363,9 +364,10 @@ def test_undecodable_byte_is_placed_in_the_file(at, link10, tmp_path):
 
 
 def test_a_parsed_word_retains_under_180_bytes():
-    # a parsed word is one object holding its RREF's row tuple and shared
-    # pivots (about 144 B on CPython 3.11); with a Matrix around the rows
-    # it was about 220 B.  Row ints are shared between words
+    # a parsed word is one packed int and a group number (about 51 B on
+    # CPython 3.11; the next test bounds it at 64 B); as an object holding
+    # its RREF's row tuple it was about 144 B, and with a Matrix around the
+    # rows about 220 B
     plan = ConstructionPlan("multilevel_II", 2, 8, 4, 4, dict(n1=4, u1=2, u2=2, b1=1, b2=1))
     text = cdc_to_text(run_plan(plan).cdc)
     tracemalloc.start()
@@ -377,6 +379,64 @@ def test_a_parsed_word_retains_under_180_bytes():
         tracemalloc.stop()
     assert len(code) == 4690
     assert retained / len(code) < 180
+
+
+def test_a_code_keeps_at_most_64_bytes_per_word():
+    # a code keeps each word as one int of its rows end to end, 32 B for the
+    # 32 bits of ml2, and its group number in a list beside it, so the
+    # (8, 4690, 4, 4)_2 code keeps at most 64 B a word (about 51 B parsed and
+    # 53 B built on CPython 3.11).  A code of `Subspace` words kept about
+    # 145 B a word parsed and 153 B built.  The plan is built once first, so
+    # that no cache it fills is counted
+    plan = parse_plan(BENCH_PLANS["ml2_q2"])
+    text = cdc_to_text(run_plan(plan).cdc)
+    for make in (lambda: cdc_from_text(text), lambda: run_plan(plan).cdc):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = make()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(code) == 4690
+        assert retained / len(code) <= 64
+        del code
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_codewords_are_a_sequence_of_subspaces_made_on_read(q):
+    # `code.codewords` is a read-only sequence: its length, iteration,
+    # negative indices, slices, `random.sample` and `index` work, and each
+    # element equals the `Subspace` that `codeword` makes of its rows, field,
+    # pivots, entries and key alike.  Duplicates of a lenient code stay
+    # adjacent, and the code is the same whatever the input order
+    rng = random.Random(3300 + q)
+    code = next(run_plan(plan).cdc for plan in map(parse_plan, GOLDEN_PLANS.values())
+                if plan.q == q)
+    words = code.codewords
+    assert isinstance(words, collections.abc.Sequence) and len(words) == len(code) > 4
+    made = [codeword(gf(q), code.n, w.rows, w.pivots) for w in words]
+    for w, m in zip(words, made):
+        assert (w.rows, w.pivots, w.field, w.n, w.key()) == (m.rows, m.pivots, m.field, m.n,
+                                                              m.key())
+        assert w.mat.entries == m.mat.entries and w == m
+        assert codeword(gf(q), code.n, w.rows) == w  # reduced again, the same subspace
+    assert list(words) == list(code) == made
+    assert words[-1] == made[-1] and words[-len(made)] == made[0]
+    assert words[1:-1:2] == made[1:-1:2] and words[::-1] == made[::-1]
+    with pytest.raises(IndexError):
+        words[len(made)]
+    drawn = rng.sample(words, 4)
+    assert all(made[words.index(w)] == w for w in drawn)
+    dups = made[:3] + [made[1], made[2], made[1]]
+    rng.shuffle(dups)
+    lenient = CDC(q, code.n, code.k, code.d, dups, strict=False)
+    assert list(lenient) == [made[0], made[1], made[1], made[1], made[2], made[2]]
+    shuffled = made[:]
+    rng.shuffle(shuffled)
+    again = CDC(q, code.n, code.k, code.d, shuffled)
+    assert (again.packed, again.group, again.pivot_tuples) == \
+        (code.packed, code.group, code.pivot_tuples)
 
 
 @pytest.mark.parametrize("n", [5, 64, 70, 100])
@@ -970,7 +1030,7 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
     code = CDC(q, n, 2, 4, _lifts(f, 2, m, gabidulin))
     gone, last = code.codewords[len(code) // 2], code.codewords[-1]
     changed = codeword(f, n, (last.rows[0], f.row_add(last.rows[1], 1)), (0, 1))
-    short = [w for w in code if w is not gone]
+    short = [w for w in code if w != gone]
     cases = {  # words, the groups settled, and the minimum
         "clean": (list(code) + [x], {(0, 1)}, 4),
         "rank-1 difference": (_lifts(f, 2, m, rank_one) + [x], set(), 2),
@@ -988,7 +1048,7 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
     for name, (words, settled, least) in cases.items():
         code = CDC(q, n, 2, 4, words)
         w = code.codewords
-        assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1) and w[0] is x
+        assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1) and w[0] == x
         assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == 4
         assert settled_groups(code, 4) == settled, name
         keyed.clear()
