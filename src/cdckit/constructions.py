@@ -10,12 +10,15 @@ construction.  An explicit build holds the running total to the
 explicit-build cutoff after each part, and only then materializes every
 part into one code, whose size must equal the total.  Each codeword is
 assembled from Gabidulin codes, their coset lists and FDRM words
-(`rankcodes`), all tuples of packed rows: the blocks' rows are shifted to
-their columns and joined by OR, and `subspaces.codeword` makes the
-subspace, trusting the pivots of rows already in RREF.  A lifted insert's
-FDRM rows go beside the identity blocks of its special-form vector, whose
-widths `bounds.insert_vectors` gives the count and the build alike.  The
-verifier can then check distances exhaustively.
+(`rankcodes`) as one int, its rows end to end.  Rows in RREF on known
+pivots are built straight into it: a linkage word (U1 | M2) is U1's
+constant word ORed onto an MRD word whose generators were placed in the
+right block once (`rankcodes.code_words`), and a lifted insert's FDRM rows
+go beside the identity blocks of its special-form vector, one constant
+word, whose widths `bounds.insert_vectors` gives the count and the build
+alike.  Other words' blocks are shifted to their columns and joined row
+by row, and `subspaces.codeword` reduces and packs them.  The verifier
+can then check distances exhaustively.
 
 `_PARTS` pairs each count part with its materializer and the components a
 build reports for it.  A build reports the components of its family's last
@@ -34,13 +37,15 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
     lifted_inserts_part, linkage_part, parallel_insert_part
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
-from .gf import factor_prime_power, gf
-from .rankcodes import coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
+from .gf import factor_prime_power, gf, join_rows
+from .rankcodes import code_words, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import CDC, Subspace, cdc_from_text, codeword, verify_min_distance
 
@@ -141,15 +146,17 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
 def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
     """(U1 | M2) over C1 and the MRD code, then (M1 | U2) over the
     rank-capped MRD code and C2.  The first rows are in RREF with U1's
-    pivots; the second are reduced."""
+    pivots: each U1 is one constant word, and the MRD code's words are
+    placed in the right block of a codeword's rows once for all.  The
+    second rows are reduced."""
     q, n, k, h, n1, n2 = p["q"], p["n"], p["k"], p["h"], p["n1"], p["n2"]
     f = gf(q)
-    shift = n2 * f.width  # the left block's rows move past the right block's n2 columns
-    mrd = gabidulin_mrd(q, k, n2, h)  # built once, enumerated anew for each U1
+    shift, width = n2 * f.width, n * f.width  # the left block moves past the right's n2 columns
+    mrd = gabidulin_mrd(q, k, n2, h)
     for u1 in subs["C1"]:
-        high = [r << shift for r in u1.rows]
-        for m2 in enumerate_code(mrd):
-            yield codeword(f, n, [u | m for u, m in zip(high, m2.packed)], u1.pivots)
+        high = join_rows([r << shift for r in u1.rows], width)
+        yield from map(Subspace, repeat(f), repeat(n),
+                       map(or_, code_words(mrd, width), repeat(high)), repeat(u1.pivots))
     c2 = [u2.rows for u2 in subs["C2"]]  # a code makes words on read: once, not per M1
     for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
         high = [r << shift for r in m1.packed]
@@ -213,9 +220,10 @@ def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
     m1s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]))
     m2s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]))
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
-    for (m1, m2), u1, u2 in itertools.product(pairs, subs["D1"], subs["D2"]):
-        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1.rows)]
-        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2.rows)]
+    d1, d2 = ([u.rows for u in subs[slot]] for slot in ("D1", "D2"))  # decoded once
+    for (m1, m2), u1, u2 in itertools.product(pairs, d1, d2):
+        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1)]
+        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2)]
         yield codeword(f, n, top + bot)
 
 
@@ -229,14 +237,14 @@ def _lifted_words(p, subs, terms) -> Iterator[Subspace]:
     family's hypotheses, so the lifted codes combine."""
     q, n, n1, n2, h = p["q"], p["n"], p["n1"], p["n2"], p["h"]
     f = gf(q)
-    w = f.width
+    w, width = f.width, n * f.width
     for v1, v2, shift, w1, w2, c1, c2 in insert_vectors(p):
         pivots = tuple(range(shift, shift + v1)) + tuple(range(n1, n1 + v2))
-        ones = [1 << (n - 1 - c) * w for c in pivots]
+        ones = join_rows([1 << (n - 1 - c) * w for c in pivots], width)  # one constant word
         low = (1 << w2 * w) - 1
         for rows in fdrm_words(q, v1, v2, w1, w2, h, c1, c2):
-            yield codeword(f, n, [e | (r >> w2 * w) << n2 * w | r & low
-                                  for e, r in zip(ones, rows)], pivots)
+            yield Subspace(f, n, ones | join_rows([(r >> w2 * w) << n2 * w | r & low
+                                                   for r in rows], width), pivots)
 
 
 def _named(**terms: str):

@@ -13,9 +13,11 @@ an int sum adds digit-wise without carries and one `translate` reduces
 every digit mod p.  Both encodings increase with the element code, so
 packed rows order as their entries do.  A width dividing 8 keeps whole
 entries in each byte, and scaling a row by c is one `translate` by a
-256-byte table.  The scalar `add` and `mul` read the same tables, for every
-field alike.  Only fields with such an encoding are supported: q = 2^m <=
-256, q in {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
+256-byte table.  No entry straddles a byte, so rows laid end to end in one
+int, a word (`join_rows`, `split_rows`), are added and scaled as one row.
+The scalar `add` and `mul` read the same tables, for every field alike.
+Only fields with such an encoding are supported: q = 2^m <= 256, q in
+{3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 
 A polynomial of degree < t over GF(q) is a row of t entries, the
 coefficient of x^i the i-th from the right, so an element's `enc` is the
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
-from operator import xor
-from typing import Sequence, Tuple
+from itertools import product, repeat, tee
+from operator import and_, lshift, rshift, xor
+from typing import Iterable, Iterator, Sequence, Tuple
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
@@ -268,6 +270,20 @@ def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
     """The element codes of the ncols entries of a packed row."""
     w, dec, mask = field.width, field.dec, (1 << field.width) - 1
     return tuple(dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w))
+
+
+def join_rows(rows: Sequence[int], width: int) -> int:
+    """The word of packed rows of `width` bits each, laid end to end, the
+    first row highest."""
+    return sum(map(lshift, rows, range((len(rows) - 1) * width, -1, -width)))
+
+
+def split_rows(words: Iterable[int], k: int, width: int) -> Iterator[Tuple[int, ...]]:
+    """The k rows of `width` bits of each word, a tuple per word, made as
+    they are read (the inverse of `join_rows`)."""
+    mask = (1 << width) - 1
+    return zip(*[map(and_, map(rshift, each, repeat(s)), repeat(mask))
+                 for each, s in zip(tee(words, k), range((k - 1) * width, -1, -width))])
 
 
 @lru_cache(maxsize=None)  # one entry per field and modulus in use

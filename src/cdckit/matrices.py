@@ -6,6 +6,7 @@ one `translate`, and the bit length finds a row's pivot.  Rows of equal
 width compare as ints exactly as their entry tuples do.  `rank_added`,
 `rref` and `rref_pivots` take bare packed rows, and calls of `rref_pivots`
 share what the bit lengths fix; `subspaces.codeword` reduces through `rref`.
+`rref_mask` tests a word, rows end to end, for RREF on given pivots.
 
 A `Matrix` is a view of packed rows with their column count: its `nrows`,
 `entries` and `rows()` are decoded from the rows on each read.  One is made
@@ -16,9 +17,10 @@ constructor packs and checks every entry; `from_packed` trusts its rows.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gf import GF, pack_row, row_codes
+from .gf import GF, join_rows, pack_row, row_codes
 
 
 class Matrix:
@@ -118,34 +120,32 @@ def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     return Matrix.from_packed(m.field, m.ncols, rows + (0,) * (m.nrows - len(rows))), pivots
 
 
-def _rref_shape(f: GF, lengths: Sequence[int], ncols: int):
-    """For rows of these bit lengths, their pivot columns, the mask of the
-    entries in those columns and the leading 1s that an RREF's rows sum to
-    under it; None unless the leading entries strictly move right.  Each row
-    meets the pivot columns in at least its own leading entry, so the sums
-    agree only if each meets them in a leading 1 alone."""
-    w = f.width
-    prev, pivot_bits, ones = ncols + 1, 0, 0
-    for length in lengths:
-        b = (length + w - 1) // w
-        if not 0 < b < prev:
-            return None
-        prev, one = b, 1 << (b - 1) * w
-        pivot_bits, ones = pivot_bits | one * ((1 << w) - 1), ones | one
-    return tuple(ncols - (length + w - 1) // w for length in lengths), pivot_bits, ones
+def rref_mask(f: GF, pivots: Sequence[int], ncols: int) -> Tuple[int, int]:
+    """(mask, ones) such that rows of ncols entries laid end to end
+    (`gf.join_rows`) are in RREF with these pivot columns iff their word &
+    mask == ones: the mask covers each row's entries left of its pivot and
+    every row's entries in the pivot columns, where an RREF shows only the
+    leading 1s."""
+    w, width = f.width, ncols * f.width
+    pivot_bits = sum(((1 << w) - 1) << (ncols - 1 - c) * w for c in pivots)
+    mask = join_rows([(1 << width) - (1 << (ncols - c) * w) | pivot_bits for c in pivots], width)
+    return mask, join_rows([1 << (ncols - 1 - c) * w for c in pivots], width)
 
 
 def rref_pivots(f: GF, rows: Sequence[int], ncols: int,
                 shapes: dict) -> Optional[Tuple[int, ...]]:
     """The pivot columns of the packed rows if they are in RREF with no zero
-    row, else None.  `shapes` keeps each `_rref_shape` of rows of this field
-    and width, so that rows whose bit lengths repeat cost one masked sum,
-    and share one pivot tuple."""
+    row, else None.  `shapes` keeps, by the rows' bit lengths, the columns
+    of their leading entries and `rref_mask` of them, or None unless those
+    strictly move right, so that rows whose bit lengths repeat cost one
+    masked test and share one pivot tuple."""
     lengths = tuple(map(int.bit_length, rows))
     if lengths not in shapes:
-        shapes[lengths] = _rref_shape(f, lengths, ncols)
+        pivots = tuple(ncols - (length + f.width - 1) // f.width for length in lengths)
+        shapes[lengths] = (pivots, *rref_mask(f, pivots, ncols)) \
+            if all(map(lt, (-1,) + pivots, pivots + (ncols,))) else None
     shape = shapes[lengths]
-    return shape[0] if shape and sum(v & shape[1] for v in rows) == shape[2] else None
+    return shape[0] if shape and join_rows(rows, ncols * f.width) & shape[1] == shape[2] else None
 
 
 def mat_rank(m: Matrix) -> int:

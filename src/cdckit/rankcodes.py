@@ -4,23 +4,25 @@ Gabidulin codes realize every MRD parameter set we need; their cosets
 split them into translate classes with two-level distance guarantees, and
 `fdrm_words` assembles the Ferrers-diagram rank-metric (FDRM) codes on the
 two-block staircase shape that the multilevel inserts lift.  Their sizes
-are counted by the family spec in `bounds`, not here.  A word is the tuple
-of its packed rows (`gf.pack_row`), and enumeration adds whole rows: a
-span's words are sums of the leading generators' multiples plus tabulated
-words.  Only `enumerate_code` hands out `Matrix` views, for the words it
-keeps under its rank cap; coset lists and FDRM words stay row tuples, and
-the constructions lift them into codewords as rows, with no `Matrix`.
+are counted by the family spec in `bounds`, not here.  A generator is the
+tuple of its packed rows (`gf.pack_row`); enumeration adds and scales
+words, the rows end to end in one int (`gf.join_rows`): a span's words
+are sums of the leading generators' multiples plus tabulated words.
+`code_words` places the generators once in a construction's word layout.
+Only `enumerate_code` hands out `Matrix` views, for the words it keeps
+under its rank cap; coset lists and FDRM words stay row tuples.
 """
 
 from __future__ import annotations
 
 import os
 from functools import reduce
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
-from .gf import GF, field_modulus, gf, pack_row, row_codes, times_x, x_power
+from .gf import GF, field_modulus, gf, join_rows, pack_row, row_codes, split_rows, times_x, \
+    x_power
 from .matrices import Matrix, rank_added
 
 
@@ -81,29 +83,34 @@ def gabidulin_mrd(q: int, a: int, b: int, d: int) -> LinearRankCode:
 _LOW_WORDS = 1 << 10  # at most this many words of the last generators' span are tabulated
 
 
-def span_iter(field: GF, gens: Sequence[Tuple[int, ...]], nrows: int
-               ) -> Iterator[Tuple[int, ...]]:
-    """The packed rows of all GF(q)-combinations in coefficient-counter
+def span_iter(field: GF, gens: Sequence[int]) -> Iterator[int]:
+    """Each GF(q)-combination of the words `gens`, in coefficient-counter
     order (deterministic): the first generator's coefficient changes
     slowest, each running through the element codes 0, ..., q - 1.  The
     last generators' span is tabulated in that order; each combination of
     the others' multiples is summed once, then added to every word of it."""
     q, add, scale = field.q, field.row_add, field.row_scale
-
-    def plus(x, y):
-        return tuple(map(add, x, y))
-
-    def multiples(g, codes):
-        return [tuple(scale(v, c) for v in g) for c in codes]
-
-    split, low = len(gens), [(0,) * nrows]
+    split, low = len(gens), [0]
     while split and len(low) * q <= _LOW_WORDS:
         split -= 1
-        low += [plus(m, v) for m in multiples(gens[split], range(1, q)) for v in low]
-    for high in product(*(multiples(g, range(q)) for g in gens[:split])):
-        base = reduce(plus, high, low[0])  # low[0] is the zero word
-        for v in low:
-            yield tuple(map(add, base, v))
+        low += [add(m, v) for m in [scale(gens[split], c) for c in range(1, q)] for v in low]
+    for high in product(*([scale(g, c) for c in range(q)] for g in gens[:split])):
+        yield from map(add, repeat(reduce(add, high, 0)), low)
+
+
+def code_words(code: LinearRankCode, width: Optional[int] = None,
+               streaming: bool = False) -> Iterator[int]:
+    """Each word of the code as one int, in `span_iter`'s order: its rows
+    end to end in slots of `width` bits (by default b entries), so that a
+    wider slot places the word in the right block of a larger one.  Only the
+    generators are placed, as row arithmetic acts on whole words.  The
+    enumeration limit applies unless `streaming`."""
+    if not streaming and code.cardinality > enumeration_limit():
+        raise EnumerationLimitExceeded(
+            f"{code.cardinality} codewords exceed the {enumeration_limit()} limit"
+        )
+    width = code.b * code.field.width if width is None else width
+    return span_iter(code.field, [join_rows(g, width) for g in code.generators])
 
 
 def enumerate_code(
@@ -111,15 +118,12 @@ def enumerate_code(
     rank_cap: Optional[int] = None,
     streaming: bool = False,
 ) -> Iterator[Matrix]:
-    """Yield each codeword once; with rank_cap keep only ranks <= cap.
-    Only the words kept become `Matrix` values."""
-    if not streaming and code.cardinality > enumeration_limit():
-        raise EnumerationLimitExceeded(
-            f"{code.cardinality} codewords exceed the {enumeration_limit()} limit"
-        )
+    """Yield each codeword once, in `span_iter`'s order; with rank_cap keep
+    only ranks <= cap, stopping each rank count at cap + 1.  Only the words
+    kept become `Matrix` values."""
     f, b = code.field, code.b
-    for rows in span_iter(f, code.generators, code.a):
-        if rank_cap is None or rank_added(f, [0] * (b + 1), rows) <= rank_cap:
+    for rows in split_rows(code_words(code, streaming=streaming), code.a, b * f.width):
+        if rank_cap is None or rank_added(f, [0] * (b + 1), rows, rank_cap + 1) <= rank_cap:
             yield Matrix.from_packed(f, b, rows)
 
 
@@ -138,12 +142,12 @@ def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Tuple[i
         raise EnumerationLimitExceeded("coset family too large to materialize")
     # generators are ordered by q-degree, so the subcode's basis is a prefix
     n_sub = max(a, b) * (min(a, b) - d_s + 1)
-    f = ambient.field
-    sub = list(span_iter(f, ambient.generators[:n_sub], a))
-    cosets = [sorted(tuple(map(f.row_add, rep, m)) for m in sub)
-              for rep in span_iter(f, ambient.generators[n_sub:], a)]
-    cosets.sort()  # cosets are disjoint, so their least members decide
-    return cosets
+    f, width = ambient.field, b * ambient.field.width
+    gens = [join_rows(g, width) for g in ambient.generators]
+    sub = list(span_iter(f, gens[:n_sub]))
+    # words sort as their rows do; cosets are disjoint, so their least members decide
+    cosets = sorted(sorted(map(f.row_add, repeat(rep), sub)) for rep in span_iter(f, gens[n_sub:]))
+    return [list(split_rows(c, a, width)) for c in cosets]
 
 
 def fdrm_words(q: int, u1: int, u2: int, w1: int, w2: int, d_f: int, c1: int, c2: int

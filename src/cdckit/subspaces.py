@@ -1,18 +1,18 @@
 """Canonical subspaces, subspace distance and distance verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
-subspaces have equal rows.  A `Subspace` holds its field, n, the packed
-rows of its RREF (`gf.pack_row`) as a tuple, and their pivot columns.
-`codeword` makes one from packed rows: rows given with their pivots, as
-the constructions and the parser give them, are trusted to be in RREF,
-and others are reduced by `matrices.rref`.  A `CDC` holds no `Subspace`:
-each word is one int, its rows end to end (k n w bits), in a sorted list
-beside its pivot-group number, an index into a table of the distinct
-pivot tuples, taken from the incoming words and never recomputed.  Rows
-of one width compare as their concatenation does, so the order is the
-rows' order and equal words are neighbours.  The readers below take a
-word's rows from its int by shift and mask; reading the code as a
-sequence makes each word's `Subspace`.
+subspaces have equal rows.  A `Subspace` holds its field, n, its word, the
+packed rows of its RREF end to end (k n w bits, `gf.join_rows`), and
+their pivot columns.  `codeword` packs rows, trusting rows given with
+their pivots to be in RREF and reducing others by `matrices.rref`; the
+constructions and the parser build words packed.  A `CDC` holds no
+`Subspace`: it keeps each word's int in a sorted list beside its
+pivot-group number, an index into a table of the distinct pivot tuples,
+taken from the incoming words and never recomputed.  Rows of one width
+compare as their concatenation does, so the order is the rows' order and
+equal words are neighbours.  The readers below take a word's rows from
+its int by shift and mask; reading the code as a sequence makes each
+word's `Subspace` from its int.
 
 Two facts bound a pair's distance from below.  For pivot sets P,
 d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
@@ -35,7 +35,8 @@ Exhaustive verification instead finds the highest t at which two
 codewords share a t-subspace (`_collision_scan`), and compares pairs only
 when they are fewer than the keys.
 The CDC file format renders and checks each distinct row once, and keeps a
-record already in RREF.  Its header is CDC and the integers q, n, k, d and
+record already in RREF, known by one mask when it lies on the last
+record's pivots.  Its header is CDC and the integers q, n, k, d and
 the word count, with 1 <= k <= n, count >= 0 and d >= 1 (any two words
 meet d <= 0).  A file is written and read about 64 KiB at a time, so
 neither its whole text nor a list of its lines is held.
@@ -57,38 +58,45 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
-from .gf import GF, gf, pack_row, row_codes
-from .matrices import Matrix, rank_added, rref, rref_pivots
+from .gf import GF, gf, join_rows, pack_row, row_codes, split_rows
+from .matrices import Matrix, rank_added, rref, rref_mask, rref_pivots
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
 
 class Subspace:
-    """A k-dimensional subspace of GF(q)^n in canonical RREF form: the
-    packed rows of its RREF, a tuple, and their pivot columns.  Two are
-    equal when they are one subspace of one GF(q)^n."""
+    """A k-dimensional subspace of GF(q)^n in canonical RREF form: `word`,
+    the packed rows of its RREF end to end (`gf.join_rows`, row 0 highest),
+    and their pivot columns.  Two are equal when they are one subspace of
+    one GF(q)^n."""
 
-    __slots__ = ("field", "n", "rows", "pivots")
+    __slots__ = ("field", "n", "word", "pivots")
 
-    def __init__(self, field: GF, n: int, rows: Tuple[int, ...], pivots: Tuple[int, ...]):
-        self.field, self.n, self.rows, self.pivots = field, n, rows, pivots
+    def __init__(self, field: GF, n: int, word: int, pivots: Tuple[int, ...]):
+        self.field, self.n, self.word, self.pivots = field, n, word, pivots
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> Tuple[int, ...]:
+        """The packed RREF rows, decoded from `word` on each read."""
+        rows, = split_rows([self.word], self.k, self.n * self.field.width)
+        return rows
 
     @property
     def mat(self) -> Matrix:
         """The RREF as a `Matrix`, made anew on each read."""
         return Matrix.from_packed(self.field, self.n, self.rows)
 
-    def key(self) -> tuple:
+    def key(self) -> int:
         """Orders subspaces of one (n, k) as their RREF entry tuples do."""
-        return self.rows
+        return self.word
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and \
-            (self.field.q, self.n, self.rows) == (other.field.q, other.n, other.rows)
+        return isinstance(other, Subspace) and (self.field.q, self.n, self.k, self.word) == \
+            (other.field.q, other.n, other.k, other.word)
 
     def __repr__(self):
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
@@ -104,7 +112,7 @@ def codeword(f: GF, n: int, rows: Sequence[int],
         if len(reduced) < len(rows):
             raise ValueError("rows are linearly dependent")
         rows = reduced
-    return Subspace(f, n, tuple(rows), pivots)
+    return Subspace(f, n, join_rows(rows, n * f.width), pivots)
 
 
 class CDC(Sequence):
@@ -120,19 +128,16 @@ class CDC(Sequence):
     def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[Subspace],
                  strict: bool = True):
         self.q, self.n, self.k, self.d, self.field = q, n, k, d, gf(q)
-        width = n * self.field.width  # a row's bits
         # while the words sort, each carries its group number in n low bits:
         # a code has at most C(n, k) < 2^n pivot tuples
         numbers: dict = {}  # pivot tuple -> its number in the input
         packed, setdefault = [], numbers.setdefault
         for w in codewords:
-            rows, x = w.rows, 0
-            if w.n != n or len(rows) != k or w.field.q != q:
+            if w.n != n or len(w.pivots) != k or w.field.q != q:
                 raise InvalidParameters("codeword does not match container parameters")
-            for row in rows:
-                x = x << width | row
-            packed.append(x << n | setdefault(w.pivots, len(numbers)))
+            packed.append(w.word << n | setdefault(w.pivots, len(numbers)))
         # a code with no word reads no row, so its header's n and k may be of any size
+        width = n * self.field.width  # a row's bits
         self.places = [(k - 1 - r) * width for r in range(k if packed else 0)]
         self.row_mask = (1 << width) - 1 if packed else 0
         packed.sort()
@@ -147,11 +152,6 @@ class CDC(Sequence):
             raise InvalidParameters("duplicate codeword")  # sorted, so equal words are neighbours
         self.packed = packed
 
-    def rows(self, words: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-        """The RREF rows of each packed word, a tuple each, made as they are read."""
-        return zip(*[map(and_, map(rshift, words, repeat(s)), repeat(self.row_mask))
-                     for s in self.places])
-
     # the words, each a `Subspace` made on read: the code itself
     codewords = property(lambda self: self)
 
@@ -161,11 +161,10 @@ class CDC(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        rows, = self.rows([self.packed[i]])
-        return Subspace(self.field, self.n, rows, self.pivot_tuples[self.group[i]])
+        return Subspace(self.field, self.n, self.packed[i], self.pivot_tuples[self.group[i]])
 
     def __iter__(self):
-        return map(Subspace, repeat(self.field), repeat(self.n), self.rows(self.packed),
+        return map(Subspace, repeat(self.field), repeat(self.n), self.packed,
                    map(self.pivot_tuples.__getitem__, self.group))
 
     def __repr__(self):
@@ -264,11 +263,15 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
     Exhaustive mode returns the true minimum and the lexicographically
     first witness pair (indices into the sorted codeword list), and counts
     all N(N-1)/2 pairs as checked; sample mode returns the minimum over
-    `sample_count` seeded pairs.
+    `sample_count` seeded pairs.  Past CDCKIT_PAIR_LIMIT (default 10^9)
+    draws, or both pairs and keys, raise `PairLimitExceeded`.
     """
+    limit = int(os.environ.get("CDCKIT_PAIR_LIMIT", 10**9))
     if mode == "sample":
         if sample_count < 1:
             raise InvalidParameters(f"sample count {sample_count} is below 1")
+        if sample_count > limit:  # refused before the first draw
+            raise PairLimitExceeded(f"{sample_count} draws exceed the limit {limit}")
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     n_words = len(code)
@@ -282,7 +285,7 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
     keys = n_words * sum(gauss_binomial(code.k, t, code.q) for t in range(1, code.k + 1))
-    if min(total_pairs, keys) > (limit := int(os.environ.get("CDCKIT_PAIR_LIMIT", 10**9))):
+    if min(total_pairs, keys) > limit:
         raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
                                 f"the limit {limit}")
     best, witness = (_min_pair(code, combinations(range(n_words), 2), groups)
@@ -352,7 +355,7 @@ def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
                 held = by_group[g]
                 for b in range(0, len(held), _BATCH):
                     batch = held[b:b + _BATCH]
-                    rows = list(code.rows([words[i] for i in batch]))
+                    rows = list(split_rows([words[i] for i in batch], k, shift))
                     yield batch, keys_of(code.field, rows, spec)
 
         found = []
@@ -518,26 +521,39 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
     if d < 1:  # every pair of codewords would meet a claimed d <= 0
         raise ValueError(f"claimed distance {d} is below 1")
     field = gf(q)
-    parsed, shapes = {}, {}  # line -> packed row, and the shapes of rref_pivots
+    width = n * field.width
+    parsed, shapes, masks = {}, {}, {}  # line -> packed row; rref_pivots's shapes; rref_mask's
 
     def words() -> Iterator[Subspace]:
-        rows: list = []
+        # a word in RREF on the last record's pivots is known by one mask
+        word, left, pivots, mask, ones = 0, k, None, 0, 1
         for ln in lines:
             row = parsed.get(ln)
             if row is None:
                 entries = ln.split()
                 if not entries:
-                    if rows:
+                    if left < k:
                         raise ValueError("truncated codeword record")
                     continue
                 if len(entries) != n:
                     raise ValueError(f"a row has {len(entries)} entries, need {n}")
                 row = parsed[ln] = pack_row(field, [int(e) for e in entries])
-            rows.append(row)
-            if len(rows) == k:
-                yield codeword(field, n, rows, rref_pivots(field, rows, n, shapes))
-                rows = []
-        if rows:
+            word = word << width | row
+            left -= 1
+            if not left:
+                if word & mask == ones:
+                    yield Subspace(field, n, word, pivots)
+                else:
+                    rows, = split_rows([word], k, width)
+                    found = rref_pivots(field, rows, n, shapes)
+                    if found is None:
+                        yield codeword(field, n, rows)  # reduced
+                    else:
+                        pivots, (mask, ones) = found, masks.get(found) or \
+                            masks.setdefault(found, rref_mask(field, found, n))
+                        yield Subspace(field, n, word, pivots)
+                word, left = 0, k
+        if left < k:
             raise ValueError("truncated codeword record")
 
     code = CDC(q, n, k, d, words(), strict=False)

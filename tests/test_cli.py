@@ -409,6 +409,19 @@ def test_verify_empty_or_headerless_file_exits_2(tmp_path, capsys):
         assert "not a CDC file" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_sample_past_the_pair_limit(tmp_path, capsys, monkeypatch):
+    # 10^20 draws on a two-word file exceed the default limit of 10^9: exit
+    # 2 at once, with one stderr line, as exhaustive mode does
+    monkeypatch.delenv("CDCKIT_PAIR_LIMIT", raising=False)
+    path = tmp_path / "two.cdc"
+    path.write_text("CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n")
+    t0 = time.perf_counter()
+    assert main(["verify", "--in", str(path), "--mode", f"sample:{10**20}:1"]) == 2
+    assert time.perf_counter() - t0 < 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "exceed the limit 1000000000" in err
+
+
 def test_verify_sample_count_below_one_exits_2(tmp_path, capsys):
     path = tmp_path / "two.cdc"
     path.write_text("CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n")

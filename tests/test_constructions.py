@@ -14,7 +14,7 @@ from cdckit.gf import gf
 from cdckit.matrices import mat_rref, rref_pivots
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import CDC, cdc_to_text, verify_min_distance
+from cdckit.subspaces import CDC, cdc_to_text, codeword, verify_min_distance
 from oracles import MULTILEVEL_TUPLES, hstack, identifying_vector, identity_matrix, \
     insertion_predicate, lifted_with_vectors, special_form_vector, subspace_distance, \
     subspace_from_rows, zero_matrix
@@ -371,3 +371,15 @@ def test_case1_insert_members_satisfy_insert_predicate():
         for w, vec in itertools.islice(pairs, 200 if n == 12 else None):
             assert insertion_predicate(w, p["n1"], p["n2"], d)
             assert identifying_vector(w) == vec
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_PLANS.values()) + list(BENCH_PLANS.values()),
+                         ids=list(GOLDEN_PLANS) + list(BENCH_PLANS))
+def test_built_words_reduce_to_themselves(text):
+    # a built word's pivots are trusted, not computed: its rows reduced
+    # again by `codeword` must give the same word and pivots
+    code = run_plan(parse_plan(text)).cdc
+    f = gf(code.q)
+    for w in code:
+        again = codeword(f, code.n, w.rows)
+        assert (again.word, again.pivots) == (w.word, w.pivots)

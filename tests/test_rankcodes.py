@@ -15,10 +15,10 @@ import pytest
 from cdckit.bounds import _lifted
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
-from cdckit.gf import field_modulus, gf
+from cdckit.gf import field_modulus, gf, join_rows, pack_row
 from cdckit.matrices import Matrix, mat_rank
-from cdckit.rankcodes import LinearRankCode, coset_lists, enumerate_code, fdrm_words, \
-    gabidulin_mrd
+from cdckit.rankcodes import LinearRankCode, code_words, coset_lists, enumerate_code, \
+    fdrm_words, gabidulin_mrd
 from oracles import ExtField, entry, mat_sub, oracle_rref, rref_rows, sub, transpose
 
 
@@ -321,3 +321,49 @@ def test_fdrm_words_meet_the_shape(q, shape):
     sample = [Matrix.from_packed(f, w1 + w2, rows) for rows in words[::len(words) // 120 + 1]]
     for x, y in itertools.combinations(sample, 2):
         assert mat_rank(mat_sub(x, y)) >= d_f
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_rank_cap_keeps_the_words_a_full_rank_filter_keeps(q):
+    # the cap filter stops each word's rank count at cap + 1; it must keep
+    # exactly the words whose full rank is at most the cap, in enumeration
+    # order, at every cap
+    for a, b, d in ((2, 3, 1), (3, 3, 2)):
+        code = gabidulin_mrd(q, a, b, d)
+        full = [(m.packed, mat_rank(m)) for m in enumerate_code(code)]
+        for cap in range(min(a, b) + 1):
+            kept = [m.packed for m in enumerate_code(code, rank_cap=cap)]
+            assert kept == [rows for rows, rank in full if rank <= cap], (a, b, d, cap)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_whole_word_arithmetic_equals_row_arithmetic(q):
+    # `code_words` lays each generator's rows end to end in one int once, and
+    # `span_iter` adds and scales those whole words.  Entry widths are 1, 4,
+    # 2, 4 and 8 bits at q = 2, 3, 4, 5, 9; over odd p a digit sum must
+    # never carry into the next entry or row.  The span equals, word for word
+    # and in order, the combinations taken entry by entry with the scalar
+    # `add` and `mul`, then placed: a block at the last columns of wider
+    # slots, and a block at column 0 of rows whose other entries are 0, each
+    # ORed beside a constant word of q - 1 entries
+    f, rng = gf(q), random.Random(330 + q)
+    a, b, n = 3, 2, 5
+    count = next(c for c in itertools.count(1) if q**c > 1024)  # past the tabulated span
+    block = [[[q - 1] * b for _ in range(a)]] + \
+        [[[rng.randrange(q) for _ in range(b)] for _ in range(a)] for _ in range(count - 1)]
+    width = n * f.width
+    for left in (n - b, 0):  # the block's first column
+        gens = [[[0] * left + row + [0] * (n - b - left) for row in g] for g in block]
+        cols = b if left else n  # the code's own columns, which the slot may widen
+        code = LinearRankCode(q, a, cols, 1, [tuple(pack_row(f, row[n - cols:]) for row in g)
+                                              for g in gens])
+        start = join_rows([pack_row(f, [0 if left <= c < left + b else q - 1 for c in range(n)])
+                           for _ in range(a)], width)
+        want = []
+        for coeffs in itertools.product(range(q), repeat=count):
+            rows = [[0] * n for _ in range(a)]
+            for c, g in zip(coeffs, gens):
+                rows = [[f.add(x, f.mul(c, y)) for x, y in zip(row, grow)]
+                        for row, grow in zip(rows, g)]
+            want.append(start | join_rows([pack_row(f, row) for row in rows], width))
+        assert [start | x for x in code_words(code, width)] == want, left

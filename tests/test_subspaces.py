@@ -214,6 +214,22 @@ def test_verify_pair_limit(monkeypatch):
         verify_min_distance(cdc)
 
 
+def test_sample_mode_refuses_more_draws_than_the_pair_limit(monkeypatch):
+    # draws are bounded as exhaustive work is: at a limit of 10, ten draws
+    # run and eleven are refused before the first draw
+    monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
+    cdc = CDC(2, 4, 2, 2, words)
+    assert verify_min_distance(cdc, mode="sample", sample_count=10, seed=1).pairs_checked == 10
+
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(subspaces, "_sampled_pairs", no_draw)
+    with pytest.raises(PairLimitExceeded, match="11 draws exceed the limit 10"):
+        verify_min_distance(cdc, mode="sample", sample_count=11, seed=1)
+
+
 def test_verify_pair_limit_counts_keys(monkeypatch):
     # k = 1: ten points of GF(2)^4 have 45 pairs but only 10 keys, so the
     # collision scan stays within a limit of 10
@@ -437,6 +453,60 @@ def test_codewords_are_a_sequence_of_subspaces_made_on_read(q):
     again = CDC(q, code.n, code.k, code.d, shuffled)
     assert (again.packed, again.group, again.pivot_tuples) == \
         (code.packed, code.group, code.pivot_tuples)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subspace_rows_decode_the_word(q):
+    # a `Subspace` holds its RREF rows end to end in one int, row 0 highest;
+    # `rows` decodes them: for k = 1, and with a leading entry in column 0,
+    # whose bits are the highest of the word
+    f, n = gf(q), 5
+    for entries, pivots in (([[0, 1, q - 1, 0, 1]], (1,)),
+                            ([[1, 0, q - 1, 0, 1]], (0,)),
+                            ([[1, q - 1, 0, 0, 1], [0, 0, 1, 0, q - 1]], (0, 2)),
+                            ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 1]], (0, 1, 3))):
+        rows = tuple(pack_row(f, r) for r in entries)
+        word = sum(r << (len(rows) - 1 - i) * n * f.width for i, r in enumerate(rows))
+        w = codeword(f, n, rows, pivots)
+        assert (w.word, w.k, w.rows) == (word, len(rows), rows)
+        assert Subspace(f, n, word, pivots).mat.rows() == [tuple(r) for r in entries]
+        assert codeword(f, n, rows) == w  # reduced, the same word
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_cdc_from_text_keeps_exactly_the_records_in_rref(q):
+    # the parser knows a record in RREF on the last record's pivots by one
+    # mask, and checks any other afresh or reduces it.  Records in RREF, with
+    # a pivot column's entry set in another row, with a leading entry other
+    # than 1, or with an entry left of a pivot set, in runs of one pivot
+    # tuple, parse as `codeword` reduces each
+    rng = random.Random(3390 + q)
+    f, n, k = gf(q), 6, 3
+    records, want = [], []
+    while len(records) < 240:
+        pivots = sorted(rng.sample(range(n), k))
+        for _ in range(rng.randrange(1, 5)):
+            rows = [[0] * n for _ in range(k)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+                for j in range(c + 1, n):
+                    if j not in pivots:
+                        rows[r][j] = rng.randrange(q)
+            r, kind = rng.randrange(k), rng.randrange(4)
+            if kind == 1:
+                rows[r][pivots[(r + 1) % k]] = rng.randrange(1, q)
+            elif kind == 2 and q > 2:
+                rows[r][pivots[r]] = rng.randrange(2, q)
+            elif kind == 3 and pivots[r] > 0:
+                rows[r][rng.randrange(pivots[r])] = rng.randrange(1, q)
+            packed = [pack_row(f, row) for row in rows]
+            if rank_added(f, [0] * (n + 1), packed) == k:
+                records.append(rows)
+                want.append(codeword(f, n, packed))
+    text = f"CDC {q} {n} {k} 2 {len(records)}\n" + "".join(
+        "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows) for rows in records)
+    parsed = cdc_from_text(text)
+    assert [(w.word, w.pivots) for w in parsed] == sorted((w.word, w.pivots) for w in want)
 
 
 @pytest.mark.parametrize("n", [5, 64, 70, 100])
