@@ -159,13 +159,13 @@ def _cmd_build(args) -> int:
         plan = parse_plan(fh.read())
     _check_cap(plan.q, plan.k * (plan.n - plan.k), "a code of order q^(k(n-k))")
     out = run_plan(plan, registry, explicit=not args.count_only)
-    for name, value in sorted(out.component_counts.items()):
-        _emit({"component": name, "count": value})
-    _emit({"total": out.total, "explicit": out.cdc is not None})
-    if out.cdc is not None and args.out:
+    if out.cdc is not None and args.out:  # first, so that a failed write leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:
             cdc_to_text(out.cdc, fh)
         print(f"# wrote {len(out.cdc)} codewords to {args.out}", file=sys.stderr)
+    for name, value in sorted(out.component_counts.items()):
+        _emit({"component": name, "count": value})
+    _emit({"total": out.total, "explicit": out.cdc is not None})
     return 0
 
 

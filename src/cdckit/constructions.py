@@ -9,16 +9,16 @@ plan without files `build --count-only` equals `bound --plan` by
 construction.  An explicit build holds the running total to the
 explicit-build cutoff after each part, and only then materializes every
 part into one code, whose size must equal the total.  Each codeword is
-assembled from Gabidulin codes, their coset lists and FDRM words
-(`rankcodes`) as one int, its rows end to end.  Rows in RREF on known
-pivots are built straight into it: a linkage word (U1 | M2) is U1's
-constant word ORed onto an MRD word whose generators were placed in the
-right block once (`rankcodes.code_words`), and a lifted insert's FDRM rows
-go beside the identity blocks of its special-form vector, one constant
-word, whose widths `bounds.insert_vectors` gives the count and the build
-alike.  Other words' blocks are shifted to their columns and joined row
-by row, and `subspaces.codeword` reduces and packs them.  The verifier
-can then check distances exhaustively.
+one int, its rows end to end, and the OR of its blocks.  Each block is
+placed once in the rows and columns it takes: Gabidulin words, coset
+lists and FDRM words by `rankcodes`, and sub-code words re-slotted from
+their `CDC.packed` ints by `_placed`.  Words on known pivots are trusted
+`Subspace`s: a linkage word (U1 | M2), and a lifted insert's FDRM word
+beside the identity blocks of its special-form vector, one constant word,
+whose widths `bounds.insert_vectors` gives the count and the build alike.
+Other words are split into rows by one `split_rows` stream and reduced
+by `subspaces.codeword`.  The verifier can then check distances
+exhaustively.
 
 `_PARTS` pairs each count part with its materializer and the components a
 build reports for it.  A build reports the components of its family's last
@@ -44,8 +44,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
     lifted_inserts_part, linkage_part, parallel_insert_part
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
-from .gf import factor_prime_power, gf, join_rows
-from .rankcodes import code_words, coset_lists, enumerate_code, fdrm_words, gabidulin_mrd
+from .gf import factor_prime_power, gf, join_rows, split_rows
+from .rankcodes import code_words, coset_lists, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import CDC, Subspace, cdc_from_text, codeword, verify_min_distance
 
@@ -143,57 +143,51 @@ def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
 # the part's terms to the words of that part's code.
 
 
+def _placed(code: CDC, width: int, shift: int = 0) -> List[int]:
+    """A sub-code's words re-slotted: rows in `width`-bit slots, moved `shift` bits left."""
+    rows = split_rows(code.packed, code.k, code.n * code.field.width)
+    return [join_rows(r, width) << shift for r in rows]
+
+
+def _reduced(f, n: int, k: int, words: Iterable[int]) -> Iterator[Subspace]:
+    """The codewords spanned by the k rows of n entries of each word."""
+    return map(codeword, repeat(f), repeat(n), split_rows(words, k, n * f.width))
+
+
 def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
     """(U1 | M2) over C1 and the MRD code, then (M1 | U2) over the
     rank-capped MRD code and C2.  The first rows are in RREF with U1's
-    pivots: each U1 is one constant word, and the MRD code's words are
-    placed in the right block of a codeword's rows once for all.  The
-    second rows are reduced."""
+    pivots: each U1 is one placed word, ORed onto the MRD code's words,
+    placed in the right block.  The second rows are reduced."""
     q, n, k, h, n1, n2 = p["q"], p["n"], p["k"], p["h"], p["n1"], p["n2"]
     f = gf(q)
     shift, width = n2 * f.width, n * f.width  # the left block moves past the right's n2 columns
-    mrd = gabidulin_mrd(q, k, n2, h)
-    for u1 in subs["C1"]:
-        high = join_rows([r << shift for r in u1.rows], width)
-        yield from map(Subspace, repeat(f), repeat(n),
-                       map(or_, code_words(mrd, width), repeat(high)), repeat(u1.pivots))
-    c2 = [u2.rows for u2 in subs["C2"]]  # a code makes words on read: once, not per M1
-    for m1 in enumerate_code(gabidulin_mrd(q, k, n1, h), rank_cap=k - h):
-        high = [r << shift for r in m1.packed]
-        for rows in c2:
-            yield codeword(f, n, [m | u for m, u in zip(high, rows)])
+    mrd, c1 = gabidulin_mrd(q, k, n2, h), subs["C1"]
+    for u1, g in zip(_placed(c1, width, shift), c1.group):
+        words = map(or_, code_words(mrd, width), repeat(u1))
+        yield from map(Subspace, repeat(f), repeat(n), words, repeat(c1.pivot_tuples[g]))
+    c2 = _placed(subs["C2"], width)
+    m1s = code_words(gabidulin_mrd(q, k, n1, h), width, shift, rank_cap=k - h)
+    yield from _reduced(f, n, k, (m | u for m in m1s for u in c2))
 
 
-def _block_words(p, s: int, diag1: Iterable[Subspace], diag2: Iterable[Subspace],
-                 t1: int, t2: int, cap1: Optional[int], cap2: Optional[int]
-                 ) -> Iterator[Subspace]:
+def _block_words(p, s: int, diag1: CDC, diag2: CDC, t1: int, t2: int,
+                 cap1: Optional[int], cap2: Optional[int]) -> Iterator[Subspace]:
     """Rows (U1 | M11 | 0 | M12) over (0 | M21 | U2 | M22): U1, U2 from the
     diagonal codes (t1, t2 columns wide), M11 and M22 from the r-th paired
     cosets for r < s, and M12, M21 from MRD codes under the rank caps.
-    Each block's rows are shifted to their columns once, and a word's rows
-    are their ORs."""
+    Each block is placed once, and a word is the OR of its blocks."""
     q, n, h, a1, a2, n1, n2 = p["q"], p["n"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
     f = gf(q)
-
-    def placed(words: Iterable[Tuple[int, ...]], right: int) -> List[Tuple[int, ...]]:
-        """Each word's rows, moved left past `right` columns."""
-        return [tuple(r << right * f.width for r in rows) for rows in words]
-
-    def mrd_rows(a: int, b: int, cap: Optional[int]) -> Iterator[Tuple[int, ...]]:
-        """The rows of the a x b distance-d/2 Gabidulin words of rank <= cap."""
-        return (m.packed for m in enumerate_code(gabidulin_mrd(q, a, b, h), rank_cap=cap))
-
-    fam1 = [placed(c, n2) for c in coset_lists(q, a1, n1 - t1, p["b1"], h)]
-    fam2 = [placed(c, 0) for c in coset_lists(q, a2, n2 - t2, p["b2"], h)]
-    m12s = placed(mrd_rows(a1, n2 - t2, cap1), 0)
-    m21s = placed(mrd_rows(a2, n1 - t1, cap2), n2)
-    us1 = placed((u.rows for u in diag1), n - t1)
-    us2 = placed((u.rows for u in diag2), n2 - t2)
-    for r in range(s):
-        for u1, u2, m11, m22, m12, m21 in itertools.product(
-                us1, us2, fam1[r], fam2[r], m12s, m21s):
-            yield codeword(f, n, [a | b | c for a, b, c in zip(u1, m11, m12)]
-                           + [a | b | c for a, b, c in zip(m21, u2, m22)])
+    w, width, top = f.width, n * f.width, a2 * n * f.width  # top: the a1 rows above the a2
+    fam1 = coset_lists(q, a1, n1 - t1, p["b1"], h, width, top + n2 * w)
+    fam2 = coset_lists(q, a2, n2 - t2, p["b2"], h, width)
+    m12s = list(code_words(gabidulin_mrd(q, a1, n2 - t2, h), width, top, rank_cap=cap1))
+    m21s = list(code_words(gabidulin_mrd(q, a2, n1 - t1, h), width, n2 * w, rank_cap=cap2))
+    us1, us2 = _placed(diag1, width, top + (n - t1) * w), _placed(diag2, width, (n2 - t2) * w)
+    for r in range(s):  # the blocks are disjoint, so their sum is their OR
+        yield from _reduced(f, n, a1 + a2, map(sum, itertools.product(
+            us1, us2, fam1[r], fam2[r], m12s, m21s)))
 
 
 def _blocks_words(p, subs, terms) -> Iterator[Subspace]:
@@ -216,35 +210,33 @@ def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
     q, n, a1, a2, b1, b2 = p["q"], p["n"], p["a1"], p["a2"], p["b1"], p["b2"]
     t1, t2, n2 = p["t1"], p["t2"], p["n2"]
     f = gf(q)
-    w = f.width
-    m1s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a1, t1, b1), rank_cap=p["c1"]))
-    m2s = sorted(m.packed for m in enumerate_code(gabidulin_mrd(q, a2, t2, b2), rank_cap=p["c2"]))
+    w, width, top = f.width, n * f.width, a2 * n * f.width  # top: the a1 rows above the a2
+    m1s = sorted(code_words(gabidulin_mrd(q, a1, t1, b1), width, top + (n - t1) * w,
+                            rank_cap=p["c1"]))
+    m2s = sorted(code_words(gabidulin_mrd(q, a2, t2, b2), width, (n2 - t2) * w, rank_cap=p["c2"]))
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
-    d1, d2 = ([u.rows for u in subs[slot]] for slot in ("D1", "D2"))  # decoded once
-    for (m1, m2), u1, u2 in itertools.product(pairs, d1, d2):
-        top = [m << (n - t1) * w | u << n2 * w for m, u in zip(m1, u1)]
-        bot = [m << (n2 - t2) * w | u for m, u in zip(m2, u2)]
-        yield codeword(f, n, top + bot)
+    d1, d2 = _placed(subs["D1"], width, top + n2 * w), _placed(subs["D2"], width)
+    yield from _reduced(f, n, a1 + a2, (m1 | m2 | u1 | u2 for (m1, m2), u1, u2
+                                        in itertools.product(pairs, d1, d2)))
 
 
 def _lifted_words(p, subs, terms) -> Iterator[Subspace]:
     """The lifted FDRM codes, one per special-form vector: shift zeros, v1
-    ones, w1 zeros, then v2 ones and w2 zeros.  Each word's rows are the
-    vector's identity rows beside the FDRM word's [[M1, M3], [0, M2]]: M1
-    moved past the n2 columns of the second block, M3 and M2 in the last w2
-    entries.  They are in RREF with the vector's ones as pivots.  The
-    vectors lie at Hamming distance d or more from each other by the
-    family's hypotheses, so the lifted codes combine."""
+    ones, w1 zeros, then v2 ones and w2 zeros.  Each word is the vector's
+    identity rows, one constant word, ORed onto the FDRM word
+    [[M1, M3], [0, M2]] placed in rows of n entries: M1 moved past the n2
+    columns of the second block, M3 and M2 in the last w2 entries.  They
+    are in RREF with the vector's ones as pivots.  The vectors lie at
+    Hamming distance d or more from each other by the family's hypotheses,
+    so the lifted codes combine."""
     q, n, n1, n2, h = p["q"], p["n"], p["n1"], p["n2"], p["h"]
     f = gf(q)
     w, width = f.width, n * f.width
     for v1, v2, shift, w1, w2, c1, c2 in insert_vectors(p):
         pivots = tuple(range(shift, shift + v1)) + tuple(range(n1, n1 + v2))
-        ones = join_rows([1 << (n - 1 - c) * w for c in pivots], width)  # one constant word
-        low = (1 << w2 * w) - 1
-        for rows in fdrm_words(q, v1, v2, w1, w2, h, c1, c2):
-            yield Subspace(f, n, ones | join_rows([(r >> w2 * w) << n2 * w | r & low
-                                                   for r in rows], width), pivots)
+        ones = join_rows([1 << (n - 1 - c) * w for c in pivots], width)
+        yield from map(Subspace, repeat(f), repeat(n), map(or_, fdrm_words(
+            q, v1, v2, w1, w2, h, c1, c2, width, (n2 - w2) * w), repeat(ones)), repeat(pivots))
 
 
 def _named(**terms: str):

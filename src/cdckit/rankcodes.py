@@ -8,10 +8,10 @@ are counted by the family spec in `bounds`, not here.  A generator is the
 tuple of its packed rows (`gf.pack_row`); enumeration adds and scales
 words, the rows end to end in one int (`gf.join_rows`): a span's words
 are sums of the leading generators' multiples plus tabulated words.
-`code_words` places the generators once in a construction's word layout.
-Only `enumerate_code` hands out `Matrix` views, for the words it keeps
-under its rank cap; coset lists and FDRM words stay row tuples.
-"""
+Every word leaves here as one int, placed: `code_words`, `coset_lists` and
+`fdrm_words` lay its rows in slots of a given width and shift it left, so
+that a construction ORs it into a codeword as it is.  `enumerate_code` is
+a `Matrix` view of `code_words`, for readers of entries."""
 
 from __future__ import annotations
 
@@ -98,39 +98,39 @@ def span_iter(field: GF, gens: Sequence[int]) -> Iterator[int]:
         yield from map(add, repeat(reduce(add, high, 0)), low)
 
 
-def code_words(code: LinearRankCode, width: Optional[int] = None,
-               streaming: bool = False) -> Iterator[int]:
+def code_words(code: LinearRankCode, width: Optional[int] = None, shift: int = 0,
+               rank_cap: Optional[int] = None, streaming: bool = False) -> Iterator[int]:
     """Each word of the code as one int, in `span_iter`'s order: its rows
-    end to end in slots of `width` bits (by default b entries), so that a
-    wider slot places the word in the right block of a larger one.  Only the
-    generators are placed, as row arithmetic acts on whole words.  The
-    enumeration limit applies unless `streaming`."""
+    end to end in slots of `width` bits (b entries), the word moved left by
+    `shift` bits, so that it lies in its rows and columns of a larger word.
+    With `rank_cap`, only words of rank <= cap are kept: each rank count
+    reads the word's own b-entry rows and stops at cap + 1, and only kept
+    words are placed.  The enumeration limit applies unless `streaming`."""
     if not streaming and code.cardinality > enumeration_limit():
-        raise EnumerationLimitExceeded(
-            f"{code.cardinality} codewords exceed the {enumeration_limit()} limit"
-        )
-    width = code.b * code.field.width if width is None else width
-    return span_iter(code.field, [join_rows(g, width) for g in code.generators])
+        raise EnumerationLimitExceeded(f"{code.cardinality} codewords exceed the "
+                                       f"{enumeration_limit()} limit")
+    f, b, own = code.field, code.b, code.b * code.field.width
+    width = own if width is None else width
+    if rank_cap is None:  # only the generators are placed: row arithmetic acts on whole words
+        return span_iter(f, [join_rows(g, width) << shift for g in code.generators])
+    words = split_rows(span_iter(f, [join_rows(g, own) for g in code.generators]), code.a, own)
+    return (join_rows(rows, width) << shift for rows in words
+            if rank_added(f, [0] * (b + 1), rows, rank_cap + 1) <= rank_cap)
 
 
-def enumerate_code(
-    code: LinearRankCode,
-    rank_cap: Optional[int] = None,
-    streaming: bool = False,
-) -> Iterator[Matrix]:
-    """Yield each codeword once, in `span_iter`'s order; with rank_cap keep
-    only ranks <= cap, stopping each rank count at cap + 1.  Only the words
-    kept become `Matrix` values."""
-    f, b = code.field, code.b
-    for rows in split_rows(code_words(code, streaming=streaming), code.a, b * f.width):
-        if rank_cap is None or rank_added(f, [0] * (b + 1), rows, rank_cap + 1) <= rank_cap:
-            yield Matrix.from_packed(f, b, rows)
+def enumerate_code(code: LinearRankCode, rank_cap: Optional[int] = None,
+                   streaming: bool = False) -> Iterator[Matrix]:
+    """`code_words`'s words, in its order, as `Matrix` views."""
+    words = code_words(code, rank_cap=rank_cap, streaming=streaming)
+    return map(Matrix.from_packed, repeat(code.field), repeat(code.b),
+               split_rows(words, code.a, code.b * code.field.width))
 
 
-def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Tuple[int, ...]]]:
+def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int, width: Optional[int] = None,
+                shift: int = 0) -> List[List[int]]:
     """The cosets of the (q,a,b,d_s) Gabidulin subcode in the (q,a,b,d_m)
-    Gabidulin code, each as its members' packed rows sorted, ordered by
-    their least members.
+    Gabidulin code, each as its members sorted, ordered by their least
+    members.  Members are placed as `code_words` places them.
 
     Within a coset distinct members differ by rank >= d_s, across cosets by
     rank >= d_m; d_m = d_s gives the one coset, the code itself.
@@ -142,19 +142,20 @@ def coset_lists(q: int, a: int, b: int, d_m: int, d_s: int) -> List[List[Tuple[i
         raise EnumerationLimitExceeded("coset family too large to materialize")
     # generators are ordered by q-degree, so the subcode's basis is a prefix
     n_sub = max(a, b) * (min(a, b) - d_s + 1)
-    f, width = ambient.field, b * ambient.field.width
-    gens = [join_rows(g, width) for g in ambient.generators]
+    f, width = ambient.field, b * ambient.field.width if width is None else width
+    gens = [join_rows(g, width) << shift for g in ambient.generators]
     sub = list(span_iter(f, gens[:n_sub]))
-    # words sort as their rows do; cosets are disjoint, so their least members decide
-    cosets = sorted(sorted(map(f.row_add, repeat(rep), sub)) for rep in span_iter(f, gens[n_sub:]))
-    return [list(split_rows(c, a, width)) for c in cosets]
+    # placed words sort as their rows do; cosets are disjoint, so their least members decide
+    return sorted(sorted(map(f.row_add, repeat(rep), sub)) for rep in span_iter(f, gens[n_sub:]))
 
 
-def fdrm_words(q: int, u1: int, u2: int, w1: int, w2: int, d_f: int, c1: int, c2: int
-               ) -> Iterator[Tuple[int, ...]]:
-    """The packed rows of the words [[M1, M3], [0, M2]] of the FDRM code
-    with minimum rank distance d_f on the two-block staircase shape: M1 is
-    u1 x w1, M3 is u1 x w2 of rank <= u1 - d_f, and M2 is u2 x w2.
+def fdrm_words(q: int, u1: int, u2: int, w1: int, w2: int, d_f: int, c1: int, c2: int,
+               width: Optional[int] = None, gap: int = 0) -> Iterator[int]:
+    """The words [[M1, M3], [0, M2]] of the FDRM code with minimum rank
+    distance d_f on the two-block staircase shape, each one int: M1 is u1 x
+    w1, M3 is u1 x w2 of rank <= u1 - d_f, and M2 is u2 x w2.  Rows lie in
+    slots of `width` bits (w1 + w2 entries), M3 and M2 in their last w2
+    entries and M1 `gap` bits left of them.
 
     The width w1 of M1 picks the branch, as in the count of `bounds._lifted`:
     w1 < c1 leaves M1 zero and M2 runs through an MRD code; w1 < d_f pairs
@@ -163,19 +164,20 @@ def fdrm_words(q: int, u1: int, u2: int, w1: int, w2: int, d_f: int, c1: int, c2
     subcodes in the distance-c1 and distance-c2 codes.  The shape's
     hypotheses are the family's, checked before any count.
     """
+    e = gf(q).width
+    width = (w1 + w2) * e if width is None else width
+    upper, left = u2 * width, u2 * width + w2 * e + gap  # M3's shift, and M1's
     if w1 < c1:
-        groups = [([(0,) * u1], coset_lists(q, u2, w2, d_f, d_f)[0])]
+        groups = [([0], coset_lists(q, u2, w2, d_f, d_f, width)[0])]
     elif w1 < d_f:
-        pairs = zip(coset_lists(q, u1, w1, c1, c1)[0], coset_lists(q, u2, w2, c2, c2)[0])
+        pairs = zip(coset_lists(q, u1, w1, c1, c1, width, left)[0],
+                    coset_lists(q, u2, w2, c2, c2, width)[0])
         groups = [([m1], [m2]) for m1, m2 in pairs]
     else:
-        groups = list(zip(coset_lists(q, u1, w1, c1, d_f), coset_lists(q, u2, w2, c2, d_f)))
-    m3s = [m.packed for m in enumerate_code(gabidulin_mrd(q, u1, w2, d_f), rank_cap=u1 - d_f)]
-    shift = w2 * gf(q).width  # M1 sits left of M3; the lower rows' M2 has zeros to its left
+        groups = list(zip(coset_lists(q, u1, w1, c1, d_f, width, left),
+                          coset_lists(q, u2, w2, c2, d_f, width)))
+    m3s = list(code_words(gabidulin_mrd(q, u1, w2, d_f), width, upper, rank_cap=u1 - d_f))
     for m1s, m2s in groups:
         for m1 in m1s:
-            high = [r << shift for r in m1]
-            uppers = [tuple(h | x for h, x in zip(high, m3)) for m3 in m3s]
-            for m2 in m2s:
-                for upper in uppers:
-                    yield upper + m2
+            uppers = [m1 | m3 for m3 in m3s]
+            yield from (upper | m2 for m2 in m2s for upper in uppers)

@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
-from .gf import GF, gf, join_rows, pack_row, row_codes, split_rows
+from .gf import GF, _named, gf, join_rows, pack_row, row_codes, split_rows
 from .matrices import Matrix, rank_added, rref, rref_mask, rref_pivots
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
@@ -271,7 +271,8 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
         if sample_count < 1:
             raise InvalidParameters(f"sample count {sample_count} is below 1")
         if sample_count > limit:  # refused before the first draw
-            raise PairLimitExceeded(f"{sample_count} draws exceed the limit {limit}")
+            raise PairLimitExceeded(f"{_named(sample_count, 'number of')} draws exceed "
+                                    f"the limit {limit}")
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     n_words = len(code)
@@ -284,10 +285,15 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
         best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), groups)
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
-    keys = n_words * sum(gauss_binomial(code.k, t, code.q) for t in range(1, code.k + 1))
+    # the keys are only compared with the pairs and the limit: the sum stops past both
+    keys, most = 0, max(total_pairs, limit)
+    for t in range(1, code.k + 1):
+        keys += n_words * gauss_binomial(code.k, t, code.q)
+        if keys > most:
+            break
     if min(total_pairs, keys) > limit:
-        raise PairLimitExceeded(f"{total_pairs} pairs and {keys} keys both exceed "
-                                f"the limit {limit}")
+        raise PairLimitExceeded(f"{total_pairs} pairs and {keys if keys <= most else 'more'} "
+                                f"keys both exceed the limit {limit}")
     best, witness = (_min_pair(code, combinations(range(n_words), 2), groups)
                      if total_pairs < keys else _collision_scan(code, groups))
     return VerifyReport(best, witness, total_pairs, "exhaustive")
@@ -302,10 +308,10 @@ def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
     Level k is read off the sorted words.  Below it, for a word's RREF G and
     a t x k RREF matrix C, C*G is the RREF of a t-subspace whose pivots are
     G's at C's pivot columns c; keys are grouped by that pivot set, one
-    group held at a time, and `keys_of` keys a batch of words of one pivot
-    tuple for one c.  A first pass finds a group's repeated keys; only then
-    a second keys it again for their holders, and the first pair is the
-    least (lowest, second-lowest) one.
+    group held at a time, and `keys_of` keys a batch of packed words of one
+    pivot tuple for one c, moving rows from word to key by shift and mask.
+    A first pass finds a group's repeated keys; only then a second keys it
+    again for their holders.  The first pair is the least (lowest, second).
 
     Before any level below k is keyed, the first N pairs in i-major order
     give an upper bound m and w, the first of them at distance m, and the
@@ -337,16 +343,17 @@ def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
     for i, g in enumerate(code.group):
         if g in by_group:
             by_group[g].append(i)
-    shift = code.n * code.field.width
+    shift, places, mask = code.n * code.field.width, code.places, code.row_mask
 
     def level(t: int) -> Optional[Tuple[int, int]]:
         """The lexicographically first pair sharing a t-subspace, if any."""
         groups: dict = {}
         for c in combinations(range(k), t):
-            # row p of C*G, shifted to its place in the key, is G's row c_p
-            # plus any combination of G's rows j > c_p outside c
-            places = [(r, (t - 1 - p) * shift) for p, r in enumerate(c)]
-            spec = (places, [(j, s) for r, s in places for j in range(r + 1, k) if j not in c])
+            # row p of C*G is G's row c_p plus any combination of G's rows
+            # j > c_p outside c, each moved from its place in the word to row p's in the key
+            chosen = [(r, (t - 1 - p) * shift) for p, r in enumerate(c)]
+            free = [(j, s) for r, s in chosen for j in range(r + 1, k) if j not in c]
+            spec = [[(places[j], s, mask << s) for j, s in x] for x in (chosen, free)]
             for g in by_group:
                 groups.setdefault(tuple(tuples[g][r] for r in c), {})[g] = spec
 
@@ -355,8 +362,7 @@ def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
                 held = by_group[g]
                 for b in range(0, len(held), _BATCH):
                     batch = held[b:b + _BATCH]
-                    rows = list(split_rows([words[i] for i in batch], k, shift))
-                    yield batch, keys_of(code.field, rows, spec)
+                    yield batch, keys_of(code.field, [words[i] for i in batch], spec)
 
         found = []
         while groups:
@@ -428,20 +434,19 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     return True
 
 
-def keys_of(f: GF, rows: List[Tuple[int, ...]], spec) -> List[int]:
-    """The keys of the t-subspaces C*G of the words with RREF rows G in
-    `rows`, words of one pivot tuple, for one pivot choice C: `spec` is the
-    (row, shift) pairs of C's rows and the (row, shift) pairs of the rows
-    each may add.  A key concatenates t packed rows, and concatenation is a
-    shift, so a key is the base sum of the shifted rows plus any combination
-    of the shifted generators.  Word w's key for combination x is at
-    x * len(rows) + w."""
-    places, gens = spec
-    keys = [0] * len(rows)
-    for r, s in places:
-        keys = [key | g[r] << s for key, g in zip(keys, rows)]
-    for j, s in gens:
-        shifted, before = [g[j] << s for g in rows], keys[:]  # shifted: the multiples by c = 1
+def keys_of(f: GF, words: List[int], spec) -> List[int]:
+    """The keys of the t-subspaces C*G of `words`, packed words of one pivot
+    tuple with RREF rows G, for one pivot choice C.  `spec` is the moves of
+    C's rows and of the rows each may add: a row at `right` bits in word w
+    lies at `left` bits in the key, `w >> right << left & mask`.  A key is
+    the sum of C's moved rows and any combination of the moved generators;
+    word w's key for combination x is at x * len(words) + w."""
+    moves, gens = spec
+    keys = [0] * len(words)
+    for right, left, mask in moves:
+        keys = [key | (w >> right << left & mask) for key, w in zip(keys, words)]
+    for right, left, mask in gens:
+        shifted, before = [w >> right << left & mask for w in words], keys[:]  # the multiples by 1
         for m in [shifted] + [[f.row_scale(x, c) for x in shifted] for c in range(2, f.q)]:
             keys += map(f.row_add, before, cycle(m))  # c-major, then key index
     return keys

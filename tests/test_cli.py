@@ -231,6 +231,20 @@ def test_build_count_only(capsys, tmp_path):
     assert counts["L_1"] == 2154496 and counts["L_2"] == 4096
 
 
+def test_build_out_into_a_missing_directory_prints_nothing(tmp_path, capsys):
+    # the file is written before any report: a failed write exits 2 with an
+    # empty stdout and one stderr line, and a good one prints the report
+    plan = tmp_path / "blocks.plan"
+    plan.write_text(BLOCKS_PLAN)
+    assert main(["build", "--plan", str(plan), "--out", str(tmp_path / "no" / "x.cdc")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert main(["build", "--plan", str(plan), "--out", str(tmp_path / "x.cdc")]) == 0
+    wrote = capsys.readouterr().out
+    assert main(["build", "--plan", str(plan)]) == 0
+    assert capsys.readouterr().out == wrote and (tmp_path / "x.cdc").exists()
+
+
 # two words of a (4, *, *, 2)_2 file, at distance 2
 WORD_A, WORD_B = "1 0 0 0\n0 1 0 0\n", "1 0 0 0\n0 0 1 0\n"
 
@@ -420,6 +434,41 @@ def test_verify_refuses_a_sample_past_the_pair_limit(tmp_path, capsys, monkeypat
     assert time.perf_counter() - t0 < 5
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "exceed the limit 1000000000" in err
+
+
+def test_verify_names_a_long_refused_sample_count_by_its_length(tmp_path, capsys):
+    # a count of 5,000 nines is refused as past the pair limit, named by its
+    # length: exit 2 and one short stderr line
+    path = tmp_path / "two.cdc"
+    path.write_text("CDC 2 4 2 2 2\n\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 1 0\n")
+    assert main(["verify", "--in", str(path), "--mode", f"sample:{'9' * 5000}:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert "a 5000-digit number of draws exceed the limit" in err
+
+
+def test_verify_of_two_words_of_dimension_300_takes_the_one_pair(tmp_path, capsys):
+    # two lines of GF(256)^301 of dimension 300, (I | 0) and (I | e_0): one
+    # pair against [300 t]_256 keys at each t.  The key count stops at the
+    # first term past the pair count and the limit, so the file verifies at
+    # once, with the one pair's report
+    n, k = 301, 300
+
+    def record(last):  # the identity rows, with a last entry 1 in row 0 of the second
+        return "\n".join(" ".join("1" if c == r or (last and r == 0 and c == n - 1) else "0"
+                                   for c in range(n)) for r in range(k))
+
+    path = tmp_path / "k300.cdc"
+    path.write_text(f"CDC 256 {n} {k} 2 2\n\n{record(False)}\n\n{record(True)}\n")
+    t0 = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1
+    payload = _json_lines(capsys.readouterr().out)[0]
+    rows = [[int(r == c) for c in range(n)] for r in range(k)]
+    assert {key: payload[key] for key in ("min_found", "pairs_checked", "mode", "ok")} == \
+        {"min_found": 2, "pairs_checked": 1, "mode": "exhaustive", "ok": True}
+    assert payload["witness"] == {"indices": [0, 1], "rows_i": rows,
+                                  "rows_j": [rows[0][:-1] + [1]] + rows[1:]}
 
 
 def test_verify_sample_count_below_one_exits_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from cdckit.bounds import _lifted
 from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
-from cdckit.gf import field_modulus, gf, join_rows, pack_row
+from cdckit.gf import field_modulus, gf, join_rows, pack_row, split_rows
 from cdckit.matrices import Matrix, mat_rank
 from cdckit.rankcodes import LinearRankCode, code_words, coset_lists, enumerate_code, \
     fdrm_words, gabidulin_mrd
@@ -209,7 +209,9 @@ def test_subcode_cosets_counts():
 
 def test_subcode_cosets_partition_and_distances():
     for q, a, b, dm, ds in ((2, 2, 2, 1, 2), (2, 3, 3, 2, 3), (3, 2, 2, 1, 2)):
-        cosets = [[Matrix.from_packed(gf(q), b, rows) for rows in ms]
+        # each member is one int, its rows end to end
+        cosets = [[Matrix.from_packed(gf(q), b, rows)
+                   for rows in split_rows(ms, a, b * gf(q).width)]
                   for ms in coset_lists(q, a, b, dm, ds)]
         assert len(cosets) == mrd_size(q, a, b, dm) // mrd_size(q, a, b, ds)
         members = [m.entries for ms in cosets for m in ms]
@@ -232,9 +234,10 @@ def _spec_count(q, u1, u2, w1, w2, d_f, c1, c2):
 
 
 def _fdrm(q, u1, u2, w1, w2, d_f, c1, c2):
-    """The FDRM words as (u1 + u2) x (w1 + w2) matrices."""
+    """The FDRM words, each one int, as (u1 + u2) x (w1 + w2) matrices."""
+    words = fdrm_words(q, u1, u2, w1, w2, d_f, c1, c2)
     return [Matrix.from_packed(gf(q), w1 + w2, rows)
-            for rows in fdrm_words(q, u1, u2, w1, w2, d_f, c1, c2)]
+            for rows in split_rows(words, u1 + u2, (w1 + w2) * gf(q).width)]
 
 
 def test_fdrm_case1_zero_width():
@@ -256,7 +259,7 @@ def test_fdrm_case3_large_instance():
     # strided subsample, exhaustive pairwise inside the sample
     stride = count // 240
     sample, total = [], 0
-    for i, rows in enumerate(fdrm_words(2, 4, 2, 2, 4, 2, 2, 2)):
+    for i, rows in enumerate(split_rows(fdrm_words(2, 4, 2, 2, 4, 2, 2, 2), 6, 6)):
         total += 1
         if i % stride == 0:
             sample.append(Matrix.from_packed(gf(2), 6, rows))
@@ -307,10 +310,18 @@ BRANCH_SHAPES = ((2, 1, 0, 2, 1, 1, 1), (3, 2, 1, 2, 2, 1, 1), (2, 2, 2, 2, 2, 1
 def test_fdrm_words_meet_the_shape(q, shape):
     # what the FDRM code promises its lifting: M3 within the rank cap, the
     # lower rows zero under M1, distinct words as many as the spec counts,
-    # and rank distance >= d_f between any two
+    # and rank distance >= d_f between any two.  Each word is one int, its
+    # rows end to end; placed in slots of n entries with a gap of g columns
+    # between M1 and M3, it is the same word, re-slotted
     u1, u2, w1, w2, d_f, c1, c2 = shape
     f = gf(q)
-    words = list(fdrm_words(q, *shape))
+    own, n, g = (w1 + w2) * f.width, w1 + w2 + 3, 2
+    ints = list(fdrm_words(q, *shape))
+    words = list(split_rows(ints, u1 + u2, own))
+    assert [join_rows(rows, own) for rows in words] == ints
+    placed = [join_rows([(r >> w2 * f.width) << (w2 + g) * f.width | r & (1 << w2 * f.width) - 1
+                         for r in rows], n * f.width) for rows in words]
+    assert list(fdrm_words(q, *shape, n * f.width, g * f.width)) == placed
     assert len(words) == len(set(words)) == _spec_count(q, *shape)
     m3_mask = (1 << w2 * f.width) - 1
     for rows in words:
@@ -345,7 +356,9 @@ def test_whole_word_arithmetic_equals_row_arithmetic(q):
     # and in order, the combinations taken entry by entry with the scalar
     # `add` and `mul`, then placed: a block at the last columns of wider
     # slots, and a block at column 0 of rows whose other entries are 0, each
-    # ORed beside a constant word of q - 1 entries
+    # ORed beside a constant word of q - 1 entries.  Moved by `shift` two
+    # rows down, or left to column 0, and under every `rank_cap`, the words
+    # are the combinations whose entry-wise rank is within the cap, placed
     f, rng = gf(q), random.Random(330 + q)
     a, b, n = 3, 2, 5
     count = next(c for c in itertools.count(1) if q**c > 1024)  # past the tabulated span
@@ -359,11 +372,21 @@ def test_whole_word_arithmetic_equals_row_arithmetic(q):
                                               for g in gens])
         start = join_rows([pack_row(f, [0 if left <= c < left + b else q - 1 for c in range(n)])
                            for _ in range(a)], width)
-        want = []
+        combos = []
         for coeffs in itertools.product(range(q), repeat=count):
             rows = [[0] * n for _ in range(a)]
             for c, g in zip(coeffs, gens):
                 rows = [[f.add(x, f.mul(c, y)) for x, y in zip(row, grow)]
                         for row, grow in zip(rows, g)]
-            want.append(start | join_rows([pack_row(f, row) for row in rows], width))
+            combos.append((rows, len(rref_rows(f, [row[:] for row in rows], n))))
+        want = [start | join_rows([pack_row(f, row) for row in rows], width) for rows, _ in combos]
         assert [start | x for x in code_words(code, width)] == want, left
+        # shift -> the entry rows of a word so placed
+        moves = {0: lambda rows: rows, 2 * width: lambda rows: rows + [[0] * n] * 2}
+        if left:
+            moves[left * f.width] = lambda rows: [row[left:] + [0] * left for row in rows]
+        for cap in [None] + list(range(min(a, cols) + 1)):
+            for shift, move in moves.items():
+                want = [join_rows([pack_row(f, row) for row in move(rows)], width)
+                        for rows, rank in combos if cap is None or rank <= cap]
+                assert list(code_words(code, width, shift, cap)) == want, (left, cap, shift)

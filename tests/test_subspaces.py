@@ -230,6 +230,34 @@ def test_sample_mode_refuses_more_draws_than_the_pair_limit(monkeypatch):
         verify_min_distance(cdc, mode="sample", sample_count=11, seed=1)
 
 
+def test_the_key_count_stops_once_past_the_pairs_and_the_limit(monkeypatch):
+    # the key count N * sum_t [k t]_q is only compared with the pair count
+    # and the limit, so its sum stops at the first t past both.  Four lines
+    # of GF(2)^4 have 6 pairs and 4 * (3 + 1) = 16 keys, 12 at t = 1: at a
+    # limit of 10 the pairs are computed, at 5 both counts are refused, and
+    # the t = 2 term is never taken; 16 lines have 120 pairs and 64 keys,
+    # both terms below the pairs, and the refusal names the full 64
+    binomial, terms = subspaces.gauss_binomial, []
+
+    def counted(k, t, q):
+        terms.append(t)
+        return binomial(k, t, q)
+
+    monkeypatch.setattr(subspaces, "gauss_binomial", counted)
+    words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
+    monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
+    report = verify_min_distance(CDC(2, 4, 2, 2, words[:4]))
+    assert (report.min_found, report.witness, report.pairs_checked) == \
+        (*_pairwise_oracle(CDC(2, 4, 2, 2, words[:4])), 6) and terms == [1]
+    with pytest.raises(PairLimitExceeded, match="^120 pairs and 64 keys both exceed the limit 10"):
+        verify_min_distance(CDC(2, 4, 2, 2, words))
+    monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "5")
+    terms.clear()
+    with pytest.raises(PairLimitExceeded, match="^6 pairs and more keys both exceed the limit 5$"):
+        verify_min_distance(CDC(2, 4, 2, 2, words[:4]))
+    assert terms == [1]
+
+
 def test_verify_pair_limit_counts_keys(monkeypatch):
     # k = 1: ten points of GF(2)^4 have 45 pairs but only 10 keys, so the
     # collision scan stays within a limit of 10
@@ -882,9 +910,9 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     calls = []
     keys_of = subspaces.keys_of
 
-    def counted(f, rows, spec):
-        calls.extend([len(spec[0])] * len(rows))  # the level: one base row per row of C
-        return keys_of(f, rows, spec)
+    def counted(f, words, spec):
+        calls.extend([len(spec[0])] * len(words))  # the level: one base row per row of C
+        return keys_of(f, words, spec)
 
     monkeypatch.setattr(subspaces, "keys_of", counted)
 
@@ -942,17 +970,20 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
     monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, groups: (2 * code.k, (0, 1)))
     settled_any = False
     for code in codes:
-        size, n, seen = len(code), code.n, set()
-        index = {w.rows: i for i, w in enumerate(code)}
+        size, n, k, seen = len(code), code.n, code.k, set()
+        index = {w.word: i for i, w in enumerate(code)}
 
-        def tagged(f, rows, spec):
-            c, tags = tuple(r for r, _ in spec[0]), [index[g] for g in rows]
-            keys = keys_of(f, rows, spec)
-            # word w's keys are every len(rows)-th key from the w-th
-            for w, (g, i) in enumerate(zip(rows, tags)):
-                assert sorted(keys[w::len(rows)]) == sorted(row_by_row_keys(f, n, g, c))
+        def tagged(f, words, spec):
+            # C's rows, from the places in the word they are moved from
+            c = tuple(k - 1 - right // (n * f.width) for right, _, _ in spec[0])
+            tags = [index[x] for x in words]
+            keys = keys_of(f, words, spec)
+            # word w's keys are every len(words)-th key from the w-th
+            for w, i in enumerate(tags):
+                oracle = row_by_row_keys(f, n, code[i].rows, c)
+                assert sorted(keys[w::len(words)]) == sorted(oracle)
                 seen.add((i, c))
-            return [key * size + tags[x % len(rows)] for x, key in enumerate(keys)]
+            return [key * size + tags[x % len(words)] for x, key in enumerate(keys)]
 
         monkeypatch.setattr(subspaces, "keys_of", tagged)
         settled = settled_groups(code, 2 * code.k)
@@ -999,8 +1030,8 @@ def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
     code = CDC(q, n, 2, 4, [zero, s, h1, h2, h4] + [
         w for w in sample if all(subspace_distance(w, h) == 4 for h in (h1, h2, h4))])
     w = code.codewords
-    index = {u.rows: i for i, u in enumerate(w)}
-    i1, i2, i_s, i4 = (index[u.rows] for u in (h1, h2, s, h4))
+    index = {u.word: i for i, u in enumerate(w)}
+    i1, i2, i_s, i4 = (index[u.word] for u in (h1, h2, s, h4))
     assert (i1, i4) == (1, len(w) - 1) and i1 < i2 < i_s < i4
     assert sum(u.pivots == (0, 1) for u in w) > 128
     oracle = _pairwise_oracle(code)
@@ -1012,9 +1043,11 @@ def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
     keyed, batches, met = set(), [], count()
     keys_of = subspaces.keys_of
 
-    def watched(f, rows, spec):
-        keys = keys_of(f, rows, spec)
-        c, tags = tuple(r for r, _ in spec[0]), [index[g] for g in rows]
+    def watched(f, words, spec):
+        keys = keys_of(f, words, spec)
+        # C's rows, from the places in the word they are moved from
+        c = tuple(code.k - 1 - right // (n * f.width) for right, _, _ in spec[0])
+        tags = [index[x] for x in words]
         if (tags[0], c) not in keyed:  # not the second pass
             keyed.update((i, c) for i in tags)
             batches.append(tags)
@@ -1110,9 +1143,9 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
     }
     keys_of, keyed = subspaces.keys_of, set()
 
-    def watched(f, rows, spec):
-        keyed.update(rows)
-        return keys_of(f, rows, spec)
+    def watched(f, words, spec):
+        keyed.update(words)
+        return keys_of(f, words, spec)
 
     monkeypatch.setattr(subspaces, "keys_of", watched)
     for name, (words, settled, least) in cases.items():
@@ -1125,7 +1158,7 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
         report = verify_min_distance(code)
         assert (report.min_found, report.witness) == _pairwise_oracle(code)
         assert report.min_found == least
-        assert keyed == {u.rows for u in w if u.pivots not in settled}, name
+        assert keyed == {u.word for u in w if u.pivots not in settled}, name
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
