@@ -274,8 +274,13 @@ def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
 
 def join_rows(rows: Sequence[int], width: int) -> int:
     """The word of packed rows of `width` bits each, laid end to end, the
-    first row highest."""
-    return sum(map(lshift, rows, range((len(rows) - 1) * width, -1, -width)))
+    first row highest.  Over 8 rows, the halves are joined and the upper
+    moved past the lower, so that no partial sum is copied once per row."""
+    k = len(rows)
+    if k <= 8:
+        return sum(map(lshift, rows, range((k - 1) * width, -1, -width)))
+    half = k // 2
+    return join_rows(rows[:half], width) << (k - half) * width | join_rows(rows[half:], width)
 
 
 def split_rows(words: Iterable[int], k: int, width: int) -> Iterator[Tuple[int, ...]]:

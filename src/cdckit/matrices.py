@@ -7,6 +7,7 @@ width compare as ints exactly as their entry tuples do.  `rank_added`,
 `rref` and `rref_pivots` take bare packed rows, and calls of `rref_pivots`
 share what the bit lengths fix; `subspaces.codeword` reduces through `rref`.
 `rref_mask` tests a word, rows end to end, for RREF on given pivots.
+`rref_spaces` lists the subspaces of one dimension by their RREF rows.
 
 A `Matrix` is a view of packed rows with their column count: its `nrows`,
 `entries` and `rows()` are decoded from the rows on each read.  One is made
@@ -17,8 +18,9 @@ constructor packs and checks every entry; `from_packed` trusts its rows.
 
 from __future__ import annotations
 
-from operator import lt
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from operator import lshift, lt
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf import GF, join_rows, pack_row, row_codes
 
@@ -146,6 +148,20 @@ def rref_pivots(f: GF, rows: Sequence[int], ncols: int,
             if all(map(lt, (-1,) + pivots, pivots + (ncols,))) else None
     shape = shapes[lengths]
     return shape[0] if shape and join_rows(rows, ncols * f.width) & shape[1] == shape[2] else None
+
+
+def rref_spaces(f: GF, k: int, r: int, places: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The [k r]_q r-dimensional subspaces of GF(q)^k, each as the tuple of
+    its RREF rows: for pivot columns c_1 < ... < c_r, row p has a 1 in
+    column c_p and any entries right of it off the pivots.  A row is one
+    int, the entry of column j at `places[j]` bits."""
+    for pivots in combinations(range(k), r):
+        each = []
+        for c in pivots:
+            free = [places[j] for j in range(c + 1, k) if j not in pivots]
+            each.append([sum(map(lshift, e, free), 1 << places[c])  # the encoded 1 is 1
+                         for e in product(f.enc, repeat=len(free))])
+        yield from product(*each)
 
 
 def mat_rank(m: Matrix) -> int:

@@ -10,20 +10,24 @@ words, the rows end to end in one int (`gf.join_rows`): a span's words
 are sums of the leading generators' multiples plus tabulated words.
 Every word leaves here as one int, placed: `code_words`, `coset_lists` and
 `fdrm_words` lay its rows in slots of a given width and shift it left, so
-that a construction ORs it into a codeword as it is.  `enumerate_code` is
-a `Matrix` view of `code_words`, for readers of entries."""
+that a construction ORs it into a codeword as it is.  Under a rank cap,
+`code_words` visits no word of rank above it: it lists the low-rank words
+through the subspaces that kill their rows (`_low_rank`), at a cost set
+by the cap, not by the code's size.  `enumerate_code` is a `Matrix` view
+of `code_words`, for readers of entries."""
 
 from __future__ import annotations
 
 import os
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product, repeat
+from operator import and_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
 from .gf import GF, field_modulus, gf, join_rows, pack_row, row_codes, split_rows, times_x, \
     x_power
-from .matrices import Matrix, rank_added
+from .matrices import Matrix, rank_added, rref_spaces
 
 
 def enumeration_limit() -> int:
@@ -103,19 +107,50 @@ def code_words(code: LinearRankCode, width: Optional[int] = None, shift: int = 0
     """Each word of the code as one int, in `span_iter`'s order: its rows
     end to end in slots of `width` bits (b entries), the word moved left by
     `shift` bits, so that it lies in its rows and columns of a larger word.
-    With `rank_cap`, only words of rank <= cap are kept: each rank count
-    reads the word's own b-entry rows and stops at cap + 1, and only kept
-    words are placed.  The enumeration limit applies unless `streaming`."""
+    With `rank_cap` below min(a, b), only the words of rank <= cap, listed
+    through their left kernels (`_low_rank`).  The enumeration limit applies
+    to the code's size unless `streaming`."""
     if not streaming and code.cardinality > enumeration_limit():
         raise EnumerationLimitExceeded(f"{code.cardinality} codewords exceed the "
                                        f"{enumeration_limit()} limit")
-    f, b, own = code.field, code.b, code.b * code.field.width
-    width = own if width is None else width
-    if rank_cap is None:  # only the generators are placed: row arithmetic acts on whole words
-        return span_iter(f, [join_rows(g, width) << shift for g in code.generators])
-    words = split_rows(span_iter(f, [join_rows(g, own) for g in code.generators]), code.a, own)
-    return (join_rows(rows, width) << shift for rows in words
-            if rank_added(f, [0] * (b + 1), rows, rank_cap + 1) <= rank_cap)
+    f, a = code.field, code.a
+    width = code.b * f.width if width is None else width
+    # only the generators are placed: row arithmetic acts on whole words
+    placed = [join_rows(g, width) << shift for g in code.generators]
+    if rank_cap is None or rank_cap >= min(a, code.b):
+        return span_iter(f, placed)
+    return _low_rank(code, placed, shift + a * width, rank_cap)
+
+
+def _low_rank(code: LinearRankCode, placed: List[int], top: int, cap: int) -> Iterator[int]:
+    """The words of rank <= cap < min(a, b) in the span of the placed
+    generators g_l, each below 2^top, in span order.  A word has rank <= cap
+    iff some (a - cap)-dimensional K in GF(q)^a kills its rows.  For each K,
+    in RREF (`matrices.rref_spaces`), one elimination of the rows [K g_l |
+    e_l | g_l], e_l the l-th unit coefficient vector, first generator
+    highest, leaves the rows with no K g part as a basis of the words K
+    kills.  The union of their spans, sorted by coefficients, is in span
+    order.  The cost is [a cap]_q eliminations whatever the code's size:
+    below its q^G words at every cap the families pass, but 200,787 for the
+    256 words of an 8 x 8 code at d = 8 and cap 4."""
+    f, a, w, own = code.field, code.a, code.field.width, code.b * code.field.width
+    m, count = a - cap, len(placed)
+    rows = [1 << (count - 1 - l) * w + top | g for l, g in enumerate(placed)]
+    high = top + count * w  # K g lies above the coefficients
+
+    @lru_cache(maxsize=None)
+    def image(p: int, row: int) -> List[int]:
+        """K's row p times each generator, moved to its slot of K g."""
+        codes = row_codes(f, row, a)
+        return [reduce(f.row_add, map(f.row_scale, g, codes)) << (m - 1 - p) * own + high
+                for g in code.generators]
+
+    kept = set()
+    for kernel in rref_spaces(f, a, m, range((a - 1) * w, -1, -w)):
+        basis = [0] * (high // w + m * code.b + 1)
+        rank_added(f, basis, map(sum, zip(rows, *map(image, range(m), kernel))))
+        kept.update(span_iter(f, [v for v in basis[:high // w + 1] if v]))
+    return map(and_, sorted(kept), repeat((1 << top) - 1))
 
 
 def enumerate_code(code: LinearRankCode, rank_cap: Optional[int] = None,

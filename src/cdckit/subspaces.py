@@ -51,15 +51,14 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, count, cycle, islice, product, repeat, \
-    takewhile, tee
-from operator import and_, eq, lshift, rshift
+from itertools import chain, combinations, compress, count, cycle, islice, repeat, takewhile, tee
+from operator import and_, eq, rshift
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, _named, gf, join_rows, pack_row, row_codes, split_rows
-from .matrices import Matrix, rank_added, rref, rref_mask, rref_pivots
+from .matrices import Matrix, rank_added, rref, rref_mask, rref_pivots, rref_spaces
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
@@ -423,14 +422,9 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     if rank != dim or next(diffs, None) is not None:
         return False
     free = [(n - 1 - c) * f.width for c in range(n) if c not in piv]  # a free column's shift
-    for c in combinations(range(k), r):
-        # W's RREF rows, down the last column: a 1 at pivot c_p, any entries right of it off c
-        right = [[places[j] for j in range(cp + 1, k) if j not in c] for cp in c]
-        each = [[sum(map(lshift, e, s), 1 << places[cp]) for e in product(f.enc, repeat=len(s))]
-                for cp, s in zip(c, right)]
-        for down in product(*each):
-            if rank_added(f, basis[:], [x << s for x in down for s in free]) < r * len(free):
-                return False  # L meets the matrices whose columns lie in W
+    for down in rref_spaces(f, k, r, places):  # W's RREF rows, down the last column
+        if rank_added(f, basis[:], [x << s for x in down for s in free]) < r * len(free):
+            return False  # L meets the matrices whose columns lie in W
     return True
 
 

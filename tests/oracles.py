@@ -30,6 +30,9 @@ vector and insertion predicate checks.
 exhaustive verification settles with no key: the reference for
 `subspaces._affine_clean`, which tests one group by its pivot tuple and
 word count, and for the isolation test beside it in the scan.
+`rank_filtered_words` rank-tests every word of a rank code's span, in
+order, and keeps those within a cap: the reference for `rankcodes.code_words`
+under a cap, which lists them through their left kernels instead.
 `row_by_row_keys` builds a word's t-subspace keys for one pivot choice a
 row at a time, each row the span of its free rows: the reference for
 `subspaces.keys_of`, which builds them for a batch of words at once.
@@ -51,8 +54,9 @@ from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import FAMILIES, Family, _bounded, _exact_div, _lifted, insert_vectors
 from cdckit.constructions import _lifted_words
 from cdckit.counting import mrd_size
-from cdckit.gf import GF, row_codes
-from cdckit.matrices import Matrix, mat_rank, mat_rref
+from cdckit.gf import GF, join_rows, row_codes, split_rows
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added
+from cdckit.rankcodes import LinearRankCode, span_iter
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import Subspace, codeword
 
@@ -514,6 +518,17 @@ def randrange_pairs(n_words: int, count: int, seed) -> List[Tuple[int, int]]:
             j += 1
         pairs.append((min(i, j), max(i, j)))
     return pairs
+
+
+def rank_filtered_words(code: LinearRankCode, width: int, shift: int, cap: int) -> List[int]:
+    """The words of rank <= cap among `span_iter`'s words of the code, in
+    its order, each placed as `rankcodes.code_words` places it: rows in
+    slots of `width` bits, the word moved left by `shift` bits.  Each word's
+    a rows of b entries are rank-tested, the count stopped at cap + 1."""
+    f, own = code.field, code.b * code.field.width
+    words = split_rows(span_iter(f, [join_rows(g, own) for g in code.generators]), code.a, own)
+    return [join_rows(rows, width) << shift for rows in words
+            if rank_added(f, [0] * (code.b + 1), rows, cap + 1) <= cap]
 
 
 def row_by_row_keys(f: GF, n: int, g: Tuple[int, ...], c: Tuple[int, ...]) -> List[int]:

@@ -12,14 +12,16 @@ from collections import Counter
 
 import pytest
 
+from cdckit import rankcodes
 from cdckit.bounds import _lifted
-from cdckit.counting import bounded_rank_size, delsarte_rank_count, mrd_size
+from cdckit.counting import bounded_rank_size, delsarte_rank_count, gauss_binomial, mrd_size
 from cdckit.errors import EnumerationLimitExceeded, InvalidDistance, InvalidDistances
 from cdckit.gf import field_modulus, gf, join_rows, pack_row, split_rows
-from cdckit.matrices import Matrix, mat_rank
+from cdckit.matrices import Matrix, mat_rank, rank_added
 from cdckit.rankcodes import LinearRankCode, code_words, coset_lists, enumerate_code, \
     fdrm_words, gabidulin_mrd
-from oracles import ExtField, entry, mat_sub, oracle_rref, rref_rows, sub, transpose
+from oracles import ExtField, entry, mat_sub, oracle_rref, rank_filtered_words, rref_rows, sub, \
+    transpose
 
 
 def _rank_distribution(code, **kw):
@@ -197,6 +199,64 @@ def test_enumeration_limit(monkeypatch):
     # streaming bypasses the limit
     it = enumerate_code(gabidulin_mrd(2, 4, 4, 1), streaming=True)
     assert next(it) is not None
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_capped_words_are_the_filters_in_the_delsarte_count(q):
+    # every a, b <= 4 and d whose code the filter visits in at most 2^14
+    # words: under every cap, `code_words` lists the filter's words, in its
+    # order, and as many as `counting.bounded_rank_size`, the count `bound`
+    # uses.  Placed in slots one entry wider and moved one slot and one
+    # entry left, they are the filter's words so placed
+    f, cases = gf(q), 0
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        for d in range(1, min(a, b) + 1):
+            code = gabidulin_mrd(q, a, b, d)
+            if code.cardinality > 1 << 14:
+                continue
+            cases += 1
+            own, wide = b * f.width, (b + 1) * f.width
+            for cap in range(min(a, b) + 1):
+                words = list(code_words(code, rank_cap=cap))
+                assert words == rank_filtered_words(code, own, 0, cap), (a, b, d, cap)
+                assert len(words) == bounded_rank_size(q, a, b, d, cap), (a, b, d, cap)
+                assert list(code_words(code, wide, wide + f.width, cap)) == \
+                    rank_filtered_words(code, wide, wide + f.width, cap), (a, b, d, cap)
+    assert cases == {2: 29, 3: 25, 4: 20, 5: 20, 7: 17, 8: 17, 9: 17}[q]
+
+
+def test_capped_words_take_one_elimination_per_left_kernel(monkeypatch):
+    # a word of rank <= cap is killed by an (a - cap)-dimensional K, and
+    # each K costs one elimination: [4 2]_4 = 357 of them list the 91,036
+    # words of rank <= 2 of the 16,777,216-word (4, 4, 4, 2) code, and
+    # [4 2]_2 = 35 the 1,086 of link10's (2, 4, 5, 2) code
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rank_added(*args)
+
+    monkeypatch.setattr(rankcodes, "rank_added", counted)
+    for (q, a, b, d), kept in (((4, 4, 4, 2), 91036), ((2, 4, 5, 2), 1086)):
+        calls.clear()
+        assert sum(1 for _ in code_words(gabidulin_mrd(q, a, b, d), rank_cap=2)) == kept
+        assert len(calls) <= gauss_binomial(4, 2, q) == {4: 357, 2: 35}[q]
+
+
+def test_capped_words_refuse_by_the_codes_size(monkeypatch):
+    # the limit reads the code's q^G words, not the words kept: link10's
+    # 32,768-word code is refused under a limit of 32,767 before any word is
+    # listed, though it keeps only 1,086, and passes at 32,768
+    calls = []
+    monkeypatch.setattr(rankcodes, "rank_added", lambda *args: calls.append(1))
+    monkeypatch.setenv("CDCKIT_ENUM_LIMIT", str(2**15 - 1))
+    code = gabidulin_mrd(2, 4, 5, 2)
+    with pytest.raises(EnumerationLimitExceeded, match="^32768 codewords exceed the 32767 limit"):
+        code_words(code, rank_cap=2)
+    assert not calls
+    monkeypatch.setenv("CDCKIT_ENUM_LIMIT", str(2**15))
+    monkeypatch.setattr(rankcodes, "rank_added", rank_added)
+    assert sum(1 for _ in code_words(code, rank_cap=2)) == 1086
 
 
 def test_subcode_cosets_counts():
