@@ -12,13 +12,13 @@ part into one code, whose size must equal the total.  Each codeword is
 one int, its rows end to end, and the OR of its blocks.  Each block is
 placed once in the rows and columns it takes: Gabidulin words, coset
 lists and FDRM words by `rankcodes`, and sub-code words re-slotted from
-their `CDC.packed` ints by `_placed`.  Words on known pivots are trusted
-`Subspace`s: a linkage word (U1 | M2), and a lifted insert's FDRM word
-beside the identity blocks of its special-form vector, one constant word,
-whose widths `bounds.insert_vectors` gives the count and the build alike.
-Other words are split into rows by one `split_rows` stream and reduced
-by `subspaces.codeword`.  The verifier can then check distances
-exhaustively.
+their `CDC.packed` ints by `_placed`.  A lifted insert's identity blocks,
+one constant word, take widths that `bounds.insert_vectors` gives the
+count and the build alike.  Every materializer yields bare ints, and the
+`CDC` decides each word's RREF and pivots: a linkage word (U1 | M2) or a
+lifted FDRM word is in RREF on the pivots of the word before it and
+costs one masked test; any other is checked by its rows' shape or
+reduced.  The verifier can then check distances exhaustively.
 
 `_PARTS` pairs each count part with its materializer and the components a
 build reports for it.  A build reports the components of its family's last
@@ -39,7 +39,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import or_
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
     lifted_inserts_part, linkage_part, parallel_insert_part
@@ -47,7 +47,7 @@ from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf, join_rows, split_rows
 from .rankcodes import code_words, coset_lists, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
-from .subspaces import CDC, Subspace, cdc_from_text, codeword, verify_min_distance
+from .subspaces import CDC, cdc_from_text, verify_min_distance
 
 # a plan reads no value of more digits than an argv int may have: Python's
 # default int-string limit, which the CLI lifts while a command runs
@@ -102,9 +102,8 @@ class BuildOutput:
 
 def _trivial_cdc(q: int, n: int, d: int, k: int) -> CDC:
     """Canonical one-codeword code: the row space of (I_k | 0)."""
-    f = gf(q)
-    rows = [1 << (n - 1 - i) * f.width for i in range(k)]
-    return CDC(q, n, k, d, [codeword(f, n, rows, tuple(range(k)))])
+    w = gf(q).width
+    return CDC(q, n, k, d, [join_rows([1 << (n - 1 - i) * w for i in range(k)], n * w)])
 
 
 def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
@@ -149,94 +148,84 @@ def _placed(code: CDC, width: int, shift: int = 0) -> List[int]:
     return [join_rows(r, width) << shift for r in rows]
 
 
-def _reduced(f, n: int, k: int, words: Iterable[int]) -> Iterator[Subspace]:
-    """The codewords spanned by the k rows of n entries of each word."""
-    return map(codeword, repeat(f), repeat(n), split_rows(words, k, n * f.width))
-
-
-def _linkage_words(p, subs, terms) -> Iterator[Subspace]:
+def _linkage_words(p, subs, terms) -> Iterator[int]:
     """(U1 | M2) over C1 and the MRD code, then (M1 | U2) over the
-    rank-capped MRD code and C2.  The first rows are in RREF with U1's
-    pivots: each U1 is one placed word, ORed onto the MRD code's words,
-    placed in the right block.  The second rows are reduced."""
+    rank-capped MRD code and C2: each U1 is one placed word, ORed onto the
+    MRD code's words, placed in the right block."""
     q, n, k, h, n1, n2 = p["q"], p["n"], p["k"], p["h"], p["n1"], p["n2"]
-    f = gf(q)
-    shift, width = n2 * f.width, n * f.width  # the left block moves past the right's n2 columns
-    mrd, c1 = gabidulin_mrd(q, k, n2, h), subs["C1"]
-    for u1, g in zip(_placed(c1, width, shift), c1.group):
-        words = map(or_, code_words(mrd, width), repeat(u1))
-        yield from map(Subspace, repeat(f), repeat(n), words, repeat(c1.pivot_tuples[g]))
+    w = gf(q).width
+    shift, width = n2 * w, n * w  # the left block moves past the right's n2 columns
+    mrd = gabidulin_mrd(q, k, n2, h)
+    for u1 in _placed(subs["C1"], width, shift):
+        yield from map(or_, code_words(mrd, width), repeat(u1))
     c2 = _placed(subs["C2"], width)
     m1s = code_words(gabidulin_mrd(q, k, n1, h), width, shift, rank_cap=k - h)
-    yield from _reduced(f, n, k, (m | u for m in m1s for u in c2))
+    yield from (m | u for m in m1s for u in c2)
 
 
 def _block_words(p, s: int, diag1: CDC, diag2: CDC, t1: int, t2: int,
-                 cap1: Optional[int], cap2: Optional[int]) -> Iterator[Subspace]:
+                 cap1: Optional[int], cap2: Optional[int]) -> Iterator[int]:
     """Rows (U1 | M11 | 0 | M12) over (0 | M21 | U2 | M22): U1, U2 from the
     diagonal codes (t1, t2 columns wide), M11 and M22 from the r-th paired
     cosets for r < s, and M12, M21 from MRD codes under the rank caps.
     Each block is placed once, and a word is the OR of its blocks."""
     q, n, h, a1, a2, n1, n2 = p["q"], p["n"], p["h"], p["a1"], p["a2"], p["n1"], p["n2"]
-    f = gf(q)
-    w, width, top = f.width, n * f.width, a2 * n * f.width  # top: the a1 rows above the a2
+    w = gf(q).width
+    width, top = n * w, a2 * n * w  # top: the a1 rows above the a2
     fam1 = coset_lists(q, a1, n1 - t1, p["b1"], h, width, top + n2 * w)
     fam2 = coset_lists(q, a2, n2 - t2, p["b2"], h, width)
     m12s = list(code_words(gabidulin_mrd(q, a1, n2 - t2, h), width, top, rank_cap=cap1))
     m21s = list(code_words(gabidulin_mrd(q, a2, n1 - t1, h), width, n2 * w, rank_cap=cap2))
     us1, us2 = _placed(diag1, width, top + (n - t1) * w), _placed(diag2, width, (n2 - t2) * w)
     for r in range(s):  # the blocks are disjoint, so their sum is their OR
-        yield from _reduced(f, n, a1 + a2, map(sum, itertools.product(
-            us1, us2, fam1[r], fam2[r], m12s, m21s)))
+        yield from map(sum, itertools.product(us1, us2, fam1[r], fam2[r], m12s, m21s))
 
 
-def _blocks_words(p, subs, terms) -> Iterator[Subspace]:
+def _blocks_words(p, subs, terms) -> Iterator[int]:
     """The standalone blocks code: identity diagonal blocks, t = a, no cap."""
     q, d, a1, a2 = p["q"], p["d"], p["a1"], p["a2"]
     return _block_words(p, terms["s"], _trivial_cdc(q, a1, d, a1), _trivial_cdc(q, a2, d, a2),
                         a1, a2, None, None)
 
 
-def _blocks_insert_words(p, subs, terms) -> Iterator[Subspace]:
+def _blocks_insert_words(p, subs, terms) -> Iterator[int]:
     """Insert B: diagonal blocks from Q1, Q2, off-diagonal ranks <= a - d/2."""
     h, a1, a2 = p["h"], p["a1"], p["a2"]
     return _block_words(p, terms["s"], subs["Q1"], subs["Q2"], p["t1"], p["t2"],
                         a1 - h, a2 - h)
 
 
-def _parallel_words(p, subs, terms) -> Iterator[Subspace]:
+def _parallel_words(p, subs, terms) -> Iterator[int]:
     """Insert E: rows (M1 | U1 | 0) over (0 | M2 | U2), U1 in D1, U2 in D2,
     with (M1, M2) every pair in the product form, else paired in order."""
     q, n, a1, a2, b1, b2 = p["q"], p["n"], p["a1"], p["a2"], p["b1"], p["b2"]
     t1, t2, n2 = p["t1"], p["t2"], p["n2"]
-    f = gf(q)
-    w, width, top = f.width, n * f.width, a2 * n * f.width  # top: the a1 rows above the a2
+    w = gf(q).width
+    width, top = n * w, a2 * n * w  # top: the a1 rows above the a2
     m1s = sorted(code_words(gabidulin_mrd(q, a1, t1, b1), width, top + (n - t1) * w,
                             rank_cap=p["c1"]))
     m2s = sorted(code_words(gabidulin_mrd(q, a2, t2, b2), width, (n2 - t2) * w, rank_cap=p["c2"]))
     pairs = itertools.product(m1s, m2s) if b1 == b2 == p["h"] else zip(m1s, m2s)
     d1, d2 = _placed(subs["D1"], width, top + n2 * w), _placed(subs["D2"], width)
-    yield from _reduced(f, n, a1 + a2, (m1 | m2 | u1 | u2 for (m1, m2), u1, u2
-                                        in itertools.product(pairs, d1, d2)))
+    yield from (m1 | m2 | u1 | u2 for (m1, m2), u1, u2 in itertools.product(pairs, d1, d2))
 
 
-def _lifted_words(p, subs, terms) -> Iterator[Subspace]:
+def _lifted_words(p, subs, terms) -> Iterator[int]:
     """The lifted FDRM codes, one per special-form vector: shift zeros, v1
     ones, w1 zeros, then v2 ones and w2 zeros.  Each word is the vector's
     identity rows, one constant word, ORed onto the FDRM word
     [[M1, M3], [0, M2]] placed in rows of n entries: M1 moved past the n2
-    columns of the second block, M3 and M2 in the last w2 entries.  They
-    are in RREF with the vector's ones as pivots.  The vectors lie at
-    Hamming distance d or more from each other by the family's hypotheses,
-    so the lifted codes combine."""
+    columns of the second block, M3 and M2 in the last w2 entries.  The
+    vectors lie at Hamming distance d or more from each other by the
+    family's hypotheses, so the lifted codes combine."""
     q, n, n1, n2, h = p["q"], p["n"], p["n1"], p["n2"], p["h"]
-    f = gf(q)
-    w, width = f.width, n * f.width
+    w = gf(q).width
+    width = n * w
     for v1, v2, shift, w1, w2, c1, c2 in insert_vectors(p):
-        pivots = tuple(range(shift, shift + v1)) + tuple(range(n1, n1 + v2))
+        pivots = [*range(shift, shift + v1), *range(n1, n1 + v2)]
         ones = join_rows([1 << (n - 1 - c) * w for c in pivots], width)
-        yield from map(Subspace, repeat(f), repeat(n), map(or_, fdrm_words(
-            q, v1, v2, w1, w2, h, c1, c2, width, (n2 - w2) * w), repeat(ones)), repeat(pivots))
+        yield from map(or_, fdrm_words(q, v1, v2, w1, w2, h, c1, c2, width, (n2 - w2) * w),
+                       repeat(ones))
 
 
 def _named(**terms: str):

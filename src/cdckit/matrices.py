@@ -5,8 +5,9 @@ Every operation works on packed rows, `gf`'s encoding: the field's
 one `translate`, and the bit length finds a row's pivot.  Rows of equal
 width compare as ints exactly as their entry tuples do.  `rank_added`,
 `rref` and `rref_pivots` take bare packed rows, and calls of `rref_pivots`
-share what the bit lengths fix; `subspaces.codeword` reduces through `rref`.
-`rref_mask` tests a word, rows end to end, for RREF on given pivots.
+share what the bit lengths fix.  `rref_mask` tests a word, rows end to end,
+for RREF on given pivots.  The three decide a codeword's pivots, each
+read only by `subspaces._canonical`, where every word enters a code.
 `rref_spaces` lists the subspaces of one dimension by their RREF rows.
 
 A `Matrix` is a view of packed rows with their column count: its `nrows`,
@@ -113,7 +114,9 @@ def rref(f: GF, rows: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple
                     v = f.row_add(v, f.row_scale(u, negs[dec[x]]))
             reduced.append((b, v))
     reduced.reverse()
-    return tuple(v for _, v in reduced), tuple(ncols - b for b, _ in reduced)
+    # from lists, not generators: a tuple of unknown length is made long and
+    # shrunk, and the shrunk ones, once freed, pile up unused on a free list
+    return tuple([v for _, v in reduced]), tuple([ncols - b for b, _ in reduced])
 
 
 def mat_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -137,17 +140,16 @@ def rref_mask(f: GF, pivots: Sequence[int], ncols: int) -> Tuple[int, int]:
 def rref_pivots(f: GF, rows: Sequence[int], ncols: int,
                 shapes: dict) -> Optional[Tuple[int, ...]]:
     """The pivot columns of the packed rows if they are in RREF with no zero
-    row, else None.  `shapes` keeps, by the rows' bit lengths, the columns
-    of their leading entries and `rref_mask` of them, or None unless those
-    strictly move right, so that rows whose bit lengths repeat cost one
-    masked test and share one pivot tuple."""
-    lengths = tuple(map(int.bit_length, rows))
-    if lengths not in shapes:
-        pivots = tuple(ncols - (length + f.width - 1) // f.width for length in lengths)
-        shapes[lengths] = (pivots, *rref_mask(f, pivots, ncols)) \
-            if all(map(lt, (-1,) + pivots, pivots + (ncols,))) else None
-    shape = shapes[lengths]
-    return shape[0] if shape and join_rows(rows, ncols * f.width) & shape[1] == shape[2] else None
+    row, else None.  The columns of the rows' leading entries, found by
+    their bit lengths, must strictly move right; `shapes` keeps `rref_mask`
+    of each such tuple of columns, so that rows on columns met before cost
+    one masked test."""
+    w = f.width
+    pivots = tuple([ncols - (row.bit_length() + w - 1) // w for row in rows])
+    if not all(map(lt, (-1,) + pivots, pivots + (ncols,))):
+        return None
+    mask, ones = shapes.get(pivots) or shapes.setdefault(pivots, rref_mask(f, pivots, ncols))
+    return pivots if join_rows(rows, ncols * w) & mask == ones else None
 
 
 def rref_spaces(f: GF, k: int, r: int, places: Sequence[int]) -> Iterator[Tuple[int, ...]]:

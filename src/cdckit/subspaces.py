@@ -1,18 +1,19 @@
 """Canonical subspaces, subspace distance and distance verification.
 
 A subspace is stored by the unique RREF of any generator matrix, so equal
-subspaces have equal rows.  A `Subspace` holds its field, n, its word, the
-packed rows of its RREF end to end (k n w bits, `gf.join_rows`), and
-their pivot columns.  `codeword` packs rows, trusting rows given with
-their pivots to be in RREF and reducing others by `matrices.rref`; the
-constructions and the parser build words packed.  A `CDC` holds no
-`Subspace`: it keeps each word's int in a sorted list beside its
-pivot-group number, an index into a table of the distinct pivot tuples,
-taken from the incoming words and never recomputed.  Rows of one width
-compare as their concatenation does, so the order is the rows' order and
-equal words are neighbours.  The readers below take a word's rows from
-its int by shift and mask; reading the code as a sequence makes each
-word's `Subspace` from its int.
+subspaces have equal rows.  Every word enters a `CDC` as one int, k
+packed rows of n entries end to end (`gf.join_rows`, row 0 highest), and
+one function, `_canonical`, decides its RREF and its pivots: a word in
+RREF on the last word's pivots costs one masked test (`rref_mask`), and
+any other is cut into rows, checked by their shape (`rref_pivots`) and
+else reduced (`rref`).  The constructions and the parser hand it bare
+ints.  A `CDC` keeps each word's int in a sorted list beside its
+pivot-group number, an index into a table of the distinct pivot tuples.
+Rows of one width compare as their concatenation does, so the order is
+the rows' order and equal words are neighbours.  The readers below take
+a word's rows from its int by shift and mask; reading the code as a
+sequence makes each word's `Subspace`, a read view of its int and
+pivots.
 
 Two facts bound a pair's distance from below.  For pivot sets P,
 d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
@@ -34,12 +35,12 @@ least m columns, or when both its words lie in a settled group.
 Exhaustive verification instead finds the highest t at which two
 codewords share a t-subspace (`_collision_scan`), and compares pairs only
 when they are fewer than the keys.
-The CDC file format renders and checks each distinct row once, and keeps a
-record already in RREF, known by one mask when it lies on the last
-record's pivots.  Its header is CDC and the integers q, n, k, d and
-the word count, with 1 <= k <= n, count >= 0 and d >= 1 (any two words
-meet d <= 0).  A file is written and read about 64 KiB at a time, so
-neither its whole text nor a list of its lines is held.
+The CDC file format renders and checks each distinct row once, and hands
+each record's rows, joined into one int, to the `CDC`.  Its header is CDC
+and the integers q, n, k, d and the word count, with 1 <= k <= n,
+count >= 0 and d >= 1 (any two words meet d <= 0).  A file is written and
+read about 64 KiB at a time, so neither its whole text nor a list of its
+lines is held.
 """
 from __future__ import annotations
 
@@ -64,10 +65,10 @@ _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
 
 class Subspace:
-    """A k-dimensional subspace of GF(q)^n in canonical RREF form: `word`,
-    the packed rows of its RREF end to end (`gf.join_rows`, row 0 highest),
-    and their pivot columns.  Two are equal when they are one subspace of
-    one GF(q)^n."""
+    """A k-dimensional subspace of GF(q)^n in canonical RREF form, as a
+    `CDC` reads it: `word`, the packed rows of its RREF end to end
+    (`gf.join_rows`, row 0 highest), and their pivot columns.  Two are
+    equal when they are one subspace of one GF(q)^n."""
 
     __slots__ = ("field", "n", "word", "pivots")
 
@@ -101,48 +102,64 @@ class Subspace:
         return f"Subspace(GF({self.field.q})^{self.n}, dim={self.k})"
 
 
-def codeword(f: GF, n: int, rows: Sequence[int],
-             pivots: Optional[Tuple[int, ...]] = None) -> Subspace:
-    """The subspace spanned by packed rows of n entries of f.  Rows given
-    with their `pivots` are trusted to be in RREF with those pivot columns;
-    any others are reduced, and rank-deficient rows are refused."""
-    if pivots is None:
-        reduced, pivots = rref(f, rows, n)
-        if len(reduced) < len(rows):
-            raise ValueError("rows are linearly dependent")
-        rows = reduced
-    return Subspace(f, n, join_rows(rows, n * f.width), pivots)
+def _canonical(f: GF, n: int, k: int, words: Iterable[int], tuples: list) -> Iterator[int]:
+    """Each word, k packed rows of n entries end to end, as its RREF moved
+    n bits left past the number of its pivot tuple, the tuple's index in
+    `tuples`, which is appended to as new tuples are met: the one place a
+    word's pivots are decided.  A word in RREF on the last word's pivots is
+    known by one AND with their `rref_mask`, whose negative part also
+    catches bits above the k rows and negative ints; another is cut into
+    rows and tried on `rref_pivots`' shapes, then reduced by `rref`."""
+    width = n * f.width  # a header's n may be of any size while no word comes
+    top, places = k * width, range((k - 1) * width, -1, -width)
+    shapes, known = {}, {}  # rref_pivots' shapes; pivot tuple -> (mask, ones, number)
+    mask, ones, number = 0, -1, 0  # no word is known before the first
+    for w in words:
+        if w & mask != ones:
+            if w >> top:
+                raise InvalidParameters("codeword does not match container parameters")
+            row = (1 << width) - 1
+            rows = [w >> s & row for s in places]
+            pivots = rref_pivots(f, rows, n, shapes)
+            if pivots is None:
+                rows, pivots = rref(f, rows, n)
+                if len(rows) < k:
+                    raise ValueError("rows are linearly dependent")
+                w = join_rows(rows, width)
+            if pivots not in known:
+                bits, ones = rref_mask(f, pivots, n)
+                known[pivots] = bits | -(1 << top), ones, len(tuples)
+                tuples.append(pivots)
+            mask, ones, number = known[pivots]
+        yield w << n | number
 
 
 class CDC(Sequence):
     """A constant-dimension code, its words sorted by their RREF rows so
-    that files and witnesses are canonical.  Word i is `packed[i]`, its rows
-    end to end, row r shifted by `places[r]`, on the pivot tuple
-    `pivot_tuples[group[i]]`; as a sequence, the code reads its words as
-    `Subspace`s, each made on read.  Constructions require distinct
-    codewords; files loaded for verification may carry duplicates
-    (strict=False), which the verifier then reports as distance-0
-    witnesses."""
+    that files and witnesses are canonical.  The words come in as ints, k
+    packed rows of n entries end to end (`gf.join_rows`), each reduced to
+    its RREF by `_canonical`.  Word i is `packed[i]`, row r shifted by
+    `places[r]`, on the pivot tuple `pivot_tuples[group[i]]`; as a
+    sequence, the code reads its words as `Subspace`s, each made on read.
+    Constructions require distinct codewords; files loaded for verification
+    may carry duplicates (strict=False), which the verifier then reports as
+    distance-0 witnesses."""
 
-    def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[Subspace],
+    def __init__(self, q: int, n: int, k: int, d: int, codewords: Iterable[int],
                  strict: bool = True):
         self.q, self.n, self.k, self.d, self.field = q, n, k, d, gf(q)
         # while the words sort, each carries its group number in n low bits:
         # a code has at most C(n, k) < 2^n pivot tuples
-        numbers: dict = {}  # pivot tuple -> its number in the input
-        packed, setdefault = [], numbers.setdefault
-        for w in codewords:
-            if w.n != n or len(w.pivots) != k or w.field.q != q:
-                raise InvalidParameters("codeword does not match container parameters")
-            packed.append(w.word << n | setdefault(w.pivots, len(numbers)))
+        tuples: list = []  # by number in the input
+        packed = list(_canonical(self.field, n, k, codewords, tuples))
         # a code with no word reads no row, so its header's n and k may be of any size
         width = n * self.field.width  # a row's bits
         self.places = [(k - 1 - r) * width for r in range(k if packed else 0)]
         self.row_mask = (1 << width) - 1 if packed else 0
         packed.sort()
-        low = (1 << len(numbers).bit_length()) - 1  # the bits of the input numbers
+        low = (1 << len(tuples).bit_length()) - 1  # the bits of the input numbers
         first = dict.fromkeys(map(and_, packed, repeat(low)))  # numbers, by first word
-        tuples, renumber = list(numbers), dict(zip(first, range(len(first))))
+        renumber = dict(zip(first, range(len(first))))
         self.pivot_tuples = [tuples[old] for old in first]
         self.group = list(map(renumber.__getitem__, map(and_, packed, repeat(low))))
         for i in range(0, len(packed), 4096):  # in place: no second list is held
@@ -501,9 +518,10 @@ def _lines(source: Union[str, TextIO]) -> Iterator[List[str]]:
 
 def cdc_from_text(source: Union[str, TextIO]) -> CDC:
     """Parse a CDC file from its text or from an open text file.  Each
-    distinct row text is checked once (n entries, each in [0, q)).  A record
-    already in RREF is checked as such and kept; any other record is
-    reduced, and a rank-deficient one is refused."""
+    distinct row text is checked once (n entries, each in [0, q)).  Each
+    record's rows are joined into one int as they are read, which the `CDC`
+    keeps if it is in RREF and reduces if not; a rank-deficient record is
+    refused."""
     lines = chain.from_iterable(_lines(source))  # no generator step per line
     head = next(lines, "").split()
     if not head or head[0] != "CDC":
@@ -521,11 +539,10 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
         raise ValueError(f"claimed distance {d} is below 1")
     field = gf(q)
     width = n * field.width
-    parsed, shapes, masks = {}, {}, {}  # line -> packed row; rref_pivots's shapes; rref_mask's
+    parsed = {}  # line -> packed row
 
-    def words() -> Iterator[Subspace]:
-        # a word in RREF on the last record's pivots is known by one mask
-        word, left, pivots, mask, ones = 0, k, None, 0, 1
+    def words() -> Iterator[int]:  # each record's rows, end to end
+        word, left = 0, k
         for ln in lines:
             row = parsed.get(ln)
             if row is None:
@@ -540,17 +557,7 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
             word = word << width | row
             left -= 1
             if not left:
-                if word & mask == ones:
-                    yield Subspace(field, n, word, pivots)
-                else:
-                    rows, = split_rows([word], k, width)
-                    found = rref_pivots(field, rows, n, shapes)
-                    if found is None:
-                        yield codeword(field, n, rows)  # reduced
-                    else:
-                        pivots, (mask, ones) = found, masks.get(found) or \
-                            masks.setdefault(found, rref_mask(field, found, n))
-                        yield Subspace(field, n, word, pivots)
+                yield word
                 word, left = 0, k
         if left < k:
             raise ValueError("truncated codeword record")

@@ -8,6 +8,10 @@ distances, rank-nullity, field addition in GF(q^m)), and so do the
 whole-matrix helpers the package assembles without: zero and identity
 matrices, `mat_add`, `hstack`, `vstack`, `subspace_from_rows` (a matrix's
 row space through `codeword`) and the mixed-field guard `same_field`.
+`codeword` makes the `Subspace` of packed rows, trusting rows given with
+their pivots and reducing others by `matrices.rref`: the reference the
+words a `CDC` canonicalizes are checked against, and the way tests make
+a `Subspace` whose `word` a `CDC` takes (`words_of`).
 `row_of` and `entry` read one row or entry of a `Matrix` view, decoded
 from its packed row by `gf.row_codes`.
 `rref_rows` is a per-entry Gaussian elimination through the field's scalar
@@ -48,17 +52,17 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain, repeat, zip_longest
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cdckit.errors import CdckitError, HypothesisViolated, InvalidParameters
 from cdckit.bounds import FAMILIES, Family, _bounded, _exact_div, _lifted, insert_vectors
 from cdckit.constructions import _lifted_words
 from cdckit.counting import mrd_size
-from cdckit.gf import GF, join_rows, row_codes, split_rows
-from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added
+from cdckit.gf import GF, gf, join_rows, row_codes, split_rows
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref
 from cdckit.rankcodes import LinearRankCode, span_iter
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import Subspace, codeword
+from cdckit.subspaces import Subspace
 
 
 class AmbientMismatch(CdckitError):
@@ -156,6 +160,24 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.ncols != mats[0].ncols:
             raise ValueError("column-count mismatch in vstack")
     return Matrix.from_packed(f, mats[0].ncols, sum([m.packed for m in mats], ()))
+
+
+def codeword(f: GF, n: int, rows: Sequence[int],
+             pivots: Optional[Tuple[int, ...]] = None) -> Subspace:
+    """The subspace spanned by packed rows of n entries of f.  Rows given
+    with their `pivots` are trusted to be in RREF with those pivot columns;
+    any others are reduced, and rank-deficient rows are refused."""
+    if pivots is None:
+        reduced, pivots = rref(f, rows, n)
+        if len(reduced) < len(rows):
+            raise ValueError("rows are linearly dependent")
+        rows = reduced
+    return Subspace(f, n, join_rows(rows, n * f.width), pivots)
+
+
+def words_of(subspaces: Iterable[Subspace]) -> List[int]:
+    """The words of `Subspace`s, packed rows end to end, as a `CDC` takes them."""
+    return [s.word for s in subspaces]
 
 
 def subspace_from_rows(m: Matrix) -> Subspace:
@@ -617,15 +639,17 @@ MULTILEVEL_TUPLES = (
 def lifted_with_vectors(family: str, q: int, n: int, d: int, k: int, params: Dict[str, int]
                         ) -> Tuple[Dict[str, int], Iterator[Tuple[Subspace, Tuple[int, ...]]]]:
     """A multilevel tuple's resolved parameters, and the words of its lifted
-    inserts from the materializer, each paired with the special-form vector
-    it should lift on: the words come vector by vector, as many for each as
-    the family spec counts.  A word or a vector left over is paired with
-    None."""
+    inserts from the materializer, each reduced by `codeword` and paired
+    with the special-form vector it should lift on: the words come vector
+    by vector, as many for each as the family spec counts.  A word or a
+    vector left over is paired with None."""
     p = FAMILIES[family].resolve(q, n, d, k, params)
     vectors = chain.from_iterable(
         repeat(special_form_vector(p["n1"], p["n2"], v[0], v[1], v[2], p["h"]), _lifted(p, *v)[1])
         for v in insert_vectors(p))
-    return p, zip_longest(_lifted_words(p, {}, {}), vectors)
+    f = gf(q)
+    words = split_rows(_lifted_words(p, {}, {}), k, n * f.width)
+    return p, zip_longest(map(codeword, repeat(f), repeat(n), words), vectors)
 
 
 def insertion_predicate(u: Subspace, n1: int, n2: int, d: int) -> bool:

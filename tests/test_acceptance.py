@@ -125,7 +125,8 @@ def test_criterion_7_explicit_construction_verification():
     t0 = time.monotonic()
     empty = BaseBoundRegistry()
     # lifted MRD: a (6,64,4,3)_2 code with distance exactly 4
-    lifted = CDC(2, 6, 3, 4, [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))])
+    lifted = CDC(2, 6, 3, 4, [lift_matrix(m).word
+                              for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))])
     rep = verify_min_distance(lifted)
     assert rep.min_found == 4 and rep.pairs_checked == 2016
     # blocks construction, 1024 codewords, distance >= 4

@@ -14,8 +14,8 @@ from cdckit.gf import gf
 from cdckit.matrices import mat_rref, rref_pivots
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
-from cdckit.subspaces import CDC, cdc_to_text, codeword, verify_min_distance
-from oracles import MULTILEVEL_TUPLES, hstack, identifying_vector, identity_matrix, \
+from cdckit.subspaces import CDC, cdc_to_text, verify_min_distance
+from oracles import MULTILEVEL_TUPLES, codeword, hstack, identifying_vector, identity_matrix, \
     insertion_predicate, lifted_with_vectors, special_form_vector, subspace_distance, \
     subspace_from_rows, zero_matrix
 from test_golden import PLANS as GOLDEN_PLANS
@@ -257,7 +257,7 @@ def _one_word_c1(tmp_path):
     """A one-word (6, 1, 4, 4)_2 file for a C1 slot."""
     word = subspace_from_rows(hstack(identity_matrix(gf(2), 4), zero_matrix(gf(2), 4, 2)))
     path = tmp_path / "c1.cdc"
-    path.write_text(cdc_to_text(CDC(2, 6, 4, 4, [word])))
+    path.write_text(cdc_to_text(CDC(2, 6, 4, 4, [word.word])))
     return str(path)
 
 
@@ -293,9 +293,9 @@ BENCH_PLANS = {
 @pytest.mark.parametrize("text", list(GOLDEN_PLANS.values()) + list(BENCH_PLANS.values()),
                          ids=list(GOLDEN_PLANS) + list(BENCH_PLANS))
 def test_built_words_carry_their_rref_pivots(text):
-    # words assembled with trusted pivots (the linkage code's (U1 | M2) rows,
-    # lifted FDRM words) skip reduction: their rows must be their own RREF,
-    # and the pivots those of the rows
+    # words known by their last word's mask (the linkage code's (U1 | M2)
+    # rows, lifted FDRM words) skip reduction: their rows must be their own
+    # RREF, and the pivots those of the rows
     code = run_plan(parse_plan(text)).cdc
     f, shapes = gf(code.q), {}
     for w in code:
@@ -376,8 +376,8 @@ def test_case1_insert_members_satisfy_insert_predicate():
 @pytest.mark.parametrize("text", list(GOLDEN_PLANS.values()) + list(BENCH_PLANS.values()),
                          ids=list(GOLDEN_PLANS) + list(BENCH_PLANS))
 def test_built_words_reduce_to_themselves(text):
-    # a built word's pivots are trusted, not computed: its rows reduced
-    # again by `codeword` must give the same word and pivots
+    # a built word's pivots are mostly known by one mask, not computed: its
+    # rows reduced again by `codeword` must give the same word and pivots
     code = run_plan(parse_plan(text)).cdc
     f = gf(code.q)
     for w in code:

@@ -17,17 +17,17 @@ from cdckit.bounds import FAMILIES, load_table_manifest
 from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import gauss_binomial
 from cdckit.errors import InvalidParameters, PairLimitExceeded
-from cdckit.gf import gf, pack_row, row_codes
+from cdckit.gf import gf, join_rows, pack_row, row_codes
 from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added
 from cdckit.registry import BaseBoundRegistry
 from cdckit.rankcodes import LinearRankCode, enumerate_code, gabidulin_mrd
 from cdckit.subspaces import CDC, Subspace, _sampled_pairs, cdc_from_text, cdc_to_text, \
-    codeword, verify_min_distance
-from oracles import MULTILEVEL_TUPLES, AmbientMismatch, ferrers_of, first_minimum, from_rows, \
-    hamming_lb_check, hstack, identifying_vector, identity_matrix, insertion_predicate, \
-    lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, randrange_pairs, \
-    row_by_row_keys, settled_groups, special_form_vector, subspace_distance, subspace_from_rows, \
-    zero_matrix
+    verify_min_distance
+from oracles import MULTILEVEL_TUPLES, AmbientMismatch, codeword, ferrers_of, first_minimum, \
+    from_rows, hamming_lb_check, hstack, identifying_vector, identity_matrix, \
+    insertion_predicate, lift_matrix, lifted_with_vectors, mat_sub, matmul, oracle_rref, \
+    randrange_pairs, row_by_row_keys, settled_groups, special_form_vector, subspace_distance, \
+    subspace_from_rows, words_of, zero_matrix
 from test_constructions import BENCH_PLANS
 from test_golden import PLANS as GOLDEN_PLANS
 
@@ -68,7 +68,7 @@ def test_canonical_form_collapses_row_equivalence():
             f, rows = u.field, scrambled.packed
             for extra in (f.row_add(rows[0], f.row_scale(rows[-1], q - 1)), 0):
                 with pytest.raises(ValueError, match="^rows are linearly dependent$"):
-                    codeword(f, 6, rows + (extra,))
+                    CDC(q, 6, 4, 2, [join_rows(rows + (extra,), 6 * f.width)])
 
 
 def test_example_identifying_vector_and_ferrers():
@@ -157,7 +157,7 @@ def test_lift_matrix_isometry_and_injectivity():
 
 def test_lifted_gabidulin_is_6_64_4_3_code():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
-    cdc = CDC(2, 6, 3, 4, words)
+    cdc = CDC(2, 6, 3, 4, words_of(words))
     report = verify_min_distance(cdc)
     assert report.min_found == 4
     assert report.pairs_checked == 64 * 63 // 2 == 2016
@@ -201,7 +201,7 @@ def test_lift_special_form():
 
 def test_verify_single_codeword_sentinel():
     word = subspace_from_rows(identity_matrix(gf(2), 3))
-    cdc = CDC(2, 3, 3, 2, [word])
+    cdc = CDC(2, 3, 3, 2, [word.word])
     report = verify_min_distance(cdc)
     assert report.min_found == math.inf and report.witness is None
 
@@ -209,7 +209,7 @@ def test_verify_single_codeword_sentinel():
 def test_verify_pair_limit(monkeypatch):
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
-    cdc = CDC(2, 4, 2, 2, words)
+    cdc = CDC(2, 4, 2, 2, words_of(words))
     with pytest.raises(PairLimitExceeded):
         verify_min_distance(cdc)
 
@@ -219,7 +219,7 @@ def test_sample_mode_refuses_more_draws_than_the_pair_limit(monkeypatch):
     # run and eleven are refused before the first draw
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
-    cdc = CDC(2, 4, 2, 2, words)
+    cdc = CDC(2, 4, 2, 2, words_of(words))
     assert verify_min_distance(cdc, mode="sample", sample_count=10, seed=1).pairs_checked == 10
 
     def no_draw(*args):
@@ -246,15 +246,15 @@ def test_the_key_count_stops_once_past_the_pairs_and_the_limit(monkeypatch):
     monkeypatch.setattr(subspaces, "gauss_binomial", counted)
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
-    report = verify_min_distance(CDC(2, 4, 2, 2, words[:4]))
+    report = verify_min_distance(CDC(2, 4, 2, 2, words_of(words[:4])))
     assert (report.min_found, report.witness, report.pairs_checked) == \
-        (*_pairwise_oracle(CDC(2, 4, 2, 2, words[:4])), 6) and terms == [1]
+        (*_pairwise_oracle(CDC(2, 4, 2, 2, words_of(words[:4]))), 6) and terms == [1]
     with pytest.raises(PairLimitExceeded, match="^120 pairs and 64 keys both exceed the limit 10"):
-        verify_min_distance(CDC(2, 4, 2, 2, words))
+        verify_min_distance(CDC(2, 4, 2, 2, words_of(words)))
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "5")
     terms.clear()
     with pytest.raises(PairLimitExceeded, match="^6 pairs and more keys both exceed the limit 5$"):
-        verify_min_distance(CDC(2, 4, 2, 2, words[:4]))
+        verify_min_distance(CDC(2, 4, 2, 2, words_of(words[:4])))
     assert terms == [1]
 
 
@@ -264,7 +264,7 @@ def test_verify_pair_limit_counts_keys(monkeypatch):
     monkeypatch.setenv("CDCKIT_PAIR_LIMIT", "10")
     words = [subspace_from_rows(from_rows(gf(2), [[v >> s & 1 for s in (3, 2, 1, 0)]]))
              for v in range(1, 11)]
-    report = verify_min_distance(CDC(2, 4, 1, 2, words))
+    report = verify_min_distance(CDC(2, 4, 1, 2, words_of(words)))
     assert (report.min_found, report.witness, report.pairs_checked) == (2, (0, 1), 45)
 
 
@@ -282,7 +282,7 @@ def test_verify_sample_pinned_on_built_code():
 
 def test_verify_sample_reproducible():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
-    cdc = CDC(2, 6, 3, 4, words)
+    cdc = CDC(2, 6, 3, 4, words_of(words))
     r1 = verify_min_distance(cdc, mode="sample", sample_count=200, seed=7)
     r2 = verify_min_distance(cdc, mode="sample", sample_count=200, seed=7)
     assert (r1.min_found, r1.witness, r1.seed) == (r2.min_found, r2.witness, 7)
@@ -290,7 +290,7 @@ def test_verify_sample_reproducible():
 
 def test_verify_generic_field_path():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(3, 2, 2, 1))]
-    cdc = CDC(3, 4, 2, 2, words)
+    cdc = CDC(3, 4, 2, 2, words_of(words))
     report = verify_min_distance(cdc)
     assert report.min_found == 2
 
@@ -298,8 +298,8 @@ def test_verify_generic_field_path():
 def test_cdc_duplicate_rejection_and_lenient_load():
     word = subspace_from_rows(identity_matrix(gf(2), 2))
     with pytest.raises(InvalidParameters):
-        CDC(2, 2, 2, 2, [word, word])
-    lenient = CDC(2, 2, 2, 2, [word, word], strict=False)
+        CDC(2, 2, 2, 2, [word.word] * 2)
+    lenient = CDC(2, 2, 2, 2, [word.word] * 2, strict=False)
     assert len(lenient) == 2
     assert verify_min_distance(lenient).min_found == 0
     # duplicates apart in input order: a strict code still refuses them, and
@@ -312,8 +312,8 @@ def test_cdc_duplicate_rejection_and_lenient_load():
                          [[1, 2, 0, 1], [0, 0, 1, 2]]))):
         words = [subspace_from_rows(from_rows(gf(q), r)) for r in rows]
         with pytest.raises(InvalidParameters):
-            CDC(q, 4, 2, 2, words)
-        lenient = CDC(q, 4, 2, 2, words, strict=False)
+            CDC(q, 4, 2, 2, words_of(words))
+        lenient = CDC(q, 4, 2, 2, words_of(words), strict=False)
         assert len(lenient) == len(words)
         entries = sorted(w.mat.entries for w in words)
         first = next(i for i in range(len(entries)) if entries[i] == entries[i + 1])
@@ -323,13 +323,133 @@ def test_cdc_duplicate_rejection_and_lenient_load():
 
 def test_cdc_file_round_trip():
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
-    cdc = CDC(2, 6, 3, 4, words)
+    cdc = CDC(2, 6, 3, 4, words_of(words))
     text = cdc_to_text(cdc)
     assert text.splitlines()[0] == "CDC 2 6 3 4 64"
     back = cdc_from_text(text)
     assert cdc_to_text(back) == text
     keys = [w.key() for w in back]
     assert keys == sorted(keys)
+
+
+def test_a_word_is_checked_on_its_own_pivots():
+    # A = [I | 0], B and C on pivots (2, 3) and (4, 5) lie 4 apart, and
+    # D = <e0, e1 + e5> meets A in a line, d(A, D) = 2.  Each word's pivots
+    # are decided from its int, so D sits on (0, 1), not on a pivot tuple
+    # far from A's, and the pair is not skipped by its pivot sets
+    rows = {"A": ["100000", "010000"], "B": ["001000", "000100"], "C": ["000010", "000001"],
+            "D": ["100000", "010001"]}
+    code = CDC(2, 6, 2, 4, [int("".join(r), 2) for r in rows.values()])
+    assert [w.word for w in code] == sorted(int("".join(r), 2) for r in rows.values())
+    assert code.pivot_tuples == [(4, 5), (2, 3), (0, 1)]
+    assert [code.pivot_tuples[g] for g in code.group] == [(4, 5), (2, 3), (0, 1), (0, 1)]
+    d = code.codewords[3]
+    assert (d.rows, d.pivots) == ((0b100000, 0b010001), (0, 1))
+    report = verify_min_distance(code)
+    assert (report.min_found, report.witness) == (2, (2, 3)) == _pairwise_oracle(code)
+    assert verify_min_distance(code, mode="sample", sample_count=50, seed=1).min_found == 2
+
+
+def _counted(monkeypatch, names=("rref_pivots", "rref")):
+    """Counts of the calls `subspaces` makes to each of `names`."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(subspaces, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(subspaces, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_each_word_is_reduced_on_the_path_its_int_takes(q, monkeypatch):
+    # a word in RREF on the last word's pivots is known by its mask, with no
+    # call; one in RREF on new pivots is known by its rows' shape; any other
+    # is reduced by `rref` to the int the oracle's `codeword` gives.
+    # Rank-deficient rows, bits above the k rows and negative ints are
+    # refused, also on pivots the last word's mask knows
+    f, n, k = gf(q), 5, 2
+    width = n * f.width
+    calls = _counted(monkeypatch)
+
+    def word(*entries):
+        return join_rows([pack_row(f, row) for row in entries], width)
+
+    first = word([1, 0, q - 1, 0, 1], [0, 1, 1, 0, q - 1])
+    same = word([1, 0, 1, 1, 0], [0, 1, q - 1, 0, 0])  # pivots (0, 1), as first
+    new = word([0, 1, 0, 1, q - 1], [0, 0, 1, q - 1, 1])  # pivots (1, 2)
+    scrambled = [[1, 1, 0, 1, 1], [q - 1, 0, 1, 0, 1]]  # both rows lead in column 0
+    for words, want in (([first, same], {"rref_pivots": 1, "rref": 0}),  # same: the mask
+                        ([first, same, new], {"rref_pivots": 2, "rref": 0}),  # new: a shape
+                        ([first, same, new, word(*scrambled)], {"rref_pivots": 3, "rref": 1})):
+        calls.update(rref_pivots=0, rref=0)
+        code = CDC(q, n, k, 2, words)
+        assert calls == want
+    assert sorted(code.pivot_tuples) == [(0, 1), (1, 2)]
+    reduced = codeword(f, n, [pack_row(f, row) for row in scrambled])
+    assert code.packed == sorted([first, same, new, reduced.word])
+    assert code.codewords[code.packed.index(reduced.word)] == reduced
+    # the mask of the reduced word's pivots does not take the scrambled word
+    assert CDC(q, n, k, 2, [reduced.word, word(*scrambled)], strict=False).packed == \
+        [reduced.word] * 2
+    dependent = word([1, 0, 1, 0, 1], [q - 1, 0, q - 1, 0, q - 1])
+    for words in ([dependent], [first, dependent], [word([1, 0, 1, 0, 1], [0] * n)]):
+        with pytest.raises(ValueError, match="^rows are linearly dependent$"):
+            CDC(q, n, k, 2, words)
+    for bad in (first | 1 << k * width, 1 << k * width + 40, -first, -1):
+        for words in ([bad], [first, bad], [same, first, bad]):
+            with pytest.raises(InvalidParameters,
+                               match="^codeword does not match container parameters$"):
+                CDC(q, n, k, 2, words)
+    # no word: no row is read, so the header's n and k may be of any size
+    for code in (CDC(q, n, k, 2, []), CDC(q, 10**30, 10**29, 2, iter(()))):
+        assert (len(code), code.packed, code.pivot_tuples, code.group) == (0, [], [], [])
+
+
+def test_a_300_row_word_over_gf256_is_reduced_once(monkeypatch):
+    # (I | 0) in GF(256)^301, k = 300, given with its first two rows
+    # swapped and its last row scaled by 2: reduced by `rref` to the int
+    # `codeword` gives.  (I | e_0), on its pivots, then takes the mask
+    calls = _counted(monkeypatch)
+    f, n, k = gf(256), 301, 300
+    width = n * f.width
+    rows = [1 << (n - 1 - r) * f.width for r in range(k)]  # the encoded 1 is 1
+    rref_word = join_rows(rows, width)
+    rows[0], rows[1] = rows[1], rows[0]
+    rows[-1] = f.row_scale(rows[-1], 2)
+    want = codeword(f, n, rows)
+    assert (want.word, want.pivots) == (rref_word, tuple(range(k)))
+    lifted = rref_word | 1 << (k - 1) * width  # the last column of row 0 set: (I | e_0)
+    code = CDC(256, n, k, 2, [join_rows(rows, width), lifted])
+    assert code.packed == [rref_word, lifted] and code.pivot_tuples == [tuple(range(k))]
+    assert calls == {"rref_pivots": 1, "rref": 1}
+    assert verify_min_distance(code).min_found == 2
+
+
+# the words of each bench plan, built and parsed, that reach `rref_pivots`'
+# shapes and `rref`.  link10 builds 33,854 words: its 32,768 (U1 | M2) words,
+# but the first, are known by the mask of U1's pivots, and the shapes see
+# that first, its 1,086 (M1 | U2) words and the one word of each trivial
+# sub-code; its parsed file's 670 pivot changes take the shapes
+FAST_PATH_CALLS = {
+    "ml2_q2": ({"rref_pivots": 531, "rref": 521}, {"rref_pivots": 316, "rref": 0}),
+    "link10_q2": ({"rref_pivots": 1089, "rref": 1079}, {"rref_pivots": 670, "rref": 0}),
+    "link6_q3": ({"rref_pivots": 4, "rref": 0}, {"rref_pivots": 2, "rref": 0}),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_PLANS))
+def test_bench_words_take_the_mask(name, monkeypatch):
+    calls = _counted(monkeypatch)
+    code = run_plan(parse_plan(BENCH_PLANS[name])).cdc
+    built = dict(calls)
+    calls.update(rref_pivots=0, rref=0)
+    parsed = cdc_from_text(cdc_to_text(code))
+    assert (built, dict(calls)) == FAST_PATH_CALLS[name]
+    assert (parsed.packed, parsed.group, parsed.pivot_tuples) == \
+        (code.packed, code.group, code.pivot_tuples)
+    if name == "link10_q2":
+        assert built["rref_pivots"] == len(code) - 32768 + 1 + 2
 
 
 @pytest.fixture(scope="module")
@@ -474,11 +594,11 @@ def test_codewords_are_a_sequence_of_subspaces_made_on_read(q):
     assert all(made[words.index(w)] == w for w in drawn)
     dups = made[:3] + [made[1], made[2], made[1]]
     rng.shuffle(dups)
-    lenient = CDC(q, code.n, code.k, code.d, dups, strict=False)
+    lenient = CDC(q, code.n, code.k, code.d, words_of(dups), strict=False)
     assert list(lenient) == [made[0], made[1], made[1], made[1], made[2], made[2]]
     shuffled = made[:]
     rng.shuffle(shuffled)
-    again = CDC(q, code.n, code.k, code.d, shuffled)
+    again = CDC(q, code.n, code.k, code.d, words_of(shuffled))
     assert (again.packed, again.group, again.pivot_tuples) == \
         (code.packed, code.group, code.pivot_tuples)
 
@@ -548,7 +668,7 @@ def test_packed_order_is_entry_order(n):
         [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 1) + [1]],
         [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), [0] * (n - 2) + [1, 0]],
     )]
-    cdc = CDC(2, n, 3, 2, words, strict=False)
+    cdc = CDC(2, n, 3, 2, words_of(words), strict=False)
     entries = [w.mat.entries for w in cdc]
     assert entries == sorted(entries)
     assert [(w.rows, w.pivots) for w in cdc_from_text(cdc_to_text(cdc))] == \
@@ -592,7 +712,7 @@ def test_verifier_matches_bruteforce_oracle():
         if w.key() not in seen:
             seen.add(w.key())
             words.append(w)
-    cdc = CDC(2, 7, 3, 2, words)
+    cdc = CDC(2, 7, 3, 2, words_of(words))
     report = verify_min_distance(cdc)
     naive = min(
         subspace_distance(a, b)
@@ -624,14 +744,14 @@ def test_verifier_matches_pairwise_oracle_over_fields(q):
         most = 2 * sum(gauss_binomial(k, t, q) for t in range(1, k + 1))
         for size in (4, most, most + 1):
             words = [_random_subspace(rng, q, n, k) for _ in range(size)]
-            codes.append(CDC(q, n, k, 2, words, strict=False))
+            codes.append(CDC(q, n, k, 2, words_of(words), strict=False))
     words = [_random_subspace(rng, q, 6, 2) for _ in range(9)]
     # three copies: the witness pairs the lowest copy with the second-lowest
-    duplicated = CDC(q, 6, 2, 4, words + [words[4]] * 2, strict=False)
+    duplicated = CDC(q, 6, 2, 4, words_of(words + [words[4]] * 2), strict=False)
     # a line spread of GF(q)^4: every pair is at the largest distance 2k = 4
     spread = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(q, 2, 2, 2))]
     spread.append(subspace_from_rows(hstack(zero_matrix(f, 2, 2), identity_matrix(f, 2))))
-    spread = CDC(q, 4, 2, 4, spread)
+    spread = CDC(q, 4, 2, 4, words_of(spread))
     for cdc in codes + [duplicated, spread]:
         report = verify_min_distance(cdc)
         assert (report.min_found, report.witness) == _pairwise_oracle(cdc)
@@ -645,8 +765,8 @@ def test_verifier_small_code_over_large_field(size):
     # 2-subspaces, far more keys than the code has pairs
     rng = random.Random(256 + size)
     words = [_random_subspace(rng, 256, 6, 3) for _ in range(size)]
-    for cdc in (CDC(256, 6, 3, 2, words),
-                CDC(256, 6, 3, 2, words + words[:1], strict=False)):
+    for cdc in (CDC(256, 6, 3, 2, words_of(words)),
+                CDC(256, 6, 3, 2, words_of(words + words[:1]), strict=False)):
         report = verify_min_distance(cdc)
         assert (report.min_found, report.witness) == _pairwise_oracle(cdc)
 
@@ -673,13 +793,13 @@ def test_kernels_match_the_per_entry_oracle(q):
     for n, k, size in ((4, 1, 12), (4, 2, 6), (5, 2, 2 * (q + 2) + 1 if q <= 16 else 8)):
         words = [_random_subspace(rng, q, n, k) for _ in range(size)]
         for extra in ([], words[1:3]):  # and with two duplicates
-            w = CDC(q, n, k, 2, words + extra, strict=False).codewords
+            w = CDC(q, n, k, 2, words_of(words + extra), strict=False).codewords
             dist = {(i, j): subspace_distance(w[i], w[j])
                     for i in range(len(w)) for j in range(i + 1, len(w))}
-            report = verify_min_distance(CDC(q, n, k, 2, w, strict=False))
+            report = verify_min_distance(CDC(q, n, k, 2, words_of(w), strict=False))
             assert (report.min_found, report.witness) == min((d, p) for p, d in dist.items())
-            report = verify_min_distance(CDC(q, n, k, 2, w, strict=False), mode="sample",
-                                         sample_count=40, seed=q)
+            report = verify_min_distance(CDC(q, n, k, 2, words_of(w), strict=False),
+                                         mode="sample", sample_count=40, seed=q)
             pairs = list(_sampled_pairs(len(w), 40, q))
             assert report.min_found == min(dist[p] for p in pairs)
             assert report.witness == next(p for p in pairs if dist[p] == report.min_found)
@@ -688,7 +808,7 @@ def test_kernels_match_the_per_entry_oracle(q):
 @pytest.mark.parametrize("count", [0, -3])
 def test_verify_sample_count_below_one_rejected(count):
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 2, 2, 1))]
-    cdc = CDC(2, 4, 2, 2, words)
+    cdc = CDC(2, 4, 2, 2, words_of(words))
     with pytest.raises(InvalidParameters):
         verify_min_distance(cdc, mode="sample", sample_count=count, seed=1)
 
@@ -740,7 +860,7 @@ def test_sampled_pair_minimum_stops_exactly(q):
     pool, dist = _line_pool(q, 4000 + q)
     seen = set()
     for words in (pool[:8], pool[:6] + pool[2:4]):  # and with two duplicates
-        code = CDC(q, pool[0].n, 2, 2, words, strict=False)
+        code = CDC(q, pool[0].n, 2, 2, words_of(words), strict=False)
         w = code.codewords
         for seed in range(6):
             pairs = randrange_pairs(len(w), 40, seed)
@@ -798,7 +918,7 @@ def test_exhaustive_pair_minimum_stops_exactly(q):
     }
     for name, words in codes.items():
         assert 2 * sum(gauss_binomial(2, t, q) for t in (1, 2)) >= len(words)
-        code = CDC(q, pool[0].n, 2, 2, words, strict=False)
+        code = CDC(q, pool[0].n, 2, 2, words_of(words), strict=False)
         w = code.codewords
         pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
         dists = [subspace_distance(w[i], w[j]) for i, j in pairs]
@@ -843,7 +963,7 @@ def test_prefix_bound_matches_pairwise_oracle(q):
     codes["duplicate after prefix"] = base + base[4:5]
     codes["every distance 2k"] = spread[:size]
     for name, words in codes.items():
-        code = CDC(q, 6, 2, 4, words, strict=False)
+        code = CDC(q, 6, 2, 4, words_of(words), strict=False)
         assert len(code) == size
         report = verify_min_distance(code)
         best, witness = _pairwise_oracle(code)
@@ -860,7 +980,7 @@ def test_prefix_bound_matches_pairwise_oracle(q):
             "duplicate after prefix": (4, 0, False, False),
             "every distance 2k": (4, 4, True, True),
         }[name]
-    assert verify_min_distance(CDC(q, 6, 2, 4, codes["duplicate in prefix"],
+    assert verify_min_distance(CDC(q, 6, 2, 4, words_of(codes["duplicate in prefix"]),
                                    strict=False)).witness == (0, 1)
 
 
@@ -882,8 +1002,8 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
     # copy keys N * C(k, t) words
     k, d = 3, 4
     words = [lift_matrix(m) for m in enumerate_code(gabidulin_mrd(2, 3, 3, 2))]
-    clean = CDC(2, 6, k, d, words)
-    swapped = CDC(2, 6, k, d, [codeword(gf(2), 6, _swap_columns(w.rows, 2, 3, 6))
+    clean = CDC(2, 6, k, d, words_of(words))
+    swapped = CDC(2, 6, k, d, [codeword(gf(2), 6, _swap_columns(w.rows, 2, 3, 6)).word
                                for w in words])
     for code in (clean, swapped):
         w = code.codewords
@@ -899,7 +1019,7 @@ def test_prefix_bound_skips_the_levels_at_or_above_it(monkeypatch):
                                       for r in range(3)]))
         if b.key() in keys:
             continue
-        planted = CDC(2, 6, k, d, words + [b])
+        planted = CDC(2, 6, k, d, words_of(words + [b]))
         i = planted.codewords.index(b)
         near = [tuple(sorted((i, j))) for j, v in enumerate(planted.codewords)
                 if subspace_distance(b, v) == 2]
@@ -965,7 +1085,7 @@ def test_keys_match_the_row_by_row_oracle(q, monkeypatch):
         while len(words) < size:
             w = _random_rref(rng, q, 6, k)
             words[w.rows] = w
-        codes.append(CDC(q, 6, k, 2, words.values()))
+        codes.append(CDC(q, 6, k, 2, words_of(words.values())))
     keys_of, affine_clean = subspaces.keys_of, subspaces._affine_clean
     monkeypatch.setattr(subspaces, "_min_pair", lambda code, pairs, groups: (2 * code.k, (0, 1)))
     settled_any = False
@@ -1027,8 +1147,8 @@ def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
     h2 = codeword(f, n, [p, f.row_add(unit[1], unit[-1])])
     h4 = codeword(f, n, [f.row_add(low, unit[1]), h1.rows[1]])
     sample = [w for w in rng.sample(spread, 160) if w not in (zero, s)]
-    code = CDC(q, n, 2, 4, [zero, s, h1, h2, h4] + [
-        w for w in sample if all(subspace_distance(w, h) == 4 for h in (h1, h2, h4))])
+    code = CDC(q, n, 2, 4, words_of([zero, s, h1, h2, h4] + [
+        w for w in sample if all(subspace_distance(w, h) == 4 for h in (h1, h2, h4))]))
     w = code.codewords
     index = {u.word: i for i, u in enumerate(w)}
     i1, i2, i_s, i4 = (index[u.word] for u in (h1, h2, s, h4))
@@ -1089,7 +1209,7 @@ def test_level_k_reads_equal_neighbours(q, monkeypatch):
 
     monkeypatch.setattr(subspaces, "keys_of", unkeyed)
     for extra, i in runs.values():
-        code = CDC(q, 6, 2, 4, spread + [spread[j] for j in extra], strict=False)
+        code = CDC(q, 6, 2, 4, words_of(spread + [spread[j] for j in extra]), strict=False)
         assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1)
         report = verify_min_distance(code)
         assert (report.min_found, report.witness) == _pairwise_oracle(code) == (0, (i, i + 1))
@@ -1130,7 +1250,7 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
     x = codeword(f, n, [pack_row(f, [int(c == r) for c in range(n)]) for r in (2, 3)], (2, 3))
     z = codeword(f, n, [pack_row(f, [1, q - 1] + [0] * m),
                         pack_row(f, [0, 0, 1] + [0] * (m - 2) + [1])], (0, 2))
-    code = CDC(q, n, 2, 4, _lifts(f, 2, m, gabidulin))
+    code = CDC(q, n, 2, 4, words_of(_lifts(f, 2, m, gabidulin)))
     gone, last = code.codewords[len(code) // 2], code.codewords[-1]
     changed = codeword(f, n, (last.rows[0], f.row_add(last.rows[1], 1)), (0, 1))
     short = [w for w in code if w != gone]
@@ -1149,7 +1269,7 @@ def test_isolated_affine_groups_match_the_pairwise_oracle(q, monkeypatch):
 
     monkeypatch.setattr(subspaces, "keys_of", watched)
     for name, (words, settled, least) in cases.items():
-        code = CDC(q, n, 2, 4, words)
+        code = CDC(q, n, 2, 4, words_of(words))
         w = code.codewords
         assert len(code) > 2 * (gauss_binomial(2, 1, q) + 1) and w[0] == x
         assert min(subspace_distance(w[i], w[j]) for i, j in _prefix(len(w))) == 4
@@ -1202,7 +1322,7 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
 
     monkeypatch.setattr(subspaces, "_affine_clean", watched)
     for name, words in versions.items():
-        code = CDC(q, n, 2, 4, words, strict=False)
+        code = CDC(q, n, 2, 4, words_of(words), strict=False)
         w, dist = code.codewords, {}
         for seed in range(6):
             pairs = randrange_pairs(len(w), 3 * size, seed)
@@ -1213,7 +1333,7 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
                 assert (report.min_found, report.witness) == \
                     first_minimum(dists[:count], pairs[:count]), (name, seed, count)
     for name in ("one word over", "d = 2"):
-        code = CDC(q, n, 2, 4, versions[name], strict=False)
+        code = CDC(q, n, 2, 4, words_of(versions[name]), strict=False)
         w, pairs = code.codewords, list(combinations(range(len(code)), 2))
         report = verify_min_distance(code)
         assert (report.min_found, report.witness) == \
@@ -1245,7 +1365,8 @@ def test_sampled_verification_computes_few_draws(monkeypatch):
     # affine pivot group at d = 4: once 4,096 of its pairs are computed, the
     # group is settled (one rank test, then one for each of the [4 1]_2 = 15
     # lines of GF(2)^4), and no other draw is eliminated
-    code = CDC(2, 8, 4, 4, [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))])
+    code = CDC(2, 8, 4, 4, [lift_matrix(x).word
+                            for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))])
     assert len(code) == 4096
     calls = []
 
@@ -1296,7 +1417,8 @@ def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
             "exhaustive": (golden, {}, "scan", True)}
     for name, (code_words, options, step, settled) in runs.items():
         calls.clear()
-        assert verify_min_distance(CDC(2, 8, 4, 4, code_words), **options).min_found == 4
+        code = CDC(2, 8, 4, 4, words_of(code_words))
+        assert verify_min_distance(code, **options).min_found == 4
         assert max(Counter((piv, best) for _, piv, best, _ in calls).values()) == 1, name
         assert {s for s, _, _, _ in calls} == {step}, name
         assert (step, (0, 1, 2, 3), 4, settled) in calls, name
@@ -1316,7 +1438,8 @@ def test_a_group_test_costs_one_rank_test_per_low_rank_space(link10, monkeypatch
         return rank_added(*args)
 
     monkeypatch.setattr(subspaces, "rank_added", counted)
-    lifted = CDC(2, 10, 5, 6, [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 5, 5, 3))])
+    lifted = CDC(2, 10, 5, 6, [lift_matrix(x).word
+                               for x in enumerate_code(gabidulin_mrd(2, 5, 5, 3))])
     for code, best, tests in ((link10, 4, 16), (lifted, 6, 156)):
         piv = tuple(range(code.k))
         assert Counter(w.pivots for w in code)[piv] == 32768
@@ -1368,7 +1491,7 @@ def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
         groups[f"seeded {len(groups)}"] = (k, [tuple(map(f.row_add, a, offset)) for a in mats],
                                            None)
     for name, (k, mats, expected) in groups.items():
-        code = CDC(q, k + 3, k, 2, _lifts(f, k, 3, mats))
+        code = CDC(q, k + 3, k, 2, words_of(_lifts(f, k, 3, mats)))
         assert q ** round(math.log(len(code), q)) == len(code)
         assert len({w.pivots for w in code}) == 1
         settled = tuple(subspaces._affine_clean(code, code.codewords[0].pivots, len(code), best)
@@ -1384,7 +1507,7 @@ def _verify_lifted(m):
     at distance 2 from one word, past the first N pairs."""
     k, n = 4, 4 + m
     words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, m, 2))]
-    code = CDC(2, n, k, 4, words)
+    code = CDC(2, n, k, 4, words_of(words))
     size = len(code)
     assert size == 2 ** (3 * m)
     report = verify_min_distance(code)
@@ -1395,7 +1518,7 @@ def _verify_lifted(m):
     u = code.codewords[size // 2]
     free = max(set(range(n)) - set(u.pivots))
     planted = codeword(u.field, n, u.rows[:-1] + (u.rows[-1] ^ 1 << n - 1 - free,), u.pivots)
-    code = CDC(2, n, k, 4, words + [planted])
+    code = CDC(2, n, k, 4, words_of(words + [planted]))
     i = code.codewords.index(planted)
     basis = [0] * (n + 1)  # the planted word's rows, by leading entry
     for row in planted.rows:
@@ -1444,7 +1567,7 @@ def test_settling_a_pivot_group_holds_none_of_its_vectors():
     # list of the vectors would add about 1.3 MB, and a list of the
     # indices about 1.2 MB
     words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 5, 2))]
-    code = CDC(2, 9, 4, 4, words)
+    code = CDC(2, 9, 4, 4, words_of(words))
     report, _, peak = _traced(lambda: verify_min_distance(code))
     assert (report.min_found, report.witness) == (4, (0, 1))
     assert peak < 0.1e6
