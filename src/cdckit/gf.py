@@ -269,7 +269,7 @@ def pack_row(field: GF, codes: Sequence[int]) -> int:
 def row_codes(field: GF, row: int, ncols: int) -> Tuple[int, ...]:
     """The element codes of the ncols entries of a packed row."""
     w, dec, mask = field.width, field.dec, (1 << field.width) - 1
-    return tuple(dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w))
+    return tuple([dec[row >> s & mask] for s in range((ncols - 1) * w, -1, -w)])
 
 
 def join_rows(rows: Sequence[int], width: int) -> int:

@@ -20,27 +20,35 @@ d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
 Lemma 2), and words of one pivot tuple lie 2 rank(U - V) apart (Silva,
 Kschischang and Kotter, IEEE Trans. IT 2008).  The words of one pivot
 tuple form a pivot group.  Each verification indexes its groups once, a
-list by group number of [the mask of its columns, its word count, its
-state].  A group's state is the count of its inner pairs computed since
-the running minimum m last fell, None once it is tested at m, or True
-once it is settled.  A group is tested, by `_affine_clean`, when its count
-reaches its word count, so the test, about one pass over the group, at
-most doubles the work it can save.  It is settled when its q^D words,
-D >= 1, are distinct and an affine space v0 + L with no nonzero element
-of rank below m / 2: none of its pairs lies below m, and it stays settled
-as m falls.  A group is isolated when its pivot set differs from every
-other in at least m columns: none of its cross pairs lies below m.  A
-pair is skipped when it cannot lower m: when its pivot sets differ in at
-least m columns, or when both its words lie in a settled group.
+list by group number of [the mask of its columns, its word count S, the
+count of its inner pairs computed since the running minimum m last fell,
+its floor, its ceiling].  A group is clean at b, by `_affine_clean`, when
+its q^D words, D >= 1, are distinct and an affine space v0 + L with no
+nonzero element of rank below b / 2: none of its pairs lies below b, and
+it is clean at every lower b.  The floor, under the group's inner
+minimum, is the last b at which it was found clean (0 before); the
+ceiling is the last b at which it was found not clean (infinite before),
+and no test is made at or above it.  The pair loop
+tests a group at m, below its ceiling, when its count reaches S, so the
+test, about one pass over the group, at most doubles the work it can
+save.  Sample mode applies that rule to the draws still to come: before
+the first draw, it tests each group once at the claimed d when its
+expected inner draws reach S, count (S - 1) >= N (N - 1) for a code of N
+words.  A group is isolated when its pivot set differs from every other
+in at least m columns: none of its cross pairs lies below m.  A pair is
+skipped when it cannot lower m: when its pivot sets differ in at least m
+columns, or when both its words lie in a group whose floor is m or more.
 Exhaustive verification instead finds the highest t at which two
 codewords share a t-subspace (`_collision_scan`), and compares pairs only
 when they are fewer than the keys.
 The CDC file format renders and checks each distinct row once, and hands
-each record's rows, joined into one int, to the `CDC`.  Its header is CDC
-and the integers q, n, k, d and the word count, with 1 <= k <= n,
-count >= 0 and d >= 1 (any two words meet d <= 0).  A file is written and
-read about 64 KiB at a time, so neither its whole text nor a list of its
-lines is held.
+each record's rows, joined into one int, to the `CDC`: runs of up to 8
+rows by shift and OR, and a longer record's runs by halves
+(`join_rows`), so a long record is not copied once per row.  Its header
+is CDC and the integers q, n, k, d and the word count, with
+1 <= k <= n, count >= 0 and d >= 1 (any two words meet d <= 0).  A file
+is written and read about 64 KiB at a time, so neither its whole text
+nor a list of its lines is held.
 """
 from __future__ import annotations
 
@@ -220,16 +228,14 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
         g, h = numbers[i], numbers[j]
         group = groups[g]
         if g == h:
-            seen = group[2]
-            if seen is True:
+            if best <= group[3]:  # at or below the floor, no inner pair can lower best
                 continue
-            if seen is not None:
-                group[2] = seen = seen + 1
-                if seen == group[1]:  # one test at each best
-                    group[2] = None
-                    if _affine_clean(code, code.pivot_tuples[g], seen, best):
-                        group[2] = True
-                        continue
+            group[2] = seen = group[2] + 1
+            if seen == group[1] and best < group[4]:  # one test at each best below the ceiling
+                if _affine_clean(code, code.pivot_tuples[g], seen, best):
+                    group[3] = best
+                    continue
+                group[4] = best
         elif (group[0] ^ groups[h][0]).bit_count() >= best:
             continue
         u, v, basis, rows = words[i], words[j], zero[:], []
@@ -248,8 +254,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
             if added == 0:
                 break
             for group in groups:
-                if group[2] is not True:  # a settled group stays settled
-                    group[2] = 0
+                group[2] = 0
     return best, witness
 
 
@@ -296,8 +301,13 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
     if n_words < 2:
         return VerifyReport(math.inf, None, 0, mode, seed)
     sizes = Counter(code.group)  # the pivot-group index of the module docstring
-    groups = [[sum(1 << c for c in piv), sizes[g], 0] for g, piv in enumerate(code.pivot_tuples)]
+    groups = [[sum(1 << c for c in piv), sizes[g], 0, 0, math.inf]
+              for g, piv in enumerate(code.pivot_tuples)]
     if mode == "sample":
+        for g, group in enumerate(groups):  # the test before the draws, by the module docstring
+            if sample_count * (group[1] - 1) >= n_words * (n_words - 1):
+                clean = _affine_clean(code, code.pivot_tuples[g], group[1], code.d)
+                group[3 if clean else 4] = code.d
         best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), groups)
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
@@ -426,7 +436,8 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     the pivots: [k r]_q rank tests at any |L|.  The words are streamed."""
     f, k, n, places, number = code.field, code.k, code.n, code.places, code.pivot_tuples.index(piv)
     dim, r = round(math.log(size, f.q)), (best - 1) // 2  # r: the highest rank below best / 2
-    if dim < 1 or f.q ** dim != size or r >= k:  # at r >= k, every element is of rank r or less
+    # at r >= k, every element is of rank r or less; at best <= 0 nothing is tested
+    if dim < 1 or f.q ** dim != size or not 0 <= r < k:
         return False
     before, after = tee(compress(code.packed, map(number.__eq__, code.group)))
     next(after)
@@ -540,15 +551,18 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
     field = gf(q)
     width = n * field.width
     parsed = {}  # line -> packed row
+    first = (k - 1) % 8 + 1  # the rows of a record's first run; each later run has 8
 
     def words() -> Iterator[int]:  # each record's rows, end to end
-        word, left = 0, k
+        # a record is shift-ored a run of at most 8 rows at a time, and the
+        # runs of a longer one are joined by halves (`join_rows`)
+        word, left, rest, runs = 0, first, k - first, []
         for ln in lines:
             row = parsed.get(ln)
             if row is None:
                 entries = ln.split()
                 if not entries:
-                    if left < k:
+                    if runs or left < first:
                         raise ValueError("truncated codeword record")
                     continue
                 if len(entries) != n:
@@ -557,9 +571,16 @@ def cdc_from_text(source: Union[str, TextIO]) -> CDC:
             word = word << width | row
             left -= 1
             if not left:
+                if rest:  # a run ends inside the record
+                    runs.append(word)
+                    word, left, rest = 0, 8, rest - 8
+                    continue
+                if runs:
+                    runs.append(word)
+                    word, runs, rest = join_rows(runs, 8 * width), [], k - first
                 yield word
-                word, left = 0, k
-        if left < k:
+                word, left = 0, first
+        if runs or left < first:
             raise ValueError("truncated codeword record")
 
     code = CDC(q, n, k, d, words(), strict=False)

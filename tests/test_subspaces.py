@@ -6,6 +6,7 @@ import collections.abc
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations, count, islice, product
@@ -702,6 +703,41 @@ def test_cdc_from_text_refuses_bad_records(record):
         cdc_from_text(f"CDC 2 4 2 2 2\n\n0 0 1 0\n0 0 0 1\n\n{record}")
 
 
+def test_a_record_is_joined_in_runs_of_8_rows():
+    # the parser shift-ors a record 8 rows at a time and joins a longer
+    # record's runs by halves (`join_rows`): over GF(2), GF(3) and GF(4), at
+    # every k from 1 to 20 and at 100, each record in RREF parses to its
+    # rows moved to their slots and summed, and a record cut by a blank
+    # line after any of its rows, at the end of a run too, is refused.
+    # 100 copies of the (I | 0) record of 500 rows of GF(256)^501 parse,
+    # each row read once, within 0.75 s; a running shift-or of each record
+    # took 1.7 s
+    rng = random.Random(37)
+    for q in (2, 3, 4):
+        f = gf(q)
+        for k in [*range(1, 21), 100]:
+            n = k + 2
+            records = [[[int(c == r) if c < k else rng.randrange(q) for c in range(n)]
+                        for r in range(k)] for _ in range(3)]
+            text = f"CDC {q} {n} {k} 2 3\n" + "".join(
+                "\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows) for rows in records)
+            want = sorted(join_rows([pack_row(f, row) for row in rows], n * f.width)
+                          for rows in records)
+            assert cdc_from_text(text).packed == want, (q, k)
+            lines = [" ".join(map(str, row)) for row in records[0]]
+            for cut in range(1, k):
+                with pytest.raises(ValueError, match="truncated"):
+                    cdc_from_text(f"CDC {q} {n} {k} 2 1\n\n" + "\n".join(
+                        lines[:cut] + [""] + lines[cut:]) + "\n")
+    n, k = 501, 500
+    record = "\n".join(" ".join("1" if c == r else "0" for c in range(n)) for r in range(k))
+    text = f"CDC 256 {n} {k} 2 100\n" + f"\n{record}\n" * 100
+    t0 = time.perf_counter()
+    code = cdc_from_text(text)
+    assert time.perf_counter() - t0 < 0.75
+    assert code.packed == [sum(1 << (k - r) * 8 * n - 8 * (r + 1) for r in range(k))] * 100
+
+
 def test_verifier_matches_bruteforce_oracle():
     # the t-subspace collision scan against a plain per-pair recompute
     rng = random.Random(1234)
@@ -1340,9 +1376,73 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
             first_minimum([subspace_distance(w[i], w[j]) for i, j in pairs], pairs), name
     # the clean group is settled, beside the near line too, and the d = 2
     # group at 2; a group with a planted or a repeated word, or of q^m + 1
-    # words, is tested and kept
+    # words, is tested and kept.  Past about q^m draws, the d = 2 group is
+    # tested before the draws at the claimed 4 and kept
     assert tested == {("clean", True), ("near", True), ("planted", False),
-                      ("duplicate", False), ("one word over", False), ("d = 2", True)}
+                      ("duplicate", False), ("one word over", False), ("d = 2", True),
+                      ("d = 2", False)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_up_front_group_test_matches_the_pairwise_oracle(q, monkeypatch):
+    # the lifted Gabidulin code of 2 x m matrices at rank distance 2: q^m
+    # lines of GF(q)^n, n = m + 2, in pivot group (0, 1), whose inner
+    # minimum is 4, claimed d = 2, 4 and 6, below, at and above it, and
+    # d = 0, which only the API takes, at which no group is found clean.
+    # Four versions: clean; with a line on pivots (0, 2) beside it, N = s + 1;
+    # with a word replaced by the middle word with the last entry of its
+    # last row changed, at distance 2 from it; and with that word added,
+    # q^m + 1 words.  The last two fail the group test at every d.  A group
+    # of s words is tested before the draws, at the claimed d, once
+    # count (s - 1) >= N (N - 1): with c = ceil(N (N - 1) / (s - 1)), not at
+    # c - 1 draws and once at c.  At c - 1, c, c + 1, 2c and 8c draws of
+    # four seeds, each report is the oracle's over randrange's pairs
+    f, m = gf(q), 4 if q == 2 else 3
+    n = m + 2
+    lifted = _lifts(f, 2, m, [w.packed for w in enumerate_code(gabidulin_mrd(q, 2, m, 2))])
+    size, middle = len(lifted), lifted[len(lifted) // 2]
+    near = codeword(f, n, [pack_row(f, [1, q - 1] + [0] * m),
+                           pack_row(f, [0, 0, 1] + [0] * (m - 2) + [1])], (0, 2))
+    planted = codeword(f, n, (middle.rows[0], f.row_add(middle.rows[1], 1)), (0, 1))
+    versions = {
+        "clean": (lifted, True),
+        "near": (lifted + [near], True),
+        "planted": (lifted[1:] + [planted], False),
+        "one word over": (lifted + [planted], False),
+    }
+    affine_clean, min_pair, before, drawing = subspaces._affine_clean, subspaces._min_pair, [], []
+
+    def watched(code, piv, size, best):
+        found = affine_clean(code, piv, size, best)
+        if not drawing:
+            before.append((piv, size, best, found))
+        return found
+
+    def paired(code, pairs, groups):
+        drawing.append(1)
+        return min_pair(code, pairs, groups)
+
+    monkeypatch.setattr(subspaces, "_affine_clean", watched)
+    monkeypatch.setattr(subspaces, "_min_pair", paired)
+    for name, (words, affine) in versions.items():
+        for d in (0, 2, 4, 6):
+            code = CDC(q, n, 2, d, words_of(words))
+            w, dist, s = code.codewords, {}, Counter(u.pivots for u in code)[(0, 1)]
+            c = -(-len(w) * (len(w) - 1) // (s - 1))
+            for seed in range(4):
+                pairs = randrange_pairs(len(w), 8 * c, seed)
+                dists = [dist.get(p) or dist.setdefault(p, subspace_distance(w[p[0]], w[p[1]]))
+                         for p in pairs]
+                for count in (c - 1, c, c + 1, 2 * c, 8 * c):
+                    before.clear()
+                    drawing.clear()
+                    report = verify_min_distance(code, mode="sample", sample_count=count,
+                                                 seed=seed)
+                    assert (report.min_found, report.witness) == \
+                        first_minimum(dists[:count], pairs[:count]), (name, d, seed, count)
+                    # clean at 2 and 4, not at 6, where r = k, nor at 0
+                    assert before == ([] if count < c else
+                                      [((0, 1), s, d, affine and 0 < d < 6)]), (name, d, count)
 
 
 def test_a_repeated_word_keeps_its_affine_group_unsettled():
@@ -1362,12 +1462,17 @@ def test_a_repeated_word_keeps_its_affine_group_unsettled():
 
 def test_sampled_verification_computes_few_draws(monkeypatch):
     # 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code, one
-    # affine pivot group at d = 4: once 4,096 of its pairs are computed, the
-    # group is settled (one rank test, then one for each of the [4 1]_2 = 15
-    # lines of GF(2)^4), and no other draw is eliminated
+    # affine pivot group at d = 4: the draws reach the group's size, so it is
+    # settled at the claimed 4 before the first draw (one rank test, then one
+    # for each of the [4 1]_2 = 15 lines of GF(2)^4), and only the draws up
+    # to the first at distance 4, the fifth, are eliminated
     code = CDC(2, 8, 4, 4, [lift_matrix(x).word
                             for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))])
     assert len(code) == 4096
+    w = code.codewords  # the first 100 draws of seed 1 begin any longer run of it
+    first = next(t for t, (i, j) in enumerate(randrange_pairs(len(code), 100, 1))
+                 if subspace_distance(w[i], w[j]) == 4)
+    assert first == 4
     calls = []
 
     def counted(*args):
@@ -1377,21 +1482,26 @@ def test_sampled_verification_computes_few_draws(monkeypatch):
     monkeypatch.setattr(subspaces, "rank_added", counted)
     report = verify_min_distance(code, mode="sample", sample_count=200_000, seed=1)
     assert report.min_found == 4
-    assert len(calls) <= 4096 + 16 + 100  # about 2.1 % of the draws
+    assert len(calls) == 16 + first + 1
 
 
 def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
-    # each `_affine_clean` call, and whether the pair loop or the scan made
-    # it: over 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code,
-    # and in the exhaustive verification of the (8, 4690, 4, 4)_2
-    # multilevel_II code, no group is tested twice at one running minimum,
-    # and each settles its 4,096-word lifted Gabidulin group at 4.  With a
-    # word added at distance 2 from one of its words, the group of 4,097
-    # words is tested at 4 and kept, and its inner pairs are computed, but
-    # it is not tested again.  The first N pairs of the exhaustive scan test
-    # no group, so the scan tests none they settled: the first of them sets
-    # the minimum, and fewer than S inner pairs of a group of S words follow
-    # it among them
+    # each `_affine_clean` call, and whether it was made before the draws,
+    # by the pair loop or by the scan.  No group is tested twice at one
+    # running minimum, nor at or above a minimum at which its test failed.
+    # 200,000 draws on the lifted Gabidulin (8, 4096, 4, 4)_2 code reach
+    # its group's size, so the group is settled at the claimed 4 before the
+    # draws and never tested again.  With a word added at distance 2 from
+    # one of its words, the group of 4,097 words fails that test and its
+    # inner pairs are computed, but at the minimum 4 it is not tested
+    # again.  The lifted (8, 256, 6, 4)_2 code of rank distance 3 with such
+    # a word, claimed 4, fails at 4 before the draws.  The minimum then
+    # stays at 6 and at 4 for thousands of draws each, where the group is
+    # not tested, and falls to 2, where it is (draws 0, 2,129 and 92,531 set
+    # it).  The exhaustive verification of the (8, 4690, 4, 4)_2
+    # multilevel_II code settles its group at 4 in the scan.  The first N
+    # pairs of the scan test no group: the first of them sets the minimum,
+    # and fewer than S inner pairs of a group of S words follow it among them
     affine_clean, min_pair, calls, phase = subspaces._affine_clean, subspaces._min_pair, [], [""]
 
     def watched(code, piv, size, best):
@@ -1407,21 +1517,33 @@ def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
 
     monkeypatch.setattr(subspaces, "_affine_clean", watched)
     monkeypatch.setattr(subspaces, "_min_pair", paired)
+
+    def over(words):  # a copy of the middle word with the last entry flipped
+        u = words[len(words) // 2]
+        return codeword(u.field, 8, u.rows[:-1] + (u.rows[-1] ^ 1,), u.pivots)
+
     words = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 2))]
-    u = words[len(words) // 2]
-    over = codeword(u.field, 8, u.rows[:-1] + (u.rows[-1] ^ 1,), u.pivots)  # last entry flipped
+    far = [lift_matrix(x) for x in enumerate_code(gabidulin_mrd(2, 4, 4, 3))]
     golden = run_plan(parse_plan(GOLDEN_PLANS["multilevel_II_q2"])).cdc.codewords
     sampled = {"mode": "sample", "sample_count": 200_000, "seed": 1}
-    runs = {"sampled": (words, sampled, "pairs", True),
-            "one word over": (words + [over], sampled, "pairs", False),
-            "exhaustive": (golden, {}, "scan", True)}
-    for name, (code_words, options, step, settled) in runs.items():
+    piv = (0, 1, 2, 3)
+    runs = {  # words, options, minimum, and the group's calls
+        "sampled": (words, sampled, 4, [("before", piv, 4, True)]),
+        "one word over": (words + [over(words)], sampled, 4, [("before", piv, 4, False)]),
+        "rank distance 3": (far + [over(far)], sampled, 2,
+                            [("before", piv, 4, False), ("pairs", piv, 2, False)]),
+        "exhaustive": (golden, {}, 4, [("scan", piv, 4, True)]),
+    }
+    for name, (code_words, options, least, made) in runs.items():
         calls.clear()
+        phase[0] = "before"
         code = CDC(2, 8, 4, 4, words_of(code_words))
-        assert verify_min_distance(code, **options).min_found == 4
-        assert max(Counter((piv, best) for _, piv, best, _ in calls).values()) == 1, name
-        assert {s for s, _, _, _ in calls} == {step}, name
-        assert (step, (0, 1, 2, 3), 4, settled) in calls, name
+        assert verify_min_distance(code, **options).min_found == least, name
+        assert max(Counter((p, best) for _, p, best, _ in calls).values()) == 1, name
+        for t, (_, p, failed, found) in enumerate(calls):
+            assert found or all(best < failed for _, o, best, _ in calls[t + 1:] if o == p), name
+        assert [c for c in calls if c[1] == piv] == made, name
+        assert {c[0] for c in calls} == {c[0] for c in made}, name
 
 
 def test_a_group_test_costs_one_rank_test_per_low_rank_space(link10, monkeypatch):
