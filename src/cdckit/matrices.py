@@ -3,11 +3,10 @@
 Every operation works on packed rows, `gf`'s encoding: the field's
 `row_add` adds rows (XOR in characteristic 2), `row_scale` scales a row by
 one `translate`, and the bit length finds a row's pivot.  Rows of equal
-width compare as ints exactly as their entry tuples do.  `rank_added`,
-`rref` and `rref_pivots` take bare packed rows, and calls of `rref_pivots`
-share what the bit lengths fix.  `rref_mask` tests a word, rows end to end,
-for RREF on given pivots.  The three decide a codeword's pivots, each
-read only by `subspaces._canonical`, where every word enters a code.
+width compare as ints exactly as their entry tuples do.  `rank_added`
+and `rref` take bare packed rows.  `rref_mask` tests a word, rows end to
+end, for RREF on given pivots.  It and `rref` decide a codeword's pivots,
+in `subspaces._canonical`, where every word enters a code.
 `rref_spaces` lists the subspaces of one dimension by their RREF rows.
 
 A `Matrix` is a view of packed rows with their column count: its `nrows`,
@@ -20,8 +19,8 @@ constructor packs and checks every entry; `from_packed` trusts its rows.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import lshift, lt
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import lshift
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .gf import GF, join_rows, pack_row, row_codes
 
@@ -135,21 +134,6 @@ def rref_mask(f: GF, pivots: Sequence[int], ncols: int) -> Tuple[int, int]:
     pivot_bits = sum(((1 << w) - 1) << (ncols - 1 - c) * w for c in pivots)
     mask = join_rows([(1 << width) - (1 << (ncols - c) * w) | pivot_bits for c in pivots], width)
     return mask, join_rows([1 << (ncols - 1 - c) * w for c in pivots], width)
-
-
-def rref_pivots(f: GF, rows: Sequence[int], ncols: int,
-                shapes: dict) -> Optional[Tuple[int, ...]]:
-    """The pivot columns of the packed rows if they are in RREF with no zero
-    row, else None.  The columns of the rows' leading entries, found by
-    their bit lengths, must strictly move right; `shapes` keeps `rref_mask`
-    of each such tuple of columns, so that rows on columns met before cost
-    one masked test."""
-    w = f.width
-    pivots = tuple([ncols - (row.bit_length() + w - 1) // w for row in rows])
-    if not all(map(lt, (-1,) + pivots, pivots + (ncols,))):
-        return None
-    mask, ones = shapes.get(pivots) or shapes.setdefault(pivots, rref_mask(f, pivots, ncols))
-    return pivots if join_rows(rows, ncols * w) & mask == ones else None
 
 
 def rref_spaces(f: GF, k: int, r: int, places: Sequence[int]) -> Iterator[Tuple[int, ...]]:

@@ -5,42 +5,40 @@ subspaces have equal rows.  Every word enters a `CDC` as one int, k
 packed rows of n entries end to end (`gf.join_rows`, row 0 highest), and
 one function, `_canonical`, decides its RREF and its pivots: a word in
 RREF on the last word's pivots costs one masked test (`rref_mask`), and
-any other is cut into rows, checked by their shape (`rref_pivots`) and
-else reduced (`rref`).  The constructions and the parser hand it bare
-ints.  A `CDC` keeps each word's int in a sorted list beside its
-pivot-group number, an index into a table of the distinct pivot tuples.
-Rows of one width compare as their concatenation does, so the order is
-the rows' order and equal words are neighbours.  The readers below take
-a word's rows from its int by shift and mask; reading the code as a
-sequence makes each word's `Subspace`, a read view of its int and
-pivots.
+any other is cut into rows and reduced (`rref`).  The constructions and
+the parser hand it bare ints.  A `CDC` keeps each word's int in a sorted
+list beside its pivot-group number, an index into a table of the
+distinct pivot tuples.  Rows of one width compare as their concatenation
+does, so the order is the rows' order and equal words are neighbours.
+The readers below take a word's rows from its int by shift and mask;
+reading the code as a sequence makes each word's `Subspace`, a read view
+of its int and pivots.
 
 Two facts bound a pair's distance from below.  For pivot sets P,
 d(U, V) >= |P_U ^ P_V| (Etzion and Silberstein, IEEE Trans. IT 2009,
 Lemma 2), and words of one pivot tuple lie 2 rank(U - V) apart (Silva,
 Kschischang and Kotter, IEEE Trans. IT 2008).  The words of one pivot
-tuple form a pivot group.  Each verification indexes its groups once, a
-list by group number of [the mask of its columns, its word count S, the
-count of its inner pairs computed since the running minimum m last fell,
-its floor, its ceiling].  A group is clean at b, by `_affine_clean`, when
-its q^D words, D >= 1, are distinct and an affine space v0 + L with no
-nonzero element of rank below b / 2: none of its pairs lies below b, and
-it is clean at every lower b.  The floor, under the group's inner
-minimum, is the last b at which it was found clean (0 before); the
-ceiling is the last b at which it was found not clean (infinite before),
-and no test is made at or above it.  The pair loop
-tests a group at m, below its ceiling, when its count reaches S, so the
-test, about one pass over the group, at most doubles the work it can
-save.  Sample mode applies that rule to the draws still to come: before
-the first draw, it tests each group once at the claimed d when its
-expected inner draws reach S, count (S - 1) >= N (N - 1) for a code of N
-words.  A group is isolated when its pivot set differs from every other
-in at least m columns: none of its cross pairs lies below m.  A pair is
-skipped when it cannot lower m: when its pivot sets differ in at least m
-columns, or when both its words lie in a group whose floor is m or more.
-Exhaustive verification instead finds the highest t at which two
-codewords share a t-subspace (`_collision_scan`), and compares pairs only
-when they are fewer than the keys.
+tuple form a pivot group.  Each verification indexes its groups once, in
+two lists by group number: the masks of their columns and their floors,
+0 until a group is settled.  A group is clean at b, by `_affine_clean`,
+when its q^D words, D >= 1, are distinct and an affine space v0 + L with
+no nonzero element of rank below b / 2: none of its pairs lies below b.
+`_settle` tests each group at most once per verification, at one bound
+b, and sets a clean group's floor to b.  It tests a group of S words in
+a code of N when the P pairs to come are expected to compute its inner
+pairs at least as often as the test costs, one pass over the N group
+numbers and [k r]_q rank tests, r = (b - 1) // 2:
+P S (S - 1) >= N (N - 1) (N + [k r]_q).  Sample mode settles at the
+claimed d before the first of its P draws.  A pair is skipped when it
+cannot lower the running minimum m: when its pivot sets differ in at
+least m columns, or when its words share a group whose floor is m or
+more.  Exhaustive verification reads level k off the sorted words,
+computes the first N pairs and settles at their bound m, with P the
+N (N - 1) / 2 pairs.  A group is isolated when its pivot set differs from
+every other in at least m columns: none of its cross pairs lies below m.
+The words outside the groups isolated and settled at m are keyed at the
+levels t with 2 (k - t) < m (`_collision_scan`), or, when the pairs are
+fewer than those keys, every pair is computed.
 The CDC file format renders and checks each distinct row once, and hands
 each record's rows, joined into one int, to the `CDC`: runs of up to 8
 rows by shift and OR, and a longer record's runs by halves
@@ -67,7 +65,7 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
 from .gf import GF, _named, gf, join_rows, pack_row, row_codes, split_rows
-from .matrices import Matrix, rank_added, rref, rref_mask, rref_pivots, rref_spaces
+from .matrices import Matrix, rank_added, rref, rref_mask, rref_spaces
 
 _BATCH = 128  # the words keyed at a time, which bounds the transient key lists
 
@@ -117,23 +115,20 @@ def _canonical(f: GF, n: int, k: int, words: Iterable[int], tuples: list) -> Ite
     word's pivots are decided.  A word in RREF on the last word's pivots is
     known by one AND with their `rref_mask`, whose negative part also
     catches bits above the k rows and negative ints; another is cut into
-    rows and tried on `rref_pivots`' shapes, then reduced by `rref`."""
+    rows and reduced by `rref`."""
     width = n * f.width  # a header's n may be of any size while no word comes
     top, places = k * width, range((k - 1) * width, -1, -width)
-    shapes, known = {}, {}  # rref_pivots' shapes; pivot tuple -> (mask, ones, number)
+    known = {}  # pivot tuple -> (mask, ones, number)
     mask, ones, number = 0, -1, 0  # no word is known before the first
     for w in words:
         if w & mask != ones:
             if w >> top:
                 raise InvalidParameters("codeword does not match container parameters")
             row = (1 << width) - 1
-            rows = [w >> s & row for s in places]
-            pivots = rref_pivots(f, rows, n, shapes)
-            if pivots is None:
-                rows, pivots = rref(f, rows, n)
-                if len(rows) < k:
-                    raise ValueError("rows are linearly dependent")
-                w = join_rows(rows, width)
+            rows, pivots = rref(f, [w >> s & row for s in places], n)
+            if len(rows) < k:
+                raise ValueError("rows are linearly dependent")
+            w = join_rows(rows, width)
             if pivots not in known:
                 bits, ones = rref_mask(f, pivots, n)
                 known[pivots] = bits | -(1 << top), ones, len(tuples)
@@ -213,11 +208,11 @@ class VerifyReport:
         return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: list):
     """Least distance over `pairs` and the first pair that reaches it.  A
-    pair that cannot lower the running minimum is skipped, and the groups
-    of the pivot-group index `groups` are tested and settled, by the rule
-    of the module docstring, so the result is the one every pair gives."""
+    pair that cannot lower the running minimum is skipped: its pivot sets,
+    read from the column `masks` by group, differ in at least as many
+    columns, or its words share a group whose floor is at or above it."""
     words, numbers, places, f = code.packed, code.group, code.places, code.field
     mask, add, neg = code.row_mask, f.row_add, f.negs[1]
     # by group, each row's basis slot (its pivot's place from the right) and shift
@@ -226,17 +221,10 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
     stop = code.k + 1  # best / 2: a pair that adds this many of V's rows cannot win
     for i, j in pairs:
         g, h = numbers[i], numbers[j]
-        group = groups[g]
         if g == h:
-            if best <= group[3]:  # at or below the floor, no inner pair can lower best
+            if best <= floors[g]:  # no inner pair of the group lies below its floor
                 continue
-            group[2] = seen = group[2] + 1
-            if seen == group[1] and best < group[4]:  # one test at each best below the ceiling
-                if _affine_clean(code, code.pivot_tuples[g], seen, best):
-                    group[3] = best
-                    continue
-                group[4] = best
-        elif (group[0] ^ groups[h][0]).bit_count() >= best:
+        elif (masks[g] ^ masks[h]).bit_count() >= best:
             continue
         u, v, basis, rows = words[i], words[j], zero[:], []
         if g == h:  # one pivot tuple: d = 2 rank(U - V), and U - V is 0 at the pivots
@@ -253,9 +241,21 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], groups: list):
             best, witness, stop = 2 * added, (i, j), added
             if added == 0:
                 break
-            for group in groups:
-                group[2] = 0
     return best, witness
+
+
+def _settle(code: CDC, sizes: Counter, floors: list, b: int, pairs: int) -> None:
+    """Tests the pivot groups, of `sizes` words by group number, at b by the
+    rule of the module docstring for the `pairs` to come, and sets the
+    floor of each clean one to b.  No group is clean at b <= 0 or b > 2k."""
+    n_words, r = len(code), (b - 1) // 2
+    if not 0 <= r < code.k:
+        return
+    cost = n_words * (n_words - 1) * (n_words + gauss_binomial(code.k, r, code.q))
+    for g, size in sizes.items():
+        if pairs * size * (size - 1) >= cost and \
+                _affine_clean(code, code.pivot_tuples[g], size, b):
+            floors[g] = b
 
 
 def _sampled_pairs(n_words: int, count: int, seed: Optional[int]):
@@ -285,7 +285,8 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
     first witness pair (indices into the sorted codeword list), and counts
     all N(N-1)/2 pairs as checked; sample mode returns the minimum over
     `sample_count` seeded pairs.  Past CDCKIT_PAIR_LIMIT (default 10^9)
-    draws, or both pairs and keys, raise `PairLimitExceeded`.
+    draws, or both the pairs and the keys the scan would make, raise
+    `PairLimitExceeded`.
     """
     limit = int(os.environ.get("CDCKIT_PAIR_LIMIT", 10**9))
     if mode == "sample":
@@ -300,72 +301,67 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
     total_pairs = n_words * (n_words - 1) // 2
     if n_words < 2:
         return VerifyReport(math.inf, None, 0, mode, seed)
-    sizes = Counter(code.group)  # the pivot-group index of the module docstring
-    groups = [[sum(1 << c for c in piv), sizes[g], 0, 0, math.inf]
-              for g, piv in enumerate(code.pivot_tuples)]
+    # the pivot-group index of the module docstring
+    masks = [sum(1 << c for c in piv) for piv in code.pivot_tuples]
+    floors, sizes = [0] * len(masks), Counter(code.group)
     if mode == "sample":
-        for g, group in enumerate(groups):  # the test before the draws, by the module docstring
-            if sample_count * (group[1] - 1) >= n_words * (n_words - 1):
-                clean = _affine_clean(code, code.pivot_tuples[g], group[1], code.d)
-                group[3 if clean else 4] = code.d
-        best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), groups)
+        _settle(code, sizes, floors, code.d, sample_count)
+        best, witness = _min_pair(code, _sampled_pairs(n_words, sample_count, seed), masks, floors)
         return VerifyReport(best, witness, sample_count, "sample", seed)
 
-    # the keys are only compared with the pairs and the limit: the sum stops past both
-    keys, most = 0, max(total_pairs, limit)
-    for t in range(1, code.k + 1):
-        keys += n_words * gauss_binomial(code.k, t, code.q)
-        if keys > most:
-            break
-    if min(total_pairs, keys) > limit:
-        raise PairLimitExceeded(f"{total_pairs} pairs and {keys if keys <= most else 'more'} "
-                                f"keys both exceed the limit {limit}")
-    best, witness = (_min_pair(code, combinations(range(n_words), 2), groups)
-                     if total_pairs < keys else _collision_scan(code, groups))
-    return VerifyReport(best, witness, total_pairs, "exhaustive")
-
-
-def _collision_scan(code: CDC, groups: list) -> Tuple[int, Tuple[int, int]]:
-    """Minimum distance of a code with two or more words, and the
-    lexicographically first pair at that distance.
-
-    Words U, V share a t-subspace iff d(U, V) <= 2(k - t), so the first
-    level t = k, k-1, ..., 1 at which two words share one gives the minimum.
-    Level k is read off the sorted words.  Below it, for a word's RREF G and
-    a t x k RREF matrix C, C*G is the RREF of a t-subspace whose pivots are
-    G's at C's pivot columns c; keys are grouped by that pivot set, one
-    group held at a time, and `keys_of` keys a batch of packed words of one
-    pivot tuple for one c, moving rows from word to key by shift and mask.
-    A first pass finds a group's repeated keys; only then a second keys it
-    again for their holders.  The first pair is the least (lowest, second).
-
-    Before any level below k is keyed, the first N pairs in i-major order
-    give an upper bound m and w, the first of them at distance m, and the
-    scan stops before the first level with 2(k - t) >= m.  This is exact:
-    a level with 2(k - t) < m that collides gives its result as before; if
-    none does, m is the minimum, and every pair before w lies in the prefix
-    at a distance above m.  A pivot group of the index `groups` isolated
-    and settled at m is then not keyed, as no pair closer than m has a word
-    in it.  The first N pairs test no group: the first of them sets m, and
-    fewer than S inner pairs of a group of S words follow it among them.
-    """
-    k, words, tuples, n_words = code.k, code.packed, code.pivot_tuples, len(code)
     # level k: the words themselves, and equal words sort together
+    words = code.packed
     i = next(compress(count(), map(eq, words, islice(words, 1, None))), None)
     if i is not None:
-        return 0, (i, i + 1)
+        return VerifyReport(0, (i, i + 1), total_pairs, "exhaustive")
     # the first N pairs, (0, 1), ..., (0, N - 1), (1, 2), with no tuple of N
     # indices, which `combinations` would make
     best, witness = _min_pair(code, islice(chain(zip(repeat(0), range(1, n_words)),
                                                  zip(repeat(1), range(2, n_words))), n_words),
-                              groups)
-    if best < 4:  # no level below k lies below the bound
-        return best, witness
-    # the word indices of each group that is keyed: no pair closer than best
-    # has a word in a group that is isolated and settled at best
-    by_group = {g: [] for g, group in enumerate(groups) if not (
-        all((group[0] ^ h[0]).bit_count() >= best for h in groups if h is not group)
-        and _affine_clean(code, tuples[g], group[1], best))}
+                              masks, floors)
+    if best >= 4:  # below 4, no level below k lies below the bound
+        _settle(code, sizes, floors, best, total_pairs)
+        # the groups keyed: not those isolated and settled at best
+        kept = [g for g, mask in enumerate(masks) if floors[g] < best or any(
+            (mask ^ other).bit_count() < best for h, other in enumerate(masks) if h != g)]
+        # the keys are only compared with the pairs and the limit: the sum stops past both
+        held, keys, most = sum(map(sizes.__getitem__, kept)), 0, max(total_pairs, limit)
+        for t in range(code.k - 1, code.k - best // 2, -1):  # the levels with 2(k - t) < best
+            keys += held * gauss_binomial(code.k, t, code.q)
+            if keys > most:
+                break
+        if min(total_pairs, keys) > limit:
+            raise PairLimitExceeded(f"{total_pairs} pairs and {keys if keys <= most else 'more'} "
+                                    f"keys both exceed the limit {limit}")
+        best, witness = (_min_pair(code, combinations(range(n_words), 2), masks, floors)
+                         if total_pairs < keys else _collision_scan(code, kept, best, witness))
+    return VerifyReport(best, witness, total_pairs, "exhaustive")
+
+
+def _collision_scan(code: CDC, kept: List[int], best: int,
+                    witness: Tuple[int, int]) -> Tuple[int, Tuple[int, int]]:
+    """The minimum distance of a code of distinct words, and the
+    lexicographically first pair at it, given an upper bound `best` and
+    `witness`, the first of the first N pairs at `best`.
+
+    Words U, V share a t-subspace iff d(U, V) <= 2(k - t), so the first
+    level t = k - 1, k - 2, ... at which two words share one gives the
+    minimum.  For a word's RREF G and a t x k RREF matrix C, C*G is the
+    RREF of a t-subspace whose pivots are G's at C's pivot columns c; keys
+    are grouped by that pivot set, one group held at a time, and `keys_of`
+    keys a batch of packed words of one pivot tuple for one c, moving rows
+    from word to key by shift and mask.  A first pass finds a group's
+    repeated keys; only then a second keys it again for their holders.  The
+    first pair is the least (lowest, second).
+
+    The scan stops before the first level with 2(k - t) >= best.  This is
+    exact: a level with 2(k - t) < best that collides gives its result as
+    before; if none does, best is the minimum, and every pair before the
+    witness lies in the first N pairs at a distance above best.  Only the
+    words of the pivot groups `kept` are keyed.
+    """
+    k, words, tuples = code.k, code.packed, code.pivot_tuples
+    by_group = {g: [] for g in kept}  # the word indices of each group kept
     for i, g in enumerate(code.group):
         if g in by_group:
             by_group[g].append(i)

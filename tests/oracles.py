@@ -33,7 +33,7 @@ vector and insertion predicate checks.
 `settled_groups` names, by per-entry elimination, the pivot groups that
 exhaustive verification settles with no key: the reference for
 `subspaces._affine_clean`, which tests one group by its pivot tuple and
-word count, and for the isolation test beside it in the scan.
+word count, and for the isolation test beside it in `verify_min_distance`.
 `rank_filtered_words` rank-tests every word of a rank code's span, in
 order, and keeps those within a cap: the reference for `rankcodes.code_words`
 under a cap, which lists them through their left kernels instead.

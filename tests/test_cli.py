@@ -448,10 +448,10 @@ def test_verify_names_a_long_refused_sample_count_by_its_length(tmp_path, capsys
 
 
 def test_verify_of_two_words_of_dimension_300_takes_the_one_pair(tmp_path, capsys):
-    # two lines of GF(256)^301 of dimension 300, (I | 0) and (I | e_0): one
-    # pair against [300 t]_256 keys at each t.  The key count stops at the
-    # first term past the pair count and the limit, so the file verifies at
-    # once, with the one pair's report
+    # two lines of GF(256)^301 of dimension 300, (I | 0) and (I | e_0): the
+    # one pair bounds the minimum at 2, below which no level is keyed, so no
+    # key is counted and the file verifies at once, with the one pair's
+    # report
     n, k = 301, 300
 
     def record(last):  # the identity rows, with a last entry 1 in row 0 of the second

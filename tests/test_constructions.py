@@ -11,7 +11,7 @@ from cdckit.constructions import ConstructionPlan, parse_plan, run_plan
 from cdckit.counting import mrd_size
 from cdckit.errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from cdckit.gf import gf
-from cdckit.matrices import mat_rref, rref_pivots
+from cdckit.matrices import mat_rref, rref
 from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry
 from cdckit.subspaces import CDC, cdc_to_text, verify_min_distance
@@ -297,9 +297,9 @@ def test_built_words_carry_their_rref_pivots(text):
     # rows, lifted FDRM words) skip reduction: their rows must be their own
     # RREF, and the pivots those of the rows
     code = run_plan(parse_plan(text)).cdc
-    f, shapes = gf(code.q), {}
+    f = gf(code.q)
     for w in code:
-        assert w.pivots == rref_pivots(f, w.rows, code.n, shapes)
+        assert rref(f, w.rows, code.n) == (w.rows, w.pivots)
         red, pivots = mat_rref(w.mat)
         assert red.packed == w.rows and pivots == w.pivots
 

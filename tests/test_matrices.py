@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cdckit.gf import gf
-from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref, rref_pivots
+from cdckit.matrices import Matrix, mat_rank, mat_rref, rank_added, rref
 from oracles import entry, from_rows, hstack, identity_matrix, invert, mat_add, mat_kernel, \
     mat_sub, matmul, oracle_rref, row_of, sub, vstack, zero_matrix
 
@@ -224,28 +224,6 @@ def test_packed_rows_round_trip_to_entries():
         empty, back = Matrix(gf(q), 0, 4, ()), Matrix.from_packed(gf(q), 4, ())
         assert empty.entries == back.entries == () and empty.rows() == back.rows() == []
         assert empty.nrows == back.nrows == 0
-
-
-def test_rref_pivots_recognizes_exactly_the_full_rank_rref():
-    rng = random.Random(82)
-    memos: dict = {}  # one shape memo per field and width, shared by its matrices
-    for _ in range(300):
-        q = rng.choice((2, 3, 4, 9))
-        f = gf(q)
-        m = _random_matrix(rng, q, rng.randrange(1, 5), rng.randrange(1, 7))
-        shapes = memos.setdefault((q, m.ncols), {})
-        entries, pivots = oracle_rref(m)
-        red = Matrix(f, m.nrows, m.ncols, entries)
-        full = len(pivots) == m.nrows
-        assert rref_pivots(f, red.packed, m.ncols, shapes) == (pivots if full else None)
-        assert rref_pivots(f, m.packed, m.ncols, shapes) == \
-            (pivots if full and red.packed == m.packed else None)
-        if full and q > 2:
-            # a leading entry other than 1 is not RREF
-            c = rng.randrange(2, q)
-            scaled = [f.mul(c, x) for x in row_of(red, 0)] + list(entries[m.ncols:])
-            scaled = Matrix(f, m.nrows, m.ncols, scaled).packed
-            assert rref_pivots(f, scaled, m.ncols, shapes) is None
 
 
 def test_constructor_still_checks_entries():
