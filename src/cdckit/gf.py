@@ -9,12 +9,13 @@ A row over GF(q) is packed into one int, each entry in a fixed `width` of
 checking each, and `row_codes` reads them back.  In characteristic 2 an
 entry is stored as its element code, so XOR adds rows.  For odd p each
 base-p digit takes its own nibble, or its own byte when 2(p - 1) > 15, so
-an int sum adds digit-wise without carries and one `translate` reduces
-every digit mod p.  Both encodings increase with the element code, so
-packed rows order as their entries do.  A width dividing 8 keeps whole
-entries in each byte, and scaling a row by c is one `translate` by a
-256-byte table.  No entry straddles a byte, so rows laid end to end in one
-int, a word (`join_rows`, `split_rows`), are added and scaled as one row.
+an int sum adds digit-wise without carries, and five int operations on it
+reduce every digit mod p (`GF._digit_sums`).  Both encodings increase with
+the element code, so packed rows order as their entries do.  A width
+dividing 8 keeps whole entries in each byte, and scaling a row by c is one
+`translate` by a 256-byte table, or for c = -1 that reduction of p - x.
+No entry straddles a byte, so rows laid end to end in one int, a word
+(`join_rows`, `split_rows`), are added and scaled as one row.
 The scalar `add` and `mul` read the same tables, for every field alike.
 Only fields with such an encoding are supported: q = 2^m <= 256, q in
 {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
@@ -36,8 +37,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product, repeat, tee
-from operator import and_, lshift, rshift, xor
-from typing import Iterable, Iterator, Sequence, Tuple
+from operator import add, and_, lshift, rshift, xor
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
@@ -94,14 +95,16 @@ class GF:
     def _row_tables(self) -> None:
         """The row encoding and its tables: `enc` and `dec` between element
         codes and entry values, `mul_rows[c]` scaling each entry of a byte
-        by c, `negs` and `invs` of each element, and for odd p `mod_rows`,
-        reducing each digit of a byte mod p.  `row_add` adds two packed rows."""
+        by c, and `negs` and `invs` of each element.  `row_add` adds two
+        packed rows and `add_rows` two lists of them, pairwise."""
         p, q = self.p, self.q
         if p == 2:
             digit, self.width = 1, next(w for w in (1, 2, 4, 8) if self.degree <= w)
+            self.row_add, self.add_rows = xor, lambda a, b: list(map(xor, a, b))
         else:
             digit = 4 if p <= 7 else 8
             self.width = digit * self.degree
+            self._digit_sums(digit)
         w = self.width
         self.enc = [sum((x // p**i % p) << digit * i for i in range(self.degree))
                     for x in range(q)]
@@ -116,17 +119,49 @@ class GF:
                 table = [(hi << w) | lo for hi in table for lo in one]
             return bytes(table)
 
-        if p == 2:
-            self.row_add = xor
-        else:
-            ones = (1 << digit) - 1
-            self.mod_rows = per_byte([sum((e >> i & ones) % p << i for i in range(0, w, digit))
-                                      for e in range(1 << w)])
-            self.row_add = self._add_digits
         products = self._products()
         self.mul_rows = [per_byte([row[e] for e in self.dec]) for row in products]
         self.negs = [self.dec[e] for e in products[p - 1]]
         self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
+
+    def _digit_sums(self, digit: int) -> None:
+        """`row_add`, `add_rows` and `_negate` over odd p on the int itself,
+        with no bytes round trip (SWAR; Lamport, CACM 1975).  With T =
+        digit - 1, O the int with a 1 at the bottom of each digit and K =
+        (2^T - p) O, a digit-wise sum s reduces as s - ((s + K) >> T & O) p:
+        digit i of s + K, s_i + 2^T - p <= 2^T + p - 2 < 2^digit, has bit T
+        set iff s_i >= p, and carries into no other digit.  -x is p O - x
+        reduced so.  O, K and p O are grown to the longest operand yet met."""
+        p, t = self.p, digit - 1
+        top = ones = k = po = 0  # the constants' bits, O, K and p O
+
+        def grow(x: int) -> None:
+            nonlocal top, ones, k, po
+            while x >> top:
+                top = 2 * top + digit
+            ones = ((1 << top) - 1) // ((1 << digit) - 1)
+            k, po = ((1 << t) - p) * ones, p * ones
+
+        def row_add(a: int, b: int) -> int:
+            s = a + b
+            if s >> top:
+                grow(s)
+            return s - ((s + k) >> t & ones) * p
+
+        def negate(x: int) -> int:
+            if x >> top:
+                grow(x)
+            s = po - x
+            return s - ((s + k) >> t & ones) * p
+
+        def add_rows(a: Iterable[int], b: Iterable[int]) -> List[int]:
+            s = list(map(add, a, b))
+            if max(s, default=0) >> top:
+                grow(max(s))
+            # a comprehension: map chains of the bound int operators cost more
+            return [x - ((x + k) >> t & ones) * p for x in s]
+
+        self.row_add, self.add_rows, self._negate = row_add, add_rows, negate
 
     def _products(self) -> list:
         """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1,
@@ -143,20 +178,12 @@ class GF:
                 out += layer
         return out
 
-    def _add_digits(self, a: int, b: int) -> int:
-        """The sum of two packed rows over odd p: digit-wise, then mod p.
-        Two digits below p <= 127 never carry out of theirs, so a sum below
-        256 is one byte of digits, and one table lookup reduces it."""
-        s = a + b
-        if s < 256:
-            return self.mod_rows[s]
-        return int.from_bytes(s.to_bytes((s.bit_length() + 7) >> 3, "big")
-                              .translate(self.mod_rows), "big")
-
     def row_scale(self, row: int, c: int) -> int:
         """The packed row times the element c."""
-        if c == 1:
-            return row
+        if c < 2:  # 0 or 1
+            return row * c
+        if c == self.p - 1:  # -1 over odd p
+            return self._negate(row)
         return int.from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "big")
                               .translate(self.mul_rows[c]), "big")
 

@@ -1,8 +1,8 @@
 """Elimination over GF(q) on packed rows, and the `Matrix` view.
 
 Every operation works on packed rows, `gf`'s encoding: the field's
-`row_add` adds rows (XOR in characteristic 2), `row_scale` scales a row by
-one `translate`, and the bit length finds a row's pivot.  Rows of equal
+`row_add` adds rows (XOR in characteristic 2, else on the int), `row_scale`
+scales a row, and the bit length finds a row's pivot.  Rows of equal
 width compare as ints exactly as their entry tuples do.  `rank_added`
 and `rref` take bare packed rows.  `rref_mask` tests a word, rows end to
 end, for RREF on given pivots.  It and `rref` decide a codeword's pivots,

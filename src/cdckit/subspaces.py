@@ -208,17 +208,18 @@ class VerifyReport:
         return self.pairs_checked > 0 and self.min_found >= claimed_d
 
 
-def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: list):
-    """Least distance over `pairs` and the first pair that reaches it.  A
-    pair that cannot lower the running minimum is skipped: its pivot sets,
-    read from the column `masks` by group, differ in at least as many
-    columns, or its words share a group whose floor is at or above it."""
+def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: list,
+              best: float = math.inf, witness: Optional[Tuple[int, int]] = None):
+    """Least distance over `pairs` and the first pair at it, or `best` and
+    `witness` if none lies below.  A pair that cannot lower the running
+    minimum is skipped: its pivot sets (column `masks`, by group) differ in at
+    least as many columns, or its words share a group whose floor is at or above it."""
     words, numbers, places, f = code.packed, code.group, code.places, code.field
     mask, add, neg = code.row_mask, f.row_add, f.negs[1]
     # by group, each row's basis slot (its pivot's place from the right) and shift
     slots = [[(code.n - c, s) for c, s in zip(piv, places)] for piv in code.pivot_tuples]
-    zero, best, witness = [0] * (code.n + 1), math.inf, None
-    stop = code.k + 1  # best / 2: a pair that adds this many of V's rows cannot win
+    zero = [0] * (code.n + 1)
+    stop = min(code.k + 1, best // 2)  # a pair that adds this many of V's rows cannot win
     for i, j in pairs:
         g, h = numbers[i], numbers[j]
         if g == h:
@@ -333,7 +334,8 @@ def verify_min_distance(code: CDC, mode: str = "exhaustive", sample_count: int =
         if min(total_pairs, keys) > limit:
             raise PairLimitExceeded(f"{total_pairs} pairs and {keys if keys <= most else 'more'} "
                                     f"keys both exceed the limit {limit}")
-        best, witness = (_min_pair(code, combinations(range(n_words), 2), masks, floors)
+        best, witness = (_min_pair(code, islice(combinations(range(n_words), 2), n_words, None),
+                                   masks, floors, best, witness)  # past the first N pairs
                          if total_pairs < keys else _collision_scan(code, kept, best, witness))
     return VerifyReport(best, witness, total_pairs, "exhaustive")
 
@@ -350,9 +352,14 @@ def _collision_scan(code: CDC, kept: List[int], best: int,
     RREF of a t-subspace whose pivots are G's at C's pivot columns c; keys
     are grouped by that pivot set, one group held at a time, and `keys_of`
     keys a batch of packed words of one pivot tuple for one c, moving rows
-    from word to key by shift and mask.  A first pass finds a group's
-    repeated keys; only then a second keys it again for their holders.  The
-    first pair is the least (lowest, second).
+    from word to key by shift and mask.  A first pass finds a key group's
+    repeated keys; a second keys again the batches up to the last with a
+    repeat, by first word across the key group's pivot groups, and records
+    the holders; a key's pair is its (lowest, second).  It stops before a
+    batch that starts past the second index of the least pair met, unless a
+    key with one holder met, below that pair's first index, waits for its
+    second: every holder to come lies at or past the batch's start, so that
+    pair is the key group's first, and the level's is the least of these.
 
     The scan stops before the first level with 2(k - t) >= best.  This is
     exact: a level with 2(k - t) < best that collides gives its result as
@@ -379,37 +386,43 @@ def _collision_scan(code: CDC, kept: List[int], best: int,
             for g in by_group:
                 groups.setdefault(tuple(tuples[g][r] for r in c), {})[g] = spec
 
-        def keyed(specs):  # each batch of a group's words, and their keys
-            for g, spec in specs.items():
-                held = by_group[g]
-                for b in range(0, len(held), _BATCH):
-                    batch = held[b:b + _BATCH]
-                    yield batch, keys_of(code.field, [words[i] for i in batch], spec)
+        def keyed(g, b, spec):  # group g's batch from its b-th word, and its keys
+            batch = by_group[g][b:b + _BATCH]
+            return batch, keys_of(code.field, [words[i] for i in batch], spec)
 
-        found = []
+        found = []  # each colliding key group's first pair
         while groups:
             specs = groups.popitem()[1]
+            order = [(g, b) for g in specs for b in range(0, len(by_group[g]), _BATCH)]
             # a key is stored as one bit of a 64-bit mask under key >> 6
             seen, repeated, last = {}, set(), -1
             get = seen.get
-            for b, (_, keys) in enumerate(keyed(specs)):
-                for key in keys:
+            for x, (g, b) in enumerate(order):
+                for key in keyed(g, b, specs[g])[1]:
                     high = key >> 6
                     old = get(high, 0)
                     new = old | 1 << (key & 63)
                     if new == old:
                         repeated.add(key)
-                        last = b
+                        last = x
                     else:
                         seen[high] = new
-            # every holder is keyed by batch `last`, as a later one would repeat
-            holders: dict = {}
-            for batch, keys in islice(keyed(specs), last + 1):
-                if not repeated.isdisjoint(keys):
-                    for x, key in enumerate(keys):
-                        if key in repeated:
-                            holders.setdefault(key, []).append(batch[x % len(batch)])
-            found += [tuple(sorted(h)[:2]) for h in holders.values()]  # first pairs
+            if last < 0:
+                continue
+            # every holder is keyed by batch `last`, as a later one would
+            # repeat; those batches are keyed again in order of their first word
+            holders, first = {}, (math.inf, math.inf)  # first: the least pair met
+            for start, g, b in sorted((by_group[g][b], g, b) for g, b in order[:last + 1]):
+                if start > first[1] and all(len(h) > 1 or h[0] >= first[0]
+                                            for h in holders.values()):
+                    break  # no holder still to come is in a pair below `first`
+                batch, keys = keyed(g, b, specs[g])
+                for x in compress(count(), map(repeated.__contains__, keys)):
+                    h = holders.setdefault(keys[x], [])
+                    h.append(batch[x % len(batch)])
+                    if len(h) > 1:
+                        first = min(first, tuple(sorted(h)[:2]))
+            found.append(first)
         return min(found, default=None)
 
     for t in range(k - 1, k - best // 2, -1):  # the levels below k with 2(k - t) < best
@@ -466,7 +479,7 @@ def keys_of(f: GF, words: List[int], spec) -> List[int]:
     for right, left, mask in gens:
         shifted, before = [w >> right << left & mask for w in words], keys[:]  # the multiples by 1
         for m in [shifted] + [[f.row_scale(x, c) for x in shifted] for c in range(2, f.q)]:
-            keys += map(f.row_add, before, cycle(m))  # c-major, then key index
+            keys += f.add_rows(before, cycle(m))  # c-major, then key index
     return keys
 
 

@@ -22,6 +22,10 @@ integer arithmetic.  `ExtField` is GF(q^m) with full exp/log tables, built
 from its own schoolbook polynomial multiply over base-q codes.  It is the
 reference the Gabidulin generators and the field's own row tables are
 checked against, over the pinned modulus table `_MODULUS_TABLE`.
+`bytes_row_add` and `bytes_row_scale` are the row arithmetic by bytes
+and 256-byte `translate` tables: the reference for `GF.row_add`,
+`GF.add_rows` and `GF.row_scale` by -1 over odd p, which reduce digits on
+the int itself.
 `search_modulus` finds the lex-smallest
 monic irreducible by scalar trial division, one coefficient at a time:
 the reference for `gf.field_modulus`, which divides whole rows.
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -279,6 +284,31 @@ def field_pow(f: GF, a: int, e: int) -> int:
         a = f.mul(a, a)
         e >>= 1
     return out
+
+
+def bytes_row_add(f: GF, a: int, b: int) -> int:
+    """The sum of two packed rows over odd p by bytes: the int sum, whose
+    base-p digits sit in nibbles (p <= 7) or bytes and never carry, made
+    bytes, each byte's digits reduced mod p by one 256-byte `translate`
+    table, and read back as an int."""
+    s = a + b
+    return int.from_bytes(s.to_bytes((s.bit_length() + 7) >> 3, "big")
+                          .translate(_digits_mod(f.p)), "big")
+
+
+@lru_cache(maxsize=None)
+def _digits_mod(p: int) -> bytes:
+    """The 256-byte table reducing each base-p digit of a byte mod p."""
+    digit = 4 if p <= 7 else 8
+    return bytes(sum((e >> i & (1 << digit) - 1) % p << i for i in range(0, 8, digit))
+                 for e in range(256))
+
+
+def bytes_row_scale(f: GF, row: int, c: int) -> int:
+    """The packed row times the element c by bytes: one `translate` by the
+    field's table `mul_rows[c]`, which scales each entry of a byte."""
+    return int.from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "big")
+                          .translate(f.mul_rows[c]), "big")
 
 
 # (p, degree) -> coefficients (c_0, ..., c_{deg-1}) of the monic modulus

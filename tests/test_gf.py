@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product, repeat
 
 import pytest
 
-from cdckit.gf import _MR_EXACT_BELOW, _iroot, _times, factor_prime_power, field_modulus, gf, \
-    is_irreducible, is_prime, join_rows, pack_row, row_codes, split_rows, times_x, x_power
-from oracles import _MODULUS_TABLE, ExtField, MixedFields, ext_add, same_field, search_modulus, \
-    sub, trial_factor_prime_power
+from cdckit.gf import _MR_EXACT_BELOW, GF, _iroot, _times, factor_prime_power, field_modulus, \
+    gf, is_irreducible, is_prime, join_rows, pack_row, row_codes, split_rows, times_x, x_power
+from oracles import _MODULUS_TABLE, ExtField, MixedFields, bytes_row_add, bytes_row_scale, \
+    ext_add, same_field, search_modulus, sub, trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 # every q with a row encoding: 2^m <= 256, 3, 5, 7, 9, 25, 49, primes to 127
@@ -145,6 +146,45 @@ def test_tables_match_independent_arithmetic(q):
             assert f.add(a, b) == ext_add(ext, a, b)
             assert ext_add(ext, sub(f, a, b), b) == a
             assert f.mul(a, b) == ext.mul(a, b)
+
+
+@pytest.mark.parametrize("q", [q for q in SUPPORTED_Q if q % 2])
+def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
+    # over odd p, `row_add`, `add_rows` and `row_scale` by -1 reduce every
+    # digit on the int itself; the byte-table formulas they replaced are
+    # the reference.  Operands: every pair of one-byte rows (sums below
+    # 256), zero rows, seeded rows of 1 to 300 entries, and words of k rows
+    # end to end.  A fresh field, whose constants start empty and grow with
+    # its operands, meets short rows, then long ones, then short ones again
+    p, e = factor_prime_power(q)
+    rng = random.Random(7100 + q)
+    short = [pack_row(gf(q), codes) for codes in product(range(q), repeat=8 // gf(q).width)]
+    rows = [0]
+    for n in (1, 2, 3, 7, 300, 1, 40, 300):
+        rows += [pack_row(gf(q), [rng.randrange(q) for _ in range(n)]) for _ in range(4)]
+    for k, n in ((3, 6), (4, 8), (6, 9)):
+        rows += [join_rows([pack_row(gf(q), [rng.randrange(q) for _ in range(n)])
+                            for _ in range(k)], n * gf(q).width) for _ in range(4)]
+    pairs = [(a, b) for a in short for b in short] + [(0, x) for x in rows] + \
+        list(zip(rows, rows[1:])) + [(x, x) for x in rows]
+    for f in (GF(p, e), gf(q)):
+        minus = f.negs[1]
+        assert minus == p - 1
+        for a, b in pairs:
+            assert f.row_add(a, b) == bytes_row_add(f, a, b)
+        for x in short + rows:
+            assert f.row_scale(x, minus) == bytes_row_scale(f, x, minus)
+            assert f.row_add(x, f.row_scale(x, minus)) == 0
+        for c in range(q):
+            assert f.row_scale(rows[-1], c) == bytes_row_scale(f, rows[-1], c)
+        left, right = zip(*pairs)
+        assert f.add_rows(left, right) == [bytes_row_add(f, a, b) for a, b in pairs]
+        assert f.add_rows([], []) == []
+    # fresh fields whose first long operand is a negation, or a batch
+    longest, fresh = max(rows), GF(p, e)
+    assert fresh.row_scale(longest, p - 1) == bytes_row_scale(fresh, longest, p - 1)
+    fresh = GF(p, e)
+    assert fresh.add_rows(rows, rows[1:]) == list(map(bytes_row_add, repeat(fresh), rows, rows[1:]))
 
 
 def test_field_modulus_is_the_fields_own():

@@ -776,10 +776,10 @@ def test_verifier_matches_bruteforce_oracle():
     assert subspace_distance(cdc.codewords[i], cdc.codewords[j]) == naive
 
 
-def _pairwise_oracle(cdc):
+def _pairwise_oracle(cdc, distance=subspace_distance):
     """Minimum distance and its lexicographically first pair, pair by pair."""
     w = cdc.codewords
-    return min((subspace_distance(w[i], w[j]), (i, j))
+    return min((distance(w[i], w[j]), (i, j))
                for i in range(len(w)) for j in range(i + 1, len(w)))
 
 
@@ -1247,6 +1247,217 @@ def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
     assert min(tuple(sorted(i for _, _, i in h[:2])) for h in shared.values()) != oracle[1]
 
 
+def _watch_passes(code, monkeypatch):
+    """Exhaustive verification of `code` with `keys_of` watched.  Returns
+    the report and, by (level, key group), the batches the first pass keys,
+    each as its word indices and keys, and the first word of each batch the
+    second pass keys, in the order keyed.  A key group is the pivot set of
+    the keys, read off the batch's first word and C's rows."""
+    n, w = code.n, code.codewords
+    index = {u.word: i for i, u in enumerate(w)}
+    first, second = {}, {}
+    keys_of = subspaces.keys_of
+
+    def watched(f, words, spec):
+        keys = keys_of(f, words, spec)
+        c = tuple(code.k - 1 - right // (n * f.width) for right, _, _ in spec[0])
+        tags = [index[x] for x in words]
+        group = (len(c), tuple(w[tags[0]].pivots[r] for r in c))
+        batches = first.setdefault(group, [])
+        if any(tags[0] == met[0] for met, _ in batches):
+            second.setdefault(group, []).append(tags[0])
+        else:
+            batches.append((tags, keys))
+        return keys
+
+    monkeypatch.setattr(subspaces, "keys_of", watched)
+    report = verify_min_distance(code)
+    monkeypatch.setattr(subspaces, "keys_of", keys_of)
+    return report, first, second
+
+
+def _stop_rule(batches):
+    """The batches a key group's second pass must key, by their first word,
+    from all the holders its first pass met: the batches up to the last
+    holding a repeated key, by first word, up to the first that starts past
+    the second index of the least pair among the batches before it, with
+    no key held once among them below that pair's first index."""
+    holders: dict = {}
+    for tags, keys in batches:
+        for x, key in enumerate(keys):
+            holders.setdefault(key, []).append(tags[x % len(tags)])
+    repeated = {key for key, h in holders.items() if len(h) > 1}
+    last = max((x for x, (_, keys) in enumerate(batches) if repeated & set(keys)), default=-1)
+    starts = sorted(tags[0] for tags, _ in batches[:last + 1])
+    for x, start in enumerate(starts):
+        held = {key: sorted(i for i in holders[key] if any(
+            i in tags for tags, _ in batches if tags[0] in starts[:x])) for key in repeated}
+        pairs = [tuple(h[:2]) for h in held.values() if len(h) > 1]
+        if pairs and start > min(pairs)[1] and \
+                all(h[0] >= min(pairs)[0] for h in held.values() if len(h) == 1):
+            return starts[:x]
+    return starts
+
+
+def _two_group_lines(q, distance):
+    """Lines of GF(q)^n, n = m + 2, every pair 4 apart, in two pivot
+    groups: 150 lifted Gabidulin words on pivots (0, 1), 2 x m at rank
+    distance 2, so two batches; and 20 lines on pivots (0, 2) with a 0 in
+    column 1, which sort among the first group's words that have a 0 in
+    column 2, each at `distance` 4 from every other line."""
+    rng = random.Random(3900 + q)
+    f, m = gf(q), {2: 10, 3: 6}.get(q, 5)
+    n = m + 2
+    spread = sorted((lift_matrix(x) for x in enumerate_code(gabidulin_mrd(q, 2, m, 2))),
+                    key=Subspace.key)
+    lines = spread[:1] + rng.sample(spread[1:], 149)
+    others = []
+    while len(others) < 20:
+        rows = [[1, 0, 0] + [rng.randrange(q) for _ in range(m - 1)],
+                [0, 0, 1] + [rng.randrange(q) for _ in range(m - 1)]]
+        z = codeword(f, n, [pack_row(f, r) for r in rows], (0, 2))
+        if all(distance(z, u) == 4 for u in others + lines):
+            others.append(z)
+    return f, n, lines, others
+
+
+def _changed(f, n, u, r, c, value):
+    """u with entry (r, c), off its pivots, set to `value`."""
+    rows = [row_codes(f, x, n) for x in u.rows]
+    rows[r] = rows[r][:c] + (value,) + rows[r][c + 1:]
+    return codeword(f, n, [pack_row(f, x) for x in rows], u.pivots)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_the_second_pass_stops_at_the_first_pair(q, monkeypatch):
+    # planted words in the two-group code of `_two_group_lines`, each
+    # against the pairwise oracle, and each key group's second pass against
+    # the stop rule on the holders its first pass met:
+    # - words at distance 2 from one of the first 16 words, seeded as the
+    #   benchmark plants them: the pass keys the first batch by its first
+    #   word and stops;
+    # - one beside the last Gabidulin word, whose holders are in a late batch;
+    # - a line on pivots (0, 2) through the first point of word u < 16, in
+    #   key group (0,), which both pivot groups feed: by first word its
+    #   batch comes between the Gabidulin group's two, and the pass stops
+    #   before the second of those;
+    # - a line b through the second point of e, the first Gabidulin word
+    #   past word 2, sorted into the Gabidulin group's second batch, and a
+    #   copy d of the next one, g, that shares its second row: (g, d) is met
+    #   first, but e's key still waits for its second holder, so the pass
+    #   goes on to b's batch, and the first pair is (e, b)
+    rng = random.Random(4000 + q)
+    cache: dict = {}  # (word, word) -> distance, over the lines met
+
+    def distance(u, v):
+        if (u.word, v.word) not in cache:
+            cache[u.word, v.word] = cache[v.word, u.word] = subspace_distance(u, v)
+        return cache[u.word, v.word]
+
+    f, n, lines, others = _two_group_lines(q, distance)
+    # lifted MRD words at rank distance 2 lie 4 apart; every other pair of
+    # the code is computed
+    cache.update(((u.word, v.word), 4) for u in lines for v in lines if u != v)
+    base = lines + others
+    code = CDC(q, n, 2, 4, words_of(base))
+    w = code.codewords
+    assert _pairwise_oracle(code, distance)[0] == 4
+    def meeting(target, candidates):  # the first new line that meets target, and no word before it
+        return next(x for x in candidates if x not in w and distance(x, target) == 2 and
+                    all(distance(x, v) == 4 for v in w if v.key() < target.key()))
+
+    def entry(u, r, c):
+        return row_codes(f, u.rows[r], n)[c]
+
+    plants = {}
+    for _ in range(4):  # free entries of the last two columns, as the benchmark plants
+        i, r, c = rng.randrange(16), rng.randrange(2), n - 1 - rng.randrange(2)
+        plants[f"near word {i}"] = [_changed(f, n, w[i], r, c, (entry(w[i], r, c)
+                                                                  + rng.randrange(1, q)) % q)]
+    last = max((u for u in w if u.pivots == (0, 1)), key=Subspace.key)
+    plants["late"] = [_changed(f, n, last, 1, n - 1, (entry(last, 1, n - 1) + 1) % q)]
+    u = next(u for u in w[3:16] if u.pivots == (0, 1))
+    through = meeting(u, (codeword(f, n, [u.rows[0], pack_row(f, (0, 0, 1) + tail)])
+                          for tail in product(range(q), repeat=n - 3)))
+    plants["two groups"] = [through]
+    e, g = [u for u in w[3:] if u.pivots == (0, 1)][:2]
+    b = meeting(e, (codeword(f, n, [pack_row(f, (1, 0, q - 1) + tail), e.rows[1]], (0, 1))
+                    for tail in product(range(q - 1, -1, -1), repeat=n - 3)))
+    d = meeting(g, (_changed(f, n, g, 0, c, (entry(g, 0, c) + x) % q)
+                    for c in range(n - 1, 1, -1) for x in range(1, q)))
+    plants["pending"] = [b, d]
+    for name, words in plants.items():
+        planted = CDC(q, n, 2, 4, words_of(base + words))
+        report, first, second = _watch_passes(planted, monkeypatch)
+        oracle = _pairwise_oracle(planted, distance)
+        assert (report.min_found, report.witness) == oracle == (2, oracle[1]), name
+        # a pair among the first N is found with no key
+        assert bool(second) == bool(first) == (oracle[1] not in _prefix(len(planted))), name
+        for group, batches in first.items():
+            assert second.get(group, []) == _stop_rule(batches), (name, group)
+        pw = planted.codewords
+        at = {u.word: i for i, u in enumerate(pw)}
+        if name == "late":
+            assert oracle[1][1] >= 128
+        if name == "two groups":
+            starts = sorted(tags[0] for tags, _ in first[1, (0,)])
+            assert len(starts) == 3 and second[1, (0,)] == starts[:2]
+            assert pw[starts[1]].pivots == (0, 2) and pw[starts[2]].pivots == (0, 1)
+        if name == "pending":
+            assert oracle[1] == (at[e.word], at[b.word]) and at[b.word] >= 128
+            assert distance(pw[at[g.word]], pw[at[d.word]]) == 2
+            assert at[e.word] < min(at[g.word], at[d.word]) <= max(at[g.word], at[d.word]) < 128
+            assert second[1, (1,)] == sorted(tags[0] for tags, _ in first[1, (1,)])
+
+
+# the keys the scan makes on each planted copy of
+# `test_planted_linkage_copies_stop_at_their_first_pair`, by plant seed; the
+# second pass that keyed every batch up to the last repeat made 17,311 to
+# 18,903 on the seeds that key at all
+PLANTED_LINK6_KEYS = {1: 11679, 2: 11295, 3: 11679, 4: 11551, 5: 11167, 6: 11167, 7: 11167,
+                      8: 11551, 9: 12831, 10: 0, 11: 11551, 12: 11551, 13: 11679, 14: 12831,
+                      15: 11769}
+
+
+def test_planted_linkage_copies_stop_at_their_first_pair(monkeypatch):
+    # the benchmark's planted copies of the (6, 730, 4, 3)_3 linkage code,
+    # by its recipe: the seed picks one of the first 16 words, one entry
+    # right of a row's pivot off the pivots, and a nonzero increment.  The
+    # code's pairs lie 4 or more apart, so the pairwise oracle's first pair
+    # at 2 is the planted word's first pair at 2.  Seed 10's lies among the
+    # first N pairs, so no key is made
+    code = run_plan(parse_plan(BENCH_PLANS["link6_q3"])).cdc
+    f, n, k = code.field, code.n, code.k
+    keys_of, made = subspaces.keys_of, []
+
+    def counted(f, words, spec):
+        keys = keys_of(f, words, spec)
+        made.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(subspaces, "keys_of", counted)
+    spots = [(i, r, c) for i in range(16) for r, p in enumerate(code[i].pivots)
+             for c in range(p + 1, n) if c not in code[i].pivots]
+    keys = {}
+    for seed in PLANTED_LINK6_KEYS:
+        rng = random.Random(seed)
+        i, r, c = rng.choice(spots)
+        rows = [list(row_codes(f, x, n)) for x in code[i].rows]
+        rows[r][c] = (rows[r][c] + rng.randrange(1, code.q)) % code.q
+        v = codeword(f, n, [pack_row(f, x) for x in rows], code[i].pivots)
+        planted = CDC(code.q, n, k, code.d, code.packed + [v.word])
+        w = planted.codewords
+        at = w.index(v)
+        oracle = min((subspace_distance(v, u), tuple(sorted((at, j))))
+                     for j, u in enumerate(w) if j != at)
+        made.clear()
+        report = verify_min_distance(planted)
+        keys[seed] = sum(made)
+        assert (report.min_found, report.witness) == oracle
+        assert oracle[0] == 2
+    assert keys == PLANTED_LINK6_KEYS
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_level_k_reads_equal_neighbours(q, monkeypatch):
     # codes of lines in GF(q)^6, large enough that their levels are keyed,
@@ -1595,7 +1806,9 @@ def test_a_group_is_not_tested_where_its_test_costs_more_than_its_pairs(monkeypa
     # test at 8 would take [4 3]_256 = 16,843,009 rank tests, far more than
     # its 32,640 pairs, or 1,000 draws, would compute: no group is tested,
     # and the reports are the pairwise oracle's.  Its pairs take about
-    # 0.12 s; the group's test alone would take about 100 s
+    # 0.12 s; the group's test alone would take about 100 s.  Each pair is
+    # computed once: the pass over all pairs starts after the first N, with
+    # their minimum and witness, so it makes 32,640 rank computations
     def untested(*args):
         raise AssertionError("a group was tested")
 
@@ -1605,10 +1818,18 @@ def test_a_group_is_not_tested_where_its_test_costs_more_than_its_pairs(monkeypa
     sampled = first_minimum([subspace_distance(w[i], w[j]) for i, j in pairs], pairs)
     oracle = _pairwise_oracle(code)
     monkeypatch.setattr(subspaces, "_affine_clean", untested)
+    calls = count()
+
+    def counted(*args):
+        next(calls)
+        return rank_added(*args)
+
+    monkeypatch.setattr(subspaces, "rank_added", counted)
     start = time.perf_counter()
     report = verify_min_distance(code)
     assert time.perf_counter() - start < 1.0
     assert (report.min_found, report.witness, report.pairs_checked) == (*oracle, 32640)
+    assert next(calls) == 32640
     assert oracle == (8, (0, 1))
     report = verify_min_distance(code, mode="sample", sample_count=1000, seed=1)
     assert (report.min_found, report.witness) == sampled
