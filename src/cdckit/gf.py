@@ -13,10 +13,10 @@ an int sum adds digit-wise without carries, and five int operations on it
 reduce every digit mod p (`GF._digit_sums`).  Both encodings increase with
 the element code, so packed rows order as their entries do.  A width
 dividing 8 keeps whole entries in each byte, and scaling a row by c is one
-`translate` by a 256-byte table, or for c = -1 that reduction of p - x.
-No entry straddles a byte, so rows laid end to end in one int, a word
-(`join_rows`, `split_rows`), are added and scaled as one row.
-The scalar `add` and `mul` read the same tables, for every field alike.
+`translate` by a 256-byte table.  No entry straddles a byte, so rows laid
+end to end in one int, a word (`join_rows`, `split_rows`), are added and
+scaled as one row.  The scalar `mul` reads the same tables; the scalar
+`add` looks up the entry sum (XOR, or for odd p the digit-wise sum) in one.
 Only fields with such an encoding are supported: q = 2^m <= 256, q in
 {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 
@@ -96,21 +96,27 @@ class GF:
         """The row encoding and its tables: `enc` and `dec` between element
         codes and entry values, `mul_rows[c]` scaling each entry of a byte
         by c, and `negs` and `invs` of each element.  `row_add` adds two
-        packed rows and `add_rows` two lists of them, pairwise."""
+        packed rows, `add_rows` two lists of them, pairwise, and `add` two
+        elements."""
         p, q = self.p, self.q
         if p == 2:
             digit, self.width = 1, next(w for w in (1, 2, 4, 8) if self.degree <= w)
             self.row_add, self.add_rows = xor, lambda a, b: list(map(xor, a, b))
+            self.add = lambda a, b: dec[enc[a] ^ enc[b]]
         else:
             digit = 4 if p <= 7 else 8
             self.width = digit * self.degree
             self._digit_sums(digit)
         w = self.width
-        self.enc = [sum((x // p**i % p) << digit * i for i in range(self.degree))
-                    for x in range(q)]
-        self.dec = [0] * (1 << w)
-        for x, e in enumerate(self.enc):
-            self.dec[e] = x
+        enc = self.enc = [sum((x // p**i % p) << digit * i for i in range(self.degree))
+                          for x in range(q)]
+        dec = self.dec = [0] * (1 << w)
+        for x, e in enumerate(enc):
+            dec[e] = x
+        if p > 2:  # two entries sum digit-wise below 2^w: one lookup adds elements
+            sums = [dec[sum((s >> i & (1 << digit) - 1) % p << i for i in range(0, w, digit))]
+                    for s in range(1 << w)]
+            self.add = lambda a, b: sums[enc[a] + enc[b]]
 
         def per_byte(one):
             """The byte table applying one[e] to each w-bit entry e of a byte."""
@@ -125,43 +131,42 @@ class GF:
         self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
 
     def _digit_sums(self, digit: int) -> None:
-        """`row_add`, `add_rows` and `_negate` over odd p on the int itself,
-        with no bytes round trip (SWAR; Lamport, CACM 1975).  With T =
-        digit - 1, O the int with a 1 at the bottom of each digit and K =
-        (2^T - p) O, a digit-wise sum s reduces as s - ((s + K) >> T & O) p:
-        digit i of s + K, s_i + 2^T - p <= 2^T + p - 2 < 2^digit, has bit T
-        set iff s_i >= p, and carries into no other digit.  -x is p O - x
-        reduced so.  O, K and p O are grown to the longest operand yet met."""
+        """`row_add` and `add_rows` over odd p on the int itself, with no
+        bytes round trip (SWAR; Lamport, CACM 1975).  With T = digit - 1, O
+        the int with a 1 at the bottom of each digit and K = (2^T - p) O, a
+        digit-wise sum s reduces as s - ((s + K) >> T & O) p: digit i of
+        s + K, s_i + 2^T - p <= 2^T + p - 2 < 2^digit, has bit T set iff
+        s_i >= p, and carries into no other digit.  K and O are kept by size
+        class: `consts[n]` spans 2^n bits, whole digits once 2^n >= digit
+        (below, every sum is under p and they are 0), and serves each sum
+        of 2^(n-1) to 2^n - 1 bits.  So a sum reads constants under twice
+        its own length, and the classes made so far take memory linear in
+        the longest sum met."""
         p, t = self.p, digit - 1
-        top = ones = k = po = 0  # the constants' bits, O, K and p O
+        consts = []
 
-        def grow(x: int) -> None:
-            nonlocal top, ones, k, po
-            while x >> top:
-                top = 2 * top + digit
-            ones = ((1 << top) - 1) // ((1 << digit) - 1)
-            k, po = ((1 << t) - p) * ones, p * ones
+        def grow(s: int) -> int:  # the class n of the sum s, its constants made if new
+            n = s.bit_length().bit_length()
+            while len(consts) <= n:
+                ones = ((1 << (1 << len(consts))) - 1) // ((1 << digit) - 1)  # over 2^n bits
+                consts.append((((1 << t) - p) * ones, ones))
+            return n
 
         def row_add(a: int, b: int) -> int:
             s = a + b
-            if s >> top:
-                grow(s)
-            return s - ((s + k) >> t & ones) * p
-
-        def negate(x: int) -> int:
-            if x >> top:
-                grow(x)
-            s = po - x
+            try:
+                k, ones = consts[s.bit_length().bit_length()]
+            except IndexError:
+                k, ones = consts[grow(s)]
             return s - ((s + k) >> t & ones) * p
 
         def add_rows(a: Iterable[int], b: Iterable[int]) -> List[int]:
             s = list(map(add, a, b))
-            if max(s, default=0) >> top:
-                grow(max(s))
+            k, ones = consts[grow(max(s, default=0))]
             # a comprehension: map chains of the bound int operators cost more
             return [x - ((x + k) >> t & ones) * p for x in s]
 
-        self.row_add, self.add_rows, self._negate = row_add, add_rows, negate
+        self.row_add, self.add_rows = row_add, add_rows
 
     def _products(self) -> list:
         """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1,
@@ -182,16 +187,11 @@ class GF:
         """The packed row times the element c."""
         if c < 2:  # 0 or 1
             return row * c
-        if c == self.p - 1:  # -1 over odd p
-            return self._negate(row)
         return int.from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "big")
                               .translate(self.mul_rows[c]), "big")
 
     def __repr__(self):
         return f"GF({self.q})"
-
-    def add(self, a: int, b: int) -> int:
-        return self.dec[self.row_add(self.enc[a], self.enc[b])]
 
     def mul(self, a: int, b: int) -> int:
         return self.dec[self.mul_rows[a][self.enc[b]]]

@@ -219,7 +219,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: 
     # by group, each row's basis slot (its pivot's place from the right) and shift
     slots = [[(code.n - c, s) for c, s in zip(piv, places)] for piv in code.pivot_tuples]
     zero = [0] * (code.n + 1)
-    stop = min(code.k + 1, best // 2)  # a pair that adds this many of V's rows cannot win
+    stop = code.k + 1 if witness is None else best // 2  # a pair adding this many V rows loses
     for i, j in pairs:
         g, h = numbers[i], numbers[j]
         if g == h:

@@ -150,12 +150,13 @@ def test_tables_match_independent_arithmetic(q):
 
 @pytest.mark.parametrize("q", [q for q in SUPPORTED_Q if q % 2])
 def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
-    # over odd p, `row_add`, `add_rows` and `row_scale` by -1 reduce every
-    # digit on the int itself; the byte-table formulas they replaced are
-    # the reference.  Operands: every pair of one-byte rows (sums below
-    # 256), zero rows, seeded rows of 1 to 300 entries, and words of k rows
-    # end to end.  A fresh field, whose constants start empty and grow with
-    # its operands, meets short rows, then long ones, then short ones again
+    # over odd p, `row_add` and `add_rows` reduce every digit on the int
+    # itself; the byte-table formulas they replaced are the reference, for
+    # them and for `row_scale` by -1.  Operands: every pair of one-byte
+    # rows (sums below 256), zero rows, seeded rows of 1 to 300 entries,
+    # and words of k rows end to end.  A fresh field, whose constants are
+    # made by size class as its operands need them, meets short rows, then
+    # long ones, then short ones again
     p, e = factor_prime_power(q)
     rng = random.Random(7100 + q)
     short = [pack_row(gf(q), codes) for codes in product(range(q), repeat=8 // gf(q).width)]
@@ -180,9 +181,7 @@ def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
         left, right = zip(*pairs)
         assert f.add_rows(left, right) == [bytes_row_add(f, a, b) for a, b in pairs]
         assert f.add_rows([], []) == []
-    # fresh fields whose first long operand is a negation, or a batch
-    longest, fresh = max(rows), GF(p, e)
-    assert fresh.row_scale(longest, p - 1) == bytes_row_scale(fresh, longest, p - 1)
+    # a fresh field whose first long operand is a batch
     fresh = GF(p, e)
     assert fresh.add_rows(rows, rows[1:]) == list(map(bytes_row_add, repeat(fresh), rows, rows[1:]))
 
