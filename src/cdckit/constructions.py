@@ -45,6 +45,7 @@ from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vecto
     lifted_inserts_part, linkage_part, parallel_insert_part
 from .errors import EnumerationLimitExceeded, HypothesisViolated, MissingSubcode
 from .gf import factor_prime_power, gf, join_rows, split_rows
+from .matrices import rref_mask
 from .rankcodes import code_words, coset_lists, fdrm_words, gabidulin_mrd
 from .registry import BaseBoundRegistry, shipped_registry
 from .subspaces import CDC, cdc_from_text, verify_min_distance
@@ -102,8 +103,7 @@ class BuildOutput:
 
 def _trivial_cdc(q: int, n: int, d: int, k: int) -> CDC:
     """Canonical one-codeword code: the row space of (I_k | 0)."""
-    w = gf(q).width
-    return CDC(q, n, k, d, [join_rows([1 << (n - 1 - i) * w for i in range(k)], n * w)])
+    return CDC(q, n, k, d, [rref_mask(gf(q), range(k), n)[1]])
 
 
 def resolve_subcdc(q: int, n: int, d: int, k: int, file: Optional[str],
@@ -220,11 +220,9 @@ def _lifted_words(p, subs, terms) -> Iterator[int]:
     family's hypotheses, so the lifted codes combine."""
     q, n, n1, n2, h = p["q"], p["n"], p["n1"], p["n2"], p["h"]
     w = gf(q).width
-    width = n * w
     for v1, v2, shift, w1, w2, c1, c2 in insert_vectors(p):
-        pivots = [*range(shift, shift + v1), *range(n1, n1 + v2)]
-        ones = join_rows([1 << (n - 1 - c) * w for c in pivots], width)
-        yield from map(or_, fdrm_words(q, v1, v2, w1, w2, h, c1, c2, width, (n2 - w2) * w),
+        ones = rref_mask(gf(q), [*range(shift, shift + v1), *range(n1, n1 + v2)], n)[1]
+        yield from map(or_, fdrm_words(q, v1, v2, w1, w2, h, c1, c2, n * w, (n2 - w2) * w),
                        repeat(ones))
 
 

@@ -15,8 +15,8 @@ the element code, so packed rows order as their entries do.  A width
 dividing 8 keeps whole entries in each byte, and scaling a row by c is one
 `translate` by a 256-byte table.  No entry straddles a byte, so rows laid
 end to end in one int, a word (`join_rows`, `split_rows`), are added and
-scaled as one row.  The scalar `mul` reads the same tables; the scalar
-`add` looks up the entry sum (XOR, or for odd p the digit-wise sum) in one.
+scaled as one row.  `row_add`, `row_sub` and `row_scale` do all row
+arithmetic; the scalar `add` and `mul` use `row_add` and the scaling tables.
 Only fields with such an encoding are supported: q = 2^m <= 256, q in
 {3, 5, 7, 9, 25, 49} and the primes 11 <= p <= 127.
 
@@ -95,14 +95,12 @@ class GF:
     def _row_tables(self) -> None:
         """The row encoding and its tables: `enc` and `dec` between element
         codes and entry values, `mul_rows[c]` scaling each entry of a byte
-        by c, and `negs` and `invs` of each element.  `row_add` adds two
-        packed rows, `add_rows` two lists of them, pairwise, and `add` two
-        elements."""
+        by c, and `invs`.  `row_add` and `row_sub` add and subtract packed
+        rows, and `add_rows` adds two lists of them, pairwise."""
         p, q = self.p, self.q
         if p == 2:
             digit, self.width = 1, next(w for w in (1, 2, 4, 8) if self.degree <= w)
-            self.row_add, self.add_rows = xor, lambda a, b: list(map(xor, a, b))
-            self.add = lambda a, b: dec[enc[a] ^ enc[b]]
+            self.row_add, self.row_sub, self.add_rows = xor, xor, lambda a, b: list(map(xor, a, b))
         else:
             digit = 4 if p <= 7 else 8
             self.width = digit * self.degree
@@ -113,10 +111,6 @@ class GF:
         dec = self.dec = [0] * (1 << w)
         for x, e in enumerate(enc):
             dec[e] = x
-        if p > 2:  # two entries sum digit-wise below 2^w: one lookup adds elements
-            sums = [dec[sum((s >> i & (1 << digit) - 1) % p << i for i in range(0, w, digit))]
-                    for s in range(1 << w)]
-            self.add = lambda a, b: sums[enc[a] + enc[b]]
 
         def per_byte(one):
             """The byte table applying one[e] to each w-bit entry e of a byte."""
@@ -127,46 +121,53 @@ class GF:
 
         products = self._products()
         self.mul_rows = [per_byte([row[e] for e in self.dec]) for row in products]
-        self.negs = [self.dec[e] for e in products[p - 1]]
         self.invs = [0] + [products[a].index(self.enc[1]) for a in range(1, q)]
 
     def _digit_sums(self, digit: int) -> None:
-        """`row_add` and `add_rows` over odd p on the int itself, with no
-        bytes round trip (SWAR; Lamport, CACM 1975).  With T = digit - 1, O
-        the int with a 1 at the bottom of each digit and K = (2^T - p) O, a
-        digit-wise sum s reduces as s - ((s + K) >> T & O) p: digit i of
-        s + K, s_i + 2^T - p <= 2^T + p - 2 < 2^digit, has bit T set iff
-        s_i >= p, and carries into no other digit.  K and O are kept by size
-        class: `consts[n]` spans 2^n bits, whole digits once 2^n >= digit
-        (below, every sum is under p and they are 0), and serves each sum
-        of 2^(n-1) to 2^n - 1 bits.  So a sum reads constants under twice
-        its own length, and the classes made so far take memory linear in
-        the longest sum met."""
+        """`row_add`, `row_sub` and `add_rows` over odd p on the int itself,
+        with no bytes round trip (SWAR; Lamport, CACM 1975).  With T = digit
+        - 1, O the int with a 1 at the bottom of each digit and K = (2^T - p)
+        O, an int s of digits below 2p reduces as s - ((s + K) >> T & O) p:
+        digit i of s + K, s_i + 2^T - p <= 2^T + p - 1 < 2^digit, has bit T
+        set iff s_i >= p, and carries into no other digit.  So do a sum and
+        a + P - b, P = p O, of digits in [1, 2p - 1]: nothing borrows.  K, O
+        and P are kept by size class: `consts[n]` spans 2^n bits, at least a
+        digit, for an operand (the sum, or b) of 2^(n-1) to 2^n - 1 bits;
+        digits of a above b's are below p.  So an operation reads constants
+        under twice an operand's length, in memory linear in the longest."""
         p, t = self.p, digit - 1
         consts = []
 
-        def grow(s: int) -> int:  # the class n of the sum s, its constants made if new
+        def grow(s: int) -> int:  # the class n of s, its constants made if new
             n = s.bit_length().bit_length()
             while len(consts) <= n:
-                ones = ((1 << (1 << len(consts))) - 1) // ((1 << digit) - 1)  # over 2^n bits
-                consts.append((((1 << t) - p) * ones, ones))
+                ones = ((1 << max(1 << len(consts), digit)) - 1) // ((1 << digit) - 1)
+                consts.append((((1 << t) - p) * ones, ones, p * ones))
             return n
 
         def row_add(a: int, b: int) -> int:
             s = a + b
             try:
-                k, ones = consts[s.bit_length().bit_length()]
+                k, ones, _ = consts[s.bit_length().bit_length()]
             except IndexError:
-                k, ones = consts[grow(s)]
+                k, ones, _ = consts[grow(s)]
+            return s - ((s + k) >> t & ones) * p
+
+        def row_sub(a: int, b: int) -> int:
+            try:
+                k, ones, big = consts[b.bit_length().bit_length()]
+            except IndexError:
+                k, ones, big = consts[grow(b)]
+            s = a + big - b
             return s - ((s + k) >> t & ones) * p
 
         def add_rows(a: Iterable[int], b: Iterable[int]) -> List[int]:
             s = list(map(add, a, b))
-            k, ones = consts[grow(max(s, default=0))]
+            k, ones, _ = consts[grow(max(s, default=0))]
             # a comprehension: map chains of the bound int operators cost more
             return [x - ((x + k) >> t & ones) * p for x in s]
 
-        self.row_add, self.add_rows = row_add, add_rows
+        self.row_add, self.row_sub, self.add_rows = row_add, row_sub, add_rows
 
     def _products(self) -> list:
         """The multiplication table: row c lists enc[c b] for b = 0, ..., q - 1,
@@ -192,6 +193,9 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+    def add(self, a: int, b: int) -> int:
+        return self.dec[self.row_add(self.enc[a], self.enc[b])]
 
     def mul(self, a: int, b: int) -> int:
         return self.dec[self.mul_rows[a][self.enc[b]]]
@@ -331,7 +335,7 @@ def times_x(f: GF, v: int, modulus: Sequence[int]) -> int:
     top = v >> shift
     v = (v ^ top << shift) << f.width
     if top:
-        v = f.row_add(v, f.row_scale(_modulus_row(f, modulus), f.negs[f.dec[top]]))
+        v = f.row_sub(v, f.row_scale(_modulus_row(f, modulus), f.dec[top]))
     return v
 
 
@@ -366,7 +370,7 @@ def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
     is irreducible, by trial division on rows by every monic polynomial of
     degree 1 to deg / 2.  A monic divisor needs no inverse: each step
     subtracts the divisor, times the leading entry, shifted under it."""
-    deg, w, dec, negs = len(coeffs), base.width, base.dec, base.negs
+    deg, w, dec = len(coeffs), base.width, base.dec
     if coeffs[0] == 0:  # x divides it
         return deg == 1
     poly, mask = pack_row(base, (1, *coeffs[::-1])), (1 << w) - 1
@@ -378,7 +382,7 @@ def is_irreducible(coeffs: Sequence[int], base: GF) -> bool:
             for i in range((deg - dd) * w, -1, -w):
                 top = num >> i + dd * w & mask
                 if top:
-                    num = base.row_add(num, base.row_scale(den, negs[dec[top]]) << i)
+                    num = base.row_sub(num, base.row_scale(den, dec[top]) << i)
             if not num:
                 return False
     return True

@@ -1,12 +1,12 @@
 """Elimination over GF(q) on packed rows, and the `Matrix` view.
 
 Every operation works on packed rows, `gf`'s encoding: the field's
-`row_add` adds rows (XOR in characteristic 2, else on the int), `row_scale`
-scales a row, and the bit length finds a row's pivot.  Rows of equal
-width compare as ints exactly as their entry tuples do.  `rank_added`
-and `rref` take bare packed rows.  `rref_mask` tests a word, rows end to
-end, for RREF on given pivots.  It and `rref` decide a codeword's pivots,
-in `subspaces._canonical`, where every word enters a code.
+`row_add`, `row_sub` and `row_scale` add, subtract and scale rows, with no
+negation table, and the bit length finds a row's pivot.  Rows of equal
+width compare as ints exactly as their entry tuples do.  `rank_added` and
+`rref` take bare packed rows.  `rref_mask` tests a word, rows end to end,
+for RREF on given pivots.  It and `rref` decide a codeword's pivots, in
+`subspaces._canonical`, where every word enters a code.
 `rref_spaces` lists the subspaces of one dimension by their RREF rows.
 
 A `Matrix` is a view of packed rows with their column count: its `nrows`,
@@ -80,14 +80,14 @@ def rank_added(f: GF, basis: List[int], rows: Iterable[int], stop: int = -1) -> 
             if r == stop:
                 break
         return r
-    w, dec, negs, invs, add, scale = f.width, f.dec, f.negs, f.invs, f.row_add, f.row_scale
+    w, dec, invs, sub, scale = f.width, f.dec, f.invs, f.row_sub, f.row_scale
     for v in rows:
         while v:
             b = (v.bit_length() + w - 1) // w
             lead = dec[v >> (b - 1) * w]
             u = basis[b]
             if u:
-                v = add(v, scale(u, negs[lead]))
+                v = sub(v, scale(u, lead))
             else:
                 basis[b] = scale(v, invs[lead])
                 r += 1
@@ -102,7 +102,7 @@ def rref(f: GF, rows: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple
     ncols entries, and their pivot columns."""
     basis = [0] * (ncols + 1)
     rank_added(f, basis, rows)
-    w, dec, negs = f.width, f.dec, f.negs
+    w, dec = f.width, f.dec
     mask = (1 << w) - 1
     reduced: List[Tuple[int, int]] = []  # (leading entry's place from the right, row)
     for b, v in enumerate(basis):  # rightmost pivot first; clear the pivots right of it
@@ -110,7 +110,7 @@ def rref(f: GF, rows: Iterable[int], ncols: int) -> Tuple[Tuple[int, ...], Tuple
             for c, u in reduced:
                 x = v >> (c - 1) * w & mask
                 if x:
-                    v = f.row_add(v, f.row_scale(u, negs[dec[x]]))
+                    v = f.row_sub(v, f.row_scale(u, dec[x]))
             reduced.append((b, v))
     reduced.reverse()
     # from lists, not generators: a tuple of unknown length is made long and

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from .counting import gauss_binomial
 from .errors import RegistryMiss
+from .gf import _named
 
 Key = Tuple[int, int, int, int]  # (q, n, d, k)
 
@@ -30,6 +31,10 @@ class BaseBoundRegistry:
         self.entries: Dict[Key, Tuple[int, str]] = dict(entries or {})
 
     def add(self, q: int, n: int, d: int, k: int, value: int, source: str) -> None:
+        """Records A_q(n,d,k) = value; ValueError for a value below 1, as
+        every A_q(n,d,k) with 0 <= k <= n is at least 1."""
+        if value < 1:
+            raise ValueError(f"A_{q}({n},{d},{k}) = {_named(value, 'value')} is below 1")
         self.entries[(q, n, d, k)] = (int(value), source)
 
     def lookup(self, q: int, n: int, d: int, k: int) -> Tuple[int, str]:
@@ -62,15 +67,20 @@ class BaseBoundRegistry:
         return self.lookup(q, n, d, k)[0]
 
     def merge_text(self, text: str) -> None:
-        """Parse `q n d k value source...` lines (# comments allowed)."""
-        for line in text.splitlines():
+        """Parse `q n d k value source...` lines (# comments allowed); a
+        line refused is named by its 1-based number in a ValueError."""
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(None, 5)
-            q, n, d, k, value = (int(x) for x in parts[:5])
-            source = parts[5] if len(parts) > 5 else "unspecified"
-            self.add(q, n, d, k, value, source)
+            try:
+                if len(parts) < 5:
+                    raise ValueError(f"need q n d k value, got {len(parts)} fields")
+                q, n, d, k, value = (int(x) for x in parts[:5])
+                self.add(q, n, d, k, value, parts[5] if len(parts) > 5 else "unspecified")
+            except ValueError as exc:
+                raise ValueError(f"registry line {number}: {exc}") from None
 
     def to_text(self) -> str:
         lines = ["# q n d k value source"]

@@ -215,7 +215,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: 
     minimum is skipped: its pivot sets (column `masks`, by group) differ in at
     least as many columns, or its words share a group whose floor is at or above it."""
     words, numbers, places, f = code.packed, code.group, code.places, code.field
-    mask, add, neg = code.row_mask, f.row_add, f.negs[1]
+    mask, sub = code.row_mask, f.row_sub
     # by group, each row's basis slot (its pivot's place from the right) and shift
     slots = [[(code.n - c, s) for c, s in zip(piv, places)] for piv in code.pivot_tuples]
     zero = [0] * (code.n + 1)
@@ -229,7 +229,7 @@ def _min_pair(code: CDC, pairs: Iterable[Tuple[int, int]], masks: list, floors: 
             continue
         u, v, basis, rows = words[i], words[j], zero[:], []
         if g == h:  # one pivot tuple: d = 2 rank(U - V), and U - V is 0 at the pivots
-            v = add(u, v if neg == 1 else f.row_scale(v, neg))
+            v = sub(u, v)
         else:  # d = 2 dim(U + V) - 2k = 2 * (rows of V outside U).  U's rows
             # are in RREF with leading 1s, so each goes straight into the basis
             # slot of its leading entry, and only V's rows are reduced
@@ -255,7 +255,7 @@ def _settle(code: CDC, sizes: Counter, floors: list, b: int, pairs: int) -> None
     cost = n_words * (n_words - 1) * (n_words + gauss_binomial(code.k, r, code.q))
     for g, size in sizes.items():
         if pairs * size * (size - 1) >= cost and \
-                _affine_clean(code, code.pivot_tuples[g], size, b):
+                _affine_clean(code, g, size, b):
             floors[g] = b
 
 
@@ -432,8 +432,8 @@ def _collision_scan(code: CDC, kept: List[int], best: int,
     return best, witness
 
 
-def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool:
-    """Whether the `size` words on pivot tuple `piv` are settled at `best`:
+def _affine_clean(code: CDC, g: int, size: int, best: int) -> bool:
+    """Whether the `size` words of pivot group g are settled at `best`:
     q^D of them, D >= 1, distinct and an affine space v0 + L with no pair
     closer than `best`.  A word's vector v is its packed int, its RREF rows
     end to end.  The differences of neighbours span L and the words lie in
@@ -443,18 +443,16 @@ def _affine_clean(code: CDC, piv: Tuple[int, ...], size: int, best: int) -> bool
     r-dimensional W, r = best / 2 - 1: iff, for each W, L's basis stays
     independent of the matrices that put an RREF row of W down a column off
     the pivots: [k r]_q rank tests at any |L|.  The words are streamed."""
-    f, k, n, places, number = code.field, code.k, code.n, code.places, code.pivot_tuples.index(piv)
+    f, k, n, places, piv = code.field, code.k, code.n, code.places, code.pivot_tuples[g]
     dim, r = round(math.log(size, f.q)), (best - 1) // 2  # r: the highest rank below best / 2
     # at r >= k, every element is of rank r or less; at best <= 0 nothing is tested
     if dim < 1 or f.q ** dim != size or not 0 <= r < k:
         return False
-    before, after = tee(compress(code.packed, map(number.__eq__, code.group)))
+    before, after = tee(compress(code.packed, map(g.__eq__, code.group)))
     next(after)
     basis = [0] * (k * n + 1)
-    if f.negs[1] != 1:  # -1 = 1 in characteristic 2
-        before = map(f.row_scale, before, repeat(f.negs[1]))
     # a zero difference, a repeated word, ends `takewhile` before the closing 0
-    diffs = chain(map(f.row_add, after, before), (0,))
+    diffs = chain(map(f.row_sub, after, before), (0,))
     rank = rank_added(f, basis, takewhile(bool, diffs), dim + 1)
     if rank != dim or next(diffs, None) is not None:
         return False

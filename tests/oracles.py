@@ -14,18 +14,20 @@ words a `CDC` canonicalizes are checked against, and the way tests make
 a `Subspace` whose `word` a `CDC` takes (`words_of`).
 `row_of` and `entry` read one row or entry of a `Matrix` view, decoded
 from its packed row by `gf.row_codes`.
-`rref_rows` is a per-entry Gaussian elimination through the field's scalar
-`add` and `mul`, `sub` (a plus the negative of b, from the field's `negs`)
-and the table of inverses `invs`, not the packed-row kernels it checks;
-they read the same tables, which `test_gf` checks against `ExtField` and
+`sub` and `neg` subtract and negate element codes digit by digit mod p,
+with no table or kernel of the field, so that no reference reads a
+kernel it checks.  `rref_rows` is a per-entry Gaussian elimination
+through them, the field's scalar `add` and `mul` and its table of
+inverses `invs`, not the packed-row kernels it checks; `add` and `mul`
+read the kernels' tables, which `test_gf` checks against `ExtField` and
 integer arithmetic.  `ExtField` is GF(q^m) with full exp/log tables, built
 from its own schoolbook polynomial multiply over base-q codes.  It is the
 reference the Gabidulin generators and the field's own row tables are
 checked against, over the pinned modulus table `_MODULUS_TABLE`.
 `bytes_row_add` and `bytes_row_scale` are the row arithmetic by bytes
 and 256-byte `translate` tables: the reference for `GF.row_add`,
-`GF.add_rows` and `GF.row_scale` by -1 over odd p, which reduce digits on
-the int itself.
+`GF.add_rows`, `GF.row_scale` by -1 and `GF.row_sub` (a plus b scaled by
+-1) over odd p, which reduce digits on the int itself.
 `search_modulus` finds the lex-smallest
 monic irreducible by scalar trial division, one coefficient at a time:
 the reference for `gf.field_modulus`, which divides whole rows.
@@ -85,8 +87,15 @@ def same_field(a: GF, b: GF) -> GF:
 
 
 def sub(field: GF, a: int, b: int) -> int:
-    """a - b in the field, by element codes: a plus the negative of b."""
-    return field.add(a, field.negs[b])
+    """a - b in the field, by element codes: each base-p digit of a minus
+    that of b, mod p."""
+    p = field.p
+    return sum((a // p**i - b // p**i) % p * p**i for i in range(field.degree))
+
+
+def neg(field: GF, a: int) -> int:
+    """-a in the field, by element codes: 0 - a digit by digit."""
+    return sub(field, 0, a)
 
 
 # -- matrices -------------------------------------------------------------------
@@ -255,7 +264,7 @@ def mat_kernel(m: Matrix) -> Matrix:
         v = [0] * t.ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = f.negs[entry(red, r, fc)]
+            v[pc] = neg(f, entry(red, r, fc))
         rows.append(v)
     if not rows:
         return Matrix(f, 0, m.nrows, ())

@@ -11,6 +11,7 @@ import pytest
 
 from cdckit.cli import main
 from cdckit.counting import gauss_binomial
+from cdckit.registry import shipped_registry
 
 BLOCKS_PLAN = """\
 family = blocks
@@ -191,6 +192,29 @@ def test_table_mismatch_exits_4(tmp_path, capsys):
     bad = [r for r in rows if not r["match"]]
     assert len(rows) == 2 and len(bad) == 1
     assert f"in 1 of 2 rows: table 6 row {bad[0]['row']} A_2(16,4,4)" in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("2 8 4 4 -5 doctored", "A_2(8,4,4) = -5 is below 1"),
+    ("2 8 4 4 0 doctored", "A_2(8,4,4) = 0 is below 1"),
+    ("2 8 4 4 -" + "9" * 5000 + " doctored", "A_2(8,4,4) = a 5000-digit negative value"),
+    ("2 8 4", "need q n d k value, got 3 fields"),
+    ("2 8 4 4 many doctored", "invalid literal for int()"),
+])
+def test_a_refused_registry_line_is_named_by_its_number(tmp_path, capsys, line, named):
+    # every A_q(n, d, k) is at least 1, and the search's insert bounds rely
+    # on it: a registry file with a value below 1 or a malformed line exits
+    # 2 with one stderr line naming the line, and nothing on stdout.  The
+    # shipped registry's 31 entries load as they are
+    extra = tmp_path / "reg.txt"
+    extra.write_text(f"# q n d k value source\n2 9 4 4 1033 fine\n{line}\n")
+    code = main(["bound", "--family", "linkage", "--q", "2", "--n", "12", "--d", "4",
+                 "--k", "4", "--n1", "8", "--registry", str(extra)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: registry line 3: ") and named in err
+    assert len(err.splitlines()) == 1
+    assert len(shipped_registry().entries) == 31
 
 
 def test_build_verify_round_trip(tmp_path, capsys):

@@ -25,7 +25,7 @@ import pytest
 from cdckit.gf import _MR_EXACT_BELOW, GF, _iroot, _times, factor_prime_power, field_modulus, \
     gf, is_irreducible, is_prime, join_rows, pack_row, row_codes, split_rows, times_x, x_power
 from oracles import _MODULUS_TABLE, ExtField, MixedFields, bytes_row_add, bytes_row_scale, \
-    ext_add, same_field, search_modulus, sub, trial_factor_prime_power
+    ext_add, neg, same_field, search_modulus, sub, trial_factor_prime_power
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9)
 # every q with a row encoding: 2^m <= 256, 3, 5, 7, 9, 25, 49, primes to 127
@@ -40,7 +40,7 @@ def test_field_axioms_exhaustive(q):
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
-        assert f.add(a, f.negs[a]) == 0
+        assert f.add(a, neg(f, a)) == 0
         if a:
             assert f.mul(a, f.invs[a]) == 1
     for a in els:
@@ -116,47 +116,55 @@ def test_tables_match_independent_arithmetic(q):
         a, c = [rng.randrange(q) for _ in range(9)], rng.randrange(q)
         scaled = f.row_scale(pack_row(f, a), c)
         assert row_codes(f, scaled, 9) == tuple(f.mul(c, x) for x in a)
-    if p > 2:
-        # `row_add` on rows of one byte and of several (entries are 4 or 8
-        # bits wide): digit-wise sums mod p
-        rng = random.Random(q)
-        for n in (1, 2, 3, 9):
-            for _ in range(60):
-                a, b = ([rng.randrange(q) for _ in range(n)] for _ in "ab")
-                total = f.row_add(pack_row(f, a), pack_row(f, b))
-                assert row_codes(f, total, n) == tuple(
-                    sum((x // p**i + y // p**i) % p * p**i for i in range(e))
-                    for x, y in zip(a, b))
+    # `row_add` and `row_sub` on rows of one byte and of several (over odd
+    # p entries are 4 or 8 bits wide): digit-wise sums and differences mod
+    # p, and in characteristic 2 both XOR
+    rng = random.Random(q)
+    for n in (1, 2, 3, 9):
+        for _ in range(60):
+            a, b = ([rng.randrange(q) for _ in range(n)] for _ in "ab")
+            x, y = pack_row(f, a), pack_row(f, b)
+            if p == 2:
+                assert f.row_add(x, y) == f.row_sub(x, y) == x ^ y
+                continue
+            assert row_codes(f, f.row_add(x, y), n) == tuple(
+                sum((u // p**i + v // p**i) % p * p**i for i in range(e)) for u, v in zip(a, b))
+            assert row_codes(f, f.row_sub(x, y), n) == tuple(map(sub, repeat(f), a, b))
+
+    def minus(a, b):  # a - b by `row_sub` on one-entry rows
+        return f.dec[f.row_sub(f.enc[a], f.enc[b])]
+
     if e == 1:
         for a in els:
-            assert f.negs[a] == -a % p
             if a:
                 assert f.invs[a] == pow(a, p - 2, p)
             for b in els:
-                assert (f.add(a, b), sub(f, a, b), f.mul(a, b)) == \
-                    ((a + b) % p, (a - b) % p, a * b % p)
+                assert (f.add(a, b), minus(a, b), sub(f, a, b), f.mul(a, b)) == \
+                    ((a + b) % p, (a - b) % p, (a - b) % p, a * b % p)
         return
     ext = ExtField(gf(p), e)
     assert ext.modulus == _MODULUS_TABLE[p, e] == f.modulus
     for a in els:
-        assert ext_add(ext, a, f.negs[a]) == 0
+        assert ext_add(ext, a, neg(f, a)) == 0
         if a:
             assert f.invs[a] == ext.pow(a, q - 2)
         for b in els:
             assert f.add(a, b) == ext_add(ext, a, b)
-            assert ext_add(ext, sub(f, a, b), b) == a
+            assert ext_add(ext, minus(a, b), b) == ext_add(ext, sub(f, a, b), b) == a
             assert f.mul(a, b) == ext.mul(a, b)
 
 
 @pytest.mark.parametrize("q", [q for q in SUPPORTED_Q if q % 2])
 def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
-    # over odd p, `row_add` and `add_rows` reduce every digit on the int
-    # itself; the byte-table formulas they replaced are the reference, for
-    # them and for `row_scale` by -1.  Operands: every pair of one-byte
-    # rows (sums below 256), zero rows, seeded rows of 1 to 300 entries,
-    # and words of k rows end to end.  A fresh field, whose constants are
-    # made by size class as its operands need them, meets short rows, then
-    # long ones, then short ones again
+    # over odd p, `row_add`, `row_sub` and `add_rows` reduce every digit on
+    # the int itself; the byte-table formulas they replaced are the
+    # reference, for them and for `row_scale` by -1: a - b is a plus b
+    # scaled by -1 = p - 1.  Operands, in both orders: every pair of
+    # one-byte rows (sums below 256), zero rows, seeded rows of 1 to 300
+    # entries, and words of k rows end to end.  A fresh field, whose
+    # constants are made by size class as its operands need them, meets
+    # short rows, then long ones, then short ones again; another subtracts
+    # a long row first
     p, e = factor_prime_power(q)
     rng = random.Random(7100 + q)
     short = [pack_row(gf(q), codes) for codes in product(range(q), repeat=8 // gf(q).width)]
@@ -168,14 +176,15 @@ def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
                             for _ in range(k)], n * gf(q).width) for _ in range(4)]
     pairs = [(a, b) for a in short for b in short] + [(0, x) for x in rows] + \
         list(zip(rows, rows[1:])) + [(x, x) for x in rows]
+    minus = p - 1
     for f in (GF(p, e), gf(q)):
-        minus = f.negs[1]
-        assert minus == p - 1
         for a, b in pairs:
             assert f.row_add(a, b) == bytes_row_add(f, a, b)
+            assert f.row_sub(a, b) == bytes_row_add(f, a, bytes_row_scale(f, b, minus))
+            assert f.row_sub(b, a) == bytes_row_add(f, b, bytes_row_scale(f, a, minus))
         for x in short + rows:
             assert f.row_scale(x, minus) == bytes_row_scale(f, x, minus)
-            assert f.row_add(x, f.row_scale(x, minus)) == 0
+            assert f.row_add(x, f.row_scale(x, minus)) == f.row_sub(x, x) == 0
         for c in range(q):
             assert f.row_scale(rows[-1], c) == bytes_row_scale(f, rows[-1], c)
         left, right = zip(*pairs)
@@ -184,6 +193,11 @@ def test_odd_p_row_arithmetic_matches_the_byte_tables(q):
     # a fresh field whose first long operand is a batch
     fresh = GF(p, e)
     assert fresh.add_rows(rows, rows[1:]) == list(map(bytes_row_add, repeat(fresh), rows, rows[1:]))
+    # a fresh field whose first operand is a long subtrahend
+    fresh = GF(p, e)
+    for a in (rows[1], rows[-1]):
+        assert fresh.row_sub(a, rows[-1]) == \
+            bytes_row_add(fresh, a, bytes_row_scale(fresh, rows[-1], minus))
 
 
 def test_field_modulus_is_the_fields_own():

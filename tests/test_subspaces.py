@@ -1197,7 +1197,7 @@ def test_batched_scan_takes_each_keys_two_lowest_holders(q, m, monkeypatch):
     assert zero.rows == (unit[0], unit[1])
     s = rng.choice([w for w in spread if row_codes(f, w.rows[0], n)[2]])
     p, low = s.rows[0], f.row_add(unit[0], unit[-1])
-    h1 = codeword(f, n, [low, f.row_add(p, f.row_scale(low, f.negs[1]))])
+    h1 = codeword(f, n, [low, f.row_sub(p, low)])
     h2 = codeword(f, n, [p, f.row_add(unit[1], unit[-1])])
     h4 = codeword(f, n, [f.row_add(low, unit[1]), h1.rows[1]])
     sample = [w for w in rng.sample(spread, 160) if w not in (zero, s)]
@@ -1581,10 +1581,10 @@ def test_sampled_skips_match_the_pairwise_oracle(q, monkeypatch):
     }
     affine_clean, tested, made = subspaces._affine_clean, set(), []
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
         tested.add((name, found))
-        made.append(piv)
+        made.append(g)
         return found
 
     monkeypatch.setattr(subspaces, "_affine_clean", watched)
@@ -1647,10 +1647,10 @@ def test_the_up_front_group_test_matches_the_pairwise_oracle(q, monkeypatch):
     }
     affine_clean, min_pair, before, drawing = subspaces._affine_clean, subspaces._min_pair, [], []
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
         if not drawing:
-            before.append((piv, size, best, found))
+            before.append((code.pivot_tuples[g], size, best, found))
         return found
 
     def paired(code, pairs, masks, floors):
@@ -1690,7 +1690,8 @@ def test_a_repeated_word_keeps_its_affine_group_unsettled():
     code = cdc_from_text("CDC 2 4 2 4 4\n\n1 0 0 0\n0 1 0 0\n\n1 0 1 0\n0 1 0 1\n\n"
                          "1 0 0 1\n0 1 1 1\n\n1 0 0 1\n0 1 1 1\n")
     assert [w.rows for w in code] == [(8, 4), (9, 7), (9, 7), (10, 5)]
-    assert not subspaces._affine_clean(code, (0, 1), 4, 4)
+    assert code.pivot_tuples == [(0, 1)]
+    assert not subspaces._affine_clean(code, 0, 4, 4)
     for report in (verify_min_distance(code),
                    verify_min_distance(code, mode="sample", sample_count=5000, seed=1)):
         assert (report.min_found, report.witness) == (0, (1, 2))
@@ -1738,9 +1739,9 @@ def test_a_group_is_tested_once_at_each_minimum(monkeypatch):
     # of its first N pairs
     affine_clean, min_pair, calls, phase = subspaces._affine_clean, subspaces._min_pair, [], [""]
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
-        calls.append((phase[0], piv, best, found))
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
+        calls.append((phase[0], code.pivot_tuples[g], best, found))
         return found
 
     def paired(code, pairs, masks, floors):
@@ -1797,7 +1798,7 @@ def test_a_group_test_costs_one_rank_test_per_low_rank_space(link10, monkeypatch
         piv = tuple(range(code.k))
         assert Counter(w.pivots for w in code)[piv] == 32768
         calls.clear()
-        assert subspaces._affine_clean(code, piv, 32768, best)
+        assert subspaces._affine_clean(code, code.pivot_tuples.index(piv), 32768, best)
         assert len(calls) == 1 + gauss_binomial(code.k, best // 2 - 1, 2) == tests
 
 
@@ -1881,7 +1882,7 @@ def test_affine_groups_are_settled_as_the_oracle_settles_them(q):
         code = CDC(q, k + 3, k, 2, words_of(_lifts(f, k, 3, mats)))
         assert q ** round(math.log(len(code), q)) == len(code)
         assert len({w.pivots for w in code}) == 1
-        settled = tuple(subspaces._affine_clean(code, code.codewords[0].pivots, len(code), best)
+        settled = tuple(subspaces._affine_clean(code, 0, len(code), best)
                         for best in (2, 4, 6))
         assert settled == tuple(bool(settled_groups(code, best)) for best in (2, 4, 6)), name
         assert expected in (None, settled), name
@@ -1971,8 +1972,8 @@ def test_exhaustive_verification_of_the_multiblocks_10_4_5_code(monkeypatch):
     assert len(code) == 1_178_824
     affine_clean, settled = subspaces._affine_clean, []
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
         settled.extend([size] * found)
         return found
 
@@ -2004,8 +2005,8 @@ def test_table_6_row_1_builds_and_verifies(monkeypatch, tmp_path):
         "963bf33e8605d5c5010a8a3db8ac2d67d773a431337b0848332218e0aaf48d15"
     affine_clean, settled = subspaces._affine_clean, []
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
         settled.extend([size] * found)
         return found
 
@@ -2039,8 +2040,8 @@ def test_table_2_row_1_builds_and_verifies(monkeypatch):
         "268ceea1e3d0cd1085aa57c79e4c33bdadba53a825137a36ad4c7fa4ec097fa4"
     affine_clean, settled = subspaces._affine_clean, []
 
-    def watched(code, piv, size, best):
-        found = affine_clean(code, piv, size, best)
+    def watched(code, g, size, best):
+        found = affine_clean(code, g, size, best)
         settled.extend([size] * found)
         return found
 
