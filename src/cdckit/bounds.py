@@ -34,18 +34,16 @@ floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counting import bounded_rank_size, mrd_size
 from .errors import EmptyGrid, HypothesisViolated, ManifestMiss, RegistryMiss
 from .registry import BaseBoundRegistry, shipped_registry
 
 
-@dataclass
-class BoundResult:
+class BoundResult(NamedTuple):
     family: str
     q: int
     n: int
@@ -54,7 +52,7 @@ class BoundResult:
     params: Dict[str, int]
     total: int
     terms: Dict[str, int]
-    registry_deps: List[Tuple[int, int, int, int]] = field(default_factory=list)
+    registry_deps: Sequence[Tuple[int, int, int, int]] = ()
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -268,8 +266,7 @@ def blocks_part(p, a):
 # -- family specs -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A family parameter, admissible in [lo(p), hi(p)] given the parameters
     before it; `why` states that hypothesis.  The range is exact: each value
     in it has an admissible tuple below it.  A `fill` parameter may be left
@@ -319,16 +316,34 @@ _BLOCKS = _split(lambda h: 2 * h, "k >= d") + (
 _U2 = _derived("u2", lambda p: p["k"] - p["u1"], "need u2 = k - u1")
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    plan: str  # the construction plan family built by `constructions`
-    params: Tuple[Param, ...]
-    parts: Tuple[Callable, ...]
+def _levels(names: Tuple[str, ...], parts: Tuple[Callable, ...]) -> Tuple[Tuple[Tuple, Tuple], ...]:
+    """(parts, bounds) of each level i, a position in `names`: the parts
+    whose deepest read is names[i] (names[0] for a part that reads none),
+    fixed once names[:i + 1] is set; and the bounds max mode adds there,
+    each deeper part's bound whose deepest read is names[i], when every
+    deeper part declares one."""
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(par.name for par in self.params)
+    def level(fn) -> int:
+        return max((names.index(r) for r in fn.reads if r in names), default=0)
+
+    out = []
+    for i in range(len(names)):
+        deep = [[b for b in part.bounds if level(b) == i] for part in parts if level(part) > i]
+        out.append((tuple(part for part in parts if level(part) == i),
+                    tuple(bs[0] for bs in deep) if deep and all(deep) else ()))
+    return tuple(out)
+
+
+class Family:
+    """A family's name, the construction plan family `constructions` builds
+    for it, its parameters in order and its count parts.  Its parameter
+    `names` and its `levels` are worked out once, when it is made."""
+
+    def __init__(self, name: str, plan: str, params: Tuple[Param, ...],
+                 parts: Tuple[Callable, ...]):
+        self.name, self.plan, self.params, self.parts = name, plan, params, parts
+        self.names = names = tuple(par.name for par in params)
+        self.levels = _levels(names, parts)
 
     def resolve(self, q: int, n: int, d: int, k: int,
                 given: Dict[str, Optional[int]]) -> Dict[str, int]:
@@ -346,26 +361,6 @@ class Family:
             p[par.name] = value = given.get(par.name, hi)
             _need(lo <= value <= hi, par.why)
         return p
-
-    @cached_property
-    def levels(self) -> Tuple[Tuple[Tuple[Callable, ...], Tuple[Callable, ...]], ...]:
-        """(parts, bounds) of each level i, a position in `names`: the parts
-        whose deepest read is names[i] (names[0] for a part that reads none),
-        fixed once names[:i + 1] is set; and the bounds max mode adds there,
-        each deeper part's bound whose deepest read is names[i], when every
-        deeper part declares one."""
-        names = self.names
-
-        def level(fn) -> int:
-            return max((names.index(r) for r in fn.reads if r in names), default=0)
-
-        out = []
-        for i in range(len(self.params)):
-            deep = [[b for b in part.bounds if level(b) == i]
-                    for part in self.parts if level(part) > i]
-            out.append((tuple(part for part in self.parts if level(part) == i),
-                        tuple(bs[0] for bs in deep) if deep and all(deep) else ()))
-        return tuple(out)
 
     def count(self, p, a) -> Tuple[int, Dict[str, int]]:
         """The total and the terms of all parts."""
@@ -466,8 +461,7 @@ COR45 = {
 # -- table manifests ----------------------------------------------------------
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     table: int
     row: int
     q: int

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import or_
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .bounds import PLAN_FAMILIES, blocks_insert_part, blocks_part, insert_vectors, \
     lifted_inserts_part, linkage_part, parallel_insert_part
@@ -55,15 +55,15 @@ from .subspaces import CDC, cdc_from_text, verify_min_distance
 PLAN_MAX_DIGITS = 4300
 
 
-@dataclass
-class ConstructionPlan:
+class ConstructionPlan(NamedTuple):
     family: str
     q: int
     n: int
     d: int
     k: int
-    params: Dict[str, int] = field(default_factory=dict)
-    files: Dict[str, str] = field(default_factory=dict)
+    # a default is shared by every plan that takes it, so it is read-only
+    params: Mapping[str, int] = MappingProxyType({})
+    files: Mapping[str, str] = MappingProxyType({})
 
 
 def parse_plan(text: str) -> ConstructionPlan:
@@ -94,8 +94,7 @@ def parse_plan(text: str) -> ConstructionPlan:
     return ConstructionPlan(family=family, params=params, files=files, **core)
 
 
-@dataclass
-class BuildOutput:
+class BuildOutput(NamedTuple):
     cdc: Optional[CDC]
     component_counts: Dict[str, int]
     total: int

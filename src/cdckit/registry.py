@@ -16,6 +16,7 @@ Analytic rules (all exact):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, Optional, Tuple
 
@@ -89,15 +90,10 @@ class BaseBoundRegistry:
         return "\n".join(lines) + "\n"
 
 
-_shipped: Optional[BaseBoundRegistry] = None
-
-
+@lru_cache(maxsize=None)
 def shipped_registry() -> BaseBoundRegistry:
-    """The registry distributed with the package (cached, treat as read-only)."""
-    global _shipped
-    if _shipped is None:
-        reg = BaseBoundRegistry()
-        ref = resources.files("cdckit.data").joinpath("registry.txt")
-        reg.merge_text(ref.read_text())
-        _shipped = reg
-    return _shipped
+    """The registry distributed with the package, made once: every call
+    returns the same object, so treat it as read-only."""
+    reg = BaseBoundRegistry()
+    reg.merge_text(resources.files("cdckit.data").joinpath("registry.txt").read_text())
+    return reg

@@ -56,11 +56,10 @@ import os
 import random
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, compress, count, cycle, islice, repeat, takewhile, tee
 from operator import and_, eq, rshift
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from .counting import gauss_binomial
 from .errors import InvalidParameters, PairLimitExceeded
@@ -190,8 +189,7 @@ class CDC(Sequence):
         return f"CDC(({self.n}, {len(self)}, {self.d}, {self.k})_{self.q})"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """The least distance found and its witness pair.  `pairs_checked` is
     N(N-1)/2 in exhaustive mode; in sample mode it is the number of draws,
     which are made with replacement, so a pair drawn twice counts twice

@@ -51,6 +51,10 @@ is the block insert's size as one expression.  `randrange_pairs` draws
 the verifier's sampled pairs by plain `random.Random.randrange`.
 `bound_cor45_poly` evaluates the cor45 records from their closed-form
 polynomials, the reference for the family tuples that `bound` evaluates.
+`upper_bound` is the smaller of two exact integer upper bounds on
+A_q(n, d, k): the iterated Johnson bound with duality (Etzion and Vardy,
+IEEE Trans. IT 2011) and the anticode bound.  Every count the package
+gives lies at or below it, so a part counted twice cannot pass unseen.
 """
 
 from __future__ import annotations
@@ -811,3 +815,38 @@ def bound_cor45_poly(n: int, d: int, k: int, q: int, registry: BaseBoundRegistry
             value *= registry.get(q, nn, dd, kk)
         total += value
     return total
+
+
+def q_binomial(q: int, n: int, k: int) -> int:
+    """[n k]_q by its product formula, 0 outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def johnson_bound(q: int, n: int, d: int, k: int) -> int:
+    """The iterated Johnson bound A_q(n, d, k) <= floor((q^n - 1)/(q^k - 1)
+    A_q(n - 1, d, k - 1)), taken at k and at its dual n - k, whichever is
+    smaller; a code whose k is below d/2 has one word."""
+    if k < d // 2 or n - k < d // 2:
+        return 1
+    return min((q ** n - 1) * johnson_bound(q, n - 1, d, kk - 1) // (q ** kk - 1)
+               for kk in (k, n - k))
+
+
+def anticode_bound(q: int, n: int, d: int, k: int) -> int:
+    """A_q(n, d, k) <= [n, k - d/2 + 1]_q / [k, k - d/2 + 1]_q, at k and at
+    its dual n - k, whichever is smaller."""
+    return min(q_binomial(q, n, kk - d // 2 + 1) // q_binomial(q, kk, kk - d // 2 + 1)
+               for kk in (k, n - k))
+
+
+def upper_bound(q: int, n: int, d: int, k: int) -> int:
+    """The smaller of the Johnson and anticode bounds on A_q(n, d, k), for
+    even d with d/2 <= min(k, n - k)."""
+    return min(johnson_bound(q, n, d, k), anticode_bound(q, n, d, k))

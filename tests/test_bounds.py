@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import os
+from fractions import Fraction
+
 import pytest
 
-from cdckit.bounds import COR45, FAMILIES, evaluate, insert_vectors, load_table_manifest, \
-    optimize_parameters, reproduce_table
+from cdckit.bounds import ALL_TABLE_IDS, COR45, FAMILIES, evaluate, insert_vectors, \
+    load_table_manifest, optimize_parameters, reproduce_table
 from cdckit.counting import gauss_binomial
 from cdckit.errors import EmptyGrid, HypothesisViolated, RegistryMiss
 from cdckit.registry import BaseBoundRegistry, shipped_registry
-from oracles import POLY_FAMILIES, blocks_insert_oracle, bound_cor45_poly, grid
+from oracles import POLY_FAMILIES, blocks_insert_oracle, bound_cor45_poly, grid, upper_bound
 
 REG = shipped_registry()
 
@@ -420,9 +423,7 @@ def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
     # brute force's maximum, tuple, terms and deps, or its error; and it
     # evaluates insert B under a tenth as often as the unpruned search, which
     # made 17,883 calls here, so pruning that silently stops shows
-    import dataclasses
-
-    from cdckit.bounds import blocks_insert_part
+    from cdckit.bounds import Family, blocks_insert_part
 
     calls = 0
 
@@ -439,7 +440,7 @@ def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
         for family in ("cor41", "cor42"):
             spec = FAMILIES[family]
             patch.setitem(FAMILIES, family,
-                          dataclasses.replace(spec, parts=tuple(map(counted, spec.parts))))
+                          Family(spec.name, spec.plan, spec.params, tuple(map(counted, spec.parts))))
         for key in _DEEP_KEYS:
             for family in ("cor41", "cor42"):
                 found[key, family] = _outcome(optimize_parameters, *key, family, REG)
@@ -683,3 +684,38 @@ def test_grid_is_the_admissible_set():
         assert admitted and [dict(p) for p in grid(spec, q, n, d, k)] == admitted, family
     for d in (3, 0):
         assert list(grid(FAMILIES["cor41"], 2, 12, d, 6)) == []
+
+
+def test_every_count_lies_at_or_below_the_upper_bounds():
+    # nothing else bounds a count from above, so a part counted twice would
+    # pass wherever it lands above the published value: every search maximum
+    # of the five families on the benchmark's 669 keys, and every table
+    # value, computed and published, lies at or below the smaller of the
+    # iterated Johnson bound with duality and the anticode bound
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "data", "keys.txt")
+    with open(path) as fh:
+        keys = [tuple(map(int, line.split())) for line in fh
+                if line.strip() and not line.startswith("#")]
+    assert len(keys) == 669
+    searched = 0
+    for q, n, d, k in keys:
+        cap = upper_bound(q, n, d, k)
+        for family in FAMILIES:
+            try:
+                best = optimize_parameters(q, n, d, k, family, REG)
+            except EmptyGrid:
+                continue
+            assert best.total <= cap, (q, n, d, k, family, best.total, cap)
+            searched += 1
+    assert searched > 669
+    ratios = []
+    for tid in ALL_TABLE_IDS:
+        for row in reproduce_table(tid, registry=REG):
+            cap = upper_bound(row["q"], row["n"], row["d"], row["k"])
+            assert row["computed"] == row["published_new"] <= cap, (tid, row["row"], cap)
+            ratios.append((Fraction(row["computed"], cap), tid, row["row"]))
+    assert len(ratios) == 122
+    # the tightest row: Table 3 row 7, A_9(16,8,8), at 0.99983 of the bound
+    ratio, tid, row = max(ratios)
+    assert (tid, row, round(float(ratio), 5)) == (3, 7, 0.99983)

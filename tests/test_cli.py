@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -774,3 +776,19 @@ def test_plan_derives_u2_for_build(tmp_path, capsys):
     assert main(["build", "--plan", str(path), "--count-only"]) == 0
     lines = _json_lines(capsys.readouterr().out)
     assert {"total": 1214577088, "explicit": False} in lines
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so no module another test imported counts: the
+    # records are NamedTuples and plain classes, and start-up pays for
+    # neither module
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cdckit.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_the_shipped_registry_is_made_once():
+    assert shipped_registry() is shipped_registry()
