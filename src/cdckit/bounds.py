@@ -35,7 +35,6 @@ floor.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counting import bounded_rank_size, mrd_size
@@ -499,6 +498,8 @@ def parse_manifest(text: str) -> List[TableRow]:
 
 
 def load_table_manifest(table_id: int) -> List[TableRow]:
+    # imported here, not at start-up: from Python 3.12 it loads inspect
+    from importlib import resources
     ref = resources.files("cdckit.data.tables").joinpath(f"table{table_id}.txt")
     try:
         text = ref.read_text()

@@ -17,7 +17,6 @@ Analytic rules (all exact):
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, Optional, Tuple
 
 from .counting import gauss_binomial
@@ -94,6 +93,8 @@ class BaseBoundRegistry:
 def shipped_registry() -> BaseBoundRegistry:
     """The registry distributed with the package, made once: every call
     returns the same object, so treat it as read-only."""
+    # imported here, not at start-up: from Python 3.12 it loads inspect
+    from importlib import resources
     reg = BaseBoundRegistry()
     reg.merge_text(resources.files("cdckit.data").joinpath("registry.txt").read_text())
     return reg

@@ -11,6 +11,7 @@ import json
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 from cdckit.bounds import ALL_TABLE_IDS, COR45, evaluate, load_table_manifest, reproduce_table
 from cdckit.cli import main
@@ -22,7 +23,7 @@ from cdckit.rankcodes import enumerate_code, gabidulin_mrd
 from cdckit.registry import BaseBoundRegistry, shipped_registry
 from cdckit.subspaces import CDC, verify_min_distance
 from oracles import bound_cor45_poly, hamming_lb_check, insertion_predicate, lift_matrix, \
-    mat_sub, subspace_distance, subspace_from_rows
+    mat_sub, subspace_distance, subspace_from_rows, upper_bound
 
 REG = shipped_registry()
 
@@ -85,6 +86,7 @@ def test_criterion_5_table_reproduction():
     t0 = time.monotonic()
     total = 0
     q2_rows = 0
+    ratios = []
     for tid in ALL_TABLE_IDS:
         rows = reproduce_table(tid, registry=REG)
         assert rows, f"table {tid} manifest is empty"
@@ -93,10 +95,17 @@ def test_criterion_5_table_reproduction():
                 f"table {tid} row {row['row']} A_{row['q']}({row['n']},{row['d']},"
                 f"{row['k']}): computed {row['computed']} != {row['published_new']}"
             )
+            # and no value passes the iterated Johnson and anticode bounds
+            cap = upper_bound(row["q"], row["n"], row["d"], row["k"])
+            assert row["computed"] <= cap, (tid, row["row"], cap)
+            ratios.append((Fraction(row["computed"], cap), tid, row["row"]))
             total += 1
             if row["q"] == 2:
                 q2_rows += 1
     assert total == 122 and q2_rows == 20
+    # the tightest row: Table 3 row 7, A_9(16,8,8), at 0.99983 of the bound
+    ratio, tid, row = max(ratios)
+    assert (tid, row, round(float(ratio), 5)) == (3, 7, 0.99983)
     print(
         "NOTE criterion 5: 122 rows reproduced exactly (the 120 bundled table "
         "rows plus the 2 verbatim-stated values of the d=4 direct-insert table; "

@@ -217,6 +217,7 @@ def test_a_refused_registry_line_is_named_by_its_number(tmp_path, capsys, line, 
     assert err.startswith("error: registry line 3: ") and named in err
     assert len(err.splitlines()) == 1
     assert len(shipped_registry().entries) == 31
+    assert shipped_registry() is shipped_registry()
 
 
 def test_build_verify_round_trip(tmp_path, capsys):
@@ -779,16 +780,12 @@ def test_plan_derives_u2_for_build(tmp_path, capsys):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, so no module another test imported counts: the
-    # records are NamedTuples and plain classes, and start-up pays for
-    # neither module
+    # a fresh interpreter without site (-S), so no module another test or a
+    # .pth file imported counts: the records are NamedTuples and plain
+    # classes, and start-up pays for neither module
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, cdckit.cli; "
+        [sys.executable, "-S", "-c", "import sys, cdckit.cli; "
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
-
-
-def test_the_shipped_registry_is_made_once():
-    assert shipped_registry() is shipped_registry()
