@@ -78,11 +78,14 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # take them from the plan's sub-code files first.  Each part declares the
 # family parameters it reads (`reads`); the search evaluates it once per
 # prefix of the deepest of them (see `optimize_parameters`).  Inserts B and
-# E also declare `bounds` (made by `_insert_bounds`) for the search's max
-# mode: each a function bound(p, a, memo) of its own `reads`, at least the
-# part's size at every tuple that shares their values and whose sub-code
-# sizes all resolve, or RegistryMiss when no such tuple exists.  `memo` is
-# a dict that lives for one search, shared by all bounds.
+# E also declare `bounds` for the search's max mode, made by `_insert_bounds`
+# over an (n1, a1) split, a b2-subtree and a t1-row: each a function
+# bound(p, a, memo) of its own `reads`, at least the part's size at every
+# tuple that shares their values and whose sub-code sizes all resolve, or
+# RegistryMiss when no such tuple exists.  `memo` is a dict that lives for
+# one search, shared by all bounds.  It keeps each insert's side maxima by
+# the side's (n_i, a_i, b_i) alone (the search's lookup reads no slot), so
+# side 2 at a triple that side 1 has met is a hit.
 
 
 def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
@@ -94,17 +97,18 @@ def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
     return declare
 
 
-def _side_max(p, a, memo, factors, t_hi, i: str) -> Tuple[int, int]:
-    """Side i's largest g and largest xg, (g, xg) = factors(p, a, i, t), over
-    t_i = t in [a_i, t_hi(p, i)], a t whose sub-code size misses skipped;
-    memoized under (factors, i, n_i, a_i, b_i), RegistryMiss if all miss."""
-    key = (factors, i, p["n" + i], p["a" + i], p["b" + i])
+def _side_max(p, a, memo, factors, t_hi, n: int, ai: int, b: int) -> Tuple[int, int]:
+    """The largest g and the largest xg, (g, xg) = factors(p, a, n, ai, b, t),
+    of a side with n_i = n, a_i = ai and b_i = b, over t_i = t in
+    [ai, t_hi(p, n, ai)], a t whose sub-code size misses skipped; memoized
+    under (factors, n, ai, b), RegistryMiss if all miss."""
+    key = (factors, n, ai, b)
     found = memo.get(key)
     if found is None:
         found = miss = None
-        for t in range(p["a" + i], t_hi(p, i) + 1):
+        for t in range(ai, t_hi(p, n, ai) + 1):
             try:
-                g, xg = factors(p, a, i, t)
+                g, xg = factors(p, a, n, ai, b, t)
             except RegistryMiss as exc:
                 miss = exc.key
                 continue
@@ -115,25 +119,37 @@ def _side_max(p, a, memo, factors, t_hi, i: str) -> Tuple[int, int]:
     return found
 
 
-def _insert_bounds(factors, t_hi, product: bool = False) -> Tuple[Callable, Callable]:
-    """An insert's bounds over a b2-subtree and over a t1-row, from the
-    factors (g_i, x_i g_i) = factors(p, a, i, t) of side i at t_i = t in
-    [a_i, t_hi(p, i)]: x1 g1 x2 g2 <= x1 g1 max x2 g2 in the product form
-    (when b1 = b2 = d/2), else min(x1, x2) g1 g2 <= min(x1 g1 max g2,
-    g1 max x2 g2); over a b2-subtree, side 1 takes its maxima too."""
-    def bound(p, a, memo, g1: int, xg1: int) -> int:
-        g2, xg2 = _side_max(p, a, memo, factors, t_hi, "2")
-        return xg1 * xg2 if product and p["b1"] == p["b2"] == p["h"] else min(xg1 * g2, g1 * xg2)
+def _insert_bounds(factors, t_hi, product: bool = False) -> Tuple[Callable, ...]:
+    """An insert's bounds over an (n1, a1) split, a b2-subtree and a t1-row,
+    from the factors (g_i, x_i g_i) = factors(p, a, n_i, a_i, b_i, t) of side
+    i at t_i = t in [a_i, t_hi(p, n_i, a_i)]: x1 g1 x2 g2 <= x1 g1 max x2 g2
+    in the product form (when b1 = b2 = d/2), else min(x1, x2) g1 g2 <=
+    min(x1 g1 max g2, g1 max x2 g2).  Over a b2-subtree side 1 takes its
+    maxima too.  Over a split both sides take them at b_i = 1, where x_i is
+    largest, and g_i reads no b_i (the product form, at b_i = d/2, too)."""
+    def bound(p, a, memo, b1: int, b2: int, g1: int, xg1: int) -> int:
+        g2, xg2 = _side_max(p, a, memo, factors, t_hi, p["n2"], p["a2"], b2)
+        return xg1 * xg2 if product and b1 == b2 == p["h"] else min(xg1 * g2, g1 * xg2)
+
+    def sides(p, a, memo, b1: int, b2: int) -> int:
+        g1, xg1 = _side_max(p, a, memo, factors, t_hi, p["n1"], p["a1"], b1)
+        return bound(p, a, memo, b1, b2, g1, xg1)
+
+    @_reads("n1", "n2", "a1", "a2")
+    def split(p, a, memo) -> int:
+        top = sides(p, a, memo, 1, 1)
+        return max(top, sides(p, a, memo, p["h"], p["h"])) if product else top
 
     @_reads("n1", "n2", "a1", "a2", "b1", "b2")
     def subtree(p, a, memo) -> int:
-        return bound(p, a, memo, *_side_max(p, a, memo, factors, t_hi, "1"))
+        return sides(p, a, memo, p["b1"], p["b2"])
 
     @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1")
     def row(p, a, memo) -> int:
-        return bound(p, a, memo, *factors(p, a, "1", p["t1"]))
+        b1 = p["b1"]
+        return bound(p, a, memo, b1, p["b2"], *factors(p, a, p["n1"], p["a1"], b1, p["t1"]))
 
-    return subtree, row
+    return split, subtree, row
 
 
 @_reads("n1", "n2")
@@ -156,18 +172,18 @@ def _block_side(q: int, h: int, a: int, a_other: int, w: int, b: int) -> Tuple[i
     return m, _exact_div(mrd_size(q, a, w, b), m), _bounded(q, a_other, w, h, a_other - h)
 
 
-def _block_factors(p, a, i: str, t: int) -> Tuple[int, int]:
-    """(G_i, s_i G_i) of insert B's side i at t_i = t: its size is
-    min(s1, s2) G1 G2, with G1 = |Q1| m1 Delta_2 and G2 = |Q2| m2 Delta_1."""
-    o = "2" if i == "1" else "1"
-    m, s, d = _block_side(p["q"], p["h"], p["a" + i], p["a" + o], p["n" + i] - t, p["b" + i])
-    g = a("Q" + i, t, p["a" + i]) * m * d
+def _block_factors(p, a, n: int, ai: int, b: int, t: int) -> Tuple[int, int]:
+    """(G_i, s_i G_i) of insert B's side i with n_i = n, a_i = ai, b_i = b
+    at t_i = t: its size is min(s1, s2) G1 G2, with G1 = |Q1| m1 Delta_2 and
+    G2 = |Q2| m2 Delta_1; the other side's a is k - ai."""
+    m, s, d = _block_side(p["q"], p["h"], ai, p["k"] - ai, n - t, b)
+    g = a("Q", t, ai) * m * d
     return g, s * g
 
 
 # t_i <= n_i - d/2, the widest t range of the families with insert B
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2",
-        bounds=_insert_bounds(_block_factors, lambda p, i: p["n" + i] - p["h"]))
+        bounds=_insert_bounds(_block_factors, lambda p, n, ai: n - p["h"]))
 def blocks_insert_part(p, a):
     """Insert B: s coset-paired block codes over the sub-codes Q1, Q2.  Each
     side's factors are fixed by its own t, so the search's t2 loop reuses
@@ -180,17 +196,16 @@ def blocks_insert_part(p, a):
     return size, {"term:B": size, "s": s, "Delta_1": d1, "Delta_2": d2}
 
 
-def _parallel_factors(p, a, i: str, t: int) -> Tuple[int, int]:
-    """(|D_i|, Delta |D_i|) of insert E's side i at t_i = t, with Delta
-    (Delta_3 or Delta_4) at its largest: the rank cap c_i <= a_i <= t only
-    lowers it from the MRD size m(q, a_i, t, b_i)."""
-    ai = p["a" + i]
-    g = a("D" + i, p["n" + i] - t, ai)
-    return g, mrd_size(p["q"], ai, t, p["b" + i]) * g
+def _parallel_factors(p, a, n: int, ai: int, b: int, t: int) -> Tuple[int, int]:
+    """(|D_i|, Delta |D_i|) of insert E's side i with n_i = n, a_i = ai,
+    b_i = b at t_i = t, with Delta (Delta_3 or Delta_4) at its largest: the
+    rank cap c_i <= a_i <= t only lowers it from the MRD size m(q, a_i, t, b_i)."""
+    g = a("D", n - t, ai)
+    return g, mrd_size(p["q"], ai, t, b) * g
 
 
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2", "c1", "c2",
-        bounds=_insert_bounds(_parallel_factors, lambda p, i: p["n" + i] - p["a" + i],
+        bounds=_insert_bounds(_parallel_factors, lambda p, n, ai: n - ai,
                               product=True))
 def parallel_insert_part(p, a):
     """Insert E over the sub-codes D1, D2: every pair (M1, M2) of rank-capped
@@ -561,15 +576,16 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     search, misses included.
 
     In max mode the search also prunes by the parts' declared bounds.  At a
-    level with bounds (for cor41 and cor42: a b2-subtree, then a t1-row) it
-    adds them to the running sum, and goes to the next value when that is at
-    most `best_total`.  This is exact: a later tuple replaces `best` only
-    when its total is > `best_total`, and `best_total` never falls, so no
-    tuple in the subtree could change the returned tuple, total, terms or
-    deps.  A bound factor that misses in the registry for every tuple of
-    the subtree prunes it too, since each of those tuples would be skipped.
-    Nor can a skipped tuple have raised anything but RegistryMiss: its coset
-    counts m(b)/m(d/2) = q^(max(a,w)(d/2-b)) divide exactly, and the t
+    level with bounds (for cor41 and cor42: an (n1, a1) split, then a
+    b2-subtree, then a t1-row) it adds them to the running sum, and goes to
+    the next value when that is at most `best_total`.  This is exact: a
+    later tuple replaces `best` only when its total is > `best_total`, and
+    `best_total` never falls, so no tuple in the subtree could change the
+    returned tuple, total, terms or deps.  A bound factor that misses in the
+    registry for every tuple of the subtree prunes it too, since each of
+    those tuples would be skipped.  Nor can a skipped tuple have raised
+    anything but RegistryMiss: its coset counts m(b)/m(d/2) =
+    q^(max(a,w)(d/2-b)) divide exactly (the split's b = 1 too), and the t
     ranges keep every width w >= d/2 >= b, so every MRD size is defined.
     The bounds multiply the largest factors, so they take each registry
     value to be what it is, a code size >= 0.  They need no memory beyond
@@ -609,8 +625,12 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
             try:
                 for part in parts:
                     here += part(p, a)[0]
-                if bounds and here + sum(bound(p, a, memo) for bound in bounds) <= best_total:
-                    continue
+                if bounds:
+                    top = here
+                    for bound in bounds:
+                        top += bound(p, a, memo)
+                    if top <= best_total:
+                        continue
             except RegistryMiss:  # at every tuple under this value
                 continue
             if i + 1 < len(steps):

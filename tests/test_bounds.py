@@ -271,10 +271,10 @@ _SMALL_KEYS = [(q, n, d, k) for q, top in ((2, 13), (3, 12)) for n in range(2, t
 def _bounds_hold(key, family, registry) -> int:
     """Check every prefix at each of the family's bounded levels: the exact
     parts it fixes plus the declared bounds of the deeper parts must be at
-    least the total of each leaf under it that resolves, and a bound may
-    miss only when every such leaf misses.  One memo lives for the whole
-    key and serves every bound, as in the search.  Returns the number of
-    prefixes checked."""
+    least the total of each leaf under it that resolves, each bound at least
+    its own part's size there, and a bound may miss only when every such
+    leaf misses.  One memo lives for the whole key and serves every bound,
+    as in the search.  Returns the number of prefixes checked."""
     spec = FAMILIES[family]
     q, _, d, _ = key
 
@@ -282,59 +282,69 @@ def _bounds_hold(key, family, registry) -> int:
         return registry.get(q, n, d, k)
 
     leaves = grid(spec, *key)
-    totals = []
+    sizes = []  # each leaf's part sizes, or None where one misses
     for p in leaves:
         try:
-            totals.append(spec.count(p, a)[0])
+            sizes.append([part(p, a)[0] for part in spec.parts])
         except RegistryMiss:
-            totals.append(None)
+            sizes.append(None)
     memo = {}
     checked = 0
     for j, (_, bounds) in enumerate(spec.levels):
         if not bounds:
             continue
         exact = [part for parts, _ in spec.levels[:j + 1] for part in parts]
+        # the parts the bounds belong to, in order
+        deeper = [i for i, part in enumerate(spec.parts) if part not in exact]
         firsts = {}
-        for p, total in zip(leaves, totals):
+        for p, row in zip(leaves, sizes):
             prefix = tuple(p[name] for name in spec.names[:j + 1])
-            first, most = firsts.get(prefix, (p, None))
-            if total is not None and (most is None or total > most):
-                most = total
-            firsts[prefix] = first, most
-        for first, most in firsts.values():
+            first, most, each = firsts.get(prefix, (p, None, None))
+            if row is not None:
+                most = sum(row) if most is None else max(most, sum(row))
+                each = row if each is None else list(map(max, each, row))
+            firsts[prefix] = first, most, each
+        for first, most, each in firsts.values():
             try:
                 top = sum(part(first, a)[0] for part in exact)
-                for bound in bounds:
-                    top += bound(first, a, memo)
+                tops = [bound(first, a, memo) for bound in bounds]
             except RegistryMiss:
                 top = None
-            assert (most is None) if top is None else top >= (most or 0), (key, family, first)
+            assert (most is None) if top is None else top + sum(tops) >= (most or 0), \
+                (key, family, first)
+            if top is not None and each is not None:
+                assert all(t >= each[i] for t, i in zip(tops, deeper)), (key, family, first)
             checked += 1
     return checked
 
 
 def test_declared_bounds_hold_on_every_prefix():
-    # the max-mode search prunes a b2-subtree or a t1-row of cor41 and cor42
-    # when this sum is at most its incumbent, so an unsound bound could hide
-    # behind a large incumbent in the brute-force comparison; here each is
-    # checked against every leaf under it, with the shipped registry and,
-    # for q = 2, the analytic rules alone, whose misses fall elsewhere
+    # the max-mode search prunes an (n1, a1) split, a b2-subtree or a t1-row
+    # of cor41 and cor42 (levels a2, b2 and t1) when this sum is at most its
+    # incumbent, so an unsound bound could hide behind a large incumbent in
+    # the brute-force comparison; here each is checked against every leaf
+    # under it, with the shipped registry and, for q = 2, the analytic rules
+    # alone, whose misses fall elsewhere
     assert [(family, [j for j, (_, bounds) in enumerate(spec.levels) if bounds])
             for family, spec in FAMILIES.items()] \
-        == [("linkage", []), ("cor41", [5, 6]), ("cor42", [5, 6]), ("cor43", []), ("cor44", [])]
+        == [("linkage", []), ("cor41", [3, 5, 6]), ("cor42", [3, 5, 6]), ("cor43", []),
+            ("cor44", [])]
     checked = 0
     for key in _SMALL_KEYS + _DEEP_KEYS:
         for registry in (REG, BaseBoundRegistry()) if key[0] == 2 else (REG,):
             for family in ("cor41", "cor42"):
                 checked += _bounds_hold(key, family, registry)
-    assert checked > 40000
+    # 44,208 prefixes at levels b2 and t1, and 2,995 (n1, a1) prefixes
+    assert checked > 40000 + 2995
 
 
 def test_bound_memo_is_keyed_by_insert():
     # one memo serves every bound of a search; insert B's and insert E's
-    # side maxima share its keys' (side, n_i, a_i, b_i), so each bound must
-    # give with a memo the other insert's bound filled what it gives with a
-    # fresh one
+    # side maxima share its keys' (n_i, a_i, b_i), so each bound must give
+    # with a memo the other insert's bound filled what it gives with a fresh
+    # one.  Both sides share them too: a memo that the b2-subtree bound
+    # filled through side 1 at (n1, a1, b1) must give the t1-row bound, at
+    # the tuple with the sides swapped, what a fresh one gives, and hit
     from cdckit.bounds import blocks_insert_part, parallel_insert_part
 
     def outcome(bound, p, memo):
@@ -343,12 +353,16 @@ def test_bound_memo_is_keyed_by_insert():
         except RegistryMiss as exc:
             return exc.key
 
-    checked = differ = 0
-    # (subtree bounds, row bounds)
-    pairs = tuple(zip(blocks_insert_part.bounds, parallel_insert_part.bounds))
+    def swapped(p):
+        return {**p, **{x + i: p[x + o] for x in ("n", "a", "b", "t", "c")
+                        for i, o in (("1", "2"), ("2", "1"))}}
+
+    checked = differ = sides = 0
+    # (split bounds, subtree bounds, row bounds)
+    triples = tuple(zip(blocks_insert_part.bounds, parallel_insert_part.bounds))
     for key in ((2, 12, 4, 6), (2, 16, 6, 8), (3, 12, 4, 5)):
         for p in grid(FAMILIES["cor42"], *key):
-            for pair in pairs:
+            for pair in triples:
                 for first, second in (pair, pair[::-1]):
                     memo = {}
                     outcome(first, p, memo)
@@ -356,7 +370,15 @@ def test_bound_memo_is_keyed_by_insert():
                     assert outcome(second, p, memo) == fresh, (first.__name__, p)
                     checked += 1
                     differ += fresh != outcome(first, p, {})
-    assert checked > 400 and differ > checked // 2
+            for part in (blocks_insert_part, parallel_insert_part):
+                _, subtree, row = part.bounds
+                memo = {}
+                outcome(subtree, p, memo)
+                filled = len(memo)
+                assert outcome(row, swapped(p), memo) == outcome(row, swapped(p), {}), p
+                assert len(memo) == filled, p
+                sides += 1
+    assert checked > 600 and differ > checked // 2 and sides > 200
 
 
 def _level(spec, fn) -> int:
@@ -421,17 +443,27 @@ def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
     # cor41 and cor42 at the keys of _DEEP_KEYS: the pruned search gives the
     # brute force's maximum, tuple, terms and deps, or its error; and it
     # evaluates insert B under a tenth as often as the unpruned search, which
-    # made 17,883 calls here, so pruning that silently stops shows
+    # made 17,883 calls here, and the b2-subtree bounds less often than the
+    # search without the (n1, a1) split bound, which made 2,580 here, so
+    # pruning that silently stops shows
     from cdckit.bounds import Family, blocks_insert_part
 
-    calls = 0
+    calls = subtrees = 0
+
+    def counted_bound(bound):
+        def wrapper(p, a, memo):
+            nonlocal subtrees
+            subtrees += bound.reads[-1] == "b2"
+            return bound(p, a, memo)
+        wrapper.reads = bound.reads
+        return wrapper
 
     def counted(part):
         def wrapper(p, a):
             nonlocal calls
             calls += part is blocks_insert_part
             return part(p, a)
-        wrapper.reads, wrapper.bounds = part.reads, part.bounds
+        wrapper.reads, wrapper.bounds = part.reads, tuple(map(counted_bound, part.bounds))
         return wrapper
 
     found = {}
@@ -444,6 +476,7 @@ def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
             for family in ("cor41", "cor42"):
                 found[key, family] = _outcome(optimize_parameters, *key, family, REG)
     assert 0 < calls < 17883 // 10
+    assert 0 < subtrees < 2580
     for (key, family), outcome in found.items():
         assert outcome == _outcome(_brute_force, *key, family, REG), (key, family)
     assert sum(isinstance(outcome[0], int) for outcome in found.values()) > 90
