@@ -86,13 +86,26 @@ def _bounded(q: int, a: int, b: int, d: int, cap: int) -> int:
 # one search, shared by all bounds.  It keeps each insert's side maxima by
 # the side's (n_i, a_i, b_i) alone (the search's lookup reads no slot), so
 # side 2 at a triple that side 1 has met is a hit.
+#
+# A part also declares the parameters its size never grows with (`falls`),
+# all else fixed: insert B falls with b2, through its coset count
+# m(q,a2,w2,b2)/m, and the lifted inserts with cor44's b2 and cor43's c2,
+# through m(q,v2,w2,c2) in their coset counts.  In max mode the search walks
+# a parameter at its first value only when no part reads it but those that
+# declare it (see `Family`): each tuple above that value is then beaten or
+# tied, part for part, by the tuple at it with the same later values, which
+# comes first.  That holds while no later range and no sub-code lookup reads
+# the parameter, as none reads b2 or c2 there (t1, t2 and lam read n_i, a_i,
+# u1 and h; the lookups read t).  Insert E declares nothing: its product
+# form at b1 = b2 = d/2 outgrows min(Delta_3, Delta_4) below it, and cor42's
+# c1 and c2 ranges read b2.
 
 
-def _reads(*names: str, bounds: Tuple[Callable, ...] = ()):
+def _reads(*names: str, bounds: Tuple[Callable, ...] = (), falls: Tuple[str, ...] = ()):
     """Declare the family parameters a count part reads besides q, n, d, k, h,
-    and the part's bounds."""
+    the part's bounds and the parameters its size never grows with."""
     def declare(part):
-        part.reads, part.bounds = names, bounds
+        part.reads, part.bounds, part.falls = names, bounds, falls
         return part
     return declare
 
@@ -183,7 +196,7 @@ def _block_factors(p, a, n: int, ai: int, b: int, t: int) -> Tuple[int, int]:
 
 # t_i <= n_i - d/2, the widest t range of the families with insert B
 @_reads("n1", "n2", "a1", "a2", "b1", "b2", "t1", "t2",
-        bounds=_insert_bounds(_block_factors, lambda p, n, ai: n - p["h"]))
+        bounds=_insert_bounds(_block_factors, lambda p, n, ai: n - p["h"]), falls=("b2",))
 def blocks_insert_part(p, a):
     """Insert B: s coset-paired block codes over the sub-codes Q1, Q2.  Each
     side's factors are fixed by its own t, so the search's t2 loop reuses
@@ -253,7 +266,7 @@ def _lifted(p, v1: int, v2: int, shift: int, w1: int, w2: int, c1: int, c2: int
     return s, s * lam5 * lam1 * lam2
 
 
-@_reads("n1", "n2", "u1", "u2", "b1", "b2", "c1", "c2", "lam")
+@_reads("n1", "n2", "u1", "u2", "b1", "b2", "c1", "c2", "lam", falls=("b2", "c2"))
 def lifted_inserts_part(p, a):
     """Inserts L_1, L_2, ..., one per special-form vector; cor43 also
     reports the coset count s_j of each."""
@@ -351,13 +364,19 @@ def _levels(names: Tuple[str, ...], parts: Tuple[Callable, ...]) -> Tuple[Tuple[
 class Family:
     """A family's name, the construction plan family `constructions` builds
     for it, its parameters in order and its count parts.  Its parameter
-    `names` and its `levels` are worked out once, when it is made."""
+    `names`, its `levels` and its `firsts` are worked out once, when it is
+    made: `firsts` names the parameters max mode walks at their first value
+    only, each one that is not a fill parameter, that some part reads, and
+    that every part reading it declares it falls with."""
 
     def __init__(self, name: str, plan: str, params: Tuple[Param, ...],
                  parts: Tuple[Callable, ...]):
         self.name, self.plan, self.params, self.parts = name, plan, params, parts
         self.names = names = tuple(par.name for par in params)
         self.levels = _levels(names, parts)
+        readers = {name: [part for part in parts if name in part.reads] for name in names}
+        self.firsts = tuple(par.name for par in params if not par.fill and readers[par.name]
+                            and all(par.name in part.falls for part in readers[par.name]))
 
     def resolve(self, q: int, n: int, d: int, k: int,
                 given: Dict[str, Optional[int]]) -> Dict[str, int]:
@@ -590,6 +609,16 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
     The bounds multiply the largest factors, so they take each registry
     value to be what it is, a code size >= 0.  They need no memory beyond
     one search: the side maxima live in a dict local to it.
+
+    Max mode also walks each parameter of `Family.firsts` (cor41's and
+    cor44's b2, cor43's c2) at the first value of its range only.  Every
+    part that reads such a parameter declares that its size never grows
+    with it, and no later range or sub-code lookup reads it, so each tuple
+    above the first value has a counterpart at it with the same later
+    values, which resolves whenever the tuple does, has a total at least
+    as large and comes first in the tie order.  The returned tuple, total,
+    terms and deps, and the EmptyGrid outcome, are those of the full walk;
+    an empty range stays empty.
     """
     registry = registry or shipped_registry()
     spec = FAMILIES[family]
@@ -607,7 +636,8 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
             raise RegistryMiss(*size)
         return size
 
-    steps = [(par, parts, bounds if target is None else ())
+    maxing = target is None
+    steps = [(par, parts, bounds if maxing else (), maxing and par.name in spec.firsts)
              for par, (parts, bounds) in zip(spec.params, spec.levels)]
     memo: Dict = {}  # the bounds' side maxima
     best: Optional[Dict[str, int]] = None
@@ -618,9 +648,13 @@ def optimize_parameters(q: int, n: int, d: int, k: int, family: str,
         """Every tuple under the current values of names[:i], whose parts
         sum to `total`; True once the target is hit."""
         nonlocal best, best_total, evaluated
-        par, parts, bounds = steps[i]
+        par, parts, bounds, first = steps[i]
         lo, hi = par.lo(p), par.hi(p)
-        for p[par.name] in range(max(lo, hi) if par.fill else lo, hi + 1):
+        if par.fill:
+            lo = max(lo, hi)
+        elif first:
+            hi = min(lo, hi)
+        for p[par.name] in range(lo, hi + 1):
             here = total
             try:
                 for part in parts:

@@ -338,6 +338,61 @@ def test_declared_bounds_hold_on_every_prefix():
     assert checked > 40000 + 2995
 
 
+def _firsts_hold(key, family, registry) -> int:
+    """Check every leaf above the first value of one of the family's
+    first-value levels: the tuple with that level at its first value and
+    the same later values is admissible, resolves whenever the leaf does,
+    and each part that declares the level falls is at least as large
+    there, and so is the total.  Returns the number of leaves checked."""
+    spec = FAMILIES[family]
+    q, _, d, _ = key
+
+    def a(_slot, n, k):
+        return registry.get(q, n, d, k)
+
+    leaves = {tuple(p[name] for name in spec.names): p for p in grid(spec, *key)}
+    sizes = {}  # each leaf's part sizes, or None where one misses
+    for values, p in leaves.items():
+        try:
+            sizes[values] = [part(p, a)[0] for part in spec.parts]
+        except RegistryMiss:
+            sizes[values] = None
+    checked = 0
+    for name in spec.firsts:
+        j = spec.names.index(name)
+        falling = [i for i, part in enumerate(spec.parts) if name in part.falls]
+        for values, p in leaves.items():
+            lo = spec.params[j].lo(p)
+            if p[name] == lo:
+                continue
+            first = values[:j] + (lo,) + values[j + 1:]
+            assert first in leaves, (key, family, p)
+            here, there = sizes[values], sizes[first]
+            if here is not None:
+                assert there is not None, (key, family, p)
+                assert sum(there) >= sum(here), (key, family, p)
+                assert all(there[i] >= here[i] for i in falling), (key, family, p)
+            checked += 1
+    return checked
+
+
+def test_first_value_levels_cannot_lose():
+    # max mode walks b2 of cor41 and cor44 and c2 of cor43 at their first
+    # value only, since every part reading them declares it falls with them;
+    # that is exact only if each leaf above the first value has a counterpart
+    # at it that resolves and is at least as large.  With the shipped
+    # registry and, for q = 2, the analytic rules alone
+    checked = {family: 0 for family, spec in FAMILIES.items() if spec.firsts}
+    for key in _SMALL_KEYS + _DEEP_KEYS:
+        for registry in (REG, BaseBoundRegistry()) if key[0] == 2 else (REG,):
+            for family in checked:
+                checked[family] += _firsts_hold(key, family, registry)
+    assert {family: spec.firsts for family, spec in FAMILIES.items()} == {
+        "linkage": (), "cor41": ("b2",), "cor42": (), "cor43": ("c2",), "cor44": ("b2",)}
+    # 39,813 leaves of cor41, 512 of cor43 and 3,345 of cor44
+    assert checked["cor41"] > 35000 and checked["cor43"] > 500 and checked["cor44"] > 3000
+
+
 def test_bound_memo_is_keyed_by_insert():
     # one memo serves every bound of a search; insert B's and insert E's
     # side maxima share its keys' (n_i, a_i, b_i), so each bound must give
@@ -440,15 +495,17 @@ def test_ranges_are_exact():
 
 
 def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
-    # cor41 and cor42 at the keys of _DEEP_KEYS: the pruned search gives the
+    # cor41 to cor44 at the keys of _DEEP_KEYS: the pruned search gives the
     # brute force's maximum, tuple, terms and deps, or its error; and it
     # evaluates insert B under a tenth as often as the unpruned search, which
-    # made 17,883 calls here, and the b2-subtree bounds less often than the
-    # search without the (n1, a1) split bound, which made 2,580 here, so
-    # pruning that silently stops shows
-    from cdckit.bounds import Family, blocks_insert_part
+    # made 17,883 calls here, the b2-subtree bounds less often than the
+    # search without the (n1, a1) split bound, which made 2,580 here, and
+    # the lifted inserts of cor43 and cor44 under half as often as the
+    # search that walked every b2 and c2, which made 1,860 calls here (838
+    # now), so pruning that silently stops shows
+    from cdckit.bounds import Family, blocks_insert_part, lifted_inserts_part
 
-    calls = subtrees = 0
+    calls = subtrees = lifted = 0
 
     def counted_bound(bound):
         def wrapper(p, a, memo):
@@ -460,26 +517,30 @@ def test_search_matches_brute_force_where_pruning_bites(monkeypatch):
 
     def counted(part):
         def wrapper(p, a):
-            nonlocal calls
+            nonlocal calls, lifted
             calls += part is blocks_insert_part
+            lifted += part is lifted_inserts_part
             return part(p, a)
         wrapper.reads, wrapper.bounds = part.reads, tuple(map(counted_bound, part.bounds))
+        wrapper.falls = part.falls
         return wrapper
 
+    families = ("cor41", "cor42", "cor43", "cor44")
     found = {}
     with monkeypatch.context() as patch:
-        for family in ("cor41", "cor42"):
+        for family in families:
             spec = FAMILIES[family]
             patch.setitem(FAMILIES, family,
                           Family(spec.name, spec.plan, spec.params, tuple(map(counted, spec.parts))))
         for key in _DEEP_KEYS:
-            for family in ("cor41", "cor42"):
+            for family in families:
                 found[key, family] = _outcome(optimize_parameters, *key, family, REG)
     assert 0 < calls < 17883 // 10
     assert 0 < subtrees < 2580
+    assert 0 < lifted < 1860 // 2
     for (key, family), outcome in found.items():
         assert outcome == _outcome(_brute_force, *key, family, REG), (key, family)
-    assert sum(isinstance(outcome[0], int) for outcome in found.values()) > 90
+    assert sum(isinstance(outcome[0], int) for outcome in found.values()) > 150
 
 
 def test_search_prunes_exactly_the_subtrees_that_cannot_win(monkeypatch):
